@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race chaos memo concurrent crash fuzz cover ci bench flowbench scale provenance conformance conformance-update
+.PHONY: build vet test benchmod race chaos memo concurrent crash fuzz cover ci bench flowbench scale provenance conformance conformance-update
 
 build:
 	$(GO) build ./...
@@ -79,9 +79,15 @@ cover:
 	$(GO) test -coverprofile=cover.out ./internal/exec/ ./internal/trace/ ./internal/memo/ ./internal/scenario/ ./internal/harness/ ./internal/provenance/
 	$(GO) tool cover -func=cover.out | awk '/^total:/ {sub(/%/, "", $$3); print "combined coverage: " $$3 "%"; exit ($$3 >= 90.0) ? 0 : 1}'
 
+# benchmod vets and tests the nested benchmark module (bench/), which
+# ./... skips but which compiles against the service API.
+benchmod:
+	$(GO) -C bench vet ./... && $(GO) -C bench test ./...
+
 # ci is the gate CI runs: compile, vet, full suite under the race
-# detector (the scheduler is concurrent; -race is not optional).
-ci: build vet race cover
+# detector (the scheduler is concurrent; -race is not optional), and
+# the benchmark module.
+ci: build vet race cover benchmod
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .

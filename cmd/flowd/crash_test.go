@@ -28,11 +28,16 @@ func TestCrashRecoveryE2E(t *testing.T) {
 		t.Fatalf("building flowd: %v\n%s", err, out)
 	}
 
-	// Golden: an uninterrupted run of the slow flow, then a graceful
+	doc, err := os.ReadFile(filepath.Join("..", "..", "testdata", "scenarios", "slow-chain.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Golden: an uninterrupted run of the slow chain, then a graceful
 	// SIGTERM drain that must exit 0 and leave a checkpoint behind.
 	goldenDir := t.TempDir()
 	g := startFlowd(t, bin, goldenDir)
-	id := submitRun(t, g.base, "slow")
+	id := submitRun(t, g.base, doc)
 	waitState(t, g.base, id, "succeeded")
 	golden := traceLines(t, g.base, id)
 	if err := g.cmd.Process.Signal(syscall.SIGTERM); err != nil {
@@ -45,23 +50,27 @@ func TestCrashRecoveryE2E(t *testing.T) {
 		t.Fatalf("no datastore checkpoint after graceful shutdown: %v", err)
 	}
 
-	// Crash: same flow, same id, but kill -9 mid-run. The slow flow
-	// spends 100ms per unit over a depth-3 diamond, so 150ms lands
-	// between the first committed units and the end.
+	// Crash: same scenario, same id, but kill -9 mid-run: as soon as the
+	// followed trace shows the first unit committed. The chain's next
+	// unit sleeps 40ms before it can commit, so the kill lands mid-run by
+	// construction.
 	crashDir := t.TempDir()
 	c := startFlowd(t, bin, crashDir)
-	if id2 := submitRun(t, c.base, "slow"); id2 != id {
+	if id2 := submitRun(t, c.base, doc); id2 != id {
 		t.Fatalf("crash instance assigned id %s, golden got %s", id2, id)
 	}
-	time.Sleep(150 * time.Millisecond)
+	awaitFirstCommit(t, c.base, id)
 	if err := c.cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
 	_ = c.cmd.Wait()
+	if runFinished(filepath.Join(crashDir, "runs", id+".wal")) {
+		t.Fatal("the kill landed after the run finished: nothing left to resume")
+	}
 
-	// Restart over the same data dir: the run must come back — resumed
-	// from its last committed unit or, if the kill lost the race with
-	// the finish, replayed — and its trace must equal the golden.
+	// Restart over the same data dir: the run must come back, rebuilt
+	// from its logged scenario and resumed from its last committed unit,
+	// and its trace must equal the golden.
 	r := startFlowd(t, bin, crashDir)
 	waitState(t, r.base, id, "succeeded")
 	resumed := traceLines(t, r.base, id)
@@ -135,10 +144,10 @@ func waitHealthy(t *testing.T, base string) {
 	}
 }
 
-func submitRun(t *testing.T, base, flow string) string {
+func submitRun(t *testing.T, base string, doc []byte) string {
 	t.Helper()
 	resp, err := http.Post(base+"/v1/runs", "application/json",
-		strings.NewReader(`{"flow":"`+flow+`","user":"crash"}`))
+		strings.NewReader(`{"scenario":`+string(doc)+`,"user":"crash"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,6 +159,30 @@ func submitRun(t *testing.T, base, flow string) string {
 		t.Fatalf("submit: status %d, decode err %v", resp.StatusCode, err)
 	}
 	return v.ID
+}
+
+// awaitFirstCommit follows the run's trace stream until it carries the
+// first UnitCommitted event.
+func awaitFirstCommit(t *testing.T, base, id string) {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/runs/" + id + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		var ev struct {
+			Kind string `json:"kind"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("bad trace line %q: %v", sc.Text(), err)
+		}
+		if ev.Kind == "UnitCommitted" {
+			return
+		}
+	}
+	t.Fatalf("trace of %s ended without a committed unit (scan err %v)", id, sc.Err())
 }
 
 func waitState(t *testing.T, base, id, want string) {

@@ -1,7 +1,7 @@
 // Command flowd runs the flow service: one long-lived engine with a
-// shared worker pool, admission control and a shared result cache,
-// executing many designers' flows concurrently and streaming each run's
-// masked JSONL trace over HTTP (internal/service).
+// shared worker pool and admission control, executing many designers'
+// submitted scenarios concurrently and streaming each run's masked
+// JSONL trace over HTTP (internal/service).
 //
 // Usage:
 //
@@ -24,12 +24,11 @@
 //	-workers <n>   shared worker-pool size (default 4)
 //	-max-runs <n>  concurrently executing run bound (default 64)
 //	-queue <n>     queued-run bound beyond -max-runs (default 256)
-//	-memo <n>      shared result cache entries (0 = unbounded,
-//	               negative = disabled; default 0)
 //	-data-dir <d>  durable state directory: one WAL per run plus a
 //	               datastore checkpoint; on boot, finished runs are
-//	               replayed and interrupted runs resume from their last
-//	               committed unit (empty = in-memory only)
+//	               replayed and interrupted runs are rebuilt from their
+//	               logged scenario and resume from their last committed
+//	               unit (empty = in-memory only)
 //	-drain <d>     graceful-shutdown drain timeout (default 30s)
 //
 // On SIGTERM/SIGINT flowd drains: new submissions get 503, active runs
@@ -40,8 +39,8 @@
 //
 // Try it:
 //
-//	curl localhost:8080/v1/flows
-//	curl -X POST localhost:8080/v1/runs -d '{"flow":"perf","user":"alice"}'
+//	curl -X POST localhost:8080/v1/runs \
+//	  -d "{\"scenario\": $(cat testdata/scenarios/quickstart.json), \"user\": \"alice\"}"
 //	curl localhost:8080/v1/runs/r-0001/trace
 package main
 
@@ -73,7 +72,6 @@ func main() {
 	workers := flag.Int("workers", 4, "shared worker-pool size")
 	maxRuns := flag.Int("max-runs", 0, "concurrently executing run bound (0 = default 64)")
 	queue := flag.Int("queue", -1, "queued-run bound (-1 = default 256)")
-	memoN := flag.Int("memo", 0, "shared result cache entries (0 = unbounded, negative = disabled)")
 	dataDir := flag.String("data-dir", "", "durable state directory (empty = in-memory only)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain timeout")
 	smoke := flag.Bool("smoke", false, "start on a loopback port, run a self round trip, exit")
@@ -99,8 +97,7 @@ func main() {
 	}
 
 	srv, err := service.New(service.Config{
-		Workers: *workers, MaxRuns: *maxRuns, MaxQueue: *queue, MemoEntries: *memoN,
-		DataDir: *dataDir,
+		Workers: *workers, MaxRuns: *maxRuns, MaxQueue: *queue, DataDir: *dataDir,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "flowd:", err)
@@ -122,7 +119,9 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("flowd: serving on %s (%d workers)\n", ln.Addr(), *workers)
-	httpSrv := &http.Server{Handler: srv}
+	// Followed trace streams stay open for a run's lifetime, so there is
+	// no read or write deadline — only the idle phases are bounded.
+	httpSrv := &http.Server{Handler: srv, ReadHeaderTimeout: 10 * time.Second, IdleTimeout: 2 * time.Minute}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 
@@ -154,9 +153,23 @@ func main() {
 	}
 }
 
+// Smoke-test scenarios, inline because the binary cannot rely on the
+// repository's testdata: a generated 6-cell world for the round trip,
+// and a one-tool world whose tool sleeps (context-aware) far longer
+// than the test waits, for the cancel.
+const (
+	smokeScenario  = `{"name":"smoke","generate":{"cells":6,"shape":"diamond","seed":1}}`
+	sleepyScenario = `{"name":"smoke-sleep",
+	  "schema":["tool Sleeper -- sleeps until cancelled","data Out -- never produced","  fd Sleeper"],
+	  "tools":[{"type":"Sleeper","sleepMs":30000}],
+	  "imports":[{"key":"s","type":"Sleeper","data":"sleeper"}],
+	  "flow":[{"op":"add","node":"out","type":"Out"},{"op":"expand","node":"out"},
+	          {"op":"bind","node":"out.fd","to":["s"]}]}`
+)
+
 // runSmoke exercises the service end to end against a real listener:
-// submit a slow flow and cancel it mid-dispatch, then submit a flow,
-// poll it to success and read its full masked trace.
+// submit a sleeping scenario and cancel it mid-dispatch, then submit a
+// generated world, poll it to success and read its full masked trace.
 func runSmoke(srv *service.Server) error {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -198,11 +211,12 @@ func runSmoke(srv *service.Server) error {
 		}
 		return json.NewDecoder(resp.Body).Decode(out)
 	}
+	submit := func(doc string) error {
+		return post("/v1/runs", `{"scenario":`+doc+`,"user":"smoke"}`, &run)
+	}
 
-	// Cancel a slow run mid-dispatch. This comes first: once another run
-	// of the same flow succeeds, the shared result cache would answer the
-	// slow run's units instantly and there would be nothing to cancel.
-	if err := post("/v1/runs", `{"flow":"slow","user":"smoke"}`, &run); err != nil {
+	// Cancel a sleeping run mid-dispatch.
+	if err := submit(sleepyScenario); err != nil {
 		return err
 	}
 	time.Sleep(5 * time.Millisecond)
@@ -214,7 +228,7 @@ func runSmoke(srv *service.Server) error {
 	}
 
 	// Submit → poll to success.
-	if err := post("/v1/runs", `{"flow":"perf","user":"smoke"}`, &run); err != nil {
+	if err := submit(smokeScenario); err != nil {
 		return err
 	}
 	id := run.ID
@@ -228,8 +242,8 @@ func runSmoke(srv *service.Server) error {
 			return err
 		}
 	}
-	if run.State != "succeeded" || run.Tasks != 4 {
-		return fmt.Errorf("run %s ended %s with %d tasks (error %q), want succeeded/4",
+	if run.State != "succeeded" || run.Tasks != 6 {
+		return fmt.Errorf("run %s ended %s with %d tasks (error %q), want succeeded/6",
 			id, run.State, run.Tasks, run.Error)
 	}
 

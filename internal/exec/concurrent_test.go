@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/datastore"
 	"repro/internal/encap"
+	"repro/internal/faults"
 	"repro/internal/flow"
 	"repro/internal/memo"
 	"repro/internal/trace"
@@ -76,9 +77,11 @@ func TestManyConcurrentRunsDeterministicTraces(t *testing.T) {
 			ctx := context.Background()
 			if i == cancelIdx {
 				// Slow this run's units down and cancel it mid-dispatch;
-				// the per-run delay leaves the neighbours untouched.
-				delay := 50 * time.Millisecond
-				opts.TaskDelay = &delay
+				// the per-run latency-injecting registry leaves the
+				// neighbours untouched.
+				reg := encap.StandardRegistry()
+				faults.New(1, faults.Config{LatencyRate: 1, Latency: 50 * time.Millisecond}).Instrument(reg)
+				opts.Registry = reg
 				var cancel context.CancelFunc
 				ctx, cancel = context.WithCancel(ctx)
 				go func() {

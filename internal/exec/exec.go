@@ -267,9 +267,6 @@ type RunOptions struct {
 	Policy *FailurePolicy
 	// TaskTimeout overrides the per-attempt deadline (0 disables it).
 	TaskTimeout *time.Duration
-	// TaskDelay overrides the simulated dispatch latency (and clears
-	// any engine-level delay function).
-	TaskDelay *time.Duration
 	// MaxCombos overrides the fan-out cap when positive.
 	MaxCombos int
 }
@@ -320,10 +317,6 @@ func (c runConfig) apply(o *RunOptions) runConfig {
 	}
 	if o.TaskTimeout != nil {
 		c.taskTimeout = *o.TaskTimeout
-	}
-	if o.TaskDelay != nil {
-		c.taskDelay = *o.TaskDelay
-		c.delayFn = nil
 	}
 	if o.MaxCombos > 0 {
 		c.maxCombos = o.MaxCombos

@@ -10,56 +10,55 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/exec"
-	"repro/internal/hercules"
 	"repro/internal/history"
 	"repro/internal/provenance"
 	"repro/internal/storage"
-	"repro/internal/trace"
 )
 
 // This file is the service half of the durability layer (Config.
 // DataDir). Layout under the data directory:
 //
-//	runs/<id>.wal   one write-ahead log per submission (the run's
+//	runs/<id>.wal   one write-ahead log per submission (the identity
+//	                record with the submitted scenario, then the run's
 //	                trace plus each committed unit's artifacts)
 //	runs/<id>.chain hash-chained derivation records of the run's
-//	                session database (provenance.Chain; verified by
+//	                history database (provenance.Chain; verified by
 //	                flowd -verify-provenance)
 //	store.json      datastore checkpoint, written by Shutdown
 //
 // Boot recovery (initDurable, from New) reads every WAL back:
 //
 //   - A log containing RunFinished is a completed run — possibly a
-//     failed or cancelled one. Its committed artifacts and derivation
-//     keys are replayed into the shared datastore and result cache, and
-//     the run reappears fully queryable (status, complete trace) in a
-//     terminal state. This is what makes the memo survive restarts: a
-//     warm resubmission after a clean reboot hits on every unit.
+//     failed or cancelled one. Its committed artifacts are replayed into
+//     the shared datastore and the run reappears fully queryable
+//     (status, complete trace) in a terminal state.
 //
 //   - A log without RunFinished is an interrupted run (crash, kill -9).
-//     The service rebuilds the submission's session and flow from the
-//     identity record, rewinds the log to its resumable prefix and
-//     relaunches the run with exec.RunOptions.Resume: the executor
-//     restores every fully-committed unit from the log (re-recording
-//     history and re-feeding datastore and memo through its normal
-//     committer) and re-executes only the rest, appending to the same
-//     WAL with continuous event sequence numbers. Nothing is replayed
-//     here out-of-band — the resumed run is the single commit path.
+//     The service re-materializes the run's world from the scenario in
+//     the identity record — the same path a submission takes — rewinds
+//     the log to its resumable prefix and relaunches the run with
+//     exec.RunOptions.Resume: the executor restores every fully-committed
+//     unit from the log (re-recording history and re-feeding the
+//     datastore through its normal committer) and re-executes only the
+//     rest, appending to the same WAL with continuous event sequence
+//     numbers. Nothing is replayed here out-of-band — the resumed run is
+//     the single commit path. A log whose identity record carries no
+//     scenario, or one that no longer materializes, recovers failed.
 //
 // Shutdown is the graceful half: stop admitting, drain active runs
 // (their own goroutines flush and close each WAL), abort stragglers at
 // the deadline, checkpoint the datastore.
 
 // openRunWAL creates a fresh submission's log under <dataDir>/runs and
-// makes the identity record durable.
-func (s *Server) openRunWAL(rec *runRecord) error {
+// makes the identity record, carrying the compacted scenario document,
+// durable.
+func (s *Server) openRunWAL(rec *runRecord, doc []byte) error {
 	l, err := storage.OpenFile(filepath.Join(s.dataDir, "runs", rec.id+".wal"))
 	if err != nil {
 		return err
 	}
 	w := storage.NewRunWAL(l)
-	if err := w.AppendMeta(storage.RunMeta{ID: rec.id, Flow: rec.flowName, User: rec.user}); err != nil {
+	if err := w.AppendMeta(storage.RunMeta{ID: rec.id, Flow: rec.flowName, User: rec.user, Scenario: doc}); err != nil {
 		_ = w.Close()
 		_ = l.Close()
 		return err
@@ -88,11 +87,11 @@ func (s *Server) chainPath(id string) string {
 	return filepath.Join(s.dataDir, "runs", id+".chain")
 }
 
-// attachProvenance wires the run's provenance surface to its session
+// attachProvenance wires the run's provenance surface to its world's
 // database: a fresh adjacency index plus a hash chain — file-backed in
 // durable mode, in-memory otherwise. Observe backfills both with every
-// record already committed (imports, bootstrap), then feeds them each
-// live commit in order.
+// record already committed (the imports), then feeds them each live
+// commit in order.
 func (s *Server) attachProvenance(rec *runRecord, db *history.DB) error {
 	rec.db = db
 	rec.prov = provenance.NewIndex()
@@ -112,14 +111,14 @@ func (s *Server) attachProvenance(rec *runRecord, db *history.DB) error {
 	return nil
 }
 
-// resetRunChain prepares an interrupted run's chain for resume. The
+// dropPreCrashChain prepares an interrupted run's chain for resume. The
 // resumed run is the single commit path — the executor re-records every
-// restored unit through the session database — so the chain is rebuilt
+// restored unit through the world's database — so the chain is rebuilt
 // alongside it rather than appended to (appending would duplicate every
 // re-committed record). The pre-crash chain is verified first: resuming
 // on top of tampered provenance is refused at boot.
-func (s *Server) resetRunChain(rec *runRecord) error {
-	path := s.chainPath(rec.id)
+func (s *Server) dropPreCrashChain(id string) error {
+	path := s.chainPath(id)
 	l, err := storage.OpenFile(path)
 	if err != nil {
 		return err
@@ -132,15 +131,7 @@ func (s *Server) resetRunChain(rec *runRecord) error {
 	if cerr != nil {
 		return cerr
 	}
-	if err := os.Remove(path); err != nil {
-		return err
-	}
-	fl, err := storage.OpenFile(path)
-	if err != nil {
-		return err
-	}
-	rec.chain = provenance.NewChain(fl)
-	return nil
+	return os.Remove(path)
 }
 
 // initDurable restores the server's durable state: the datastore
@@ -191,7 +182,7 @@ func (s *Server) recoverRunFile(path string) error {
 	}
 	s.noteSeq(id)
 	if rc.Finished {
-		return s.registerFinished(id, rc, l)
+		return s.registerFinished(id, rc, l, nil)
 	}
 	if rc.Meta == nil {
 		// The crash beat the identity record to disk: there is nothing
@@ -201,13 +192,17 @@ func (s *Server) recoverRunFile(path string) error {
 	return s.resumeRun(id, rc, l)
 }
 
-// registerFinished re-registers a completed run from its log: replay
-// its committed payloads into the datastore and the result cache, then
-// surface it with a closed, fully pre-seeded event stream. The terminal
-// state is derived from the RunFinished record (the original error text
-// is not persisted; a failed or aborted run recovers as "failed").
-func (s *Server) registerFinished(id string, rc *storage.Recovered, l storage.Log) error {
-	if err := rc.Replay(s.store, s.cache); err != nil {
+// registerFinished surfaces a run that will not execute again: its
+// committed payloads are replayed into the datastore and it reappears
+// with a closed, fully pre-seeded event stream. cause is nil for a
+// completed run, whose terminal state derives from its RunFinished
+// record (the original error text is not persisted; a failed or
+// aborted run recovers as "failed"). A non-nil cause is why an
+// interrupted run cannot be resumed: it recovers failed with that
+// error and its trace prefix intact, so the operator can see it and
+// resubmit — without failing the whole boot.
+func (s *Server) registerFinished(id string, rc *storage.Recovered, l storage.Log, cause error) error {
+	if err := rc.Replay(s.store, nil); err != nil {
 		_ = l.Close()
 		return err
 	}
@@ -215,7 +210,7 @@ func (s *Server) registerFinished(id string, rc *storage.Recovered, l storage.Lo
 		return err
 	}
 	rec := &runRecord{id: id, cancel: func() {}, done: make(chan struct{}),
-		log: newEventLog(), state: stateSucceeded}
+		log: newEventLog(), state: stateSucceeded, err: cause}
 	if rc.Meta != nil {
 		rec.flowName, rec.user = rc.Meta.Flow, rc.Meta.User
 	}
@@ -223,8 +218,9 @@ func (s *Server) registerFinished(id string, rc *storage.Recovered, l storage.Lo
 		rec.log.Emit(ev)
 		s.metrics.Emit(ev)
 	}
-	fin := rc.Events[len(rc.Events)-1]
-	if fin.Failed > 0 || fin.Skipped > 0 || fin.Committed < fin.Units {
+	if cause != nil {
+		rec.state = stateFailed
+	} else if fin := rc.Events[len(rc.Events)-1]; fin.Failed > 0 || fin.Skipped > 0 || fin.Committed < fin.Units {
 		rec.state = stateFailed
 	}
 	rec.log.close()
@@ -236,53 +232,45 @@ func (s *Server) registerFinished(id string, rc *storage.Recovered, l storage.Lo
 }
 
 // resumeRun relaunches an interrupted run from its recovered prefix.
-// The session is rebuilt exactly as handleSubmit built it, so the
-// deterministic replan pre-assigns the instance IDs the log recorded —
-// the executor verifies every one before committing. The event stream
-// is pre-seeded with the prefix and the fresh suffix continues its
-// sequence numbers, so a trace reader sees one gapless run.
+// The world is re-materialized from the logged scenario exactly as
+// handleSubmit built it, so the deterministic replan pre-assigns the
+// instance IDs the log recorded — the executor verifies every one
+// before committing. The event stream is pre-seeded with the prefix
+// and the fresh suffix continues its sequence numbers, so a trace
+// reader sees one gapless run.
 func (s *Server) resumeRun(id string, rc *storage.Recovered, l storage.Log) error {
-	spec := s.spec(rc.Meta.Flow)
-	if spec == nil {
-		// Nothing to rebuild the run from: scenario submissions and flows
-		// from an older menu exist only in the identity record. Don't fail
-		// the whole boot — replay what was committed and surface the run
-		// as failed, trace intact, so the operator can see it and resubmit.
-		return s.registerUnresumable(id, rc, l)
+	if len(rc.Meta.Scenario) == 0 {
+		return s.registerFinished(id, rc, l, errors.New("cannot resume: the run log records no scenario"))
+	}
+	world, _, opts, err := s.materialize(rc.Meta.Scenario)
+	if err != nil {
+		return s.registerFinished(id, rc, l, fmt.Errorf("cannot resume: scenario: %w", err))
+	}
+	// Provenance: the resumed run re-records its whole history through
+	// the fresh world's database, so the index attaches empty and the
+	// chain is rebuilt (after verifying the pre-crash one) — both then
+	// observe the replayed units and the fresh suffix as one stream.
+	if err := s.dropPreCrashChain(id); err != nil {
+		world.Close()
+		_ = l.Close()
+		return fmt.Errorf("provenance: %w", err)
 	}
 	if err := rc.Rewind(l); err != nil {
-		_ = l.Close()
-		return err
-	}
-	sess := hercules.NewSessionStore(rc.Meta.User, s.store)
-	if err := sess.Bootstrap(); err != nil {
-		_ = l.Close()
-		return err
-	}
-	f, err := buildFlow(spec, sess)
-	if err != nil {
+		world.Close()
 		_ = l.Close()
 		return err
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	rec := &runRecord{id: id, flowName: rc.Meta.Flow, user: rc.Meta.User,
 		log: newEventLog(), cancel: cancel, done: make(chan struct{}),
-		state: stateRunning}
+		state: stateRunning, world: world, walLog: l, wal: storage.NewRunWAL(l)}
 	rec.started = time.Now()
-	rec.walLog = l
-	rec.wal = storage.NewRunWAL(l)
-	// Provenance: the resumed run re-records its whole history through
-	// the fresh session database, so the index attaches empty and the
-	// chain is rebuilt (after verifying the pre-crash one) — both then
-	// observe the replayed units and the fresh suffix as one stream.
-	rec.db = sess.DB
-	rec.prov = provenance.NewIndex()
-	sess.DB.Observe(rec.prov)
-	if err := s.resetRunChain(rec); err != nil {
-		_ = l.Close()
+	if err := s.attachProvenance(rec, world.DB()); err != nil {
+		cancel()
+		s.discardRunWAL(rec)
+		world.Close()
 		return fmt.Errorf("provenance: %w", err)
 	}
-	sess.DB.Observe(rec.chain)
 	for _, ev := range rc.Events {
 		rec.log.Emit(ev)
 		s.metrics.Emit(ev)
@@ -290,48 +278,8 @@ func (s *Server) resumeRun(id string, rc *storage.Recovered, l storage.Log) erro
 	s.mu.Lock()
 	s.runs[id] = rec
 	s.mu.Unlock()
-	opts := &exec.RunOptions{
-		DB:     sess.DB,
-		User:   rc.Meta.User,
-		Label:  id,
-		Tracer: trace.Multi(rec.log, s.metrics),
-		WAL:    rec.wal,
-		Resume: rc,
-	}
-	if spec.Delay > 0 {
-		d := spec.Delay
-		opts.TaskDelay = &d
-	}
-	s.launch(ctx, rec, f, 0, opts)
-	return nil
-}
-
-// registerUnresumable surfaces an interrupted run whose flow cannot be
-// rebuilt from its identity record (a scenario submission, or a flow
-// gone from the menu): committed payloads are still replayed into the
-// datastore and result cache, and the run reappears terminal-failed
-// with its recovered trace prefix.
-func (s *Server) registerUnresumable(id string, rc *storage.Recovered, l storage.Log) error {
-	if err := rc.Replay(s.store, s.cache); err != nil {
-		_ = l.Close()
-		return err
-	}
-	if err := l.Close(); err != nil {
-		return err
-	}
-	rec := &runRecord{id: id, flowName: rc.Meta.Flow, user: rc.Meta.User,
-		cancel: func() {}, done: make(chan struct{}), log: newEventLog(),
-		state: stateFailed,
-		err:   fmt.Errorf("cannot resume: log names unknown flow %q", rc.Meta.Flow)}
-	for _, ev := range rc.Events {
-		rec.log.Emit(ev)
-		s.metrics.Emit(ev)
-	}
-	rec.log.close()
-	close(rec.done)
-	s.mu.Lock()
-	s.runs[id] = rec
-	s.mu.Unlock()
+	opts.Resume = rc
+	s.launch(ctx, rec, opts)
 	return nil
 }
 

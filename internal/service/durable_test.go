@@ -2,6 +2,8 @@ package service
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -45,15 +47,48 @@ func sameTrace(t *testing.T, got, want []string) {
 	}
 }
 
+// compact returns a scenario document as the service logs it.
+func compact(t *testing.T, doc string) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := json.Compact(&b, []byte(doc)); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// writeMeta leaves an interrupted run's WAL under runs: its identity
+// record and nothing else.
+func writeMeta(t *testing.T, runs string, meta storage.RunMeta) {
+	t.Helper()
+	if err := os.MkdirAll(runs, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	l, err := storage.OpenFile(filepath.Join(runs, meta.ID+".wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := storage.NewRunWAL(l)
+	if err := w.AppendMeta(meta); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestDurableFinishedRunSurvivesRestart: a run completed and drained
-// cleanly must come back on the next boot — terminal state, full trace,
-// and a result cache warm enough that a resubmission never touches the
-// worker pool.
+// cleanly must come back on the next boot — terminal state, full trace
+// — and new submissions must not reuse its id.
 func TestDurableFinishedRunSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
+	doc := corpus(t, "quickstart")
 	s1, ts1 := newTestServer(t, Config{Workers: 2, DataDir: dir})
 
-	v := submit(t, ts1.URL, "perf", "alice")
+	v := submit(t, ts1.URL, doc, "alice")
 	if got := waitTerminal(t, ts1.URL, v.ID); got.State != string(stateSucceeded) {
 		t.Fatalf("run ended %q (error %q), want succeeded", got.State, got.Error)
 	}
@@ -70,30 +105,30 @@ func TestDurableFinishedRunSurvivesRestart(t *testing.T) {
 	_, ts2 := newTestServer(t, Config{Workers: 2, DataDir: dir})
 	var back runView
 	getJSON(t, ts2.URL+"/v1/runs/"+v.ID, &back)
-	if back.State != string(stateSucceeded) || back.Flow != "perf" || back.User != "alice" {
-		t.Fatalf("recovered run = %+v, want succeeded perf/alice", back)
+	if back.State != string(stateSucceeded) || back.Flow != "scenario:quickstart" || back.User != "alice" {
+		t.Fatalf("recovered run = %+v, want succeeded scenario:quickstart/alice", back)
 	}
 	sameTrace(t, fetchTrace(t, ts2.URL, v.ID), golden)
 
-	// The memo came back from the WAL: a warm resubmission is all hits.
-	v2 := submit(t, ts2.URL, "perf", "alice")
+	v2 := submit(t, ts2.URL, doc, "alice")
 	if v2.ID == v.ID {
 		t.Fatalf("new submission reused recovered id %s", v.ID)
 	}
-	warm := waitTerminal(t, ts2.URL, v2.ID)
-	if warm.State != string(stateSucceeded) || warm.CacheHits != 4 {
-		t.Fatalf("warm rerun = %+v, want succeeded with 4 cache hits", warm)
+	if rerun := waitTerminal(t, ts2.URL, v2.ID); rerun.State != string(stateSucceeded) {
+		t.Fatalf("rerun after restart = %+v, want succeeded", rerun)
 	}
 }
 
-// TestDurableResumeAfterCrash: truncating a finished run's WAL
-// mid-stream models a kill -9 between group commits. The next boot
-// must resume the run from its last committed unit and the final
-// masked trace must be byte-identical to the uninterrupted golden.
-func TestDurableResumeAfterCrash(t *testing.T) {
+// TestDurableScenarioResumeAfterCrash: truncating a finished run's WAL
+// at a record boundary models a kill -9 between group commits. At
+// every boundary the next boot must re-materialize the run's world from
+// the scenario in its identity record and resume it from its last
+// committed unit, and the final masked trace must be byte-identical to
+// the uninterrupted golden.
+func TestDurableScenarioResumeAfterCrash(t *testing.T) {
 	dir := t.TempDir()
 	_, ts1 := newTestServer(t, Config{Workers: 2, DataDir: dir})
-	v := submit(t, ts1.URL, "perf", "alice")
+	v := submit(t, ts1.URL, corpus(t, "quickstart"), "alice")
 	if got := waitTerminal(t, ts1.URL, v.ID); got.State != string(stateSucceeded) {
 		t.Fatalf("run ended %q (error %q), want succeeded", got.State, got.Error)
 	}
@@ -133,9 +168,9 @@ func TestDurableResumeAfterCrash(t *testing.T) {
 
 		_, ts2 := newTestServer(t, Config{Workers: 2, DataDir: dir})
 		got := waitTerminal(t, ts2.URL, v.ID)
-		if got.State != string(stateSucceeded) {
-			t.Fatalf("keep=%d: resumed run ended %q (error %q), want succeeded",
-				keep, got.State, got.Error)
+		if got.State != string(stateSucceeded) || got.Flow != "scenario:quickstart" {
+			t.Fatalf("keep=%d/%d: resumed run = %+v, want succeeded scenario:quickstart",
+				keep, total, got)
 		}
 		sameTrace(t, fetchTrace(t, ts2.URL, v.ID), golden)
 		ts2.Close()
@@ -147,7 +182,8 @@ func TestDurableResumeAfterCrash(t *testing.T) {
 func TestDurableShutdownDrains(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := newTestServer(t, Config{Workers: 2, DataDir: dir})
-	v := submit(t, ts.URL, "slow", "alice")
+	v := submit(t, ts.URL, corpus(t, "slow-chain"), "alice")
+	late := `{"scenario":` + corpus(t, "quickstart") + `,"user":"bob"}`
 
 	var wg sync.WaitGroup
 	var forced bool
@@ -161,13 +197,8 @@ func TestDurableShutdownDrains(t *testing.T) {
 	// Admission must close before the drain completes.
 	rejected := false
 	for i := 0; i < 200 && !rejected; i++ {
-		resp, perr := http.Post(ts.URL+"/v1/runs", "application/json",
-			strings.NewReader(`{"flow":"perf","user":"bob"}`))
-		if perr != nil {
-			t.Fatal(perr)
-		}
-		rejected = resp.StatusCode == http.StatusServiceUnavailable
-		resp.Body.Close()
+		code, _ := postRaw(t, ts.URL, late)
+		rejected = code == http.StatusServiceUnavailable
 		time.Sleep(time.Millisecond)
 	}
 	if !rejected {
@@ -195,7 +226,7 @@ func TestDurableShutdownDrains(t *testing.T) {
 func TestDurableForcedShutdown(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := newTestServer(t, Config{Workers: 2, DataDir: dir})
-	v := submit(t, ts.URL, "slow", "alice")
+	v := submit(t, ts.URL, corpus(t, "cancel-midrun"), "alice")
 	time.Sleep(50 * time.Millisecond) // let the run get past planning
 
 	forced, err := s.Shutdown(time.Millisecond)
@@ -219,43 +250,31 @@ func TestDurableForcedShutdown(t *testing.T) {
 	}
 }
 
-// newTestServer-based boot over a directory holding a WAL for a flow
-// the menu no longer offers must fail loudly, not resume garbage.
-// An interrupted run whose flow is not on the menu (a scenario
-// submission, or a flow from an older build) cannot be rebuilt from its
-// identity record — but it must not fail the whole boot. It recovers
-// terminal-failed, queryable, with the reason in its status.
+// An interrupted run that cannot be rebuilt — its identity record
+// carries no scenario (a log from before scenarios were recorded), or
+// its scenario no longer materializes — must not fail the whole boot.
+// It recovers terminal-failed, queryable, with the reason in its status.
 func TestDurableUnknownFlowUnresumable(t *testing.T) {
 	dir := t.TempDir()
 	runs := filepath.Join(dir, "runs")
-	if err := os.MkdirAll(runs, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	l, err := storage.OpenFile(filepath.Join(runs, "r-0001.wal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := storage.NewRunWAL(l)
-	if err := w.AppendMeta(storage.RunMeta{ID: "r-0001", Flow: "nope", User: "x"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeMeta(t, runs, storage.RunMeta{ID: "r-0001", Flow: "nope", User: "x"})
+	writeMeta(t, runs, storage.RunMeta{ID: "r-0002", Flow: "scenario:gone", User: "x",
+		Scenario: []byte(`{"name":"gone"}`)})
 	s, err := New(Config{DataDir: dir})
 	if err != nil {
-		t.Fatalf("New over unknown-flow WAL must not fail boot: %v", err)
+		t.Fatalf("New over unresumable WALs must not fail boot: %v", err)
 	}
-	rec := s.record("r-0001")
-	if rec == nil {
-		t.Fatal("unresumable run not registered")
-	}
-	v := rec.view()
-	if v.State != string(stateFailed) || !strings.Contains(v.Error, `unknown flow "nope"`) {
-		t.Fatalf("unresumable run is %s (error %q), want failed/unknown flow", v.State, v.Error)
+	for id, want := range map[string]string{
+		"r-0001": "cannot resume: the run log records no scenario",
+		"r-0002": "cannot resume: scenario:",
+	} {
+		rec := s.record(id)
+		if rec == nil {
+			t.Fatalf("unresumable run %s not registered", id)
+		}
+		if v := rec.view(); v.State != string(stateFailed) || !strings.Contains(v.Error, want) {
+			t.Fatalf("unresumable run %s is %s (error %q), want failed/%q", id, v.State, v.Error, want)
+		}
 	}
 }
 
@@ -264,24 +283,7 @@ func TestDurableUnknownFlowUnresumable(t *testing.T) {
 // record behind.
 func TestDurableSeqContinues(t *testing.T) {
 	dir := t.TempDir()
-	runs := filepath.Join(dir, "runs")
-	if err := os.MkdirAll(runs, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	l, err := storage.OpenFile(filepath.Join(runs, "r-0007.wal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := storage.NewRunWAL(l)
-	if err := w.AppendMeta(storage.RunMeta{ID: "r-0007", Flow: "perf", User: "x"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeMeta(t, filepath.Join(dir, "runs"), storage.RunMeta{ID: "r-0007", Flow: "scenario:svc-tiny", User: "x"})
 
 	s, err := New(Config{Workers: 2, DataDir: dir})
 	if err != nil {
@@ -289,7 +291,7 @@ func TestDurableSeqContinues(t *testing.T) {
 	}
 	ts := httptest.NewServer(s)
 	defer ts.Close()
-	v := submit(t, ts.URL, "perf", "alice")
+	v := submit(t, ts.URL, svcScenario, "alice")
 	if v.ID != "r-0008" {
 		t.Fatalf("first submission after recovery got id %s, want r-0008", v.ID)
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -46,30 +47,9 @@ const svcScenario = `{
   ]
 }`
 
-// submitScenario posts an inline scenario and returns the created run.
-func submitScenario(t *testing.T, base, doc, user string) runView {
-	t.Helper()
-	body := fmt.Sprintf(`{"scenario":%s,"user":%q}`, doc, user)
-	resp, err := http.Post(base+"/v1/runs", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatalf("POST /v1/runs: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		var e map[string]string
-		_ = json.NewDecoder(resp.Body).Decode(&e)
-		t.Fatalf("POST /v1/runs (scenario): status %d (%v)", resp.StatusCode, e)
-	}
-	var v runView
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-		t.Fatalf("POST /v1/runs: decoding body: %v", err)
-	}
-	return v
-}
-
 func TestScenarioSubmission(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
-	v := submitScenario(t, ts.URL, svcScenario, "alice")
+	v := submit(t, ts.URL, svcScenario, "alice")
 	if v.Flow != "scenario:svc-tiny" {
 		t.Fatalf("run flow = %q, want scenario:svc-tiny", v.Flow)
 	}
@@ -79,36 +59,46 @@ func TestScenarioSubmission(t *testing.T) {
 	}
 }
 
+// TestScenarioSubmissionRejects: the one submit path refuses, before
+// any work starts, a body over the size cap (413), a body naming a
+// field the request does not have — such as a {"flow": name} menu
+// submission — with the field named (400), a body without a scenario
+// and an invalid scenario (400).
 func TestScenarioSubmissionRejects(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
-	post := func(body string) (int, string) {
-		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatalf("POST: %v", err)
-		}
-		defer resp.Body.Close()
+	s, err := New(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, body string
+		code       int
+		msg        string
+	}{
+		{"oversize", `{"user":"` + strings.Repeat("x", maxSubmitBytes) + `"}`, http.StatusRequestEntityTooLarge, "exceeds"},
+		{"flow field", `{"flow":"perf","user":"alice"}`, http.StatusBadRequest, `unknown field "flow"`},
+		{"no scenario", `{"user":"alice"}`, http.StatusBadRequest, "scenario"},
+		{"invalid scenario", `{"scenario":{"name":"broken"}}`, http.StatusBadRequest, "scenario"},
+	} {
+		// In process: over a real connection the server lingers before
+		// closing one whose body it refused to read.
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/runs", strings.NewReader(c.body)))
 		var e map[string]string
-		_ = json.NewDecoder(resp.Body).Decode(&e)
-		return resp.StatusCode, e["error"]
-	}
-	if code, msg := post(`{"flow":"perf","scenario":{"name":"x"}}`); code != http.StatusBadRequest ||
-		!strings.Contains(msg, "not both") {
-		t.Fatalf("flow+scenario: %d %q, want 400 not-both", code, msg)
-	}
-	if code, msg := post(`{"scenario":{"name":"broken"}}`); code != http.StatusBadRequest ||
-		!strings.Contains(msg, "scenario") {
-		t.Fatalf("invalid scenario: %d %q, want 400 naming the scenario", code, msg)
+		_ = json.Unmarshal(w.Body.Bytes(), &e)
+		if w.Code != c.code || !strings.Contains(e["error"], c.msg) {
+			t.Errorf("%s: %d %q, want %d with %q", c.name, w.Code, e["error"], c.code, c.msg)
+		}
 	}
 }
 
-// TestScenarioMemoIsolation: the server's shared result cache must not
-// leak across scenario worlds. The cache is keyed by content-addressed
-// derivation alone, and the same tool type and bytes can be clean in
-// one scenario and declared failing in another — so the failing twin
-// must actually fail even when the clean scenario ran first.
+// TestScenarioMemoIsolation: results must not leak across scenario
+// worlds. A result cache is keyed by content-addressed derivation
+// alone, and the same tool type and bytes can be clean in one scenario
+// and declared failing in another — so the failing twin must actually
+// fail even when the clean scenario ran first.
 func TestScenarioMemoIsolation(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
-	v := submitScenario(t, ts.URL, svcScenario, "alice")
+	v := submit(t, ts.URL, svcScenario, "alice")
 	if fin := waitTerminal(t, ts.URL, v.ID); fin.State != string(stateSucceeded) {
 		t.Fatalf("clean scenario ended %+v", fin)
 	}
@@ -118,7 +108,7 @@ func TestScenarioMemoIsolation(t *testing.T) {
 	if failing == svcScenario {
 		t.Fatal("test did not rewrite the scenario")
 	}
-	v2 := submitScenario(t, ts.URL, failing, "alice")
+	v2 := submit(t, ts.URL, failing, "alice")
 	if fin := waitTerminal(t, ts.URL, v2.ID); fin.State != string(stateFailed) ||
 		!strings.Contains(fin.Error, "declared failing") {
 		t.Fatalf("failing twin ended %+v, want failed with the declared-failing error", fin)
@@ -131,7 +121,7 @@ func TestScenarioMemoIsolation(t *testing.T) {
 // verification.
 func TestProvenanceEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
-	v := submitScenario(t, ts.URL, svcScenario, "alice")
+	v := submit(t, ts.URL, svcScenario, "alice")
 	if fin := waitTerminal(t, ts.URL, v.ID); fin.State != string(stateSucceeded) {
 		t.Fatalf("scenario run ended %+v", fin)
 	}
@@ -184,12 +174,12 @@ func TestProvenanceEndpoint(t *testing.T) {
 func TestDurableChainPersisted(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := newTestServer(t, Config{Workers: 1, DataDir: dir})
-	v := submit(t, ts.URL, "perf", "alice")
+	v := submit(t, ts.URL, corpus(t, "quickstart"), "alice")
 	if fin := waitTerminal(t, ts.URL, v.ID); fin.State != string(stateSucceeded) {
 		t.Fatalf("run ended %+v", fin)
 	}
-	// Locate the produced Performance instance (IDs carry the session's
-	// global commit sequence, so the exact number depends on bootstrap).
+	// Locate the produced Performance instance (IDs carry the world's
+	// global commit sequence, so the exact number depends on the imports).
 	rec := s.record(v.ID)
 	perf := ""
 	for i := 1; i <= rec.db.Len(); i++ {
@@ -222,7 +212,7 @@ func TestDurableChainPersisted(t *testing.T) {
 		t.Fatalf("cold VerifyLog = (%d, %v), want %d records clean", n, verr, view.Chain.Records)
 	}
 
-	// A recovered-finished run has no live session: the endpoint says so.
+	// A recovered-finished run has no live world: the endpoint says so.
 	_, ts2 := newTestServer(t, Config{Workers: 1, DataDir: dir})
 	resp := getJSON(t, ts2.URL+"/v1/runs/"+v.ID+"/provenance?inst="+perf, nil)
 	if resp.StatusCode != http.StatusConflict {
@@ -240,20 +230,8 @@ func TestDurableResumeRefusesTamperedChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	// An interrupted run: identity record only, no RunFinished.
-	wl, err := storage.OpenFile(filepath.Join(runs, "r-0001.wal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := storage.NewRunWAL(wl)
-	if err := w.AppendMeta(storage.RunMeta{ID: "r-0001", Flow: "perf", User: "x"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := wl.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeMeta(t, runs, storage.RunMeta{ID: "r-0001", Flow: "scenario:svc-tiny", User: "x",
+		Scenario: compact(t, svcScenario)})
 	// Its chain holds a framed record that is not a canonical chain
 	// record — any mutation of a real record yields the same class of
 	// verification failure.

@@ -1,17 +1,17 @@
 // Package service exposes the multi-run execution engine as an
 // HTTP/JSON flow service — the paper's flow manager as a long-lived
-// daemon supervising many designers' flows at once. One engine, one
-// shared worker pool, one content-addressed datastore and one result
-// cache serve every submission; each run gets its own session (own
-// history database) and its own streamed trace.
+// daemon supervising many designers' flows at once. A submission is a
+// declarative scenario (internal/scenario): its schema, tools, imports
+// and flow are materialized server-side into a world of its own (own
+// history database, own result cache) and executed on the one shared
+// engine, worker pool and content-addressed datastore, with its own
+// streamed trace.
 //
 // Endpoints:
 //
 //	GET  /healthz              liveness
-//	GET  /v1/flows             the flow menu (FlowSpec list)
-//	POST /v1/runs              submit {"flow": name, "user": name} — or
-//	                           {"scenario": {...}, "user": name} to run a
-//	                           declarative scenario (internal/scenario)
+//	POST /v1/runs              submit {"scenario": {...}, "user": name}
+//	                           (body at most 1 MiB, unknown fields 400)
 //	GET  /v1/runs              list runs
 //	GET  /v1/runs/{id}         one run's status
 //	GET  /v1/runs/{id}/trace   masked JSONL event stream (follows until
@@ -24,6 +24,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -35,9 +36,7 @@ import (
 
 	"repro/internal/datastore"
 	"repro/internal/exec"
-	"repro/internal/flow"
 	"repro/internal/harness"
-	"repro/internal/hercules"
 	"repro/internal/history"
 	"repro/internal/memo"
 	"repro/internal/provenance"
@@ -45,6 +44,10 @@ import (
 	"repro/internal/storage"
 	"repro/internal/trace"
 )
+
+// maxSubmitBytes caps a submission body. The largest corpus scenario is
+// under 4 KB and a generated world is a one-line stanza.
+const maxSubmitBytes = 1 << 20
 
 // Config sizes the service.
 type Config struct {
@@ -56,15 +59,12 @@ type Config struct {
 	// MaxQueue bounds runs queued behind the bound (default
 	// exec.DefaultMaxQueuedRuns).
 	MaxQueue int
-	// MemoEntries sizes the shared result cache (0 = unbounded,
-	// negative = disabled).
-	MemoEntries int
 	// DataDir, when set, makes runs durable: every submission writes a
 	// write-ahead log under <DataDir>/runs and New recovers whatever it
-	// finds there — finished runs are replayed into the datastore and
-	// the result cache, interrupted runs are resumed from their last
-	// committed unit. Shutdown checkpoints the datastore to
-	// <DataDir>/store.json. Empty = in-memory only (previous behavior).
+	// finds there — finished runs are replayed into the datastore,
+	// interrupted runs are re-materialized from their logged scenario and
+	// resumed from their last committed unit. Shutdown checkpoints the
+	// datastore to <DataDir>/store.json. Empty = in-memory only.
 	DataDir string
 }
 
@@ -90,18 +90,18 @@ type runRecord struct {
 	// the file beneath it, both closed by the run goroutine at the end.
 	wal    *storage.RunWAL
 	walLog storage.Log
-	// db/prov/chain are the run's provenance surface: the session's
+	// db/prov/chain are the run's provenance surface: the world's
 	// history database, the commit-time adjacency index the provenance
 	// endpoint queries, and the hash chain of committed derivation
 	// records (runs/<id>.chain in durable mode, an in-memory log
-	// otherwise). All nil on runs recovered from a finished log, which
-	// have no live session. The chain stays open past the run's end so
-	// /provenance?verify=1 works; Shutdown closes it.
+	// otherwise). All nil on runs recovered without executing again,
+	// which have no live world. The chain stays open past the run's end
+	// so /provenance?verify=1 works; Shutdown closes it.
 	db    *history.DB
 	prov  *provenance.Index
 	chain *provenance.Chain
-	// world is the materialized scenario of a scenario submission,
-	// closed by the run goroutine at the end. Nil for menu flows.
+	// world is the run's materialized scenario, closed by the run
+	// goroutine at the end. Nil on runs recovered without executing.
 	world *harness.World
 
 	mu      sync.Mutex
@@ -118,9 +118,7 @@ type Server struct {
 	cfg     Config
 	store   *datastore.Store
 	engine  *exec.Engine
-	cache   *memo.Cache
 	metrics *trace.Metrics
-	flows   []*FlowSpec
 	mux     *http.ServeMux
 	dataDir string // durable root; empty = in-memory only
 
@@ -130,40 +128,36 @@ type Server struct {
 	draining bool // Shutdown in progress: submissions get 503
 }
 
-// New assembles a server: one hercules-equipped engine over a fresh
-// shared datastore. With Config.DataDir set it also recovers every run
-// log found there before returning, so the server comes up with its
-// pre-crash runs queryable (finished) or running again (interrupted).
+// New assembles a server: one engine over a fresh shared datastore.
+// With Config.DataDir set it also recovers every run log found there
+// before returning, so the server comes up with its pre-crash runs
+// queryable (finished) or running again (interrupted).
 func New(cfg Config) (*Server, error) {
 	if cfg.Workers < 1 {
 		cfg.Workers = 4
 	}
 	store := datastore.NewStore()
-	host := hercules.NewSessionStore("flowd", store)
-	host.SetWorkers(cfg.Workers)
+	// The engine carries no schema, registry or database of its own:
+	// every run brings its world's through exec.RunOptions.
+	engine := exec.New(nil, nil, store, nil)
+	engine.SetWorkers(cfg.Workers)
 	if cfg.MaxRuns > 0 {
-		host.Engine.SetMaxConcurrentRuns(cfg.MaxRuns)
+		engine.SetMaxConcurrentRuns(cfg.MaxRuns)
 	}
 	if cfg.MaxQueue >= 0 {
-		host.Engine.SetMaxQueuedRuns(cfg.MaxQueue)
+		engine.SetMaxQueuedRuns(cfg.MaxQueue)
 	}
 	s := &Server{
 		cfg:     cfg,
 		store:   store,
-		engine:  host.Engine,
+		engine:  engine,
 		metrics: trace.NewMetrics(),
-		flows:   specs(),
 		mux:     http.NewServeMux(),
 		runs:    make(map[string]*runRecord),
-	}
-	if cfg.MemoEntries >= 0 {
-		s.cache = memo.New(cfg.MemoEntries)
-		host.SetMemo(s.cache)
 	}
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
-	s.mux.HandleFunc("GET /v1/flows", s.handleFlows)
 	s.mux.HandleFunc("POST /v1/runs", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/runs", s.handleList)
 	s.mux.HandleFunc("GET /v1/runs/{id}", s.handleStatus)
@@ -190,15 +184,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // Engine exposes the shared engine (benchmarks and tests).
 func (s *Server) Engine() *exec.Engine { return s.engine }
 
-func (s *Server) spec(name string) *FlowSpec {
-	for _, sp := range s.flows {
-		if sp.Name == name {
-			return sp
-		}
-	}
-	return nil
-}
-
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -211,17 +196,12 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-func (s *Server) handleFlows(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.flows)
-}
-
-// submitRequest is the POST /v1/runs body: either a menu flow by name
-// or an inline declarative scenario (internal/scenario), whose schema,
-// tools, imports and flow are materialized server-side and run on the
-// shared engine via per-run overrides (exec.RunOptions).
+// submitRequest is the POST /v1/runs body: an inline declarative
+// scenario (internal/scenario), whose schema, tools, imports and flow
+// are materialized server-side and run on the shared engine via
+// per-run overrides (exec.RunOptions).
 type submitRequest struct {
-	Flow     string          `json:"flow,omitempty"`
-	Scenario json.RawMessage `json:"scenario,omitempty"`
+	Scenario json.RawMessage `json:"scenario"`
 	User     string          `json:"user"`
 }
 
@@ -258,12 +238,24 @@ func (rec *runRecord) view() runView {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+			return
+		}
 		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	if req.Flow != "" && len(req.Scenario) > 0 {
-		writeErr(w, http.StatusBadRequest, "submit either a flow name or a scenario, not both")
+	if len(req.Scenario) == 0 {
+		writeErr(w, http.StatusBadRequest, `submit {"scenario": {...}, "user": name}`)
+		return
+	}
+	var doc bytes.Buffer
+	if err := json.Compact(&doc, req.Scenario); err != nil {
+		writeErr(w, http.StatusBadRequest, "scenario: %v", err)
 		return
 	}
 	if req.User == "" {
@@ -278,73 +270,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var (
-		f        *flow.Flow
-		target   flow.NodeID
-		db       *history.DB
-		flowName string
-		world    *harness.World
-		opts     = &exec.RunOptions{}
-	)
-	if len(req.Scenario) > 0 {
-		// Scenario submission: materialize the declared world (schema,
-		// tools, imports, flow) against the shared datastore and run it on
-		// the shared engine through per-run overrides.
-		sc, err := scenario.Decode(req.Scenario)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "scenario: %v", err)
-			return
-		}
-		m, err := harness.Materialize(sc, s.store)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "scenario: %v", err)
-			return
-		}
-		world, f, target, db = m, m.Flow(), m.Target(), m.DB()
-		flowName = "scenario:" + sc.Name
-		opts.Schema, opts.Registry = m.Schema(), m.Registry()
-		applyRunSpec(sc, opts)
-		// The server's shared result cache is keyed by content-addressed
-		// derivation alone, which is sound only when every run shares one
-		// tool semantics (the menu's standard registry). A scenario brings
-		// its own: the same tool type and bytes may be declared failing or
-		// fault-instrumented here and clean elsewhere, so sharing would
-		// serve another world's result for a unit this world must run.
-		// Each scenario run gets a private cache instead.
-		opts.Memo = memo.New(0)
-	} else {
-		spec := s.spec(req.Flow)
-		if spec == nil {
-			writeErr(w, http.StatusNotFound, "no flow %q (see /v1/flows)", req.Flow)
-			return
-		}
-		// Each submission gets its own session: own history database (no
-		// commit-window contention), shared datastore and result cache.
-		sess := hercules.NewSessionStore(req.User, s.store)
-		if err := sess.Bootstrap(); err != nil {
-			writeErr(w, http.StatusInternalServerError, "bootstrap: %v", err)
-			return
-		}
-		var err error
-		f, err = buildFlow(spec, sess)
-		if err != nil {
-			writeErr(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		db = sess.DB
-		flowName = spec.Name
-		if spec.Delay > 0 {
-			d := spec.Delay
-			opts.TaskDelay = &d
-		}
+	world, flowName, opts, err := s.materialize(doc.Bytes())
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "scenario: %v", err)
+		return
 	}
 
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		if world != nil {
-			world.Close()
-		}
+		world.Close()
 		writeErr(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
@@ -357,16 +292,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		log: newEventLog(), cancel: cancel, done: make(chan struct{}),
 		state: stateRunning, world: world}
 	rec.started = time.Now()
+	// abort releases everything acquired for a run that never launches.
+	abort := func(code int, format string, args ...any) {
+		cancel()
+		s.discardRunWAL(rec)
+		world.Close()
+		writeErr(w, code, format, args...)
+	}
 
-	// Durable mode: open the run's WAL and make the identity record
-	// stable before the submission is acknowledged.
+	// Durable mode: open the run's WAL and make the identity record —
+	// scenario included — stable before the submission is acknowledged.
 	if s.dataDir != "" {
-		if err := s.openRunWAL(rec); err != nil {
-			cancel()
-			if world != nil {
-				world.Close()
-			}
-			writeErr(w, http.StatusInternalServerError, "run log: %v", err)
+		if err := s.openRunWAL(rec, doc.Bytes()); err != nil {
+			abort(http.StatusInternalServerError, "run log: %v", err)
 			return
 		}
 	}
@@ -374,39 +312,48 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	if s.draining { // drain began while the WAL was being created
 		s.mu.Unlock()
-		cancel()
-		s.discardRunWAL(rec)
-		if world != nil {
-			world.Close()
-		}
-		writeErr(w, http.StatusServiceUnavailable, "server is draining")
+		abort(http.StatusServiceUnavailable, "server is draining")
 		return
 	}
 	s.runs[id] = rec
 	s.mu.Unlock()
 
 	// Attach the provenance surface: index and hash chain observe every
-	// commit of the run's session database (existing records — imports,
-	// bootstrap — are backfilled first, in commit order).
-	if err := s.attachProvenance(rec, db); err != nil {
-		cancel()
-		s.discardRunWAL(rec)
+	// commit of the world's database (existing records — the imports —
+	// are backfilled first, in commit order).
+	if err := s.attachProvenance(rec, world.DB()); err != nil {
 		s.dropRun(id)
-		if world != nil {
-			world.Close()
-		}
-		writeErr(w, http.StatusInternalServerError, "provenance chain: %v", err)
+		abort(http.StatusInternalServerError, "provenance chain: %v", err)
 		return
 	}
 
-	opts.DB = db
-	opts.User = req.User
-	opts.Label = id
-	opts.Tracer = trace.Multi(rec.log, s.metrics)
-	opts.WAL = rec.wal
-	s.launch(ctx, rec, f, target, opts)
-
+	s.launch(ctx, rec, opts)
 	writeJSON(w, http.StatusCreated, rec.view())
+}
+
+// materialize is the one path from a scenario document to a runnable
+// world, shared by submission and boot-time resume: decode, build the
+// declared world (schema, tools, imports, flow) against the shared
+// datastore, and derive the per-run overrides that execute it on the
+// shared engine. It also returns the run's display name.
+func (s *Server) materialize(doc []byte) (*harness.World, string, *exec.RunOptions, error) {
+	sc, err := scenario.Decode(doc)
+	if err != nil {
+		return nil, "", nil, err
+	}
+	m, err := harness.Materialize(sc, s.store)
+	if err != nil {
+		return nil, "", nil, err
+	}
+	opts := &exec.RunOptions{Schema: m.Schema(), Registry: m.Registry(), DB: m.DB()}
+	applyRunSpec(sc, opts)
+	// A result cache is keyed by content-addressed derivation alone,
+	// which is sound only within one tool semantics. Every scenario
+	// declares its own — the same tool type and bytes may be failing or
+	// fault-instrumented here and clean elsewhere — so each run gets a
+	// private cache.
+	opts.Memo = memo.New(0)
+	return m, "scenario:" + sc.Name, opts, nil
 }
 
 // applyRunSpec carries a submitted scenario's run stanza — failure
@@ -440,19 +387,24 @@ func (s *Server) dropRun(id string) {
 	s.mu.Unlock()
 }
 
-// launch starts the run goroutine: execute the flow (or the sub-flow
-// rooted at target when non-zero), settle the record's terminal state,
-// then release the event log, the WAL and the done channel — the same
-// exit path for fresh and resumed runs. The provenance chain is synced
-// (durability barrier) but stays open for post-run verification.
-func (s *Server) launch(ctx context.Context, rec *runRecord, f *flow.Flow, target flow.NodeID, opts *exec.RunOptions) {
+// launch starts the run goroutine: execute the world's flow (or the
+// sub-flow rooted at its target), settle the record's terminal state,
+// then release the event log, the WAL, the world and the done channel
+// — the same exit path for fresh and resumed runs. The provenance chain
+// is synced (durability barrier) but stays open for post-run
+// verification.
+func (s *Server) launch(ctx context.Context, rec *runRecord, opts *exec.RunOptions) {
+	opts.User = rec.user
+	opts.Label = rec.id
+	opts.Tracer = trace.Multi(rec.log, s.metrics)
+	opts.WAL = rec.wal
 	go func() {
 		var res *exec.Result
 		var err error
-		if target != 0 {
-			res, err = s.engine.RunNodeOptions(ctx, f, target, opts)
+		if target := rec.world.Target(); target != 0 {
+			res, err = s.engine.RunNodeOptions(ctx, rec.world.Flow(), target, opts)
 		} else {
-			res, err = s.engine.RunFlowOptions(ctx, f, opts)
+			res, err = s.engine.RunFlowOptions(ctx, rec.world.Flow(), opts)
 		}
 		if rec.chain != nil {
 			if cerr := rec.chain.Sync(); cerr != nil && err == nil {
@@ -465,9 +417,7 @@ func (s *Server) launch(ctx context.Context, rec *runRecord, f *flow.Flow, targe
 			}
 			_ = rec.walLog.Close()
 		}
-		if rec.world != nil {
-			rec.world.Close()
-		}
+		rec.world.Close()
 		rec.mu.Lock()
 		rec.res, rec.err = res, err
 		rec.elapsed = time.Since(rec.started)

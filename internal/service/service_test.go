@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -40,9 +42,21 @@ func getJSON(t *testing.T, url string, v any) *http.Response {
 	return resp
 }
 
-func submit(t *testing.T, base, flow, user string) runView {
+// corpus returns a scenario document from the repository corpus
+// (testdata/scenarios).
+func corpus(t *testing.T, name string) string {
 	t.Helper()
-	body := fmt.Sprintf(`{"flow":%q,"user":%q}`, flow, user)
+	doc, err := os.ReadFile(filepath.Join("..", "..", "testdata", "scenarios", name+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(doc)
+}
+
+// submit posts an inline scenario and returns the created run.
+func submit(t *testing.T, base, doc, user string) runView {
+	t.Helper()
+	body := fmt.Sprintf(`{"scenario":%s,"user":%q}`, doc, user)
 	resp, err := http.Post(base+"/v1/runs", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatalf("POST /v1/runs: %v", err)
@@ -58,6 +72,20 @@ func submit(t *testing.T, base, flow, user string) runView {
 		t.Fatalf("POST /v1/runs: decoding body: %v", err)
 	}
 	return v
+}
+
+// postRaw posts a raw submission body and returns the status code and
+// the error message of the answer.
+func postRaw(t *testing.T, base, body string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(base+"/v1/runs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST /v1/runs: %v", err)
+	}
+	defer resp.Body.Close()
+	var e map[string]string
+	_ = json.NewDecoder(resp.Body).Decode(&e)
+	return resp.StatusCode, e["error"]
 }
 
 func waitTerminal(t *testing.T, base, id string) runView {
@@ -84,14 +112,8 @@ func TestServiceSubmitStatusTrace(t *testing.T) {
 		t.Fatalf("healthz: status %d", resp.StatusCode)
 	}
 
-	var menu []FlowSpec
-	getJSON(t, ts.URL+"/v1/flows", &menu)
-	if len(menu) != 3 || menu[0].Name != "perf" {
-		t.Fatalf("unexpected flow menu: %+v", menu)
-	}
-
-	v := submit(t, ts.URL, "perf", "alice")
-	if v.ID == "" || v.State != string(stateRunning) {
+	v := submit(t, ts.URL, corpus(t, "quickstart"), "alice")
+	if v.ID == "" || v.State != string(stateRunning) || v.Flow != "scenario:quickstart" {
 		t.Fatalf("unexpected submit response: %+v", v)
 	}
 	final := waitTerminal(t, ts.URL, v.ID)
@@ -127,26 +149,16 @@ func TestServiceSubmitStatusTrace(t *testing.T) {
 			len(lines), lines[0].Kind, lines[len(lines)-1].Kind)
 	}
 
-	// Unknown run and unknown flow 404.
 	if resp := getJSON(t, ts.URL+"/v1/runs/nope", nil); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown run: status %d, want 404", resp.StatusCode)
-	}
-	r3, err := http.Post(ts.URL+"/v1/runs", "application/json",
-		strings.NewReader(`{"flow":"nope"}`))
-	if err != nil {
-		t.Fatalf("POST /v1/runs: %v", err)
-	}
-	defer r3.Body.Close()
-	if r3.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown flow: status %d, want 404", r3.StatusCode)
 	}
 }
 
 func TestServiceCancelMidRun(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
-	v := submit(t, ts.URL, "slow", "bob")
+	v := submit(t, ts.URL, corpus(t, "cancel-midrun"), "bob")
 
-	// Cancel while the 100ms-per-unit flow is still dispatching. The
+	// Cancel while the scenario's 30s stage is still running. The
 	// handler waits for the run to unwind before answering.
 	time.Sleep(5 * time.Millisecond)
 	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/runs/"+v.ID+"/cancel", nil)
@@ -167,29 +179,23 @@ func TestServiceCancelMidRun(t *testing.T) {
 	}
 }
 
+// TestServiceConcurrentRunsSharedMetrics: several users' runs share the
+// engine and the metrics fold, but each runs in its own world with a
+// private result cache — the same scenario submitted five times runs
+// every unit five times.
 func TestServiceConcurrentRunsSharedMetrics(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 4})
+	doc := corpus(t, "quickstart")
 
-	// Warm the shared memo cache, then race several users through the
-	// same flow; later runs should be answered from cache.
-	warm := submit(t, ts.URL, "perf", "warm")
-	if v := waitTerminal(t, ts.URL, warm.ID); v.State != string(stateSucceeded) {
-		t.Fatalf("warm run ended %q: %s", v.State, v.Error)
+	ids := make([]string, 0, 5)
+	for _, user := range []string{"warm", "alice", "bob", "carol", "dave"} {
+		ids = append(ids, submit(t, ts.URL, doc, user).ID)
 	}
-	ids := make([]string, 0, 4)
-	for _, user := range []string{"alice", "bob", "carol", "dave"} {
-		ids = append(ids, submit(t, ts.URL, "perf", user).ID)
-	}
-	hits := 0
 	for _, id := range ids {
 		v := waitTerminal(t, ts.URL, id)
-		if v.State != string(stateSucceeded) {
-			t.Fatalf("run %s ended %q: %s", id, v.State, v.Error)
+		if v.State != string(stateSucceeded) || v.TasksRun != 4 || v.CacheHits != 0 {
+			t.Fatalf("run %s = %+v, want succeeded with 4 tasks and no cache hits", id, v)
 		}
-		hits += v.CacheHits
-	}
-	if hits != 16 {
-		t.Fatalf("total cache hits = %d, want 16 (4 runs x 4 units)", hits)
 	}
 
 	var list []runView
@@ -198,26 +204,20 @@ func TestServiceConcurrentRunsSharedMetrics(t *testing.T) {
 		t.Fatalf("run list has %d entries, want 5", len(list))
 	}
 
-	resp := getJSON(t, ts.URL+"/metrics", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("metrics: status %d", resp.StatusCode)
-	}
 	body, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatalf("GET metrics: %v", err)
 	}
 	defer body.Body.Close()
+	if body.StatusCode != http.StatusOK {
+		t.Fatalf("metrics: status %d", body.StatusCode)
+	}
 	var buf bytes.Buffer
 	if _, err := buf.ReadFrom(body.Body); err != nil {
 		t.Fatalf("reading metrics: %v", err)
 	}
 	text := buf.String()
-	if !strings.Contains(text, "flow_unit_cache_hits_total 16") {
-		t.Fatalf("metrics missing shared cache-hit total:\n%s", text)
-	}
-	// Per-run attribution lines carry the run IDs as labels.
-	for _, id := range ids {
-		want := fmt.Sprintf("flow_unit_cache_hits_total{run=%q} 4", id)
+	for _, want := range []string{"flow_runs_total 5", "flow_units_committed_total 20", "flow_unit_cache_hits_total 0"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, text)
 		}
@@ -228,27 +228,22 @@ func TestServiceConcurrentRunsSharedMetrics(t *testing.T) {
 }
 
 func TestServiceBackPressure(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, MaxRuns: 1, MaxQueue: 0})
+	s, ts := newTestServer(t, Config{Workers: 1, MaxRuns: 1, MaxQueue: 0})
 
-	v := submit(t, ts.URL, "slow", "hog")
+	v := submit(t, ts.URL, corpus(t, "cancel-midrun"), "hog")
+	// Launch is asynchronous: wait for the hog to hold the one run slot,
+	// or a rebuffed submission could win admission ahead of it.
+	deadline := time.Now().Add(5 * time.Second)
+	for active, _ := s.Engine().Runs(); active == 0; active, _ = s.Engine().Runs() {
+		if time.Now().After(deadline) {
+			t.Fatal("hog never admitted")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	// With one run slot, no queue and a slow run holding the slot, the
 	// next submission must be answered 429 rather than queued forever.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, err := http.Post(ts.URL+"/v1/runs", "application/json",
-			strings.NewReader(`{"flow":"perf","user":"rebuffed"}`))
-		if err != nil {
-			t.Fatalf("POST /v1/runs: %v", err)
-		}
-		code := resp.StatusCode
-		resp.Body.Close()
-		if code == http.StatusTooManyRequests {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("never saw 429; last status %d", code)
-		}
-		time.Sleep(2 * time.Millisecond)
+	if code, msg := postRaw(t, ts.URL, `{"scenario":`+corpus(t, "quickstart")+`,"user":"rebuffed"}`); code != http.StatusTooManyRequests {
+		t.Fatalf("submission against a full engine: %d %q, want 429", code, msg)
 	}
 
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/runs/"+v.ID, nil)

@@ -32,6 +32,10 @@ func appendWALRecord(b []byte, meta *RunMeta, ev *trace.Event, commit *UnitCommi
 		b = appendString(b, meta.Flow)
 		b = append(b, `,"user":`...)
 		b = appendString(b, meta.User)
+		if len(meta.Scenario) > 0 {
+			b = append(b, `,"scenario":`...)
+			b = append(b, meta.Scenario...)
+		}
 		b = append(b, '}')
 	}
 	if ev != nil && ev.Kind != "" {

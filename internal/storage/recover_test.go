@@ -222,6 +222,31 @@ func TestRecoverMetaOnlyAndEmpty(t *testing.T) {
 	}
 }
 
+// TestRecoverMetaScenario: the scenario document in the identity record
+// survives the hand-rolled encoder and recovery byte for byte — resume
+// re-materializes the run's world from exactly these bytes.
+func TestRecoverMetaScenario(t *testing.T) {
+	doc := []byte(`{"name":"qé","generate":{"cells":3,"shape":"chain","seed":7}}`)
+	l := NewMemLog()
+	w := NewRunWAL(l)
+	if err := w.AppendMeta(RunMeta{ID: "r-0003", Flow: "scenario:q", User: "carol", Scenario: doc}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := RecoverRun(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Meta == nil || rec.Meta.ID != "r-0003" || rec.Meta.User != "carol" {
+		t.Fatalf("meta = %+v", rec.Meta)
+	}
+	if string(rec.Meta.Scenario) != string(doc) {
+		t.Fatalf("scenario = %s, want %s", rec.Meta.Scenario, doc)
+	}
+}
+
 // TestRecoverTornFileRun is the end-to-end torn-tail property on a real
 // file: a WAL truncated mid-record recovers to the committed prefix
 // with no partial unit replayed.

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
@@ -27,15 +28,20 @@ import (
 // re-executes the affected units (never half of one).
 
 // RunMeta names a run: the first record of its WAL, written at
-// submission. Recovery uses it to rebuild the session and flow the run
-// executed so the replanned IDs match the logged ones.
+// submission. Recovery uses it to rebuild the world the run executed
+// so the replanned IDs match the logged ones.
 type RunMeta struct {
 	// ID is the run's label (service run id, Event.Run before masking).
 	ID string `json:"id"`
-	// Flow is the service FlowSpec name the run was built from.
+	// Flow is the run's display name ("scenario:<name>").
 	Flow string `json:"flow"`
 	// User is the submitting designer.
 	User string `json:"user"`
+	// Scenario is the submitted scenario document, compacted JSON
+	// (internal/scenario) — everything needed to re-materialize the
+	// run's world on resume. Empty in logs written before scenarios
+	// were recorded; such runs cannot be resumed.
+	Scenario json.RawMessage `json:"scenario,omitempty"`
 }
 
 // UnitCommit is the durable payload of one committed unit, attached to
