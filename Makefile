@@ -69,6 +69,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDiffApply$$' -fuzztime 5s ./internal/datastore/
 	$(GO) test -run '^$$' -fuzz '^FuzzArchiveDeltaReconstruction$$' -fuzztime 5s ./internal/datastore/
 	$(GO) test -run '^$$' -fuzz '^FuzzScenarioDecode$$' -fuzztime 5s ./internal/scenario/
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendJSON$$' -fuzztime 5s ./internal/trace/
 
 # cover enforces the same ratchet as the CI trace job: the traced
 # execution paths (internal/exec + internal/trace), the result cache

@@ -293,11 +293,16 @@ func Format(p *Program) string {
 	return b.String()
 }
 
+// maxLine is the scanner's maximum token size: the longest line Parse
+// accepts, newline included, is maxLine bytes. The buffer starts small
+// and grows on demand up to it.
+const maxLine = 1 << 20
+
 // Parse reads a compiled program back from its text form.
 func Parse(r io.Reader) (*Program, error) {
 	p := &Program{inputs: make(map[string]int), outputs: make(map[string]int)}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	sc.Buffer(nil, maxLine)
 	lineno := 0
 	for sc.Scan() {
 		lineno++

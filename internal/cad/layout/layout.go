@@ -246,11 +246,16 @@ func Format(l *Layout) string {
 	return b.String()
 }
 
+// maxLine is the scanner's maximum token size: the longest line Parse
+// accepts, newline included, is maxLine bytes. The buffer starts small
+// and grows on demand up to it.
+const maxLine = 1 << 20
+
 // Parse reads a layout from its text form and validates it.
 func Parse(r io.Reader) (*Layout, error) {
 	l := &Layout{}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	sc.Buffer(nil, maxLine)
 	lineno := 0
 	for sc.Scan() {
 		lineno++

@@ -16,11 +16,16 @@ import (
 //	gate <name> <type> <in> [<in>] -> <out>
 //	mos  <name> <nmos|pmos> g=<net> s=<net> d=<net> w=<int> l=<int>
 
+// maxLine is the scanner's maximum token size: the longest line Parse
+// accepts, newline included, is maxLine bytes. The buffer starts small
+// and grows on demand up to it.
+const maxLine = 1 << 20
+
 // Parse reads a netlist from r and validates it.
 func Parse(r io.Reader) (*Netlist, error) {
 	n := &Netlist{}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	sc.Buffer(nil, maxLine)
 	lineno := 0
 	for sc.Scan() {
 		lineno++

@@ -53,11 +53,16 @@ func FormatResult(r *Result) string {
 	return b.String()
 }
 
+// maxLine is the scanner's maximum token size: the longest line
+// ParseResult accepts, newline included, is maxLine bytes (a waveform
+// is one line). The buffer starts small and grows on demand up to it.
+const maxLine = 16 << 20
+
 // ParseResult reads a result back.
 func ParseResult(r io.Reader) (*Result, error) {
 	res := &Result{Waveforms: make(map[string]Waveform)}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 16*1024*1024)
+	sc.Buffer(nil, maxLine)
 	lineno := 0
 	parseVal := func(s string) (Value, error) {
 		switch s {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"sync"
 	"testing"
 	"time"
 
@@ -18,14 +19,18 @@ import (
 // accepts (and immediately makes durable) the first killAt records and
 // silently drops everything after — exactly what survives a crash
 // whose last group-commit covered record killAt. The surviving prefix
-// then feeds storage.RecoverRun like any crashed log.
+// then feeds storage.RecoverRun like any crashed log. n is guarded by
+// mu: the WAL's writer appends while its syncer goroutine calls Sync.
 type killableLog struct {
 	*storage.MemLog
+	mu     sync.Mutex
 	n      int
 	killAt int
 }
 
 func (l *killableLog) Append(rec []byte) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.n >= l.killAt {
 		return nil // the process is dead: the write never happens
 	}
@@ -37,6 +42,8 @@ func (l *killableLog) Append(rec []byte) error {
 }
 
 func (l *killableLog) Sync() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.n >= l.killAt {
 		return nil
 	}

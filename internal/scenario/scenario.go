@@ -432,6 +432,22 @@ var genShapes = map[string]bool{
 	"": true, "layered": true, "diamond": true, "fanout": true, "chain": true,
 }
 
+// Caps on a generate stanza. A submission body is capped in bytes, but
+// a one-line stanza could otherwise ask for any size of world, so
+// Validate refuses these before anything is materialized. Each sits
+// well above every in-repo use: the benchmark's largest stanza is
+// 20,000 cells at the default 256-byte payload.
+const (
+	// MaxGenerateCells caps generate.cells.
+	MaxGenerateCells = 100_000
+	// MaxGeneratePayload caps generate.payload, in bytes per artifact.
+	MaxGeneratePayload = 1 << 20
+	// MaxGenerateBytes caps cells × payload, the artifact bytes a run of
+	// the world produces. The default payload stays under it at any
+	// allowed cell count.
+	MaxGenerateBytes = 64 << 20
+)
+
 // Validate checks everything checkable without a schema or an engine:
 // structural completeness, reference hygiene among the scenario's own
 // parts, and bounds. Schema-level errors (unknown entity types, type
@@ -471,6 +487,15 @@ func (s *Scenario) Validate() error {
 		}
 		if g.Payload < 0 || g.Levels < 0 {
 			return fail("generate: negative payload/levels")
+		}
+		if g.Cells > MaxGenerateCells {
+			return fail("generate.cells %d exceeds the cap of %d", g.Cells, MaxGenerateCells)
+		}
+		if g.Payload > MaxGeneratePayload {
+			return fail("generate.payload %d exceeds the cap of %d bytes", g.Payload, MaxGeneratePayload)
+		}
+		if n := int64(g.Cells) * int64(g.Payload); n > MaxGenerateBytes {
+			return fail("generate: cells × payload = %d bytes exceeds the cap of %d", n, MaxGenerateBytes)
 		}
 		if s.Faults != nil || s.Cancel != nil {
 			return fail("generate does not compose with faults/cancel")

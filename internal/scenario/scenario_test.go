@@ -184,6 +184,35 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestValidateGenerateCaps: a generate stanza at each cap validates;
+// one past any cap is refused with the cap named.
+func TestValidateGenerateCaps(t *testing.T) {
+	cases := []struct {
+		name string
+		spec GenerateSpec
+		want string // "" = valid
+	}{
+		{"cells at cap", GenerateSpec{Cells: MaxGenerateCells}, ""},
+		{"payload at cap", GenerateSpec{Cells: MaxGenerateBytes / MaxGeneratePayload, Payload: MaxGeneratePayload}, ""},
+		{"cells over cap", GenerateSpec{Cells: MaxGenerateCells + 1}, "generate.cells 100001 exceeds the cap"},
+		{"payload over cap", GenerateSpec{Cells: 1, Payload: MaxGeneratePayload + 1}, "generate.payload 1048577 exceeds the cap"},
+		{"product over cap", GenerateSpec{Cells: MaxGenerateBytes/MaxGeneratePayload + 1, Payload: MaxGeneratePayload},
+			"cells × payload = 68157440 bytes exceeds the cap"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := tc.spec
+			err := (&Scenario{Name: "g", Generate: &spec}).Validate()
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("Validate: %v", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("Validate error %v, want one containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
 func TestValidateUnnamedPrefix(t *testing.T) {
 	sc := &Scenario{}
 	err := sc.Validate()

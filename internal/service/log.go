@@ -6,15 +6,17 @@ import (
 	"repro/internal/trace"
 )
 
-// eventLog is a trace.Sink that retains one run's full event stream and
-// lets readers block for events that have not arrived yet — the bridge
-// between the engine's deterministic per-run emission and the streaming
-// trace endpoint. Closed exactly once, when the run reaches a terminal
-// state, which releases every waiting reader.
+// eventLog is a trace.Sink that retains one run's full event stream as
+// the masked JSON Lines the trace endpoint serves, encoded once at Emit
+// into one append-only buffer, and lets readers block for bytes that
+// have not arrived yet — the bridge between the engine's deterministic
+// per-run emission and the streaming trace endpoint. Closed exactly
+// once, when the run reaches a terminal state, which releases every
+// waiting reader.
 type eventLog struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	events []trace.Event
+	jsonl  []byte
 	closed bool
 }
 
@@ -24,10 +26,10 @@ func newEventLog() *eventLog {
 	return l
 }
 
-// Emit appends one event and wakes the readers.
+// Emit appends one event's masked JSON line and wakes the readers.
 func (l *eventLog) Emit(ev trace.Event) {
 	l.mu.Lock()
-	l.events = append(l.events, ev)
+	l.jsonl = trace.AppendMaskedJSONL(l.jsonl, ev)
 	l.mu.Unlock()
 	l.cond.Broadcast()
 }
@@ -40,23 +42,18 @@ func (l *eventLog) close() {
 	l.cond.Broadcast()
 }
 
-// next returns event i, blocking until it exists. ok is false when the
-// stream closed before event i arrived — the reader has seen everything.
-func (l *eventLog) next(i int) (ev trace.Event, ok bool) {
+// next returns every byte from offset off to the end of the log — whole
+// lines, one or more events — blocking until there is at least one. ok
+// is false when the stream closed with nothing past off: the reader has
+// seen everything. The batch is safe to use without the lock: bytes
+// already emitted are never rewritten, and its capacity ends at its
+// length, so neither side can append into the other's bytes.
+func (l *eventLog) next(off int) (batch []byte, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for i >= len(l.events) && !l.closed {
+	for off >= len(l.jsonl) && !l.closed {
 		l.cond.Wait()
 	}
-	if i < len(l.events) {
-		return l.events[i], true
-	}
-	return trace.Event{}, false
-}
-
-// snapshot returns the events collected so far.
-func (l *eventLog) snapshot() []trace.Event {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]trace.Event(nil), l.events...)
+	n := len(l.jsonl)
+	return l.jsonl[off:n:n], off < n
 }

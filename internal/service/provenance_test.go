@@ -62,8 +62,8 @@ func TestScenarioSubmission(t *testing.T) {
 // TestScenarioSubmissionRejects: the one submit path refuses, before
 // any work starts, a body over the size cap (413), a body naming a
 // field the request does not have — such as a {"flow": name} menu
-// submission — with the field named (400), a body without a scenario
-// and an invalid scenario (400).
+// submission — with the field named (400), a body without a scenario,
+// an invalid scenario and a generate stanza over a size cap (400).
 func TestScenarioSubmissionRejects(t *testing.T) {
 	s, err := New(Config{Workers: 1})
 	if err != nil {
@@ -78,6 +78,10 @@ func TestScenarioSubmissionRejects(t *testing.T) {
 		{"flow field", `{"flow":"perf","user":"alice"}`, http.StatusBadRequest, `unknown field "flow"`},
 		{"no scenario", `{"user":"alice"}`, http.StatusBadRequest, "scenario"},
 		{"invalid scenario", `{"scenario":{"name":"broken"}}`, http.StatusBadRequest, "scenario"},
+		{"world too many cells", `{"scenario":{"name":"huge","generate":{"cells":1000000000}}}`,
+			http.StatusBadRequest, "generate.cells 1000000000 exceeds the cap"},
+		{"world too many bytes", `{"scenario":{"name":"huge","generate":{"cells":100000,"payload":1048576}}}`,
+			http.StatusBadRequest, "cells × payload"},
 	} {
 		// In process: over a real connection the server lingers before
 		// closing one whose body it refused to read.
@@ -88,6 +92,9 @@ func TestScenarioSubmissionRejects(t *testing.T) {
 		if w.Code != c.code || !strings.Contains(e["error"], c.msg) {
 			t.Errorf("%s: %d %q, want %d with %q", c.name, w.Code, e["error"], c.code, c.msg)
 		}
+	}
+	if n := len(s.runs); n != 0 {
+		t.Fatalf("%d runs registered by refused submissions, want none", n)
 	}
 }
 

@@ -478,7 +478,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 
 // handleTrace streams the run's masked JSONL trace, following until the
 // run reaches a terminal state (a finished run's trace returns
-// immediately and completely).
+// immediately and completely). Each pass writes every line emitted
+// since the last one in one Write and one Flush.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	rec := s.record(r.PathValue("id"))
 	if rec == nil {
@@ -487,15 +488,15 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/jsonl")
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	for i := 0; ; i++ {
-		ev, ok := rec.log.next(i)
+	for off := 0; ; {
+		batch, ok := rec.log.next(off)
 		if !ok {
 			return
 		}
-		if err := enc.Encode(trace.Mask(ev)); err != nil {
+		if _, err := w.Write(batch); err != nil {
 			return
 		}
+		off += len(batch)
 		if flusher != nil {
 			flusher.Flush()
 		}

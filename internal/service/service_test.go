@@ -257,31 +257,84 @@ func TestServiceBackPressure(t *testing.T) {
 	}
 }
 
+// TestEventLogStreaming pins the byte log's three reader cases: a reader
+// blocked at the end of the log wakes on Emit with exactly the new
+// line, a read past close reports done, and a reader that joins after
+// the run finished gets the whole masked trace in one batch.
 func TestEventLogStreaming(t *testing.T) {
+	events := []trace.Event{
+		{Seq: 0, Run: "r-0001", Kind: trace.KindPlanBuilt, Job: -1, Combo: -1, Unit: -1, Scheduler: "dataflow"},
+		{Seq: 1, Run: "r-0001", Kind: trace.KindUnitCommitted, Insts: []string{"a<b>&c"}, DurMicros: 7},
+		{Seq: 2, Run: "r-0001", Kind: trace.KindRunFinished, Job: -1, Combo: -1, Unit: -1, ElapsedMicros: 9},
+	}
 	l := newEventLog()
-	got := make(chan trace.Event, 1)
-	go func() {
-		ev, ok := l.next(0)
-		if !ok {
-			t.Error("next(0) reported closed before any event")
+	off := 0
+	for i, ev := range events {
+		got := make(chan []byte, 1)
+		go func(off int) {
+			batch, ok := l.next(off)
+			if !ok {
+				t.Errorf("next(%d) reported done before event %d", off, i)
+			}
+			got <- batch
+		}(off)
+		l.Emit(ev)
+		want := trace.MaskedJSONL(events[i : i+1])
+		select {
+		case batch := <-got:
+			if !bytes.Equal(batch, want) {
+				t.Fatalf("event %d: reader got %q, want %q", i, batch, want)
+			}
+			off += len(batch)
+		case <-time.After(5 * time.Second):
+			t.Fatalf("event %d: blocked reader never woke", i)
 		}
-		got <- ev
-	}()
-	time.Sleep(time.Millisecond)
-	l.Emit(trace.Event{Kind: trace.KindPlanBuilt})
-	select {
-	case ev := <-got:
-		if ev.Kind != trace.KindPlanBuilt {
-			t.Fatalf("streamed event kind = %q", ev.Kind)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("blocked reader never woke")
 	}
 	l.close()
-	if _, ok := l.next(1); ok {
-		t.Fatal("next past close should report done")
+	if batch, ok := l.next(off); ok || len(batch) != 0 {
+		t.Fatalf("next past close = %q, %v; want done", batch, ok)
 	}
-	if n := len(l.snapshot()); n != 1 {
-		t.Fatalf("snapshot has %d events, want 1", n)
+	batch, ok := l.next(0)
+	if !ok || !bytes.Equal(batch, trace.MaskedJSONL(events)) {
+		t.Fatalf("late reader got %q, %v; want the whole masked trace in one batch", batch, ok)
+	}
+}
+
+// TestTraceEndpointMatchesGoldens: the trace a client streams from flowd
+// is, byte for byte, the masked golden the conformance harness pins for
+// the same scenario — every corpus scenario with a golden, all
+// submitted at once to one in-process server. Only cancel-midrun is
+// left out, because it has no golden: where its cancel lands is
+// nondeterministic.
+func TestTraceEndpointMatchesGoldens(t *testing.T) {
+	goldens, err := filepath.Glob(filepath.Join("..", "..", "testdata", "scenarios", "golden", "*.jsonl"))
+	if err != nil || len(goldens) == 0 {
+		t.Fatalf("no goldens found (%v)", err)
+	}
+	_, ts := newTestServer(t, Config{Workers: 4})
+	ids := make(map[string]string, len(goldens))
+	for _, g := range goldens {
+		name := strings.TrimSuffix(filepath.Base(g), ".jsonl")
+		ids[name] = submit(t, ts.URL, corpus(t, name), "golden").ID
+	}
+	for _, g := range goldens {
+		name := strings.TrimSuffix(filepath.Base(g), ".jsonl")
+		want, err := os.ReadFile(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Get(ts.URL + "/v1/runs/" + ids[name] + "/trace")
+		if err != nil {
+			t.Fatalf("%s: GET trace: %v", name, err)
+		}
+		var got bytes.Buffer
+		_, err = got.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: reading trace: %v", name, err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s: streamed trace differs from its golden\n got:\n%s\nwant:\n%s", name, got.Bytes(), want)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/datastore"
@@ -294,5 +295,49 @@ func TestRecoverTornFileRun(t *testing.T) {
 	}
 	if l2.Torn() {
 		t.Fatal("rewind left a torn tail")
+	}
+}
+
+// TestRecoverPreEncoderLog: a log written before events went through
+// trace.AppendJSON — which carries '<', '>' and '&' raw where today's
+// records escape them — still recovers, to the same run as today's
+// encoding of the same events.
+func TestRecoverPreEncoderLog(t *testing.T) {
+	events := []trace.Event{
+		{Seq: 0, Kind: trace.KindPlanBuilt, Job: -1, Combo: -1, Unit: -1, Units: 1},
+		{Seq: 1, Kind: trace.KindUnitFailed, Job: 0, Combo: 0, Unit: 0, Attempt: 1, Err: "tool <x> & y failed"},
+		{Seq: 2, Kind: trace.KindRunFinished, Job: -1, Combo: -1, Unit: -1, Units: 1, Failed: 1},
+	}
+	old := NewMemLog()
+	for _, rec := range []string{
+		`{"meta":{"id":"r-0001","flow":"perf","user":"alice"}}`,
+		`{"event":{"seq":0,"kind":"PlanBuilt","job":-1,"combo":-1,"unit":-1,"units":1}}`,
+		`{"event":{"seq":1,"kind":"UnitFailed","job":0,"combo":0,"unit":0,"attempt":1,"err":"tool <x> & y failed"}}`,
+		`{"event":{"seq":2,"kind":"RunFinished","job":-1,"combo":-1,"unit":-1,"units":1,"failed":1}}`,
+	} {
+		if err := old.Append([]byte(rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := old.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	cur := NewMemLog()
+	writeStream(t, cur, events, nil)
+	recs, err := cur.Committed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `"err":"tool \u003cx\u003e \u0026 y failed"`; !strings.Contains(string(recs[2]), want) {
+		t.Fatalf("today's record %s does not escape as encoding/json does (%s)", recs[2], want)
+	}
+	for name, l := range map[string]Log{"pre-encoder": old, "current": cur} {
+		rc, err := RecoverRun(l)
+		if err != nil {
+			t.Fatalf("%s log: %v", name, err)
+		}
+		if !rc.Finished || !reflect.DeepEqual(rc.Events, events) {
+			t.Fatalf("%s log recovered finished=%v events %+v, want %+v", name, rc.Finished, rc.Events, events)
+		}
 	}
 }

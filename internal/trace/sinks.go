@@ -2,7 +2,6 @@ package trace
 
 import (
 	"context"
-	"encoding/json"
 	"io"
 	"log/slog"
 	"sync"
@@ -92,17 +91,18 @@ func (r *Ring) Total() int {
 // reported by Err.
 type Writer struct {
 	mu   sync.Mutex
-	enc  *json.Encoder
+	w    io.Writer
+	line []byte // reused encoding buffer
 	mask bool
 	err  error
 }
 
 // NewWriter returns a JSONL sink writing raw (unmasked) events.
-func NewWriter(w io.Writer) *Writer { return &Writer{enc: json.NewEncoder(w)} }
+func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
 
 // NewMaskedWriter returns a JSONL sink that masks each event before
 // writing — the on-disk form golden comparisons consume directly.
-func NewMaskedWriter(w io.Writer) *Writer { return &Writer{enc: json.NewEncoder(w), mask: true} }
+func NewMaskedWriter(w io.Writer) *Writer { return &Writer{w: w, mask: true} }
 
 // Emit encodes the event as one JSON line.
 func (w *Writer) Emit(ev Event) {
@@ -114,7 +114,8 @@ func (w *Writer) Emit(ev Event) {
 	if w.mask {
 		ev = Mask(ev)
 	}
-	w.err = w.enc.Encode(ev)
+	w.line = append(AppendJSON(w.line[:0], &ev), '\n')
+	_, w.err = w.w.Write(w.line)
 }
 
 // Err reports the first write error, if any.

@@ -17,12 +17,7 @@
 // and golden comparisons can diff the rest byte for byte.
 package trace
 
-import (
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"io"
-)
+import "io"
 
 // Kind names a lifecycle transition. The ten kinds below are the
 // complete event taxonomy (DESIGN.md §8, §9).
@@ -182,24 +177,30 @@ func DropKinds(events []Event, kinds ...Kind) []Event {
 	return out
 }
 
-// EncodeJSONL writes events as JSON Lines.
+// EncodeJSONL writes events as JSON Lines, one Write per event.
 func EncodeJSONL(w io.Writer, events []Event) error {
-	enc := json.NewEncoder(w)
-	for _, ev := range events {
-		if err := enc.Encode(ev); err != nil {
+	var line []byte
+	for i := range events {
+		line = append(AppendJSON(line[:0], &events[i]), '\n')
+		if _, err := w.Write(line); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// AppendMaskedJSONL appends ev, masked, as one JSON line.
+func AppendMaskedJSONL(b []byte, ev Event) []byte {
+	ev = Mask(ev)
+	return append(AppendJSON(b, &ev), '\n')
+}
+
 // MaskedJSONL renders events as masked JSON Lines — the canonical form
 // for golden-trace comparisons.
 func MaskedJSONL(events []Event) []byte {
-	var buf bytes.Buffer
-	if err := EncodeJSONL(&buf, Masked(events)); err != nil {
-		// Event marshalling cannot fail: all fields are plain values.
-		panic(fmt.Sprintf("trace: encoding events: %v", err))
+	var b []byte
+	for _, ev := range events {
+		b = AppendMaskedJSONL(b, ev)
 	}
-	return buf.Bytes()
+	return b
 }
