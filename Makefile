@@ -1,12 +1,16 @@
 GO ?= go
 
-.PHONY: build vet test benchmod race chaos memo concurrent crash fuzz cover ci bench flowbench scale provenance conformance conformance-update
+.PHONY: build vet fmt test benchmod race chaos memo concurrent crash fuzz cover ci bench flowbench scale provenance conformance conformance-update
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails when any Go file is not gofmt-clean (gofmt -l lists them).
+fmt:
+	test -z "$$(gofmt -l .)"
 
 test:
 	$(GO) test ./...
@@ -85,10 +89,10 @@ cover:
 benchmod:
 	$(GO) -C bench vet ./... && $(GO) -C bench test ./...
 
-# ci is the gate CI runs: compile, vet, full suite under the race
-# detector (the scheduler is concurrent; -race is not optional), and
-# the benchmark module.
-ci: build vet race cover benchmod
+# ci is the gate CI runs: compile, vet, gofmt, full suite under the
+# race detector (the scheduler is concurrent; -race is not optional),
+# and the benchmark module.
+ci: build vet fmt race cover benchmod
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .

@@ -1657,8 +1657,8 @@ func durableSection() {
 		}
 
 		d := dispatchResult{Workers: w, BaseMS: ms(base.Elapsed), WALMS: ms(res.Elapsed),
-			BaseUPS: float64(base.Stats.Units) / base.Elapsed.Seconds(),
-			WALUPS:  float64(res.Stats.Units) / res.Elapsed.Seconds(),
+			BaseUPS:     float64(base.Stats.Units) / base.Elapsed.Seconds(),
+			WALUPS:      float64(res.Stats.Units) / res.Elapsed.Seconds(),
 			OverheadPct: (float64(res.Elapsed)/float64(base.Elapsed) - 1) * 100}
 		if sb := scaleBaseline[w]; sb > 0 {
 			d.ScaleMS = sb

@@ -65,10 +65,10 @@ const (
 )
 
 type diffOp struct {
-	kind   opKind
-	text   string
-	aLine  int // 1-based line in a (equal/delete)
-	bLine  int // 1-based line in b (equal/insert)
+	kind  opKind
+	text  string
+	aLine int // 1-based line in a (equal/delete)
+	bLine int // 1-based line in b (equal/insert)
 }
 
 func writeHunk(sb *strings.Builder, ops []diffOp) {

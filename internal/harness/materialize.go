@@ -5,8 +5,8 @@ import (
 	"repro/internal/encap"
 	"repro/internal/flow"
 	"repro/internal/history"
-	"repro/internal/schema"
 	"repro/internal/scenario"
+	"repro/internal/schema"
 )
 
 // World is a materialized scenario exported for embedding: the service

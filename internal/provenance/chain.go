@@ -56,10 +56,13 @@ type Record struct {
 	Digest  string        `json:"digest"`  // hex SHA-256 of this record's payload
 }
 
-// appendPayload appends the canonical payload encoding of r — the full
-// record minus the digest field. The digest is SHA-256 over exactly
-// these bytes; Prev is part of them, which is what chains the records.
-func appendPayload(b []byte, r *Record) []byte {
+// appendPayload appends the canonical payload encoding of r linked to
+// the predecessor digest prev — the full record minus the digest field.
+// The digest is SHA-256 over exactly these bytes; prev is part of them,
+// which is what chains the records. r.Prev and r.Digest are not read:
+// the verifier passes the decoded r.Prev, an appending Chain the digest
+// bytes it keeps.
+func appendPayload[S string | []byte](b []byte, r *Record, prev S) []byte {
 	b = append(b, `{"seq":`...)
 	b = strconv.AppendInt(b, int64(r.Seq), 10)
 	b = append(b, `,"id":`...)
@@ -86,55 +89,36 @@ func appendPayload(b []byte, r *Record) []byte {
 	b = append(b, `,"created":`...)
 	b = strconv.AppendInt(b, r.Created, 10)
 	b = append(b, `,"prev":`...)
-	b = appendString(b, r.Prev)
-	return b
+	return appendString(b, prev)
 }
 
-// appendRecord appends the full canonical encoding: payload + digest.
-func appendRecord(b []byte, r *Record) []byte {
-	b = appendPayload(b, r)
+// appendDigest closes a payload with its digest field, completing the
+// record's canonical encoding.
+func appendDigest[S string | []byte](b []byte, digest S) []byte {
 	b = append(b, `,"digest":`...)
-	b = appendString(b, r.Digest)
+	b = appendString(b, digest)
 	return append(b, '}')
+}
+
+// appendRecord appends the full canonical encoding of a decoded record:
+// payload + digest.
+func appendRecord(b []byte, r *Record) []byte {
+	return appendDigest(appendPayload(b, r, r.Prev), r.Digest)
 }
 
 // appendString appends a JSON string literal. The fast path copies
 // plain ASCII byte-for-byte; anything needing escapes falls back to
 // encoding/json (identical output, just slower).
-func appendString(b []byte, s string) []byte {
+func appendString[S string | []byte](b []byte, s S) []byte {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < 0x20 || c == '"' || c == '\\' || c >= utf8.RuneSelf {
-			enc, _ := json.Marshal(s)
+			enc, _ := json.Marshal(string(s))
 			return append(b, enc...)
 		}
 	}
 	b = append(b, '"')
 	b = append(b, s...)
 	return append(b, '"')
-}
-
-// recordOf builds the chain record for a committed instance at chain
-// position seq with the given predecessor digest, computing its digest.
-func recordOf(inst *history.Instance, seq int, prev string) (*Record, []byte) {
-	r := &Record{
-		Seq:     seq,
-		ID:      string(inst.ID),
-		Type:    inst.Type,
-		Tool:    string(inst.Tool),
-		Data:    string(inst.Data),
-		User:    inst.User,
-		Created: inst.Created.UnixNano(),
-		Prev:    prev,
-	}
-	if len(inst.Inputs) > 0 {
-		r.Inputs = make([]RecordInput, len(inst.Inputs))
-		for i, in := range inst.Inputs {
-			r.Inputs[i] = RecordInput{Key: in.Key, Inst: string(in.Inst)}
-		}
-	}
-	payload := appendPayload(nil, r)
-	r.Digest = digestHex(payload)
-	return r, appendRecord(payload[:0], r)
 }
 
 // digestHex returns the hex SHA-256 of b.
@@ -154,17 +138,23 @@ func digestHex(b []byte) string {
 // forget under the DB's commit lock), so the first append failure is
 // latched and surfaced by the next Sync/Verify/Close call.
 type Chain struct {
-	mu   sync.Mutex
-	log  storage.Log
-	n    int    // records appended so far
-	last string // digest of the newest record (GenesisDigest when empty)
-	err  error  // first append failure, latched
-	buf  []byte // encode buffer, reused across appends
+	mu     sync.Mutex
+	log    storage.Log
+	n      int                // records appended so far
+	last   [hexDigestLen]byte // hex digest of the newest record (GenesisDigest when empty)
+	err    error              // first append failure, latched
+	buf    []byte             // encode buffer, reused across appends
+	inputs []RecordInput      // input arcs of the record being encoded, reused across appends
 }
+
+// hexDigestLen is the length of a hex-encoded SHA-256 digest.
+const hexDigestLen = 2 * sha256.Size
 
 // NewChain starts an empty chain on an empty log.
 func NewChain(log storage.Log) *Chain {
-	return &Chain{log: log, last: GenesisDigest}
+	c := &Chain{log: log}
+	copy(c.last[:], GenesisDigest)
+	return c
 }
 
 // OpenChain resumes a chain from a log's committed records: it verifies
@@ -179,7 +169,9 @@ func OpenChain(log storage.Log) (*Chain, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Chain{log: log, n: len(recs), last: last}, nil
+	c := &Chain{log: log, n: len(recs)}
+	copy(c.last[:], last)
+	return c, nil
 }
 
 // Len returns the number of records appended to the chain.
@@ -189,21 +181,32 @@ func (c *Chain) Len() int {
 	return c.n
 }
 
-// OnCommit appends one chain record for a committed instance.
+// OnCommit appends one chain record for a committed instance. The
+// record is encoded in place in the chain's buffer, so the log's own
+// copy is the append's only allocation.
 func (c *Chain) OnCommit(inst *history.Instance) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.err != nil {
 		return
 	}
-	rec, raw := recordOf(inst, c.n, c.last)
-	c.buf = append(c.buf[:0], raw...)
+	r := Record{Seq: c.n, ID: string(inst.ID), Type: inst.Type, Tool: string(inst.Tool),
+		Inputs: c.inputs[:0], Data: string(inst.Data), User: inst.User, Created: inst.Created.UnixNano()}
+	for _, in := range inst.Inputs {
+		r.Inputs = append(r.Inputs, RecordInput{Key: in.Key, Inst: string(in.Inst)})
+	}
+	c.inputs = r.Inputs
+	b := appendPayload(c.buf[:0], &r, c.last[:])
+	sum := sha256.Sum256(b)
+	var digest [hexDigestLen]byte
+	hex.Encode(digest[:], sum[:])
+	c.buf = appendDigest(b, digest[:])
 	if err := c.log.Append(c.buf); err != nil {
 		c.err = fmt.Errorf("provenance: appending chain record %d (%s): %w", c.n, inst.ID, err)
 		return
 	}
 	c.n++
-	c.last = rec.Digest
+	c.last = digest
 }
 
 // Sync forces the chain's records onto stable storage and returns any
@@ -308,7 +311,7 @@ func verifyRecords(recs [][]byte) (string, error) {
 			return "", fmt.Errorf("provenance: record %d (%s): sequence %d out of order (want %d) — record dropped, inserted or reordered",
 				i, r.ID, r.Seq, i)
 		}
-		buf = appendPayload(buf[:0], &r)
+		buf = appendPayload(buf[:0], &r, r.Prev)
 		if got := digestHex(buf); got != r.Digest {
 			return "", fmt.Errorf("provenance: record %d (%s): digest mismatch — payload mutated", i, r.ID)
 		}

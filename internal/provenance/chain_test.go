@@ -1,13 +1,17 @@
 package provenance
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/flowgen"
+	"repro/internal/history"
+	"repro/internal/storage"
 )
 
 // tamperLog is a storage.Log whose committed records the test can
@@ -169,7 +173,7 @@ func TestChainTamperRewrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.User = "mallory"
-	payload := appendPayload(nil, &r)
+	payload := appendPayload(nil, &r, r.Prev)
 	r.Digest = digestHex(payload)
 	log.recs[i] = appendRecord(nil, &r)
 	wantBadRecord(t, c.Verify(), i+1, "self-consistent rewrite")
@@ -292,12 +296,74 @@ func TestChainExtraRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	forged := Record{Seq: r.Seq + 1, ID: "Cell:999", Type: "Cell", Prev: r.Digest}
-	payload := appendPayload(nil, &forged)
+	payload := appendPayload(nil, &forged, forged.Prev)
 	forged.Digest = digestHex(payload)
 	log.recs = append(log.recs, appendRecord(nil, &forged))
 	err := c.Verify()
 	wantBadRecord(t, err, r.Seq+1, "forged tail record")
 	if !strings.Contains(err.Error(), "not appended by this chain") {
 		t.Fatalf("want forged-tail error, got: %v", err)
+	}
+}
+
+// goldenInstances is a fixed commit sequence whose strings exercise
+// every rule of the canonical string encoding: plain ASCII copied as
+// is ('<' and '&' included), and a quote, a backslash, a control byte
+// and non-ASCII text, which take the encoding/json form (where '<' and
+// '&' are escaped).
+func goldenInstances() []*history.Instance {
+	at := time.Unix(1_700_000_000, 123_456_789)
+	return []*history.Instance{
+		{ID: "Src:1", Type: "Src", Data: "ref-src", User: "alice", Created: at},
+		{ID: "T:2", Type: "T", Data: "ref-t", User: "alice", Created: at.Add(time.Microsecond)},
+		{ID: "Mid:3", Type: "Mid", Tool: "T:2", Inputs: []history.Input{{Key: "Src", Inst: "Src:1"}},
+			Data: `say "hi" \ bye`, User: "bob\x01", Created: at.Add(2 * time.Microsecond)},
+		{ID: "Out:4", Type: "Out", Tool: "T:2",
+			Inputs: []history.Input{{Key: "Mid", Inst: "Mid:3"}, {Key: "a<b&c", Inst: "Src:1"}},
+			Data:   "Größe <✓>", User: "zoë", Created: at.Add(3 * time.Microsecond)},
+	}
+}
+
+// goldenHeadDigest is the digest of goldenInstances' last chain record
+// as every earlier build wrote it: the encoding may change only if
+// chain files already on disk keep verifying.
+const goldenHeadDigest = "54f1a34808250fb4afe2d627c453bc8b0f8bd9efec06e604ecaea14daf733240"
+
+// TestChainGoldenDigest pins the chain's bytes: the head digest covers
+// every payload byte of every record through the predecessor links.
+func TestChainGoldenDigest(t *testing.T) {
+	log := storage.NewMemLog()
+	c := NewChain(log)
+	for _, in := range goldenInstances() {
+		c.OnCommit(in)
+	}
+	if err := c.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := log.Committed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var head Record
+	if err := json.Unmarshal(recs[len(recs)-1], &head); err != nil {
+		t.Fatal(err)
+	}
+	if head.Digest != goldenHeadDigest {
+		t.Fatalf("head digest %s, want %s\nchain:\n%s", head.Digest, goldenHeadDigest, bytes.Join(recs, []byte("\n")))
+	}
+	if n, err := VerifyLog(log); err != nil || n != len(goldenInstances()) {
+		t.Fatalf("VerifyLog = %d, %v; want %d, nil", n, err, len(goldenInstances()))
+	}
+}
+
+// TestChainAppendAllocs: appending a record encodes it into the chain's
+// own buffer, so the one allocation left is the log's copy.
+func TestChainAppendAllocs(t *testing.T) {
+	c := NewChain(storage.NewMemLog())
+	in := &history.Instance{ID: "Cell:7", Type: "Cell", Tool: "Tool:1",
+		Inputs: []history.Input{{Key: "Cell", Inst: "Cell:6"}, {Key: "Lib", Inst: "Lib:2"}},
+		Data:   "5f1d0c3b9a", User: "designer", Created: time.Unix(1_700_000_000, 0)}
+	if allocs := testing.AllocsPerRun(1000, func() { c.OnCommit(in) }); allocs > 1 {
+		t.Fatalf("OnCommit made %.0f allocations per record, want at most 1", allocs)
 	}
 }

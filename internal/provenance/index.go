@@ -58,9 +58,9 @@ type fwdRec struct {
 // after commit, which is what makes the CSR form maintainable online.
 type Index struct {
 	mu   sync.RWMutex
-	ids  []history.ID          // dense number -> instance ID, in commit order
-	num  map[history.ID]int32  // instance ID -> dense number
-	keys map[string]string     // interned dependency keys
+	ids  []history.ID         // dense number -> instance ID, in commit order
+	num  map[history.ID]int32 // instance ID -> dense number
+	keys map[string]string    // interned dependency keys
 
 	backStart []int32 // len(ids)+1; CSR row starts into backEdges
 	backEdges []backEdge

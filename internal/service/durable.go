@@ -46,8 +46,8 @@ import (
 //     scenario, or one that no longer materializes, recovers failed.
 //
 // Shutdown is the graceful half: stop admitting, drain active runs
-// (their own goroutines flush and close each WAL), abort stragglers at
-// the deadline, checkpoint the datastore.
+// (their own goroutines close each WAL and chain file), abort
+// stragglers at the deadline, checkpoint the datastore.
 
 // openRunWAL creates a fresh submission's log under <dataDir>/runs and
 // makes the identity record, carrying the compacted scenario document,
@@ -93,7 +93,6 @@ func (s *Server) chainPath(id string) string {
 // record already committed (the imports), then feeds them each live
 // commit in order.
 func (s *Server) attachProvenance(rec *runRecord, db *history.DB) error {
-	rec.db = db
 	rec.prov = provenance.NewIndex()
 	db.Observe(rec.prov)
 	var l storage.Log
@@ -108,6 +107,49 @@ func (s *Server) attachProvenance(rec *runRecord, db *history.DB) error {
 	}
 	rec.chain = provenance.NewChain(l)
 	db.Observe(rec.chain)
+	return nil
+}
+
+// finishChain makes the run's chain durable once the run has ended. A
+// durable run also closes the chain's file, since nothing appends
+// after the run; chainLen keeps the record count verify=1 checks the
+// reopened file against.
+func (rec *runRecord) finishChain() error {
+	if rec.wal == nil {
+		return rec.chain.Sync()
+	}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	rec.chainLen = rec.chain.Len()
+	err := rec.chain.Close()
+	rec.chain = nil
+	return err
+}
+
+// verifyChainFile checks a finished durable run's closed chain: the
+// file is reopened, verified cold (VerifyLog) and must hold exactly the
+// want records the run appended. A damaged frame ends the readable
+// prefix, so damage anywhere names the first record that no longer
+// reads back.
+func (s *Server) verifyChainFile(id string, want int) error {
+	path := s.chainPath(id)
+	if _, err := os.Stat(path); err != nil { // OpenFile would create it
+		return err
+	}
+	l, err := storage.OpenFile(path)
+	if err != nil {
+		return err
+	}
+	n, err := provenance.VerifyLog(l)
+	_ = l.Close() // read only
+	switch {
+	case err != nil:
+		return err
+	case n < want:
+		return fmt.Errorf("provenance: record %d damaged or missing: %d of the run's %d records read back", n, n, want)
+	case n > want:
+		return fmt.Errorf("provenance: record %d not appended by this run: the chain holds %d records, the run appended %d", want, n, want)
+	}
 	return nil
 }
 
@@ -220,8 +262,12 @@ func (s *Server) registerFinished(id string, rc *storage.Recovered, l storage.Lo
 	}
 	if cause != nil {
 		rec.state = stateFailed
-	} else if fin := rc.Events[len(rc.Events)-1]; fin.Failed > 0 || fin.Skipped > 0 || fin.Committed < fin.Units {
-		rec.state = stateFailed
+	} else {
+		fin := rc.Events[len(rc.Events)-1]
+		rec.tasksRun = fin.Committed // the run's Result.TasksRun
+		if fin.Failed > 0 || fin.Skipped > 0 || fin.Committed < fin.Units {
+			rec.state = stateFailed
+		}
 	}
 	rec.log.close()
 	close(rec.done)
@@ -263,7 +309,7 @@ func (s *Server) resumeRun(id string, rc *storage.Recovered, l storage.Log) erro
 	ctx, cancel := context.WithCancel(context.Background())
 	rec := &runRecord{id: id, flowName: rc.Meta.Flow, user: rc.Meta.User,
 		log: newEventLog(), cancel: cancel, done: make(chan struct{}),
-		state: stateRunning, world: world, walLog: l, wal: storage.NewRunWAL(l)}
+		state: stateRunning, walLog: l, wal: storage.NewRunWAL(l)}
 	rec.started = time.Now()
 	if err := s.attachProvenance(rec, world.DB()); err != nil {
 		cancel()
@@ -279,7 +325,7 @@ func (s *Server) resumeRun(id string, rc *storage.Recovered, l storage.Log) erro
 	s.runs[id] = rec
 	s.mu.Unlock()
 	opts.Resume = rc
-	s.launch(ctx, rec, opts)
+	s.launch(ctx, rec, world, opts)
 	return nil
 }
 
@@ -299,7 +345,7 @@ func (s *Server) noteSeq(id string) {
 
 // Shutdown drains the service for a clean exit: stop admitting
 // (submissions get 503), wait up to timeout for active runs to finish
-// — each run's goroutine flushes and closes its WAL on the way out —
+// — each run's goroutine closes its WAL and chain file on the way out —
 // then cancel whatever is left, and checkpoint the datastore. forced
 // reports that the deadline expired and running flows were aborted;
 // their WALs still hold every committed unit, so nothing durable is
@@ -329,21 +375,8 @@ func (s *Server) Shutdown(timeout time.Duration) (forced bool, err error) {
 		}
 		<-idle // cancelled runs exit promptly
 	}
-	// All runs are settled: close the provenance chains their goroutines
-	// left open for post-run verification.
-	var chainErr error
-	for _, rec := range recs {
-		if rec.chain != nil {
-			if cerr := rec.chain.Close(); cerr != nil && chainErr == nil {
-				chainErr = cerr
-			}
-		}
-	}
 	if s.dataDir != "" {
 		err = s.checkpoint()
-	}
-	if err == nil {
-		err = chainErr
 	}
 	return forced, err
 }

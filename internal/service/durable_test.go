@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -89,8 +90,9 @@ func TestDurableFinishedRunSurvivesRestart(t *testing.T) {
 	s1, ts1 := newTestServer(t, Config{Workers: 2, DataDir: dir})
 
 	v := submit(t, ts1.URL, doc, "alice")
-	if got := waitTerminal(t, ts1.URL, v.ID); got.State != string(stateSucceeded) {
-		t.Fatalf("run ended %q (error %q), want succeeded", got.State, got.Error)
+	fin := waitTerminal(t, ts1.URL, v.ID)
+	if fin.State != string(stateSucceeded) || fin.TasksRun == 0 {
+		t.Fatalf("run ended %+v, want succeeded with tasks run", fin)
 	}
 	golden := fetchTrace(t, ts1.URL, v.ID)
 
@@ -105,8 +107,9 @@ func TestDurableFinishedRunSurvivesRestart(t *testing.T) {
 	_, ts2 := newTestServer(t, Config{Workers: 2, DataDir: dir})
 	var back runView
 	getJSON(t, ts2.URL+"/v1/runs/"+v.ID, &back)
-	if back.State != string(stateSucceeded) || back.Flow != "scenario:quickstart" || back.User != "alice" {
-		t.Fatalf("recovered run = %+v, want succeeded scenario:quickstart/alice", back)
+	if back.State != string(stateSucceeded) || back.Flow != "scenario:quickstart" || back.User != "alice" ||
+		back.TasksRun != fin.TasksRun {
+		t.Fatalf("recovered run = %+v, want succeeded scenario:quickstart/alice with %d tasks run", back, fin.TasksRun)
 	}
 	sameTrace(t, fetchTrace(t, ts2.URL, v.ID), golden)
 
@@ -296,4 +299,48 @@ func TestDurableSeqContinues(t *testing.T) {
 		t.Fatalf("first submission after recovery got id %s, want r-0008", v.ID)
 	}
 	waitTerminal(t, ts.URL, v.ID)
+}
+
+// TestDurableVerifyAcrossRunEnd: verify=1 requests racing a durable
+// run's end, when the run closes its chain file, all find the chain
+// verified — live while the run commits, from the reopened file after.
+func TestDurableVerifyAcrossRunEnd(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2, DataDir: t.TempDir()})
+	v := submit(t, ts.URL, corpus(t, "slow-chain"), "alice")
+	done := s.record(v.ID).done
+	url := ts.URL + "/v1/runs/" + v.ID + "/provenance?inst=Seed:1&verify=1"
+	verify := func() error {
+		resp, err := http.Get(url)
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		var view provenanceView
+		if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
+			return err
+		}
+		if view.Chain == nil || !view.Chain.Verified {
+			return fmt.Errorf("chain verdict %+v, want verified", view.Chain)
+		}
+		return nil
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for finished := false; !finished; {
+				select {
+				case <-done:
+					finished = true
+				default:
+				}
+				if err := verify(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -107,14 +107,31 @@ func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
 			Kind: e.Kind.String(), Key: e.Key,
 		}
 	}
-	if q.Get("verify") == "1" && rec.chain != nil {
-		v := &chainVerdict{Records: rec.chain.Len()}
-		if verr := rec.chain.Verify(); verr != nil {
-			v.Error = verr.Error()
-		} else {
-			v.Verified = true
-		}
-		view.Chain = v
+	if q.Get("verify") == "1" {
+		view.Chain = s.verifyChain(rec)
 	}
 	writeJSON(w, http.StatusOK, view)
+}
+
+// verifyChain checks the run's hash chain end to end: an open chain
+// verifies itself, including its record count; a finished durable
+// run's closed chain file is reopened (verifyChainFile). rec.mu is held
+// throughout, so the run cannot close its chain under a check.
+func (s *Server) verifyChain(rec *runRecord) *chainVerdict {
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	v := &chainVerdict{Records: rec.chainLen}
+	var err error
+	if rec.chain != nil {
+		v.Records = rec.chain.Len()
+		err = rec.chain.Verify()
+	} else {
+		err = s.verifyChainFile(rec.id, rec.chainLen)
+	}
+	if err != nil {
+		v.Error = err.Error()
+	} else {
+		v.Verified = true
+	}
+	return v
 }

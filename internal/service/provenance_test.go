@@ -11,9 +11,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/history"
 	"repro/internal/provenance"
 	"repro/internal/storage"
+	"repro/internal/trace"
 )
 
 // svcScenario is a minimal declarative scenario for submission tests:
@@ -99,10 +99,10 @@ func TestScenarioSubmissionRejects(t *testing.T) {
 }
 
 // TestScenarioMemoIsolation: results must not leak across scenario
-// worlds. A result cache is keyed by content-addressed derivation
-// alone, and the same tool type and bytes can be clean in one scenario
-// and declared failing in another — so the failing twin must actually
-// fail even when the clean scenario ran first.
+// worlds. The same tool type and bytes can be clean in one scenario and
+// declared failing in another — a result cache keyed by derivation
+// alone would answer the twin from the clean run — so the failing twin
+// must actually fail even when the clean scenario ran first.
 func TestScenarioMemoIsolation(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	v := submit(t, ts.URL, svcScenario, "alice")
@@ -185,17 +185,23 @@ func TestDurableChainPersisted(t *testing.T) {
 	if fin := waitTerminal(t, ts.URL, v.ID); fin.State != string(stateSucceeded) {
 		t.Fatalf("run ended %+v", fin)
 	}
-	// Locate the produced Performance instance (IDs carry the world's
-	// global commit sequence, so the exact number depends on the imports).
-	rec := s.record(v.ID)
+	// Locate the produced Performance instance in the run's trace (IDs
+	// carry the world's global commit sequence, so the exact number
+	// depends on the imports).
 	perf := ""
-	for i := 1; i <= rec.db.Len(); i++ {
-		if id := history.MakeID("Performance", i); rec.db.Get(id) != nil {
-			perf = string(id)
+	for _, line := range fetchTrace(t, ts.URL, v.ID) {
+		var ev trace.Event
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range ev.Insts {
+			if strings.HasPrefix(id, "Performance:") {
+				perf = id
+			}
 		}
 	}
 	if perf == "" {
-		t.Fatal("no Performance instance in the run's session database")
+		t.Fatal("no Performance instance committed in the run's trace")
 	}
 	var view provenanceView
 	getJSON(t, ts.URL+"/v1/runs/"+v.ID+"/provenance?inst="+perf+"&verify=1", &view)

@@ -3,9 +3,8 @@
 // daemon supervising many designers' flows at once. A submission is a
 // declarative scenario (internal/scenario): its schema, tools, imports
 // and flow are materialized server-side into a world of its own (own
-// history database, own result cache) and executed on the one shared
-// engine, worker pool and content-addressed datastore, with its own
-// streamed trace.
+// history database) and executed on the one shared engine, worker pool
+// and content-addressed datastore, with its own streamed trace.
 //
 // Endpoints:
 //
@@ -37,8 +36,6 @@ import (
 	"repro/internal/datastore"
 	"repro/internal/exec"
 	"repro/internal/harness"
-	"repro/internal/history"
-	"repro/internal/memo"
 	"repro/internal/provenance"
 	"repro/internal/scenario"
 	"repro/internal/storage"
@@ -78,7 +75,10 @@ const (
 	stateCancelled runState = "cancelled"
 )
 
-// runRecord is the server-side state of one submission.
+// runRecord is the server-side state of one submission. The run's
+// world is held by its goroutine alone, so a finished run keeps only
+// what later requests read: the view fields, the event log, the
+// provenance index and the chain.
 type runRecord struct {
 	id       string
 	flowName string
@@ -86,30 +86,29 @@ type runRecord struct {
 	log      *eventLog
 	cancel   context.CancelFunc
 	done     chan struct{}
-	// wal/walLog are set on durable runs: the run's write-ahead log and
-	// the file beneath it, both closed by the run goroutine at the end.
+	// wal/walLog are set on durable runs while they execute: the run's
+	// write-ahead log and the file beneath it, both closed and dropped by
+	// the run goroutine at the end.
 	wal    *storage.RunWAL
 	walLog storage.Log
-	// db/prov/chain are the run's provenance surface: the world's
-	// history database, the commit-time adjacency index the provenance
-	// endpoint queries, and the hash chain of committed derivation
-	// records (runs/<id>.chain in durable mode, an in-memory log
-	// otherwise). All nil on runs recovered without executing again,
-	// which have no live world. The chain stays open past the run's end
-	// so /provenance?verify=1 works; Shutdown closes it.
-	db    *history.DB
-	prov  *provenance.Index
-	chain *provenance.Chain
-	// world is the run's materialized scenario, closed by the run
-	// goroutine at the end. Nil on runs recovered without executing.
-	world *harness.World
+	// prov is the commit-time adjacency index over the run's derivation
+	// records that the provenance endpoint queries. Nil on runs
+	// recovered without executing again, which have no live world.
+	prov *provenance.Index
 
-	mu      sync.Mutex
-	state   runState
-	res     *exec.Result
-	err     error
-	started time.Time
-	elapsed time.Duration
+	mu sync.Mutex
+	// chain is the hash chain of the run's committed derivation records
+	// (runs/<id>.chain in durable mode, an in-memory log otherwise); nil
+	// when prov is. A durable run closes it when the run ends and sets
+	// chain to nil: chainLen then holds the number of records it
+	// appended, which verify=1 checks the reopened file against.
+	chain    *provenance.Chain
+	chainLen int
+	state    runState
+	tasksRun int
+	err      error
+	started  time.Time
+	elapsed  time.Duration
 }
 
 // Server is the flow service: an http.Handler plus the shared engine
@@ -212,7 +211,6 @@ type runView struct {
 	User      string `json:"user"`
 	State     string `json:"state"`
 	TasksRun  int    `json:"tasks_run,omitempty"`
-	CacheHits int    `json:"cache_hits,omitempty"`
 	ElapsedMS int64  `json:"elapsed_ms,omitempty"`
 	Error     string `json:"error,omitempty"`
 }
@@ -220,13 +218,7 @@ type runView struct {
 func (rec *runRecord) view() runView {
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	v := runView{ID: rec.id, Flow: rec.flowName, User: rec.user, State: string(rec.state)}
-	if rec.res != nil {
-		v.TasksRun = rec.res.TasksRun
-		if rec.res.Stats != nil {
-			v.CacheHits = rec.res.Stats.CacheHits
-		}
-	}
+	v := runView{ID: rec.id, Flow: rec.flowName, User: rec.user, State: string(rec.state), TasksRun: rec.tasksRun}
 	if rec.elapsed > 0 {
 		v.ElapsedMS = rec.elapsed.Milliseconds()
 	}
@@ -275,60 +267,70 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "scenario: %v", err)
 		return
 	}
+	rec, err := s.start(world, flowName, opts, req.User, doc.Bytes())
+	if err != nil {
+		code := http.StatusInternalServerError
+		if errors.Is(err, errDraining) {
+			code = http.StatusServiceUnavailable
+		}
+		writeErr(w, code, "%v", err)
+		return
+	}
+	writeJSON(w, http.StatusCreated, rec.view())
+}
 
+// errDraining refuses a submission once Shutdown has begun.
+var errDraining = errors.New("server is draining")
+
+// start registers and launches a submission's run over its
+// materialized world. In durable mode the run's WAL is opened first and
+// its identity record — scenario included — made stable, so a run is
+// acknowledged only once it can be recovered. On failure everything
+// acquired, the world included, is released.
+func (s *Server) start(world *harness.World, flowName string, opts *exec.RunOptions, user string, doc []byte) (*runRecord, error) {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
 		world.Close()
-		writeErr(w, http.StatusServiceUnavailable, "server is draining")
-		return
+		return nil, errDraining
 	}
 	s.seq++
 	id := fmt.Sprintf("r-%04d", s.seq)
 	s.mu.Unlock()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	rec := &runRecord{id: id, flowName: flowName, user: req.User,
+	rec := &runRecord{id: id, flowName: flowName, user: user,
 		log: newEventLog(), cancel: cancel, done: make(chan struct{}),
-		state: stateRunning, world: world}
-	rec.started = time.Now()
+		state: stateRunning, started: time.Now()}
 	// abort releases everything acquired for a run that never launches.
-	abort := func(code int, format string, args ...any) {
+	abort := func(err error) (*runRecord, error) {
 		cancel()
 		s.discardRunWAL(rec)
 		world.Close()
-		writeErr(w, code, format, args...)
+		return nil, err
 	}
-
-	// Durable mode: open the run's WAL and make the identity record —
-	// scenario included — stable before the submission is acknowledged.
 	if s.dataDir != "" {
-		if err := s.openRunWAL(rec, doc.Bytes()); err != nil {
-			abort(http.StatusInternalServerError, "run log: %v", err)
-			return
+		if err := s.openRunWAL(rec, doc); err != nil {
+			return abort(fmt.Errorf("run log: %w", err))
 		}
+	}
+	// Attach the provenance surface before the run is published: index
+	// and hash chain observe every commit of the world's database
+	// (existing records — the imports — are backfilled first, in commit
+	// order).
+	if err := s.attachProvenance(rec, world.DB()); err != nil {
+		return abort(fmt.Errorf("provenance chain: %w", err))
 	}
 
 	s.mu.Lock()
 	if s.draining { // drain began while the WAL was being created
 		s.mu.Unlock()
-		abort(http.StatusServiceUnavailable, "server is draining")
-		return
+		return abort(errDraining)
 	}
 	s.runs[id] = rec
 	s.mu.Unlock()
-
-	// Attach the provenance surface: index and hash chain observe every
-	// commit of the world's database (existing records — the imports —
-	// are backfilled first, in commit order).
-	if err := s.attachProvenance(rec, world.DB()); err != nil {
-		s.dropRun(id)
-		abort(http.StatusInternalServerError, "provenance chain: %v", err)
-		return
-	}
-
-	s.launch(ctx, rec, opts)
-	writeJSON(w, http.StatusCreated, rec.view())
+	s.launch(ctx, rec, world, opts)
+	return rec, nil
 }
 
 // materialize is the one path from a scenario document to a runnable
@@ -345,14 +347,12 @@ func (s *Server) materialize(doc []byte) (*harness.World, string, *exec.RunOptio
 	if err != nil {
 		return nil, "", nil, err
 	}
+	// No result cache: one keyed by content-addressed derivation alone
+	// is sound only within one tool semantics, and every scenario
+	// declares its own, so a cache could serve only the run that filled
+	// it. The goldens a run's trace must equal are recorded without one.
 	opts := &exec.RunOptions{Schema: m.Schema(), Registry: m.Registry(), DB: m.DB()}
 	applyRunSpec(sc, opts)
-	// A result cache is keyed by content-addressed derivation alone,
-	// which is sound only within one tool semantics. Every scenario
-	// declares its own — the same tool type and bytes may be failing or
-	// fault-instrumented here and clean elsewhere — so each run gets a
-	// private cache.
-	opts.Memo = memo.New(0)
 	return m, "scenario:" + sc.Name, opts, nil
 }
 
@@ -380,20 +380,13 @@ func applyRunSpec(sc *scenario.Scenario, o *exec.RunOptions) {
 	}
 }
 
-// dropRun removes a registered run that failed before launch.
-func (s *Server) dropRun(id string) {
-	s.mu.Lock()
-	delete(s.runs, id)
-	s.mu.Unlock()
-}
-
 // launch starts the run goroutine: execute the world's flow (or the
-// sub-flow rooted at its target), settle the record's terminal state,
-// then release the event log, the WAL, the world and the done channel
-// — the same exit path for fresh and resumed runs. The provenance chain
-// is synced (durability barrier) but stays open for post-run
-// verification.
-func (s *Server) launch(ctx context.Context, rec *runRecord, opts *exec.RunOptions) {
+// sub-flow rooted at its target), release the chain (finishChain), the
+// WAL and the world, settle the record's terminal state, then close the
+// event log and the done channel — the same exit path for fresh and
+// resumed runs. Only the goroutine holds the world, so it is garbage
+// once the run ends.
+func (s *Server) launch(ctx context.Context, rec *runRecord, world *harness.World, opts *exec.RunOptions) {
 	opts.User = rec.user
 	opts.Label = rec.id
 	opts.Tracer = trace.Multi(rec.log, s.metrics)
@@ -401,25 +394,27 @@ func (s *Server) launch(ctx context.Context, rec *runRecord, opts *exec.RunOptio
 	go func() {
 		var res *exec.Result
 		var err error
-		if target := rec.world.Target(); target != 0 {
-			res, err = s.engine.RunNodeOptions(ctx, rec.world.Flow(), target, opts)
+		if target := world.Target(); target != 0 {
+			res, err = s.engine.RunNodeOptions(ctx, world.Flow(), target, opts)
 		} else {
-			res, err = s.engine.RunFlowOptions(ctx, rec.world.Flow(), opts)
+			res, err = s.engine.RunFlowOptions(ctx, world.Flow(), opts)
 		}
-		if rec.chain != nil {
-			if cerr := rec.chain.Sync(); cerr != nil && err == nil {
-				err = cerr
-			}
+		if cerr := rec.finishChain(); cerr != nil && err == nil {
+			err = cerr
 		}
 		if rec.wal != nil {
 			if werr := rec.wal.Close(); werr != nil && err == nil {
 				err = werr
 			}
 			_ = rec.walLog.Close()
+			rec.wal, rec.walLog = nil, nil // nothing reads them after launch
 		}
-		rec.world.Close()
+		world.Close()
 		rec.mu.Lock()
-		rec.res, rec.err = res, err
+		if res != nil {
+			rec.tasksRun = res.TasksRun
+		}
+		rec.err = err
 		rec.elapsed = time.Since(rec.started)
 		switch {
 		case err == nil:

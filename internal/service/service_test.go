@@ -9,10 +9,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/flow"
+	"repro/internal/history"
 	"repro/internal/trace"
 )
 
@@ -180,9 +183,9 @@ func TestServiceCancelMidRun(t *testing.T) {
 }
 
 // TestServiceConcurrentRunsSharedMetrics: several users' runs share the
-// engine and the metrics fold, but each runs in its own world with a
-// private result cache — the same scenario submitted five times runs
-// every unit five times.
+// engine and the metrics fold, but each runs in its own world without a
+// result cache — the same scenario submitted five times runs every unit
+// five times.
 func TestServiceConcurrentRunsSharedMetrics(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 4})
 	doc := corpus(t, "quickstart")
@@ -193,8 +196,8 @@ func TestServiceConcurrentRunsSharedMetrics(t *testing.T) {
 	}
 	for _, id := range ids {
 		v := waitTerminal(t, ts.URL, id)
-		if v.State != string(stateSucceeded) || v.TasksRun != 4 || v.CacheHits != 0 {
-			t.Fatalf("run %s = %+v, want succeeded with 4 tasks and no cache hits", id, v)
+		if v.State != string(stateSucceeded) || v.TasksRun != 4 {
+			t.Fatalf("run %s = %+v, want succeeded with 4 tasks", id, v)
 		}
 	}
 
@@ -335,6 +338,43 @@ func TestTraceEndpointMatchesGoldens(t *testing.T) {
 		}
 		if !bytes.Equal(got.Bytes(), want) {
 			t.Errorf("%s: streamed trace differs from its golden\n got:\n%s\nwant:\n%s", name, got.Bytes(), want)
+		}
+	}
+}
+
+// TestFinishedRunReleasesWorld pins what a finished run retains: once
+// the run is terminal, its world's history database and flow are
+// unreachable from the server, in memory and durable mode alike. A
+// finalizer on each must fire after a GC.
+func TestFinishedRunReleasesWorld(t *testing.T) {
+	for _, dataDir := range []string{"", t.TempDir()} {
+		s, ts := newTestServer(t, Config{Workers: 2, DataDir: dataDir})
+		doc := compact(t, corpus(t, "quickstart"))
+		world, flowName, opts, err := s.materialize(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		freed := make(chan string, 2)
+		runtime.SetFinalizer(world.DB(), func(*history.DB) { freed <- "history.DB" })
+		runtime.SetFinalizer(world.Flow(), func(*flow.Flow) { freed <- "flow.Flow" })
+		rec, err := s.start(world, flowName, opts, "alice", doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := waitTerminal(t, ts.URL, rec.id); v.State != string(stateSucceeded) {
+			t.Fatalf("run ended %+v, want succeeded", v)
+		}
+		left := map[string]bool{"history.DB": true, "flow.Flow": true}
+		deadline := time.After(10 * time.Second)
+		for len(left) > 0 {
+			runtime.GC()
+			select {
+			case name := <-freed:
+				delete(left, name)
+			case <-time.After(10 * time.Millisecond):
+			case <-deadline:
+				t.Fatalf("data dir %q: the finished run's %v still reachable", dataDir, left)
+			}
 		}
 	}
 }

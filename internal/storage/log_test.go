@@ -114,9 +114,9 @@ func TestFileLogRoundTripAndReopen(t *testing.T) {
 // record is ever surfaced to recovery.
 func TestFileLogTornTail(t *testing.T) {
 	for _, cut := range []struct {
-		name  string
-		chop  int64 // bytes to remove from the end
-		flip  bool  // instead corrupt one payload byte of the last record
+		name string
+		chop int64 // bytes to remove from the end
+		flip bool  // instead corrupt one payload byte of the last record
 	}{
 		{name: "mid-payload", chop: 3},
 		{name: "mid-header", chop: 12}, // last record is 4+8 bytes: leaves 0 < rest < header
