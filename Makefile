@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet fmt test benchmod race chaos memo concurrent crash fuzz cover ci bench flowbench scale provenance conformance conformance-update
+.PHONY: build vet fmt test benchmod race trace chaos memo concurrent crash fuzz cover ci bench flowbench scale provenance conformance conformance-update
 
 build:
 	$(GO) build ./...
@@ -17,6 +17,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# trace runs the golden-trace, trace/history, chaos-trace, commit-
+# failure and one-emitter suites ten times under the race detector —
+# the same step as the CI trace job.
+trace:
+	$(GO) test -race -count=10 -run 'GoldenTrace|TraceHistory|TraceChaos|TraceCommitFailure|TraceOneEmitter' ./internal/exec/...
 
 # chaos runs only the fault-injection suite (seeded, deterministic)
 # plus the flowbench smoke subset — the same gate as the CI chaos job.

@@ -13,8 +13,8 @@ import (
 // committed job from the log instead of executing it. Restored jobs
 // are marked done with their logged outputs before the scheduler's
 // ready scan, so only the remaining units dispatch; one advance() pass
-// then commits the restored prefix through the *normal* in-order
-// committer — recordJob re-records the instances (verifying the logged
+// then hands the restored prefix to the run's *normal* committer
+// goroutine — recordJob re-records the instances (verifying the logged
 // IDs against the replanned pre-assignment, the same determinism check
 // live runs get), the datastore re-absorbs the artifact bytes
 // (content-addressed Put deduplicates), and memoPublish re-feeds the

@@ -14,7 +14,12 @@ import (
 // results to the cache when the in-order committer records them —
 // never earlier, so a failed, timed-out, skipped or cancelled unit can
 // never poison the cache, and a retried-then-succeeded unit caches
-// only its final committed output.
+// only its final committed output. The committer publishes on its own
+// goroutine while the coordinator keeps consulting, so a unit may miss
+// an entry an earlier unit of the same run is about to publish: a cold
+// run hits its own entries at most as often as a serial commit would.
+// A warm rerun is unaffected — a run's committer has exited before the
+// run returns.
 //
 // The cache is safe to share across concurrent runs (it locks
 // internally and entries hold content refs): one run's warm results

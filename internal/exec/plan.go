@@ -44,7 +44,10 @@ type plannedJob struct {
 	deps       []int
 	dependents []int
 
-	// Scheduler state (owned by the coordinator goroutine).
+	// Scheduler state (owned by the coordinator goroutine). The
+	// committer reads a job's outcome — done, skipped, outputs, memo
+	// keys, unit observations — only after advance has handed the job
+	// over, and from then on the coordinator no longer changes it.
 	pending   int // unfinished dependency jobs
 	remaining int // unfinished combos
 	done      bool

@@ -26,10 +26,14 @@ import (
 // workers stay stateless.
 //
 // Determinism: execution finishes out of order, but results are
-// committed to history strictly in plan order by an in-order committer,
-// so recorded instance IDs match the planner's pre-assignment exactly.
-// Workers read the artifacts of not-yet-committed producers from an
-// in-memory pending set (runState), which is per-run.
+// committed to history strictly in plan order by the run's committer
+// goroutine, so recorded instance IDs match the planner's
+// pre-assignment exactly. The coordinator decides, in plan order, which
+// job at the front of the plan is finished and hands it over; the
+// committer records it while the coordinator goes on dispatching.
+// Dispatch never waits for a commit: workers read the artifacts of
+// not-yet-committed producers from an in-memory pending set (runState),
+// which is per-run.
 //
 // Failure: under FailFast (the default) the first unit error stops
 // dispatch — in-flight units drain, the committed prefix stays, and
@@ -192,17 +196,16 @@ func (r *run) workUnit(u unitTask) {
 		wait: start.Sub(u.readyAt), dur: time.Since(start)}
 }
 
-// execute runs a plan through the shared worker pool and commits
-// completed jobs in plan order, filling r.res. It returns the joined
-// error of every failed unit plus, under ContinueOnError, one entry per
-// skipped node (plus any commit or cancellation error), or nil.
+// execute runs a plan through the shared worker pool and has the run's
+// committer commit completed jobs in plan order, filling r.res; the
+// committer has exited by the time execute returns. It returns the
+// joined error of every failed unit plus, under ContinueOnError, one
+// entry per skipped node (plus any commit or cancellation error), or
+// nil.
 func (r *run) execute(ctx context.Context, p *plan) error {
 	f, res := r.f, r.res
 	stats := newStats(r.cfg.sched, p)
 	res.Stats = stats
-	if len(p.jobs) == 0 {
-		return nil
-	}
 	workers := r.workers
 	if workers > p.units {
 		workers = p.units
@@ -267,39 +270,28 @@ func (r *run) execute(ctx context.Context, p *plan) error {
 		err        error
 	}
 	var (
-		stop       bool // stop dispatching and readying
-		cancelled  bool
-		unitErrs   []unitError
-		commitErr  error
-		commitIdx  int
-		committing = true
+		stop      bool // stop dispatching and readying
+		cancelled bool
+		unitErrs  []unitError
+		commitIdx int // next job to hand to the committer
 	)
-	// advance commits every fully executed job at the front of the plan
-	// — the in-order committer that pins instance IDs to the plan. Under
-	// ContinueOnError it steps over failed and skipped jobs by retiring
-	// their pre-assigned instance IDs, so the survivors behind them still
-	// commit with exactly the IDs the planner handed out.
+	// Capacity len(p.jobs): every job is handed over at most once, so
+	// the coordinator never blocks on the committer.
+	commits := make(chan *plannedJob, len(p.jobs))
+	// advance hands every finished job at the front of the plan to the
+	// committer, in plan order — the order that pins instance IDs to the
+	// plan. A done job is committed. Under ContinueOnError a skipped job,
+	// or a failed one with no units left, is retired instead: its
+	// pre-assigned instance IDs are stepped over, so the survivors behind
+	// it still commit with exactly the IDs the planner handed out.
 	advance := func() {
-		for committing && commitIdx < len(p.jobs) {
+		for commitIdx < len(p.jobs) {
 			j := p.jobs[commitIdx]
-			switch {
-			case j.done:
-				tr.passJob(j)
-				if err := r.recordJob(j); err != nil {
-					commitErr = err
-					committing = false
-					stop = true
-					return
-				}
-				res.TasksRun += len(j.combos)
-				r.memoPublish(j) // commit is the cache's write barrier
-				tr.committedJob(j)
-			case r.cfg.policy == ContinueOnError && (j.skipped || (j.failed && j.remaining == 0)):
-				tr.passJob(j)
-				r.cfg.db.ReserveSeq(len(j.combos) * len(j.nodes))
-			default:
+			retire := r.cfg.policy == ContinueOnError && (j.skipped || (j.failed && j.remaining == 0))
+			if !j.done && !retire {
 				return
 			}
+			commits <- j
 			commitIdx++
 		}
 	}
@@ -376,6 +368,19 @@ func (r *run) execute(ctx context.Context, p *plan) error {
 		}
 	}
 
+	// The committer runs from here until the dispatch loop has drained.
+	// It emits every event between PlanBuilt and the end-of-run flush,
+	// so the run still has exactly one emitter at a time: the go
+	// statement and the join below order its emits after PlanBuilt and
+	// before RunFinished.
+	commitFailed := make(chan struct{})
+	committerDone := make(chan struct{})
+	var commitErr error
+	go func() {
+		defer close(committerDone)
+		commitErr = r.commit(commits, tr, commitFailed)
+	}()
+
 	// Commit the resumed prefix through the normal committer before any
 	// dispatch: recordJob re-records history (verifying the logged IDs
 	// against the replanned ones), memoPublish re-feeds the cache —
@@ -443,8 +448,15 @@ func (r *run) execute(ctx context.Context, p *plan) error {
 			cancelled = true
 			stop = true
 			ctxDone = nil // fire once; in-flight units drain via doneCh
+		case <-commitFailed:
+			stop = true
+			commitFailed = nil // fire once; commitErr is read after the join
 		}
 	}
+	// The committer drains what was handed to it, then exits: the run's
+	// history is final and the DB lock still held when execute returns.
+	close(commits)
+	<-committerDone
 	stats.finish(p)
 	tr.finish(stats, res)
 	// Durability barrier: everything up to RunFinished must be on
@@ -488,6 +500,36 @@ func (r *run) execute(ctx context.Context, p *plan) error {
 		errs = append(errs, fmt.Errorf("exec: run cancelled: %w", ctx.Err()))
 	}
 	return errors.Join(errs...)
+}
+
+// commit is the run's committer. It receives jobs from the coordinator
+// in plan order and commits each done job — history, datastore,
+// provenance observers, result cache, trace and WAL — or retires a job
+// the coordinator stepped over (ContinueOnError), whose pre-assigned
+// IDs it reserves. After the first commit error it closes failed, so
+// the coordinator stops dispatching, and commits nothing more: the
+// end-of-run flush emits the lifecycle events of the jobs it drops.
+// It returns that error once jobs is closed and drained.
+func (r *run) commit(jobs <-chan *plannedJob, tr *runTracer, failed chan<- struct{}) error {
+	var err error
+	for j := range jobs {
+		if err != nil {
+			continue
+		}
+		tr.passJob(j)
+		if !j.done {
+			r.cfg.db.ReserveSeq(len(j.combos) * len(j.nodes))
+			continue
+		}
+		if err = r.recordJob(j); err != nil {
+			close(failed)
+			continue
+		}
+		r.res.TasksRun += len(j.combos)
+		r.memoPublish(j) // commit is the cache's write barrier
+		tr.committedJob(j)
+	}
+	return err
 }
 
 // comboString renders one input combination as "k=inst" pairs in key

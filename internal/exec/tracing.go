@@ -14,8 +14,12 @@ import (
 // does not emit at completion time: per-unit observations are buffered
 // on the plannedJob and a job's events are emitted only when the
 // in-order committer passes it — strict plan order, the same order
-// that pins instance IDs. All emission happens on the run's coordinator
-// goroutine, so the tracer itself needs no locking; a sink shared by
+// that pins instance IDs. A run emits from two goroutines, never at
+// once: the coordinator emits PlanBuilt and then starts the run's
+// committer, which emits every job's events; the coordinator waits for
+// the committer to exit before the end-of-run flush and RunFinished.
+// Each emit therefore happens-before the next, so neither the tracer
+// nor a sink observing one run needs a lock; a sink shared by
 // concurrent runs sees their streams interleaved, each event carrying
 // its run's label (Event.Run) for attribution.
 

@@ -122,6 +122,50 @@ func TestDurableFinishedRunSurvivesRestart(t *testing.T) {
 	}
 }
 
+// boundOnly is a scenario whose only node is bound: its plan has no
+// jobs.
+const boundOnly = `{
+  "name": "bound-only",
+  "base": "standard",
+  "imports": [{"key": "stim", "type": "Stimuli", "name": "one vector", "data": "stimuli one\ninterval 10\ninputs a\nvector 1\n"}],
+  "flow": [
+    {"op": "add", "node": "stim", "type": "Stimuli"},
+    {"op": "bind", "node": "stim", "to": ["stim"]}
+  ]
+}`
+
+// TestDurableZeroJobRunFinishes: a run with nothing to execute still
+// logs RunFinished, so the next boot registers it succeeded instead of
+// resuming it as interrupted.
+func TestDurableZeroJobRunFinishes(t *testing.T) {
+	dir := t.TempDir()
+	_, ts1 := newTestServer(t, Config{Workers: 2, DataDir: dir})
+	v := submit(t, ts1.URL, boundOnly, "alice")
+	if got := waitTerminal(t, ts1.URL, v.ID); got.State != string(stateSucceeded) || got.TasksRun != 0 {
+		t.Fatalf("zero-job run ended %+v, want succeeded with no tasks", got)
+	}
+	live := fetchTrace(t, ts1.URL, v.ID)
+	if n := len(live); n != 2 || !strings.Contains(live[n-1], `"RunFinished"`) {
+		t.Fatalf("zero-job trace = %v, want PlanBuilt then RunFinished", live)
+	}
+	ts1.Close()
+
+	s2, ts2 := newTestServer(t, Config{Workers: 2, DataDir: dir})
+	rec := s2.record(v.ID)
+	if rec == nil {
+		t.Fatalf("zero-job run %s not recovered", v.ID)
+	}
+	select {
+	case <-rec.done:
+	default:
+		t.Fatal("zero-job run was resumed at boot, want it registered finished")
+	}
+	if got := rec.view(); got.State != string(stateSucceeded) {
+		t.Fatalf("recovered zero-job run is %q, want succeeded", got.State)
+	}
+	sameTrace(t, fetchTrace(t, ts2.URL, v.ID), live)
+}
+
 // TestDurableScenarioResumeAfterCrash: truncating a finished run's WAL
 // at a record boundary models a kill -9 between group commits. At
 // every boundary the next boot must re-materialize the run's world from

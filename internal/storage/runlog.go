@@ -16,16 +16,18 @@ import (
 // recovery can rebuild the datastore, the history and the memo cache
 // from the log alone.
 //
-// Durability discipline: the executor's coordinator appends records
-// inline (cheap — an encode and a buffered copy) while a single writer
-// goroutine drains them to the Log and group-commits with Sync when
-// either enough bytes accumulated or the oldest unsynced record has
-// waited long enough. Barrier() is the synchronous fsync point, called
-// once when a run finishes (and by the service on drain) — never per
-// unit, which is what keeps the PR 7 dispatch numbers intact. The
-// window between a unit's commit and the next group-commit is bounded
-// by syncEvery; a crash inside it loses only that suffix, and recovery
-// re-executes the affected units (never half of one).
+// Durability discipline: the executor appends records inline (cheap —
+// a copy into a buffered channel): its coordinator appends PlanBuilt
+// and RunFinished, its committer every job's records as it commits
+// them. A single writer goroutine drains them to the Log and
+// group-commits with Sync when either enough bytes accumulated or the
+// oldest unsynced record has waited long enough. Barrier() is the
+// synchronous fsync point, called once when a run finishes (and by the
+// service on drain) — never per unit, so a unit's durability costs an
+// append, not an fsync. The window between a unit's commit and the
+// next group-commit is bounded by syncEvery; a crash inside it loses
+// only that suffix, and recovery re-executes the affected units (never
+// half of one).
 
 // RunMeta names a run: the first record of its WAL, written at
 // submission. Recovery uses it to rebuild the world the run executed
@@ -178,7 +180,7 @@ func (w *RunWAL) writer() {
 				if w.Err() == nil {
 					// Encoding happens here, on the writer, into a
 					// reused buffer (Log.Append copies) — the
-					// coordinator's append is a copy into a buffered
+					// executor's append is a copy into a buffered
 					// channel, nothing more.
 					buf = appendWALRecord(buf[:0], m.meta, &m.ev, m.commit)
 					if err := w.log.Append(buf); err != nil {

@@ -118,11 +118,13 @@ type Event struct {
 	ElapsedMicros int64 `json:"elapsed_us,omitempty"` // scheduling span (RunFinished)
 }
 
-// Sink receives events. Each run's coordinator goroutine emits its own
-// events one at a time in Seq order, but concurrent runs sharing a sink
-// emit concurrently with their streams interleaved — a shared Sink must
-// lock (the sinks in this package all do) and can separate the streams
-// by Event.Run.
+// Sink receives events. Each run emits its own events one at a time in
+// Seq order — PlanBuilt and RunFinished from its coordinator goroutine,
+// everything between from its committer goroutine, each emit ordered
+// before the next — so a sink observing one run needs no lock. Runs
+// sharing a sink emit concurrently with their streams interleaved: a
+// shared Sink must lock (the sinks in this package all do) and can
+// separate the streams by Event.Run.
 type Sink interface {
 	Emit(Event)
 }
