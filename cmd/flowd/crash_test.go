@@ -34,7 +34,7 @@ func TestCrashRecoveryE2E(t *testing.T) {
 	}
 
 	// Golden: an uninterrupted run of the slow chain, then a graceful
-	// SIGTERM drain that must exit 0 and leave a checkpoint behind.
+	// SIGTERM drain that must exit 0.
 	goldenDir := t.TempDir()
 	g := startFlowd(t, bin, goldenDir)
 	id := submitRun(t, g.base, doc)
@@ -45,9 +45,6 @@ func TestCrashRecoveryE2E(t *testing.T) {
 	}
 	if err := g.cmd.Wait(); err != nil {
 		t.Fatalf("graceful shutdown exited nonzero: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(goldenDir, "store.json")); err != nil {
-		t.Fatalf("no datastore checkpoint after graceful shutdown: %v", err)
 	}
 
 	// Crash: same scenario, same id, but kill -9 mid-run: as soon as the

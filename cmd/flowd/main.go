@@ -24,18 +24,18 @@
 //	-workers <n>   shared worker-pool size (default 4)
 //	-max-runs <n>  concurrently executing run bound (default 64)
 //	-queue <n>     queued-run bound beyond -max-runs (default 256)
-//	-data-dir <d>  durable state directory: one WAL per run plus a
-//	               datastore checkpoint; on boot, finished runs are
-//	               replayed and interrupted runs are rebuilt from their
-//	               logged scenario and resume from their last committed
-//	               unit (empty = in-memory only)
+//	-data-dir <d>  durable state directory: one WAL and one provenance
+//	               chain per run; on boot, finished runs come back with
+//	               their status and trace, and interrupted runs are
+//	               rebuilt from their logged scenario and resume from
+//	               their last committed unit (empty = in-memory only)
 //	-drain <d>     graceful-shutdown drain timeout (default 30s)
 //
 // On SIGTERM/SIGINT flowd drains: new submissions get 503, active runs
-// get -drain to finish (WALs flushed and closed), the datastore is
-// checkpointed, and flowd exits 0 — or 2 when the deadline forced
-// running flows to abort (their WALs keep every committed unit, so the
-// next boot resumes them from there).
+// get -drain to finish (WALs flushed and closed), and flowd exits 0 —
+// or 2 when the deadline forced running flows to abort (their WALs
+// keep every committed unit, so the next boot resumes them from
+// there).
 //
 // Try it:
 //
@@ -134,9 +134,9 @@ func main() {
 	case sig := <-sigCh:
 		fmt.Printf("flowd: %v: draining (timeout %s)\n", sig, *drain)
 		// Drain the service first (admission stops immediately, active
-		// runs finish and flush their WALs, datastore checkpoints), then
-		// close out the HTTP side — by now every followed trace stream
-		// has ended, so in-flight requests wind down fast.
+		// runs finish and flush their WALs), then close out the HTTP
+		// side — by now every followed trace stream has ended, so
+		// in-flight requests wind down fast.
 		forced, err := srv.Shutdown(*drain)
 		hctx, hcancel := context.WithTimeout(context.Background(), 2*time.Second)
 		_ = httpSrv.Shutdown(hctx)

@@ -434,7 +434,8 @@ func (e *Engine) DryPlan(f *flow.Flow) (jobs, units int, err error) {
 	e.mu.Lock()
 	cfg := e.defaults
 	e.mu.Unlock()
-	if err := f.Validate(); err != nil {
+	order, err := f.Check()
+	if err != nil {
 		return 0, 0, err
 	}
 	targets := f.Roots()
@@ -442,7 +443,7 @@ func (e *Engine) DryPlan(f *flow.Flow) (jobs, units int, err error) {
 		return 0, 0, fmt.Errorf("exec: flow is not executable: %s", why)
 	}
 	r := &run{e: e, cfg: cfg, f: f}
-	p, err := r.plan(targets)
+	p, err := r.plan(order, targets)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -470,13 +471,14 @@ func (e *Engine) runTargets(ctx context.Context, f *flow.Flow, targets []flow.No
 	unlock := e.lockDB(r.cfg.db)
 	defer unlock()
 	r.f, r.res = f, res
-	if err := f.Validate(); err != nil {
+	order, err := f.Check()
+	if err != nil {
 		return fail(err)
 	}
 	if ok, why := f.ExecutableAll(targets); !ok {
 		return fail(fmt.Errorf("exec: flow is not executable: %s", why))
 	}
-	p, err := r.plan(targets)
+	p, err := r.plan(order, targets)
 	if err != nil {
 		return fail(err)
 	}
@@ -530,20 +532,6 @@ func (r *run) artifactFromInfo(id history.ID, data datastore.Ref, archive string
 		return []byte(text), nil
 	}
 	return nil, nil
-}
-
-// taskSignature groups sibling nodes that share one construction (same
-// tool node and same input nodes under the same keys): they are computed
-// by a single tool run with multiple outputs.
-func taskSignature(f *flow.Flow, id flow.NodeID) string {
-	n := f.Node(id)
-	keys := n.DepKeys()
-	parts := make([]string, 0, len(keys))
-	for _, k := range keys {
-		c, _ := n.Dep(k)
-		parts = append(parts, fmt.Sprintf("%s=%d", k, c))
-	}
-	return strings.Join(parts, ",")
 }
 
 // sleepCtx sleeps for d or until ctx is done, whichever comes first.

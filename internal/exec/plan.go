@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/datastore"
@@ -81,21 +82,22 @@ type plan struct {
 	units int                          // total (job, combo) executions
 }
 
-// reachable returns the nodes needed to compute the targets, failing on
-// a dependency edge that references a node no longer in the flow. Such
-// dangling edges cannot be produced by the flow operations and are
-// caught by Validate, but a hand-assembled graph must yield an error
-// here, never a panic.
-func reachable(f *flow.Flow, targets []flow.NodeID) (map[flow.NodeID]bool, error) {
-	out := make(map[flow.NodeID]bool)
+// reachable returns the nodes needed to compute the targets, as a set
+// indexed by node ID with size entries (one past the flow's largest
+// ID), failing on a dependency edge that references a node no longer
+// in the flow. Such dangling edges cannot be produced by the flow
+// operations and are caught by Validate, but a hand-assembled graph
+// must yield an error here, never a panic.
+func reachable(f *flow.Flow, targets []flow.NodeID, size int) ([]bool, error) {
+	out := make([]bool, size)
 	var visit func(id flow.NodeID) error
 	visit = func(id flow.NodeID) error {
-		if out[id] {
-			return nil
-		}
 		n := f.Node(id)
 		if n == nil {
 			return fmt.Errorf("exec: dangling dependency: node %d is not in the flow", id)
+		}
+		if out[id] {
+			return nil
 		}
 		out[id] = true
 		if n.IsBound() {
@@ -123,30 +125,31 @@ func reachable(f *flow.Flow, targets []flow.NodeID) (map[flow.NodeID]bool, error
 
 // plan builds the job graph for the targets: grouping (pass 1), combo
 // enumeration and ID pre-assignment in commit order (pass 2), and job
-// dependency edges for the run's scheduling mode (pass 3).
-func (r *run) plan(targets []flow.NodeID) (*plan, error) {
+// dependency edges for the run's scheduling mode (pass 3). order is the
+// flow's execution order as validation (flow.Check) computed it, so the
+// graph is sorted once per run.
+func (r *run) plan(order []flow.NodeID, targets []flow.NodeID) (*plan, error) {
 	f := r.f
-	needed, err := reachable(f, targets)
-	if err != nil {
-		return nil, err
-	}
-	order, err := f.Order()
-	if err != nil {
-		return nil, err
-	}
-	// Dependency level of each node, computed in one pass over the
-	// already-obtained order (calling f.Levels would re-run the
-	// topological sort — measurable at generator scale). Node IDs are
-	// dense, so a flat slice replaces the map.
+	// Node IDs are dense, so every per-node table below is a flat slice
+	// indexed by ID, sized from the largest ID in the order.
 	maxID := flow.NodeID(0)
 	for _, id := range order {
 		if id > maxID {
 			maxID = id
 		}
 	}
-	levelOf := make([]int32, maxID+1)
+	size := int(maxID) + 1
+	needed, err := reachable(f, targets, size)
+	if err != nil {
+		return nil, err
+	}
+	// Each node, and its dependency level, in one pass over the order
+	// (calling f.Levels would re-run the topological sort).
+	nodes := make([]*flow.Node, size)
+	levelOf := make([]int32, size)
 	for _, id := range order {
 		n := f.Node(id)
+		nodes[id] = n
 		var l int32
 		for _, k := range n.DepKeys() {
 			c, _ := n.Dep(k)
@@ -158,35 +161,54 @@ func (r *run) plan(targets []flow.NodeID) (*plan, error) {
 	}
 
 	// Pass 1: walk nodes in topological order, grouping shared
-	// constructions into jobs (Fig. 5 multi-output tasks). Composites
-	// never group. Bound nodes contribute their instances directly.
+	// constructions into jobs (Fig. 5 multi-output tasks): siblings with
+	// the same tool child and the same children under the same keys form
+	// one job. Composites never group. Bound nodes contribute their
+	// instances directly.
 	p := &plan{bound: make(map[flow.NodeID][]history.ID)}
-	grouped := make(map[string]*plannedJob)
-	producer := make(map[flow.NodeID]*plannedJob)
+	created := make([][]history.ID, size)
+	producer := make([]*plannedJob, size)
+	// Grouping candidates are the earlier jobs on the same tool node,
+	// newest first: lastByTool[tool] is the newest one's index plus one
+	// (0 = none), prevByTool[j] the next older one's.
+	lastByTool := make([]int32, size)
+	var prevByTool []int32
 	for _, id := range order {
 		if !needed[id] {
 			continue
 		}
-		n := f.Node(id)
+		n := nodes[id]
 		if n.IsBound() {
-			p.bound[id] = n.Bound()
+			insts := n.Bound()
+			p.bound[id] = insts
+			created[id] = insts
 			continue
 		}
 		t := r.cfg.schema.Type(n.Type)
 		if t.IsPrimitiveSource() {
 			return nil, fmt.Errorf("exec: node %d (%s) is an unbound primitive source", id, n.Type)
 		}
-		sig := taskSignature(f, id)
-		if j, ok := grouped[sig]; ok && !t.Composite {
-			j.nodes = append(j.nodes, id)
-			producer[id] = j
+		tool, groupable := n.Dep("fd")
+		groupable = groupable && !t.Composite
+		var sib *plannedJob
+		for c := lastByTool[tool]; groupable && sib == nil && c != 0; c = prevByTool[c-1] {
+			if sameInputs(nodes[p.jobs[c-1].nodes[0]], n) {
+				sib = p.jobs[c-1]
+			}
+		}
+		if sib != nil {
+			sib.nodes = append(sib.nodes, id)
+			producer[id] = sib
 			continue
 		}
 		j := &plannedJob{idx: len(p.jobs), nodes: []flow.NodeID{id},
 			repType: n.Type, composite: t.Composite, level: int(levelOf[id])}
-		if !t.Composite {
-			grouped[sig] = j
+		var prev int32
+		if groupable {
+			prev = lastByTool[tool]
+			lastByTool[tool] = int32(j.idx) + 1
 		}
+		prevByTool = append(prevByTool, prev)
 		producer[id] = j
 		p.jobs = append(p.jobs, j)
 	}
@@ -194,10 +216,6 @@ func (r *run) plan(targets []flow.NodeID) (*plan, error) {
 	// Pass 2: enumerate combos and pre-assign output IDs in commit order.
 	// Valid in job order because every producer of a job's inputs appears
 	// earlier in p.jobs (grouped siblings share the full dependency set).
-	created := make(map[flow.NodeID][]history.ID, len(order))
-	for id, insts := range p.bound {
-		created[id] = insts
-	}
 	vseq := r.cfg.db.Seq()
 	for _, j := range p.jobs {
 		combos, err := r.combosFor(j.nodes[0], created)
@@ -211,10 +229,14 @@ func (r *run) plan(targets []flow.NodeID) (*plan, error) {
 			j.outIDs[ci] = make([]history.ID, len(j.nodes))
 			for ni, nid := range j.nodes {
 				vseq++
-				j.outIDs[ci][ni] = history.MakeID(f.Node(nid).Type, vseq)
+				j.outIDs[ci][ni] = history.MakeID(nodes[nid].Type, vseq)
 			}
 		}
 		for ni, nid := range j.nodes {
+			if len(combos) == 1 { // the node's one instance, in place
+				created[nid] = j.outIDs[0][ni : ni+1 : ni+1]
+				continue
+			}
 			ids := make([]history.ID, len(combos))
 			for ci := range combos {
 				ids[ci] = j.outIDs[ci][ni]
@@ -247,17 +269,17 @@ func (r *run) plan(targets []flow.NodeID) (*plan, error) {
 		}
 	default:
 		// Dataflow: a job depends exactly on the jobs producing its
-		// inputs. Bound inputs contribute no edge.
+		// inputs. Bound inputs contribute no edge. A job has a handful
+		// of inputs, so duplicates are found by scanning its deps.
 		for _, j := range p.jobs {
-			rep := f.Node(j.nodes[0])
-			seen := make(map[int]bool)
+			rep := nodes[j.nodes[0]]
+			j.deps = make([]int, 0, len(rep.DepKeys()))
 			for _, k := range rep.DepKeys() {
 				c, _ := rep.Dep(k)
-				pj, ok := producer[c]
-				if !ok || seen[pj.idx] {
+				pj := producer[c]
+				if pj == nil || slices.Contains(j.deps, pj.idx) {
 					continue
 				}
-				seen[pj.idx] = true
 				j.deps = append(j.deps, pj.idx)
 			}
 		}
@@ -270,12 +292,41 @@ func (r *run) plan(targets []flow.NodeID) (*plan, error) {
 	return p, nil
 }
 
+// sameInputs reports whether two nodes fill the same dependency keys
+// with the same children: given the same tool child, one shared
+// construction.
+func sameInputs(a, b *flow.Node) bool {
+	if !slices.Equal(a.DepKeys(), b.DepKeys()) {
+		return false
+	}
+	for _, k := range a.DepKeys() {
+		ca, _ := a.Dep(k)
+		if cb, _ := b.Dep(k); ca != cb {
+			return false
+		}
+	}
+	return true
+}
+
 // combosFor enumerates the input combinations of a node: the cartesian
-// product of its dependencies' instance lists, in deterministic order,
-// capped at the run's combo limit.
-func (r *run) combosFor(id flow.NodeID, created map[flow.NodeID][]history.ID) ([]map[string]history.ID, error) {
+// product of its dependencies' instance lists (created, indexed by node
+// ID), in deterministic order, capped at the run's combo limit.
+func (r *run) combosFor(id flow.NodeID, created [][]history.ID) ([]map[string]history.ID, error) {
 	n := r.f.Node(id)
 	keys := n.DepKeys()
+	// The common case, one instance per dependency, is one combo.
+	one := make(map[string]history.ID, len(keys))
+	for _, k := range keys {
+		c, _ := n.Dep(k)
+		if len(created[c]) != 1 {
+			one = nil
+			break
+		}
+		one[k] = created[c][0]
+	}
+	if one != nil {
+		return []map[string]history.ID{one}, nil
+	}
 	combos := []map[string]history.ID{{}}
 	for _, k := range keys {
 		c, _ := n.Dep(k)

@@ -20,6 +20,14 @@ import (
 // the parent's type and its child's type satisfies it; at most the
 // schema-declared dependencies are filled; the graph is acyclic.
 func (f *Flow) Validate() error {
+	_, err := f.Check()
+	return err
+}
+
+// Check is Validate returning the execution order (Order) it computes
+// on the way, so a caller that validates and then plans sorts the graph
+// once. The order is nil whenever the error is not.
+func (f *Flow) Check() ([]NodeID, error) {
 	var errs []string
 	for _, id := range f.order {
 		n := f.nodes[id]
@@ -56,14 +64,15 @@ func (f *Flow) Validate() error {
 			}
 		}
 	}
-	if _, err := f.Order(); err != nil {
+	order, err := f.Order()
+	if err != nil {
 		errs = append(errs, err.Error())
 	}
 	if len(errs) > 0 {
 		sort.Strings(errs)
-		return fmt.Errorf("flow invalid:\n  %s", strings.Join(errs, "\n  "))
+		return nil, fmt.Errorf("flow invalid:\n  %s", strings.Join(errs, "\n  "))
 	}
-	return nil
+	return order, nil
 }
 
 // InDegree returns, for every node, its number of dependency edges — the
@@ -300,14 +309,16 @@ func (f *Flow) Branches() [][]NodeID {
 // (2^depth on stacked diamonds), which at generator scale never
 // terminates.
 func (f *Flow) Executable(id NodeID) (bool, string) {
-	return f.executable(id, make(map[NodeID]bool, 64))
+	return f.ExecutableAll([]NodeID{id})
 }
 
 // ExecutableAll is Executable over several targets sharing one visited
 // set, so a multi-root flow is walked O(V+E) total instead of once per
 // root. It reports the first non-executable target's reason.
 func (f *Flow) ExecutableAll(ids []NodeID) (bool, string) {
-	seen := make(map[NodeID]bool, len(f.order))
+	// Node IDs are dense (1..f.next), so the visited set is a flat
+	// slice indexed by ID.
+	seen := make([]bool, f.next+1)
 	for _, id := range ids {
 		if ok, why := f.executable(id, seen); !ok {
 			return false, why
@@ -318,13 +329,15 @@ func (f *Flow) ExecutableAll(ids []NodeID) (bool, string) {
 
 // executable is Executable's body; seen memoizes nodes already proven
 // executable (failures return immediately, so only successes recur).
-func (f *Flow) executable(id NodeID, seen map[NodeID]bool) (bool, string) {
-	if seen[id] {
-		return true, ""
-	}
+// The node lookup comes first: it rejects an ID not in the flow before
+// seen, which covers only the flow's IDs, is indexed.
+func (f *Flow) executable(id NodeID, seen []bool) (bool, string) {
 	n := f.nodes[id]
 	if n == nil {
 		return false, fmt.Sprintf("no node %d", id)
+	}
+	if seen[id] {
+		return true, ""
 	}
 	if n.IsBound() {
 		seen[id] = true

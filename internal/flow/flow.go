@@ -201,7 +201,9 @@ type ParentRef struct {
 // Roots returns the nodes with no parents — the goals/outputs of the
 // flow. A flow may have several (Fig. 5: multiple outputs).
 func (f *Flow) Roots() []NodeID {
-	hasParent := make(map[NodeID]bool)
+	// Node IDs are dense (1..f.next), so the parented set is a flat
+	// slice indexed by ID.
+	hasParent := make([]bool, f.next+1)
 	for _, pid := range f.order {
 		for _, cid := range f.nodes[pid].deps {
 			hasParent[cid] = true

@@ -24,30 +24,34 @@ import (
 //	runs/<id>.chain hash-chained derivation records of the run's
 //	                history database (provenance.Chain; verified by
 //	                flowd -verify-provenance)
-//	store.json      datastore checkpoint, written by Shutdown
+//
+// Nothing else is written. A run's artifacts live in its world's own
+// datastore and are freed with the world when the run ends; no endpoint
+// serves them. A store.json checkpoint left by an older flowd is
+// neither read nor deleted.
 //
 // Boot recovery (initDurable, from New) reads every WAL back:
 //
 //   - A log containing RunFinished is a completed run — possibly a
-//     failed or cancelled one. Its committed artifacts are replayed into
-//     the shared datastore and the run reappears fully queryable
-//     (status, complete trace) in a terminal state.
+//     failed or cancelled one. It reappears queryable (status, complete
+//     trace) in a terminal state; nothing is replayed into a store.
 //
 //   - A log without RunFinished is an interrupted run (crash, kill -9).
 //     The service re-materializes the run's world from the scenario in
 //     the identity record — the same path a submission takes — rewinds
 //     the log to its resumable prefix and relaunches the run with
 //     exec.RunOptions.Resume: the executor restores every fully-committed
-//     unit from the log (re-recording history and re-feeding the
-//     datastore through its normal committer) and re-executes only the
-//     rest, appending to the same WAL with continuous event sequence
-//     numbers. Nothing is replayed here out-of-band — the resumed run is
-//     the single commit path. A log whose identity record carries no
-//     scenario, or one that no longer materializes, recovers failed.
+//     unit from the log (re-recording history and re-feeding the new
+//     world's datastore through its normal committer) and re-executes
+//     only the rest, appending to the same WAL with continuous event
+//     sequence numbers. Nothing is replayed here out-of-band — the
+//     resumed run is the single commit path. A log whose identity
+//     record carries no scenario, or one that no longer materializes,
+//     recovers failed.
 //
 // Shutdown is the graceful half: stop admitting, drain active runs
 // (their own goroutines close each WAL and chain file), abort
-// stragglers at the deadline, checkpoint the datastore.
+// stragglers at the deadline.
 
 // openRunWAL creates a fresh submission's log under <dataDir>/runs and
 // makes the identity record, carrying the compacted scenario document,
@@ -176,22 +180,12 @@ func (s *Server) dropPreCrashChain(id string) error {
 	return os.Remove(path)
 }
 
-// initDurable restores the server's durable state: the datastore
-// checkpoint first, then every run log under <dataDir>/runs in id
-// order.
+// initDurable restores the server's durable state: every run log
+// under <dataDir>/runs, in id order.
 func (s *Server) initDurable() error {
 	runsDir := filepath.Join(s.dataDir, "runs")
 	if err := os.MkdirAll(runsDir, 0o755); err != nil {
 		return fmt.Errorf("service: data dir: %w", err)
-	}
-	if f, err := os.Open(filepath.Join(s.dataDir, "store.json")); err == nil {
-		rerr := s.store.Restore(f)
-		f.Close()
-		if rerr != nil {
-			return fmt.Errorf("service: datastore checkpoint: %w", rerr)
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return err
 	}
 	paths, err := filepath.Glob(filepath.Join(runsDir, "*.wal"))
 	if err != nil {
@@ -234,20 +228,15 @@ func (s *Server) recoverRunFile(path string) error {
 	return s.resumeRun(id, rc, l)
 }
 
-// registerFinished surfaces a run that will not execute again: its
-// committed payloads are replayed into the datastore and it reappears
-// with a closed, fully pre-seeded event stream. cause is nil for a
-// completed run, whose terminal state derives from its RunFinished
-// record (the original error text is not persisted; a failed or
-// aborted run recovers as "failed"). A non-nil cause is why an
+// registerFinished surfaces a run that will not execute again: it
+// reappears with a closed, fully pre-seeded event stream. cause is nil
+// for a completed run, whose terminal state derives from its
+// RunFinished record (the original error text is not persisted; a
+// failed or aborted run recovers as "failed"). A non-nil cause is why an
 // interrupted run cannot be resumed: it recovers failed with that
 // error and its trace prefix intact, so the operator can see it and
 // resubmit — without failing the whole boot.
 func (s *Server) registerFinished(id string, rc *storage.Recovered, l storage.Log, cause error) error {
-	if err := rc.Replay(s.store, nil); err != nil {
-		_ = l.Close()
-		return err
-	}
 	if err := l.Close(); err != nil {
 		return err
 	}
@@ -346,10 +335,11 @@ func (s *Server) noteSeq(id string) {
 // Shutdown drains the service for a clean exit: stop admitting
 // (submissions get 503), wait up to timeout for active runs to finish
 // — each run's goroutine closes its WAL and chain file on the way out —
-// then cancel whatever is left, and checkpoint the datastore. forced
-// reports that the deadline expired and running flows were aborted;
-// their WALs still hold every committed unit, so nothing durable is
-// lost. Safe without a DataDir (drain only, no checkpoint).
+// then cancel whatever is left. forced reports that the deadline
+// expired and running flows were aborted; their WALs still hold every
+// committed unit, so nothing durable is lost. Every run's durable
+// state is its own WAL and chain, so Shutdown writes nothing and err
+// is always nil. Safe without a DataDir.
 func (s *Server) Shutdown(timeout time.Duration) (forced bool, err error) {
 	s.mu.Lock()
 	s.draining = true
@@ -375,30 +365,5 @@ func (s *Server) Shutdown(timeout time.Duration) (forced bool, err error) {
 		}
 		<-idle // cancelled runs exit promptly
 	}
-	if s.dataDir != "" {
-		err = s.checkpoint()
-	}
-	return forced, err
-}
-
-// checkpoint atomically dumps the datastore to <dataDir>/store.json.
-func (s *Server) checkpoint() error {
-	final := filepath.Join(s.dataDir, "store.json")
-	tmp := final + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	err = s.store.DumpJSON(f)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		_ = os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, final)
+	return forced, nil
 }

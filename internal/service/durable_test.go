@@ -100,9 +100,6 @@ func TestDurableFinishedRunSurvivesRestart(t *testing.T) {
 	if err != nil || forced {
 		t.Fatalf("Shutdown = (forced %v, err %v), want clean", forced, err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "store.json")); err != nil {
-		t.Fatalf("no datastore checkpoint after Shutdown: %v", err)
-	}
 
 	_, ts2 := newTestServer(t, Config{Workers: 2, DataDir: dir})
 	var back runView
@@ -180,7 +177,7 @@ func TestDurableScenarioResumeAfterCrash(t *testing.T) {
 		t.Fatalf("run ended %q (error %q), want succeeded", got.State, got.Error)
 	}
 	golden := fetchTrace(t, ts1.URL, v.ID)
-	ts1.Close() // no Shutdown: the "crash" leaves no checkpoint behind
+	ts1.Close() // the "crash": no Shutdown
 
 	// Chop the WAL at every possible record boundary and recover each
 	// truncation with a fresh server over the same data dir.
@@ -224,8 +221,41 @@ func TestDurableScenarioResumeAfterCrash(t *testing.T) {
 	}
 }
 
+// TestDurableBootIgnoresStoreCheckpoint: a data dir written by an
+// older flowd may hold a store.json datastore checkpoint. Boot neither
+// reads it nor deletes it: even one that is not JSON at all leaves the
+// finished run listed with its full trace.
+func TestDurableBootIgnoresStoreCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	s1, ts1 := newTestServer(t, Config{Workers: 2, DataDir: dir})
+	v := submit(t, ts1.URL, corpus(t, "quickstart"), "alice")
+	if fin := waitTerminal(t, ts1.URL, v.ID); fin.State != string(stateSucceeded) {
+		t.Fatalf("run ended %+v, want succeeded", fin)
+	}
+	golden := fetchTrace(t, ts1.URL, v.ID)
+	if forced, err := s1.Shutdown(5 * time.Second); err != nil || forced {
+		t.Fatalf("Shutdown = (forced %v, err %v), want clean", forced, err)
+	}
+	checkpoint := filepath.Join(dir, "store.json")
+	junk := []byte("{not a datastore checkpoint")
+	if err := os.WriteFile(checkpoint, junk, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts2 := newTestServer(t, Config{Workers: 2, DataDir: dir})
+	var runs []runView
+	getJSON(t, ts2.URL+"/v1/runs", &runs)
+	if len(runs) != 1 || runs[0].ID != v.ID || runs[0].State != string(stateSucceeded) {
+		t.Fatalf("runs after boot = %+v, want %s succeeded", runs, v.ID)
+	}
+	sameTrace(t, fetchTrace(t, ts2.URL, v.ID), golden)
+	if got, err := os.ReadFile(checkpoint); err != nil || !bytes.Equal(got, junk) {
+		t.Fatalf("store.json after boot = %q (%v), want it untouched", got, err)
+	}
+}
+
 // TestDurableShutdownDrains: Shutdown stops admission immediately (503)
-// but lets the active run finish, then checkpoints.
+// but lets the active run finish.
 func TestDurableShutdownDrains(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := newTestServer(t, Config{Workers: 2, DataDir: dir})
@@ -260,9 +290,6 @@ func TestDurableShutdownDrains(t *testing.T) {
 	getJSON(t, ts.URL+"/v1/runs/"+v.ID, &final)
 	if final.State != string(stateSucceeded) {
 		t.Fatalf("drained run ended %q, want succeeded", final.State)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "store.json")); err != nil {
-		t.Fatalf("no datastore checkpoint: %v", err)
 	}
 }
 

@@ -3,14 +3,17 @@
 // daemon supervising many designers' flows at once. A submission is a
 // declarative scenario (internal/scenario): its schema, tools, imports
 // and flow are materialized server-side into a world of its own (own
-// history database) and executed on the one shared engine, worker pool
-// and content-addressed datastore, with its own streamed trace.
+// history database and content-addressed datastore, both freed with
+// the world when the run ends) and executed on the one shared engine
+// and worker pool, with its own streamed trace.
 //
 // Endpoints:
 //
 //	GET  /healthz              liveness
 //	POST /v1/runs              submit {"scenario": {...}, "user": name}
-//	                           (body at most 1 MiB, unknown fields 400)
+//	                           (body at most 1 MiB, unknown fields 400);
+//	                           answers with the run as accepted, so its
+//	                           state is "running"
 //	GET  /v1/runs              list runs
 //	GET  /v1/runs/{id}         one run's status
 //	GET  /v1/runs/{id}/trace   masked JSONL event stream (follows until
@@ -33,7 +36,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/datastore"
 	"repro/internal/exec"
 	"repro/internal/harness"
 	"repro/internal/provenance"
@@ -58,10 +60,11 @@ type Config struct {
 	MaxQueue int
 	// DataDir, when set, makes runs durable: every submission writes a
 	// write-ahead log under <DataDir>/runs and New recovers whatever it
-	// finds there — finished runs are replayed into the datastore,
+	// finds there — finished runs come back with their status and trace,
 	// interrupted runs are re-materialized from their logged scenario and
-	// resumed from their last committed unit. Shutdown checkpoints the
-	// datastore to <DataDir>/store.json. Empty = in-memory only.
+	// resumed from their last committed unit. Nothing else is written:
+	// a run's artifacts live in its world's datastore and go with it.
+	// Empty = in-memory only.
 	DataDir string
 }
 
@@ -115,7 +118,6 @@ type runRecord struct {
 // behind it.
 type Server struct {
 	cfg     Config
-	store   *datastore.Store
 	engine  *exec.Engine
 	metrics *trace.Metrics
 	mux     *http.ServeMux
@@ -127,18 +129,17 @@ type Server struct {
 	draining bool // Shutdown in progress: submissions get 503
 }
 
-// New assembles a server: one engine over a fresh shared datastore.
-// With Config.DataDir set it also recovers every run log found there
-// before returning, so the server comes up with its pre-crash runs
-// queryable (finished) or running again (interrupted).
+// New assembles a server around one engine. With Config.DataDir set it
+// also recovers every run log found there before returning, so the
+// server comes up with its pre-crash runs queryable (finished) or
+// running again (interrupted).
 func New(cfg Config) (*Server, error) {
 	if cfg.Workers < 1 {
 		cfg.Workers = 4
 	}
-	store := datastore.NewStore()
-	// The engine carries no schema, registry or database of its own:
-	// every run brings its world's through exec.RunOptions.
-	engine := exec.New(nil, nil, store, nil)
+	// The engine carries no schema, registry, database or datastore of
+	// its own: every run brings its world's through exec.RunOptions.
+	engine := exec.New(nil, nil, nil, nil)
 	engine.SetWorkers(cfg.Workers)
 	if cfg.MaxRuns > 0 {
 		engine.SetMaxConcurrentRuns(cfg.MaxRuns)
@@ -148,7 +149,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:     cfg,
-		store:   store,
 		engine:  engine,
 		metrics: trace.NewMetrics(),
 		mux:     http.NewServeMux(),
@@ -267,7 +267,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "scenario: %v", err)
 		return
 	}
-	rec, err := s.start(world, flowName, opts, req.User, doc.Bytes())
+	accepted, err := s.start(world, flowName, opts, req.User, doc.Bytes())
 	if err != nil {
 		code := http.StatusInternalServerError
 		if errors.Is(err, errDraining) {
@@ -276,7 +276,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, code, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, rec.view())
+	writeJSON(w, http.StatusCreated, accepted)
 }
 
 // errDraining refuses a submission once Shutdown has begun.
@@ -285,14 +285,16 @@ var errDraining = errors.New("server is draining")
 // start registers and launches a submission's run over its
 // materialized world. In durable mode the run's WAL is opened first and
 // its identity record — scenario included — made stable, so a run is
-// acknowledged only once it can be recovered. On failure everything
+// acknowledged only once it can be recovered. It returns the run as
+// accepted: the view is taken before the launch, so its state is
+// running however soon the run finishes. On failure everything
 // acquired, the world included, is released.
-func (s *Server) start(world *harness.World, flowName string, opts *exec.RunOptions, user string, doc []byte) (*runRecord, error) {
+func (s *Server) start(world *harness.World, flowName string, opts *exec.RunOptions, user string, doc []byte) (runView, error) {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
 		world.Close()
-		return nil, errDraining
+		return runView{}, errDraining
 	}
 	s.seq++
 	id := fmt.Sprintf("r-%04d", s.seq)
@@ -303,11 +305,11 @@ func (s *Server) start(world *harness.World, flowName string, opts *exec.RunOpti
 		log: newEventLog(), cancel: cancel, done: make(chan struct{}),
 		state: stateRunning, started: time.Now()}
 	// abort releases everything acquired for a run that never launches.
-	abort := func(err error) (*runRecord, error) {
+	abort := func(err error) (runView, error) {
 		cancel()
 		s.discardRunWAL(rec)
 		world.Close()
-		return nil, err
+		return runView{}, err
 	}
 	if s.dataDir != "" {
 		if err := s.openRunWAL(rec, doc); err != nil {
@@ -329,21 +331,22 @@ func (s *Server) start(world *harness.World, flowName string, opts *exec.RunOpti
 	}
 	s.runs[id] = rec
 	s.mu.Unlock()
+	accepted := rec.view()
 	s.launch(ctx, rec, world, opts)
-	return rec, nil
+	return accepted, nil
 }
 
 // materialize is the one path from a scenario document to a runnable
 // world, shared by submission and boot-time resume: decode, build the
-// declared world (schema, tools, imports, flow) against the shared
-// datastore, and derive the per-run overrides that execute it on the
-// shared engine. It also returns the run's display name.
+// declared world (schema, tools, imports, flow) over a datastore of its
+// own, and derive the per-run overrides that execute it on the shared
+// engine. It also returns the run's display name.
 func (s *Server) materialize(doc []byte) (*harness.World, string, *exec.RunOptions, error) {
 	sc, err := scenario.Decode(doc)
 	if err != nil {
 		return nil, "", nil, err
 	}
-	m, err := harness.Materialize(sc, s.store)
+	m, err := harness.Materialize(sc, nil)
 	if err != nil {
 		return nil, "", nil, err
 	}
@@ -351,7 +354,7 @@ func (s *Server) materialize(doc []byte) (*harness.World, string, *exec.RunOptio
 	// is sound only within one tool semantics, and every scenario
 	// declares its own, so a cache could serve only the run that filled
 	// it. The goldens a run's trace must equal are recorded without one.
-	opts := &exec.RunOptions{Schema: m.Schema(), Registry: m.Registry(), DB: m.DB()}
+	opts := &exec.RunOptions{Schema: m.Schema(), Registry: m.Registry(), DB: m.DB(), Store: m.Store()}
 	applyRunSpec(sc, opts)
 	return m, "scenario:" + sc.Name, opts, nil
 }
@@ -384,8 +387,8 @@ func applyRunSpec(sc *scenario.Scenario, o *exec.RunOptions) {
 // sub-flow rooted at its target), release the chain (finishChain), the
 // WAL and the world, settle the record's terminal state, then close the
 // event log and the done channel — the same exit path for fresh and
-// resumed runs. Only the goroutine holds the world, so it is garbage
-// once the run ends.
+// resumed runs. Only the goroutine holds the world — its history
+// database and datastore included — so it is garbage once the run ends.
 func (s *Server) launch(ctx context.Context, rec *runRecord, world *harness.World, opts *exec.RunOptions) {
 	opts.User = rec.user
 	opts.Label = rec.id

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/datastore"
 	"repro/internal/flow"
 	"repro/internal/history"
 	"repro/internal/trace"
@@ -343,8 +344,8 @@ func TestTraceEndpointMatchesGoldens(t *testing.T) {
 }
 
 // TestFinishedRunReleasesWorld pins what a finished run retains: once
-// the run is terminal, its world's history database and flow are
-// unreachable from the server, in memory and durable mode alike. A
+// the run is terminal, its world's history database, datastore and flow
+// are unreachable from the server, in memory and durable mode alike. A
 // finalizer on each must fire after a GC.
 func TestFinishedRunReleasesWorld(t *testing.T) {
 	for _, dataDir := range []string{"", t.TempDir()} {
@@ -354,17 +355,18 @@ func TestFinishedRunReleasesWorld(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		freed := make(chan string, 2)
+		freed := make(chan string, 3)
 		runtime.SetFinalizer(world.DB(), func(*history.DB) { freed <- "history.DB" })
+		runtime.SetFinalizer(world.Store(), func(*datastore.Store) { freed <- "datastore.Store" })
 		runtime.SetFinalizer(world.Flow(), func(*flow.Flow) { freed <- "flow.Flow" })
-		rec, err := s.start(world, flowName, opts, "alice", doc)
+		accepted, err := s.start(world, flowName, opts, "alice", doc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v := waitTerminal(t, ts.URL, rec.id); v.State != string(stateSucceeded) {
+		if v := waitTerminal(t, ts.URL, accepted.ID); v.State != string(stateSucceeded) {
 			t.Fatalf("run ended %+v, want succeeded", v)
 		}
-		left := map[string]bool{"history.DB": true, "flow.Flow": true}
+		left := map[string]bool{"history.DB": true, "datastore.Store": true, "flow.Flow": true}
 		deadline := time.After(10 * time.Second)
 		for len(left) > 0 {
 			runtime.GC()

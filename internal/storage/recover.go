@@ -40,7 +40,8 @@ type Recovered struct {
 	// prefix, keyed by global unit index.
 	Commits map[int]*UnitCommit
 	// Finished reports a RunFinished record: the run completed and
-	// needs replay (memo/datastore re-feeding) but no re-execution.
+	// needs no re-execution (Replay re-feeds its committed artifacts to
+	// a caller that wants them).
 	Finished bool
 	// NextSeq is the sequence number the resumed run's first fresh
 	// event must carry: one past the prefix.
