@@ -61,12 +61,12 @@ func (r *run) applyResume(p *plan, tr *runTracer) error {
 		}
 		for ci := range j.combos {
 			c := res.Commits[unit+ci]
-			if len(c.Insts) != len(j.outIDs[ci]) {
+			if len(c.Insts) != len(j.nodes) {
 				return fmt.Errorf("exec: recovered unit %d committed %d instances, replanned %d",
-					unit+ci, len(c.Insts), len(j.outIDs[ci]))
+					unit+ci, len(c.Insts), len(j.nodes))
 			}
-			for ni, id := range j.outIDs[ci] {
-				if string(id) != c.Insts[ni] {
+			for ni, ids := range j.outIDs {
+				if id := ids[ci]; string(id) != c.Insts[ni] {
 					return fmt.Errorf("exec: recovered unit %d committed %s where the replan assigns %s: log does not match the flow",
 						unit+ci, c.Insts[ni], id)
 				}
@@ -101,7 +101,7 @@ func (r *run) applyResume(p *plan, tr *runTracer) error {
 		for ci := range j.combos {
 			for ni, nid := range j.nodes {
 				typ := r.f.Node(nid).Type
-				r.st.arts[j.outIDs[ci][ni]] = pendingArtifact{typ: typ, data: j.outputs[ci][typ]}
+				r.st.arts[j.outIDs[ni][ci]] = pendingArtifact{typ: typ, data: j.outputs[ci][typ]}
 			}
 		}
 	}

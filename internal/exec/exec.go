@@ -668,7 +668,7 @@ func (r *run) recordJob(j *plannedJob) error {
 			if err != nil {
 				return fmt.Errorf("exec: recording %s: %w", n.Type, err)
 			}
-			if want := j.outIDs[ci][ni]; instID != want {
+			if want := j.outIDs[ni][ci]; instID != want {
 				return fmt.Errorf("exec: nondeterministic recording: got %s, planned %s (history mutated during the run?)", instID, want)
 			}
 			r.res.Created[id] = append(r.res.Created[id], instID)

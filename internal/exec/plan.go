@@ -36,8 +36,9 @@ type plannedJob struct {
 	// combos are the input combinations to execute, each a concrete
 	// assignment of instances to dependency keys (plus "fd").
 	combos []map[string]history.ID
-	// outIDs[ci][ni] is the pre-assigned instance ID of nodes[ni] under
-	// combos[ci].
+	// outIDs[ni][ci] is the pre-assigned instance ID of nodes[ni] under
+	// combos[ci]; row ni is also the instance list nodes[ni] feeds to
+	// the jobs that depend on it.
 	outIDs [][]history.ID
 	// deps / dependents are edges of the job graph (indices into
 	// plan.jobs). Dataflow mode: distinct producer jobs of the group's
@@ -83,13 +84,12 @@ type plan struct {
 }
 
 // reachable returns the nodes needed to compute the targets, as a set
-// indexed by node ID with size entries (one past the flow's largest
-// ID), failing on a dependency edge that references a node no longer
-// in the flow. Such dangling edges cannot be produced by the flow
-// operations and are caught by Validate, but a hand-assembled graph
-// must yield an error here, never a panic.
-func reachable(f *flow.Flow, targets []flow.NodeID, size int) ([]bool, error) {
-	out := make([]bool, size)
+// indexed by node ID, failing on a dependency edge that references a
+// node no longer in the flow. Such dangling edges cannot be produced by
+// the flow operations and are caught by Validate, but a hand-assembled
+// graph must yield an error here, never a panic.
+func reachable(f *flow.Flow, targets []flow.NodeID) ([]bool, error) {
+	out := make([]bool, f.MaxID()+1)
 	var visit func(id flow.NodeID) error
 	visit = func(id flow.NodeID) error {
 		n := f.Node(id)
@@ -130,16 +130,9 @@ func reachable(f *flow.Flow, targets []flow.NodeID, size int) ([]bool, error) {
 // graph is sorted once per run.
 func (r *run) plan(order []flow.NodeID, targets []flow.NodeID) (*plan, error) {
 	f := r.f
-	// Node IDs are dense, so every per-node table below is a flat slice
-	// indexed by ID, sized from the largest ID in the order.
-	maxID := flow.NodeID(0)
-	for _, id := range order {
-		if id > maxID {
-			maxID = id
-		}
-	}
-	size := int(maxID) + 1
-	needed, err := reachable(f, targets, size)
+	// Every per-node table below is a flat slice indexed by node ID.
+	size := f.MaxID() + 1
+	needed, err := reachable(f, targets)
 	if err != nil {
 		return nil, err
 	}
@@ -161,18 +154,19 @@ func (r *run) plan(order []flow.NodeID, targets []flow.NodeID) (*plan, error) {
 	}
 
 	// Pass 1: walk nodes in topological order, grouping shared
-	// constructions into jobs (Fig. 5 multi-output tasks): siblings with
-	// the same tool child and the same children under the same keys form
-	// one job. Composites never group. Bound nodes contribute their
-	// instances directly.
+	// constructions into jobs (Fig. 5 multi-output tasks): siblings that
+	// fill the same keys with the same children, the tool child among
+	// them, form one job. Composites never group. Bound nodes contribute
+	// their instances directly.
 	p := &plan{bound: make(map[flow.NodeID][]history.ID)}
 	created := make([][]history.ID, size)
 	producer := make([]*plannedJob, size)
-	// Grouping candidates are the earlier jobs on the same tool node,
-	// newest first: lastByTool[tool] is the newest one's index plus one
-	// (0 = none), prevByTool[j] the next older one's.
-	lastByTool := make([]int32, size)
-	var prevByTool []int32
+	// Earlier non-composite jobs, keyed by the hash of their
+	// representative's inputs. A job whose key is taken by one with
+	// other inputs (a hash collision) takes the next free key, so a
+	// search from a node's hash up to the first free key meets every
+	// job the node could join; sameInputs confirms each.
+	groups := make(map[uint64]*plannedJob)
 	for _, id := range order {
 		if !needed[id] {
 			continue
@@ -188,12 +182,14 @@ func (r *run) plan(order []flow.NodeID, targets []flow.NodeID) (*plan, error) {
 		if t.IsPrimitiveSource() {
 			return nil, fmt.Errorf("exec: node %d (%s) is an unbound primitive source", id, n.Type)
 		}
-		tool, groupable := n.Dep("fd")
-		groupable = groupable && !t.Composite
+		var h uint64
 		var sib *plannedJob
-		for c := lastByTool[tool]; groupable && sib == nil && c != 0; c = prevByTool[c-1] {
-			if sameInputs(nodes[p.jobs[c-1].nodes[0]], n) {
-				sib = p.jobs[c-1]
+		if !t.Composite {
+			for h = inputsHash(n); groups[h] != nil; h++ {
+				if c := groups[h]; sameInputs(nodes[c.nodes[0]], n) {
+					sib = c
+					break
+				}
 			}
 		}
 		if sib != nil {
@@ -203,12 +199,9 @@ func (r *run) plan(order []flow.NodeID, targets []flow.NodeID) (*plan, error) {
 		}
 		j := &plannedJob{idx: len(p.jobs), nodes: []flow.NodeID{id},
 			repType: n.Type, composite: t.Composite, level: int(levelOf[id])}
-		var prev int32
-		if groupable {
-			prev = lastByTool[tool]
-			lastByTool[tool] = int32(j.idx) + 1
+		if !t.Composite {
+			groups[h] = j // the free key the search stopped at
 		}
-		prevByTool = append(prevByTool, prev)
 		producer[id] = j
 		p.jobs = append(p.jobs, j)
 	}
@@ -224,24 +217,16 @@ func (r *run) plan(order []flow.NodeID, targets []flow.NodeID) (*plan, error) {
 		}
 		j.combos = combos
 		j.outputs = make([]encap.Outputs, len(combos))
-		j.outIDs = make([][]history.ID, len(combos))
+		j.outIDs = make([][]history.ID, len(j.nodes))
+		for ni, nid := range j.nodes {
+			j.outIDs[ni] = make([]history.ID, len(combos))
+			created[nid] = j.outIDs[ni]
+		}
 		for ci := range combos {
-			j.outIDs[ci] = make([]history.ID, len(j.nodes))
 			for ni, nid := range j.nodes {
 				vseq++
-				j.outIDs[ci][ni] = history.MakeID(nodes[nid].Type, vseq)
+				j.outIDs[ni][ci] = history.MakeID(nodes[nid].Type, vseq)
 			}
-		}
-		for ni, nid := range j.nodes {
-			if len(combos) == 1 { // the node's one instance, in place
-				created[nid] = j.outIDs[0][ni : ni+1 : ni+1]
-				continue
-			}
-			ids := make([]history.ID, len(combos))
-			for ci := range combos {
-				ids[ci] = j.outIDs[ci][ni]
-			}
-			created[nid] = ids
 		}
 		p.units += len(combos)
 	}
@@ -292,8 +277,23 @@ func (r *run) plan(order []flow.NodeID, targets []flow.NodeID) (*plan, error) {
 	return p, nil
 }
 
+// inputsHash hashes a node's dependency keys and the children filling
+// them (FNV-1a), so nodes sameInputs matches hash alike.
+func inputsHash(n *flow.Node) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for _, k := range n.DepKeys() {
+		c, _ := n.Dep(k)
+		for i := 0; i < len(k); i++ {
+			h = (h ^ uint64(k[i])) * prime
+		}
+		h = (h ^ uint64(c)) * prime
+	}
+	return h
+}
+
 // sameInputs reports whether two nodes fill the same dependency keys
-// with the same children: given the same tool child, one shared
+// (the tool's "fd" among them) with the same children: one shared
 // construction.
 func sameInputs(a, b *flow.Node) bool {
 	if !slices.Equal(a.DepKeys(), b.DepKeys()) {
@@ -314,42 +314,32 @@ func sameInputs(a, b *flow.Node) bool {
 func (r *run) combosFor(id flow.NodeID, created [][]history.ID) ([]map[string]history.ID, error) {
 	n := r.f.Node(id)
 	keys := n.DepKeys()
-	// The common case, one instance per dependency, is one combo.
-	one := make(map[string]history.ID, len(keys))
-	for _, k := range keys {
-		c, _ := n.Dep(k)
-		if len(created[c]) != 1 {
-			one = nil
-			break
-		}
-		one[k] = created[c][0]
-	}
-	if one != nil {
-		return []map[string]history.ID{one}, nil
-	}
-	combos := []map[string]history.ID{{}}
+	total := 1
 	for _, k := range keys {
 		c, _ := n.Dep(k)
 		insts := created[c]
 		if len(insts) == 0 {
 			return nil, fmt.Errorf("exec: node %d dependency %q (node %d) produced no instances", id, k, c)
 		}
-		if len(combos)*len(insts) > r.cfg.maxCombos {
+		if total*len(insts) > r.cfg.maxCombos {
 			return nil, fmt.Errorf("exec: node %d (%s): input fan-out exceeds %d combinations (cartesian product over multi-instance bindings); raise Engine.SetMaxCombos if intended",
 				id, n.Type, r.cfg.maxCombos)
 		}
-		next := make([]map[string]history.ID, 0, len(combos)*len(insts))
-		for _, combo := range combos {
-			for _, inst := range insts {
-				cp := make(map[string]history.ID, len(combo)+1)
-				for kk, vv := range combo {
-					cp[kk] = vv
-				}
-				cp[k] = inst
-				next = append(next, cp)
-			}
+		total *= len(insts)
+	}
+	// Combo i reads i as a mixed-radix number over the keys' instance
+	// counts, first key most significant: the last key varies fastest.
+	combos := make([]map[string]history.ID, total)
+	for i := range combos {
+		combo := make(map[string]history.ID, len(keys))
+		rem := i
+		for ki := len(keys) - 1; ki >= 0; ki-- {
+			c, _ := n.Dep(keys[ki])
+			insts := created[c]
+			combo[keys[ki]] = insts[rem%len(insts)]
+			rem /= len(insts)
 		}
-		combos = next
+		combos[i] = combo
 	}
 	return combos, nil
 }

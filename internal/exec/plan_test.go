@@ -122,7 +122,7 @@ func TestPlanGrouping(t *testing.T) {
 			for _, j := range p.jobs {
 				var members []string
 				for ni, nid := range j.nodes {
-					members = append(members, fmt.Sprintf("%s=%s", names[nid], j.outIDs[0][ni]))
+					members = append(members, fmt.Sprintf("%s=%s", names[nid], j.outIDs[ni][0]))
 				}
 				got = append(got, members)
 			}
@@ -133,11 +133,90 @@ func TestPlanGrouping(t *testing.T) {
 	}
 }
 
+// oneToolFlow builds a flow of tasks that all run on one tool node,
+// alternately of type A and B, every per consecutive tasks reading one
+// source of their own: siblings group per source, so the plan has
+// tasks/per jobs however many tasks share the tool.
+func oneToolFlow(tb testing.TB, tasks, per int) (*Engine, *flow.Flow) {
+	s := schema.MustParseString(planSchema)
+	db := history.NewDB(s)
+	f := flow.New(s, db)
+	bind := func(typ, name string) flow.NodeID {
+		inst, err := db.Record(history.Instance{Type: typ, Name: name, User: "rig"})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		id := f.MustAdd(typ)
+		if err := f.Bind(id, inst.ID); err != nil {
+			tb.Fatal(err)
+		}
+		return id
+	}
+	tool := bind("T", "t")
+	var src flow.NodeID
+	for i := 0; i < tasks; i++ {
+		if i%per == 0 {
+			src = bind("Src", fmt.Sprintf("s%d", i/per))
+		}
+		id := f.MustAdd([]string{"A", "B"}[i%2])
+		if err := f.Connect(id, "fd", tool); err != nil {
+			tb.Fatal(err)
+		}
+		if err := f.Connect(id, "Src", src); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return New(s, db, datastore.NewStore(), nil), f
+}
+
+// TestPlanOneToolManySiblings groups 4,000 tasks on one tool node into
+// 2,000 A+B pairs, one per source: each job holds its pair in creation
+// order, with consecutive planned IDs after the 2,001 bound instances.
+func TestPlanOneToolManySiblings(t *testing.T) {
+	e, f := oneToolFlow(t, 4000, 2)
+	order, err := f.Check()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &run{e: e, cfg: e.defaults, f: f}
+	p, err := r.plan(order, f.Roots())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.jobs) != 2000 {
+		t.Fatalf("%d jobs, want 2000", len(p.jobs))
+	}
+	for k, j := range p.jobs {
+		a := flow.NodeID(3*k + 3) // tool 1, then source, A, B per pair
+		if len(j.nodes) != 2 || j.nodes[0] != a || j.nodes[1] != a+1 {
+			t.Fatalf("job %d holds nodes %v, want [%d %d]", k, j.nodes, a, a+1)
+		}
+		wantA, wantB := history.MakeID("A", 2002+2*k), history.MakeID("B", 2003+2*k)
+		if j.outIDs[0][0] != wantA || j.outIDs[1][0] != wantB {
+			t.Fatalf("job %d planned %s %s, want %s %s", k, j.outIDs[0][0], j.outIDs[1][0], wantA, wantB)
+		}
+	}
+}
+
+// BenchmarkPlanOneTool plans 5,000 tasks that share one tool node, each
+// reading its own source, so no two group. Finding a node's grouping
+// candidates costs O(1) however many jobs already run on its tool.
+func BenchmarkPlanOneTool(b *testing.B) {
+	e, f := oneToolFlow(b, 5000, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if jobs, _, err := e.DryPlan(f); err != nil || jobs != 5000 {
+			b.Fatalf("DryPlan = %d jobs, %v; want 5000 jobs", jobs, err)
+		}
+	}
+}
+
 // TestDryPlanAllocs ratchets the planner's allocations on a generated
 // 2,000-cell layered world: validation, the executability check and
 // the plan together. With map-keyed tables and string signatures the
 // planner made 68,868 allocations here; over node-indexed slices it
-// makes 27,677, and the bound leaves about 5% for toolchain drift.
+// makes 27,693, and the bound leaves about 5% for toolchain drift.
 func TestDryPlanAllocs(t *testing.T) {
 	b, err := flowgen.Build(flowgen.Spec{Cells: 2000, Shape: flowgen.Layered, Seed: 1993})
 	if err != nil {

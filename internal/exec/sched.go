@@ -354,7 +354,7 @@ func (r *run) execute(ctx context.Context, p *plan) error {
 		for ci := range j.combos {
 			for ni, nid := range j.nodes {
 				typ := f.Node(nid).Type
-				r.st.arts[j.outIDs[ci][ni]] = pendingArtifact{typ: typ, data: j.outputs[ci][typ]}
+				r.st.arts[j.outIDs[ni][ci]] = pendingArtifact{typ: typ, data: j.outputs[ci][typ]}
 			}
 		}
 		r.st.mu.Unlock()

@@ -396,11 +396,11 @@ func TestReachableDanglingTarget(t *testing.T) {
 	r := newRig(t)
 	f := flow.New(r.s, r.db)
 	n := f.MustAdd("EditedNetlist")
-	if _, err := reachable(f, []flow.NodeID{n + 99}, int(n)+1); err == nil ||
+	if _, err := reachable(f, []flow.NodeID{n + 99}); err == nil ||
 		!strings.Contains(err.Error(), "dangling") {
 		t.Errorf("reachable on missing target = %v, want dangling error", err)
 	}
-	if _, err := reachable(f, []flow.NodeID{n}, int(n)+1); err != nil {
+	if _, err := reachable(f, []flow.NodeID{n}); err != nil {
 		t.Errorf("reachable on valid target: %v", err)
 	}
 }

@@ -212,9 +212,9 @@ func (t *runTracer) committedJob(j *plannedJob) {
 	}
 	nodes := nodeInts(j.nodes)
 	for ci := range j.combos {
-		insts := make([]string, len(j.outIDs[ci]))
-		for ni, id := range j.outIDs[ci] {
-			insts[ni] = string(id)
+		insts := make([]string, len(j.nodes))
+		for ni, ids := range j.outIDs {
+			insts[ni] = string(ids[ci])
 		}
 		ev := trace.Event{Kind: trace.KindUnitCommitted, Job: j.idx, Combo: ci,
 			Unit: t.unitBase[j.idx] + ci, Nodes: nodes, Type: j.repType,

@@ -170,13 +170,13 @@ func (f *Flow) Order() ([]NodeID, error) {
 	if err := f.danglingDep(); err != nil {
 		return nil, err
 	}
-	// Node IDs are small dense integers (1..f.next), so in-degrees and
+	// Node IDs are small dense integers (MaxID), so in-degrees and
 	// the reverse adjacency index by ID into flat slices (the reverse
 	// edges in CSR layout: one bucket array, no per-node slice). The
 	// map-based InDegree/Dependents equivalents were a quarter of plan
 	// CPU at 20k-node generated flows, almost all of it map overhead and
 	// the GC scanning the per-node slice headers.
-	n := int(f.next) + 1
+	n := int(f.MaxID()) + 1
 	indeg := make([]int32, n)
 	for _, id := range f.order {
 		indeg[id] = int32(len(f.nodes[id].deps))
@@ -316,9 +316,7 @@ func (f *Flow) Executable(id NodeID) (bool, string) {
 // set, so a multi-root flow is walked O(V+E) total instead of once per
 // root. It reports the first non-executable target's reason.
 func (f *Flow) ExecutableAll(ids []NodeID) (bool, string) {
-	// Node IDs are dense (1..f.next), so the visited set is a flat
-	// slice indexed by ID.
-	seen := make([]bool, f.next+1)
+	seen := make([]bool, f.MaxID()+1)
 	for _, id := range ids {
 		if ok, why := f.executable(id, seen); !ok {
 			return false, why

@@ -125,6 +125,11 @@ func (f *Flow) Node(id NodeID) *Node { return f.nodes[id] }
 // Len returns the number of nodes.
 func (f *Flow) Len() int { return len(f.order) }
 
+// MaxID returns the largest node ID the flow has issued. Node IDs are
+// small dense integers in 1..MaxID, so a table over a flow's nodes is a
+// slice of MaxID()+1 entries indexed by ID.
+func (f *Flow) MaxID() NodeID { return f.next }
+
 // NodeIDs returns all node IDs in creation order.
 func (f *Flow) NodeIDs() []NodeID {
 	return append([]NodeID(nil), f.order...)
@@ -201,9 +206,7 @@ type ParentRef struct {
 // Roots returns the nodes with no parents — the goals/outputs of the
 // flow. A flow may have several (Fig. 5: multiple outputs).
 func (f *Flow) Roots() []NodeID {
-	// Node IDs are dense (1..f.next), so the parented set is a flat
-	// slice indexed by ID.
-	hasParent := make([]bool, f.next+1)
+	hasParent := make([]bool, f.MaxID()+1)
 	for _, pid := range f.order {
 		for _, cid := range f.nodes[pid].deps {
 			hasParent[cid] = true
