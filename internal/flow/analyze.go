@@ -170,7 +170,7 @@ func (f *Flow) Order() ([]NodeID, error) {
 	if err := f.danglingDep(); err != nil {
 		return nil, err
 	}
-	// Node IDs are small dense integers (MaxID), so in-degrees and
+	// Node IDs are small dense integers (see MaxID), so in-degrees and
 	// the reverse adjacency index by ID into flat slices (the reverse
 	// edges in CSR layout: one bucket array, no per-node slice). The
 	// map-based InDegree/Dependents equivalents were a quarter of plan
