@@ -71,9 +71,10 @@ conformance-update:
 	$(GO) test -run 'TestConformance' ./internal/harness/ -update
 
 # fuzz smoke-runs each native fuzz target briefly (seed corpora live in
-# testdata/fuzz/, for scenarios testdata/scenarios/, and for the WAL
-# reader a real run log in internal/storage/testdata/); go test accepts
-# one -fuzz pattern per invocation.
+# testdata/fuzz/, for scenarios testdata/scenarios/, for the WAL reader
+# a real run log in internal/storage/testdata/, and for the chain
+# verifier a real chain file in internal/provenance/testdata/); go test
+# accepts one -fuzz pattern per invocation.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRoundTrip$$' -fuzztime 5s ./internal/flow/
 	$(GO) test -run '^$$' -fuzz '^FuzzRefOfStoreRoundTrip$$' -fuzztime 5s ./internal/datastore/
@@ -82,6 +83,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzScenarioDecode$$' -fuzztime 5s ./internal/scenario/
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendJSON$$' -fuzztime 5s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzRecoverRun$$' -fuzztime 5s ./internal/storage/
+	$(GO) test -run '^$$' -fuzz '^FuzzVerifyLog$$' -fuzztime 5s ./internal/provenance/
 
 # cover enforces the same ratchet as the CI trace job: the traced
 # execution paths (internal/exec + internal/trace), the result cache

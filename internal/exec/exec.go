@@ -554,7 +554,7 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // combination. Instances resolve through the run's lookup — the
 // in-flight pending set for planned instances not yet committed, the
 // database otherwise.
-func (r *run) executeCombo(ctx context.Context, j *plannedJob, combo map[string]history.ID) (encap.Outputs, error) {
+func (r *run) executeCombo(ctx context.Context, j *plannedJob, combo []history.ID) (encap.Outputs, error) {
 	rep := r.f.Node(j.nodes[0])
 	var delay time.Duration
 	if r.cfg.delayFn != nil {
@@ -570,12 +570,12 @@ func (r *run) executeCombo(ctx context.Context, j *plannedJob, combo map[string]
 
 	if j.composite {
 		parts := make(map[string][]byte, len(combo))
-		for k, inst := range combo {
+		for i, inst := range combo {
 			_, b, err := r.lookup(inst)
 			if err != nil {
 				return nil, err
 			}
-			parts[k] = b
+			parts[j.keys[i]] = b
 		}
 		if check := r.cfg.reg.Check(rep.Type); check != nil {
 			if err := check(parts); err != nil {
@@ -585,11 +585,10 @@ func (r *run) executeCombo(ctx context.Context, j *plannedJob, combo map[string]
 		return encap.Outputs{rep.Type: encap.ComposeParts(parts)}, nil
 	}
 
-	toolInst, ok := combo["fd"]
-	if !ok {
+	if len(j.keys) == 0 || j.keys[0] != "fd" {
 		return nil, fmt.Errorf("exec: task %s has no tool instance", rep.Type)
 	}
-	toolType, toolArt, err := r.lookup(toolInst)
+	toolType, toolArt, err := r.lookup(combo[0])
 	if err != nil {
 		return nil, err
 	}
@@ -604,15 +603,12 @@ func (r *run) executeCombo(ctx context.Context, j *plannedJob, combo map[string]
 		Tool:     toolArt,
 		Inputs:   make(map[string][]byte, len(combo)-1),
 	}
-	for k, inst := range combo {
-		if k == "fd" {
-			continue
-		}
+	for i, inst := range combo[1:] {
 		_, b, err := r.lookup(inst)
 		if err != nil {
 			return nil, err
 		}
-		req.Inputs[k] = b
+		req.Inputs[j.keys[1+i]] = b
 	}
 	out, err := enc.Run(req)
 	if err != nil {
@@ -628,20 +624,23 @@ func (r *run) recordJob(j *plannedJob) error {
 	if j.memoKeys != nil {
 		j.outRefs = make([]map[string]datastore.Ref, len(j.combos))
 	}
+	// The data keys follow the tool's "fd", already in ascending order.
+	hasTool := len(j.keys) > 0 && j.keys[0] == "fd"
+	dataKeys := j.keys
+	if hasTool {
+		dataKeys = dataKeys[1:]
+	}
 	for ci, combo := range j.combos {
 		out := j.outputs[ci]
+		var tool history.ID
+		if hasTool {
+			tool, combo = combo[0], combo[1:]
+		}
 		// The input list is identical for every grouped sibling: build it
 		// once per combo.
-		keys := make([]string, 0, len(combo))
-		for k := range combo {
-			if k != "fd" {
-				keys = append(keys, k)
-			}
-		}
-		sort.Strings(keys)
-		inputs := make([]history.Input, len(keys))
-		for i, k := range keys {
-			inputs[i] = history.Input{Key: k, Inst: combo[k]}
+		inputs := make([]history.Input, len(dataKeys))
+		for i, k := range dataKeys {
+			inputs[i] = history.Input{Key: k, Inst: combo[i]}
 		}
 		if j.outRefs != nil {
 			j.outRefs[ci] = make(map[string]datastore.Ref, len(j.nodes))
@@ -657,9 +656,7 @@ func (r *run) recordJob(j *plannedJob) error {
 				User:   r.cfg.user,
 				Data:   r.cfg.store.Put(data),
 				Inputs: inputs,
-			}
-			if tool, ok := combo["fd"]; ok {
-				rec.Tool = tool
+				Tool:   tool,
 			}
 			if j.outRefs != nil {
 				j.outRefs[ci][n.Type] = rec.Data

@@ -61,11 +61,12 @@ func (r *run) memoUnit(j *plannedJob, ci int) (memo.Unit, error) {
 	}
 	combo := j.combos[ci]
 	u.Inputs = make([]memo.InputRef, 0, len(combo))
-	for k, inst := range combo {
+	for i, inst := range combo {
 		typ, ref, err := r.lookupRef(inst)
 		if err != nil {
 			return memo.Unit{}, err
 		}
+		k := j.keys[i]
 		if k == "fd" && !j.composite {
 			u.ToolType = typ
 			u.Tool = ref

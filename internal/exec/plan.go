@@ -33,9 +33,13 @@ type plannedJob struct {
 	repType   string        // representative node's type (stats, delay keying)
 	composite bool
 	level     int // dependency level of the representative node
-	// combos are the input combinations to execute, each a concrete
-	// assignment of instances to dependency keys (plus "fd").
-	combos []map[string]history.ID
+	// keys are the representative's dependency keys in DepKeys order
+	// ("fd" first when the job runs a tool); grouped siblings fill the
+	// same keys. combos are the input combinations to execute: combos[ci]
+	// assigns instance combos[ci][i] to keys[i]. All of a job's combos
+	// share one backing array.
+	keys   []string
+	combos [][]history.ID
 	// outIDs[ni][ci] is the pre-assigned instance ID of nodes[ni] under
 	// combos[ci]; row ni is also the instance list nodes[ni] feeds to
 	// the jobs that depend on it.
@@ -103,11 +107,10 @@ func reachable(f *flow.Flow, targets []flow.NodeID) ([]bool, error) {
 		if n.IsBound() {
 			return nil // bound nodes stand in for their subtree
 		}
-		for _, k := range n.DepKeys() {
-			c, _ := n.Dep(k)
+		for i, c := range n.Children() {
 			if f.Node(c) == nil {
 				return fmt.Errorf("exec: node %d (%s): dependency %q is a dangling reference to removed node %d",
-					id, n.Type, k, c)
+					id, n.Type, n.DepKeys()[i], c)
 			}
 			if err := visit(c); err != nil {
 				return err
@@ -136,16 +139,12 @@ func (r *run) plan(order []flow.NodeID, targets []flow.NodeID) (*plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Each node, and its dependency level, in one pass over the order
-	// (calling f.Levels would re-run the topological sort).
-	nodes := make([]*flow.Node, size)
+	// Each node's dependency level, in one pass over the order (calling
+	// f.Levels would re-run the topological sort).
 	levelOf := make([]int32, size)
 	for _, id := range order {
-		n := f.Node(id)
-		nodes[id] = n
 		var l int32
-		for _, k := range n.DepKeys() {
-			c, _ := n.Dep(k)
+		for _, c := range f.Node(id).Children() {
 			if levelOf[c]+1 > l {
 				l = levelOf[c] + 1
 			}
@@ -171,7 +170,7 @@ func (r *run) plan(order []flow.NodeID, targets []flow.NodeID) (*plan, error) {
 		if !needed[id] {
 			continue
 		}
-		n := nodes[id]
+		n := f.Node(id)
 		if n.IsBound() {
 			insts := n.Bound()
 			p.bound[id] = insts
@@ -186,7 +185,7 @@ func (r *run) plan(order []flow.NodeID, targets []flow.NodeID) (*plan, error) {
 		var sib *plannedJob
 		if !t.Composite {
 			for h = inputsHash(n); groups[h] != nil; h++ {
-				if c := groups[h]; sameInputs(nodes[c.nodes[0]], n) {
+				if c := groups[h]; sameInputs(f.Node(c.nodes[0]), n) {
 					sib = c
 					break
 				}
@@ -197,7 +196,7 @@ func (r *run) plan(order []flow.NodeID, targets []flow.NodeID) (*plan, error) {
 			producer[id] = sib
 			continue
 		}
-		j := &plannedJob{idx: len(p.jobs), nodes: []flow.NodeID{id},
+		j := &plannedJob{idx: len(p.jobs), nodes: []flow.NodeID{id}, keys: n.DepKeys(),
 			repType: n.Type, composite: t.Composite, level: int(levelOf[id])}
 		if !t.Composite {
 			groups[h] = j // the free key the search stopped at
@@ -225,7 +224,7 @@ func (r *run) plan(order []flow.NodeID, targets []flow.NodeID) (*plan, error) {
 		for ci := range combos {
 			for ni, nid := range j.nodes {
 				vseq++
-				j.outIDs[ni][ci] = history.MakeID(nodes[nid].Type, vseq)
+				j.outIDs[ni][ci] = history.MakeID(f.Node(nid).Type, vseq)
 			}
 		}
 		p.units += len(combos)
@@ -257,10 +256,9 @@ func (r *run) plan(order []flow.NodeID, targets []flow.NodeID) (*plan, error) {
 		// inputs. Bound inputs contribute no edge. A job has a handful
 		// of inputs, so duplicates are found by scanning its deps.
 		for _, j := range p.jobs {
-			rep := nodes[j.nodes[0]]
-			j.deps = make([]int, 0, len(rep.DepKeys()))
-			for _, k := range rep.DepKeys() {
-				c, _ := rep.Dep(k)
+			children := f.Node(j.nodes[0]).Children()
+			j.deps = make([]int, 0, len(children))
+			for _, c := range children {
 				pj := producer[c]
 				if pj == nil || slices.Contains(j.deps, pj.idx) {
 					continue
@@ -282,12 +280,12 @@ func (r *run) plan(order []flow.NodeID, targets []flow.NodeID) (*plan, error) {
 func inputsHash(n *flow.Node) uint64 {
 	const prime = 1099511628211
 	h := uint64(14695981039346656037)
-	for _, k := range n.DepKeys() {
-		c, _ := n.Dep(k)
-		for i := 0; i < len(k); i++ {
-			h = (h ^ uint64(k[i])) * prime
+	children := n.Children()
+	for i, k := range n.DepKeys() {
+		for b := 0; b < len(k); b++ {
+			h = (h ^ uint64(k[b])) * prime
 		}
-		h = (h ^ uint64(c)) * prime
+		h = (h ^ uint64(children[i])) * prime
 	}
 	return h
 }
@@ -296,30 +294,22 @@ func inputsHash(n *flow.Node) uint64 {
 // (the tool's "fd" among them) with the same children: one shared
 // construction.
 func sameInputs(a, b *flow.Node) bool {
-	if !slices.Equal(a.DepKeys(), b.DepKeys()) {
-		return false
-	}
-	for _, k := range a.DepKeys() {
-		ca, _ := a.Dep(k)
-		if cb, _ := b.Dep(k); ca != cb {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(a.DepKeys(), b.DepKeys()) && slices.Equal(a.Children(), b.Children())
 }
 
 // combosFor enumerates the input combinations of a node: the cartesian
 // product of its dependencies' instance lists (created, indexed by node
-// ID), in deterministic order, capped at the run's combo limit.
-func (r *run) combosFor(id flow.NodeID, created [][]history.ID) ([]map[string]history.ID, error) {
+// ID), in deterministic order, capped at the run's combo limit. Each
+// combo is aligned with the node's DepKeys, and all of them are cut
+// from one allocation.
+func (r *run) combosFor(id flow.NodeID, created [][]history.ID) ([][]history.ID, error) {
 	n := r.f.Node(id)
-	keys := n.DepKeys()
+	keys, children := n.DepKeys(), n.Children()
 	total := 1
-	for _, k := range keys {
-		c, _ := n.Dep(k)
+	for i, c := range children {
 		insts := created[c]
 		if len(insts) == 0 {
-			return nil, fmt.Errorf("exec: node %d dependency %q (node %d) produced no instances", id, k, c)
+			return nil, fmt.Errorf("exec: node %d dependency %q (node %d) produced no instances", id, keys[i], c)
 		}
 		if total*len(insts) > r.cfg.maxCombos {
 			return nil, fmt.Errorf("exec: node %d (%s): input fan-out exceeds %d combinations (cartesian product over multi-instance bindings); raise Engine.SetMaxCombos if intended",
@@ -329,14 +319,15 @@ func (r *run) combosFor(id flow.NodeID, created [][]history.ID) ([]map[string]hi
 	}
 	// Combo i reads i as a mixed-radix number over the keys' instance
 	// counts, first key most significant: the last key varies fastest.
-	combos := make([]map[string]history.ID, total)
+	w := len(children)
+	flat := make([]history.ID, total*w)
+	combos := make([][]history.ID, total)
 	for i := range combos {
-		combo := make(map[string]history.ID, len(keys))
+		combo := flat[i*w : (i+1)*w : (i+1)*w]
 		rem := i
-		for ki := len(keys) - 1; ki >= 0; ki-- {
-			c, _ := n.Dep(keys[ki])
-			insts := created[c]
-			combo[keys[ki]] = insts[rem%len(insts)]
+		for ki := w - 1; ki >= 0; ki-- {
+			insts := created[children[ki]]
+			combo[ki] = insts[rem%len(insts)]
 			rem /= len(insts)
 		}
 		combos[i] = combo

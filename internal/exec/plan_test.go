@@ -215,8 +215,9 @@ func BenchmarkPlanOneTool(b *testing.B) {
 // TestDryPlanAllocs ratchets the planner's allocations on a generated
 // 2,000-cell layered world: validation, the executability check and
 // the plan together. With map-keyed tables and string signatures the
-// planner made 68,868 allocations here; over node-indexed slices it
-// makes 27,693, and the bound leaves about 5% for toolchain drift.
+// planner made 68,868 allocations here; over node-indexed slices,
+// 27,693; with combos cut from one allocation per job and no per-node
+// table, 25,692, and the bound leaves about 5% for toolchain drift.
 func TestDryPlanAllocs(t *testing.T) {
 	b, err := flowgen.Build(flowgen.Spec{Cells: 2000, Shape: flowgen.Layered, Seed: 1993})
 	if err != nil {
@@ -228,7 +229,7 @@ func TestDryPlanAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 29_000 {
-		t.Fatalf("DryPlan made %.0f allocations, want at most 29,000", allocs)
+	if allocs > 27_000 {
+		t.Fatalf("DryPlan made %.0f allocations, want at most 27,000", allocs)
 	}
 }

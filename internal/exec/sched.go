@@ -324,7 +324,7 @@ func (r *run) execute(ctx context.Context, p *plan) error {
 			stats.UnitsFailed++
 			unitErrs = append(unitErrs, unitError{j.idx, d.ci,
 				fmt.Errorf("exec: node %d (%s), combo %d/%d [%s]: %w",
-					j.nodes[0], j.repType, d.ci+1, len(j.combos), comboString(j.combos[d.ci]), d.err)})
+					j.nodes[0], j.repType, d.ci+1, len(j.combos), comboString(j.keys, j.combos[d.ci]), d.err)})
 			j.failed = true
 			if r.cfg.policy != ContinueOnError {
 				stop = true
@@ -532,17 +532,18 @@ func (r *run) commit(jobs <-chan *plannedJob, tr *runTracer, failed chan<- struc
 	return err
 }
 
-// comboString renders one input combination as "k=inst" pairs in key
-// order, for error messages.
-func comboString(combo map[string]history.ID) string {
-	keys := make([]string, 0, len(combo))
-	for k := range combo {
-		keys = append(keys, k)
+// comboString renders one input combination (aligned with keys) as
+// "k=inst" pairs in sorted key order, "fd" sorted among them, for error
+// messages.
+func comboString(keys []string, combo []history.ID) string {
+	order := make([]int, len(keys))
+	for i := range order {
+		order[i] = i
 	}
-	sort.Strings(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = fmt.Sprintf("%s=%s", k, combo[k])
+	sort.Slice(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
+	parts := make([]string, len(order))
+	for i, ki := range order {
+		parts[i] = fmt.Sprintf("%s=%s", keys[ki], combo[ki])
 	}
 	return strings.Join(parts, " ")
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/encap"
 	"repro/internal/flow"
+	"repro/internal/history"
 )
 
 // chainPair builds two independent chains of EditedNetlist nodes of the
@@ -420,5 +421,16 @@ func TestElapsedOnEarlyErrors(t *testing.T) {
 	}
 	if res.Elapsed <= 0 {
 		t.Error("early failure left Result.Elapsed zero")
+	}
+}
+
+// TestComboStringSortsKeys pins the combo rendering in unit errors:
+// "k=inst" pairs in sorted key order, the tool's "fd" sorted among the
+// data keys rather than first, as a combo is stored.
+func TestComboStringSortsKeys(t *testing.T) {
+	got := comboString([]string{"fd", "Circuit", "Stimuli"},
+		[]history.ID{"Simulator:1", "Circuit:2", "Stimuli:3"})
+	if want := "Circuit=Circuit:2 Stimuli=Stimuli:3 fd=Simulator:1"; got != want {
+		t.Errorf("comboString = %q, want %q", got, want)
 	}
 }

@@ -19,7 +19,7 @@ func statsPlan(types []string, durs []time.Duration, deps [][]int) *plan {
 	p := &plan{}
 	for i, typ := range types {
 		j := &plannedJob{idx: i, repType: typ,
-			combos: []map[string]history.ID{{}}, dur: durs[i]}
+			combos: [][]history.ID{{}}, dur: durs[i]}
 		if deps != nil {
 			j.deps = deps[i]
 		}

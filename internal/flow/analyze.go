@@ -36,9 +36,9 @@ func (f *Flow) Check() ([]NodeID, error) {
 			errs = append(errs, fmt.Sprintf("node %d: unknown type %q", id, n.Type))
 			continue
 		}
-		for _, key := range n.DepKeys() {
-			cid := n.deps[key]
-			c := f.nodes[cid]
+		for i, key := range n.depKeys {
+			cid := n.depIDs[i]
+			c := f.Node(cid)
 			if c == nil {
 				errs = append(errs, fmt.Sprintf("node %d: dependency %q points at missing node %d", id, key, cid))
 				continue
@@ -75,41 +75,16 @@ func (f *Flow) Check() ([]NodeID, error) {
 	return order, nil
 }
 
-// InDegree returns, for every node, its number of dependency edges — the
-// count a dependency-counting scheduler seeds its ready set with (a node
-// with in-degree zero is immediately runnable).
-func (f *Flow) InDegree() map[NodeID]int {
-	indeg := make(map[NodeID]int, len(f.order))
-	for _, id := range f.order {
-		// Edges point parent -> child; a parent waits on its children.
-		indeg[id] = len(f.nodes[id].deps)
-	}
-	return indeg
-}
-
-// Dependents returns the reverse adjacency of the task graph: for every
-// node, the parents whose dependencies it fills, in creation order. A
-// dataflow scheduler walks this map when a completion unblocks work.
-func (f *Flow) Dependents() map[NodeID][]NodeID {
-	parents := make(map[NodeID][]NodeID, len(f.order))
-	for _, id := range f.order {
-		for _, key := range f.nodes[id].DepKeys() {
-			parents[f.nodes[id].deps[key]] = append(parents[f.nodes[id].deps[key]], id)
-		}
-	}
-	return parents
-}
-
 // danglingDeps reports the first dependency edge that references a node no
 // longer in the flow (possible only in hand-assembled or corrupted flows;
 // the construction operations never produce one).
 func (f *Flow) danglingDep() error {
 	for _, id := range f.order {
 		n := f.nodes[id]
-		for _, key := range n.DepKeys() {
-			if cid := n.deps[key]; f.nodes[cid] == nil {
+		for i, cid := range n.depIDs {
+			if f.Node(cid) == nil {
 				return fmt.Errorf("flow: node %d (%s): dependency %q is a dangling reference to removed node %d",
-					id, n.Type, key, cid)
+					id, n.Type, n.depKeys[i], cid)
 			}
 		}
 	}
@@ -172,21 +147,17 @@ func (f *Flow) Order() ([]NodeID, error) {
 	}
 	// Node IDs are small dense integers (see MaxID), so in-degrees and
 	// the reverse adjacency index by ID into flat slices (the reverse
-	// edges in CSR layout: one bucket array, no per-node slice). The
-	// map-based InDegree/Dependents equivalents were a quarter of plan
-	// CPU at 20k-node generated flows, almost all of it map overhead and
-	// the GC scanning the per-node slice headers.
+	// edges in CSR layout: one bucket array, no per-node slice).
 	n := int(f.MaxID()) + 1
 	indeg := make([]int32, n)
 	for _, id := range f.order {
-		indeg[id] = int32(len(f.nodes[id].deps))
+		indeg[id] = int32(len(f.nodes[id].depIDs))
 	}
 	// CSR reverse adjacency: parents of c are edges[start[c]:cur[c]].
 	start := make([]int32, n+1)
 	for _, id := range f.order {
-		nd := f.nodes[id]
-		for _, k := range nd.depKeys {
-			start[nd.deps[k]+1]++
+		for _, c := range f.nodes[id].depIDs {
+			start[c+1]++
 		}
 	}
 	for i := 1; i <= n; i++ {
@@ -196,9 +167,7 @@ func (f *Flow) Order() ([]NodeID, error) {
 	cur := make([]int32, n)
 	copy(cur, start[:n])
 	for _, id := range f.order {
-		nd := f.nodes[id]
-		for _, k := range nd.depKeys {
-			c := nd.deps[k]
+		for _, c := range f.nodes[id].depIDs {
 			edges[cur[c]] = id
 			cur[c]++
 		}
@@ -236,11 +205,11 @@ func (f *Flow) Levels() ([][]NodeID, error) {
 	if err != nil {
 		return nil, err
 	}
-	level := make(map[NodeID]int, len(order))
+	level := make([]int, f.MaxID()+1)
 	var out [][]NodeID
 	for _, id := range order {
 		l := 0
-		for _, cid := range f.nodes[id].deps {
+		for _, cid := range f.nodes[id].depIDs {
 			if level[cid]+1 > l {
 				l = level[cid] + 1
 			}
@@ -258,7 +227,7 @@ func (f *Flow) Levels() ([][]NodeID, error) {
 // edges as undirected): fully disjoint branches that share no entity and
 // can execute on different machines (Fig. 6).
 func (f *Flow) Branches() [][]NodeID {
-	parent := make(map[NodeID]NodeID, len(f.order))
+	parent := make([]NodeID, f.MaxID()+1)
 	var find func(x NodeID) NodeID
 	find = func(x NodeID) NodeID {
 		if parent[x] != x {
@@ -276,7 +245,7 @@ func (f *Flow) Branches() [][]NodeID {
 		parent[id] = id
 	}
 	for _, id := range f.order {
-		for _, cid := range f.nodes[id].deps {
+		for _, cid := range f.nodes[id].depIDs {
 			union(id, cid)
 		}
 	}
@@ -330,7 +299,7 @@ func (f *Flow) ExecutableAll(ids []NodeID) (bool, string) {
 // The node lookup comes first: it rejects an ID not in the flow before
 // seen, which covers only the flow's IDs, is indexed.
 func (f *Flow) executable(id NodeID, seen []bool) (bool, string) {
-	n := f.nodes[id]
+	n := f.Node(id)
 	if n == nil {
 		return false, fmt.Sprintf("no node %d", id)
 	}
@@ -351,18 +320,16 @@ func (f *Flow) executable(id NodeID, seen []bool) (bool, string) {
 	if t.IsPrimitiveSource() {
 		return false, fmt.Sprintf("node %d: primitive %s must be bound to an instance", id, n.Type)
 	}
-	if t.FuncDep != nil {
-		if _, ok := n.deps["fd"]; !ok {
-			return false, fmt.Sprintf("node %d: tool dependency (%s) not expanded", id, t.FuncDep.Type)
-		}
+	if t.FuncDep != nil && !n.hasDep("fd") {
+		return false, fmt.Sprintf("node %d: tool dependency (%s) not expanded", id, t.FuncDep.Type)
 	}
 	for _, d := range t.RequiredDeps() {
-		if _, ok := n.deps[d.Key()]; !ok {
+		if !n.hasDep(d.Key()) {
 			return false, fmt.Sprintf("node %d: required dependency %q not filled", id, d.Key())
 		}
 	}
-	for _, key := range n.DepKeys() {
-		if ok, why := f.executable(n.deps[key], seen); !ok {
+	for _, c := range n.depIDs {
+		if ok, why := f.executable(c, seen); !ok {
 			return false, why
 		}
 	}
@@ -397,10 +364,10 @@ func (f *Flow) AsPattern() history.Pattern {
 	}
 	for _, id := range f.order {
 		n := f.nodes[id]
-		for _, key := range n.DepKeys() {
+		for i, key := range n.depKeys {
 			p.Edges = append(p.Edges, history.PatternEdge{
 				Parent: fmt.Sprintf("n%d", id),
-				Child:  fmt.Sprintf("n%d", n.deps[key]),
+				Child:  fmt.Sprintf("n%d", n.depIDs[i]),
 				Key:    key,
 			})
 		}

@@ -199,21 +199,20 @@ func TestValidateCatchesHandMadeDamage(t *testing.T) {
 	f, ids := simFlow(t)
 	// Corrupt: point the Circuit dep at the Stimuli node.
 	n := f.Node(ids["perf"])
-	n.deps["Circuit"] = ids["stim"]
+	rewire(t, n, "Circuit", ids["stim"])
 	err := f.Validate()
 	if err == nil || !strings.Contains(err.Error(), "want Circuit") {
 		t.Errorf("Validate err = %v", err)
 	}
 	// Dangling node reference.
-	n.deps["Circuit"] = 999
+	rewire(t, n, "Circuit", 999)
 	if err := f.Validate(); err == nil || !strings.Contains(err.Error(), "missing node") {
 		t.Errorf("Validate err = %v", err)
 	}
-	// Unknown dep key. (Direct map surgery: refresh the key cache the
-	// way every real mutation path does.)
-	delete(n.deps, "Circuit")
-	n.deps["Bogus"] = ids["stim"]
-	n.refreshDepKeys()
+	// Unknown dep key, filled through the one edge-insertion path so the
+	// key lands at its DepKeys position.
+	unwire(t, n, "Circuit")
+	n.addDep("Bogus", ids["stim"])
 	if err := f.Validate(); err == nil || !strings.Contains(err.Error(), "no data dependency") {
 		t.Errorf("Validate err = %v", err)
 	}
@@ -342,7 +341,7 @@ func TestCatalog(t *testing.T) {
 	// Broken flow rejected.
 	bad := New(schema.Fig1(), nil)
 	n := bad.MustAdd("Performance")
-	bad.nodes[n].deps["Bogus"] = 999
+	bad.Node(n).addDep("Bogus", 999)
 	if err := cat.Install("bad", bad); err == nil {
 		t.Error("invalid flow should be rejected")
 	}

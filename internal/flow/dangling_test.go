@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,18 +12,42 @@ import (
 // removed node (gc only collects unparented nodes), but hand-assembled
 // or corrupted graphs can. The analyses must return a clear "dangling"
 // error, never panic. These tests corrupt a flow directly — same
-// package, so we can reach the unexported maps the way a buggy caller
-// or a tampered persistence file effectively would.
+// package, so we can reach the unexported node table and dependency
+// slices the way a buggy caller or a tampered persistence file
+// effectively would.
+
+// rewire points the filled dependency key of n at child, copying the
+// slices as every edge mutation does.
+func rewire(t *testing.T, n *Node, key string, child NodeID) {
+	t.Helper()
+	i := slices.Index(n.depKeys, key)
+	if i < 0 {
+		t.Fatalf("node %d has no %q edge to rewire", n.ID, key)
+	}
+	n.depIDs = slices.Clone(n.depIDs)
+	n.depIDs[i] = child
+}
+
+// unwire drops the filled dependency key of n.
+func unwire(t *testing.T, n *Node, key string) {
+	t.Helper()
+	i := slices.Index(n.depKeys, key)
+	if i < 0 {
+		t.Fatalf("node %d has no %q edge to drop", n.ID, key)
+	}
+	n.depKeys = slices.Delete(slices.Clone(n.depKeys), i, i+1)
+	n.depIDs = slices.Delete(slices.Clone(n.depIDs), i, i+1)
+}
 
 // corruptDangling removes the fd child of the given node from the flow
 // while leaving the parent's dependency edge in place.
 func corruptDangling(t *testing.T, f *Flow, parent NodeID) NodeID {
 	t.Helper()
-	child, ok := f.nodes[parent].deps["fd"]
+	child, ok := f.Node(parent).Dep("fd")
 	if !ok {
 		t.Fatalf("node %d has no fd edge to corrupt", parent)
 	}
-	delete(f.nodes, child)
+	f.nodes[child] = nil
 	for i, id := range f.order {
 		if id == child {
 			f.order = append(f.order[:i], f.order[i+1:]...)
@@ -66,48 +91,5 @@ func TestDanglingDependencyAnalyses(t *testing.T) {
 	}
 	if _, err := f.Levels(); err == nil || !strings.Contains(err.Error(), "dangling") {
 		t.Errorf("Levels() = %v, want dangling error", err)
-	}
-}
-
-func TestDependentsAndInDegree(t *testing.T) {
-	s := schema.Full()
-	f := New(s, nil)
-	n := f.MustAdd("ExtractedNetlist")
-	if err := f.ExpandDown(n, false); err != nil {
-		t.Fatal(err)
-	}
-	indeg := f.InDegree()
-	parents := f.Dependents()
-	// Every edge shows up once in each map, and they agree.
-	var edges int
-	for _, id := range f.order {
-		node := f.Node(id)
-		if got := indeg[id]; got != len(node.DepKeys()) {
-			t.Errorf("InDegree[%d] = %d, want %d", id, got, len(node.DepKeys()))
-		}
-		for _, k := range node.DepKeys() {
-			c, _ := node.Dep(k)
-			edges++
-			found := false
-			for _, p := range parents[c] {
-				if p == id {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Errorf("Dependents[%d] lacks parent %d (key %q)", c, id, k)
-			}
-		}
-	}
-	var total int
-	for _, ps := range parents {
-		total += len(ps)
-	}
-	if total != edges {
-		t.Errorf("Dependents has %d edges, flow has %d", total, edges)
-	}
-	if edges == 0 {
-		t.Fatal("fixture has no edges; test is vacuous")
 	}
 }

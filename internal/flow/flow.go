@@ -20,7 +20,6 @@ package flow
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/history"
 	"repro/internal/schema"
@@ -29,6 +28,12 @@ import (
 // NodeID identifies a node within one Flow.
 type NodeID int
 
+// maxNodeID is the ceiling on node IDs: addNode issues none above it
+// and Decode rejects a document naming one, before any table is sized
+// from it. It admits the largest accepted world (scenario.MaxGenerateCells
+// cells, two nodes each) with room to spare.
+const maxNodeID NodeID = 1 << 20
+
 // Node is one entity node of a task graph.
 type Node struct {
 	ID NodeID
@@ -36,18 +41,23 @@ type Node struct {
 	// designer selected (possibly abstract) and may be narrowed by
 	// Specialize.
 	Type string
-	// deps maps dependency keys (schema.Dep.Key, or "fd" for the
-	// functional dependency) to child nodes.
-	deps map[string]NodeID
-	// depKeys caches the sorted key list DepKeys returns. It is rebuilt
-	// eagerly by refreshDepKeys at every edge mutation (construction is
-	// single-threaded), never lazily — analyses run concurrently over a
-	// finished flow, and a lazy fill would race.
+	// depKeys and depIDs are the node's dependency edges as two
+	// parallel slices in DepKeys order: depIDs[i] is the child filling
+	// key depKeys[i] (schema.Dep.Key, or "fd" for the functional
+	// dependency). An edge mutation never writes into them; it replaces
+	// both with fresh slices, so slices handed out by DepKeys and
+	// Children (or shared by Clone) stay valid snapshots, and analyses
+	// may read a finished flow concurrently.
 	depKeys []string
+	depIDs  []NodeID
 	// bound holds the instances selected for this node in the browser.
 	// Several instances may be selected, causing the task to be run once
 	// per instance (§4.1).
 	bound []history.ID
+	// original marks a designer-placed node (created by Add/ExpandUp, as
+	// opposed to an expansion child); Unexpand's garbage collection never
+	// removes it.
+	original bool
 }
 
 // Bound returns the instances bound to the node.
@@ -58,34 +68,56 @@ func (n *Node) Bound() []history.ID {
 // IsBound reports whether at least one instance is bound.
 func (n *Node) IsBound() bool { return len(n.bound) > 0 }
 
-// DepKeys returns the node's filled dependency keys in sorted order
-// ("fd" first, then data keys). The slice is the node's cached copy —
-// callers must not modify it. (Before the cache, every analysis pass
-// paid an allocation and a sort per node per call; at 20k-node
-// generated flows DepKeys was ~10% of a full run's CPU.)
+// DepKeys returns the node's filled dependency keys in order: "fd"
+// first, then data keys ascending. The slice is the node's own —
+// callers must not modify it — and later edge mutations leave it as it
+// was when returned.
 func (n *Node) DepKeys() []string { return n.depKeys }
 
-// refreshDepKeys rebuilds the cached sorted key list. Every edge
-// mutation must call it. It always builds a fresh slice, so previously
-// returned (or clone-shared) slices stay valid snapshots.
-func (n *Node) refreshDepKeys() {
-	keys := make([]string, 0, len(n.deps))
-	for k := range n.deps {
-		if k != "fd" {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	if _, ok := n.deps["fd"]; ok {
-		keys = append([]string{"fd"}, keys...)
-	}
-	n.depKeys = keys
-}
+// Children returns the nodes filling the node's dependencies, aligned
+// with DepKeys: Children()[i] fills DepKeys()[i]. The same ownership
+// and snapshot rules apply.
+func (n *Node) Children() []NodeID { return n.depIDs }
 
 // Dep returns the child filling the given dependency key, if any.
 func (n *Node) Dep(key string) (NodeID, bool) {
-	id, ok := n.deps[key]
-	return id, ok
+	for i, k := range n.depKeys {
+		if k == key {
+			return n.depIDs[i], true
+		}
+	}
+	return 0, false
+}
+
+// hasDep reports whether the dependency key is filled.
+func (n *Node) hasDep(key string) bool {
+	_, ok := n.Dep(key)
+	return ok
+}
+
+// addDep fills an unfilled dependency key with child, inserting it at
+// its DepKeys position into fresh slices (see depKeys).
+func (n *Node) addDep(key string, child NodeID) {
+	i := 0
+	if key != "fd" {
+		if len(n.depKeys) > 0 && n.depKeys[0] == "fd" {
+			i = 1
+		}
+		for i < len(n.depKeys) && n.depKeys[i] < key {
+			i++
+		}
+	}
+	n.depKeys = insertAt(n.depKeys, i, key)
+	n.depIDs = insertAt(n.depIDs, i, child)
+}
+
+// insertAt returns a fresh copy of s with v inserted at index i.
+func insertAt[E any](s []E, i int, v E) []E {
+	out := make([]E, len(s)+1)
+	copy(out, s[:i])
+	out[i] = v
+	copy(out[i+1:], s[i:])
+	return out
 }
 
 // Resolver supplies the concrete type of a history instance so bindings
@@ -101,33 +133,36 @@ type Flow struct {
 	Name    string
 	schema  *schema.Schema
 	resolve Resolver // may be nil: bindings then go unchecked until execution
-	nodes   map[NodeID]*Node
-	order   []NodeID // creation order, for deterministic iteration
-	next    NodeID
-	// original marks designer-placed nodes (created by Add/ExpandUp, as
-	// opposed to expansion children); Unexpand's garbage collection never
-	// removes them.
-	original map[NodeID]bool
+	// nodes is the node table, indexed by NodeID; entry 0 and removed
+	// nodes are nil.
+	nodes []*Node
+	order []NodeID // creation order, for deterministic iteration
+	next  NodeID
 }
 
 // New creates an empty flow over the given schema. resolver may be nil.
 func New(s *schema.Schema, resolver Resolver) *Flow {
-	return &Flow{schema: s, resolve: resolver,
-		nodes: make(map[NodeID]*Node), original: make(map[NodeID]bool)}
+	return &Flow{schema: s, resolve: resolver}
 }
 
 // Schema returns the schema the flow is built against.
 func (f *Flow) Schema() *schema.Schema { return f.schema }
 
 // Node returns the node with the given ID, or nil.
-func (f *Flow) Node(id NodeID) *Node { return f.nodes[id] }
+func (f *Flow) Node(id NodeID) *Node {
+	if id < 0 || int(id) >= len(f.nodes) {
+		return nil
+	}
+	return f.nodes[id]
+}
 
 // Len returns the number of nodes.
 func (f *Flow) Len() int { return len(f.order) }
 
 // MaxID returns the largest node ID the flow has issued. Node IDs are
 // small dense integers in 1..MaxID, so a table over a flow's nodes is a
-// slice of MaxID()+1 entries indexed by ID.
+// slice of MaxID()+1 entries indexed by ID — as the flow's own node
+// table is.
 func (f *Flow) MaxID() NodeID { return f.next }
 
 // NodeIDs returns all node IDs in creation order.
@@ -137,7 +172,7 @@ func (f *Flow) NodeIDs() []NodeID {
 
 // typeOf returns the entity type of a node (helper with existence check).
 func (f *Flow) typeOf(id NodeID) (*schema.EntityType, error) {
-	n := f.nodes[id]
+	n := f.Node(id)
 	if n == nil {
 		return nil, fmt.Errorf("flow: no node %d", id)
 	}
@@ -156,7 +191,7 @@ func (f *Flow) Add(typeName string) (NodeID, error) {
 	if err != nil {
 		return 0, err
 	}
-	f.original[id] = true
+	f.nodes[id].original = true
 	return id, nil
 }
 
@@ -166,11 +201,22 @@ func (f *Flow) addNode(typeName string) (NodeID, error) {
 	if !f.schema.Has(typeName) {
 		return 0, fmt.Errorf("flow: unknown entity type %q", typeName)
 	}
+	if f.next >= maxNodeID {
+		return 0, fmt.Errorf("flow: node IDs exhausted (at most %d)", maxNodeID)
+	}
 	f.next++
-	id := f.next
-	f.nodes[id] = &Node{ID: id, Type: typeName, deps: make(map[string]NodeID)}
-	f.order = append(f.order, id)
-	return id, nil
+	f.put(&Node{ID: f.next, Type: typeName})
+	return f.next, nil
+}
+
+// put enters a node into the table, growing it to cover the node's ID,
+// and appends it to the creation order.
+func (f *Flow) put(n *Node) {
+	for len(f.nodes) <= int(n.ID) {
+		f.nodes = append(f.nodes, nil)
+	}
+	f.nodes[n.ID] = n
+	f.order = append(f.order, n.ID)
 }
 
 // MustAdd is Add but panics on error; for fixtures and examples.
@@ -188,9 +234,9 @@ func (f *Flow) Parents(id NodeID) []ParentRef {
 	var out []ParentRef
 	for _, pid := range f.order {
 		p := f.nodes[pid]
-		for _, k := range p.DepKeys() {
-			if p.deps[k] == id {
-				out = append(out, ParentRef{Parent: pid, Key: k})
+		for i, c := range p.depIDs {
+			if c == id {
+				out = append(out, ParentRef{Parent: pid, Key: p.depKeys[i]})
 			}
 		}
 	}
@@ -208,7 +254,7 @@ type ParentRef struct {
 func (f *Flow) Roots() []NodeID {
 	hasParent := make([]bool, f.MaxID()+1)
 	for _, pid := range f.order {
-		for _, cid := range f.nodes[pid].deps {
+		for _, cid := range f.nodes[pid].depIDs {
 			hasParent[cid] = true
 		}
 	}
@@ -226,7 +272,7 @@ func (f *Flow) Roots() []NodeID {
 func (f *Flow) Leaves() []NodeID {
 	var out []NodeID
 	for _, id := range f.order {
-		if len(f.nodes[id].deps) == 0 {
+		if len(f.nodes[id].depIDs) == 0 {
 			out = append(out, id)
 		}
 	}
@@ -238,6 +284,9 @@ func (f *Flow) Leaves() []NodeID {
 func (f *Flow) reaches(from, to NodeID) bool {
 	if from == to {
 		return true
+	}
+	if len(f.nodes[from].depIDs) == 0 {
+		return false // a childless node reaches only itself
 	}
 	seen := make(map[NodeID]bool)
 	stack := []NodeID{from}
@@ -251,30 +300,27 @@ func (f *Flow) reaches(from, to NodeID) bool {
 			continue
 		}
 		seen[cur] = true
-		for _, c := range f.nodes[cur].deps {
-			stack = append(stack, c)
-		}
+		stack = append(stack, f.nodes[cur].depIDs...)
 	}
 	return false
 }
 
 // Clone returns a deep copy of the flow (used by the flow catalog: a
-// plan-based designer checks out a copy and adapts it).
+// plan-based designer checks out a copy and adapts it). The copy shares
+// each node's dependency slices, which no mutation writes into.
 func (f *Flow) Clone() *Flow {
 	out := New(f.schema, f.resolve)
 	out.Name = f.Name
 	out.next = f.next
 	out.order = append([]NodeID(nil), f.order...)
-	for id, orig := range f.original {
-		out.original[id] = orig
-	}
+	out.nodes = make([]*Node, len(f.nodes))
 	for id, n := range f.nodes {
-		cp := &Node{ID: n.ID, Type: n.Type, deps: make(map[string]NodeID, len(n.deps)), depKeys: n.depKeys}
-		for k, v := range n.deps {
-			cp.deps[k] = v
+		if n == nil {
+			continue
 		}
+		cp := *n
 		cp.bound = append([]history.ID(nil), n.bound...)
-		out.nodes[id] = cp
+		out.nodes[id] = &cp
 	}
 	return out
 }

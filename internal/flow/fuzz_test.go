@@ -28,6 +28,10 @@ func FuzzDecodeRoundTrip(f *testing.F) {
 	f.Add([]byte(`{"next":1,"nodes":[{"id":1,"type":"Performance"}]}`))
 	f.Add([]byte(`{"nodes":[{"id":1,"type":"NoSuchType"}]}`))
 	f.Add([]byte(`not json at all`))
+	// IDs above the node-ID ceiling: each once sized a table from them.
+	f.Add([]byte(`{"next":4000000000,"nodes":[{"id":1,"type":"Performance"}]}`))
+	f.Add([]byte(`{"next":1,"nodes":[{"id":3000000000,"type":"Performance"}]}`))
+	f.Add([]byte(`{"next":9223372036854775807,"nodes":[{"id":1,"type":"Performance"}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fl, err := Decode(bytes.NewReader(data), s, nil)

@@ -18,7 +18,7 @@ import (
 // must not already be expanded or bound, since its construction could
 // change.
 func (f *Flow) Specialize(id NodeID, subtype string) error {
-	n := f.nodes[id]
+	n := f.Node(id)
 	if n == nil {
 		return fmt.Errorf("flow: no node %d", id)
 	}
@@ -32,7 +32,7 @@ func (f *Flow) Specialize(id NodeID, subtype string) error {
 	if !f.schema.IsSubtypeOf(subtype, n.Type) {
 		return fmt.Errorf("flow: %s is not a subtype of %s", subtype, n.Type)
 	}
-	if len(n.deps) > 0 {
+	if len(n.depKeys) > 0 {
 		return fmt.Errorf("flow: node %d is already expanded; unexpand before specializing", id)
 	}
 	if n.IsBound() {
@@ -48,7 +48,7 @@ func (f *Flow) Specialize(id NodeID, subtype string) error {
 // SpecializationChoices lists the concrete subtypes a node may be
 // specialized to (itself included when concrete).
 func (f *Flow) SpecializationChoices(id NodeID) ([]string, error) {
-	n := f.nodes[id]
+	n := f.Node(id)
 	if n == nil {
 		return nil, fmt.Errorf("flow: no node %d", id)
 	}
@@ -71,7 +71,7 @@ func (f *Flow) ExpandDown(id NodeID, withOptional bool) error {
 	if err != nil {
 		return err
 	}
-	n := f.nodes[id]
+	n := f.Node(id)
 	if n.IsBound() {
 		return fmt.Errorf("flow: node %d is bound to existing instances; expanding would rebuild it", id)
 	}
@@ -83,28 +83,26 @@ func (f *Flow) ExpandDown(id NodeID, withOptional bool) error {
 		return fmt.Errorf("flow: %s is a primitive source; it is instantiated by binding, not expansion", t.Name)
 	}
 	if t.FuncDep != nil {
-		if _, ok := n.deps["fd"]; !ok {
+		if !n.hasDep("fd") {
 			cid, err := f.addNode(t.FuncDep.Type)
 			if err != nil {
 				return err
 			}
-			n.deps["fd"] = cid
-			n.refreshDepKeys()
+			n.addDep("fd", cid)
 		}
 	}
 	for _, d := range t.DataDeps {
 		if d.Optional && !withOptional {
 			continue
 		}
-		if _, ok := n.deps[d.Key()]; ok {
+		if n.hasDep(d.Key()) {
 			continue
 		}
 		cid, err := f.addNode(d.Type)
 		if err != nil {
 			return err
 		}
-		n.deps[d.Key()] = cid
-		n.refreshDepKeys()
+		n.addDep(d.Key(), cid)
 	}
 	return nil
 }
@@ -116,7 +114,7 @@ func (f *Flow) ExpandOptional(id NodeID, key string) error {
 	if err != nil {
 		return err
 	}
-	n := f.nodes[id]
+	n := f.Node(id)
 	d, ok := t.DepByKey(key)
 	if !ok || (t.FuncDep != nil && key == t.FuncDep.Key()) {
 		return fmt.Errorf("flow: %s has no data dependency %q", t.Name, key)
@@ -124,15 +122,14 @@ func (f *Flow) ExpandOptional(id NodeID, key string) error {
 	if !d.Optional {
 		return fmt.Errorf("flow: dependency %q of %s is required; use ExpandDown", key, t.Name)
 	}
-	if _, exists := n.deps[d.Key()]; exists {
+	if n.hasDep(d.Key()) {
 		return fmt.Errorf("flow: dependency %q of node %d already filled", key, id)
 	}
 	cid, err := f.addNode(d.Type)
 	if err != nil {
 		return err
 	}
-	n.deps[d.Key()] = cid
-	n.refreshDepKeys()
+	n.addDep(d.Key(), cid)
 	return nil
 }
 
@@ -142,7 +139,7 @@ func (f *Flow) ExpandOptional(id NodeID, key string) error {
 // of the schema's answers (see UpChoices). The new parent is returned
 // unexpanded; expand it to fill in its remaining dependencies.
 func (f *Flow) ExpandUp(id NodeID, consumerType, depKey string) (NodeID, error) {
-	n := f.nodes[id]
+	n := f.Node(id)
 	if n == nil {
 		return 0, fmt.Errorf("flow: no node %d", id)
 	}
@@ -162,8 +159,7 @@ func (f *Flow) ExpandUp(id NodeID, consumerType, depKey string) (NodeID, error) 
 	if err != nil {
 		return 0, err
 	}
-	f.nodes[pid].deps[key] = id
-	f.nodes[pid].refreshDepKeys()
+	f.nodes[pid].addDep(key, id)
 	return pid, nil
 }
 
@@ -194,7 +190,7 @@ type UpChoice struct {
 // UpChoices lists every (consumer type, dependency) under which the node
 // can be used, derived from the schema's consumer relation.
 func (f *Flow) UpChoices(id NodeID) ([]UpChoice, error) {
-	n := f.nodes[id]
+	n := f.Node(id)
 	if n == nil {
 		return nil, fmt.Errorf("flow: no node %d", id)
 	}
@@ -214,11 +210,11 @@ func (f *Flow) UpChoices(id NodeID) ([]UpChoice, error) {
 // reuse of one entity by several subtasks (Fig. 5). The child's type must
 // satisfy the dependency and the edge must not create a cycle.
 func (f *Flow) Connect(parent NodeID, depKey string, child NodeID) error {
-	p := f.nodes[parent]
+	p := f.Node(parent)
 	if p == nil {
 		return fmt.Errorf("flow: no node %d", parent)
 	}
-	c := f.nodes[child]
+	c := f.Node(child)
 	if c == nil {
 		return fmt.Errorf("flow: no node %d", child)
 	}
@@ -226,7 +222,7 @@ func (f *Flow) Connect(parent NodeID, depKey string, child NodeID) error {
 	if err != nil {
 		return err
 	}
-	if _, exists := p.deps[key]; exists {
+	if p.hasDep(key) {
 		return fmt.Errorf("flow: dependency %q of node %d already filled", depKey, parent)
 	}
 	if !f.schema.Satisfies(c.Type, depType) {
@@ -236,8 +232,7 @@ func (f *Flow) Connect(parent NodeID, depKey string, child NodeID) error {
 	if f.reaches(child, parent) {
 		return fmt.Errorf("flow: connecting node %d under node %d would create a cycle", child, parent)
 	}
-	p.deps[key] = child
-	p.refreshDepKeys()
+	p.addDep(key, child)
 	return nil
 }
 
@@ -245,12 +240,11 @@ func (f *Flow) Connect(parent NodeID, depKey string, child NodeID) error {
 // deleted and any child subgraph no longer referenced elsewhere is
 // removed from the flow (the task window's Unexpand operation, Fig. 9).
 func (f *Flow) Unexpand(id NodeID) error {
-	n := f.nodes[id]
+	n := f.Node(id)
 	if n == nil {
 		return fmt.Errorf("flow: no node %d", id)
 	}
-	n.deps = make(map[string]NodeID)
-	n.refreshDepKeys()
+	n.depKeys, n.depIDs = nil, nil
 	f.gc()
 	return nil
 }
@@ -266,7 +260,7 @@ func (f *Flow) gc() {
 			if n == nil {
 				continue
 			}
-			if !f.original[id] && !n.IsBound() && len(f.Parents(id)) == 0 {
+			if !n.original && !n.IsBound() && len(f.Parents(id)) == 0 {
 				f.remove(id)
 				removed = true
 			}
@@ -279,8 +273,7 @@ func (f *Flow) gc() {
 
 // remove deletes a node from the flow.
 func (f *Flow) remove(id NodeID) {
-	delete(f.nodes, id)
-	delete(f.original, id)
+	f.nodes[id] = nil
 	for i, x := range f.order {
 		if x == id {
 			f.order = append(f.order[:i], f.order[i+1:]...)
@@ -296,7 +289,7 @@ func (f *Flow) remove(id NodeID) {
 // any previous binding. A bound node's subtree, if any, is ignored during
 // execution — the instance stands in for the construction.
 func (f *Flow) Bind(id NodeID, instances ...history.ID) error {
-	n := f.nodes[id]
+	n := f.Node(id)
 	if n == nil {
 		return fmt.Errorf("flow: no node %d", id)
 	}
@@ -321,7 +314,7 @@ func (f *Flow) Bind(id NodeID, instances ...history.ID) error {
 
 // Unbind clears a node's bindings.
 func (f *Flow) Unbind(id NodeID) error {
-	n := f.nodes[id]
+	n := f.Node(id)
 	if n == nil {
 		return fmt.Errorf("flow: no node %d", id)
 	}

@@ -44,8 +44,8 @@ func (f *Flow) Render() string {
 		}
 		seen[id] = true
 		fmt.Fprintln(&b, label)
-		for _, k := range n.DepKeys() {
-			walk(n.deps[k], k, depth+1)
+		for i, k := range n.depKeys {
+			walk(n.depIDs[i], k, depth+1)
 		}
 	}
 	for _, r := range f.Roots() {
@@ -83,12 +83,12 @@ func (f *Flow) Bipartite() ([]Activity, error) {
 	var out []Activity
 	for _, id := range order {
 		n := f.nodes[id]
-		if len(n.deps) == 0 {
+		if len(n.depKeys) == 0 {
 			continue
 		}
 		a := Activity{Output: n.Type}
-		for _, k := range n.DepKeys() {
-			c := f.nodes[n.deps[k]]
+		for i, k := range n.depKeys {
+			c := f.nodes[n.depIDs[i]]
 			if k == "fd" {
 				a.Tool = c.Type
 			} else {
@@ -114,22 +114,20 @@ func (f *Flow) LispForm() string {
 		if len(n.bound) == 1 {
 			return string(n.bound[0])
 		}
-		if len(n.deps) == 0 || seen[id] {
+		if len(n.depKeys) == 0 || seen[id] {
 			return lispName(n.Type)
 		}
 		seen[id] = true
-		parts := make([]string, 0, len(n.deps))
-		if fd, ok := n.deps["fd"]; ok {
-			parts = append(parts, render(fd))
+		parts := make([]string, 0, len(n.depKeys))
+		children := n.depIDs
+		if n.depKeys[0] == "fd" {
+			parts = append(parts, render(children[0]))
+			children = children[1:]
 		} else {
 			parts = append(parts, "compose")
 		}
-		keys := n.DepKeys()
-		for _, k := range keys {
-			if k == "fd" {
-				continue
-			}
-			parts = append(parts, render(n.deps[k]))
+		for _, c := range children {
+			parts = append(parts, render(c))
 		}
 		return "(" + strings.Join(parts, ", ") + ")"
 	}
@@ -137,7 +135,7 @@ func (f *Flow) LispForm() string {
 	sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
 	for _, r := range roots {
 		n := f.nodes[r]
-		if len(n.deps) == 0 {
+		if len(n.depKeys) == 0 {
 			exprs = append(exprs, lispName(n.Type))
 			continue
 		}

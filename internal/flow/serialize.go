@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 
 	"repro/internal/history"
 	"repro/internal/schema"
@@ -31,11 +32,11 @@ func (f *Flow) Encode(w io.Writer) error {
 	out := flowJSON{Name: f.Name, Next: f.next}
 	for _, id := range f.order {
 		n := f.nodes[id]
-		nj := nodeJSON{ID: id, Type: n.Type, Original: f.original[id]}
-		if len(n.deps) > 0 {
-			nj.Deps = make(map[string]NodeID, len(n.deps))
-			for k, v := range n.deps {
-				nj.Deps[k] = v
+		nj := nodeJSON{ID: id, Type: n.Type, Original: n.original}
+		if len(n.depKeys) > 0 {
+			nj.Deps = make(map[string]NodeID, len(n.depKeys))
+			for i, k := range n.depKeys {
+				nj.Deps[k] = n.depIDs[i]
 			}
 		}
 		nj.Bound = append([]history.ID(nil), n.bound...)
@@ -49,7 +50,9 @@ func (f *Flow) Encode(w io.Writer) error {
 // Decode reads a flow previously written by Encode. The result is
 // validated against the schema, and bindings are re-checked against the
 // resolver when one is supplied (pass the session's history DB so stale
-// bindings surface at load time rather than at run time).
+// bindings surface at load time rather than at run time). A node ID or
+// "next" above the node-ID ceiling is rejected before any table is
+// sized from it.
 func Decode(r io.Reader, s *schema.Schema, resolver Resolver) (*Flow, error) {
 	var in flowJSON
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
@@ -61,23 +64,24 @@ func Decode(r io.Reader, s *schema.Schema, resolver Resolver) (*Flow, error) {
 		if nj.ID <= 0 {
 			return nil, fmt.Errorf("flow: decode: bad node id %d", nj.ID)
 		}
-		if f.nodes[nj.ID] != nil {
+		if f.Node(nj.ID) != nil {
 			return nil, fmt.Errorf("flow: decode: duplicate node id %d", nj.ID)
 		}
 		if !s.Has(nj.Type) {
 			return nil, fmt.Errorf("flow: decode: node %d has unknown type %q", nj.ID, nj.Type)
 		}
-		n := &Node{ID: nj.ID, Type: nj.Type, deps: make(map[string]NodeID, len(nj.Deps))}
-		for k, v := range nj.Deps {
-			n.deps[k] = v
+		if nj.ID > maxNodeID {
+			return nil, fmt.Errorf("flow: decode: node id %d exceeds the limit of %d", nj.ID, maxNodeID)
 		}
-		n.refreshDepKeys()
-		f.nodes[nj.ID] = n
-		f.order = append(f.order, nj.ID)
-		f.original[nj.ID] = nj.Original
+		n := &Node{ID: nj.ID, Type: nj.Type, original: nj.Original}
+		n.setDeps(nj.Deps)
+		f.put(n)
 		if nj.ID > f.next {
 			f.next = nj.ID
 		}
+	}
+	if in.Next > maxNodeID {
+		return nil, fmt.Errorf("flow: decode: next id %d exceeds the limit of %d", in.Next, maxNodeID)
 	}
 	if in.Next > f.next {
 		f.next = in.Next
@@ -95,4 +99,20 @@ func Decode(r io.Reader, s *schema.Schema, resolver Resolver) (*Flow, error) {
 		}
 	}
 	return f, nil
+}
+
+// setDeps gives a decoded node the edges of its "deps" object, in
+// DepKeys order: "fd" first, then data keys ascending.
+func (n *Node) setDeps(deps map[string]NodeID) {
+	for k := range deps {
+		n.depKeys = append(n.depKeys, k)
+	}
+	sort.Slice(n.depKeys, func(a, b int) bool {
+		ka, kb := n.depKeys[a], n.depKeys[b]
+		return kb != "fd" && (ka == "fd" || ka < kb)
+	})
+	n.depIDs = make([]NodeID, len(deps))
+	for i, k := range n.depKeys {
+		n.depIDs[i] = deps[k]
+	}
 }

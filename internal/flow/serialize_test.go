@@ -2,6 +2,7 @@ package flow
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -114,6 +115,42 @@ func TestDecodeErrors(t *testing.T) {
 				t.Errorf("Decode(%q) should fail", c.src)
 			}
 		})
+	}
+}
+
+// TestDecodeRejectsHugeIDs feeds Decode node IDs and "next" values
+// above the node-ID ceiling. Tables over a flow are sized from its
+// largest ID, so each of these small documents once exhausted memory
+// or panicked; now each is an error, and the ceiling itself still
+// decodes.
+func TestDecodeRejectsHugeIDs(t *testing.T) {
+	s := schema.Fig1()
+	cases := []struct{ name, src string }{
+		{"huge next", `{"next":4000000000,"nodes":[{"id":1,"type":"Performance"}]}`},
+		{"huge id", `{"next":1,"nodes":[{"id":3000000000,"type":"Performance"}]}`},
+		{"max int next", `{"next":9223372036854775807,"nodes":[{"id":1,"type":"Performance"}]}`},
+		{"max int id", `{"nodes":[{"id":9223372036854775807,"type":"Performance"}]}`},
+		{"next past ceiling", fmt.Sprintf(`{"next":%d,"nodes":[{"id":1,"type":"Performance"}]}`, maxNodeID+1)},
+		{"id past ceiling", fmt.Sprintf(`{"nodes":[{"id":%d,"type":"Performance"}]}`, maxNodeID+1)},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if _, err := Decode(strings.NewReader(c.src), s, nil); err == nil || !strings.Contains(err.Error(), "exceeds the limit") {
+				t.Errorf("Decode(%q) = %v, want a limit error", c.src, err)
+			}
+		})
+	}
+	at := fmt.Sprintf(`{"next":%d,"nodes":[{"id":%d,"type":"Performance"}]}`, maxNodeID, maxNodeID)
+	f, err := Decode(strings.NewReader(at), s, nil)
+	if err != nil {
+		t.Fatalf("Decode at the ceiling: %v", err)
+	}
+	if f.MaxID() != maxNodeID || f.Node(maxNodeID) == nil {
+		t.Errorf("MaxID = %d, Node(%d) = %v", f.MaxID(), maxNodeID, f.Node(maxNodeID))
+	}
+	// The flow issues no ID above the ceiling either.
+	if _, err := f.Add("Stimuli"); err == nil {
+		t.Error("Add past the ceiling should fail")
 	}
 }
 

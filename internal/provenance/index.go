@@ -24,11 +24,18 @@ import (
 )
 
 // backEdge is one derivation arc of a committed instance: the dense
-// number of the tool or input instance it was created from.
+// number of the tool or input instance it was created from, and the
+// arc's label (an index into Index.arcs).
 type backEdge struct {
 	child int32
-	kind  history.EdgeKind
-	key   string // dependency key for EdgeInput arcs (interned)
+	arc   int32
+}
+
+// arcLabel is what an arc says besides its endpoints: its kind and, for
+// an input arc, its dependency key.
+type arcLabel struct {
+	kind history.EdgeKind
+	key  string
 }
 
 // fwdRec is one use-dependency arc, stored as a per-target linked list
@@ -40,8 +47,7 @@ type backEdge struct {
 type fwdRec struct {
 	parent int32 // the dependent (the instance that used the target)
 	prev   int32 // previous fwdRec of the same target, -1 at the end
-	kind   history.EdgeKind
-	key    string
+	arc    int32 // the arc's label, an index into Index.arcs
 }
 
 // Index is the in-memory provenance index: derivation (backward) and
@@ -56,11 +62,17 @@ type fwdRec struct {
 // order of history.Backchain) occupy backEdges[backStart[i]:backStart[i+1]].
 // Commits are append-only and an instance's derivation never changes
 // after commit, which is what makes the CSR form maintainable online.
+//
+// Arcs carry a label number instead of a kind and a key: arcs[0] is the
+// tool arc, and every later label an input arc with its key, numbered
+// on the key's first use. An arc is then 8 bytes backward and 12
+// forward, and each distinct key is held once.
 type Index struct {
-	mu   sync.RWMutex
-	ids  []history.ID         // dense number -> instance ID, in commit order
-	num  map[history.ID]int32 // instance ID -> dense number
-	keys map[string]string    // interned dependency keys
+	mu    sync.RWMutex
+	ids   []history.ID         // dense number -> instance ID, in commit order
+	num   map[history.ID]int32 // instance ID -> dense number
+	arcs  []arcLabel           // label number -> label; 0 is the tool arc
+	arcOf map[string]int32     // input key -> its label number
 
 	backStart []int32 // len(ids)+1; CSR row starts into backEdges
 	backEdges []backEdge
@@ -73,7 +85,8 @@ type Index struct {
 func NewIndex() *Index {
 	return &Index{
 		num:       make(map[history.ID]int32),
-		keys:      make(map[string]string),
+		arcs:      []arcLabel{{kind: history.EdgeTool}},
+		arcOf:     make(map[string]int32),
 		backStart: []int32{0},
 	}
 }
@@ -92,17 +105,16 @@ func (x *Index) Edges() int {
 	return len(x.backEdges)
 }
 
-// intern returns the canonical copy of a dependency key so the index
-// holds one string header per distinct key, not per edge.
-func (x *Index) intern(k string) string {
-	if k == "" {
-		return ""
+// inputArc returns the label number of the input arc with key k,
+// numbering it on first use.
+func (x *Index) inputArc(k string) int32 {
+	a, ok := x.arcOf[k]
+	if !ok {
+		a = int32(len(x.arcs))
+		x.arcs = append(x.arcs, arcLabel{kind: history.EdgeInput, key: k})
+		x.arcOf[k] = a
 	}
-	if c, ok := x.keys[k]; ok {
-		return c
-	}
-	x.keys[k] = k
-	return k
+	return a
 }
 
 // OnCommit indexes one committed instance. It implements
@@ -123,21 +135,20 @@ func (x *Index) OnCommit(inst *history.Instance) {
 	x.num[inst.ID] = n
 	x.fwdHead = append(x.fwdHead, -1)
 
-	link := func(child history.ID, kind history.EdgeKind, key string) {
+	link := func(child history.ID, arc int32) {
 		c, ok := x.num[child]
 		if !ok {
 			panic(fmt.Sprintf("provenance: %s references unindexed instance %s (observer attached without Observe backfill?)", inst.ID, child))
 		}
-		key = x.intern(key)
-		x.backEdges = append(x.backEdges, backEdge{child: c, kind: kind, key: key})
-		x.fwdRecs = append(x.fwdRecs, fwdRec{parent: n, prev: x.fwdHead[c], kind: kind, key: key})
+		x.backEdges = append(x.backEdges, backEdge{child: c, arc: arc})
+		x.fwdRecs = append(x.fwdRecs, fwdRec{parent: n, prev: x.fwdHead[c], arc: arc})
 		x.fwdHead[c] = int32(len(x.fwdRecs) - 1)
 	}
 	if inst.Tool != "" {
-		link(inst.Tool, history.EdgeTool, "")
+		link(inst.Tool, 0)
 	}
 	for _, in := range inst.Inputs {
-		link(in.Inst, history.EdgeInput, in.Key)
+		link(in.Inst, x.inputArc(in.Key))
 	}
 	x.backStart = append(x.backStart, int32(len(x.backEdges)))
 }
@@ -194,8 +205,9 @@ func (x *Index) Backchain(id history.ID, depth int) (*history.Derivation, error)
 		next = next[:0]
 		for _, cur := range frontier {
 			for _, e := range x.backEdges[x.backStart[cur]:x.backStart[cur+1]] {
+				l := &x.arcs[e.arc]
 				d.Edges = append(d.Edges, history.Edge{
-					Parent: x.ids[cur], Child: x.ids[e.child], Kind: e.kind, Key: e.key,
+					Parent: x.ids[cur], Child: x.ids[e.child], Kind: l.kind, Key: l.key,
 				})
 				if visited[e.child] != 2 {
 					visited[e.child] = 2
@@ -245,8 +257,9 @@ func (x *Index) Forwardchain(id history.ID, depth int) (*history.Derivation, err
 			}
 			for i := len(uses) - 1; i >= 0; i-- {
 				rec := &x.fwdRecs[uses[i]]
+				l := &x.arcs[rec.arc]
 				d.Edges = append(d.Edges, history.Edge{
-					Parent: x.ids[rec.parent], Child: x.ids[cur], Kind: rec.kind, Key: rec.key,
+					Parent: x.ids[rec.parent], Child: x.ids[cur], Kind: l.kind, Key: l.key,
 				})
 				if !visited[rec.parent] {
 					visited[rec.parent] = true
