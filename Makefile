@@ -47,14 +47,16 @@ concurrent:
 	$(GO) run ./cmd/flowbench corpus
 
 # crash runs the durability gate: the WAL/recovery suites under -race
-# (storage framing, executor kill-and-resume, service boot recovery),
-# then the whole-process round trip — build flowd, kill -9 it mid-run,
-# restart over the same data dir and require the resumed masked trace
-# to be byte-identical to an uninterrupted golden. Same gate as the CI
-# crash job.
+# (storage framing, executor kill-and-resume and finished-log replay
+# with their chain digests, service boot recovery), then the
+# whole-process round trip — build flowd, kill -9 it mid-run, restart
+# over the same data dir and require the resumed masked trace to be
+# byte-identical to an uninterrupted golden, then flowd
+# -verify-provenance over that dir and over a tampered copy. Same gate
+# as the CI crash job.
 crash:
 	$(GO) test -race ./internal/storage/...
-	$(GO) test -race -run 'KillAndResume|Resume|Durable|Recover' ./internal/exec/... ./internal/service/...
+	$(GO) test -race -run 'KillAndResume|Resume|Replay|Durable|Recover|VerifyRunLog' ./internal/exec/... ./internal/service/...
 	CRASH_E2E=1 $(GO) test -run TestCrashRecoveryE2E -v -count=1 ./cmd/flowd
 
 # conformance runs the scenario corpus (testdata/scenarios/) through
@@ -72,9 +74,10 @@ conformance-update:
 
 # fuzz smoke-runs each native fuzz target briefly (seed corpora live in
 # testdata/fuzz/, for scenarios testdata/scenarios/, for the WAL reader
-# a real run log in internal/storage/testdata/, and for the chain
-# verifier a real chain file in internal/provenance/testdata/); go test
-# accepts one -fuzz pattern per invocation.
+# a real run log in internal/storage/testdata/, and for the WAL replay
+# verifier real run logs in internal/service/testdata/ and
+# internal/storage/testdata/); go test accepts one -fuzz pattern per
+# invocation.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRoundTrip$$' -fuzztime 5s ./internal/flow/
 	$(GO) test -run '^$$' -fuzz '^FuzzRefOfStoreRoundTrip$$' -fuzztime 5s ./internal/datastore/
@@ -83,7 +86,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzScenarioDecode$$' -fuzztime 5s ./internal/scenario/
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendJSON$$' -fuzztime 5s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzRecoverRun$$' -fuzztime 5s ./internal/storage/
-	$(GO) test -run '^$$' -fuzz '^FuzzVerifyLog$$' -fuzztime 5s ./internal/provenance/
+	$(GO) test -run '^$$' -fuzz '^FuzzVerifyRunLog$$' -fuzztime 5s ./internal/service/
+	$(GO) test -run '^$$' -fuzz '^FuzzProvenanceQuery$$' -fuzztime 5s ./internal/service/
 
 # cover enforces the same ratchet as the CI trace job: the traced
 # execution paths (internal/exec + internal/trace), the result cache
@@ -122,11 +126,15 @@ scale:
 # provenance runs the provenance gate: the indexed-chaining and hash-
 # chain suites under the race detector (differential against the naive
 # walkers over 20+ seeds, tamper detection naming the first bad
-# record), the service's provenance endpoint tests, then the flowbench
-# provenance section — indexed chaining over a 1.2M-instance history —
-# writing its report next to the committed record
-# (BENCH_provenance.json, acceptance floor: 10x on the deep backchain).
+# record), the service's provenance endpoint and WAL-replay tests (a
+# rewritten artifact named by its unit, every golden scenario replayed
+# after a restart, the previous build's data dir), flowd
+# -verify-provenance, then the flowbench provenance section — indexed
+# chaining over a 1.2M-instance history — writing its report next to
+# the committed record (BENCH_provenance.json, acceptance floor: 10x on
+# the deep backchain).
 provenance:
 	$(GO) test -race ./internal/provenance/
-	$(GO) test -race -run 'Provenance|Scenario|DurableChain|DurableResume' ./internal/service/
+	$(GO) test -race -run 'Provenance|Scenario|DurableChain|DurableResume|DurableTampered|DurableReplay|DurableParent|VerifyRunLog' ./internal/service/
+	$(GO) test -race -run 'VerifyProvenance' ./cmd/flowd/
 	$(GO) run ./cmd/flowbench -out BENCH_provenance_report.json provenance

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"os"
 	"os/exec"
@@ -11,14 +12,18 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/service"
 )
 
 // TestCrashRecoveryE2E is the whole-process durability gate (CI crash
 // job, `make crash`): build the real flowd binary, kill -9 it in the
 // middle of a run, restart it over the same data directory and require
 // the resumed run's final masked trace to be byte-identical to the
-// trace of an uninterrupted golden instance. Gated behind CRASH_E2E=1
-// so plain `go test ./...` stays fast.
+// trace of an uninterrupted golden instance. The binary's
+// -verify-provenance then passes the crash dir and fails a copy with
+// one logged artifact rewritten, naming its unit. Gated behind
+// CRASH_E2E=1 so plain `go test ./...` stays fast.
 func TestCrashRecoveryE2E(t *testing.T) {
 	if os.Getenv("CRASH_E2E") == "" {
 		t.Skip("set CRASH_E2E=1 to run the kill -9 crash/recovery round trip")
@@ -61,8 +66,8 @@ func TestCrashRecoveryE2E(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = c.cmd.Wait()
-	if runFinished(filepath.Join(crashDir, "runs", id+".wal")) {
-		t.Fatal("the kill landed after the run finished: nothing left to resume")
+	if _, _, err := service.ReplayLog(filepath.Join(crashDir, "runs", id+".wal")); !errors.Is(err, service.ErrInterrupted) {
+		t.Fatalf("the kill landed after the run finished (%v): nothing left to resume", err)
 	}
 
 	// Restart over the same data dir: the run must come back, rebuilt
@@ -80,6 +85,38 @@ func TestCrashRecoveryE2E(t *testing.T) {
 			t.Fatalf("resumed trace diverges at event %d:\nresumed: %s\ngolden:  %s",
 				i, resumed[i], golden[i])
 		}
+	}
+	if err := r.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.cmd.Wait(); err != nil {
+		t.Fatalf("graceful shutdown after resume exited nonzero: %v", err)
+	}
+
+	// The binary's cold check passes the crash dir, and fails a copy
+	// whose log has one artifact rewritten under valid frame checksums.
+	verify := func(dir string) (string, error) {
+		out, err := exec.Command(bin, "-data-dir", dir, "-verify-provenance").CombinedOutput()
+		return string(out), err
+	}
+	if out, err := verify(crashDir); err != nil || !strings.Contains(out, id+".wal: ok (") {
+		t.Fatalf("-verify-provenance over the crash dir: %v\n%s", err, out)
+	}
+	tamperDir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(tamperDir, "runs"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	wal, err := os.ReadFile(filepath.Join(crashDir, "runs", id+".wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tampered := filepath.Join(tamperDir, "runs", id+".wal")
+	if err := os.WriteFile(tampered, wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rewriteArtifact(t, tampered, 1)
+	if out, err := verify(tamperDir); err == nil || !strings.Contains(out, "CORRUPT") || !strings.Contains(out, "recovered unit 1 (") {
+		t.Fatalf("-verify-provenance over a rewritten log: %v\n%s\nwant a failure naming unit 1", err, out)
 	}
 }
 

@@ -15,20 +15,20 @@
 //	                           # (internal/scenario) against its golden
 //	                           # trace and exit; -update re-blesses it
 //	flowd -data-dir ./flowd -verify-provenance
-//	                           # verify every run's provenance hash chain
-//	                           # under <data-dir>/runs and exit (non-zero
-//	                           # if any chain fails verification)
+//	                           # replay every run log under <data-dir>/runs
+//	                           # against its chain digests and exit
+//	                           # (non-zero if any log is corrupt)
 //
 // Flags:
 //
 //	-workers <n>   shared worker-pool size (default 4)
 //	-max-runs <n>  concurrently executing run bound (default 64)
 //	-queue <n>     queued-run bound beyond -max-runs (default 256)
-//	-data-dir <d>  durable state directory: one WAL and one provenance
-//	               chain per run; on boot, finished runs come back with
-//	               their status and trace, and interrupted runs are
-//	               rebuilt from their logged scenario and resume from
-//	               their last committed unit (empty = in-memory only)
+//	-data-dir <d>  durable state directory: one WAL per run; on boot,
+//	               finished runs come back with their status and trace,
+//	               and interrupted runs are rebuilt from their logged
+//	               scenario and resume from their last committed unit
+//	               (empty = in-memory only)
 //	-drain <d>     graceful-shutdown drain timeout (default 30s)
 //
 // On SIGTERM/SIGINT flowd drains: new submissions get 503, active runs
@@ -49,8 +49,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -62,9 +64,7 @@ import (
 	"time"
 
 	"repro/internal/harness"
-	"repro/internal/provenance"
 	"repro/internal/service"
-	"repro/internal/storage"
 )
 
 func main() {
@@ -78,7 +78,7 @@ func main() {
 	scenarioPath := flag.String("scenario", "", "run the conformance check on one scenario file and exit")
 	goldenDir := flag.String("golden-dir", "", "with -scenario: golden trace directory (default <scenario dir>/golden)")
 	updateGolden := flag.Bool("update", false, "with -scenario: write the golden trace instead of comparing")
-	verifyProv := flag.Bool("verify-provenance", false, "verify every run's provenance chain under -data-dir and exit")
+	verifyProv := flag.Bool("verify-provenance", false, "verify every run log under -data-dir against its chain digests and exit")
 	flag.Parse()
 
 	if *scenarioPath != "" {
@@ -89,7 +89,7 @@ func main() {
 		return
 	}
 	if *verifyProv {
-		if err := runVerifyProvenance(*dataDir); err != nil {
+		if err := runVerifyProvenance(*dataDir, os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "flowd:", err)
 			os.Exit(1)
 		}
@@ -282,74 +282,39 @@ func runSmoke(srv *service.Server) error {
 	return ln.Close()
 }
 
-// runVerifyProvenance is the cold-boot tamper check: open every
-// provenance chain under <data-dir>/runs, verify each end to end
-// (decodability, canonical bytes, digests, sequence numbers,
-// predecessor links) and report per chain. Any failure names the first
-// bad record and makes the command exit non-zero.
-func runVerifyProvenance(dataDir string) error {
+// runVerifyProvenance is the cold tamper check: replay every run log
+// under <data-dir>/runs (service.ReplayLog reads, never writes) and
+// write one line per log to w: ok, CORRUPT naming the first bad unit,
+// unverified or interrupted. It fails iff some log is corrupt.
+func runVerifyProvenance(dataDir string, w io.Writer) error {
 	if dataDir == "" {
 		return fmt.Errorf("-verify-provenance needs -data-dir")
 	}
-	paths, err := filepath.Glob(filepath.Join(dataDir, "runs", "*.chain"))
+	paths, err := filepath.Glob(filepath.Join(dataDir, "runs", "*.wal"))
 	if err != nil {
 		return err
 	}
 	sort.Strings(paths)
 	bad := 0
-	total := 0
 	for _, p := range paths {
-		l, err := storage.OpenFile(p)
-		if err != nil {
-			return err
-		}
-		n, verr := provenance.VerifyLog(l)
-		torn := l.Torn()
-		_ = l.Close()
-		if verr == nil && torn {
-			// The chain ends in bytes that do not frame as a record. A
-			// cleanly finished run syncs its chain before closing, so a
-			// torn tail there is damage (a byte flip mid-file makes every
-			// later frame unreadable); on an interrupted run it is the
-			// crash itself, and resume rebuilds the chain from scratch.
-			if runFinished(strings.TrimSuffix(p, ".chain") + ".wal") {
-				verr = fmt.Errorf("provenance: torn tail after record %d — chain damaged or truncated mid-record", n)
-			} else {
-				fmt.Printf("%s: ok (%d records; torn tail from an interrupted run, rebuilt on resume)\n",
-					filepath.Base(p), n)
-				total += n
-				continue
-			}
-		}
-		if verr != nil {
-			fmt.Printf("%s: CORRUPT: %v\n", filepath.Base(p), verr)
+		_, n, err := service.ReplayLog(p)
+		switch {
+		case err == nil:
+			fmt.Fprintf(w, "%s: ok (%d records)\n", filepath.Base(p), n)
+		case errors.Is(err, service.ErrInterrupted):
+			fmt.Fprintf(w, "%s: interrupted: verified when resumed\n", filepath.Base(p))
+		case errors.Is(err, service.ErrUnverified):
+			fmt.Fprintf(w, "%s: %v\n", filepath.Base(p), err)
+		default:
+			fmt.Fprintf(w, "%s: CORRUPT: %v\n", filepath.Base(p), err)
 			bad++
-			continue
 		}
-		fmt.Printf("%s: ok (%d records)\n", filepath.Base(p), n)
-		total += n
 	}
 	if bad > 0 {
-		return fmt.Errorf("%d of %d chains failed verification", bad, len(paths))
+		return fmt.Errorf("%d of %d run logs failed verification", bad, len(paths))
 	}
-	fmt.Printf("%d chains ok (%d records)\n", len(paths), total)
+	fmt.Fprintf(w, "%d run logs checked, none corrupt\n", len(paths))
 	return nil
-}
-
-// runFinished reports whether the chain's companion WAL records a
-// completed run. An unreadable or absent WAL cannot attest anything, so
-// it counts as finished — the suspect chain gets flagged.
-func runFinished(walPath string) bool {
-	l, err := storage.OpenFile(walPath)
-	if err != nil {
-		return true
-	}
-	rc, err := storage.RecoverRun(l)
-	_ = l.Close()
-	if err != nil {
-		return true
-	}
-	return rc.Finished
 }
 
 // runScenario runs the conformance harness on one scenario file — the

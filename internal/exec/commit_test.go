@@ -141,9 +141,12 @@ func (s *seqSink) Emit(ev trace.Event) {
 }
 
 // TestTraceOneEmitter pins the promise that a sink observing one run
-// needs no lock, on every path a run can end by.
+// needs no lock, on every path a run can end by. Every rig runs on one
+// frozen clock, so the resumed run's chain over its imports matches
+// the digest the victim logged.
 func TestTraceOneEmitter(t *testing.T) {
 	ctx := context.Background()
+	frozen := func() time.Time { return time.Date(1993, 6, 14, 12, 0, 0, 0, time.UTC) }
 	// wideFlow is perfFlow plus n disjoint branches, so several jobs
 	// finish while earlier ones are still being committed.
 	wideFlow := func(t *testing.T, r *rig, n int) *flow.Flow {
@@ -203,7 +206,7 @@ func TestTraceOneEmitter(t *testing.T) {
 			return err
 		}},
 		{name: "resume", run: func(t *testing.T, r *rig, sink *seqSink) error {
-			victim := newRig(t)
+			victim := newRigClock(t, frozen)
 			ml := storage.NewMemLog()
 			w := storage.NewRunWAL(ml)
 			if _, err := victim.engine.RunFlowOptions(ctx, wideFlow(t, victim, 8), &RunOptions{WAL: w}); err != nil {
@@ -239,7 +242,7 @@ func TestTraceOneEmitter(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			r := newRig(t)
+			r := newRigClock(t, frozen)
 			r.engine.SetWorkers(4)
 			sink := &seqSink{t: t}
 			if err := c.run(t, r, sink); (err != nil) != c.wantErr {

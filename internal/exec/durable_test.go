@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/datastore"
+	"repro/internal/faults"
 	"repro/internal/flow"
+	"repro/internal/history"
 	"repro/internal/memo"
 	"repro/internal/storage"
 	"repro/internal/trace"
@@ -71,13 +75,32 @@ func walEvents(t *testing.T, l storage.Log) []trace.Event {
 	return out
 }
 
+// walDigests returns the chain digest each of a log's records carries
+// ("" for records without one), in log order.
+func walDigests(t *testing.T, l storage.Log) []string {
+	t.Helper()
+	recs, err := l.Committed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]string, len(recs))
+	for i, raw := range recs {
+		var rec storage.Record
+		if err := json.Unmarshal(raw, &rec); err != nil {
+			t.Fatalf("undecodable WAL record: %v", err)
+		}
+		out[i] = rec.Digest
+	}
+	return out
+}
+
 // TestKillAndResume is the crash-recovery acceptance property, for both
 // schedulers and for every possible kill point in the WAL stream: a run
 // killed after N durable records resumes executing only the remaining
 // units, the resumed run's fresh events are exactly the golden stream
 // minus the recovered prefix, the final WAL holds the full golden
-// stream, and the recorded history is byte-identical to an
-// uninterrupted run's.
+// stream with the golden chain digests, and the recorded history is
+// byte-identical to an uninterrupted run's.
 func TestKillAndResume(t *testing.T) {
 	fixed := time.Date(1993, 6, 14, 12, 0, 0, 0, time.UTC)
 	clock := func() time.Time { return fixed }
@@ -107,6 +130,13 @@ func TestKillAndResume(t *testing.T) {
 			}
 			if len(goldRecs) != len(golden) {
 				t.Fatalf("golden WAL has %d records for %d events", len(goldRecs), len(golden))
+			}
+			goldDigests := walDigests(t, goldLog)
+			for i, ev := range golden {
+				logged := ev.Kind == trace.KindPlanBuilt || ev.Kind == trace.KindUnitCommitted
+				if (goldDigests[i] != "") != logged {
+					t.Fatalf("golden WAL record %d (%s) carries digest %q", i, ev.Kind, goldDigests[i])
+				}
 			}
 
 			totalUnits := 0
@@ -170,6 +200,9 @@ func TestKillAndResume(t *testing.T) {
 				if got := trace.MaskedJSONL(walEvents(t, kl.MemLog)); !bytes.Equal(got, wantAll) {
 					t.Fatalf("killAt=%d final WAL diverges from golden", killAt)
 				}
+				if got := walDigests(t, kl.MemLog); !reflect.DeepEqual(got, goldDigests) {
+					t.Fatalf("killAt=%d final WAL digests diverge from golden:\n got %q\nwant %q", killAt, got, goldDigests)
+				}
 				// Only the units beyond the recovered prefix executed.
 				if want := totalUnits - len(rec.Commits); res.Stats.UnitsRun != want {
 					t.Fatalf("killAt=%d resumed run executed %d units, want %d (recovered %d of %d)",
@@ -189,9 +222,12 @@ func TestKillAndResume(t *testing.T) {
 
 // TestResumeRejectsMismatchedLog: resuming a log against a different
 // flow must fail the ID verification, not commit foreign instances.
+// Both worlds run on one frozen clock, so their imports match the
+// logged PlanBuilt digest and the check that fires is the flow's.
 func TestResumeRejectsMismatchedLog(t *testing.T) {
 	ctx := context.Background()
-	victim := newRig(t)
+	frozen := func() time.Time { return time.Date(1993, 6, 14, 12, 0, 0, 0, time.UTC) }
+	victim := newRigClock(t, frozen)
 	fV, _ := victim.perfFlow(t)
 	ml := storage.NewMemLog()
 	w := storage.NewRunWAL(ml)
@@ -214,10 +250,11 @@ func TestResumeRejectsMismatchedLog(t *testing.T) {
 
 	// A different world: same schema, but the flow binds a different
 	// netlist tool, so the committed IDs cannot match the replan.
-	other := newRig(t)
+	other := newRigClock(t, frozen)
 	f := other.chainFlow(t)
-	if _, err := other.engine.RunFlowOptions(ctx, f, &RunOptions{Resume: rec, Tracer: &trace.Buffer{}}); err == nil {
-		t.Fatal("resuming a foreign log succeeded; want an ID-verification error")
+	_, err = other.engine.RunFlowOptions(ctx, f, &RunOptions{Resume: rec, Tracer: &trace.Buffer{}})
+	if err == nil || !strings.Contains(err.Error(), "log does not match the flow") || strings.Contains(err.Error(), "imports") {
+		t.Fatalf("resuming a foreign log: %v; want a plan or ID mismatch", err)
 	}
 }
 
@@ -327,5 +364,249 @@ func TestResumeRepublishesMemo(t *testing.T) {
 	_ = rWAL.Close()
 	if cacheR.Len() != 4 {
 		t.Fatalf("resumed run's cache holds %d entries, want all 4", cacheR.Len())
+	}
+}
+
+// rewriteArtifact returns a copy of l's committed records in which the
+// payload of the given unit's UnitCommitted record carries different
+// artifact bytes — a tamper the log's own framing cannot see.
+func rewriteArtifact(t *testing.T, l storage.Log, unit int) *storage.MemLog {
+	t.Helper()
+	recs, err := l.Committed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := storage.NewMemLog()
+	hit := false
+	for _, raw := range recs {
+		var rec storage.Record
+		if err := json.Unmarshal(raw, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Commit != nil && rec.Commit.Unit == unit {
+			for typ, b := range rec.Commit.Outputs {
+				rec.Commit.Outputs[typ] = append(b, " (rewritten)"...)
+			}
+			if raw, err = json.Marshal(rec); err != nil {
+				t.Fatal(err)
+			}
+			hit = true
+		}
+		if err := out.Append(raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !hit {
+		t.Fatalf("log has no commit record for unit %d", unit)
+	}
+	if err := out.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestResumeRefusesTamperedLog: an interrupted log whose restored
+// prefix has one artifact rewritten fails the resume at that unit, and
+// nothing dispatches — although two units remain, one of which reads
+// the rewritten artifact, no tool receives a restored artifact before
+// its digest matched. A world whose imports differ from the logged
+// ones fails before anything is restored. The same log untampered
+// resumes and runs only the remaining units.
+func TestResumeRefusesTamperedLog(t *testing.T) {
+	ctx := context.Background()
+	frozen := func() time.Time { return time.Date(1993, 6, 14, 12, 0, 0, 0, time.UTC) }
+	victim := newRigClock(t, frozen)
+	fV, _ := victim.perfFlow(t)
+	ml := storage.NewMemLog()
+	w := storage.NewRunWAL(ml)
+	if _, err := victim.engine.RunFlowOptions(ctx, fV, &RunOptions{WAL: w}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Cut the log after unit 1's commit: units 2 and 3 remain.
+	cut := -1
+	for i, ev := range walEvents(t, ml) {
+		if ev.Kind == trace.KindUnitCommitted && ev.Unit == 1 {
+			cut = i + 2 // the identity record precedes the events
+		}
+	}
+	if err := ml.Rewind(cut); err != nil {
+		t.Fatal(err)
+	}
+	later := func() time.Time { return frozen().Add(time.Hour) }
+	for _, tc := range []struct {
+		name  string
+		log   *storage.MemLog
+		clock func() time.Time
+		err   string
+	}{
+		{"untampered", ml, frozen, ""},
+		{"unit 1 rewritten", rewriteArtifact(t, ml, 1), frozen, "recovered unit 1 (EditedNetlist:"},
+		{"imports differ", ml, later, "do not match the log's PlanBuilt digest"},
+	} {
+		rec, err := storage.RecoverRun(tc.log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Finished || rec.PlanDigest == "" || len(rec.Commits) != 2 || rec.Commits[1].Digest == "" {
+			t.Fatalf("%s: recovered finished=%v, plan digest %q, commits %+v",
+				tc.name, rec.Finished, rec.PlanDigest, rec.Commits)
+		}
+		r := newRigClock(t, tc.clock)
+		f, _ := r.perfFlow(t)
+		buf := trace.NewBuffer()
+		res, err := r.engine.RunFlowOptions(ctx, f, &RunOptions{Tracer: buf, Resume: rec})
+		if tc.err == "" {
+			if err != nil || res.Stats.UnitsRun != 2 {
+				t.Fatalf("%s: resume ran %d units: %v; want the 2 remaining", tc.name, res.Stats.UnitsRun, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.err) {
+			t.Fatalf("%s: resume = %v, want an error naming %q", tc.name, err, tc.err)
+		}
+		if res.Stats == nil || res.Stats.UnitsRun != 0 || len(buf.Events()) != 0 {
+			t.Fatalf("%s: refused resume ran %v units and emitted %d events, want none", tc.name, res.Stats, len(buf.Events()))
+		}
+	}
+}
+
+// TestReplayFinishedLog: a finished log handed back as Resume replays
+// whole: no unit dispatches, the history is byte-identical to the live
+// run's — under ContinueOnError too, where the failed and skipped
+// jobs' IDs are reserved again so later IDs line up — and an artifact
+// rewritten in the log fails the replay at its unit. A log whose
+// digests are stripped, as the previous format wrote it, replays
+// unchecked.
+func TestReplayFinishedLog(t *testing.T) {
+	ctx := context.Background()
+	frozen := func() time.Time { return time.Date(1993, 6, 14, 12, 0, 0, 0, time.UTC) }
+	continueOnError := ContinueOnError
+	for _, tc := range []struct {
+		name   string
+		flow   func(t *testing.T, r *rig) *flow.Flow
+		policy *FailurePolicy
+	}{
+		{"clean", func(t *testing.T, r *rig) *flow.Flow { f, _ := r.perfFlow(t); return f }, nil},
+		{"continue-on-error", func(t *testing.T, r *rig) *flow.Flow {
+			inj := faults.New(5, faults.Config{})
+			inj.SetToolConfig("LayoutEditor", faults.Config{PermanentRate: 1})
+			inj.Instrument(r.engine.reg)
+			f, _ := r.perfFlow(t)
+			addExtractionChain(t, r, f)
+			addBranch(t, r, f)
+			return f
+		}, &continueOnError},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			live := newRigClock(t, frozen)
+			ml := storage.NewMemLog()
+			w := storage.NewRunWAL(ml)
+			liveRes, liveErr := live.engine.RunFlowOptions(ctx, tc.flow(t, live), &RunOptions{WAL: w, Policy: tc.policy})
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if (liveErr != nil) != (tc.policy != nil) {
+				t.Fatalf("live run: %v", liveErr)
+			}
+			if tc.policy != nil && len(liveRes.Skipped) == 0 {
+				t.Fatal("the poisoned run skipped nothing: no retired job precedes a commit")
+			}
+			rec, err := storage.RecoverRun(ml)
+			if err != nil || !rec.Finished {
+				t.Fatalf("recover: %+v, %v; want a finished run", rec, err)
+			}
+			want := dumpHistory(t, live.db)
+
+			replay := func(rec *storage.Recovered) (*rig, *Result, error) {
+				r := newRigClock(t, frozen)
+				res, err := r.engine.RunFlowOptions(ctx, tc.flow(t, r), &RunOptions{Resume: rec, Policy: tc.policy})
+				return r, res, err
+			}
+			r, res, err := replay(rec)
+			if err != nil {
+				t.Fatalf("replay: %v", err)
+			}
+			if res.Stats.UnitsRun != 0 || res.TasksRun != liveRes.TasksRun {
+				t.Fatalf("replay ran %d units and committed %d tasks, want 0 and %d", res.Stats.UnitsRun, res.TasksRun, liveRes.TasksRun)
+			}
+			if got := dumpHistory(t, r.db); !bytes.Equal(got, want) {
+				t.Fatalf("replayed history diverges from the live run's:\n got %s\nwant %s", got, want)
+			}
+
+			tampered, err := storage.RecoverRun(rewriteArtifact(t, ml, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := replay(tampered); err == nil || !strings.Contains(err.Error(), "recovered unit 0 (") {
+				t.Fatalf("replay of a rewritten log = %v, want an error naming unit 0", err)
+			}
+			tampered.PlanDigest = "" // the previous format: no digests to check
+			if _, _, err := replay(tampered); err != nil {
+				t.Fatalf("replay of a digest-less log: %v", err)
+			}
+			// A log missing its last commit record still ends in
+			// RunFinished, whose count the replay must reach.
+			last := 0
+			for u := range rec.Commits {
+				last = max(last, u)
+			}
+			delete(rec.Commits, last)
+			if _, _, err := replay(rec); err == nil || !strings.Contains(err.Error(), "RunFinished counts") {
+				t.Fatalf("replay of a log missing unit %d's commit = %v, want the RunFinished count error", last, err)
+			}
+		})
+	}
+}
+
+// TestChainOnlyOnDurableRuns: a run without a WAL or a Resume keeps no
+// provenance chain — no per-record hashing on the committer — while a
+// durable run's chain covers every record of its database and is
+// detached when the run ends.
+func TestChainOnlyOnDurableRuns(t *testing.T) {
+	ctx := context.Background()
+	for _, durable := range []bool{false, true} {
+		rg := newRig(t)
+		f, _ := rg.perfFlow(t)
+		opts := &RunOptions{Tracer: trace.NewBuffer()}
+		if durable {
+			w := storage.NewRunWAL(storage.NewMemLog())
+			defer w.Close()
+			opts.WAL = w
+		}
+		r, err := rg.engine.beginRun(ctx, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.f, r.res = f, &Result{Created: make(map[flow.NodeID][]history.ID)}
+		order, err := f.Check()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := r.plan(order, f.Roots())
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = r.execute(ctx, p)
+		rg.engine.release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !durable {
+			if r.chain != nil {
+				t.Fatal("an in-memory run kept a provenance chain")
+			}
+			continue
+		}
+		if r.chain == nil || r.chain.Len() != rg.db.Len() {
+			t.Fatalf("durable run's chain = %v, want one record per database record (%d)", r.chain, rg.db.Len())
+		}
+		before := r.chain.Len()
+		rg.db.MustRecord(history.Instance{Type: "Stimuli", User: "u"})
+		if r.chain.Len() != before {
+			t.Fatal("the run's chain still observes its database after the run")
+		}
 	}
 }

@@ -46,6 +46,7 @@ import (
 	"repro/internal/flow"
 	"repro/internal/history"
 	"repro/internal/memo"
+	"repro/internal/provenance"
 	"repro/internal/schema"
 	"repro/internal/storage"
 	"repro/internal/trace"
@@ -249,15 +250,18 @@ type RunOptions struct {
 	// WAL is the run's write-ahead log writer: every trace event is
 	// appended to it, with UnitCommitted events additionally carrying
 	// the unit's durable payload (artifacts + derivation key), and the
-	// run forces a durability barrier before returning. The caller owns
-	// the WAL (and its underlying log) and closes it after the run.
+	// run forces a durability barrier before returning. PlanBuilt and
+	// every UnitCommitted also log the run's provenance-chain head. The
+	// caller owns the WAL (and its underlying log) and closes it after
+	// the run.
 	WAL *storage.RunWAL
 	// Resume carries a recovered WAL prefix (see storage.RecoverRun):
-	// the run verifies the prefix against its replanned IDs, replays
-	// the committed units through the normal committer — re-recording
-	// history, datastore and memo without re-running tools — and
-	// executes only the remaining units, with event Seq continuing
-	// exactly where the prefix ends.
+	// before dispatching anything the run replays the committed units
+	// through the normal commit step — re-recording history, datastore
+	// and memo without re-running tools — checking them against its
+	// replanned IDs and the logged chain digests, then executes only the
+	// rest, with event Seq continuing where the prefix ends. A finished
+	// log replays whole and runs nothing.
 	Resume *storage.Recovered
 	// Scheduler overrides the scheduling discipline.
 	Scheduler *Scheduler
@@ -342,6 +346,7 @@ type run struct {
 	ctx    context.Context
 	st     *runState
 	doneCh chan unitResult
+	chain  *provenance.Chain // durable or resumed runs: the head over the DB
 }
 
 // Result reports one flow run. On error the result is still returned:
@@ -630,6 +635,9 @@ func (r *run) recordJob(j *plannedJob) error {
 	if hasTool {
 		dataKeys = dataKeys[1:]
 	}
+	if r.chain != nil && !j.resumed {
+		j.digests = make([]string, len(j.combos))
+	}
 	for ci, combo := range j.combos {
 		out := j.outputs[ci]
 		var tool history.ID
@@ -669,6 +677,16 @@ func (r *run) recordJob(j *plannedJob) error {
 				return fmt.Errorf("exec: nondeterministic recording: got %s, planned %s (history mutated during the run?)", instID, want)
 			}
 			r.res.Created[id] = append(r.res.Created[id], instID)
+		}
+		if j.digests == nil {
+			continue
+		}
+		head := r.chain.Head()
+		if !j.resumed {
+			j.digests[ci] = head
+		} else if head != j.digests[ci] {
+			return fmt.Errorf("exec: recovered unit %d (%s) does not match the chain digest its log records: the log was altered",
+				j.unit+ci, j.outIDs[0][ci])
 		}
 	}
 	return nil

@@ -44,6 +44,7 @@ type plannedJob struct {
 	// combos[ci]; row ni is also the instance list nodes[ni] feeds to
 	// the jobs that depend on it.
 	outIDs [][]history.ID
+	unit   int // global index of combo 0's unit, in plan order
 	// deps / dependents are edges of the job graph (indices into
 	// plan.jobs). Dataflow mode: distinct producer jobs of the group's
 	// inputs. Barrier mode: every job of the previous nonempty level.
@@ -63,6 +64,9 @@ type plannedJob struct {
 	blame     int  // root-cause job index when skipped
 	outputs   []encap.Outputs
 	dur       time.Duration // longest single combo, for the critical path
+	// digests[ci] is the chain head after combo ci's records, or on a
+	// restored unit the logged head its commit must reproduce.
+	digests []string
 	// Memoization state (allocated by execute only when a result cache
 	// is installed): per-combo derivation keys, computed at ready time
 	// and used by the commit-time publish, and per-combo hit marks.
@@ -215,6 +219,7 @@ func (r *run) plan(order []flow.NodeID, targets []flow.NodeID) (*plan, error) {
 			return nil, err
 		}
 		j.combos = combos
+		j.unit = p.units
 		j.outputs = make([]encap.Outputs, len(combos))
 		j.outIDs = make([][]history.ID, len(j.nodes))
 		for ni, nid := range j.nodes {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/encap"
 	"repro/internal/history"
 	"repro/internal/memo"
+	"repro/internal/provenance"
 )
 
 // This file is the execution half of the engine: a dependency-counting
@@ -211,8 +212,15 @@ func (r *run) execute(ctx context.Context, p *plan) error {
 		workers = p.units
 	}
 	stats.Workers = workers
+	// A durable or resumed run keeps a chain over its database.
+	head := ""
+	if r.cfg.wal != nil || r.cfg.resume != nil {
+		r.chain = provenance.NewChain(nil)
+		defer r.cfg.db.Observe(r.chain)()
+		head = r.chain.Head()
+	}
 	tr := r.newRunTracer(p)
-	tr.planBuilt(r.cfg.sched, workers)
+	tr.planBuilt(r.cfg.sched, workers, head)
 
 	r.ctx = ctx
 	r.st = &runState{arts: make(map[history.ID]pendingArtifact, p.units)}
@@ -251,12 +259,29 @@ func (r *run) execute(ctx context.Context, p *plan) error {
 			j.cacheHit = make([]bool, len(j.combos))
 		}
 	}
+	commitIdx := 0 // next job to hand to the committer
 	// Restore the recovered prefix before the ready scan: resumed jobs
 	// are marked done with their logged outputs, their dependents'
 	// pending counts drop, and only the remaining work becomes ready.
-	if r.cfg.resume != nil {
+	// They commit (and verify) here, so no tool receives an artifact
+	// the log's digests have not vouched for. A finished log commits or
+	// retires every job and runs nothing.
+	if rc := r.cfg.resume; rc != nil {
 		if err := r.applyResume(p, tr); err != nil {
 			return err
+		}
+		for ; commitIdx < len(p.jobs) && (rc.Finished || p.jobs[commitIdx].resumed); commitIdx++ {
+			if err := r.commitJob(p.jobs[commitIdx], tr); err != nil {
+				return err
+			}
+		}
+		if rc.Finished {
+			stats.finish(p)
+			if n := len(rc.Events); n > 0 && rc.Events[n-1].Committed != res.TasksRun {
+				return fmt.Errorf("exec: the log's RunFinished counts %d committed units, its commit records restore %d: the log was altered",
+					rc.Events[n-1].Committed, res.TasksRun)
+			}
+			return nil
 		}
 	}
 	for _, j := range p.jobs {
@@ -273,7 +298,6 @@ func (r *run) execute(ctx context.Context, p *plan) error {
 		stop      bool // stop dispatching and readying
 		cancelled bool
 		unitErrs  []unitError
-		commitIdx int // next job to hand to the committer
 	)
 	// Capacity len(p.jobs): every job is handed over at most once, so
 	// the coordinator never blocks on the committer.
@@ -380,15 +404,6 @@ func (r *run) execute(ctx context.Context, p *plan) error {
 		defer close(committerDone)
 		commitErr = r.commit(commits, tr, commitFailed)
 	}()
-
-	// Commit the resumed prefix through the normal committer before any
-	// dispatch: recordJob re-records history (verifying the logged IDs
-	// against the replanned ones), memoPublish re-feeds the cache —
-	// replay rides exactly the path live execution takes, so nothing
-	// about commit semantics is special-cased for recovery.
-	if r.cfg.resume != nil {
-		advance()
-	}
 
 	ctxDone := ctx.Done()
 	outstanding := 0
@@ -516,20 +531,28 @@ func (r *run) commit(jobs <-chan *plannedJob, tr *runTracer, failed chan<- struc
 		if err != nil {
 			continue
 		}
-		tr.passJob(j)
-		if !j.done {
-			r.cfg.db.ReserveSeq(len(j.combos) * len(j.nodes))
-			continue
-		}
-		if err = r.recordJob(j); err != nil {
+		if err = r.commitJob(j, tr); err != nil {
 			close(failed)
-			continue
 		}
-		r.res.TasksRun += len(j.combos)
-		r.memoPublish(j) // commit is the cache's write barrier
-		tr.committedJob(j)
 	}
 	return err
+}
+
+// commitJob commits one job in plan order, restored ones included, or
+// retires a job that is not done by reserving its pre-assigned IDs.
+func (r *run) commitJob(j *plannedJob, tr *runTracer) error {
+	tr.passJob(j)
+	if !j.done {
+		r.cfg.db.ReserveSeq(len(j.combos) * len(j.nodes))
+		return nil
+	}
+	if err := r.recordJob(j); err != nil {
+		return err
+	}
+	r.res.TasksRun += len(j.combos)
+	r.memoPublish(j) // commit is the cache's write barrier
+	tr.committedJob(j)
+	return nil
 }
 
 // comboString renders one input combination (aligned with keys) as

@@ -53,7 +53,6 @@ type runTracer struct {
 	p        *plan
 	seq      int
 	skipPlan bool   // resumed run: PlanBuilt is already in the log
-	unitBase []int  // first global unit index of each job
 	passed   []bool // job already emitted (skip/flush idempotence)
 }
 
@@ -66,17 +65,13 @@ func (r *run) newRunTracer(p *plan) *runTracer {
 	if r.cfg.tracer == nil && r.cfg.wal == nil {
 		return nil
 	}
-	base := make([]int, len(p.jobs))
-	u := 0
-	for i, j := range p.jobs {
-		base[i] = u
-		u += len(j.combos)
+	for _, j := range p.jobs {
 		j.unitWait = make([]time.Duration, len(j.combos))
 		j.unitDur = make([]time.Duration, len(j.combos))
 		j.unitLog = make([][]attemptRec, len(j.combos))
 	}
 	t := &runTracer{sink: r.cfg.tracer, wal: r.cfg.wal, label: r.cfg.label, p: p,
-		unitBase: base, passed: make([]bool, len(p.jobs))}
+		passed: make([]bool, len(p.jobs))}
 	if res := r.cfg.resume; res != nil && len(res.Events) > 0 {
 		t.seq = res.NextSeq
 		t.skipPlan = true
@@ -84,7 +79,11 @@ func (r *run) newRunTracer(p *plan) *runTracer {
 	return t
 }
 
-func (t *runTracer) emit(ev trace.Event) {
+func (t *runTracer) emit(ev trace.Event) { t.emitLogged(ev, nil, "") }
+
+// emitLogged is emit whose WAL record also carries a UnitCommitted's
+// payload c and the chain digest of a PlanBuilt or UnitCommitted.
+func (t *runTracer) emitLogged(ev trace.Event, c *storage.UnitCommit, digest string) {
 	ev.Seq = t.seq
 	ev.Run = t.label
 	t.seq++
@@ -92,7 +91,7 @@ func (t *runTracer) emit(ev trace.Event) {
 		t.sink.Emit(ev)
 	}
 	if t.wal != nil {
-		t.wal.AppendEvent(ev)
+		t.wal.Append(ev, c, digest)
 	}
 }
 
@@ -126,13 +125,13 @@ func (t *runTracer) observe(d unitResult) {
 }
 
 // planBuilt opens the stream (suppressed on a resumed run, whose
-// PlanBuilt is part of the recovered prefix).
-func (t *runTracer) planBuilt(sched Scheduler, workers int) {
+// PlanBuilt is part of the recovered prefix), logging digest with it.
+func (t *runTracer) planBuilt(sched Scheduler, workers int, digest string) {
 	if t == nil || t.skipPlan {
 		return
 	}
-	t.emit(trace.Event{Kind: trace.KindPlanBuilt, Job: -1, Combo: -1, Unit: -1,
-		Scheduler: sched.String(), Workers: workers, Jobs: len(t.p.jobs), Units: t.p.units})
+	t.emitLogged(trace.Event{Kind: trace.KindPlanBuilt, Job: -1, Combo: -1, Unit: -1,
+		Scheduler: sched.String(), Workers: workers, Jobs: len(t.p.jobs), Units: t.p.units}, nil, digest)
 }
 
 // passJob emits the lifecycle events of every unit of one job — called
@@ -145,8 +144,7 @@ func (t *runTracer) passJob(j *plannedJob) {
 	t.passed[j.idx] = true
 	nodes := nodeInts(j.nodes)
 	for ci := range j.combos {
-		unit := t.unitBase[j.idx] + ci
-		ev := trace.Event{Job: j.idx, Combo: ci, Unit: unit, Nodes: nodes, Type: j.repType}
+		ev := trace.Event{Job: j.idx, Combo: ci, Unit: j.unit + ci, Nodes: nodes, Type: j.repType}
 		if j.skipped {
 			ev.Kind = trace.KindUnitSkipped
 			ev.Blame = int(t.p.jobs[j.blame].nodes[0])
@@ -204,8 +202,9 @@ func (t *runTracer) passJob(j *plannedJob) {
 // retried-then-succeeded run commits events identical to a clean run.
 // On a durable run each event's WAL record carries the unit's payload
 // — artifacts and derivation key — so recovery can replay the commit
-// without re-running the tool. Resumed jobs are skipped: their commit
-// records are already in the log.
+// without re-running the tool, plus the chain head after the unit's
+// records. Resumed jobs are skipped: their commit records are already
+// in the log.
 func (t *runTracer) committedJob(j *plannedJob) {
 	if t == nil || j.resumed {
 		return
@@ -217,21 +216,17 @@ func (t *runTracer) committedJob(j *plannedJob) {
 			insts[ni] = string(ids[ci])
 		}
 		ev := trace.Event{Kind: trace.KindUnitCommitted, Job: j.idx, Combo: ci,
-			Unit: t.unitBase[j.idx] + ci, Nodes: nodes, Type: j.repType,
+			Unit: j.unit + ci, Nodes: nodes, Type: j.repType,
 			Insts: insts, DurMicros: j.unitDur[ci].Microseconds()}
-		ev.Seq = t.seq
-		ev.Run = t.label
-		t.seq++
-		if t.sink != nil {
-			t.sink.Emit(ev)
+		if t.wal == nil {
+			t.emit(ev)
+			continue
 		}
-		if t.wal != nil {
-			c := &storage.UnitCommit{Unit: ev.Unit, Insts: insts, Outputs: j.outputs[ci]}
-			if j.memoKeys != nil {
-				c.MemoKey = string(j.memoKeys[ci])
-			}
-			t.wal.AppendCommit(ev, c)
+		c := &storage.UnitCommit{Unit: ev.Unit, Insts: insts, Outputs: j.outputs[ci]}
+		if j.memoKeys != nil {
+			c.MemoKey = string(j.memoKeys[ci])
 		}
+		t.emitLogged(ev, c, j.digests[ci])
 	}
 }
 

@@ -24,7 +24,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/datastore"
 	"repro/internal/exec"
@@ -250,36 +249,15 @@ func execute(sc *scenario.Scenario, cfg config, shared sharedState) (*runOut, er
 	}
 
 	sched := cfg.sched
-	ro := &exec.RunOptions{
-		Tracer:    sink,
-		Scheduler: &sched,
-		Memo:      shared.cache,
-		WAL:       shared.wal,
-		Resume:    shared.resume,
-		MaxCombos: sc.Run.MaxCombos,
-	}
-	if sc.Run.Policy == "continue" {
-		p := exec.ContinueOnError
-		ro.Policy = &p
-	}
-	if r := sc.Run.Retry; r != nil {
-		ro.Retry = &exec.RetryPolicy{
-			MaxAttempts: r.Attempts,
-			BaseDelay:   time.Duration(r.BaseMicros) * time.Microsecond,
-			Seed:        r.Seed,
-		}
-	}
-	if sc.Run.TimeoutMs > 0 {
-		d := time.Duration(sc.Run.TimeoutMs) * time.Millisecond
-		ro.TaskTimeout = &d
-	}
+	ro := w.runOptions()
+	ro.Tracer = sink
+	ro.Scheduler = &sched
+	ro.Memo = shared.cache
+	ro.WAL = shared.wal
+	ro.Resume = shared.resume
 
 	out := &runOut{cfg: cfg, w: w}
-	if sc.Run.Target != "" {
-		out.res, out.err = w.engine.RunNodeOptions(ctx, w.flow, w.target, ro)
-	} else {
-		out.res, out.err = w.engine.RunFlowOptions(ctx, w.flow, ro)
-	}
+	out.res, out.err = w.run(ctx, w.engine, ro)
 	out.events = buf.Events()
 	out.masked = trace.MaskedJSONL(out.events)
 	if out.hist, err = w.historyDump(); err != nil {
@@ -533,6 +511,10 @@ func checkKillResume(sc *scenario.Scenario, base *runOut, opts Options, rep *Rep
 		return fmt.Errorf("scenario %s: reading golden WAL: %w", sc.Name, err)
 	}
 	goldenMasked := trace.MaskedJSONL(gold.events)
+	_, goldDigests, err := walEventList(goldLog)
+	if err != nil {
+		return fmt.Errorf("scenario %s: reading golden WAL: %w", sc.Name, err)
+	}
 
 	for killAt := 0; killAt < len(goldRecs); killAt++ {
 		opts.logf("scenario %s: kill-resume at record %d/%d", sc.Name, killAt, len(goldRecs))
@@ -568,7 +550,7 @@ func checkKillResume(sc *scenario.Scenario, base *runOut, opts Options, rep *Rep
 			resumed.close()
 			return fmt.Errorf("kill-resume killAt=%d: %w", killAt, err)
 		}
-		final, err := walEventList(kl.MemLog)
+		final, digests, err := walEventList(kl.MemLog)
 		if err != nil {
 			resumed.close()
 			return fmt.Errorf("scenario %s: killAt=%d: reading final WAL: %w", sc.Name, killAt, err)
@@ -577,6 +559,11 @@ func checkKillResume(sc *scenario.Scenario, base *runOut, opts Options, rep *Rep
 			resumed.close()
 			return fmt.Errorf("scenario %s: killAt=%d: final WAL diverges from golden:\n%s",
 				sc.Name, killAt, unifiedDiff("golden", "final WAL", goldenMasked, got))
+		}
+		if !equalStrings(digests, goldDigests) {
+			resumed.close()
+			return fmt.Errorf("scenario %s: killAt=%d: final WAL's chain digests diverge from golden:\n got %q\nwant %q",
+				sc.Name, killAt, digests, goldDigests)
 		}
 		if !bytes.Equal(resumed.hist, gold.hist) {
 			resumed.close()
@@ -590,23 +577,27 @@ func checkKillResume(sc *scenario.Scenario, base *runOut, opts Options, rep *Rep
 }
 
 // walEventList decodes a log's committed records back into the event
-// stream it persists.
-func walEventList(l storage.Log) ([]trace.Event, error) {
+// stream it persists, and the chain digests the records carry.
+func walEventList(l storage.Log) ([]trace.Event, []string, error) {
 	recs, err := l.Committed()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	out := make([]trace.Event, 0, len(recs))
+	var digests []string
 	for i, raw := range recs {
 		var rec storage.Record
 		if err := json.Unmarshal(raw, &rec); err != nil {
-			return nil, fmt.Errorf("undecodable WAL record %d: %w", i, err)
+			return nil, nil, fmt.Errorf("undecodable WAL record %d: %w", i, err)
 		}
 		if rec.Event != nil {
 			out = append(out, *rec.Event)
 		}
+		if rec.Digest != "" {
+			digests = append(digests, rec.Digest)
+		}
 	}
-	return out, nil
+	return out, digests, nil
 }
 
 func sortedExpectTypes(m map[string]int) []string {

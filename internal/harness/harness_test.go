@@ -451,7 +451,7 @@ func TestWalEventListUndecodable(t *testing.T) {
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := walEventList(l); err == nil || !strings.Contains(err.Error(), "undecodable WAL record 0") {
+	if _, _, err := walEventList(l); err == nil || !strings.Contains(err.Error(), "undecodable WAL record 0") {
 		t.Fatalf("walEventList = %v, want the undecodable-record error", err)
 	}
 }

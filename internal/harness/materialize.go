@@ -1,8 +1,12 @@
 package harness
 
 import (
+	"context"
+	"time"
+
 	"repro/internal/datastore"
 	"repro/internal/encap"
+	"repro/internal/exec"
 	"repro/internal/flow"
 	"repro/internal/history"
 	"repro/internal/scenario"
@@ -11,9 +15,10 @@ import (
 
 // World is a materialized scenario exported for embedding: the service
 // runs submitted scenarios against its own engine by overlaying the
-// world's schema, registry and database through exec.RunOptions, and
-// flowbench's corpus section posts scenario files at a live flowd. The
-// harness's own conformance sweep does not go through this type.
+// world's schema, registry, database, store and run stanza
+// (RunOptions), and flowbench's corpus section posts scenario files at
+// a live flowd. The harness's own conformance sweep does not go
+// through this type.
 type World struct{ w *world }
 
 // Materialize validates a scenario and builds its world — schema,
@@ -51,6 +56,48 @@ func (m *World) Flow() *flow.Flow { return m.w.flow }
 // Target returns the sub-flow root when the scenario sets run.target,
 // 0 (run the whole flow) otherwise.
 func (m *World) Target() flow.NodeID { return m.w.target }
+
+// RunOptions returns the options that execute the world on any
+// engine, run stanza included; the caller adds tracer, WAL and user.
+func (m *World) RunOptions() *exec.RunOptions { return m.w.runOptions() }
+
+// Run executes the world's flow, or the sub-flow rooted at its
+// run.target, on engine e.
+func (m *World) Run(ctx context.Context, e *exec.Engine, opts *exec.RunOptions) (*exec.Result, error) {
+	return m.w.run(ctx, e, opts)
+}
+
+// runOptions translates the scenario's run stanza (fan-out cap,
+// failure policy, retry, per-task timeout) into options over the
+// world's schema, registry, database and store.
+func (w *world) runOptions() *exec.RunOptions {
+	run := w.sc.Run
+	o := &exec.RunOptions{Schema: w.schema, Registry: w.reg, DB: w.db, Store: w.store, MaxCombos: run.MaxCombos}
+	if run.Policy == "continue" {
+		p := exec.ContinueOnError
+		o.Policy = &p
+	}
+	if r := run.Retry; r != nil {
+		o.Retry = &exec.RetryPolicy{
+			MaxAttempts: r.Attempts,
+			BaseDelay:   time.Duration(r.BaseMicros) * time.Microsecond,
+			Seed:        r.Seed,
+		}
+	}
+	if run.TimeoutMs > 0 {
+		d := time.Duration(run.TimeoutMs) * time.Millisecond
+		o.TaskTimeout = &d
+	}
+	return o
+}
+
+// run executes the world's flow, or its run.target sub-flow, on e.
+func (w *world) run(ctx context.Context, e *exec.Engine, opts *exec.RunOptions) (*exec.Result, error) {
+	if w.target != 0 {
+		return e.RunNodeOptions(ctx, w.flow, w.target, opts)
+	}
+	return e.RunFlowOptions(ctx, w.flow, opts)
+}
 
 // Close releases the world's engine.
 func (m *World) Close() { m.w.close() }

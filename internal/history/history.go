@@ -19,6 +19,7 @@ package history
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -162,14 +163,20 @@ type CommitObserver interface {
 // Observe registers an observer. Instances already recorded are
 // replayed into it first — in creation order, under the same lock that
 // blocks new commits — so the observer's view is complete and gap-free
-// no matter when it attaches.
-func (db *DB) Observe(o CommitObserver) {
+// no matter when it attaches. Calling the returned function detaches
+// the observer; callers that observe for the database's life ignore it.
+func (db *DB) Observe(o CommitObserver) (detach func()) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	for _, id := range db.order {
 		o.OnCommit(db.look(id))
 	}
 	db.observers = append(db.observers, o)
+	return func() {
+		db.mu.Lock()
+		defer db.mu.Unlock()
+		db.observers = slices.DeleteFunc(db.observers, func(x CommitObserver) bool { return x == o })
+	}
 }
 
 // NewDB creates an empty history database over the given schema.

@@ -412,3 +412,28 @@ func TestConcurrentRecordAndQuery(t *testing.T) {
 		t.Errorf("EditedNetlist count = %d, want 201", got)
 	}
 }
+
+// countObserver counts the commits it sees.
+type countObserver struct{ n int }
+
+func (o *countObserver) OnCommit(*Instance) { o.n++ }
+
+// TestObserveDetach: Observe backfills the records already committed,
+// feeds each new one, and stops once detached; the other observers
+// keep receiving commits.
+func TestObserveDetach(t *testing.T) {
+	db, _ := fixture(t)
+	stay, leave := &countObserver{}, &countObserver{}
+	db.Observe(stay)
+	detach := db.Observe(leave)
+	if stay.n != db.Len() || leave.n != db.Len() {
+		t.Fatalf("backfill fed %d and %d records, want %d", stay.n, leave.n, db.Len())
+	}
+	st := db.MustRecord(Instance{Type: "Stimuli", User: "u"})
+	detach()
+	db.MustRecord(Instance{Type: "Stimuli", User: "u"})
+	if stay.n != db.Len() || leave.n != db.Len()-1 {
+		t.Fatalf("after %s and one more commit: %d and %d records observed, want %d and %d",
+			st.ID, stay.n, leave.n, db.Len(), db.Len()-1)
+	}
+}

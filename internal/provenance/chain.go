@@ -15,12 +15,12 @@ import (
 )
 
 // This file makes the derivation record itself trustworthy: every
-// committed instance is appended to a hash chain persisted through a
-// storage.Log (the same framed-file machinery as the run WAL). Each
-// chain record's digest is SHA-256 over its canonical payload, and the
-// payload embeds the predecessor's digest — so mutating, dropping,
-// inserting or reordering any record breaks the chain at (or right
-// after) the damage, and Verify names the first record that fails.
+// committed instance becomes one link of a hash chain. Each chain
+// record's digest is SHA-256 over its canonical payload, and the
+// payload embeds the predecessor's digest — so the newest digest (the
+// head) changes if any record is mutated, dropped, inserted or
+// reordered. A durable run logs its chain's head (internal/exec); a
+// chain over a storage.Log also keeps the records for Verify.
 //
 // Record encoding is canonical: a hand-rolled, deterministic JSON form
 // with every field always present and keys in a fixed order (the same
@@ -127,19 +127,18 @@ func digestHex(b []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Chain appends hash-chained derivation records to a storage.Log. It
-// implements history.CommitObserver: attach it with db.Observe(c) and
-// every commit (existing records first, then live ones, in commit
-// order) becomes one chain record. Appends are buffered by the log;
-// call Sync (or Close) to force the durability barrier — the same
-// group-commit discipline as the run WAL.
+// Chain hashes derivation records into a chain. It implements
+// history.CommitObserver: attach it with db.Observe(c) and every commit
+// (existing records first, then live ones, in commit order) becomes one
+// chain record, appended to the log when there is one, buffered by the
+// log — call Sync (or Close) to force the durability barrier.
 //
 // OnCommit cannot return an error (the observer interface is fire-and-
 // forget under the DB's commit lock), so the first append failure is
 // latched and surfaced by the next Sync/Verify/Close call.
 type Chain struct {
 	mu     sync.Mutex
-	log    storage.Log
+	log    storage.Log        // nil: keep no records
 	n      int                // records appended so far
 	last   [hexDigestLen]byte // hex digest of the newest record (GenesisDigest when empty)
 	err    error              // first append failure, latched
@@ -150,28 +149,12 @@ type Chain struct {
 // hexDigestLen is the length of a hex-encoded SHA-256 digest.
 const hexDigestLen = 2 * sha256.Size
 
-// NewChain starts an empty chain on an empty log.
+// NewChain starts an empty chain on an empty log, or, with a nil log, a
+// chain that keeps no records: only its head and count.
 func NewChain(log storage.Log) *Chain {
 	c := &Chain{log: log}
 	copy(c.last[:], GenesisDigest)
 	return c
-}
-
-// OpenChain resumes a chain from a log's committed records: it verifies
-// them (VerifyLog) and positions the chain to append after the last
-// one. A fresh (empty) log yields an empty chain.
-func OpenChain(log storage.Log) (*Chain, error) {
-	recs, err := log.Committed()
-	if err != nil {
-		return nil, fmt.Errorf("provenance: reading chain log: %w", err)
-	}
-	last, err := verifyRecords(recs)
-	if err != nil {
-		return nil, err
-	}
-	c := &Chain{log: log, n: len(recs)}
-	copy(c.last[:], last)
-	return c, nil
 }
 
 // Len returns the number of records appended to the chain.
@@ -179,6 +162,14 @@ func (c *Chain) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.n
+}
+
+// Head returns the hex digest of the newest record, GenesisDigest when
+// the chain is empty. It covers every record appended so far.
+func (c *Chain) Head() string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return string(c.last[:])
 }
 
 // OnCommit appends one chain record for a committed instance. The
@@ -200,10 +191,13 @@ func (c *Chain) OnCommit(inst *history.Instance) {
 	sum := sha256.Sum256(b)
 	var digest [hexDigestLen]byte
 	hex.Encode(digest[:], sum[:])
-	c.buf = appendDigest(b, digest[:])
-	if err := c.log.Append(c.buf); err != nil {
-		c.err = fmt.Errorf("provenance: appending chain record %d (%s): %w", c.n, inst.ID, err)
-		return
+	c.buf = b
+	if c.log != nil {
+		c.buf = appendDigest(b, digest[:])
+		if err := c.log.Append(c.buf); err != nil {
+			c.err = fmt.Errorf("provenance: appending chain record %d (%s): %w", c.n, inst.ID, err)
+			return
+		}
 	}
 	c.n++
 	c.last = digest
@@ -214,13 +208,13 @@ func (c *Chain) OnCommit(inst *history.Instance) {
 func (c *Chain) Sync() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.err != nil {
+	if c.err != nil || c.log == nil {
 		return c.err
 	}
 	return c.log.Sync()
 }
 
-// Close syncs and closes the underlying log.
+// Close syncs and closes the underlying log; like Verify, it needs one.
 func (c *Chain) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -237,8 +231,8 @@ func (c *Chain) Close() error {
 
 // Verify syncs the log, re-reads every committed record and checks the
 // whole chain, including that no tail records are missing (the chain
-// knows how many it appended, which a cold reader cannot). It returns
-// nil iff the persisted chain is exactly what was appended.
+// knows how many it appended). It returns nil iff the persisted chain
+// is exactly what was appended.
 func (c *Chain) Verify() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -255,7 +249,7 @@ func (c *Chain) Verify() error {
 	// Internal consistency first: interior damage names the earlier
 	// record; only an internally consistent chain of the wrong length is
 	// a pure truncation/extension.
-	if _, err := verifyRecords(recs); err != nil {
+	if err := verifyRecords(recs); err != nil {
 		return err
 	}
 	if len(recs) > c.n {
@@ -269,28 +263,7 @@ func (c *Chain) Verify() error {
 	return nil
 }
 
-// VerifyLog checks the internal consistency of a persisted chain —
-// decodability, canonical encoding, digests, sequence numbers and
-// predecessor links — and returns the number of valid records. It is
-// the cold-boot check (flowd -verify-provenance): it detects any
-// mutation, any interior drop or insertion, and any reorder, naming
-// the first bad record. What a cold reader cannot detect is removal of
-// records from the tail — that needs the expected count, which a live
-// Chain has (Verify) and a boot check cross-references against the
-// run's WAL.
-func VerifyLog(log storage.Log) (int, error) {
-	recs, err := log.Committed()
-	if err != nil {
-		return 0, fmt.Errorf("provenance: reading chain log: %w", err)
-	}
-	if _, err := verifyRecords(recs); err != nil {
-		return 0, err
-	}
-	return len(recs), nil
-}
-
-// verifyRecords checks a sequence of raw chain records and returns the
-// digest of the last one (GenesisDigest for an empty chain). Checks per
+// verifyRecords checks a sequence of raw chain records. Checks per
 // record, in order of precedence: decodable; sequence number matches
 // its position (catches drops, insertions and reorders); digest matches
 // SHA-256 of the canonical payload (catches any semantic mutation,
@@ -299,31 +272,31 @@ func VerifyLog(log storage.Log) (int, error) {
 // record whose link no longer holds); raw bytes match the canonical
 // re-encoding (catches non-semantic byte tampering that decoding
 // normalises away). The returned error names the first failing record.
-func verifyRecords(recs [][]byte) (string, error) {
+func verifyRecords(recs [][]byte) error {
 	prev := GenesisDigest
 	var buf []byte
 	for i, raw := range recs {
 		var r Record
 		if err := json.Unmarshal(raw, &r); err != nil {
-			return "", fmt.Errorf("provenance: record %d undecodable: %v", i, err)
+			return fmt.Errorf("provenance: record %d undecodable: %v", i, err)
 		}
 		if r.Seq != i {
-			return "", fmt.Errorf("provenance: record %d (%s): sequence %d out of order (want %d) — record dropped, inserted or reordered",
+			return fmt.Errorf("provenance: record %d (%s): sequence %d out of order (want %d) — record dropped, inserted or reordered",
 				i, r.ID, r.Seq, i)
 		}
 		buf = appendPayload(buf[:0], &r, r.Prev)
 		if got := digestHex(buf); got != r.Digest {
-			return "", fmt.Errorf("provenance: record %d (%s): digest mismatch — payload mutated", i, r.ID)
+			return fmt.Errorf("provenance: record %d (%s): digest mismatch — payload mutated", i, r.ID)
 		}
 		if r.Prev != prev {
-			return "", fmt.Errorf("provenance: record %d (%s): predecessor link broken — an earlier record was rewritten or the chain was reordered",
+			return fmt.Errorf("provenance: record %d (%s): predecessor link broken — an earlier record was rewritten or the chain was reordered",
 				i, r.ID)
 		}
 		buf = appendRecord(buf[:0], &r)
 		if !bytes.Equal(buf, raw) {
-			return "", fmt.Errorf("provenance: record %d (%s): non-canonical bytes — record tampered without changing its decoded form", i, r.ID)
+			return fmt.Errorf("provenance: record %d (%s): non-canonical bytes — record tampered without changing its decoded form", i, r.ID)
 		}
 		prev = r.Digest
 	}
-	return prev, nil
+	return nil
 }

@@ -33,7 +33,6 @@ func (l *tamperLog) Committed() ([][]byte, error) {
 	}
 	return out, nil
 }
-func (l *tamperLog) TruncateTorn() error { return nil }
 func (l *tamperLog) Rewind(keep int) error {
 	l.recs = l.recs[:keep]
 	return nil
@@ -87,9 +86,8 @@ func TestChainVerifyClean(t *testing.T) {
 	if err := c.Verify(); err != nil {
 		t.Fatalf("clean chain failed verify: %v", err)
 	}
-	n, err := VerifyLog(log)
-	if err != nil || n != c.Len() {
-		t.Fatalf("VerifyLog = %d, %v; want %d, nil", n, err, c.Len())
+	if len(log.recs) != c.Len() {
+		t.Fatalf("log holds %d records, chain appended %d", len(log.recs), c.Len())
 	}
 }
 
@@ -105,8 +103,6 @@ func TestChainTamperFlipByte(t *testing.T) {
 			orig := log.recs[i][off]
 			log.recs[i][off] = orig ^ 0x20
 			wantBadRecord(t, c.Verify(), i, fmt.Sprintf("flip record %d byte %d", i, off))
-			_, err := VerifyLog(log)
-			wantBadRecord(t, err, i, fmt.Sprintf("VerifyLog flip record %d byte %d", i, off))
 			log.recs[i][off] = orig
 		}
 	}
@@ -126,21 +122,16 @@ func TestChainTamperDrop(t *testing.T) {
 	for _, i := range []int{0, 1, n / 2, n - 2} {
 		log.recs = append(append([][]byte(nil), orig[:i]...), orig[i+1:]...)
 		wantBadRecord(t, c.Verify(), i, fmt.Sprintf("drop record %d", i))
-		_, err := VerifyLog(log)
-		wantBadRecord(t, err, i, fmt.Sprintf("VerifyLog drop record %d", i))
 	}
 
-	// Tail truncation: internally consistent, so only the live chain
-	// (which knows its count) can see it — the error names the first
-	// missing record.
+	// Tail truncation: internally consistent, so only the record count
+	// the chain keeps can see it — the error names the first missing
+	// record.
 	log.recs = orig[:n-1]
 	err := c.Verify()
 	wantBadRecord(t, err, n-1, "drop tail record")
 	if !strings.Contains(err.Error(), "truncated") {
 		t.Fatalf("tail drop error should say truncated: %v", err)
-	}
-	if _, err := VerifyLog(log); err != nil {
-		t.Fatalf("VerifyLog cannot detect tail truncation, got: %v", err)
 	}
 	log.recs = orig
 }
@@ -154,8 +145,6 @@ func TestChainTamperSwap(t *testing.T) {
 		i, j := pair[0], pair[1]
 		log.recs[i], log.recs[j] = log.recs[j], log.recs[i]
 		wantBadRecord(t, c.Verify(), i, fmt.Sprintf("swap records %d,%d", i, j))
-		_, err := VerifyLog(log)
-		wantBadRecord(t, err, i, fmt.Sprintf("VerifyLog swap records %d,%d", i, j))
 		log.recs[i], log.recs[j] = log.recs[j], log.recs[i]
 	}
 }
@@ -176,9 +165,8 @@ func TestChainTamperRewrite(t *testing.T) {
 	payload := appendPayload(nil, &r, r.Prev)
 	r.Digest = digestHex(payload)
 	log.recs[i] = appendRecord(nil, &r)
-	wantBadRecord(t, c.Verify(), i+1, "self-consistent rewrite")
-	_, err := VerifyLog(log)
-	wantBadRecord(t, err, i+1, "VerifyLog self-consistent rewrite")
+	err := c.Verify()
+	wantBadRecord(t, err, i+1, "self-consistent rewrite")
 	if !strings.Contains(err.Error(), "predecessor link broken") {
 		t.Fatalf("rewrite should break the successor's predecessor link: %v", err)
 	}
@@ -210,53 +198,6 @@ func TestChainTamperInsert(t *testing.T) {
 	ins = append(ins, append([]byte(nil), log.recs[i]...))
 	log.recs = append(ins, log.recs[i:]...)
 	wantBadRecord(t, c.Verify(), i+1, "insert duplicate record")
-}
-
-// TestOpenChainResume closes a chain mid-history, reopens it over the
-// same log, feeds the rest of the commits and verifies the whole chain.
-func TestOpenChainResume(t *testing.T) {
-	g, err := flowgen.Generate(flowgen.Spec{Cells: 20, Shape: flowgen.Chain, Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := g.Populate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	log := &tamperLog{}
-	c1 := NewChain(log)
-	// Feed only the first half by hand (the "before the restart" part).
-	all := b.DB.All()
-	half := len(all) / 2
-	for _, in := range all[:half] {
-		c1.OnCommit(in)
-	}
-	if err := c1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	c2, err := OpenChain(log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c2.Len() != half {
-		t.Fatalf("reopened chain has %d records, want %d", c2.Len(), half)
-	}
-	for _, in := range all[half:] {
-		c2.OnCommit(in)
-	}
-	if err := c2.Verify(); err != nil {
-		t.Fatalf("resumed chain failed verify: %v", err)
-	}
-	if c2.Len() != len(all) {
-		t.Fatalf("resumed chain has %d records, want %d", c2.Len(), len(all))
-	}
-
-	// Reopening a tampered log must fail up front.
-	log.recs[2][len(log.recs[2])/2] ^= 1
-	if _, err := OpenChain(log); err == nil {
-		t.Fatal("OpenChain accepted a tampered log")
-	}
 }
 
 // TestChainAppendFailureLatched pins the error path: the observer
@@ -351,8 +292,17 @@ func TestChainGoldenDigest(t *testing.T) {
 	if head.Digest != goldenHeadDigest {
 		t.Fatalf("head digest %s, want %s\nchain:\n%s", head.Digest, goldenHeadDigest, bytes.Join(recs, []byte("\n")))
 	}
-	if n, err := VerifyLog(log); err != nil || n != len(goldenInstances()) {
-		t.Fatalf("VerifyLog = %d, %v; want %d, nil", n, err, len(goldenInstances()))
+	if err := c.Verify(); err != nil || c.Head() != goldenHeadDigest {
+		t.Fatalf("Verify = %v, Head = %s; want nil, %s", err, c.Head(), goldenHeadDigest)
+	}
+	// A log-less chain, as a durable run keeps, reaches the same head.
+	bare := NewChain(nil)
+	for _, in := range goldenInstances() {
+		bare.OnCommit(in)
+	}
+	if bare.Head() != goldenHeadDigest || bare.Len() != len(goldenInstances()) {
+		t.Fatalf("log-less chain: head %s after %d records, want %s after %d",
+			bare.Head(), bare.Len(), goldenHeadDigest, len(goldenInstances()))
 	}
 }
 
@@ -365,5 +315,9 @@ func TestChainAppendAllocs(t *testing.T) {
 		Data:   "5f1d0c3b9a", User: "designer", Created: time.Unix(1_700_000_000, 0)}
 	if allocs := testing.AllocsPerRun(1000, func() { c.OnCommit(in) }); allocs > 1 {
 		t.Fatalf("OnCommit made %.0f allocations per record, want at most 1", allocs)
+	}
+	bare := NewChain(nil)
+	if allocs := testing.AllocsPerRun(1000, func() { bare.OnCommit(in) }); allocs > 0 {
+		t.Fatalf("a log-less chain made %.0f allocations per record, want none", allocs)
 	}
 }

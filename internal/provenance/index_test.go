@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/exec"
 	"repro/internal/flowgen"
 	"repro/internal/history"
 )
@@ -117,37 +116,6 @@ func TestIndexLiveCommits(t *testing.T) {
 		nf, e3 := db.Forwardchain(c, -1)
 		iff, e4 := idx.Forwardchain(c, -1)
 		assertSameDerivation(t, "forwardchain", nf, iff, e3, e4)
-	}
-}
-
-// TestIndexDuringEngineRun attaches the index before a real engine run,
-// so the commits arrive through exec's recordJob path, and checks the
-// differential equality over the run's results.
-func TestIndexDuringEngineRun(t *testing.T) {
-	b, err := flowgen.Build(flowgen.Spec{Cells: 40, Shape: flowgen.FanOutIn, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx := NewIndex()
-	b.DB.Observe(idx)
-	eng := exec.New(b.Schema, b.DB, b.Store, b.Reg)
-	res, err := eng.RunFlow(b.Flow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Units == 0 {
-		t.Fatal("engine ran no units")
-	}
-	if idx.Len() != b.DB.Len() {
-		t.Fatalf("index has %d instances, db has %d after run", idx.Len(), b.DB.Len())
-	}
-	if idx.Edges() == 0 {
-		t.Fatal("index has no edges after run")
-	}
-	for _, id := range b.DB.All() {
-		nb, e1 := b.DB.Backchain(id.ID, -1)
-		ib, e2 := idx.Backchain(id.ID, -1)
-		assertSameDerivation(t, "backchain", nb, ib, e1, e2)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/history"
+	"repro/internal/exec"
 	"repro/internal/provenance"
 	"repro/internal/storage"
 )
@@ -18,46 +18,47 @@ import (
 // This file is the service half of the durability layer (Config.
 // DataDir). Layout under the data directory:
 //
-//	runs/<id>.wal   one write-ahead log per submission (the identity
+//	runs/<id>.wal   one write-ahead log per submission: the identity
 //	                record with the submitted scenario, then the run's
-//	                trace plus each committed unit's artifacts)
-//	runs/<id>.chain hash-chained derivation records of the run's
-//	                history database (provenance.Chain; verified by
-//	                flowd -verify-provenance)
+//	                trace plus each committed unit's artifacts and chain
+//	                digest
 //
-// Nothing else is written. A run's artifacts live in its world's own
-// datastore and are freed with the world when the run ends; no endpoint
-// serves them. A store.json checkpoint left by an older flowd is
-// neither read nor deleted.
+// Nothing else is written; a store.json or runs/<id>.chain left by an
+// older flowd is neither read nor deleted.
 //
 // Boot recovery (initDurable, from New) reads every WAL back:
 //
-//   - A log containing RunFinished is a completed run — possibly a
+//   - A log containing RunFinished, or the terminal error record of a
+//     run that ended before planning, is a completed run — possibly a
 //     failed or cancelled one. It reappears queryable (status, complete
-//     trace) in a terminal state; nothing is replayed into a store.
+//     trace) in a terminal state; nothing is replayed at boot.
 //
-//   - A log without RunFinished is an interrupted run (crash, kill -9).
+//   - A log without either is an interrupted run (crash, kill -9).
 //     The service re-materializes the run's world from the scenario in
 //     the identity record — the same path a submission takes — rewinds
 //     the log to its resumable prefix and relaunches the run with
 //     exec.RunOptions.Resume: the executor restores every fully-committed
-//     unit from the log (re-recording history and re-feeding the new
-//     world's datastore through its normal committer) and re-executes
-//     only the rest, appending to the same WAL with continuous event
-//     sequence numbers. Nothing is replayed here out-of-band — the
-//     resumed run is the single commit path. A log whose identity
-//     record carries no scenario, or one that no longer materializes,
-//     recovers failed.
+//     unit from the log (re-recording history, checking it against its
+//     logged chain digest and re-feeding the new world's datastore
+//     through its normal commit step) and re-executes only the rest,
+//     appending to the same WAL with continuous event sequence
+//     numbers. Nothing is replayed here out-of-band — the resumed run
+//     is the single commit path. A log whose identity record carries
+//     no scenario, or one that no longer materializes, recovers
+//     failed; one that fails a digest check ends failed, naming the
+//     unit. ReplayLog, the one verifier, replays a finished log the
+//     same way and runs nothing.
 //
 // Shutdown is the graceful half: stop admitting, drain active runs
-// (their own goroutines close each WAL and chain file), abort
-// stragglers at the deadline.
+// (their own goroutines close each WAL), abort stragglers at the
+// deadline.
 
 // openRunWAL creates a fresh submission's log under <dataDir>/runs and
 // makes the identity record, carrying the compacted scenario document,
 // durable.
 func (s *Server) openRunWAL(rec *runRecord, doc []byte) error {
-	l, err := storage.OpenFile(filepath.Join(s.dataDir, "runs", rec.id+".wal"))
+	path := filepath.Join(s.dataDir, "runs", rec.id+".wal")
+	l, err := storage.OpenFile(path)
 	if err != nil {
 		return err
 	}
@@ -67,117 +68,81 @@ func (s *Server) openRunWAL(rec *runRecord, doc []byte) error {
 		_ = l.Close()
 		return err
 	}
-	rec.wal, rec.walLog = w, l
+	rec.wal, rec.walLog, rec.logPath = w, l, path
 	return nil
 }
 
-// discardRunWAL abandons a WAL (and provenance chain, if one was
-// attached) opened for a run that was never launched (admission lost a
-// race with Shutdown).
-func (s *Server) discardRunWAL(rec *runRecord) {
-	if rec.chain != nil {
-		_ = rec.chain.Close()
-		rec.chain = nil
-	}
+// discardRunWAL ends the WAL of a run that was never launched
+// (admission lost a race with Shutdown) with err, so no boot runs it.
+func (s *Server) discardRunWAL(rec *runRecord, err error) {
 	if rec.wal == nil {
 		return
 	}
+	rec.wal.AppendError(err.Error())
 	_ = rec.wal.Close()
 	_ = rec.walLog.Close()
 }
 
-// chainPath is the run's provenance-chain log under the data dir.
-func (s *Server) chainPath(id string) string {
-	return filepath.Join(s.dataDir, "runs", id+".chain")
+// ErrInterrupted marks a log that does not read back to a finished
+// run: an interrupted one, or, for a run known to have finished, damage.
+var ErrInterrupted = errors.New("the log does not read back to a finished run")
+
+// ErrUnverified marks a finished log without chain digests, written
+// before they were logged. Its replay still rebuilds the provenance.
+var ErrUnverified = errors.New("unverified: written before chain digests")
+
+// ReplayLog re-derives a finished run's history from its WAL alone,
+// without modifying the log: it materializes the world from the logged
+// scenario, attaches a fresh provenance index and replays the log
+// through the resume path, every logged unit restored and checked
+// against its chain digest and no tool run. It returns the index, the
+// number of chain records re-derived (imports included) and the first
+// verification failure, which names the unit. An unfinished log fails
+// with ErrInterrupted; a finished one with bytes after its end is
+// damaged, since a finished run synced everything it wrote.
+func ReplayLog(path string) (*provenance.Index, int, error) {
+	idx, n, _, err := replayLog(path)
+	return idx, n, err
 }
 
-// attachProvenance wires the run's provenance surface to its world's
-// database: a fresh adjacency index plus a hash chain — file-backed in
-// durable mode, in-memory otherwise. Observe backfills both with every
-// record already committed (the imports), then feeds them each live
-// commit in order.
-func (s *Server) attachProvenance(rec *runRecord, db *history.DB) error {
-	rec.prov = provenance.NewIndex()
-	db.Observe(rec.prov)
-	var l storage.Log
-	if s.dataDir != "" {
-		fl, err := storage.OpenFile(s.chainPath(rec.id))
-		if err != nil {
-			return err
-		}
-		l = fl
-	} else {
-		l = storage.NewMemLog()
-	}
-	rec.chain = provenance.NewChain(l)
-	db.Observe(rec.chain)
-	return nil
-}
-
-// finishChain makes the run's chain durable once the run has ended. A
-// durable run also closes the chain's file, since nothing appends
-// after the run; chainLen keeps the record count verify=1 checks the
-// reopened file against.
-func (rec *runRecord) finishChain() error {
-	if rec.wal == nil {
-		return rec.chain.Sync()
-	}
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	rec.chainLen = rec.chain.Len()
-	err := rec.chain.Close()
-	rec.chain = nil
-	return err
-}
-
-// verifyChainFile checks a finished durable run's closed chain: the
-// file is reopened, verified cold (VerifyLog) and must hold exactly the
-// want records the run appended. A damaged frame ends the readable
-// prefix, so damage anywhere names the first record that no longer
-// reads back.
-func (s *Server) verifyChainFile(id string, want int) error {
-	path := s.chainPath(id)
-	if _, err := os.Stat(path); err != nil { // OpenFile would create it
-		return err
-	}
-	l, err := storage.OpenFile(path)
+// replayLog is ReplayLog, also returning the replay's result.
+func replayLog(path string) (*provenance.Index, int, *exec.Result, error) {
+	l, err := storage.OpenReadOnly(path)
 	if err != nil {
-		return err
+		return nil, 0, nil, err
 	}
-	n, err := provenance.VerifyLog(l)
-	_ = l.Close() // read only
+	defer l.Close() // read only
+	rc, err := storage.RecoverRun(l)
 	switch {
 	case err != nil:
-		return err
-	case n < want:
-		return fmt.Errorf("provenance: record %d damaged or missing: %d of the run's %d records read back", n, n, want)
-	case n > want:
-		return fmt.Errorf("provenance: record %d not appended by this run: the chain holds %d records, the run appended %d", want, n, want)
+		return nil, 0, nil, err
+	case !rc.Finished:
+		return nil, 0, nil, ErrInterrupted
+	case l.Torn() || l.Records() > rc.PrefixRecords:
+		return nil, 0, nil, errors.New("the log has bytes after its end: a finished run's log was altered")
+	case rc.Meta == nil || len(rc.Meta.Scenario) == 0:
+		return nil, 0, nil, fmt.Errorf("%w: the log records no scenario", ErrUnverified)
 	}
-	return nil
-}
-
-// dropPreCrashChain prepares an interrupted run's chain for resume. The
-// resumed run is the single commit path — the executor re-records every
-// restored unit through the world's database — so the chain is rebuilt
-// alongside it rather than appended to (appending would duplicate every
-// re-committed record). The pre-crash chain is verified first: resuming
-// on top of tampered provenance is refused at boot.
-func (s *Server) dropPreCrashChain(id string) error {
-	path := s.chainPath(id)
-	l, err := storage.OpenFile(path)
+	world, _, opts, err := materialize(rc.Meta.Scenario)
 	if err != nil {
-		return err
+		return nil, 0, nil, fmt.Errorf("scenario: %w", err)
 	}
-	_, verr := provenance.VerifyLog(l)
-	cerr := l.Close()
-	if verr != nil {
-		return fmt.Errorf("pre-crash chain %s: %w", filepath.Base(path), verr)
+	defer world.Close()
+	idx := provenance.NewIndex()
+	world.DB().Observe(idx)
+	var res *exec.Result
+	if rc.Error == "" { // a run that ended before planning recorded only its imports
+		opts.User, opts.Resume = rc.Meta.User, rc
+		engine := exec.New(nil, nil, nil, nil)
+		defer engine.Close()
+		if res, err = world.Run(context.Background(), engine, opts); err != nil {
+			return nil, 0, res, err
+		}
+		if rc.PlanDigest == "" {
+			err = ErrUnverified
+		}
 	}
-	if cerr != nil {
-		return cerr
-	}
-	return os.Remove(path)
+	return idx, world.DB().Len(), res, err
 }
 
 // initDurable restores the server's durable state: every run log
@@ -218,30 +183,35 @@ func (s *Server) recoverRunFile(path string) error {
 	}
 	s.noteSeq(id)
 	if rc.Finished {
-		return s.registerFinished(id, rc, l, nil)
+		return s.registerFinished(id, path, rc, l, nil)
 	}
 	if rc.Meta == nil {
 		// The crash beat the identity record to disk: there is nothing
 		// to rebuild the run from, and nothing was committed.
 		return l.Close()
 	}
-	return s.resumeRun(id, rc, l)
+	return s.resumeRun(id, path, rc, l)
 }
 
 // registerFinished surfaces a run that will not execute again: it
-// reappears with a closed, fully pre-seeded event stream. cause is nil
-// for a completed run, whose terminal state derives from its
+// reappears with a closed, fully pre-seeded event stream and no
+// provenance index — its first provenance query replays the log. cause
+// is nil for a completed run, whose terminal state derives from its
 // RunFinished record (the original error text is not persisted; a
-// failed or aborted run recovers as "failed"). A non-nil cause is why an
+// failed or aborted run recovers as "failed") or from its terminal
+// error record, whose error it keeps. A non-nil cause is why an
 // interrupted run cannot be resumed: it recovers failed with that
 // error and its trace prefix intact, so the operator can see it and
 // resubmit — without failing the whole boot.
-func (s *Server) registerFinished(id string, rc *storage.Recovered, l storage.Log, cause error) error {
+func (s *Server) registerFinished(id, path string, rc *storage.Recovered, l storage.Log, cause error) error {
 	if err := l.Close(); err != nil {
 		return err
 	}
+	if cause == nil && rc.Error != "" {
+		cause = errors.New(rc.Error)
+	}
 	rec := &runRecord{id: id, cancel: func() {}, done: make(chan struct{}),
-		log: newEventLog(), state: stateSucceeded, err: cause}
+		log: newEventLog(), state: stateSucceeded, err: cause, logPath: path}
 	if rc.Meta != nil {
 		rec.flowName, rec.user = rc.Meta.Flow, rc.Meta.User
 	}
@@ -249,10 +219,10 @@ func (s *Server) registerFinished(id string, rc *storage.Recovered, l storage.Lo
 		rec.log.Emit(ev)
 		s.metrics.Emit(ev)
 	}
-	if cause != nil {
+	if n := len(rc.Events); cause != nil || n == 0 {
 		rec.state = stateFailed
 	} else {
-		fin := rc.Events[len(rc.Events)-1]
+		fin := rc.Events[n-1]
 		rec.tasksRun = fin.Committed // the run's Result.TasksRun
 		if fin.Failed > 0 || fin.Skipped > 0 || fin.Committed < fin.Units {
 			rec.state = stateFailed
@@ -269,26 +239,19 @@ func (s *Server) registerFinished(id string, rc *storage.Recovered, l storage.Lo
 // resumeRun relaunches an interrupted run from its recovered prefix.
 // The world is re-materialized from the logged scenario exactly as
 // handleSubmit built it, so the deterministic replan pre-assigns the
-// instance IDs the log recorded — the executor verifies every one
-// before committing. The event stream is pre-seeded with the prefix
-// and the fresh suffix continues its sequence numbers, so a trace
-// reader sees one gapless run.
-func (s *Server) resumeRun(id string, rc *storage.Recovered, l storage.Log) error {
+// instance IDs the log recorded — the executor verifies every one, and
+// every logged digest, before dispatching anything. The provenance
+// index attaches to the fresh world's database, so it observes the
+// restored units and the fresh suffix as one stream. The event stream
+// is pre-seeded with the prefix and the fresh suffix continues its
+// sequence numbers, so a trace reader sees one gapless run.
+func (s *Server) resumeRun(id, path string, rc *storage.Recovered, l storage.Log) error {
 	if len(rc.Meta.Scenario) == 0 {
-		return s.registerFinished(id, rc, l, errors.New("cannot resume: the run log records no scenario"))
+		return s.registerFinished(id, path, rc, l, errors.New("cannot resume: the run log records no scenario"))
 	}
-	world, _, opts, err := s.materialize(rc.Meta.Scenario)
+	world, _, opts, err := materialize(rc.Meta.Scenario)
 	if err != nil {
-		return s.registerFinished(id, rc, l, fmt.Errorf("cannot resume: scenario: %w", err))
-	}
-	// Provenance: the resumed run re-records its whole history through
-	// the fresh world's database, so the index attaches empty and the
-	// chain is rebuilt (after verifying the pre-crash one) — both then
-	// observe the replayed units and the fresh suffix as one stream.
-	if err := s.dropPreCrashChain(id); err != nil {
-		world.Close()
-		_ = l.Close()
-		return fmt.Errorf("provenance: %w", err)
+		return s.registerFinished(id, path, rc, l, fmt.Errorf("cannot resume: scenario: %w", err))
 	}
 	if err := rc.Rewind(l); err != nil {
 		world.Close()
@@ -298,14 +261,9 @@ func (s *Server) resumeRun(id string, rc *storage.Recovered, l storage.Log) erro
 	ctx, cancel := context.WithCancel(context.Background())
 	rec := &runRecord{id: id, flowName: rc.Meta.Flow, user: rc.Meta.User,
 		log: newEventLog(), cancel: cancel, done: make(chan struct{}),
-		state: stateRunning, walLog: l, wal: storage.NewRunWAL(l)}
-	rec.started = time.Now()
-	if err := s.attachProvenance(rec, world.DB()); err != nil {
-		cancel()
-		s.discardRunWAL(rec)
-		world.Close()
-		return fmt.Errorf("provenance: %w", err)
-	}
+		state: stateRunning, walLog: l, wal: storage.NewRunWAL(l), logPath: path,
+		prov: provenance.NewIndex(), started: time.Now()}
+	world.DB().Observe(rec.prov)
 	for _, ev := range rc.Events {
 		rec.log.Emit(ev)
 		s.metrics.Emit(ev)
@@ -334,12 +292,12 @@ func (s *Server) noteSeq(id string) {
 
 // Shutdown drains the service for a clean exit: stop admitting
 // (submissions get 503), wait up to timeout for active runs to finish
-// — each run's goroutine closes its WAL and chain file on the way out —
-// then cancel whatever is left. forced reports that the deadline
-// expired and running flows were aborted; their WALs still hold every
-// committed unit, so nothing durable is lost. Every run's durable
-// state is its own WAL and chain, so Shutdown writes nothing and err
-// is always nil. Safe without a DataDir.
+// — each run's goroutine closes its WAL on the way out — then cancel
+// whatever is left. forced reports that the deadline expired and
+// running flows were aborted; their WALs still hold every committed
+// unit, so nothing durable is lost. Every run's durable state is its
+// own WAL, so Shutdown writes nothing and err is always nil. Safe
+// without a DataDir.
 func (s *Server) Shutdown(timeout time.Duration) (forced bool, err error) {
 	s.mu.Lock()
 	s.draining = true

@@ -1,17 +1,17 @@
 package service
 
 import (
-	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// TestDurableChainFilesClosed: a durable run closes its chain file when
-// it ends, so finished runs hold no descriptors. verify=1 then rereads
-// the file: it reports a clean chain verified, and after one byte of a
-// record is flipped it names that record.
+// TestDurableChainFilesClosed: a finished durable run holds no file
+// descriptor under the data dir — its WAL is closed when it ends, and
+// verify=1 reads it back through a descriptor of its own. verify=1
+// reports the clean log verified, and once one logged artifact is
+// rewritten, frame checksum recomputed, names its unit.
 func TestDurableChainFilesClosed(t *testing.T) {
 	dir := t.TempDir()
 	_, ts := newTestServer(t, Config{Workers: 2, DataDir: dir})
@@ -24,17 +24,6 @@ func TestDurableChainFilesClosed(t *testing.T) {
 			t.Fatalf("run %s ended %+v, want succeeded", id, v)
 		}
 	}
-	fds, err := os.ReadDir("/proc/self/fd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, fd := range fds {
-		target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name()))
-		if err == nil && strings.HasPrefix(target, dir) && strings.HasSuffix(target, ".chain") {
-			t.Errorf("descriptor %s still open on %s after its run finished", fd.Name(), target)
-		}
-	}
-
 	id := ids[1]
 	url := ts.URL + "/v1/runs/" + id + "/provenance?inst=Out:4&verify=1"
 	var view provenanceView
@@ -42,24 +31,20 @@ func TestDurableChainFilesClosed(t *testing.T) {
 	if view.Chain == nil || !view.Chain.Verified || view.Chain.Records != 4 {
 		t.Fatalf("finished run's chain verdict = %+v, want verified with 4 records", view.Chain)
 	}
-
-	// Flip one byte inside record 2's payload. Each record is framed by
-	// a 4-byte length and a 4-byte CRC.
-	path := filepath.Join(dir, "runs", id+".chain")
-	data, err := os.ReadFile(path)
+	fds, err := os.ReadDir("/proc/self/fd")
 	if err != nil {
 		t.Fatal(err)
 	}
-	off := 0
-	for i := 0; i < 2; i++ {
-		off += 8 + int(binary.LittleEndian.Uint32(data[off:]))
+	for _, fd := range fds {
+		target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name()))
+		if err == nil && strings.HasPrefix(target, dir) {
+			t.Errorf("descriptor %s still open on %s after its run finished", fd.Name(), target)
+		}
 	}
-	data[off+8+len(`{"seq":2,"id":"`)] ^= 0x20
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+
+	rewriteArtifact(t, filepath.Join(dir, "runs", id+".wal"), 1)
 	getJSON(t, url, &view)
-	if view.Chain == nil || view.Chain.Verified || !strings.Contains(view.Chain.Error, "record 2 ") {
-		t.Fatalf("tampered chain verdict = %+v, want a failure naming record 2", view.Chain)
+	if view.Chain == nil || view.Chain.Verified || !strings.Contains(view.Chain.Error, "recovered unit 1 (Out:4)") {
+		t.Fatalf("tampered log's verdict = %+v, want a failure naming unit 1 (Out:4)", view.Chain)
 	}
 }

@@ -49,7 +49,7 @@ func sameTrace(t *testing.T, got, want []string) {
 }
 
 // compact returns a scenario document as the service logs it.
-func compact(t *testing.T, doc string) []byte {
+func compact(t testing.TB, doc string) []byte {
 	t.Helper()
 	var b bytes.Buffer
 	if err := json.Compact(&b, []byte(doc)); err != nil {
@@ -79,6 +79,91 @@ func writeMeta(t *testing.T, runs string, meta storage.RunMeta) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// recoverFile reads a run log back without changing it.
+func recoverFile(t *testing.T, path string) *storage.Recovered {
+	t.Helper()
+	l, err := storage.OpenReadOnly(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	rc, err := storage.RecoverRun(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rc
+}
+
+// rewriteLog replaces the run log at path with edit applied to its
+// records, framed afresh — so every frame checksum holds.
+func rewriteLog(t testing.TB, path string, edit func(recs [][]byte) [][]byte) {
+	t.Helper()
+	l, err := storage.OpenReadOnly(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := l.Committed()
+	l.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	out, err := storage.OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range edit(recs) {
+		if err := out.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := out.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// rewriteArtifact rewrites the artifact bytes the given unit's
+// UnitCommitted record carries: a tamper the frame checksums cannot
+// see, since the record is framed afresh.
+func rewriteArtifact(t testing.TB, path string, unit int) {
+	t.Helper()
+	rewriteLog(t, path, func(recs [][]byte) [][]byte {
+		for i, raw := range recs {
+			var rec storage.Record
+			if err := json.Unmarshal(raw, &rec); err != nil {
+				t.Fatal(err)
+			}
+			if rec.Commit == nil || rec.Commit.Unit != unit {
+				continue
+			}
+			for typ, b := range rec.Commit.Outputs {
+				rec.Commit.Outputs[typ] = append(b, " (rewritten)"...)
+			}
+			b, err := json.Marshal(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs[i] = b
+			return recs
+		}
+		t.Fatalf("%s has no commit record for unit %d", path, unit)
+		return nil
+	})
+}
+
+// dropRunFinished turns a finished run's log into an interrupted one.
+func dropRunFinished(t *testing.T, path string) {
+	t.Helper()
+	rewriteLog(t, path, func(recs [][]byte) [][]byte {
+		if !bytes.Contains(recs[len(recs)-1], []byte(`"RunFinished"`)) {
+			t.Fatalf("%s does not end with RunFinished", path)
+		}
+		return recs[:len(recs)-1]
+	})
 }
 
 // TestDurableFinishedRunSurvivesRestart: a run completed and drained
@@ -373,8 +458,9 @@ func TestDurableSeqContinues(t *testing.T) {
 }
 
 // TestDurableVerifyAcrossRunEnd: verify=1 requests racing a durable
-// run's end, when the run closes its chain file, all find the chain
-// verified — live while the run commits, from the reopened file after.
+// run's end, when the run closes its WAL, each get one of two answers
+// and never a failure: still running while the run commits, verified
+// from the replayed log after.
 func TestDurableVerifyAcrossRunEnd(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2, DataDir: t.TempDir()})
 	v := submit(t, ts.URL, corpus(t, "slow-chain"), "alice")
@@ -390,8 +476,8 @@ func TestDurableVerifyAcrossRunEnd(t *testing.T) {
 		if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
 			return err
 		}
-		if view.Chain == nil || !view.Chain.Verified {
-			return fmt.Errorf("chain verdict %+v, want verified", view.Chain)
+		if c := view.Chain; c == nil || !c.Verified && !strings.HasPrefix(c.Error, "still running") {
+			return fmt.Errorf("chain verdict %+v, want verified or still running", view.Chain)
 		}
 		return nil
 	}

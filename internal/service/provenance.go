@@ -5,6 +5,7 @@ import (
 	"strconv"
 
 	"repro/internal/history"
+	"repro/internal/provenance"
 )
 
 // This file is the HTTP face of the provenance layer (internal/
@@ -17,8 +18,11 @@ import (
 // was this made from") and forward chaining ("what was made from this")
 // — as an index walk, without touching the history database's lock.
 // depth bounds the chaining levels (absent or negative = unbounded).
-// Adding verify=1 also checks the run's hash chain end to end and
-// reports the verdict inline.
+// A run recovered at boot as finished gets its index from its first
+// query, which replays its WAL (ReplayLog); a log that fails
+// verification answers 409 naming the unit. verify=1 replays a finished
+// durable run's WAL and reports inline whether every logged chain
+// digest matched.
 
 // provenanceEdge is one derivation arc in the response: Parent was
 // created using Child. Kind is the paper's arc label — "fd" for the
@@ -54,11 +58,6 @@ func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "no run %q", r.PathValue("id"))
 		return
 	}
-	if rec.prov == nil {
-		writeErr(w, http.StatusConflict,
-			"run %q was recovered from a finished log and has no live provenance index; use flowd -verify-provenance for its chain", rec.id)
-		return
-	}
 	q := r.URL.Query()
 	inst := q.Get("inst")
 	if inst == "" {
@@ -78,16 +77,20 @@ func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
 		}
 		depth = n
 	}
-	var der *history.Derivation
-	var err error
-	switch dir {
-	case "back":
-		der, err = rec.prov.Backchain(history.ID(inst), depth)
-	case "fwd":
-		der, err = rec.prov.Forwardchain(history.ID(inst), depth)
-	default:
+	if dir != "back" && dir != "fwd" {
 		writeErr(w, http.StatusBadRequest, "dir must be back or fwd, not %q", dir)
 		return
+	}
+	idx, err := rec.index()
+	if err != nil {
+		writeErr(w, http.StatusConflict, "run %q: its log fails verification: %v", rec.id, err)
+		return
+	}
+	var der *history.Derivation
+	if dir == "back" {
+		der, err = idx.Backchain(history.ID(inst), depth)
+	} else {
+		der, err = idx.Forwardchain(history.ID(inst), depth)
 	}
 	if err != nil {
 		writeErr(w, http.StatusNotFound, "%v", err)
@@ -108,30 +111,41 @@ func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if q.Get("verify") == "1" {
-		view.Chain = s.verifyChain(rec)
+		view.Chain = rec.verify()
 	}
 	writeJSON(w, http.StatusOK, view)
 }
 
-// verifyChain checks the run's hash chain end to end: an open chain
-// verifies itself, including its record count; a finished durable
-// run's closed chain file is reopened (verifyChainFile). rec.mu is held
-// throughout, so the run cannot close its chain under a check.
-func (s *Server) verifyChain(rec *runRecord) *chainVerdict {
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	v := &chainVerdict{Records: rec.chainLen}
-	var err error
-	if rec.chain != nil {
-		v.Records = rec.chain.Len()
-		err = rec.chain.Verify()
-	} else {
-		err = s.verifyChainFile(rec.id, rec.chainLen)
+// index returns the run's live provenance index or, for a run
+// recovered as finished, the one a replay of its log rebuilds once.
+func (rec *runRecord) index() (*provenance.Index, error) {
+	rec.replay.Do(func() {
+		if rec.prov == nil {
+			rec.prov, _, rec.provErr = ReplayLog(rec.logPath)
+		}
+	})
+	if rec.prov == nil {
+		return nil, rec.provErr
 	}
-	if err != nil {
-		v.Error = err.Error()
-	} else {
-		v.Verified = true
+	return rec.prov, nil // an unverified log still serves its index
+}
+
+// verify replays the run's WAL against its logged chain digests. Only
+// a finished durable run has a complete log to check.
+func (rec *runRecord) verify() *chainVerdict {
+	v := &chainVerdict{}
+	switch {
+	case rec.logPath == "":
+		v.Error = "no log to verify: runs without a data dir keep no chain"
+	case rec.view().State == string(stateRunning):
+		v.Error = "still running: the log is verified once the run has finished"
+	default:
+		var err error
+		if _, v.Records, err = ReplayLog(rec.logPath); err != nil {
+			v.Error = err.Error()
+		} else {
+			v.Verified = true
+		}
 	}
 	return v
 }

@@ -1,18 +1,19 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/provenance"
-	"repro/internal/storage"
 	"repro/internal/trace"
 )
 
@@ -125,7 +126,8 @@ func TestScenarioMemoIsolation(t *testing.T) {
 // TestProvenanceEndpoint drives the chaining query over a scenario run
 // whose instance IDs are fully known: backward from the final output,
 // forward from the imported source, depth bounds, and the inline chain
-// verification.
+// verdict — which, for a run without a data dir, is that there is no
+// log to verify.
 func TestProvenanceEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	v := submit(t, ts.URL, svcScenario, "alice")
@@ -147,8 +149,8 @@ func TestProvenanceEndpoint(t *testing.T) {
 	if e := view.Edges[0]; e.Parent != "Out:4" || e.Child != "T:2" || e.Kind != "fd" {
 		t.Fatalf("first edge = %+v, want Out:4 -fd-> T:2", e)
 	}
-	if view.Chain == nil || !view.Chain.Verified || view.Chain.Records != 4 {
-		t.Fatalf("chain verdict = %+v, want verified with 4 records", view.Chain)
+	if view.Chain == nil || view.Chain.Verified || view.Chain.Records != 0 || !strings.Contains(view.Chain.Error, "no log") {
+		t.Fatalf("chain verdict = %+v, want unverified: no log", view.Chain)
 	}
 
 	getJSON(t, base+"?inst=Src:1&dir=fwd", &view)
@@ -175,9 +177,46 @@ func TestProvenanceEndpoint(t *testing.T) {
 	}
 }
 
-// TestDurableChainPersisted: a durable run leaves a verifiable hash
-// chain next to its WAL, and after a clean shutdown a cold reader
-// (VerifyLog, the flowd -verify-provenance path) accepts it.
+// performanceInst returns the Performance instance a quickstart run
+// committed, from its trace (IDs carry the world's global commit
+// sequence, so the number depends on the imports).
+func performanceInst(t *testing.T, base, id string) string {
+	t.Helper()
+	for _, line := range fetchTrace(t, base, id) {
+		var ev trace.Event
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatal(err)
+		}
+		for _, inst := range ev.Insts {
+			if strings.HasPrefix(inst, "Performance:") {
+				return inst
+			}
+		}
+	}
+	t.Fatal("no Performance instance committed in the run's trace")
+	return ""
+}
+
+// getBody returns a GET's status and raw body.
+func getBody(t *testing.T, url string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, body
+}
+
+// TestDurableChainPersisted: a durable run leaves exactly one file, its
+// WAL, and verify=1 replays it and finds every chain digest matched.
+// After a restart the run's provenance answers exactly as before — its
+// first query rebuilds the index from the log — and verify=1 still
+// verifies.
 func TestDurableChainPersisted(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := newTestServer(t, Config{Workers: 1, DataDir: dir})
@@ -185,84 +224,128 @@ func TestDurableChainPersisted(t *testing.T) {
 	if fin := waitTerminal(t, ts.URL, v.ID); fin.State != string(stateSucceeded) {
 		t.Fatalf("run ended %+v", fin)
 	}
-	// Locate the produced Performance instance in the run's trace (IDs
-	// carry the world's global commit sequence, so the exact number
-	// depends on the imports).
-	perf := ""
-	for _, line := range fetchTrace(t, ts.URL, v.ID) {
-		var ev trace.Event
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			t.Fatal(err)
+	perf := performanceInst(t, ts.URL, v.ID)
+	base := ts.URL + "/v1/runs/" + v.ID + "/provenance?inst=" + perf
+	var view provenanceView
+	getJSON(t, base+"&verify=1", &view)
+	if view.Chain == nil || !view.Chain.Verified || view.Chain.Records == 0 {
+		t.Fatalf("chain verdict = %+v, want verified", view.Chain)
+	}
+	records := view.Chain.Records
+	live := map[string][]byte{}
+	for _, q := range []string{"", "&dir=fwd", "&depth=1"} {
+		code, body := getBody(t, base+q)
+		if code != http.StatusOK {
+			t.Fatalf("GET provenance%s: %d %s", q, code, body)
 		}
-		for _, id := range ev.Insts {
-			if strings.HasPrefix(id, "Performance:") {
-				perf = id
+		live[q] = body
+	}
+	if forced, err := s.Shutdown(5 * time.Second); err != nil || forced {
+		t.Fatalf("Shutdown = (forced %v, err %v)", forced, err)
+	}
+	entries, err := os.ReadDir(filepath.Join(dir, "runs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != v.ID+".wal" {
+		t.Fatalf("runs/ holds %v, want only %s.wal", entries, v.ID)
+	}
+
+	// The first queries after the restart race: they share one replay.
+	_, ts2 := newTestServer(t, Config{Workers: 1, DataDir: dir})
+	base2 := ts2.URL + "/v1/runs/" + v.ID + "/provenance?inst=" + perf
+	var wg sync.WaitGroup
+	for q, want := range live {
+		wg.Add(1)
+		go func(q string, want []byte) {
+			defer wg.Done()
+			resp, err := http.Get(base2 + q)
+			if err != nil {
+				t.Error(err)
+				return
 			}
-		}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK || !bytes.Equal(body, want) {
+				t.Errorf("provenance%s after restart: %d (%v)\n%s\nwant 200\n%s", q, resp.StatusCode, err, body, want)
+			}
+		}(q, want)
 	}
-	if perf == "" {
-		t.Fatal("no Performance instance committed in the run's trace")
+	wg.Wait()
+	getJSON(t, base2+"&verify=1", &view)
+	if view.Chain == nil || !view.Chain.Verified || view.Chain.Records != records {
+		t.Fatalf("chain verdict after restart = %+v, want verified with %d records", view.Chain, records)
 	}
+}
+
+// TestDurableResumeRefusesTamperedChain: an interrupted run whose WAL
+// has one logged artifact rewritten (frame checksum recomputed) is
+// refused at resume: the run ends failed with an error naming the unit,
+// nothing is dispatched — its trace stays the recovered prefix — and
+// the other runs in the data dir boot normally.
+func TestDurableResumeRefusesTamperedChain(t *testing.T) {
+	dir := t.TempDir()
+	s1, ts1 := newTestServer(t, Config{Workers: 1, DataDir: dir})
+	bad := submit(t, ts1.URL, corpus(t, "quickstart"), "alice")
+	waitTerminal(t, ts1.URL, bad.ID)
+	good := submit(t, ts1.URL, corpus(t, "quickstart"), "bob")
+	waitTerminal(t, ts1.URL, good.ID)
+	if forced, err := s1.Shutdown(5 * time.Second); err != nil || forced {
+		t.Fatalf("Shutdown = (forced %v, err %v)", forced, err)
+	}
+	path := filepath.Join(dir, "runs", bad.ID+".wal")
+	dropRunFinished(t, path)
+	rewriteArtifact(t, path, 1)
+	prefix := recoverFile(t, path)
+	if prefix.Finished || prefix.Commits[1] == nil {
+		t.Fatalf("tampered copy recovered finished=%v with %d commits, want interrupted with unit 1", prefix.Finished, len(prefix.Commits))
+	}
+
+	_, ts2 := newTestServer(t, Config{Workers: 1, DataDir: dir})
+	got := waitTerminal(t, ts2.URL, bad.ID)
+	if got.State != string(stateFailed) || !strings.Contains(got.Error, "recovered unit 1 (") {
+		t.Fatalf("tampered run = %+v, want failed naming unit 1", got)
+	}
+	if n := len(fetchTrace(t, ts2.URL, bad.ID)); n != len(prefix.Events) {
+		t.Fatalf("tampered run's trace has %d events, want the %d of its recovered prefix", n, len(prefix.Events))
+	}
+	if v := waitTerminal(t, ts2.URL, good.ID); v.State != string(stateSucceeded) {
+		t.Fatalf("untampered run after boot = %+v, want succeeded", v)
+	}
+}
+
+// TestDurableTamperedLog: a finished run whose WAL has one logged
+// artifact rewritten, frame checksum recomputed, is refused wherever
+// its log is read — verify=1 and the first provenance query after a
+// restart — with an error naming the unit; the same run's status and
+// trace still recover.
+func TestDurableTamperedLog(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := newTestServer(t, Config{Workers: 1, DataDir: dir})
+	v := submit(t, ts.URL, corpus(t, "quickstart"), "alice")
+	if fin := waitTerminal(t, ts.URL, v.ID); fin.State != string(stateSucceeded) {
+		t.Fatalf("run ended %+v", fin)
+	}
+	perf := performanceInst(t, ts.URL, v.ID)
+	rewriteArtifact(t, filepath.Join(dir, "runs", v.ID+".wal"), 2)
+	const named = "recovered unit 2 ("
 	var view provenanceView
 	getJSON(t, ts.URL+"/v1/runs/"+v.ID+"/provenance?inst="+perf+"&verify=1", &view)
-	if view.Chain == nil || !view.Chain.Verified || view.Chain.Records == 0 {
-		t.Fatalf("live chain verdict = %+v", view.Chain)
+	if view.Chain == nil || view.Chain.Verified || !strings.Contains(view.Chain.Error, named) {
+		t.Fatalf("verify=1 on the rewritten log = %+v, want a failure naming unit 2", view.Chain)
 	}
 	if forced, err := s.Shutdown(5 * time.Second); err != nil || forced {
 		t.Fatalf("Shutdown = (forced %v, err %v)", forced, err)
 	}
 
-	path := filepath.Join(dir, "runs", v.ID+".chain")
-	l, err := storage.OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, verr := provenance.VerifyLog(l)
-	if cerr := l.Close(); cerr != nil {
-		t.Fatal(cerr)
-	}
-	if verr != nil || n != view.Chain.Records {
-		t.Fatalf("cold VerifyLog = (%d, %v), want %d records clean", n, verr, view.Chain.Records)
-	}
-
-	// A recovered-finished run has no live world: the endpoint says so.
 	_, ts2 := newTestServer(t, Config{Workers: 1, DataDir: dir})
-	resp := getJSON(t, ts2.URL+"/v1/runs/"+v.ID+"/provenance?inst="+perf, nil)
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("provenance of recovered run: status %d, want 409", resp.StatusCode)
+	if got := waitTerminal(t, ts2.URL, v.ID); got.State != string(stateSucceeded) {
+		t.Fatalf("recovered run = %+v, want succeeded", got)
 	}
-}
-
-// TestDurableResumeRefusesTamperedChain: boot-time resume re-verifies
-// the interrupted run's pre-crash chain and refuses to rebuild on top
-// of tampered provenance.
-func TestDurableResumeRefusesTamperedChain(t *testing.T) {
-	dir := t.TempDir()
-	runs := filepath.Join(dir, "runs")
-	if err := os.MkdirAll(runs, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	// An interrupted run: identity record only, no RunFinished.
-	writeMeta(t, runs, storage.RunMeta{ID: "r-0001", Flow: "scenario:svc-tiny", User: "x",
-		Scenario: compact(t, svcScenario)})
-	// Its chain holds a framed record that is not a canonical chain
-	// record — any mutation of a real record yields the same class of
-	// verification failure.
-	cl, err := storage.OpenFile(filepath.Join(runs, "r-0001.chain"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Append([]byte(`{"seq":0,"tampered":true}`)); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, err = New(Config{Workers: 1, DataDir: dir})
-	if err == nil || !strings.Contains(err.Error(), "pre-crash chain") {
-		t.Fatalf("New over tampered chain: err %v, want pre-crash chain verification failure", err)
+	for i := 0; i < 2; i++ { // the failed replay is kept, not retried
+		code, body := getBody(t, ts2.URL+"/v1/runs/"+v.ID+"/provenance?inst="+perf)
+		if code != http.StatusConflict || !strings.Contains(string(body), named) {
+			t.Fatalf("provenance of the rewritten run after restart: %d %s, want 409 naming unit 2", code, body)
+		}
 	}
 }

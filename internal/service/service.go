@@ -18,9 +18,9 @@
 //	GET  /v1/runs/{id}         one run's status
 //	GET  /v1/runs/{id}/trace   masked JSONL event stream (follows until
 //	                           the run finishes)
-//	GET  /v1/runs/{id}/provenance?inst=ID&dir=back|fwd&depth=N
-//	                           derivation/use-dependency chaining over the
-//	                           run's provenance index (provenance.go)
+//	GET  /v1/runs/{id}/provenance?inst=ID&dir=back|fwd&depth=N&verify=1
+//	                           chaining over the run's provenance index;
+//	                           verify=1 replays its WAL (provenance.go)
 //	POST /v1/runs/{id}/cancel  cancel (DELETE /v1/runs/{id} also works)
 //	GET  /metrics              plain-text exposition of the shared fold
 package service
@@ -58,12 +58,12 @@ type Config struct {
 	// MaxQueue bounds runs queued behind the bound (default
 	// exec.DefaultMaxQueuedRuns).
 	MaxQueue int
-	// DataDir, when set, makes runs durable: every submission writes a
-	// write-ahead log under <DataDir>/runs and New recovers whatever it
-	// finds there — finished runs come back with their status and trace,
-	// interrupted runs are re-materialized from their logged scenario and
-	// resumed from their last committed unit. Nothing else is written:
-	// a run's artifacts live in its world's datastore and go with it.
+	// DataDir, when set, makes runs durable: every submission writes one
+	// write-ahead log, its only record, under <DataDir>/runs and New
+	// recovers whatever it finds there — finished runs come back with
+	// their status and trace, interrupted runs are re-materialized from
+	// their logged scenario and resumed from their last committed unit.
+	// A run's artifacts live in its world's datastore and go with it.
 	// Empty = in-memory only.
 	DataDir string
 }
@@ -80,8 +80,8 @@ const (
 
 // runRecord is the server-side state of one submission. The run's
 // world is held by its goroutine alone, so a finished run keeps only
-// what later requests read: the view fields, the event log, the
-// provenance index and the chain.
+// what later requests read: the view fields, the event log and the
+// provenance index.
 type runRecord struct {
 	id       string
 	flowName string
@@ -94,19 +94,16 @@ type runRecord struct {
 	// the run goroutine at the end.
 	wal    *storage.RunWAL
 	walLog storage.Log
+	// logPath is the run's WAL under the data dir; empty in memory.
+	logPath string
 	// prov is the commit-time adjacency index over the run's derivation
-	// records that the provenance endpoint queries. Nil on runs
-	// recovered without executing again, which have no live world.
-	prov *provenance.Index
+	// records that the provenance endpoint queries; a run recovered as
+	// finished gets it, or provErr, from a replay (index).
+	prov    *provenance.Index
+	provErr error
+	replay  sync.Once
 
-	mu sync.Mutex
-	// chain is the hash chain of the run's committed derivation records
-	// (runs/<id>.chain in durable mode, an in-memory log otherwise); nil
-	// when prov is. A durable run closes it when the run ends and sets
-	// chain to nil: chainLen then holds the number of records it
-	// appended, which verify=1 checks the reopened file against.
-	chain    *provenance.Chain
-	chainLen int
+	mu       sync.Mutex
 	state    runState
 	tasksRun int
 	err      error
@@ -262,7 +259,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	world, flowName, opts, err := s.materialize(doc.Bytes())
+	world, flowName, opts, err := materialize(doc.Bytes())
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "scenario: %v", err)
 		return
@@ -307,7 +304,7 @@ func (s *Server) start(world *harness.World, flowName string, opts *exec.RunOpti
 	// abort releases everything acquired for a run that never launches.
 	abort := func(err error) (runView, error) {
 		cancel()
-		s.discardRunWAL(rec)
+		s.discardRunWAL(rec, err)
 		world.Close()
 		return runView{}, err
 	}
@@ -316,13 +313,11 @@ func (s *Server) start(world *harness.World, flowName string, opts *exec.RunOpti
 			return abort(fmt.Errorf("run log: %w", err))
 		}
 	}
-	// Attach the provenance surface before the run is published: index
-	// and hash chain observe every commit of the world's database
-	// (existing records — the imports — are backfilled first, in commit
-	// order).
-	if err := s.attachProvenance(rec, world.DB()); err != nil {
-		return abort(fmt.Errorf("provenance chain: %w", err))
-	}
+	// Attach the provenance index before the run is published: it
+	// observes every commit of the world's database (existing records —
+	// the imports — are backfilled first, in commit order).
+	rec.prov = provenance.NewIndex()
+	world.DB().Observe(rec.prov)
 
 	s.mu.Lock()
 	if s.draining { // drain began while the WAL was being created
@@ -337,11 +332,13 @@ func (s *Server) start(world *harness.World, flowName string, opts *exec.RunOpti
 }
 
 // materialize is the one path from a scenario document to a runnable
-// world, shared by submission and boot-time resume: decode, build the
-// declared world (schema, tools, imports, flow) over a datastore of its
-// own, and derive the per-run overrides that execute it on the shared
-// engine. It also returns the run's display name.
-func (s *Server) materialize(doc []byte) (*harness.World, string, *exec.RunOptions, error) {
+// world, shared by submission, boot-time resume and ReplayLog: decode,
+// build the declared world (schema, tools, imports, flow) over a
+// datastore of its own, and derive the per-run overrides that execute
+// it on an engine, run stanza included. Worker and scheduler sweeps
+// stay harness-side: the service runs everything on its one shared
+// pool. It also returns the run's display name.
+func materialize(doc []byte) (*harness.World, string, *exec.RunOptions, error) {
 	sc, err := scenario.Decode(doc)
 	if err != nil {
 		return nil, "", nil, err
@@ -354,58 +351,27 @@ func (s *Server) materialize(doc []byte) (*harness.World, string, *exec.RunOptio
 	// is sound only within one tool semantics, and every scenario
 	// declares its own, so a cache could serve only the run that filled
 	// it. The goldens a run's trace must equal are recorded without one.
-	opts := &exec.RunOptions{Schema: m.Schema(), Registry: m.Registry(), DB: m.DB(), Store: m.Store()}
-	applyRunSpec(sc, opts)
-	return m, "scenario:" + sc.Name, opts, nil
-}
-
-// applyRunSpec carries a submitted scenario's run stanza — failure
-// policy, retry budget, per-task timeout, fan-out cap — onto the run's
-// options, with the same semantics as the conformance harness. Worker
-// and scheduler sweeps stay harness-side: the service runs everything
-// on its one shared pool.
-func applyRunSpec(sc *scenario.Scenario, o *exec.RunOptions) {
-	o.MaxCombos = sc.Run.MaxCombos
-	if sc.Run.Policy == "continue" {
-		p := exec.ContinueOnError
-		o.Policy = &p
-	}
-	if r := sc.Run.Retry; r != nil {
-		o.Retry = &exec.RetryPolicy{
-			MaxAttempts: r.Attempts,
-			BaseDelay:   time.Duration(r.BaseMicros) * time.Microsecond,
-			Seed:        r.Seed,
-		}
-	}
-	if sc.Run.TimeoutMs > 0 {
-		d := time.Duration(sc.Run.TimeoutMs) * time.Millisecond
-		o.TaskTimeout = &d
-	}
+	return m, "scenario:" + sc.Name, m.RunOptions(), nil
 }
 
 // launch starts the run goroutine: execute the world's flow (or the
-// sub-flow rooted at its target), release the chain (finishChain), the
-// WAL and the world, settle the record's terminal state, then close the
-// event log and the done channel — the same exit path for fresh and
-// resumed runs. Only the goroutine holds the world — its history
-// database and datastore included — so it is garbage once the run ends.
+// sub-flow rooted at its target), release the WAL — logging the error
+// of a run that ended before planning, so no boot resumes it — and the
+// world, settle the record's terminal state, then close the event log
+// and the done channel — the same exit path for fresh and resumed
+// runs. Only the goroutine holds the world — its history database and
+// datastore included — so it is garbage once the run ends.
 func (s *Server) launch(ctx context.Context, rec *runRecord, world *harness.World, opts *exec.RunOptions) {
 	opts.User = rec.user
 	opts.Label = rec.id
 	opts.Tracer = trace.Multi(rec.log, s.metrics)
 	opts.WAL = rec.wal
 	go func() {
-		var res *exec.Result
-		var err error
-		if target := world.Target(); target != 0 {
-			res, err = s.engine.RunNodeOptions(ctx, world.Flow(), target, opts)
-		} else {
-			res, err = s.engine.RunFlowOptions(ctx, world.Flow(), opts)
-		}
-		if cerr := rec.finishChain(); cerr != nil && err == nil {
-			err = cerr
-		}
+		res, err := world.Run(ctx, s.engine, opts)
 		if rec.wal != nil {
+			if res == nil || res.Stats == nil { // no PlanBuilt: err is set
+				rec.wal.AppendError(err.Error())
+			}
 			if werr := rec.wal.Close(); werr != nil && err == nil {
 				err = werr
 			}

@@ -351,7 +351,7 @@ func TestFinishedRunReleasesWorld(t *testing.T) {
 	for _, dataDir := range []string{"", t.TempDir()} {
 		s, ts := newTestServer(t, Config{Workers: 2, DataDir: dataDir})
 		doc := compact(t, corpus(t, "quickstart"))
-		world, flowName, opts, err := s.materialize(doc)
+		world, flowName, opts, err := materialize(doc)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,11 +20,11 @@ import (
 // produce identical bytes.
 
 // appendWALRecord appends one record envelope as JSON. Exactly one of
-// meta / ev is set (ev counts as set when ev.Kind != ""); commit may
-// ride along with an event.
-func appendWALRecord(b []byte, meta *RunMeta, ev *trace.Event, commit *UnitCommit) []byte {
+// meta, ev and errMsg is set (ev counts as set when ev.Kind != "");
+// commit and digest may ride along with an event.
+func appendWALRecord(b []byte, m *walMsg) []byte {
 	b = append(b, '{')
-	if meta != nil {
+	if meta := m.meta; meta != nil {
 		b = append(b, `"meta":{"id":`...)
 		b = trace.AppendString(b, meta.ID)
 		b = append(b, `,"flow":`...)
@@ -37,16 +37,21 @@ func appendWALRecord(b []byte, meta *RunMeta, ev *trace.Event, commit *UnitCommi
 		}
 		b = append(b, '}')
 	}
-	if ev != nil && ev.Kind != "" {
-		if meta != nil {
-			b = append(b, ',')
-		}
+	if m.ev.Kind != "" {
 		b = append(b, `"event":`...)
-		b = trace.AppendJSON(b, ev)
+		b = trace.AppendJSON(b, &m.ev)
 	}
-	if commit != nil {
+	if m.commit != nil {
 		b = append(b, `,"commit":`...)
-		b = appendCommit(b, commit)
+		b = appendCommit(b, m.commit)
+	}
+	if m.digest != "" {
+		b = append(b, `,"digest":`...)
+		b = trace.AppendString(b, m.digest)
+	}
+	if m.errMsg != "" {
+		b = append(b, `"error":`...)
+		b = trace.AppendString(b, m.errMsg)
 	}
 	return append(b, '}')
 }

@@ -19,8 +19,8 @@ import (
 // shorter than its length, or a checksum mismatch all mark the start of
 // a *torn tail* — bytes that were being written when the process died.
 // Everything before the torn tail is well-framed and treated as
-// committed; the tail itself is dropped by TruncateTorn (never
-// replayed, satisfying the no-partial-unit invariant).
+// committed; the tail itself is dropped by Rewind (never replayed,
+// satisfying the no-partial-unit invariant).
 //
 // Writes are buffered in memory and hit the file only on Sync (flush +
 // fsync), so the caller controls the group-commit cadence. MaxRecord
@@ -46,10 +46,21 @@ const frameHeader = 8 // length + CRC
 
 // OpenFile opens (creating if absent) a file-backed log and scans its
 // frames. A torn tail is detected and remembered — Append refuses to
-// work until TruncateTorn or Rewind removes it, so recovery gets to
-// look at the damage first.
+// work until Rewind removes it, so recovery gets to look at the damage
+// first.
 func OpenFile(path string) (*FileLog, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	return openFile(path, os.O_RDWR|os.O_CREATE)
+}
+
+// OpenReadOnly opens an existing log for reading: it never creates the
+// file, and nothing done through the log can change it. Verifiers use
+// it, so checking a data dir leaves the dir as it was.
+func OpenReadOnly(path string) (*FileLog, error) {
+	return openFile(path, os.O_RDONLY)
+}
+
+func openFile(path string, flag int) (*FileLog, error) {
+	f, err := os.OpenFile(path, flag, 0o644)
 	if err != nil {
 		return nil, err
 	}
@@ -189,23 +200,6 @@ func (l *FileLog) Committed() ([][]byte, error) {
 	return out, nil
 }
 
-// TruncateTorn cuts the file back to its well-framed prefix.
-func (l *FileLog) TruncateTorn() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return os.ErrClosed
-	}
-	if l.torn == 0 {
-		return nil
-	}
-	if err := l.truncateLocked(l.size); err != nil {
-		return err
-	}
-	l.torn = 0
-	return nil
-}
-
 // Rewind truncates to the first keep records (removing any torn tail
 // with the discarded suffix).
 func (l *FileLog) Rewind(keep int) error {
@@ -235,8 +229,7 @@ func (l *FileLog) Rewind(keep int) error {
 }
 
 // truncateLocked resizes the file and repositions the write cursor.
-// Requires an empty write buffer (callers flush first; TruncateTorn
-// can only run before any Append succeeded).
+// Requires an empty write buffer (callers flush first).
 func (l *FileLog) truncateLocked(n int64) error {
 	if err := l.f.Truncate(n); err != nil {
 		return err

@@ -7,7 +7,7 @@
 // The package splits into four small pieces:
 //
 //   - Log, the storage contract: append a record, force a durability
-//     barrier, iterate the committed records, truncate a torn tail;
+//     barrier, iterate the committed records, rewind past a torn tail;
 //   - MemLog (this file) and FileLog (file.go), the in-memory and
 //     CRC-framed file-backed implementations;
 //   - RunWAL (runlog.go), the run-facing writer: an envelope of run
@@ -25,7 +25,7 @@ import (
 
 // ErrTornTail is returned by Append when the log ends in a torn
 // (partially written) record from a previous crash. The owner must
-// decide what to keep — TruncateTorn or Rewind — before appending.
+// decide what to keep (Rewind) before appending.
 var ErrTornTail = errors.New("storage: log has a torn tail; truncate before appending")
 
 // Log is an append-only record log with an explicit durability barrier.
@@ -46,9 +46,6 @@ type Log interface {
 	// Committed returns the committed records in append order. The
 	// returned slices are copies; the caller owns them.
 	Committed() ([][]byte, error)
-	// TruncateTorn removes a torn tail left by a crash, after which
-	// Append works again. A no-op on a clean log.
-	TruncateTorn() error
 	// Rewind truncates the log to its first keep records, discarding
 	// the rest (and any torn tail). Recovery uses it to drop records
 	// beyond the resumable prefix.
@@ -98,15 +95,6 @@ func (l *MemLog) Committed() ([][]byte, error) {
 		out[i] = append([]byte(nil), r...)
 	}
 	return out, nil
-}
-
-// TruncateTorn drops the unsynced suffix — the in-memory analogue of
-// removing a torn tail.
-func (l *MemLog) TruncateTorn() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.recs = l.recs[:l.synced]
-	return nil
 }
 
 // Rewind truncates to the first keep records.

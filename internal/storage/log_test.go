@@ -34,7 +34,7 @@ func TestMemLogSyncWatermark(t *testing.T) {
 	if len(recs) != 3 {
 		t.Fatalf("committed %d records, want the 3 synced ones", len(recs))
 	}
-	if err := l.TruncateTorn(); err != nil {
+	if err := l.Rewind(3); err != nil { // drop the unsynced record
 		t.Fatal(err)
 	}
 	if err := l.Append([]byte{4}); err != nil {
@@ -178,9 +178,9 @@ func TestFileLogTornTail(t *testing.T) {
 					t.Fatalf("record %d = %q, want %q", i, rec, want)
 				}
 			}
-			// TruncateTorn makes the log appendable again, and the new
-			// record lands where the torn one was.
-			if err := l2.TruncateTorn(); err != nil {
+			// Rewinding past the tear makes the log appendable again,
+			// and the new record lands where the torn one was.
+			if err := l2.Rewind(len(recs)); err != nil {
 				t.Fatal(err)
 			}
 			if err := l2.Append([]byte("resumed")); err != nil {

@@ -39,10 +39,14 @@ type Recovered struct {
 	// Commits holds the durable payload of every committed unit in the
 	// prefix, keyed by global unit index.
 	Commits map[int]*UnitCommit
-	// Finished reports a RunFinished record: the run completed and
-	// needs no re-execution (Replay re-feeds its committed artifacts to
-	// a caller that wants them).
+	// Finished reports a RunFinished or terminal Error record: the run
+	// completed and needs no re-execution (Replay re-feeds its
+	// committed artifacts to a caller that wants them).
 	Finished bool
+	Error    string // the error text of a run that ended before planning
+	// PlanDigest is the chain digest of the PlanBuilt record (empty in
+	// logs written before digests were logged; see UnitCommit.Digest).
+	PlanDigest string
 	// NextSeq is the sequence number the resumed run's first fresh
 	// event must carry: one past the prefix.
 	NextSeq int
@@ -52,14 +56,11 @@ type Recovered struct {
 }
 
 // RecoverRun reads a log's committed records and computes the
-// resumable prefix. The log is left untouched; call Rewind to discard
-// the unresumable suffix before resuming the run. Records that fail to
-// decode end the readable stream at that point (everything before them
-// still recovers).
+// resumable prefix. The log is left untouched, torn tail included;
+// call Rewind to discard the unresumable suffix before resuming the
+// run. Records that fail to decode end the readable stream at that
+// point (everything before them still recovers).
 func RecoverRun(l Log) (*Recovered, error) {
-	if err := l.TruncateTorn(); err != nil {
-		return nil, err
-	}
 	recs, err := l.Committed()
 	if err != nil {
 		return nil, err
@@ -71,6 +72,7 @@ func RecoverRun(l Log) (*Recovered, error) {
 		commit *UnitCommit
 	}
 	var events []evRec
+decode:
 	for i, raw := range recs {
 		var rec Record
 		if err := json.Unmarshal(raw, &rec); err != nil {
@@ -83,8 +85,22 @@ func RecoverRun(l Log) (*Recovered, error) {
 				r.PrefixRecords = i + 1
 			}
 		case rec.Event != nil:
+			if rec.Commit != nil {
+				rec.Commit.Digest = rec.Digest
+			}
+			if rec.Event.Kind == trace.KindPlanBuilt {
+				r.PlanDigest = rec.Digest
+			}
 			events = append(events, evRec{ev: *rec.Event, recIdx: i, commit: rec.Commit})
+		case rec.Error != "":
+			// The run ended before planning: nothing follows.
+			r.Finished, r.Error = true, rec.Error
+			r.PrefixRecords = i + 1
+			break decode
 		}
+	}
+	if r.Error != "" {
+		return r, nil
 	}
 
 	// A RunFinished record means the run completed (successfully or

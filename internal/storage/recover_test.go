@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -29,11 +31,11 @@ func writeStream(t *testing.T, l Log, events []trace.Event, commits map[int]*Uni
 		t.Fatal(err)
 	}
 	for _, ev := range events {
-		if c := commits[ev.Unit]; ev.Kind == trace.KindUnitCommitted && c != nil {
-			w.AppendCommit(ev, c)
-			continue
+		var c *UnitCommit
+		if ev.Kind == trace.KindUnitCommitted {
+			c = commits[ev.Unit]
 		}
-		w.AppendEvent(ev)
+		w.Append(ev, c, "")
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -339,5 +341,124 @@ func TestRecoverPreEncoderLog(t *testing.T) {
 		if !rc.Finished || !reflect.DeepEqual(rc.Events, events) {
 			t.Fatalf("%s log recovered finished=%v events %+v, want %+v", name, rc.Finished, rc.Events, events)
 		}
+	}
+}
+
+// TestRecoverDigests: the chain digests a PlanBuilt and each
+// UnitCommitted record carry ride the record envelope — the events
+// decode as before — and come back with the plan and the commits.
+func TestRecoverDigests(t *testing.T) {
+	events, commits := twoJobStream(true, false)
+	l := NewMemLog()
+	w := NewRunWAL(l)
+	if err := w.AppendMeta(RunMeta{ID: "r-0001", Flow: "perf", User: "alice"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range events {
+		var c *UnitCommit
+		digest := ""
+		switch ev.Kind {
+		case trace.KindPlanBuilt:
+			digest = "d-plan"
+		case trace.KindUnitCommitted:
+			c, digest = commits[ev.Unit], fmt.Sprintf("d-unit%d", ev.Unit)
+		}
+		w.Append(ev, c, digest)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := l.Committed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `,"digest":"d-plan"}`; !strings.HasSuffix(string(recs[1]), want) {
+		t.Fatalf("PlanBuilt record %s does not end with %s", recs[1], want)
+	}
+	rec, err := RecoverRun(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rec.Events, events) {
+		t.Fatalf("events with digests recovered as %+v, want %+v", rec.Events, events)
+	}
+	if rec.PlanDigest != "d-plan" || len(rec.Commits) != 2 ||
+		rec.Commits[0].Digest != "d-unit0" || rec.Commits[1].Digest != "d-unit1" {
+		t.Fatalf("digests: plan %q, commits %+v; want d-plan, d-unit0, d-unit1", rec.PlanDigest, rec.Commits)
+	}
+}
+
+// TestRecoverErrorRecord: a run that ended before planning logs its
+// error as a terminal record, not an event, and recovers as finished
+// with that error and no events.
+func TestRecoverErrorRecord(t *testing.T) {
+	l := NewMemLog()
+	w := NewRunWAL(l)
+	if err := w.AppendMeta(RunMeta{ID: "r-0004", Flow: "scenario:fanout-cap", User: "dan"}); err != nil {
+		t.Fatal(err)
+	}
+	w.AppendError(`exec: fan-out "x" exceeds 16 combinations`)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := RecoverRun(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rec.Finished || rec.Error != `exec: fan-out "x" exceeds 16 combinations` ||
+		len(rec.Events) != 0 || rec.PrefixRecords != 2 {
+		t.Fatalf("recovered %+v, want finished with the error, no events, 2 records", rec)
+	}
+}
+
+// TestRecoverLeavesTornTail: recovery reads a torn log without
+// changing it; only Rewind, on resume, cuts the tail. A read-only open
+// never creates a missing log.
+func TestRecoverLeavesTornTail(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "r-0001.wal")
+	l, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, commits := twoJobStream(true, true)
+	writeStream(t, l, events, commits)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{1, 2, 3, 4}); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ro, err := OpenReadOnly(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := RecoverRun(ro)
+	if err != nil || !rec.Finished || !ro.Torn() {
+		t.Fatalf("RecoverRun = %+v, %v (torn %v); want a finished run with its torn tail", rec, err, ro.Torn())
+	}
+	if err := ro.Rewind(rec.PrefixRecords); err == nil {
+		t.Fatal("Rewind through a read-only log succeeded")
+	}
+	if err := ro.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("log changed by recovery: %d bytes before, %d after (%v)", len(before), len(after), err)
+	}
+	if _, err := OpenReadOnly(filepath.Join(dir, "r-0002.wal")); err == nil {
+		t.Fatal("OpenReadOnly opened a log that does not exist")
+	}
+	if _, err := os.Stat(filepath.Join(dir, "r-0002.wal")); !os.IsNotExist(err) {
+		t.Fatalf("OpenReadOnly created a missing log (stat: %v)", err)
 	}
 }

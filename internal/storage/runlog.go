@@ -14,7 +14,12 @@ import (
 // every further record is one trace.Event, with UnitCommitted events
 // additionally carrying the unit's committed artifacts (UnitCommit) so
 // recovery can rebuild the datastore, the history and the memo cache
-// from the log alone.
+// from the log alone. The PlanBuilt and UnitCommitted records also
+// carry the head of the run's provenance hash chain (internal/
+// provenance) after the imports, or after that unit's records, so a
+// replay of the log can check the artifacts against the history they
+// re-derive. A run that ends before planning logs one terminal error
+// record instead.
 //
 // Durability discipline: the executor appends records inline (cheap —
 // a copy into a buffered channel): its coordinator appends PlanBuilt
@@ -63,14 +68,25 @@ type UnitCommit struct {
 	// MemoKey is the unit's derivation key when a result cache was
 	// installed, so the cache can be re-fed on recovery.
 	MemoKey string `json:"memo_key,omitempty"`
+	// Digest is the chain digest the unit's record carries in its
+	// envelope (Record.Digest), filled in by RecoverRun.
+	Digest string `json:"-"`
 }
 
-// Record is the WAL record envelope: exactly one field is set.
+// Record is the WAL record envelope: exactly one of Meta, Event and
+// Error is set.
 type Record struct {
 	Meta  *RunMeta     `json:"meta,omitempty"`
 	Event *trace.Event `json:"event,omitempty"`
 	// Commit rides along with Event when the event is a UnitCommitted.
 	Commit *UnitCommit `json:"commit,omitempty"`
+	// Digest rides along with a PlanBuilt or UnitCommitted event: the
+	// chain head after the imports, or after the unit's records. Empty
+	// in logs written before digests were logged.
+	Digest string `json:"digest,omitempty"`
+	// Error is the terminal record of a run that ended before planning:
+	// its error text. It is not a trace event.
+	Error string `json:"error,omitempty"`
 }
 
 // Group-commit policy: sync when this many bytes are unsynced, or when
@@ -104,6 +120,8 @@ type walMsg struct {
 	meta   *RunMeta    // identity record, nil otherwise
 	ev     trace.Event // event record when ev.Kind != ""
 	commit *UnitCommit // rides with a UnitCommitted ev
+	digest string      // rides with a PlanBuilt or UnitCommitted ev
+	errMsg string      // terminal record when set
 	ack    chan error  // barrier acknowledgement
 }
 
@@ -176,13 +194,13 @@ func (w *RunWAL) writer() {
 				barrier()
 				return
 			}
-			if m.meta != nil || m.ev.Kind != "" {
+			if m.ack == nil {
 				if w.Err() == nil {
 					// Encoding happens here, on the writer, into a
 					// reused buffer (Log.Append copies) — the
 					// executor's append is a copy into a buffered
 					// channel, nothing more.
-					buf = appendWALRecord(buf[:0], m.meta, &m.ev, m.commit)
+					buf = appendWALRecord(buf[:0], &m)
 					if err := w.log.Append(buf); err != nil {
 						w.fail(err)
 					} else {
@@ -233,15 +251,16 @@ func (w *RunWAL) AppendMeta(m RunMeta) error {
 	return w.Barrier()
 }
 
-// AppendEvent logs one trace event.
-func (w *RunWAL) AppendEvent(ev trace.Event) {
-	w.ch <- walMsg{ev: ev}
+// Append logs one trace event with a UnitCommitted's payload c and a
+// PlanBuilt's or UnitCommitted's chain digest (nil and "" otherwise).
+func (w *RunWAL) Append(ev trace.Event, c *UnitCommit, digest string) {
+	w.ch <- walMsg{ev: ev, commit: c, digest: digest}
 }
 
-// AppendCommit logs a UnitCommitted event together with its durable
-// payload.
-func (w *RunWAL) AppendCommit(ev trace.Event, c *UnitCommit) {
-	w.ch <- walMsg{ev: ev, commit: c}
+// AppendError logs the terminal record of a run that ended before
+// planning: recovery reads the log as finished, failed with msg.
+func (w *RunWAL) AppendError(msg string) {
+	w.ch <- walMsg{errMsg: msg}
 }
 
 // Barrier blocks until everything appended so far is on stable storage
