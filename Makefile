@@ -24,10 +24,11 @@ race:
 trace:
 	$(GO) test -race -count=10 -run 'GoldenTrace|TraceHistory|TraceChaos|TraceCommitFailure|TraceOneEmitter' ./internal/exec/...
 
-# chaos runs only the fault-injection suite (seeded, deterministic)
-# plus the flowbench smoke subset — the same gate as the CI chaos job.
+# chaos runs only the fault-injection suite (seeded, deterministic) and
+# the result-cache suite beside it, plus the flowbench smoke subset —
+# the same gate as the CI chaos job.
 chaos:
-	$(GO) test -race -run 'Chaos|Fault|Backoff|Retry|Timeout|Hang|Transient|Permanent|Latency|Cancel' ./internal/exec/... ./internal/faults/...
+	$(GO) test -race -v -run 'Chaos|Fault|Backoff|Retry|Timeout|Hang|Transient|Permanent|Latency|Cancel|Memo|UnitKey|Cache' ./internal/exec/... ./internal/faults/... ./internal/memo/...
 	$(GO) run ./cmd/flowbench -quick
 
 # memo runs only the result-cache suite (equivalence, property, chaos
@@ -37,12 +38,15 @@ memo:
 	$(GO) run ./cmd/flowbench memo
 
 # concurrent runs the multi-run engine suite (admission control, shared
-# pool, per-run attribution, 32-flow determinism) and the flow service
-# under the race detector, then the flowd end-to-end smoke round trip
-# and the scenario corpus over live HTTP — the same gate as the CI
-# concurrent job.
+# pool, per-run attribution, 32-flow determinism) twice, the history
+# DB's lock-free point reads beside a committing writer ten times, and
+# the whole flow service suite, all under the race detector, then the
+# flowd end-to-end smoke round trip and the scenario corpus over live
+# HTTP — the same gate as the CI concurrent job.
 concurrent:
-	$(GO) test -race -run 'Concurrent|Admission|SharedMemo|RunOptions|Close|Retrace|Setters|Service|EventLog' ./internal/exec/... ./internal/service/...
+	$(GO) test -race -count=2 -run 'Concurrent|Admission|SharedMemo|RunOptions|Close|Retrace|Setters' ./internal/exec/...
+	$(GO) test -race -count=10 -run 'TestDBConcurrentReadsDuringCommit' ./internal/history/
+	$(GO) test -race ./internal/service/...
 	$(GO) run ./cmd/flowd -smoke
 	$(GO) run ./cmd/flowbench corpus
 
@@ -76,8 +80,8 @@ conformance-update:
 # testdata/fuzz/, for scenarios testdata/scenarios/, for the WAL reader
 # a real run log in internal/storage/testdata/, and for the WAL replay
 # verifier real run logs in internal/service/testdata/ and
-# internal/storage/testdata/); go test accepts one -fuzz pattern per
-# invocation.
+# internal/storage/testdata/, for the history restore the Fig. 1
+# fixture's dump); go test accepts one -fuzz pattern per invocation.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRoundTrip$$' -fuzztime 5s ./internal/flow/
 	$(GO) test -run '^$$' -fuzz '^FuzzRefOfStoreRoundTrip$$' -fuzztime 5s ./internal/datastore/
@@ -88,6 +92,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRecoverRun$$' -fuzztime 5s ./internal/storage/
 	$(GO) test -run '^$$' -fuzz '^FuzzVerifyRunLog$$' -fuzztime 5s ./internal/service/
 	$(GO) test -run '^$$' -fuzz '^FuzzProvenanceQuery$$' -fuzztime 5s ./internal/service/
+	$(GO) test -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime 5s ./internal/history/
 
 # cover enforces the same ratchet as the CI trace job: the traced
 # execution paths (internal/exec + internal/trace), the result cache

@@ -18,6 +18,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -25,10 +26,17 @@ import (
 // hex digest of its bytes.
 type Ref string
 
-// RefOf computes the content address of data without storing it.
+// RefOf computes the content address of data without storing it, in
+// one allocation: the ref string itself.
 func RefOf(data []byte) Ref {
 	sum := sha256.Sum256(data)
-	return Ref("sha256:" + hex.EncodeToString(sum[:]))
+	var digits [2 * sha256.Size]byte
+	hex.Encode(digits[:], sum[:])
+	var b strings.Builder
+	b.Grow(len("sha256:") + len(digits))
+	b.WriteString("sha256:")
+	b.Write(digits[:])
+	return Ref(b.String())
 }
 
 // blobShards is the number of independent lock domains the blob map is

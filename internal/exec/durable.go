@@ -111,17 +111,8 @@ func (r *run) applyResume(p *plan, tr *runTracer) error {
 
 	// Publish restored artifacts to the pending set and unblock
 	// dependents — what complete() would have done had the units run.
-	r.st.mu.Lock()
 	for _, j := range restored {
-		for ci := range j.combos {
-			for ni, nid := range j.nodes {
-				typ := r.f.Node(nid).Type
-				r.st.arts[j.outIDs[ni][ci]] = pendingArtifact{typ: typ, data: j.outputs[ci][typ]}
-			}
-		}
-	}
-	r.st.mu.Unlock()
-	for _, j := range restored {
+		r.publish(j)
 		for _, di := range j.dependents {
 			p.jobs[di].pending--
 		}

@@ -344,7 +344,7 @@ type run struct {
 
 	// Execution state, set by execute.
 	ctx    context.Context
-	st     *runState
+	pend   pendingSet
 	doneCh chan unitResult
 	chain  *provenance.Chain // durable or resumed runs: the head over the DB
 }

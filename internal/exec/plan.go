@@ -20,9 +20,10 @@ import (
 // determines IDs. The planner walks jobs in topological order, simulates
 // the counter (starting from db.Seq()) and pre-assigns every output ID.
 // Execution may then finish in any order: workers hand artifacts to
-// dependents through an in-memory pending set keyed by planned ID, and
-// the committer records jobs strictly in plan order, so the database
-// ends up byte-identical to what the old level-barrier engine produced.
+// dependents through an in-memory pending set indexed by planned
+// sequence number, and the committer records jobs strictly in plan
+// order, so the database ends up byte-identical to what the old
+// level-barrier engine produced.
 
 // plannedJob is one group of nodes computed by a shared sequence of tool
 // runs, plus its scheduling state. A plan is used by exactly one run, so
@@ -89,6 +90,9 @@ type plan struct {
 	jobs  []*plannedJob
 	bound map[flow.NodeID][]history.ID // needed nodes satisfied by bindings
 	units int                          // total (job, combo) executions
+	// The planned instances take sequence numbers base+1 through
+	// base+planned, in commit order.
+	base, planned int
 }
 
 // reachable returns the nodes needed to compute the targets, as a set
@@ -212,7 +216,8 @@ func (r *run) plan(order []flow.NodeID, targets []flow.NodeID) (*plan, error) {
 	// Pass 2: enumerate combos and pre-assign output IDs in commit order.
 	// Valid in job order because every producer of a job's inputs appears
 	// earlier in p.jobs (grouped siblings share the full dependency set).
-	vseq := r.cfg.db.Seq()
+	p.base = r.cfg.db.Seq()
+	vseq := p.base
 	for _, j := range p.jobs {
 		combos, err := r.combosFor(j.nodes[0], created)
 		if err != nil {
@@ -234,6 +239,7 @@ func (r *run) plan(order []flow.NodeID, targets []flow.NodeID) (*plan, error) {
 		}
 		p.units += len(combos)
 	}
+	p.planned = vseq - p.base
 
 	// Pass 3: job dependency edges.
 	switch r.cfg.sched {

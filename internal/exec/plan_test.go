@@ -9,6 +9,7 @@ import (
 	"repro/internal/flow"
 	"repro/internal/flowgen"
 	"repro/internal/history"
+	"repro/internal/provenance"
 	"repro/internal/schema"
 )
 
@@ -217,7 +218,8 @@ func BenchmarkPlanOneTool(b *testing.B) {
 // the plan together. With map-keyed tables and string signatures the
 // planner made 68,868 allocations here; over node-indexed slices,
 // 27,693; with combos cut from one allocation per job and no per-node
-// table, 25,692, and the bound leaves about 5% for toolchain drift.
+// table, 25,692; with each planned ID built in one allocation, 23,692,
+// and the bound leaves about 5% for toolchain drift.
 func TestDryPlanAllocs(t *testing.T) {
 	b, err := flowgen.Build(flowgen.Spec{Cells: 2000, Shape: flowgen.Layered, Seed: 1993})
 	if err != nil {
@@ -229,7 +231,49 @@ func TestDryPlanAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 27_000 {
-		t.Fatalf("DryPlan made %.0f allocations, want at most 27,000", allocs)
+	if allocs > 24_900 {
+		t.Fatalf("DryPlan made %.0f allocations, want at most 24,900", allocs)
+	}
+}
+
+// TestRunFlowAllocs ratchets the allocations of executing a generated
+// 2,000-cell layered world: a bare run on four workers with a
+// provenance index observing the database, so the count covers
+// planning, dispatch, the pending set, the history commit and the
+// index feed. Worlds are built before the measurement, one per run.
+// With the history DB, the index and the pending set keyed by ID
+// strings the run made 69,445 allocations here; with them addressed by
+// sequence number and IDs, refs and dependency keys built without
+// intermediate strings, 55,779, and the bound leaves about 5% for
+// toolchain drift.
+func TestRunFlowAllocs(t *testing.T) {
+	const runs = 5
+	engines := make([]*Engine, runs+1) // AllocsPerRun adds a warm-up run
+	flows := make([]*flow.Flow, runs+1)
+	for i := range engines {
+		b, err := flowgen.Build(flowgen.Spec{Cells: 2000, Shape: flowgen.Layered, Seed: 1993})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.DB.Observe(provenance.NewIndex())
+		e := New(b.Schema, b.DB, b.Store, b.Reg)
+		e.SetWorkers(4)
+		t.Cleanup(func() {
+			if err := e.Close(); err != nil {
+				t.Error(err)
+			}
+		})
+		engines[i], flows[i] = e, b.Flow
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		e, f := engines[next], flows[next]
+		next++
+		if _, err := e.RunFlow(f); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 58_600 {
+		t.Fatalf("RunFlow made %.0f allocations, want at most 58,600", allocs)
 	}
 }

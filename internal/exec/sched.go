@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/datastore"
@@ -33,8 +32,8 @@ import (
 // job at the front of the plan is finished and hands it over; the
 // committer records it while the coordinator goes on dispatching.
 // Dispatch never waits for a commit: workers read the artifacts of
-// not-yet-committed producers from an in-memory pending set (runState),
-// which is per-run.
+// not-yet-committed producers from an in-memory pending set
+// (pendingSet), which is per-run.
 //
 // Failure: under FailFast (the default) the first unit error stops
 // dispatch — in-flight units drain, the committed prefix stays, and
@@ -68,20 +67,51 @@ func (s Scheduler) String() string {
 	return "dataflow"
 }
 
-// runState shares not-yet-committed artifacts between workers: planned
-// instance IDs resolve here until the committer has recorded them.
-type runState struct {
-	mu   sync.RWMutex
-	arts map[history.ID]pendingArtifact
+// pendingSet shares not-yet-committed artifacts between workers:
+// planned instance IDs resolve here until the committer has recorded
+// them. It is a table indexed by planned sequence number minus the
+// sequence number the plan started from, and each hit is confirmed
+// against the slot's ID. The coordinator writes each slot once, when
+// the job producing it completes (complete) or is restored
+// (applyResume) — before any dependent is dispatched — and the pool's
+// task channel orders that write before every worker read of it, so
+// workers read without a lock.
+type pendingSet struct {
+	base int // the database's sequence number when the run planned
+	arts []pendingArtifact
 }
 
 type pendingArtifact struct {
+	id   history.ID
 	typ  string
 	data []byte
 	// ref is the content address of data, computed lazily by lookupRef
-	// (only the memoizing coordinator needs it) and cached so a pending
-	// artifact consumed by many dependents is hashed once, not per edge.
+	// (only the memoizing coordinator needs it, and only the coordinator
+	// writes it) and cached so a pending artifact consumed by many
+	// dependents is hashed once, not per edge.
 	ref datastore.Ref
+}
+
+// slot returns the pending artifact of a planned instance, or nil when
+// inst is not one of the plan's instances or is not published yet.
+func (ps *pendingSet) slot(inst history.ID) *pendingArtifact {
+	i := history.SeqOf(inst) - ps.base - 1
+	if i < 0 || i >= len(ps.arts) || ps.arts[i].id != inst {
+		return nil
+	}
+	return &ps.arts[i]
+}
+
+// publish makes a completed job's outputs resolvable by its dependents.
+// Only the coordinator calls it.
+func (r *run) publish(j *plannedJob) {
+	for ci := range j.combos {
+		for ni, nid := range j.nodes {
+			id := j.outIDs[ni][ci]
+			typ := r.f.Node(nid).Type
+			r.pend.arts[history.SeqOf(id)-r.pend.base-1] = pendingArtifact{id: id, typ: typ, data: j.outputs[ci][typ]}
+		}
+	}
 }
 
 // lookup resolves an instance to (type, artifact): the run's pending
@@ -91,10 +121,7 @@ type pendingArtifact struct {
 // have — workers hand the producer's output slice straight to
 // dependents).
 func (r *run) lookup(inst history.ID) (string, []byte, error) {
-	r.st.mu.RLock()
-	a, ok := r.st.arts[inst]
-	r.st.mu.RUnlock()
-	if ok {
+	if a := r.pend.slot(inst); a != nil {
 		return a.typ, a.data, nil
 	}
 	typ, data, archive, rev, ok := r.cfg.db.ArtifactInfo(inst)
@@ -115,17 +142,11 @@ func (r *run) lookup(inst history.ID) (string, []byte, error) {
 // and cache the result, and only archive-backed or artifact-less
 // instances fall back to fetch-and-hash. This is the memoization path's
 // replacement for lookup + RefOf, which hashed every input of every
-// unit on the coordinator.
+// unit on the coordinator. Only the coordinator calls it.
 func (r *run) lookupRef(inst history.ID) (string, datastore.Ref, error) {
-	r.st.mu.RLock()
-	a, ok := r.st.arts[inst]
-	r.st.mu.RUnlock()
-	if ok {
+	if a := r.pend.slot(inst); a != nil {
 		if a.ref == "" {
 			a.ref = datastore.RefOf(a.data)
-			r.st.mu.Lock()
-			r.st.arts[inst] = a
-			r.st.mu.Unlock()
 		}
 		return a.typ, a.ref, nil
 	}
@@ -223,7 +244,7 @@ func (r *run) execute(ctx context.Context, p *plan) error {
 	tr.planBuilt(r.cfg.sched, workers, head)
 
 	r.ctx = ctx
-	r.st = &runState{arts: make(map[history.ID]pendingArtifact, p.units)}
+	r.pend = pendingSet{base: p.base, arts: make([]pendingArtifact, p.planned)}
 	// Unbuffered on purpose: the rendezvous means a worker cannot return
 	// to the shared pool with an unreported completion, which is what
 	// makes fail-fast deterministic — after a failure folds in, no
@@ -374,14 +395,7 @@ func (r *run) execute(ctx context.Context, p *plan) error {
 		}
 		j.done = true
 		// Publish outputs so dependents can execute before the commit.
-		r.st.mu.Lock()
-		for ci := range j.combos {
-			for ni, nid := range j.nodes {
-				typ := f.Node(nid).Type
-				r.st.arts[j.outIDs[ni][ci]] = pendingArtifact{typ: typ, data: j.outputs[ci][typ]}
-			}
-		}
-		r.st.mu.Unlock()
+		r.publish(j)
 		advance()
 		for _, di := range j.dependents {
 			dep := p.jobs[di]

@@ -228,8 +228,9 @@ func TestFlowNodeCount(t *testing.T) {
 // 2,000-cell layered world and its flow. With a node map and a key map
 // per node, re-sorting a node's keys on every edge, Build made 50,232
 // allocations here; with the slice node table and positional
-// dependencies it makes 40,232, and the bound leaves about 5% for
-// toolchain drift.
+// dependencies, 40,232; with instance IDs, refs and dependency keys
+// built without intermediate strings it makes 34,059, and the bound
+// leaves about 5% for toolchain drift.
 func TestBuildFlowAllocs(t *testing.T) {
 	spec := Spec{Cells: 2000, Shape: Layered, Seed: 1993}
 	allocs := testing.AllocsPerRun(5, func() {
@@ -237,7 +238,7 @@ func TestBuildFlowAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 42_200 {
-		t.Fatalf("Build made %.0f allocations, want at most 42,200", allocs)
+	if allocs > 35_800 {
+		t.Fatalf("Build made %.0f allocations, want at most 35,800", allocs)
 	}
 }

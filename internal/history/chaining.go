@@ -156,8 +156,8 @@ func (db *DB) Forwardchain(id ID, depth int) (*Derivation, error) {
 	for level := 0; len(frontier) > 0 && (depth < 0 || level < depth); level++ {
 		var next []ID
 		for _, cur := range frontier {
-			for _, user := range db.usedBy[cur] {
-				uin := db.look(user)
+			db.dependents(SeqOf(cur), func(uin *Instance) {
+				user := uin.ID
 				kind, key := EdgeInput, ""
 				if uin.Tool == cur {
 					kind = EdgeTool
@@ -175,7 +175,7 @@ func (db *DB) Forwardchain(id ID, depth int) (*Derivation, error) {
 					d.Nodes = append(d.Nodes, user)
 					next = append(next, user)
 				}
-			}
+			})
 		}
 		frontier = next
 	}

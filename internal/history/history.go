@@ -24,6 +24,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/datastore"
@@ -36,13 +37,48 @@ type ID string
 // MakeID renders the instance ID for a type and sequence number:
 // "Type:seq". This is the database's ID scheme in one place — the
 // execution engine's planner uses it to pre-assign the IDs a future
-// commit sequence will produce (see Seq).
+// commit sequence will produce (see Seq), and the database calls it once
+// per recorded instance, so it builds the ID in a single allocation.
+// SeqOf inverts it.
 func MakeID(typ string, seq int) ID {
-	b := make([]byte, 0, len(typ)+12)
-	b = append(b, typ...)
-	b = append(b, ':')
-	b = strconv.AppendInt(b, int64(seq), 10)
-	return ID(b)
+	var num [20]byte
+	digits := strconv.AppendInt(num[:0], int64(seq), 10)
+	var b strings.Builder
+	b.Grow(len(typ) + 1 + len(digits))
+	b.WriteString(typ)
+	b.WriteByte(':')
+	b.Write(digits)
+	return ID(b.String())
+}
+
+// maxSeqDigits is the longest suffix SeqOf parses: 18 decimal digits
+// cannot overflow an int64.
+const maxSeqDigits = 18
+
+// SeqOf returns the sequence number of an ID — its decimal suffix after
+// the last colon ("Type:123" -> 123, "A:B:9" -> 9) — or 0 when the ID
+// has none: no colon, an empty suffix, a non-digit in it, or more
+// digits than a sequence number can have. Sequence numbers start at 1,
+// so 0 is always a miss. Leading zeros parse ("Cell:07" -> 7); the
+// database's lookups confirm the whole ID, so such an ID still misses.
+func SeqOf(id ID) int {
+	i := strings.LastIndexByte(string(id), ':')
+	if i < 0 {
+		return 0
+	}
+	suffix := id[i+1:]
+	if len(suffix) == 0 || len(suffix) > maxSeqDigits {
+		return 0
+	}
+	n := 0
+	for j := 0; j < len(suffix); j++ {
+		c := suffix[j]
+		if c < '0' || c > '9' {
+			return 0
+		}
+		n = n*10 + int(c-'0')
+	}
+	return n
 }
 
 // Input records that the instance identified by Inst filled the
@@ -110,40 +146,56 @@ func (in *Instance) String() string {
 	return s
 }
 
-// instShards is the number of shards the byID index is split into.
-// Sixteen keeps per-shard contention negligible at the engine's worker
-// counts without measurable memory overhead.
-const instShards = 16
+// chunkBits sets the size of the instance table's chunks: 512 slots,
+// one 4 KB page of pointers.
+const chunkBits = 9
 
-// instShard is one shard of the byID index: its own lock, its own map,
-// so point reads from many worker goroutines never contend on the
-// database's global lock (which continues to guard the sequence counter
-// and the derived indexes).
-type instShard struct {
-	mu sync.RWMutex
-	m  map[ID]*Instance
+// chunk is one fixed block of the instance table. Its slots are only
+// ever written under db.mu and read with atomic loads, so a chunk never
+// moves once published.
+type chunk [1 << chunkBits]atomic.Pointer[Instance]
+
+// fwdRec is one use of a target instance: the sequence number of the
+// dependent that used it, and the next use of the same target (0 ends
+// the list; fwdRecs[0] is a sentinel that no list reaches).
+type fwdRec struct {
+	user int32
+	next int32
 }
 
 // DB is the design-history database. It is safe for concurrent use.
 //
+// Instances are addressed by their sequence number: the instance with
+// ID "Type:s" lives in slot s of a table of fixed-size chunks, and
+// every lookup parses s from the ID, bounds-checks it and confirms the
+// slot's ID (see look). Entry 0 and the holes ReserveSeq leaves stay
+// nil.
+//
 // Locking: db.mu guards the sequence counter, the derived indexes
-// (byType, usedBy, order) and the clock; the byID index is sharded with
-// per-shard locks (see instShard). Writers take db.mu exclusively and
-// then the shard lock of the instance they insert, so code holding
-// db.mu (either mode) may read shards freely; point readers (Get,
-// TypeOf, Has, ArtifactInfo) take only the shard lock. Stored
-// instances are immutable — Annotate replaces the stored copy rather
-// than mutating it — so a pointer read under the shard lock is safe to
-// dereference after the lock is released.
+// (byType, order, the forward lists) and the clock. Writers take db.mu
+// exclusively; the instance table is published for lock-free reads —
+// the chunk directory is replaced atomically when it grows and each
+// slot is an atomic pointer — so point readers (Get, TypeOf, Has,
+// ArtifactInfo) never take db.mu. Stored instances are immutable —
+// Annotate swaps in an annotated copy rather than mutating the stored
+// one — so a pointer loaded from the table is safe to dereference at
+// any time.
 type DB struct {
 	mu     sync.RWMutex
 	schema *schema.Schema
 	clock  func() time.Time
 	seq    int
-	shards [instShards]instShard
-	byType map[string][]ID // concrete type -> IDs in creation order
-	usedBy map[ID][]ID     // forward index: instance -> direct dependents
-	order  []ID            // all IDs in creation order
+	chunks atomic.Pointer[[]*chunk] // chunk directory: slot s is in chunk s>>chunkBits
+	byType map[string][]ID          // concrete type -> IDs in creation order
+	order  []ID                     // all IDs in creation order
+
+	// The forward index, as per-target linked lists threaded through
+	// one flat slice: fwdHead[s] and fwdTail[s] are the first and last
+	// fwdRec of the dependents of the instance with sequence number s,
+	// oldest first, one record per use (a dependent using s under two
+	// keys appears twice).
+	fwdHead, fwdTail []int32
+	fwdRecs          []fwdRec
 
 	// observers are notified of every commit, in commit order, under
 	// db.mu (see CommitObserver).
@@ -182,44 +234,107 @@ func (db *DB) Observe(o CommitObserver) (detach func()) {
 // NewDB creates an empty history database over the given schema.
 func NewDB(s *schema.Schema) *DB {
 	return &DB{
-		schema: s,
-		clock:  time.Now,
-		byType: make(map[string][]ID),
-		usedBy: make(map[ID][]ID),
+		schema:  s,
+		clock:   time.Now,
+		byType:  make(map[string][]ID),
+		fwdRecs: make([]fwdRec, 1), // the sentinel
 	}
 }
 
-// shardOf maps an ID to its shard (FNV-1a over the ID bytes).
-func (db *DB) shardOf(id ID) *instShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(id); i++ {
-		h ^= uint32(id[i])
-		h *= 16777619
+// slot returns the table slot of sequence number seq, or nil when seq
+// lies outside the table.
+func (db *DB) slot(seq int) *atomic.Pointer[Instance] {
+	dir := db.chunks.Load()
+	if dir == nil || seq <= 0 {
+		return nil
 	}
-	return &db.shards[h%instShards]
+	c := seq >> chunkBits
+	if c >= len(*dir) || (*dir)[c] == nil {
+		return nil
+	}
+	return &(*dir)[c][seq&(1<<chunkBits-1)]
 }
 
-// look returns the stored instance, or nil. Stored instances are
-// immutable, so the caller may read fields after the shard lock is
-// released; callers handing the pointer outside the package must copy
-// (see get).
+// look returns the stored instance, or nil. A malformed ID, one whose
+// sequence number lies outside the table, and one whose slot holds a
+// different ID ("Cell:7" asked of the slot of "GenTool:7", or
+// "Cell:07") all miss. Stored instances are immutable, so the caller
+// may read fields at any time; callers handing the pointer outside the
+// package must copy (see get).
 func (db *DB) look(id ID) *Instance {
-	sh := db.shardOf(id)
-	sh.mu.RLock()
-	in := sh.m[id]
-	sh.mu.RUnlock()
-	return in
+	sl := db.slot(SeqOf(id))
+	if sl == nil {
+		return nil
+	}
+	if in := sl.Load(); in != nil && in.ID == id {
+		return in
+	}
+	return nil
 }
 
-// insert stores an instance in its shard. The caller holds db.mu.
-func (db *DB) insert(in *Instance) {
-	sh := db.shardOf(in.ID)
-	sh.mu.Lock()
-	if sh.m == nil {
-		sh.m = make(map[ID]*Instance)
+// insert stores an instance in the slot of its sequence number, growing
+// the table and the forward lists to reach it. The caller holds db.mu
+// and has checked that seq is the suffix of in.ID.
+func (db *DB) insert(in *Instance, seq int) {
+	c := seq >> chunkBits
+	var dir []*chunk
+	if p := db.chunks.Load(); p != nil {
+		dir = *p
 	}
-	sh.m[in.ID] = in
-	sh.mu.Unlock()
+	if c >= len(dir) || dir[c] == nil {
+		// Copy on write: readers holding the old directory never see
+		// it change. A directory grows once per chunk.
+		grown := make([]*chunk, max(len(dir), c+1))
+		copy(grown, dir)
+		grown[c] = new(chunk)
+		db.chunks.Store(&grown)
+		dir = grown
+	}
+	dir[c][seq&(1<<chunkBits-1)].Store(in)
+	for len(db.fwdHead) <= seq {
+		db.fwdHead = append(db.fwdHead, 0)
+		db.fwdTail = append(db.fwdTail, 0)
+	}
+}
+
+// link appends dependent user to the forward list of target (both
+// sequence numbers). The caller holds db.mu.
+func (db *DB) link(target, user int) {
+	r := int32(len(db.fwdRecs))
+	db.fwdRecs = append(db.fwdRecs, fwdRec{user: int32(user)})
+	if t := db.fwdTail[target]; t != 0 {
+		db.fwdRecs[t].next = r
+	} else {
+		db.fwdHead[target] = r
+	}
+	db.fwdTail[target] = r
+}
+
+// index adds a stored instance to the derived indexes: its type's list,
+// the creation order and the forward lists of everything it used. The
+// caller holds db.mu, and every instance in.Tool and in.Inputs name is
+// stored.
+func (db *DB) index(in *Instance, seq int) {
+	db.byType[in.Type] = append(db.byType[in.Type], in.ID)
+	db.order = append(db.order, in.ID)
+	if in.Tool != "" {
+		db.link(SeqOf(in.Tool), seq)
+	}
+	for _, x := range in.Inputs {
+		db.link(SeqOf(x.Inst), seq)
+	}
+}
+
+// dependents calls fn with each direct dependent of the instance with
+// sequence number seq, oldest first, once per use. It allocates
+// nothing. The caller holds db.mu.
+func (db *DB) dependents(seq int, fn func(user *Instance)) {
+	if seq <= 0 || seq >= len(db.fwdHead) {
+		return
+	}
+	for r := db.fwdHead[seq]; r != 0; r = db.fwdRecs[r].next {
+		fn(db.slot(int(db.fwdRecs[r].user)).Load())
+	}
 }
 
 // SetClock replaces the timestamp source; tests use it for determinism.
@@ -272,76 +387,87 @@ func (db *DB) RecordID(rec Instance) (ID, error) {
 // recordLocked validates and stores rec under db.mu, returning the
 // assigned ID.
 func (db *DB) recordLocked(rec Instance) (ID, error) {
-	t := db.schema.Type(rec.Type)
-	if t == nil {
-		return "", fmt.Errorf("history: unknown entity type %q", rec.Type)
+	if err := db.checkDerivation(&rec); err != nil {
+		return "", err
 	}
-	if t.Abstract {
-		return "", fmt.Errorf("history: cannot instantiate abstract type %q", rec.Type)
-	}
-
-	// Tool / functional dependency.
-	switch {
-	case t.FuncDep != nil && rec.Tool == "":
-		return "", fmt.Errorf("history: %s requires a tool instance (fd %s)", rec.Type, t.FuncDep.Type)
-	case t.FuncDep == nil && rec.Tool != "":
-		return "", fmt.Errorf("history: %s takes no tool (it has no functional dependency)", rec.Type)
-	case t.FuncDep != nil:
-		ti := db.look(rec.Tool)
-		if ti == nil {
-			return "", fmt.Errorf("history: tool instance %s does not exist", rec.Tool)
-		}
-		if !db.schema.Satisfies(ti.Type, t.FuncDep.Type) {
-			return "", fmt.Errorf("history: tool %s has type %s, which does not satisfy fd %s of %s",
-				rec.Tool, ti.Type, t.FuncDep.Type, rec.Type)
-		}
-	}
-
-	// Inputs / data dependencies.
-	seen := make(map[string]bool)
-	for _, in := range rec.Inputs {
-		d, ok := t.DepByKey(in.Key)
-		if !ok || (t.FuncDep != nil && in.Key == t.FuncDep.Key()) {
-			return "", fmt.Errorf("history: %s has no data dependency %q", rec.Type, in.Key)
-		}
-		if seen[in.Key] {
-			return "", fmt.Errorf("history: duplicate input for dependency %q", in.Key)
-		}
-		seen[in.Key] = true
-		ii := db.look(in.Inst)
-		if ii == nil {
-			return "", fmt.Errorf("history: input instance %s does not exist", in.Inst)
-		}
-		if !db.schema.Satisfies(ii.Type, d.Type) {
-			return "", fmt.Errorf("history: input %s has type %s, which does not satisfy dd %s of %s",
-				in.Inst, ii.Type, d, rec.Type)
-		}
-	}
-	for _, d := range t.RequiredDeps() {
-		if !seen[d.Key()] {
-			return "", fmt.Errorf("history: %s is missing required input %q", rec.Type, d.Key())
-		}
-	}
-
 	db.seq++
 	inst := rec // copy
 	inst.ID = MakeID(rec.Type, db.seq)
 	inst.Created = db.clock()
 	inst.Inputs = append([]Input(nil), rec.Inputs...)
 
-	db.insert(&inst)
-	db.byType[inst.Type] = append(db.byType[inst.Type], inst.ID)
-	db.order = append(db.order, inst.ID)
-	if inst.Tool != "" {
-		db.usedBy[inst.Tool] = append(db.usedBy[inst.Tool], inst.ID)
-	}
-	for _, in := range inst.Inputs {
-		db.usedBy[in.Inst] = append(db.usedBy[in.Inst], inst.ID)
-	}
+	db.insert(&inst, db.seq)
+	db.index(&inst, db.seq)
 	for _, o := range db.observers {
 		o.OnCommit(&inst)
 	}
 	return inst.ID, nil
+}
+
+// checkDerivation checks a record's type, tool and inputs against the
+// schema: the typing rules Record documents, which Restore applies to
+// every restored record too. Existence checks consult the instance
+// table. The caller holds db.mu.
+func (db *DB) checkDerivation(rec *Instance) error {
+	t := db.schema.Type(rec.Type)
+	if t == nil {
+		return fmt.Errorf("history: unknown entity type %q", rec.Type)
+	}
+	if t.Abstract {
+		return fmt.Errorf("history: cannot instantiate abstract type %q", rec.Type)
+	}
+
+	// Tool / functional dependency.
+	switch {
+	case t.FuncDep != nil && rec.Tool == "":
+		return fmt.Errorf("history: %s requires a tool instance (fd %s)", rec.Type, t.FuncDep.Type)
+	case t.FuncDep == nil && rec.Tool != "":
+		return fmt.Errorf("history: %s takes no tool (it has no functional dependency)", rec.Type)
+	case t.FuncDep != nil:
+		ti := db.look(rec.Tool)
+		if ti == nil {
+			return fmt.Errorf("history: tool instance %s does not exist", rec.Tool)
+		}
+		if !db.schema.Satisfies(ti.Type, t.FuncDep.Type) {
+			return fmt.Errorf("history: tool %s has type %s, which does not satisfy fd %s of %s",
+				rec.Tool, ti.Type, t.FuncDep.Type, rec.Type)
+		}
+	}
+
+	// Inputs / data dependencies. A record has a handful of inputs, so
+	// repeats and missing required keys are found by scanning them.
+	for i, in := range rec.Inputs {
+		d, ok := t.DepByKey(in.Key)
+		if !ok || (t.FuncDep != nil && t.FuncDep.HasKey(in.Key)) {
+			return fmt.Errorf("history: %s has no data dependency %q", rec.Type, in.Key)
+		}
+		for _, prev := range rec.Inputs[:i] {
+			if prev.Key == in.Key {
+				return fmt.Errorf("history: duplicate input for dependency %q", in.Key)
+			}
+		}
+		ii := db.look(in.Inst)
+		if ii == nil {
+			return fmt.Errorf("history: input instance %s does not exist", in.Inst)
+		}
+		if !db.schema.Satisfies(ii.Type, d.Type) {
+			return fmt.Errorf("history: input %s has type %s, which does not satisfy dd %s of %s",
+				in.Inst, ii.Type, d, rec.Type)
+		}
+	}
+required:
+	for _, d := range t.DataDeps {
+		if d.Optional {
+			continue
+		}
+		for _, in := range rec.Inputs {
+			if d.HasKey(in.Key) {
+				continue required
+			}
+		}
+		return fmt.Errorf("history: %s is missing required input %q", rec.Type, d.Key())
+	}
+	return nil
 }
 
 // MustRecord is Record but panics on error; for fixtures and examples.
@@ -416,8 +542,8 @@ func (db *DB) Seq() int {
 // (exec.ContinueOnError): when a planned construction fails or is
 // skipped, its pre-assigned IDs are retired so that every later
 // construction still commits under exactly the ID the planner assigned.
-// Holes in the sequence are harmless — nothing iterates IDs by number,
-// and Restore already resumes after the largest suffix present.
+// The retired numbers stay empty slots of the instance table, and
+// Restore resumes after the largest suffix present.
 func (db *DB) ReserveSeq(n int) {
 	if n <= 0 {
 		return
@@ -436,20 +562,23 @@ func (db *DB) Len() int {
 
 // Annotate sets the user-visible name and comment of an instance (the
 // annotation facility of §4.1). Stored instances are immutable, so the
-// annotated copy replaces the stored one.
+// annotated copy replaces the stored one; a concurrent Annotate of the
+// same instance retries rather than losing either update.
 func (db *DB) Annotate(id ID, name, comment string) error {
-	sh := db.shardOf(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	in, ok := sh.m[id]
-	if !ok {
-		return fmt.Errorf("history: no instance %s", id)
+	sl := db.slot(SeqOf(id))
+	for sl != nil {
+		in := sl.Load()
+		if in == nil || in.ID != id {
+			break
+		}
+		cp := *in
+		cp.Name = name
+		cp.Comment = comment
+		if sl.CompareAndSwap(in, &cp) {
+			return nil
+		}
 	}
-	cp := *in
-	cp.Name = name
-	cp.Comment = comment
-	sh.m[id] = &cp
-	return nil
+	return fmt.Errorf("history: no instance %s", id)
 }
 
 // InstancesOf returns (copies of) all instances whose type satisfies the
@@ -500,7 +629,11 @@ func (db *DB) Newest(typeName string) *Instance {
 func (db *DB) DirectDependents(id ID) []ID {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return append([]ID(nil), db.usedBy[id]...)
+	var out []ID
+	if db.look(id) != nil {
+		db.dependents(SeqOf(id), func(user *Instance) { out = append(out, user.ID) })
+	}
+	return out
 }
 
 // Dump renders the database contents for debugging, one instance per

@@ -1,6 +1,7 @@
 package history
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -29,7 +30,7 @@ func fakeClock() func() time.Time {
 //	dm = device models, st = stimuli
 //	c1 = composite circuit (dm, n1)
 //	p1 = simulate(c1, st), pp1 = plot(p1)
-func fixture(t *testing.T) (*DB, map[string]ID) {
+func fixture(t testing.TB) (*DB, map[string]ID) {
 	t.Helper()
 	db := NewDB(schema.Fig1())
 	db.SetClock(fakeClock())
@@ -384,6 +385,83 @@ func TestDirectDependents(t *testing.T) {
 		if !want[d] {
 			t.Errorf("unexpected dependent %s", d)
 		}
+	}
+}
+
+// TestLookupConfirmsID: instances are addressed by sequence number, but
+// every lookup confirms the whole ID, so another type's ID with the
+// same number, a zero-padded number, an overlong or out-of-range
+// number and a malformed ID all miss.
+func TestLookupConfirmsID(t *testing.T) {
+	db, ids := fixture(t)
+	if ids["layoutEd"] != "LayoutEditor:1" {
+		t.Fatalf("fixture IDs moved: %s", ids["layoutEd"])
+	}
+	for _, id := range []ID{"Plotter:1", "LayoutEditor:01", "LayoutEditor:", "LayoutEditor",
+		"LayoutEditor:1:", "LayoutEditor:999", "LayoutEditor:-1", "LayoutEditor:1234567890123456789012345"} {
+		if db.Has(id) || db.Get(id) != nil {
+			t.Errorf("%q found", id)
+		}
+		if _, ok := db.TypeOf(id); ok {
+			t.Errorf("TypeOf(%q) found", id)
+		}
+		if _, _, _, _, ok := db.ArtifactInfo(id); ok {
+			t.Errorf("ArtifactInfo(%q) found", id)
+		}
+		if err := db.Annotate(id, "x", ""); err == nil {
+			t.Errorf("Annotate(%q) succeeded", id)
+		}
+		if _, err := db.Forwardchain(id, -1); err == nil {
+			t.Errorf("Forwardchain(%q) answered", id)
+		}
+		if deps := db.DirectDependents(id); deps != nil {
+			t.Errorf("DirectDependents(%q) = %v", id, deps)
+		}
+	}
+	if got := db.Get("LayoutEditor:1"); got == nil || got.Name != "magic" {
+		t.Fatalf("Get(LayoutEditor:1) = %v", got)
+	}
+}
+
+// TestDependentUsingOneInstanceTwice pins the forward answers for a
+// dependent that uses one instance under two keys: it is listed once
+// per use, and the naive walker labels both arcs with the first
+// matching key. The literals are the answers of the map-keyed forward
+// index the per-seq lists replaced.
+func TestDependentUsingOneInstanceTwice(t *testing.T) {
+	db, ids := fixture(t)
+	v := db.MustRecord(Instance{Type: "Verification", Tool: ids["verifier"], Inputs: []Input{
+		{Key: "Netlist/reference", Inst: ids["n1"]}, {Key: "Netlist/subject", Inst: ids["n1"]}}})
+	if v.ID != "Verification:17" || ids["n1"] != "ExtractedNetlist:9" {
+		t.Fatalf("fixture IDs moved: %s, %s", v.ID, ids["n1"])
+	}
+	wantDeps := []ID{"Circuit:12", "EditedNetlist:16", "Verification:17", "Verification:17"}
+	if got := db.DirectDependents(ids["n1"]); !slices.Equal(got, wantDeps) {
+		t.Errorf("DirectDependents = %q, want %q", got, wantDeps)
+	}
+	d, err := db.Forwardchain(ids["n1"], -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantNodes := []ID{"ExtractedNetlist:9", "Circuit:12", "EditedNetlist:16", "Verification:17",
+		"Performance:13", "PerformancePlot:14"}
+	if !slices.Equal(d.Nodes, wantNodes) {
+		t.Errorf("Forwardchain nodes = %q, want %q", d.Nodes, wantNodes)
+	}
+	wantEdges := []string{
+		"Circuit:12 -dd[Netlist]-> ExtractedNetlist:9",
+		"EditedNetlist:16 -dd[Netlist]-> ExtractedNetlist:9",
+		"Verification:17 -dd[Netlist/reference]-> ExtractedNetlist:9",
+		"Verification:17 -dd[Netlist/reference]-> ExtractedNetlist:9",
+		"Performance:13 -dd[Circuit]-> Circuit:12",
+		"PerformancePlot:14 -dd[Performance]-> Performance:13",
+	}
+	var gotEdges []string
+	for _, e := range d.Edges {
+		gotEdges = append(gotEdges, e.String())
+	}
+	if !slices.Equal(gotEdges, wantEdges) {
+		t.Errorf("Forwardchain edges = %q, want %q", gotEdges, wantEdges)
 	}
 }
 

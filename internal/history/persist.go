@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
-	"strings"
 )
 
 // Persistence for the history database: the instance records are the
@@ -21,10 +19,22 @@ func (db *DB) DumpJSON(w io.Writer) error {
 	return enc.Encode(db.All())
 }
 
+// maxSeqGap bounds how far a dump's sequence numbers may run ahead of
+// its record count — the room left for IDs ReserveSeq retired. The
+// instance table is sized by the largest sequence number, so a dump of
+// n records naming a number above n+maxSeqGap is refused: a hostile
+// file cannot make Restore allocate more than about 8 MB of table
+// beyond its own records.
+const maxSeqGap = 1 << 20
+
 // Restore loads instances previously written by Dump into an empty
 // database. Instance IDs are preserved; the sequence counter resumes
 // after the largest restored ID. Restoring into a non-empty database is
-// refused.
+// refused. A dump is untrusted input: every ID must be MakeID of its
+// record's own type and a sequence number from 1 to the record count
+// plus maxSeqGap, no two records may share a sequence number, and every
+// record must pass Record's derivation checks. Any failure leaves the
+// database empty.
 func (db *DB) Restore(r io.Reader) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -35,48 +45,51 @@ func (db *DB) Restore(r io.Reader) error {
 	if err := json.NewDecoder(r).Decode(&insts); err != nil {
 		return fmt.Errorf("history: restore: %w", err)
 	}
-	// First pass: insert all records so referential checks can see
-	// forward references too (dumps are in creation order, but be
-	// lenient).
+	// First pass: check every ID before the table is sized by it.
+	maxSeq := 0
 	for _, in := range insts {
 		if in == nil || in.ID == "" {
-			db.wipeLocked()
 			return fmt.Errorf("history: restore: record without ID")
 		}
-		if db.look(in.ID) != nil {
+		seq := SeqOf(in.ID)
+		if seq < 1 || in.ID != MakeID(in.Type, seq) {
+			return fmt.Errorf("history: restore: ID %q is not %s:<seq>", in.ID, in.Type)
+		}
+		if seq > len(insts)+maxSeqGap {
+			return fmt.Errorf("history: restore: %s: sequence number exceeds the dump's %d records by more than %d",
+				in.ID, len(insts), maxSeqGap)
+		}
+		maxSeq = max(maxSeq, seq)
+	}
+	// Second pass: insert all records so referential checks can see
+	// forward references too (dumps are in creation order, but be
+	// lenient).
+	stored := make([]*Instance, len(insts))
+	for i, in := range insts {
+		seq := SeqOf(in.ID)
+		if sl := db.slot(seq); sl != nil && sl.Load() != nil {
 			db.wipeLocked()
-			return fmt.Errorf("history: restore: duplicate ID %s", in.ID)
+			return fmt.Errorf("history: restore: %s repeats sequence number %d", in.ID, seq)
 		}
 		cp := *in
 		cp.Inputs = append([]Input(nil), in.Inputs...)
-		db.insert(&cp)
+		db.insert(&cp, seq)
+		stored[i] = &cp
 	}
-	// Second pass: validate each record against the schema and rebuild
+	// Third pass: validate each record against the schema and rebuild
 	// the derived indexes in creation order.
-	ordered := append([]*Instance(nil), insts...)
-	sort.SliceStable(ordered, func(i, j int) bool {
-		if ordered[i].Created.Equal(ordered[j].Created) {
-			return seqOf(ordered[i].ID) < seqOf(ordered[j].ID)
+	sort.SliceStable(stored, func(i, j int) bool {
+		if stored[i].Created.Equal(stored[j].Created) {
+			return SeqOf(stored[i].ID) < SeqOf(stored[j].ID)
 		}
-		return ordered[i].Created.Before(ordered[j].Created)
+		return stored[i].Created.Before(stored[j].Created)
 	})
-	maxSeq := 0
-	for _, in := range ordered {
-		if err := db.validateRestored(in); err != nil {
+	for _, in := range stored {
+		if err := db.checkDerivation(in); err != nil {
 			db.wipeLocked()
-			return err
+			return fmt.Errorf("history: restore: %s: %w", in.ID, err)
 		}
-		db.byType[in.Type] = append(db.byType[in.Type], in.ID)
-		db.order = append(db.order, in.ID)
-		if in.Tool != "" {
-			db.usedBy[in.Tool] = append(db.usedBy[in.Tool], in.ID)
-		}
-		for _, x := range in.Inputs {
-			db.usedBy[x.Inst] = append(db.usedBy[x.Inst], in.ID)
-		}
-		if s := seqOf(in.ID); s > maxSeq {
-			maxSeq = s
-		}
+		db.index(in, SeqOf(in.ID))
 	}
 	db.seq = maxSeq
 	return nil
@@ -84,78 +97,10 @@ func (db *DB) Restore(r io.Reader) error {
 
 // wipeLocked clears all state after a failed restore.
 func (db *DB) wipeLocked() {
-	for i := range db.shards {
-		sh := &db.shards[i]
-		sh.mu.Lock()
-		sh.m = nil
-		sh.mu.Unlock()
-	}
+	db.chunks.Store(nil)
 	db.byType = make(map[string][]ID)
-	db.usedBy = make(map[ID][]ID)
 	db.order = nil
+	db.fwdHead, db.fwdTail = nil, nil
+	db.fwdRecs = db.fwdRecs[:1]
 	db.seq = 0
-}
-
-// seqOf parses the numeric suffix of an ID ("Type:123" -> 123).
-func seqOf(id ID) int {
-	s := string(id)
-	i := strings.LastIndexByte(s, ':')
-	if i < 0 {
-		return 0
-	}
-	n, err := strconv.Atoi(s[i+1:])
-	if err != nil {
-		return 0
-	}
-	return n
-}
-
-// validateRestored re-runs Record's typing checks for a restored
-// instance (existence checks consult the fully inserted map).
-func (db *DB) validateRestored(in *Instance) error {
-	t := db.schema.Type(in.Type)
-	if t == nil {
-		return fmt.Errorf("history: restore: %s has unknown type %q", in.ID, in.Type)
-	}
-	if t.Abstract {
-		return fmt.Errorf("history: restore: %s has abstract type %q", in.ID, in.Type)
-	}
-	switch {
-	case t.FuncDep != nil && in.Tool == "":
-		return fmt.Errorf("history: restore: %s lacks its tool", in.ID)
-	case t.FuncDep == nil && in.Tool != "":
-		return fmt.Errorf("history: restore: %s has a tool but its type takes none", in.ID)
-	case t.FuncDep != nil:
-		ti := db.look(in.Tool)
-		if ti == nil {
-			return fmt.Errorf("history: restore: %s references missing tool %s", in.ID, in.Tool)
-		}
-		if !db.schema.Satisfies(ti.Type, t.FuncDep.Type) {
-			return fmt.Errorf("history: restore: %s tool %s ill-typed", in.ID, in.Tool)
-		}
-	}
-	seen := make(map[string]bool)
-	for _, x := range in.Inputs {
-		d, ok := t.DepByKey(x.Key)
-		if !ok || (t.FuncDep != nil && x.Key == t.FuncDep.Key()) {
-			return fmt.Errorf("history: restore: %s has unknown input key %q", in.ID, x.Key)
-		}
-		if seen[x.Key] {
-			return fmt.Errorf("history: restore: %s repeats input %q", in.ID, x.Key)
-		}
-		seen[x.Key] = true
-		ii := db.look(x.Inst)
-		if ii == nil {
-			return fmt.Errorf("history: restore: %s references missing input %s", in.ID, x.Inst)
-		}
-		if !db.schema.Satisfies(ii.Type, d.Type) {
-			return fmt.Errorf("history: restore: %s input %s ill-typed", in.ID, x.Inst)
-		}
-	}
-	for _, d := range t.RequiredDeps() {
-		if !seen[d.Key()] {
-			return fmt.Errorf("history: restore: %s missing required input %q", in.ID, d.Key())
-		}
-	}
-	return nil
 }

@@ -2,8 +2,11 @@ package history
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/schema"
 )
 
 func TestDumpRestoreRoundTrip(t *testing.T) {
@@ -56,31 +59,40 @@ func TestDumpRestoreRoundTrip(t *testing.T) {
 	}
 }
 
+// restoreErrorCases are dumps Restore must refuse, leaving the
+// database empty; FuzzRestore starts from them too.
+var restoreErrorCases = []struct{ name, src string }{
+	{"garbage", "not json"},
+	{"no id", `[{"Type":"Stimuli"}]`},
+	{"dup id", `[{"ID":"Stimuli:1","Type":"Stimuli","Created":"2026-01-01T00:00:00Z"},
+	             {"ID":"Stimuli:1","Type":"Stimuli","Created":"2026-01-01T00:00:01Z"}]`},
+	{"unknown type", `[{"ID":"Nope:1","Type":"Nope","Created":"2026-01-01T00:00:00Z"}]`},
+	{"abstract", `[{"ID":"Netlist:1","Type":"Netlist","Created":"2026-01-01T00:00:00Z"}]`},
+	{"tool on primitive", `[{"ID":"Stimuli:1","Type":"Stimuli","Tool":"Stimuli:1","Created":"2026-01-01T00:00:00Z"}]`},
+	{"missing tool field", `[{"ID":"DeviceModels:1","Type":"DeviceModels","Created":"2026-01-01T00:00:00Z"}]`},
+	{"dangling input", `[{"ID":"NetlistEditor:1","Type":"NetlistEditor","Created":"2026-01-01T00:00:00Z"},
+		{"ID":"EditedNetlist:2","Type":"EditedNetlist","Tool":"NetlistEditor:1",
+		 "Inputs":[{"Key":"Netlist","Inst":"EditedNetlist:99"}],"Created":"2026-01-01T00:00:01Z"}]`},
+	{"bad input key", `[{"ID":"NetlistEditor:1","Type":"NetlistEditor","Created":"2026-01-01T00:00:00Z"},
+		{"ID":"EditedNetlist:2","Type":"EditedNetlist","Tool":"NetlistEditor:1",
+		 "Inputs":[{"Key":"Bogus","Inst":"NetlistEditor:1"}],"Created":"2026-01-01T00:00:01Z"}]`},
+	{"missing required", `[{"ID":"LayoutEditor:1","Type":"LayoutEditor","Created":"2026-01-01T00:00:00Z"},
+		{"ID":"Extractor:2","Type":"Extractor","Created":"2026-01-01T00:00:00Z"},
+		{"ID":"ExtractedNetlist:3","Type":"ExtractedNetlist","Tool":"Extractor:2","Created":"2026-01-01T00:00:01Z"}]`},
+	{"seq far beyond the records", `[{"ID":"Stimuli:4000000000","Type":"Stimuli","Created":"2026-01-01T00:00:00Z"}]`},
+	{"25-digit seq", `[{"ID":"Stimuli:1234567890123456789012345","Type":"Stimuli","Created":"2026-01-01T00:00:00Z"}]`},
+	{"leading zero", `[{"ID":"Stimuli:01","Type":"Stimuli","Created":"2026-01-01T00:00:00Z"}]`},
+	{"zero seq", `[{"ID":"Stimuli:0","Type":"Stimuli","Created":"2026-01-01T00:00:00Z"}]`},
+	{"prefix is not the type", `[{"ID":"Plotter:1","Type":"Stimuli","Created":"2026-01-01T00:00:00Z"}]`},
+	{"dup seq", `[{"ID":"Stimuli:1","Type":"Stimuli","Created":"2026-01-01T00:00:00Z"},
+	             {"ID":"Plotter:1","Type":"Plotter","Created":"2026-01-01T00:00:01Z"}]`},
+}
+
 func TestRestoreErrors(t *testing.T) {
 	db, _ := fixture(t)
-	fresh := func() *DB { return NewDB(db.Schema()) }
-	cases := []struct{ name, src string }{
-		{"garbage", "not json"},
-		{"no id", `[{"Type":"Stimuli"}]`},
-		{"dup id", `[{"ID":"Stimuli:1","Type":"Stimuli","Created":"2026-01-01T00:00:00Z"},
-		             {"ID":"Stimuli:1","Type":"Stimuli","Created":"2026-01-01T00:00:01Z"}]`},
-		{"unknown type", `[{"ID":"Nope:1","Type":"Nope","Created":"2026-01-01T00:00:00Z"}]`},
-		{"abstract", `[{"ID":"Netlist:1","Type":"Netlist","Created":"2026-01-01T00:00:00Z"}]`},
-		{"tool on primitive", `[{"ID":"Stimuli:1","Type":"Stimuli","Tool":"Stimuli:1","Created":"2026-01-01T00:00:00Z"}]`},
-		{"missing tool field", `[{"ID":"DeviceModels:1","Type":"DeviceModels","Created":"2026-01-01T00:00:00Z"}]`},
-		{"dangling input", `[{"ID":"NetlistEditor:1","Type":"NetlistEditor","Created":"2026-01-01T00:00:00Z"},
-			{"ID":"EditedNetlist:2","Type":"EditedNetlist","Tool":"NetlistEditor:1",
-			 "Inputs":[{"Key":"Netlist","Inst":"EditedNetlist:99"}],"Created":"2026-01-01T00:00:01Z"}]`},
-		{"bad input key", `[{"ID":"NetlistEditor:1","Type":"NetlistEditor","Created":"2026-01-01T00:00:00Z"},
-			{"ID":"EditedNetlist:2","Type":"EditedNetlist","Tool":"NetlistEditor:1",
-			 "Inputs":[{"Key":"Bogus","Inst":"NetlistEditor:1"}],"Created":"2026-01-01T00:00:01Z"}]`},
-		{"missing required", `[{"ID":"LayoutEditor:1","Type":"LayoutEditor","Created":"2026-01-01T00:00:00Z"},
-			{"ID":"Extractor:2","Type":"Extractor","Created":"2026-01-01T00:00:00Z"},
-			{"ID":"ExtractedNetlist:3","Type":"ExtractedNetlist","Tool":"Extractor:2","Created":"2026-01-01T00:00:01Z"}]`},
-	}
-	for _, c := range cases {
+	for _, c := range restoreErrorCases {
 		t.Run(c.name, func(t *testing.T) {
-			d := fresh()
+			d := NewDB(db.Schema())
 			if err := d.Restore(strings.NewReader(c.src)); err == nil {
 				t.Errorf("Restore(%s) should fail", c.name)
 			}
@@ -93,6 +105,66 @@ func TestRestoreErrors(t *testing.T) {
 	if err := db.Restore(strings.NewReader("[]")); err == nil {
 		t.Error("restore into non-empty should fail")
 	}
+}
+
+// TestRestoreAdmitsSeqGap: the holes ReserveSeq leaves survive a dump
+// and restore, up to maxSeqGap beyond the record count.
+func TestRestoreAdmitsSeqGap(t *testing.T) {
+	for _, seq := range []int{2, 1 + maxSeqGap} {
+		db := NewDB(schema.Fig1())
+		src := fmt.Sprintf(`[{"ID":"Stimuli:%d","Type":"Stimuli","Created":"2026-01-01T00:00:00Z"}]`, seq)
+		if err := db.Restore(strings.NewReader(src)); err != nil {
+			t.Fatalf("Restore(Stimuli:%d): %v", seq, err)
+		}
+		if got := db.Seq(); got != seq {
+			t.Errorf("Seq after restoring Stimuli:%d = %d", seq, got)
+		}
+	}
+	db := NewDB(schema.Fig1())
+	src := fmt.Sprintf(`[{"ID":"Stimuli:%d","Type":"Stimuli","Created":"2026-01-01T00:00:00Z"}]`, 2+maxSeqGap)
+	if err := db.Restore(strings.NewReader(src)); err == nil {
+		t.Errorf("Restore accepted a sequence number %d past the record count", 1+maxSeqGap)
+	}
+}
+
+// FuzzRestore feeds Restore arbitrary bytes, starting from the
+// fixture's dump and the refused dumps above. Restore never panics; a
+// refused dump leaves the database empty; and an accepted one dumps to
+// bytes that restore to the same dump.
+func FuzzRestore(f *testing.F) {
+	db, _ := fixture(f)
+	var dump bytes.Buffer
+	if err := db.DumpJSON(&dump); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(dump.Bytes())
+	for _, c := range restoreErrorCases {
+		f.Add([]byte(c.src))
+	}
+	s := db.Schema()
+	f.Fuzz(func(t *testing.T, src []byte) {
+		db := NewDB(s)
+		if err := db.Restore(bytes.NewReader(src)); err != nil {
+			if db.Len() != 0 {
+				t.Fatalf("refused restore (%v) left %d instances", err, db.Len())
+			}
+			return
+		}
+		var first, second bytes.Buffer
+		if err := db.DumpJSON(&first); err != nil {
+			t.Fatalf("dumping a restored database: %v", err)
+		}
+		again := NewDB(s)
+		if err := again.Restore(bytes.NewReader(first.Bytes())); err != nil {
+			t.Fatalf("restoring a dump: %v\n%s", err, first.Bytes())
+		}
+		if err := again.DumpJSON(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("dump is not a fixed point:\n%s\n---\n%s", first.Bytes(), second.Bytes())
+		}
+	})
 }
 
 func TestInstanceHelpers(t *testing.T) {
@@ -127,14 +199,27 @@ func TestInstanceHelpers(t *testing.T) {
 
 func TestSeqOf(t *testing.T) {
 	cases := map[ID]int{
-		"Performance:17": 17,
-		"NoColon":        0,
-		"Bad:xx":         0,
-		"A:B:9":          9,
+		"Performance:17":              17,
+		"NoColon":                     0,
+		"Bad:xx":                      0,
+		"A:B:9":                       9,
+		"Empty:":                      0,
+		"Zero:0":                      0,
+		"Signed:-5":                   0,
+		"Plus:+5":                     0,
+		"Cell:07":                     7,
+		"Max:999999999999999999":      999999999999999999,
+		"Long:1000000000000000000":    0,
+		"Huge:9999999999999999999999": 0,
 	}
 	for id, want := range cases {
-		if got := seqOf(id); got != want {
-			t.Errorf("seqOf(%s) = %d, want %d", id, got, want)
+		if got := SeqOf(id); got != want {
+			t.Errorf("SeqOf(%s) = %d, want %d", id, got, want)
+		}
+	}
+	for _, seq := range []int{1, 9, 10, 4000, 1 << 40} {
+		if got := SeqOf(MakeID("Cell", seq)); got != seq {
+			t.Errorf("SeqOf(MakeID(Cell, %d)) = %d", seq, got)
 		}
 	}
 }

@@ -42,10 +42,9 @@ func (db *DB) versionChildren(id ID) []ID {
 	}
 	root := db.schema.Root(in.Type)
 	var out []ID
-	for _, user := range db.usedBy[id] {
-		u := db.look(user)
+	db.dependents(SeqOf(id), func(u *Instance) {
 		if db.schema.Root(u.Type) != root {
-			continue
+			return
 		}
 		ut := db.schema.Type(u.Type)
 		for _, x := range u.Inputs {
@@ -53,10 +52,10 @@ func (db *DB) versionChildren(id ID) []ID {
 				continue
 			}
 			if d, ok := ut.DepByKey(x.Key); ok && db.schema.Root(d.Type) == root {
-				out = append(out, user)
+				out = append(out, u.ID)
 			}
 		}
-	}
+	})
 	return out
 }
 

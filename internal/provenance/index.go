@@ -67,12 +67,18 @@ type fwdRec struct {
 // tool arc, and every later label an input arc with its key, numbered
 // on the key's first use. An arc is then 8 bytes backward and 12
 // forward, and each distinct key is held once.
+//
+// An instance ID is turned into its dense number through a table
+// indexed by the ID's sequence number (history.SeqOf), and each hit is
+// confirmed against ids — 4 bytes per sequence number, where a map
+// keyed by ID strings would hash every lookup and hold a string header
+// per entry.
 type Index struct {
 	mu    sync.RWMutex
-	ids   []history.ID         // dense number -> instance ID, in commit order
-	num   map[history.ID]int32 // instance ID -> dense number
-	arcs  []arcLabel           // label number -> label; 0 is the tool arc
-	arcOf map[string]int32     // input key -> its label number
+	ids   []history.ID     // dense number -> instance ID, in commit order
+	numOf []int32          // sequence number -> dense number, confirmed against ids
+	arcs  []arcLabel       // label number -> label; 0 is the tool arc
+	arcOf map[string]int32 // input key -> its label number
 
 	backStart []int32 // len(ids)+1; CSR row starts into backEdges
 	backEdges []backEdge
@@ -84,7 +90,6 @@ type Index struct {
 // NewIndex returns an empty index. Attach it with db.Observe(idx).
 func NewIndex() *Index {
 	return &Index{
-		num:       make(map[history.ID]int32),
 		arcs:      []arcLabel{{kind: history.EdgeTool}},
 		arcOf:     make(map[string]int32),
 		backStart: []int32{0},
@@ -105,6 +110,18 @@ func (x *Index) Edges() int {
 	return len(x.backEdges)
 }
 
+// num returns the dense number of an indexed instance. An ID without a
+// sequence number, one beyond the table, and one whose table entry
+// names another instance all miss.
+func (x *Index) num(id history.ID) (int32, bool) {
+	s := history.SeqOf(id)
+	if s <= 0 || s >= len(x.numOf) {
+		return 0, false
+	}
+	n := x.numOf[s]
+	return n, x.ids[n] == id
+}
+
 // inputArc returns the label number of the input arc with key k,
 // numbering it on first use.
 func (x *Index) inputArc(k string) int32 {
@@ -121,22 +138,34 @@ func (x *Index) inputArc(k string) int32 {
 // history.CommitObserver and is called under the database's commit
 // lock, in commit order — so every tool/input the instance references
 // is already indexed (the database validated their existence at
-// commit). Re-observing an already-indexed instance is a no-op, and an
+// commit). Re-observing an already-indexed instance is a no-op. An
 // edge to an unindexed instance is an invariant violation (the index
-// missed a commit) and panics.
+// missed a commit) and panics, as does an ID without a sequence number
+// or one whose sequence number another indexed instance holds: an
+// index observes one database, whose IDs are history.MakeID's.
 func (x *Index) OnCommit(inst *history.Instance) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	if _, ok := x.num[inst.ID]; ok {
+	if _, ok := x.num(inst.ID); ok {
 		return
+	}
+	s := history.SeqOf(inst.ID)
+	if s <= 0 {
+		panic(fmt.Sprintf("provenance: %s has no sequence number", inst.ID))
+	}
+	if s < len(x.numOf) && history.SeqOf(x.ids[x.numOf[s]]) == s {
+		panic(fmt.Sprintf("provenance: %s reuses the sequence number of %s", inst.ID, x.ids[x.numOf[s]]))
 	}
 	n := int32(len(x.ids))
 	x.ids = append(x.ids, inst.ID)
-	x.num[inst.ID] = n
+	for len(x.numOf) <= s {
+		x.numOf = append(x.numOf, 0)
+	}
+	x.numOf[s] = n
 	x.fwdHead = append(x.fwdHead, -1)
 
 	link := func(child history.ID, arc int32) {
-		c, ok := x.num[child]
+		c, ok := x.num(child)
 		if !ok {
 			panic(fmt.Sprintf("provenance: %s references unindexed instance %s (observer attached without Observe backfill?)", inst.ID, child))
 		}
@@ -161,7 +190,7 @@ func (x *Index) OnCommit(inst *history.Instance) {
 func (x *Index) Backchain(id history.ID, depth int) (*history.Derivation, error) {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
-	root, ok := x.num[id]
+	root, ok := x.num(id)
 	if !ok {
 		return nil, fmt.Errorf("provenance: no instance %s in index", id)
 	}
@@ -235,7 +264,7 @@ func (x *Index) Backchain(id history.ID, depth int) (*history.Derivation, error)
 func (x *Index) Forwardchain(id history.ID, depth int) (*history.Derivation, error) {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
-	root, ok := x.num[id]
+	root, ok := x.num(id)
 	if !ok {
 		return nil, fmt.Errorf("provenance: no instance %s in index", id)
 	}
@@ -250,7 +279,7 @@ func (x *Index) Forwardchain(id history.ID, depth int) (*history.Derivation, err
 		next = next[:0]
 		for _, cur := range frontier {
 			// The chain threads newest-first; the naive walker emits
-			// dependents in usedBy append (commit) order, so reverse.
+			// dependents in commit order, so reverse.
 			uses = uses[:0]
 			for r := x.fwdHead[cur]; r != -1; r = x.fwdRecs[r].prev {
 				uses = append(uses, r)

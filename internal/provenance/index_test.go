@@ -154,3 +154,41 @@ func TestIndexMissingChildPanics(t *testing.T) {
 	}()
 	idx.OnCommit(&history.Instance{ID: "Cell:2", Type: "Cell", Tool: "GenTool:1"})
 }
+
+// TestIndexRefusesForeignIDs pins the seq table's invariants: an index
+// observes one database, so an ID without a sequence number, or one
+// whose sequence number an indexed instance already holds, panics
+// instead of shadowing that instance.
+func TestIndexRefusesForeignIDs(t *testing.T) {
+	for name, ids := range map[string][]history.ID{
+		"no sequence number": {"Cell"},
+		"reused seq":         {"GenTool:1", "Cell:1"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			idx := NewIndex()
+			defer func() {
+				if r := recover(); r == nil {
+					t.Fatalf("indexing %v did not panic", ids)
+				}
+			}()
+			for _, id := range ids {
+				idx.OnCommit(&history.Instance{ID: id, Type: "GenTool"})
+			}
+		})
+	}
+}
+
+// TestIndexLookupConfirmsID: a root whose sequence number is indexed
+// under another ID, or that spells the number differently, misses.
+func TestIndexLookupConfirmsID(t *testing.T) {
+	idx := NewIndex()
+	idx.OnCommit(&history.Instance{ID: "GenTool:7", Type: "GenTool"})
+	for _, id := range []history.ID{"Cell:7", "GenTool:07", "GenTool:8", "GenTool", "GenTool:99999999999999999999"} {
+		if _, err := idx.Backchain(id, -1); err == nil {
+			t.Errorf("Backchain(%s) answered", id)
+		}
+	}
+	if d, err := idx.Forwardchain("GenTool:7", -1); err != nil || d.Root != "GenTool:7" {
+		t.Fatalf("Forwardchain(GenTool:7) = %+v, %v", d, err)
+	}
+}

@@ -79,6 +79,16 @@ func (d Dep) Key() string {
 	return d.Type + "/" + d.Role
 }
 
+// HasKey reports whether key is the dependency's Key, without building
+// the "Type/Role" string.
+func (d Dep) HasKey(key string) bool {
+	if d.Role == "" {
+		return key == d.Type
+	}
+	return len(key) == len(d.Type)+1+len(d.Role) && key[len(d.Type)] == '/' &&
+		strings.HasPrefix(key, d.Type) && strings.HasSuffix(key, d.Role)
+}
+
 // String renders the dependency as "Type", "Type/Role" or with a trailing
 // "?" when optional.
 func (d Dep) String() string {
@@ -151,11 +161,11 @@ func (t *EntityType) AllDeps() []Dep {
 // DepByKey returns the dependency with the given (type[/role]) key and
 // whether it exists. The functional dependency participates in the lookup.
 func (t *EntityType) DepByKey(key string) (Dep, bool) {
-	if t.FuncDep != nil && t.FuncDep.Key() == key {
+	if t.FuncDep != nil && t.FuncDep.HasKey(key) {
 		return *t.FuncDep, true
 	}
 	for _, d := range t.DataDeps {
-		if d.Key() == key {
+		if d.HasKey(key) {
 			return d, true
 		}
 	}
