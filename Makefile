@@ -97,10 +97,11 @@ fuzz:
 # cover enforces the same ratchet as the CI trace job: the traced
 # execution paths (internal/exec + internal/trace), the result cache
 # (internal/memo), the conformance layer (internal/scenario +
-# internal/harness) and the provenance layer (internal/provenance)
-# stay above 90%.
+# internal/harness), the hash chain (internal/provenance) and the
+# history database with its derivation graph (internal/history) stay
+# above 90%.
 cover:
-	$(GO) test -coverprofile=cover.out ./internal/exec/ ./internal/trace/ ./internal/memo/ ./internal/scenario/ ./internal/harness/ ./internal/provenance/
+	$(GO) test -coverprofile=cover.out ./internal/exec/ ./internal/trace/ ./internal/memo/ ./internal/scenario/ ./internal/harness/ ./internal/provenance/ ./internal/history/
 	$(GO) tool cover -func=cover.out | awk '/^total:/ {sub(/%/, "", $$3); print "combined coverage: " $$3 "%"; exit ($$3 >= 90.0) ? 0 : 1}'
 
 # benchmod vets and tests the nested benchmark module (bench/), which
@@ -128,18 +129,20 @@ scale:
 	$(GO) test -run xxx -bench 'Scale|Chaining10k' -benchtime 1x ./internal/flowgen/ ./internal/history/
 	$(GO) run ./cmd/flowbench -out BENCH_scale_report.json scale
 
-# provenance runs the provenance gate: the indexed-chaining and hash-
-# chain suites under the race detector (differential against the naive
-# walkers over 20+ seeds, tamper detection naming the first bad
-# record), the service's provenance endpoint and WAL-replay tests (a
-# rewritten artifact named by its unit, every golden scenario replayed
-# after a restart, the previous build's data dir), flowd
-# -verify-provenance, then the flowbench provenance section — indexed
-# chaining over a 1.2M-instance history — writing its report next to
-# the committed record (BENCH_provenance.json, acceptance floor: 10x on
-# the deep backchain).
+# provenance runs the provenance gate: the hash-chain suite and the
+# history database's derivation-graph tests under the race detector
+# (differential against the reference walkers over 20+ seeds and a
+# deep chain, tamper detection naming the first bad record), the
+# service's provenance endpoint and WAL-replay tests (a rewritten
+# artifact named by its unit, every golden scenario replayed after a
+# restart, the previous build's data dir), flowd -verify-provenance,
+# then the flowbench provenance section — graph chaining over a
+# 1.2M-instance history — writing its report next to the committed
+# record (BENCH_provenance.json). The graph's ≥10x over the reference
+# walker is the BenchmarkBackchainGraph/Oracle pair in internal/history.
 provenance:
 	$(GO) test -race ./internal/provenance/
+	$(GO) test -race -run 'TestGraph' ./internal/history/
 	$(GO) test -race -run 'Provenance|Scenario|DurableChain|DurableResume|DurableTampered|DurableReplay|DurableParent|VerifyRunLog' ./internal/service/
 	$(GO) test -race -run 'VerifyProvenance' ./cmd/flowd/
 	$(GO) run ./cmd/flowbench -out BENCH_provenance_report.json provenance

@@ -48,8 +48,8 @@ type Trace struct {
 // typing and branching structure. Artifacts are not captured; the
 // replayer supplies initial slots for the primitive sources.
 func Capture(db *history.DB, target history.ID) (*Trace, error) {
-	if _, err := db.Backchain(target, -1); err != nil {
-		return nil, err // target does not exist
+	if !db.Has(target) {
+		return nil, fmt.Errorf("history: no instance %s", target)
 	}
 	// Emit constructions children-first so a replay has its inputs.
 	emitted := make(map[history.ID]bool)

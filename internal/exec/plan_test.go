@@ -9,7 +9,6 @@ import (
 	"repro/internal/flow"
 	"repro/internal/flowgen"
 	"repro/internal/history"
-	"repro/internal/provenance"
 	"repro/internal/schema"
 )
 
@@ -237,15 +236,15 @@ func TestDryPlanAllocs(t *testing.T) {
 }
 
 // TestRunFlowAllocs ratchets the allocations of executing a generated
-// 2,000-cell layered world: a bare run on four workers with a
-// provenance index observing the database, so the count covers
-// planning, dispatch, the pending set, the history commit and the
-// index feed. Worlds are built before the measurement, one per run.
-// With the history DB, the index and the pending set keyed by ID
-// strings the run made 69,445 allocations here; with them addressed by
-// sequence number and IDs, refs and dependency keys built without
-// intermediate strings, 55,779, and the bound leaves about 5% for
-// toolchain drift.
+// 2,000-cell layered world: a bare run on four workers, so the count
+// covers planning, dispatch, the pending set, the history commit and
+// its derivation-graph feed. Worlds are built before the measurement,
+// one per run. With the history DB, a provenance index observing it and
+// the pending set keyed by ID strings the run made 69,445 allocations
+// here; with them addressed by sequence number and IDs, refs and
+// dependency keys built without intermediate strings, 55,779; with the
+// index and the DB's forward lists merged into the DB's own graph,
+// 55,758, and the bound leaves about 5% for toolchain drift.
 func TestRunFlowAllocs(t *testing.T) {
 	const runs = 5
 	engines := make([]*Engine, runs+1) // AllocsPerRun adds a warm-up run
@@ -255,7 +254,6 @@ func TestRunFlowAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b.DB.Observe(provenance.NewIndex())
 		e := New(b.Schema, b.DB, b.Store, b.Reg)
 		e.SetWorkers(4)
 		t.Cleanup(func() {
@@ -273,7 +271,7 @@ func TestRunFlowAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 58_600 {
-		t.Fatalf("RunFlow made %.0f allocations, want at most 58,600", allocs)
+	if allocs > 58_500 {
+		t.Fatalf("RunFlow made %.0f allocations, want at most 58,500", allocs)
 	}
 }

@@ -98,88 +98,18 @@ func (d *Derivation) Render(db *DB) string {
 // Backchain computes the derivation history of id: everything (transitively)
 // used to create it, following both tool and input arcs, up to the given
 // depth (depth < 0 means unbounded). This is the History pop-up of Fig. 10.
+// The database's derivation graph answers it (Graph.Backchain).
 func (db *DB) Backchain(id ID, depth int) (*Derivation, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.backchainLocked(id, depth)
-}
-
-// backchainLocked is Backchain's body; the caller holds the lock.
-func (db *DB) backchainLocked(id ID, depth int) (*Derivation, error) {
-	if db.look(id) == nil {
-		return nil, fmt.Errorf("history: no instance %s", id)
-	}
-	d := &Derivation{Root: id}
-	visited := map[ID]bool{id: true}
-	frontier := []ID{id}
-	d.Nodes = append(d.Nodes, id)
-	for level := 0; len(frontier) > 0 && (depth < 0 || level < depth); level++ {
-		var next []ID
-		for _, cur := range frontier {
-			in := db.look(cur)
-			if in.Tool != "" {
-				d.Edges = append(d.Edges, Edge{Parent: cur, Child: in.Tool, Kind: EdgeTool})
-				if !visited[in.Tool] {
-					visited[in.Tool] = true
-					d.Nodes = append(d.Nodes, in.Tool)
-					next = append(next, in.Tool)
-				}
-			}
-			for _, x := range in.Inputs {
-				d.Edges = append(d.Edges, Edge{Parent: cur, Child: x.Inst, Kind: EdgeInput, Key: x.Key})
-				if !visited[x.Inst] {
-					visited[x.Inst] = true
-					d.Nodes = append(d.Nodes, x.Inst)
-					next = append(next, x.Inst)
-				}
-			}
-		}
-		frontier = next
-	}
-	return d, nil
+	return db.graph.Backchain(id, depth)
 }
 
 // Forwardchain computes the use-dependencies of id: everything
 // (transitively) created from it, up to the given depth (depth < 0 means
 // unbounded). Edges point from dependent (parent) to the used instance, so
-// a forward chain shares the Edge orientation of Backchain.
+// a forward chain shares the Edge orientation of Backchain. The
+// database's derivation graph answers it (Graph.Forwardchain).
 func (db *DB) Forwardchain(id ID, depth int) (*Derivation, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.look(id) == nil {
-		return nil, fmt.Errorf("history: no instance %s", id)
-	}
-	d := &Derivation{Root: id}
-	visited := map[ID]bool{id: true}
-	frontier := []ID{id}
-	d.Nodes = append(d.Nodes, id)
-	for level := 0; len(frontier) > 0 && (depth < 0 || level < depth); level++ {
-		var next []ID
-		for _, cur := range frontier {
-			db.dependents(SeqOf(cur), func(uin *Instance) {
-				user := uin.ID
-				kind, key := EdgeInput, ""
-				if uin.Tool == cur {
-					kind = EdgeTool
-				} else {
-					for _, x := range uin.Inputs {
-						if x.Inst == cur {
-							key = x.Key
-							break
-						}
-					}
-				}
-				d.Edges = append(d.Edges, Edge{Parent: user, Child: cur, Kind: kind, Key: key})
-				if !visited[user] {
-					visited[user] = true
-					d.Nodes = append(d.Nodes, user)
-					next = append(next, user)
-				}
-			})
-		}
-		frontier = next
-	}
-	return d, nil
+	return db.graph.Forwardchain(id, depth)
 }
 
 // UsesOf answers the paper's canonical forward query — "find all the X

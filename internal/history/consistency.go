@@ -49,10 +49,18 @@ type Stale struct {
 func (db *DB) StaleInputs(id ID) ([]Stale, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	back, err := db.backchainLocked(id, -1)
+	back, err := db.graph.Backchain(id, -1)
 	if err != nil {
 		return nil, err
 	}
+	return db.staleLocked(back), nil
+}
+
+// staleLocked is StaleInputs over the backchain it has computed. The
+// caller holds db.mu, so no commit lands between the walk and the
+// version lookups.
+func (db *DB) staleLocked(back *Derivation) []Stale {
+	id := back.Root
 	inBack := make(map[ID]bool, len(back.Nodes))
 	for _, n := range back.Nodes {
 		inBack[n] = true
@@ -117,7 +125,7 @@ func (db *DB) StaleInputs(id ID) ([]Stale, error) {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Used < out[j].Used })
-	return out, nil
+	return out
 }
 
 // sameContentLocked reports whether two instances carry byte-identical
@@ -173,14 +181,13 @@ func (p *RetracePlan) Fresh() bool { return len(p.Steps) == 0 }
 // data"). Instances without a task (primitive sources) are never rebuilt —
 // they are replaced by their newest versions instead.
 func (db *DB) PlanRetrace(id ID) (*RetracePlan, error) {
-	back, err := db.Backchain(id, -1)
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	back, err := db.graph.Backchain(id, -1)
 	if err != nil {
 		return nil, err
 	}
-	stale, err := db.StaleInputs(id)
-	if err != nil {
-		return nil, err
-	}
+	stale := db.staleLocked(back)
 	plan := &RetracePlan{Target: id}
 	if len(stale) == 0 {
 		return plan, nil
@@ -219,7 +226,7 @@ func (db *DB) PlanRetrace(id ID) (*RetracePlan, error) {
 		// composite grouping) must be re-run; post-order gives the
 		// leaves-first execution order.
 		if d && newest[x] == "" {
-			in := db.Get(x)
+			in := db.look(x)
 			t := db.schema.Type(in.Type)
 			if in.Tool != "" || (t != nil && t.Composite) {
 				rebuildOrder = append(rebuildOrder, x)

@@ -15,6 +15,12 @@
 // The task schema (package schema) is the data schema of this database:
 // an instance's type must exist in the schema and its recorded derivation
 // must be well-typed against the type's functional and data dependencies.
+//
+// Every database keeps one derivation graph (Graph), fed as each
+// instance is recorded, and both chaining directions are walks over it.
+// The graph holds no instance, so it stays queryable after the database
+// is dropped. Other consumers of the commits, such as the provenance
+// hash chain, attach as commit observers (Observe).
 package history
 
 import (
@@ -155,14 +161,6 @@ const chunkBits = 9
 // moves once published.
 type chunk [1 << chunkBits]atomic.Pointer[Instance]
 
-// fwdRec is one use of a target instance: the sequence number of the
-// dependent that used it, and the next use of the same target (0 ends
-// the list; fwdRecs[0] is a sentinel that no list reaches).
-type fwdRec struct {
-	user int32
-	next int32
-}
-
 // DB is the design-history database. It is safe for concurrent use.
 //
 // Instances are addressed by their sequence number: the instance with
@@ -171,12 +169,16 @@ type fwdRec struct {
 // slot's ID (see look). Entry 0 and the holes ReserveSeq leaves stay
 // nil.
 //
-// Locking: db.mu guards the sequence counter, the derived indexes
-// (byType, order, the forward lists) and the clock. Writers take db.mu
-// exclusively; the instance table is published for lock-free reads —
-// the chunk directory is replaced atomically when it grows and each
-// slot is an atomic pointer — so point readers (Get, TypeOf, Has,
-// ArtifactInfo) never take db.mu. Stored instances are immutable —
+// Every stored instance is also added to the database's derivation
+// graph (Graph), which answers the chaining queries and holds the
+// creation order.
+//
+// Locking: db.mu guards the sequence counter, byType and the clock, and
+// serializes the graph's feed. Writers take db.mu exclusively; the
+// graph has its own lock, and the instance table is published for
+// lock-free reads — the chunk directory is replaced atomically when it
+// grows and each slot is an atomic pointer — so point readers (Get,
+// TypeOf, Has, ArtifactInfo) and chaining queries never take db.mu. Stored instances are immutable —
 // Annotate swaps in an annotated copy rather than mutating the stored
 // one — so a pointer loaded from the table is safe to dereference at
 // any time.
@@ -187,15 +189,7 @@ type DB struct {
 	seq    int
 	chunks atomic.Pointer[[]*chunk] // chunk directory: slot s is in chunk s>>chunkBits
 	byType map[string][]ID          // concrete type -> IDs in creation order
-	order  []ID                     // all IDs in creation order
-
-	// The forward index, as per-target linked lists threaded through
-	// one flat slice: fwdHead[s] and fwdTail[s] are the first and last
-	// fwdRec of the dependents of the instance with sequence number s,
-	// oldest first, one record per use (a dependent using s under two
-	// keys appears twice).
-	fwdHead, fwdTail []int32
-	fwdRecs          []fwdRec
+	graph  *Graph                   // derivation graph; its IDs are the creation order
 
 	// observers are notified of every commit, in commit order, under
 	// db.mu (see CommitObserver).
@@ -206,8 +200,8 @@ type DB struct {
 // OnCommit is invoked under the database's write lock with the stored
 // (immutable) instance, so implementations must be fast, must not
 // retain the Inputs slice for mutation, and must not call back into
-// the DB. The provenance index (internal/provenance) is the canonical
-// observer.
+// the DB. The provenance hash chain (internal/provenance) is the
+// canonical observer; the database feeds its own Graph directly.
 type CommitObserver interface {
 	OnCommit(inst *Instance)
 }
@@ -220,7 +214,7 @@ type CommitObserver interface {
 func (db *DB) Observe(o CommitObserver) (detach func()) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	for _, id := range db.order {
+	for _, id := range db.graph.order() {
 		o.OnCommit(db.look(id))
 	}
 	db.observers = append(db.observers, o)
@@ -234,12 +228,17 @@ func (db *DB) Observe(o CommitObserver) (detach func()) {
 // NewDB creates an empty history database over the given schema.
 func NewDB(s *schema.Schema) *DB {
 	return &DB{
-		schema:  s,
-		clock:   time.Now,
-		byType:  make(map[string][]ID),
-		fwdRecs: make([]fwdRec, 1), // the sentinel
+		schema: s,
+		clock:  time.Now,
+		byType: make(map[string][]ID),
+		graph:  NewGraph(),
 	}
 }
+
+// Graph returns the database's derivation graph. It holds no instance
+// and no reference to the database, so it stays queryable after the
+// database is dropped.
+func (db *DB) Graph() *Graph { return db.graph }
 
 // slot returns the table slot of sequence number seq, or nil when seq
 // lies outside the table.
@@ -273,8 +272,8 @@ func (db *DB) look(id ID) *Instance {
 }
 
 // insert stores an instance in the slot of its sequence number, growing
-// the table and the forward lists to reach it. The caller holds db.mu
-// and has checked that seq is the suffix of in.ID.
+// the table to reach it. The caller holds db.mu and has checked that
+// seq is the suffix of in.ID.
 func (db *DB) insert(in *Instance, seq int) {
 	c := seq >> chunkBits
 	var dir []*chunk
@@ -291,50 +290,15 @@ func (db *DB) insert(in *Instance, seq int) {
 		dir = grown
 	}
 	dir[c][seq&(1<<chunkBits-1)].Store(in)
-	for len(db.fwdHead) <= seq {
-		db.fwdHead = append(db.fwdHead, 0)
-		db.fwdTail = append(db.fwdTail, 0)
-	}
 }
 
-// link appends dependent user to the forward list of target (both
-// sequence numbers). The caller holds db.mu.
-func (db *DB) link(target, user int) {
-	r := int32(len(db.fwdRecs))
-	db.fwdRecs = append(db.fwdRecs, fwdRec{user: int32(user)})
-	if t := db.fwdTail[target]; t != 0 {
-		db.fwdRecs[t].next = r
-	} else {
-		db.fwdHead[target] = r
-	}
-	db.fwdTail[target] = r
-}
-
-// index adds a stored instance to the derived indexes: its type's list,
-// the creation order and the forward lists of everything it used. The
-// caller holds db.mu, and every instance in.Tool and in.Inputs name is
-// stored.
-func (db *DB) index(in *Instance, seq int) {
+// index adds a stored instance to its type's list and to the derivation
+// graph — the graph's one feed. The caller holds db.mu and the graph's
+// write lock, and every instance in.Tool and in.Inputs name is already
+// indexed.
+func (db *DB) index(in *Instance) {
 	db.byType[in.Type] = append(db.byType[in.Type], in.ID)
-	db.order = append(db.order, in.ID)
-	if in.Tool != "" {
-		db.link(SeqOf(in.Tool), seq)
-	}
-	for _, x := range in.Inputs {
-		db.link(SeqOf(x.Inst), seq)
-	}
-}
-
-// dependents calls fn with each direct dependent of the instance with
-// sequence number seq, oldest first, once per use. It allocates
-// nothing. The caller holds db.mu.
-func (db *DB) dependents(seq int, fn func(user *Instance)) {
-	if seq <= 0 || seq >= len(db.fwdHead) {
-		return
-	}
-	for r := db.fwdHead[seq]; r != 0; r = db.fwdRecs[r].next {
-		fn(db.slot(int(db.fwdRecs[r].user)).Load())
-	}
+	db.graph.add(in)
 }
 
 // SetClock replaces the timestamp source; tests use it for determinism.
@@ -396,8 +360,14 @@ func (db *DB) recordLocked(rec Instance) (ID, error) {
 	inst.Created = db.clock()
 	inst.Inputs = append([]Input(nil), rec.Inputs...)
 
+	// The table and the graph change under the graph's write lock: a
+	// reader that finds the instance in the table and then queries the
+	// graph waits for it, and one that finds it in the graph finds it
+	// in the table.
+	db.graph.mu.Lock()
 	db.insert(&inst, db.seq)
-	db.index(&inst, db.seq)
+	db.index(&inst)
+	db.graph.mu.Unlock()
 	for _, o := range db.observers {
 		o.OnCommit(&inst)
 	}
@@ -555,9 +525,7 @@ func (db *DB) ReserveSeq(n int) {
 
 // Len returns the number of instances recorded.
 func (db *DB) Len() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return len(db.order)
+	return db.graph.Len()
 }
 
 // Annotate sets the user-visible name and comment of an instance (the
@@ -605,10 +573,9 @@ func (db *DB) InstancesOf(typeName string) []*Instance {
 
 // All returns copies of every instance in creation order.
 func (db *DB) All() []*Instance {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]*Instance, 0, len(db.order))
-	for _, id := range db.order {
+	ids := db.graph.order()
+	out := make([]*Instance, 0, len(ids))
+	for _, id := range ids {
 		out = append(out, db.get(id))
 	}
 	return out
@@ -625,14 +592,10 @@ func (db *DB) Newest(typeName string) *Instance {
 }
 
 // DirectDependents returns the instances that used id directly, as a tool
-// or as an input, in creation order.
+// or as an input, in creation order, once per use.
 func (db *DB) DirectDependents(id ID) []ID {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
 	var out []ID
-	if db.look(id) != nil {
-		db.dependents(SeqOf(id), func(user *Instance) { out = append(out, user.ID) })
-	}
+	db.graph.uses(id, func(user ID, _ EdgeKind, _ string) { out = append(out, user) })
 	return out
 }
 

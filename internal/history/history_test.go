@@ -411,6 +411,9 @@ func TestLookupConfirmsID(t *testing.T) {
 		if err := db.Annotate(id, "x", ""); err == nil {
 			t.Errorf("Annotate(%q) succeeded", id)
 		}
+		if _, err := db.Backchain(id, -1); err == nil {
+			t.Errorf("Backchain(%q) answered", id)
+		}
 		if _, err := db.Forwardchain(id, -1); err == nil {
 			t.Errorf("Forwardchain(%q) answered", id)
 		}
@@ -425,9 +428,7 @@ func TestLookupConfirmsID(t *testing.T) {
 
 // TestDependentUsingOneInstanceTwice pins the forward answers for a
 // dependent that uses one instance under two keys: it is listed once
-// per use, and the naive walker labels both arcs with the first
-// matching key. The literals are the answers of the map-keyed forward
-// index the per-seq lists replaced.
+// per use, and each arc carries the key it was used under.
 func TestDependentUsingOneInstanceTwice(t *testing.T) {
 	db, ids := fixture(t)
 	v := db.MustRecord(Instance{Type: "Verification", Tool: ids["verifier"], Inputs: []Input{
@@ -452,7 +453,7 @@ func TestDependentUsingOneInstanceTwice(t *testing.T) {
 		"Circuit:12 -dd[Netlist]-> ExtractedNetlist:9",
 		"EditedNetlist:16 -dd[Netlist]-> ExtractedNetlist:9",
 		"Verification:17 -dd[Netlist/reference]-> ExtractedNetlist:9",
-		"Verification:17 -dd[Netlist/reference]-> ExtractedNetlist:9",
+		"Verification:17 -dd[Netlist/subject]-> ExtractedNetlist:9",
 		"Performance:13 -dd[Circuit]-> Circuit:12",
 		"PerformancePlot:14 -dd[Performance]-> Performance:13",
 	}

@@ -1,10 +1,11 @@
 package history
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 )
 
 // Persistence for the history database: the instance records are the
@@ -33,12 +34,14 @@ const maxSeqGap = 1 << 20
 // refused. A dump is untrusted input: every ID must be MakeID of its
 // record's own type and a sequence number from 1 to the record count
 // plus maxSeqGap, no two records may share a sequence number, and every
-// record must pass Record's derivation checks. Any failure leaves the
-// database empty.
+// record must pass Record's derivation checks against the records with
+// lower sequence numbers — the ones committed before it — so a record
+// whose tool or input has an equal or higher number is refused. Any
+// failure leaves the database empty.
 func (db *DB) Restore(r io.Reader) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if len(db.order) != 0 {
+	if db.graph.Len() != 0 {
 		return fmt.Errorf("history: Restore into non-empty database")
 	}
 	var insts []*Instance
@@ -61,46 +64,34 @@ func (db *DB) Restore(r io.Reader) error {
 		}
 		maxSeq = max(maxSeq, seq)
 	}
-	// Second pass: insert all records so referential checks can see
-	// forward references too (dumps are in creation order, but be
-	// lenient).
-	stored := make([]*Instance, len(insts))
+	// Second pass, in commit (sequence) order: check each record against
+	// the ones stored before it, then store it. A failure clears the
+	// table, the only state this pass writes. As in Record, the graph's
+	// write lock is held while the table and the graph change.
+	db.graph.mu.Lock()
+	defer db.graph.mu.Unlock()
+	slices.SortFunc(insts, func(a, b *Instance) int { return cmp.Compare(SeqOf(a.ID), SeqOf(b.ID)) })
 	for i, in := range insts {
 		seq := SeqOf(in.ID)
-		if sl := db.slot(seq); sl != nil && sl.Load() != nil {
-			db.wipeLocked()
-			return fmt.Errorf("history: restore: %s repeats sequence number %d", in.ID, seq)
+		var err error
+		if i > 0 && seq == SeqOf(insts[i-1].ID) {
+			err = fmt.Errorf("repeats sequence number %d", seq)
+		} else {
+			err = db.checkDerivation(in)
+		}
+		if err != nil {
+			db.chunks.Store(nil)
+			return fmt.Errorf("history: restore: %s: %w", in.ID, err)
 		}
 		cp := *in
 		cp.Inputs = append([]Input(nil), in.Inputs...)
 		db.insert(&cp, seq)
-		stored[i] = &cp
+		insts[i] = &cp
 	}
-	// Third pass: validate each record against the schema and rebuild
-	// the derived indexes in creation order.
-	sort.SliceStable(stored, func(i, j int) bool {
-		if stored[i].Created.Equal(stored[j].Created) {
-			return SeqOf(stored[i].ID) < SeqOf(stored[j].ID)
-		}
-		return stored[i].Created.Before(stored[j].Created)
-	})
-	for _, in := range stored {
-		if err := db.checkDerivation(in); err != nil {
-			db.wipeLocked()
-			return fmt.Errorf("history: restore: %s: %w", in.ID, err)
-		}
-		db.index(in, SeqOf(in.ID))
+	// Third pass: every record checks out, so index them all.
+	for _, in := range insts {
+		db.index(in)
 	}
 	db.seq = maxSeq
 	return nil
-}
-
-// wipeLocked clears all state after a failed restore.
-func (db *DB) wipeLocked() {
-	db.chunks.Store(nil)
-	db.byType = make(map[string][]ID)
-	db.order = nil
-	db.fwdHead, db.fwdTail = nil, nil
-	db.fwdRecs = db.fwdRecs[:1]
-	db.seq = 0
 }

@@ -3,8 +3,10 @@ package history
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/schema"
 )
@@ -86,6 +88,8 @@ var restoreErrorCases = []struct{ name, src string }{
 	{"prefix is not the type", `[{"ID":"Plotter:1","Type":"Stimuli","Created":"2026-01-01T00:00:00Z"}]`},
 	{"dup seq", `[{"ID":"Stimuli:1","Type":"Stimuli","Created":"2026-01-01T00:00:00Z"},
 	             {"ID":"Plotter:1","Type":"Plotter","Created":"2026-01-01T00:00:01Z"}]`},
+	{"forward reference", `[{"ID":"EditedLayout:1","Type":"EditedLayout","Tool":"LayoutEditor:2","Created":"2026-01-01T00:00:00Z"},
+		{"ID":"LayoutEditor:2","Type":"LayoutEditor","Created":"2026-01-01T00:00:01Z"}]`},
 }
 
 func TestRestoreErrors(t *testing.T) {
@@ -104,6 +108,48 @@ func TestRestoreErrors(t *testing.T) {
 	// Restore into non-empty.
 	if err := db.Restore(strings.NewReader("[]")); err == nil {
 		t.Error("restore into non-empty should fail")
+	}
+}
+
+// TestRestoreClockSteppedBack: a dump whose wall clock stepped back
+// between two commits restores in commit (sequence) order — the edit
+// after the tool it used — and dumps back to the same bytes.
+func TestRestoreClockSteppedBack(t *testing.T) {
+	db := NewDB(schema.Fig1())
+	t0 := time.Date(1992, 10, 1, 12, 0, 0, 0, time.UTC)
+	steps := []time.Duration{1, 2, 3, -3600} // seconds; the fourth commit's clock stepped back
+	db.SetClock(func() time.Time {
+		d := steps[0]
+		steps = steps[1:]
+		return t0.Add(d * time.Second)
+	})
+	db.MustRecord(Instance{Type: "Stimuli"})
+	db.MustRecord(Instance{Type: "Plotter"})
+	ed := db.MustRecord(Instance{Type: "LayoutEditor"})
+	db.MustRecord(Instance{Type: "EditedLayout", Tool: ed.ID})
+	var first, second bytes.Buffer
+	if err := db.DumpJSON(&first); err != nil {
+		t.Fatal(err)
+	}
+	restored := NewDB(db.Schema())
+	if err := restored.Restore(bytes.NewReader(first.Bytes())); err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	var order []ID
+	for _, in := range restored.All() {
+		order = append(order, in.ID)
+	}
+	if want := []ID{"Stimuli:1", "Plotter:2", "LayoutEditor:3", "EditedLayout:4"}; !slices.Equal(order, want) {
+		t.Fatalf("restored order %v, want %v", order, want)
+	}
+	if err := restored.DumpJSON(&second); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatalf("dump is not a fixed point:\n%s\n---\n%s", first.Bytes(), second.Bytes())
+	}
+	if d, err := restored.Backchain("EditedLayout:4", -1); err != nil || len(d.Edges) != 1 {
+		t.Fatalf("Backchain(EditedLayout:4) = %+v, %v", d, err)
 	}
 }
 

@@ -34,7 +34,7 @@ func (db *DB) IsEditType(typeName string) bool {
 
 // versionChildren returns the direct version successors of id: dependents
 // whose type is an edit type over the same root and that consumed id on
-// the self-typed dependency.
+// the self-typed dependency, once per such use, in creation order.
 func (db *DB) versionChildren(id ID) []ID {
 	in := db.look(id)
 	if in == nil {
@@ -42,18 +42,16 @@ func (db *DB) versionChildren(id ID) []ID {
 	}
 	root := db.schema.Root(in.Type)
 	var out []ID
-	db.dependents(SeqOf(id), func(u *Instance) {
-		if db.schema.Root(u.Type) != root {
+	db.graph.uses(id, func(user ID, kind EdgeKind, key string) {
+		if kind != EdgeInput {
 			return
 		}
-		ut := db.schema.Type(u.Type)
-		for _, x := range u.Inputs {
-			if x.Inst != id {
-				continue
-			}
-			if d, ok := ut.DepByKey(x.Key); ok && db.schema.Root(d.Type) == root {
-				out = append(out, u.ID)
-			}
+		ut, _ := db.TypeOf(user)
+		if db.schema.Root(ut) != root {
+			return
+		}
+		if d, ok := db.schema.Type(ut).DepByKey(key); ok && db.schema.Root(d.Type) == root {
+			out = append(out, user)
 		}
 	})
 	return out

@@ -11,7 +11,7 @@ import (
 	"time"
 
 	"repro/internal/exec"
-	"repro/internal/provenance"
+	"repro/internal/history"
 	"repro/internal/storage"
 )
 
@@ -93,20 +93,20 @@ var ErrUnverified = errors.New("unverified: written before chain digests")
 
 // ReplayLog re-derives a finished run's history from its WAL alone,
 // without modifying the log: it materializes the world from the logged
-// scenario, attaches a fresh provenance index and replays the log
-// through the resume path, every logged unit restored and checked
-// against its chain digest and no tool run. It returns the index, the
+// scenario and replays the log through the resume path, every logged
+// unit restored and checked against its chain digest and no tool run.
+// It returns the replayed database's derivation graph, the
 // number of chain records re-derived (imports included) and the first
 // verification failure, which names the unit. An unfinished log fails
 // with ErrInterrupted; a finished one with bytes after its end is
 // damaged, since a finished run synced everything it wrote.
-func ReplayLog(path string) (*provenance.Index, int, error) {
-	idx, n, _, err := replayLog(path)
-	return idx, n, err
+func ReplayLog(path string) (*history.Graph, int, error) {
+	g, n, _, err := replayLog(path)
+	return g, n, err
 }
 
 // replayLog is ReplayLog, also returning the replay's result.
-func replayLog(path string) (*provenance.Index, int, *exec.Result, error) {
+func replayLog(path string) (*history.Graph, int, *exec.Result, error) {
 	l, err := storage.OpenReadOnly(path)
 	if err != nil {
 		return nil, 0, nil, err
@@ -128,8 +128,6 @@ func replayLog(path string) (*provenance.Index, int, *exec.Result, error) {
 		return nil, 0, nil, fmt.Errorf("scenario: %w", err)
 	}
 	defer world.Close()
-	idx := provenance.NewIndex()
-	world.DB().Observe(idx)
 	var res *exec.Result
 	if rc.Error == "" { // a run that ended before planning recorded only its imports
 		opts.User, opts.Resume = rc.Meta.User, rc
@@ -142,7 +140,7 @@ func replayLog(path string) (*provenance.Index, int, *exec.Result, error) {
 			err = ErrUnverified
 		}
 	}
-	return idx, world.DB().Len(), res, err
+	return world.DB().Graph(), world.DB().Len(), res, err
 }
 
 // initDurable restores the server's durable state: every run log
@@ -195,7 +193,7 @@ func (s *Server) recoverRunFile(path string) error {
 
 // registerFinished surfaces a run that will not execute again: it
 // reappears with a closed, fully pre-seeded event stream and no
-// provenance index — its first provenance query replays the log. cause
+// derivation graph — its first provenance query replays the log. cause
 // is nil for a completed run, whose terminal state derives from its
 // RunFinished record (the original error text is not persisted; a
 // failed or aborted run recovers as "failed") or from its terminal
@@ -240,11 +238,11 @@ func (s *Server) registerFinished(id, path string, rc *storage.Recovered, l stor
 // The world is re-materialized from the logged scenario exactly as
 // handleSubmit built it, so the deterministic replan pre-assigns the
 // instance IDs the log recorded — the executor verifies every one, and
-// every logged digest, before dispatching anything. The provenance
-// index attaches to the fresh world's database, so it observes the
-// restored units and the fresh suffix as one stream. The event stream
-// is pre-seeded with the prefix and the fresh suffix continues its
-// sequence numbers, so a trace reader sees one gapless run.
+// every logged digest, before dispatching anything. The fresh world's
+// database graphs the restored units and the fresh suffix as one
+// stream, and the provenance endpoint queries that graph. The event
+// stream is pre-seeded with the prefix and the fresh suffix continues
+// its sequence numbers, so a trace reader sees one gapless run.
 func (s *Server) resumeRun(id, path string, rc *storage.Recovered, l storage.Log) error {
 	if len(rc.Meta.Scenario) == 0 {
 		return s.registerFinished(id, path, rc, l, errors.New("cannot resume: the run log records no scenario"))
@@ -262,8 +260,7 @@ func (s *Server) resumeRun(id, path string, rc *storage.Recovered, l storage.Log
 	rec := &runRecord{id: id, flowName: rc.Meta.Flow, user: rc.Meta.User,
 		log: newEventLog(), cancel: cancel, done: make(chan struct{}),
 		state: stateRunning, walLog: l, wal: storage.NewRunWAL(l), logPath: path,
-		prov: provenance.NewIndex(), started: time.Now()}
-	world.DB().Observe(rec.prov)
+		prov: world.DB().Graph(), started: time.Now()}
 	for _, ev := range rc.Events {
 		rec.log.Emit(ev)
 		s.metrics.Emit(ev)

@@ -5,20 +5,18 @@ import (
 	"strconv"
 
 	"repro/internal/history"
-	"repro/internal/provenance"
 )
 
-// This file is the HTTP face of the provenance layer (internal/
-// provenance): every run carries a commit-time adjacency index over its
-// session's derivation records, and
+// This file is the HTTP face of the design-history queries: every run
+// keeps its world database's derivation graph (history.Graph), and
 //
 //	GET /v1/runs/{id}/provenance?inst=ID&dir=back|fwd&depth=N
 //
 // answers the paper's design-history query — backward chaining ("what
 // was this made from") and forward chaining ("what was made from this")
-// — as an index walk, without touching the history database's lock.
+// — as a graph walk, without touching the history database's lock.
 // depth bounds the chaining levels (absent or negative = unbounded).
-// A run recovered at boot as finished gets its index from its first
+// A run recovered at boot as finished gets its graph from its first
 // query, which replays its WAL (ReplayLog); a log that fails
 // verification answers 409 naming the unit. verify=1 replays a finished
 // durable run's WAL and reports inline whether every logged chain
@@ -81,16 +79,16 @@ func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "dir must be back or fwd, not %q", dir)
 		return
 	}
-	idx, err := rec.index()
+	g, err := rec.graph()
 	if err != nil {
 		writeErr(w, http.StatusConflict, "run %q: its log fails verification: %v", rec.id, err)
 		return
 	}
 	var der *history.Derivation
 	if dir == "back" {
-		der, err = idx.Backchain(history.ID(inst), depth)
+		der, err = g.Backchain(history.ID(inst), depth)
 	} else {
-		der, err = idx.Forwardchain(history.ID(inst), depth)
+		der, err = g.Forwardchain(history.ID(inst), depth)
 	}
 	if err != nil {
 		writeErr(w, http.StatusNotFound, "%v", err)
@@ -116,9 +114,9 @@ func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, view)
 }
 
-// index returns the run's live provenance index or, for a run
-// recovered as finished, the one a replay of its log rebuilds once.
-func (rec *runRecord) index() (*provenance.Index, error) {
+// graph returns the run's derivation graph or, for a run recovered as
+// finished, the one a replay of its log rebuilds once.
+func (rec *runRecord) graph() (*history.Graph, error) {
 	rec.replay.Do(func() {
 		if rec.prov == nil {
 			rec.prov, _, rec.provErr = ReplayLog(rec.logPath)
@@ -127,7 +125,7 @@ func (rec *runRecord) index() (*provenance.Index, error) {
 	if rec.prov == nil {
 		return nil, rec.provErr
 	}
-	return rec.prov, nil // an unverified log still serves its index
+	return rec.prov, nil // an unverified log still serves its graph
 }
 
 // verify replays the run's WAL against its logged chain digests. Only

@@ -215,7 +215,7 @@ func getBody(t *testing.T, url string) (int, []byte) {
 // TestDurableChainPersisted: a durable run leaves exactly one file, its
 // WAL, and verify=1 replays it and finds every chain digest matched.
 // After a restart the run's provenance answers exactly as before — its
-// first query rebuilds the index from the log — and verify=1 still
+// first query rebuilds the graph from the log — and verify=1 still
 // verifies.
 func TestDurableChainPersisted(t *testing.T) {
 	dir := t.TempDir()

@@ -19,7 +19,7 @@
 //	GET  /v1/runs/{id}/trace   masked JSONL event stream (follows until
 //	                           the run finishes)
 //	GET  /v1/runs/{id}/provenance?inst=ID&dir=back|fwd&depth=N&verify=1
-//	                           chaining over the run's provenance index;
+//	                           chaining over the run's derivation graph;
 //	                           verify=1 replays its WAL (provenance.go)
 //	POST /v1/runs/{id}/cancel  cancel (DELETE /v1/runs/{id} also works)
 //	GET  /metrics              plain-text exposition of the shared fold
@@ -38,7 +38,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/harness"
-	"repro/internal/provenance"
+	"repro/internal/history"
 	"repro/internal/scenario"
 	"repro/internal/storage"
 	"repro/internal/trace"
@@ -81,7 +81,7 @@ const (
 // runRecord is the server-side state of one submission. The run's
 // world is held by its goroutine alone, so a finished run keeps only
 // what later requests read: the view fields, the event log and the
-// provenance index.
+// world database's derivation graph.
 type runRecord struct {
 	id       string
 	flowName string
@@ -96,10 +96,11 @@ type runRecord struct {
 	walLog storage.Log
 	// logPath is the run's WAL under the data dir; empty in memory.
 	logPath string
-	// prov is the commit-time adjacency index over the run's derivation
-	// records that the provenance endpoint queries; a run recovered as
-	// finished gets it, or provErr, from a replay (index).
-	prov    *provenance.Index
+	// prov is the derivation graph of the run's world database, which
+	// the provenance endpoint queries; the world itself is dropped when
+	// the run ends. A run recovered as finished gets it, or provErr, from
+	// a replay (graph).
+	prov    *history.Graph
 	provErr error
 	replay  sync.Once
 
@@ -313,11 +314,9 @@ func (s *Server) start(world *harness.World, flowName string, opts *exec.RunOpti
 			return abort(fmt.Errorf("run log: %w", err))
 		}
 	}
-	// Attach the provenance index before the run is published: it
-	// observes every commit of the world's database (existing records —
-	// the imports — are backfilled first, in commit order).
-	rec.prov = provenance.NewIndex()
-	world.DB().Observe(rec.prov)
+	// The provenance endpoint queries the world database's derivation
+	// graph, which outlives the world.
+	rec.prov = world.DB().Graph()
 
 	s.mu.Lock()
 	if s.draining { // drain began while the WAL was being created

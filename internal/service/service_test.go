@@ -346,7 +346,9 @@ func TestTraceEndpointMatchesGoldens(t *testing.T) {
 // TestFinishedRunReleasesWorld pins what a finished run retains: once
 // the run is terminal, its world's history database, datastore and flow
 // are unreachable from the server, in memory and durable mode alike. A
-// finalizer on each must fire after a GC.
+// finalizer on each must fire after a GC. The run keeps the database's
+// derivation graph, so its provenance still answers, byte for byte as
+// before, without a replay.
 func TestFinishedRunReleasesWorld(t *testing.T) {
 	for _, dataDir := range []string{"", t.TempDir()} {
 		s, ts := newTestServer(t, Config{Workers: 2, DataDir: dataDir})
@@ -366,6 +368,11 @@ func TestFinishedRunReleasesWorld(t *testing.T) {
 		if v := waitTerminal(t, ts.URL, accepted.ID); v.State != string(stateSucceeded) {
 			t.Fatalf("run ended %+v, want succeeded", v)
 		}
+		query := ts.URL + "/v1/runs/" + accepted.ID + "/provenance?inst=" + performanceInst(t, ts.URL, accepted.ID)
+		code, before := getBody(t, query)
+		if code != http.StatusOK {
+			t.Fatalf("GET %s: status %d: %s", query, code, before)
+		}
 		left := map[string]bool{"history.DB": true, "datastore.Store": true, "flow.Flow": true}
 		deadline := time.After(10 * time.Second)
 		for len(left) > 0 {
@@ -377,6 +384,12 @@ func TestFinishedRunReleasesWorld(t *testing.T) {
 			case <-deadline:
 				t.Fatalf("data dir %q: the finished run's %v still reachable", dataDir, left)
 			}
+		}
+		if s.record(accepted.ID).prov == nil {
+			t.Fatalf("data dir %q: the finished run kept no derivation graph", dataDir)
+		}
+		if code, after := getBody(t, query); code != http.StatusOK || !bytes.Equal(after, before) {
+			t.Fatalf("data dir %q: after the world was freed, provenance answered %d:\n%s\nwant:\n%s", dataDir, code, after, before)
 		}
 	}
 }
