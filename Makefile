@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet fmt test benchmod race trace chaos memo concurrent crash fuzz cover ci bench flowbench scale provenance conformance conformance-update
+.PHONY: build vet fmt test benchmod race trace chaos memo concurrent crash fuzz cover examples ci bench flowbench scale provenance conformance conformance-update
 
 build:
 	$(GO) build ./...
@@ -109,10 +109,17 @@ cover:
 benchmod:
 	$(GO) -C bench vet ./... && $(GO) -C bench test ./...
 
+# examples runs every program under examples/ from the repository root
+# and fails on the first that does not exit 0; examples/history is the
+# end-to-end retrace demo. Their output is discarded, their errors are
+# not. Part of make ci and the CI test job.
+examples:
+	for d in examples/*/; do echo "go run ./$$d"; $(GO) run ./$$d > /dev/null || exit 1; done
+
 # ci is the gate CI runs: compile, vet, gofmt, full suite under the
 # race detector (the scheduler is concurrent; -race is not optional),
-# and the benchmark module.
-ci: build vet fmt race cover benchmod
+# the benchmark module and the example programs.
+ci: build vet fmt race cover benchmod examples
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .

@@ -48,8 +48,8 @@ func main() {
 	must(s.Annotate(c1, "c1", "original full adder"))
 
 	// Edit it twice in sequence and once on a branch (Fig. 11's shape),
-	// each edit a one-node flow using the retouch editor.
-	edit := func(base history.ID, name string) history.ID {
+	// each edit a one-node flow using a retouch editor.
+	edit := func(editor, base history.ID, name string) history.ID {
 		f := s.NewFlow()
 		n := f.MustAdd("EditedNetlist")
 		if err := f.ExpandDown(n, false); err != nil {
@@ -60,7 +60,7 @@ func main() {
 		}
 		tn, _ := f.Node(n).Dep("fd")
 		bn, _ := f.Node(n).Dep("Netlist")
-		if err := f.Bind(tn, s.Must("netEd.retouch")); err != nil {
+		if err := f.Bind(tn, editor); err != nil {
 			log.Fatal(err)
 		}
 		if err := f.Bind(bn, base); err != nil {
@@ -79,9 +79,10 @@ func main() {
 		}
 		return id
 	}
-	c2 := edit(c1, "c2")
-	c3 := edit(c2, "c3")
-	c4 := edit(c1, "c4") // branch
+	retouch := s.Must("netEd.retouch")
+	c2 := edit(retouch, c1, "c2")
+	c3 := edit(retouch, c2, "c3")
+	c4 := edit(retouch, c1, "c4") // branch
 	_ = c3
 
 	// Simulate c2.
@@ -125,8 +126,13 @@ func main() {
 	fmt.Print(ft)
 
 	// Consistency maintenance: a new version of c2 makes the
-	// performance stale; retrace brings it up to date.
-	c5 := edit(c2, "c5")
+	// performance stale; retrace brings it up to date. The retoucher
+	// that makes c5 writes its own note, so c5's bytes differ from c2's:
+	// a version with identical bytes changes nothing, and the
+	// performance would stay fresh.
+	noted, err := s.Import("NetlistEditor", "netlist retoucher (c5 note)", "retouch c5")
+	must(err)
+	c5 := edit(noted, c2, "c5")
 	_ = c5
 	ood, err := s.OutOfDate(perf)
 	must(err)

@@ -502,3 +502,41 @@ func TestRetraceErrorPathResultPopulated(t *testing.T) {
 		t.Error("mid-run retrace failure should report the steps already rebuilt")
 	}
 }
+
+// TestChaosRetraceRetriesTransient: a retrace is a run, so the retry
+// policy covers its tool runs. With every tool site failing once, a
+// retrace under a 3-attempt policy rebuilds the circuit and the
+// performance.
+func TestChaosRetraceRetriesTransient(t *testing.T) {
+	r := newRig(t)
+	f, perfN := r.perfFlow(t)
+	res, err := r.engine.RunFlow(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pid, err := res.One(perfN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cctN, _ := f.Node(perfN).Dep("Circuit")
+	netN, _ := f.Node(cctN).Dep("Netlist")
+	net, err := res.One(netN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.editNetlist(t, net)
+
+	inj := faults.New(99, faults.Config{TransientRate: 1, TransientRuns: 1})
+	inj.Instrument(r.engine.reg)
+	r.engine.SetRetryPolicy(RetryPolicy{MaxAttempts: 3, BaseDelay: 10 * time.Microsecond, Seed: 7})
+	rr, err := r.engine.Retrace(pid)
+	if err != nil {
+		t.Fatalf("retrace should succeed after retries: %v", err)
+	}
+	if len(rr.Rebuilt) != 2 { // circuit + performance
+		t.Errorf("rebuilt = %v, want the circuit and the performance", rr.Rebuilt)
+	}
+	if c := inj.Counters(); c.Transients == 0 {
+		t.Errorf("injector counters = %+v, want transient failures", c)
+	}
+}

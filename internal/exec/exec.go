@@ -18,7 +18,7 @@
 //   - composite entities with their implicit compose function and
 //     consistency checks;
 //   - automatic retracing of stale derivations (consistency
-//     maintenance).
+//     maintenance), each retrace run as a flow on the same path.
 //
 // One long-lived Engine executes many flows concurrently: every run
 // snapshots the engine configuration at admission into a per-run
@@ -405,7 +405,9 @@ func (e *Engine) RunFlowContext(ctx context.Context, f *flow.Flow) (*Result, err
 // RunFlowOptions is RunFlowContext with per-run overrides of the
 // engine's configuration (see RunOptions).
 func (e *Engine) RunFlowOptions(ctx context.Context, f *flow.Flow, opts *RunOptions) (*Result, error) {
-	return e.runTargets(ctx, f, f.Roots(), opts)
+	return e.runTargets(ctx, opts, func(*run) (*flow.Flow, []flow.NodeID, error) {
+		return f, f.Roots(), nil
+	})
 }
 
 // RunNode executes the sub-flow rooted at one node — §4.1's "a sub-flow
@@ -426,7 +428,9 @@ func (e *Engine) RunNodeOptions(ctx context.Context, f *flow.Flow, id flow.NodeI
 	if f.Node(id) == nil {
 		return nil, fmt.Errorf("exec: no node %d", id)
 	}
-	return e.runTargets(ctx, f, []flow.NodeID{id}, opts)
+	return e.runTargets(ctx, opts, func(*run) (*flow.Flow, []flow.NodeID, error) {
+		return f, []flow.NodeID{id}, nil
+	})
 }
 
 // DryPlan validates the flow and builds — then discards — the
@@ -455,7 +459,13 @@ func (e *Engine) DryPlan(f *flow.Flow) (jobs, units int, err error) {
 	return len(p.jobs), p.units, nil
 }
 
-func (e *Engine) runTargets(ctx context.Context, f *flow.Flow, targets []flow.NodeID, opts *RunOptions) (*Result, error) {
+// runTargets is the engine's one execution path. It admits a run,
+// takes the commit window of the run's history database, and only then
+// asks build for the flow and the targets to run, so a build that reads
+// the database (a retrace planning from its history) sees no other
+// run's commits before its own. It plans and executes the targets; a
+// nil flow from build means there is nothing to run.
+func (e *Engine) runTargets(ctx context.Context, opts *RunOptions, build func(r *run) (*flow.Flow, []flow.NodeID, error)) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -475,6 +485,10 @@ func (e *Engine) runTargets(ctx context.Context, f *flow.Flow, targets []flow.No
 	// the run must own the commit window until its last job lands.
 	unlock := e.lockDB(r.cfg.db)
 	defer unlock()
+	f, targets, err := build(r)
+	if err != nil || f == nil {
+		return fail(err)
+	}
 	r.f, r.res = f, res
 	order, err := f.Check()
 	if err != nil {
@@ -495,21 +509,6 @@ func (e *Engine) runTargets(ctx context.Context, f *flow.Flow, targets []flow.No
 	}
 	res.Elapsed = time.Since(start)
 	return res, nil
-}
-
-// artifactOf fetches an instance's artifact: from the blob store when a
-// Data ref is present, from the archive source when the instance is
-// archive-backed, or nil for artifact-less instances (installed tools).
-func (r *run) artifactOf(inst history.ID) ([]byte, error) {
-	in := r.cfg.db.Get(inst)
-	if in == nil {
-		return nil, fmt.Errorf("exec: instance %s disappeared", inst)
-	}
-	return r.artifactOfInstance(in)
-}
-
-func (r *run) artifactOfInstance(in *history.Instance) ([]byte, error) {
-	return r.artifactFromInfo(in.ID, in.Data, in.Archive, in.Revision)
 }
 
 // artifactFromInfo fetches artifact bytes from their storage location

@@ -259,8 +259,10 @@ func TestMemoRetraceHitsFlowEntries(t *testing.T) {
 	if rr2.Fresh {
 		t.Fatal("reverting edit should still be a (content-differing) supersession of rev2")
 	}
-	if rr2.CacheHits != 1 { // the Performance simulation; Circuit is a composite
-		t.Errorf("retrace cache hits = %d, want 1", rr2.CacheHits)
+	// The Circuit composition and the Performance simulation: a retrace
+	// is a flow run, and a flow run's composites hit the cache too.
+	if rr2.CacheHits != 2 {
+		t.Errorf("retrace cache hits = %d, want 2", rr2.CacheHits)
 	}
 	// And the reverted result matches the original artifact.
 	finalPerf := r.db.Get(rr2.NewTarget(target))

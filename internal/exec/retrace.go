@@ -2,14 +2,12 @@ package exec
 
 import (
 	"context"
-	"fmt"
-	"sort"
+	"errors"
 	"time"
 
-	"repro/internal/datastore"
-	"repro/internal/encap"
+	"repro/internal/flow"
 	"repro/internal/history"
-	"repro/internal/memo"
+	"repro/internal/schema"
 )
 
 // This file implements automatic retracing (§3.3): when derived design
@@ -17,7 +15,8 @@ import (
 // recorded derivation history is enough to re-run the affected
 // constructions with superseded inputs replaced by their newest
 // versions. No flow needs to be kept around — the history *is* the flow
-// trace.
+// trace: a retrace turns the history's RetracePlan back into a flow and
+// runs it like any other.
 
 // RetraceResult reports one retrace run. On error it is still
 // returned: Rebuilt holds the constructions re-run before the failure
@@ -53,161 +52,102 @@ func (e *Engine) Retrace(target history.ID) (*RetraceResult, error) {
 }
 
 // RetraceOptions is Retrace under a context with per-run overrides. A
-// retrace counts as a run for admission purposes and serializes on its
-// history database like any other run.
+// retrace is a run: inside the run's commit window on its history
+// database it plans the retrace, builds a flow with one node per step
+// (retraceFlow) and executes it through the planner, the scheduler and
+// the in-order committer. The retry policy, timeouts, the failure
+// policy, cancellation, the worker pool, the result cache and the
+// tracer apply to it as to any run. Each rebuilt instance keeps its old
+// instance's name and is annotated "retrace of <old>".
 func (e *Engine) RetraceOptions(ctx context.Context, target history.ID, opts *RunOptions) (*RetraceResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	start := time.Now()
-	res := &RetraceResult{Rebuilt: make(map[history.ID]history.ID)}
-	fail := func(err error) (*RetraceResult, error) {
-		res.Elapsed = time.Since(start)
-		return res, err
-	}
-	r, err := e.beginRun(ctx, opts)
-	if err != nil {
-		return fail(err)
-	}
-	defer e.release()
-	unlock := e.lockDB(r.cfg.db)
-	defer unlock()
-	plan, err := r.cfg.db.PlanRetrace(target)
-	if err != nil {
-		return fail(err)
-	}
-	res.Plan = plan
-	if plan.Fresh() {
-		res.Fresh = true
-		res.Elapsed = time.Since(start)
-		return res, nil
-	}
-	for _, step := range plan.Steps {
-		if err := ctx.Err(); err != nil {
-			return fail(fmt.Errorf("exec: retrace cancelled: %w", err))
+	rr := &RetraceResult{Rebuilt: make(map[history.ID]history.ID)}
+	var (
+		db    *history.DB
+		nodes []flow.NodeID // nodes[i] rebuilds rr.Plan.Steps[i]
+	)
+	res, err := e.runTargets(ctx, opts, func(r *run) (*flow.Flow, []flow.NodeID, error) {
+		db = r.cfg.db
+		plan, err := db.PlanRetrace(target)
+		if err != nil {
+			return nil, nil, err
 		}
-		if err := r.retraceStep(step, res); err != nil {
-			return fail(err)
+		rr.Plan, rr.Fresh = plan, plan.Fresh()
+		if rr.Fresh {
+			return nil, nil, nil
+		}
+		var f *flow.Flow
+		if f, nodes, err = retraceFlow(r.cfg.schema, db, plan); err != nil {
+			return nil, nil, err
+		}
+		return f, f.Roots(), nil
+	})
+	rr.Elapsed = res.Elapsed
+	if res.Stats != nil {
+		rr.CacheHits = res.Stats.CacheHits
+	}
+	for i, n := range nodes {
+		insts := res.Created[n]
+		if len(insts) == 0 {
+			continue // failed, or never dispatched
+		}
+		old := db.Get(rr.Plan.Steps[i].Rebuild)
+		rr.Rebuilt[old.ID] = insts[0]
+		if aerr := db.Annotate(insts[0], old.Name, "retrace of "+string(old.ID)); aerr != nil {
+			err = errors.Join(err, aerr)
 		}
 	}
-	res.Elapsed = time.Since(start)
-	return res, nil
+	return rr, err
 }
 
-// retraceStep re-runs one construction.
-func (r *run) retraceStep(step history.RetraceStep, res *RetraceResult) error {
-	old := r.cfg.db.Get(step.Rebuild)
-	if old == nil {
-		return fmt.Errorf("exec: retrace target %s disappeared", step.Rebuild)
-	}
-	resolve := func(x history.ID) history.ID {
-		if n, ok := res.Rebuilt[x]; ok {
-			return n
+// retraceFlow turns a retrace plan into a flow with one node per step
+// and returns the flow and each step's node. Each dependency of a step
+// is filled by the node of the earlier step that rebuilds it or else by
+// a leaf of its own, bound to the step's replacement for the old input
+// or to the old input itself. A step shares no leaf, so steps do not
+// group, and every node is created after its children, so the
+// planner's order — and with it the order the new instances commit in
+// — is step order.
+func retraceFlow(s *schema.Schema, db *history.DB, plan *history.RetracePlan) (*flow.Flow, []flow.NodeID, error) {
+	f := flow.New(s, db)
+	nodes := make([]flow.NodeID, len(plan.Steps))
+	rebuilt := make(map[history.ID]flow.NodeID, len(plan.Steps))
+	for si, st := range plan.Steps {
+		old := db.Get(st.Rebuild)
+		deps := old.Inputs
+		if old.Tool != "" {
+			deps = append([]history.Input{{Key: "fd", Inst: old.Tool}}, deps...)
 		}
-		if n, ok := step.Replace[x]; ok {
-			return n
-		}
-		return x
-	}
-
-	artifact := r.artifactOf
-
-	t := r.cfg.schema.Type(old.Type)
-	rec := history.Instance{Type: old.Type, User: r.cfg.user, Name: old.Name,
-		Comment: "retrace of " + string(old.ID)}
-
-	if t.Composite {
-		parts := make(map[string][]byte, len(old.Inputs))
-		for _, in := range old.Inputs {
-			inst := resolve(in.Inst)
-			b, err := artifact(inst)
+		children := make([]flow.NodeID, len(deps))
+		for i, in := range deps {
+			if n, ok := rebuilt[in.Inst]; ok {
+				children[i] = n
+				continue
+			}
+			inst := in.Inst
+			if n, ok := st.Replace[inst]; ok {
+				inst = n
+			}
+			typ, _ := db.TypeOf(inst) // the plan just read inst, and history never drops an instance
+			leaf, err := f.Add(typ)
 			if err != nil {
-				return err
+				return nil, nil, err
 			}
-			parts[in.Key] = b
-			rec.Inputs = append(rec.Inputs, history.Input{Key: in.Key, Inst: inst})
-		}
-		if check := r.cfg.reg.Check(old.Type); check != nil {
-			if err := check(parts); err != nil {
-				return fmt.Errorf("exec: retrace composite check: %w", err)
+			if err := f.Bind(leaf, inst); err != nil {
+				return nil, nil, err
 			}
+			children[i] = leaf
 		}
-		rec.Data = r.cfg.store.Put(encap.ComposeParts(parts))
-	} else {
-		toolInst := resolve(old.Tool)
-		toolIn := r.cfg.db.Get(toolInst)
-		if toolIn == nil {
-			return fmt.Errorf("exec: tool instance %s disappeared", toolInst)
-		}
-		toolArt, err := artifact(toolInst)
+		n, err := f.Add(old.Type)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
-		enc, err := r.cfg.reg.Lookup(r.cfg.schema, toolIn.Type)
-		if err != nil {
-			return err
-		}
-		req := &encap.Request{Goal: old.Type, ToolType: toolIn.Type, Tool: toolArt,
-			Inputs: make(map[string][]byte, len(old.Inputs))}
-		inputs := append([]history.Input(nil), old.Inputs...)
-		sort.Slice(inputs, func(i, j int) bool { return inputs[i].Key < inputs[j].Key })
-		for _, in := range inputs {
-			inst := resolve(in.Inst)
-			b, err := artifact(inst)
-			if err != nil {
-				return err
-			}
-			req.Inputs[in.Key] = b
-			rec.Inputs = append(rec.Inputs, history.Input{Key: in.Key, Inst: inst})
-		}
-		rec.Tool = toolInst
-		// The retrace unit keys exactly like an ungrouped scheduler unit
-		// (Outputs = the one rebuilt type), so a warm cache from a flow
-		// run also accelerates retraces — and vice versa.
-		var key memo.Key
-		hit := false
-		if r.cfg.memo != nil {
-			mu := memo.Unit{Goal: old.Type, Outputs: []string{old.Type},
-				ToolType: toolIn.Type, Tool: datastore.RefOf(toolArt)}
-			for _, in := range rec.Inputs {
-				mu.Inputs = append(mu.Inputs, memo.InputRef{
-					Key: in.Key, Ref: datastore.RefOf(req.Inputs[in.Key])})
-			}
-			key = memo.UnitKey(mu)
-			if entry, ok := r.cfg.memo.Get(key); ok {
-				if ref, ok := entry.Outputs[old.Type]; ok {
-					if _, present := r.cfg.store.Get(ref); present {
-						rec.Data = ref
-						hit = true
-						res.CacheHits++
-					}
-				}
+		for i, in := range deps {
+			if err := f.Connect(n, in.Key, children[i]); err != nil {
+				return nil, nil, err
 			}
 		}
-		if !hit {
-			out, err := enc.Run(req)
-			if err != nil {
-				return fmt.Errorf("exec: retrace of %s: %w", old.ID, err)
-			}
-			data, ok := out[old.Type]
-			if !ok {
-				return fmt.Errorf("exec: retrace tool run produced no %s", old.Type)
-			}
-			rec.Data = r.cfg.store.Put(data)
-			if r.cfg.memo != nil {
-				refs := make(map[string]datastore.Ref, len(out))
-				for typ, b := range out {
-					refs[typ] = r.cfg.store.Put(b)
-				}
-				r.cfg.memo.Put(key, memo.Entry{Outputs: refs})
-			}
-		}
+		rebuilt[old.ID] = n
+		nodes[si] = n
 	}
-
-	inst, err := r.cfg.db.Record(rec)
-	if err != nil {
-		return fmt.Errorf("exec: recording retrace of %s: %w", old.ID, err)
-	}
-	res.Rebuilt[old.ID] = inst.ID
-	return nil
+	return f, nodes, nil
 }

@@ -92,3 +92,62 @@ func TestTraceHistoryCommittedBijection(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceHistoryRetrace: a retrace is one traced run. The engine's
+// tracer sees one PlanBuilt and one RunFinished, which counts as many
+// committed units as the retrace rebuilt, and every committed instance
+// is one the retrace reports.
+func TestTraceHistoryRetrace(t *testing.T) {
+	r := newRig(t)
+	f, perfN := r.perfFlow(t)
+	res, err := r.engine.RunFlow(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pid, err := res.One(perfN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cctN, _ := f.Node(perfN).Dep("Circuit")
+	netN, _ := f.Node(cctN).Dep("Netlist")
+	net, err := res.One(netN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.editNetlist(t, net)
+
+	buf := trace.NewBuffer()
+	r.engine.SetTracer(buf)
+	rr, err := r.engine.Retrace(pid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebuilt := make(map[history.ID]bool, len(rr.Rebuilt))
+	for _, id := range rr.Rebuilt {
+		rebuilt[id] = true
+	}
+	plans, finishes := 0, 0
+	for _, ev := range buf.Events() {
+		switch ev.Kind {
+		case trace.KindPlanBuilt:
+			plans++
+		case trace.KindRunFinished:
+			finishes++
+			if ev.Committed != len(rr.Rebuilt) {
+				t.Errorf("RunFinished.Committed = %d, retrace rebuilt %d", ev.Committed, len(rr.Rebuilt))
+			}
+		case trace.KindUnitCommitted:
+			for _, s := range ev.Insts {
+				if !rebuilt[history.ID(s)] {
+					t.Errorf("UnitCommitted %s is not among the rebuilt instances %v", s, rr.Rebuilt)
+				}
+			}
+		}
+	}
+	if plans != 1 || finishes != 1 {
+		t.Errorf("tracer saw %d PlanBuilt and %d RunFinished events, want one run", plans, finishes)
+	}
+	if len(rr.Rebuilt) != 2 {
+		t.Errorf("rebuilt = %v, want the circuit and the performance", rr.Rebuilt)
+	}
+}

@@ -9,7 +9,8 @@ import (
 // that derived data is out of date with respect to the data it was derived
 // from, and planning the automatic retracing of a flow to bring it up to
 // date. Both are pure queries over the derivation history; package exec
-// turns a RetracePlan into actual tool runs.
+// runs a RetracePlan as a flow, one node per step, through the same
+// planner, scheduler and committer as any other flow.
 
 // NewestVersion returns the most recently created version in id's version
 // lineage (possibly id itself).
@@ -38,7 +39,8 @@ type Stale struct {
 }
 
 // StaleInputs returns, for every instance in id's derivation history
-// (id excluded), the ones that have been superseded by newer versions.
+// (id excluded) that the derivation uses other than as the base of an
+// edit, the ones that have been superseded by newer versions.
 // The paper's query "is the extracted netlist out-of-date with respect to
 // the layout?" is StaleInputs over the netlist: a non-empty result means
 // yes. Results are sorted by the superseded instance's ID.
@@ -59,11 +61,23 @@ func (db *DB) StaleInputs(id ID) ([]Stale, error) {
 // staleLocked is StaleInputs over the backchain it has computed. The
 // caller holds db.mu, so no commit lands between the walk and the
 // version lookups.
+//
+// Only the versions the derivation uses are judged: a node counts when
+// some edge of the backchain uses it other than as the version base of
+// its own edit (an edge Parent→Child with versionParent(Parent) ==
+// Child does not count). A version that only served as the base of the
+// next edit is not itself used — the edit is — so its supersession by
+// that edit's descendants says nothing about the derivation.
 func (db *DB) staleLocked(back *Derivation) []Stale {
-	id := back.Root
 	inBack := make(map[ID]bool, len(back.Nodes))
 	for _, n := range back.Nodes {
 		inBack[n] = true
+	}
+	used := make(map[ID]bool, len(back.Nodes))
+	for _, e := range back.Edges {
+		if db.versionParent(e.Parent) != e.Child {
+			used[e.Child] = true
+		}
 	}
 
 	rootMemo := make(map[ID]ID)
@@ -84,7 +98,7 @@ func (db *DB) staleLocked(back *Derivation) []Stale {
 	}
 
 	// newestOf walks the whole version tree below a lineage root once,
-	// picking the latest creation (ID as tie-break), without sorting or
+	// picking the latest creation (compareCreation), without sorting or
 	// instance copying.
 	newestMemo := make(map[ID]ID)
 	newestOf := func(root ID) ID {
@@ -97,9 +111,7 @@ func (db *DB) staleLocked(back *Derivation) []Stale {
 			cur := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			rootMemo[cur] = root // the walk doubles as root memoization
-			bi, ci := db.look(best), db.look(cur)
-			if ci.Created.After(bi.Created) ||
-				(ci.Created.Equal(bi.Created) && cur > best) {
+			if compareCreation(db.look(cur), db.look(best)) > 0 {
 				best = cur
 			}
 			stack = append(stack, db.versionChildren(cur)...)
@@ -110,8 +122,8 @@ func (db *DB) staleLocked(back *Derivation) []Stale {
 
 	var out []Stale
 	for _, n := range back.Nodes {
-		if n == id {
-			continue
+		if !used[n] {
+			continue // the root, or only the base of its own edit
 		}
 		newest := newestOf(rootOf(n))
 		// Skip if the newer version is itself part of the derivation
@@ -160,7 +172,7 @@ type RetraceStep struct {
 	Rebuild ID
 	// Replace maps each directly-used stale instance to its newest
 	// version. Inputs that are themselves rebuilt by an earlier step are
-	// not listed here; the executor substitutes those as it goes.
+	// not listed here; the executor feeds them that step's output.
 	Replace map[ID]ID
 }
 

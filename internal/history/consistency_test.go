@@ -1,9 +1,14 @@
 package history
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
+
+	"repro/internal/datastore"
+	"repro/internal/schema"
 )
 
 func TestOutOfDateDetection(t *testing.T) {
@@ -196,5 +201,98 @@ func TestQuickChainDuality(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestStaleJudgesVersionUsedBesideItsEdit: c1 is the base of the edit
+// c2, and a verification compares c1 (reference) with c2 (subject).
+// The verification uses c1 itself, not only as c2's base, so once c1's
+// lineage gains c3 with other bytes, c1 is stale as well as c2.
+func TestStaleJudgesVersionUsedBesideItsEdit(t *testing.T) {
+	db, ids := fixture(t)
+	edit := func(base ID, data string) ID {
+		rec := Instance{Type: "EditedNetlist", Tool: ids["netlistEd"], Data: datastore.RefOf([]byte(data))}
+		if base != "" {
+			rec.Inputs = []Input{{Key: "Netlist", Inst: base}}
+		}
+		return db.MustRecord(rec).ID
+	}
+	c1 := edit("", "c1")
+	c2 := edit(c1, "c2")
+	ver := db.MustRecord(Instance{Type: "Verification", Tool: ids["verifier"],
+		Inputs: []Input{{Key: "Netlist/reference", Inst: c1}, {Key: "Netlist/subject", Inst: c2}}}).ID
+	if stale, err := db.StaleInputs(ver); err != nil || len(stale) != 0 {
+		t.Fatalf("StaleInputs before c3 = %v, %v; want none (c2 is the newest version and is used)", stale, err)
+	}
+	c3 := edit(c2, "c3")
+	stale, err := db.StaleInputs(ver)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Stale{{Used: c1, Newest: c3}, {Used: c2, Newest: c3}}
+	if !slices.Equal(stale, want) {
+		t.Errorf("StaleInputs = %v, want %v", stale, want)
+	}
+}
+
+// TestCreationOrderUnderFrozenClock: with every instance created at one
+// instant, creation order is commit order. Comparing ID strings would
+// put EditedNetlist:10 first and make :9 the newest version, so a user
+// of :9 would never go stale.
+func TestCreationOrderUnderFrozenClock(t *testing.T) {
+	db := NewDB(schema.Fig1())
+	frozen := time.Date(1993, 6, 14, 12, 0, 0, 0, time.UTC)
+	db.SetClock(func() time.Time { return frozen })
+	ed := db.MustRecord(Instance{Type: "NetlistEditor"}).ID
+	verifier := db.MustRecord(Instance{Type: "Verifier"}).ID
+	for db.Seq() < 7 {
+		db.MustRecord(Instance{Type: "Stimuli"})
+	}
+	var lineage []ID
+	for i := 0; i < 3; i++ {
+		rec := Instance{Type: "EditedNetlist", Tool: ed, Data: datastore.RefOf([]byte{byte(i)})}
+		if i > 0 {
+			rec.Inputs = []Input{{Key: "Netlist", Inst: lineage[i-1]}}
+		}
+		lineage = append(lineage, db.MustRecord(rec).ID)
+	}
+	if want := []ID{"EditedNetlist:8", "EditedNetlist:9", "EditedNetlist:10"}; !slices.Equal(lineage, want) {
+		t.Fatalf("lineage = %v, want %v", lineage, want)
+	}
+
+	versions, err := db.VersionsOf(lineage[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(versions, lineage) {
+		t.Errorf("VersionsOf = %v, want %v", versions, lineage)
+	}
+	if newest, err := db.NewestVersion(lineage[0]); err != nil || newest != lineage[2] {
+		t.Errorf("NewestVersion = %s, %v; want %s", newest, err, lineage[2])
+	}
+	if newest := db.Newest("EditedNetlist"); newest == nil || newest.ID != lineage[2] {
+		t.Errorf("Newest(EditedNetlist) = %v, want %s", newest, lineage[2])
+	}
+	ids := func(insts []*Instance) []ID {
+		var out []ID
+		for _, in := range insts {
+			out = append(out, in.ID)
+		}
+		return out
+	}
+	if got := ids(db.InstancesOf("Netlist")); !slices.Equal(got, lineage) {
+		t.Errorf("InstancesOf(Netlist) = %v, want %v", got, lineage)
+	}
+	if got := ids(db.Select(Filter{Type: "EditedNetlist"})); !slices.Equal(got, lineage) {
+		t.Errorf("Select = %v, want %v", got, lineage)
+	}
+	ver := db.MustRecord(Instance{Type: "Verification", Tool: verifier,
+		Inputs: []Input{{Key: "Netlist/reference", Inst: lineage[1]}, {Key: "Netlist/subject", Inst: lineage[1]}}}).ID
+	stale, err := db.StaleInputs(ver)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []Stale{{Used: lineage[1], Newest: lineage[2]}}; !slices.Equal(stale, want) {
+		t.Errorf("StaleInputs = %v, want %v", stale, want)
 	}
 }

@@ -24,9 +24,9 @@
 package history
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -562,13 +562,20 @@ func (db *DB) InstancesOf(typeName string) []*Instance {
 			out = append(out, db.get(id))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Created.Equal(out[j].Created) {
-			return out[i].ID < out[j].ID
-		}
-		return out[i].Created.Before(out[j].Created)
-	})
+	slices.SortFunc(out, compareCreation)
 	return out
+}
+
+// compareCreation is the database's one creation order: by Created,
+// then by sequence number, which is commit order. A frozen or coarse
+// clock (every scenario world runs on a frozen one) thus leaves
+// versions in the order they were committed, where comparing ID
+// strings would put Cell:10 before Cell:9.
+func compareCreation(a, b *Instance) int {
+	if c := a.Created.Compare(b.Created); c != 0 {
+		return c
+	}
+	return cmp.Compare(SeqOf(a.ID), SeqOf(b.ID))
 }
 
 // All returns copies of every instance in creation order.

@@ -1,7 +1,7 @@
 package history
 
 import (
-	"sort"
+	"slices"
 	"strings"
 	"time"
 )
@@ -49,8 +49,9 @@ func (f Filter) Matches(db *DB, in *Instance) bool {
 	return true
 }
 
-// Select returns copies of all instances passing the filter, sorted by
-// creation time (ties broken by ID) — the browser listing of Fig. 9.
+// Select returns copies of all instances passing the filter, in
+// creation order (ties broken by commit order) — the browser listing of
+// Fig. 9.
 func (db *DB) Select(f Filter) []*Instance {
 	var out []*Instance
 	for _, in := range db.All() {
@@ -58,11 +59,6 @@ func (db *DB) Select(f Filter) []*Instance {
 			out = append(out, in)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Created.Equal(out[j].Created) {
-			return out[i].ID < out[j].ID
-		}
-		return out[i].Created.Before(out[j].Created)
-	})
+	slices.SortFunc(out, compareCreation)
 	return out
 }

@@ -2,7 +2,7 @@ package history
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -230,12 +230,6 @@ func (db *DB) VersionsOf(id ID) ([]ID, error) {
 		}
 	}
 	walk(tree)
-	sort.Slice(out, func(i, j int) bool {
-		a, b := db.Get(out[i]), db.Get(out[j])
-		if a.Created.Equal(b.Created) {
-			return a.ID < b.ID
-		}
-		return a.Created.Before(b.Created)
-	})
+	slices.SortFunc(out, func(a, b ID) int { return compareCreation(db.look(a), db.look(b)) })
 	return out, nil
 }
