@@ -64,8 +64,8 @@ crash:
 	CRASH_E2E=1 $(GO) test -run TestCrashRecoveryE2E -v -count=1 ./cmd/flowd
 
 # conformance runs the scenario corpus (testdata/scenarios/) through
-# the harness under the race detector: every scenario under both
-# schedulers × the worker sweep, masked traces byte-identical to the
+# the harness under the race detector: every scenario under the worker
+# sweep ({1, 2, 8} by default), masked traces byte-identical to the
 # checked-in goldens. A golden mismatch fails with a unified diff.
 # Same gate as the CI conformance job.
 conformance:
@@ -77,10 +77,10 @@ conformance-update:
 	$(GO) test -run 'TestConformance' ./internal/harness/ -update
 
 # fuzz smoke-runs each native fuzz target briefly (seed corpora live in
-# testdata/fuzz/, for scenarios testdata/scenarios/, for the WAL reader
-# a real run log in internal/storage/testdata/, and for the WAL replay
-# verifier real run logs in internal/service/testdata/ and
-# internal/storage/testdata/, for the history restore the Fig. 1
+# testdata/fuzz/, for scenarios and the submit body testdata/scenarios/,
+# for the WAL reader a real run log in internal/storage/testdata/, and
+# for the WAL replay verifier real run logs in internal/service/testdata/
+# and internal/storage/testdata/, for the history restore the Fig. 1
 # fixture's dump); go test accepts one -fuzz pattern per invocation.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRoundTrip$$' -fuzztime 5s ./internal/flow/
@@ -92,6 +92,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRecoverRun$$' -fuzztime 5s ./internal/storage/
 	$(GO) test -run '^$$' -fuzz '^FuzzVerifyRunLog$$' -fuzztime 5s ./internal/service/
 	$(GO) test -run '^$$' -fuzz '^FuzzProvenanceQuery$$' -fuzztime 5s ./internal/service/
+	$(GO) test -run '^$$' -fuzz '^FuzzSubmit$$' -fuzztime 5s ./internal/service/
 	$(GO) test -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime 5s ./internal/history/
 
 # cover enforces the same ratchet as the CI trace job: the traced
@@ -128,13 +129,11 @@ flowbench:
 	$(GO) run ./cmd/flowbench
 
 # scale runs the raw-speed gate: the go-bench smoke subset over the
-# generated 10k-cell graphs (plan, dispatch, warm memo, chaining), then
-# the flowbench scale section, writing its report next to the committed
-# before/after record (BENCH_scale.json). Profile with
-#   go run ./cmd/flowbench -cpuprofile cpu.prof scale
+# generated 10k-cell graphs (plan, dispatch, warm memo, chaining). It
+# fails on a run that never finishes or crashes at 10k cells; the
+# measured throughput lives in the benchmark module (bench/).
 scale:
 	$(GO) test -run xxx -bench 'Scale|Chaining10k' -benchtime 1x ./internal/flowgen/ ./internal/history/
-	$(GO) run ./cmd/flowbench -out BENCH_scale_report.json scale
 
 # provenance runs the provenance gate: the hash-chain suite and the
 # history database's derivation-graph tests under the race detector

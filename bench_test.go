@@ -244,8 +244,8 @@ func BenchmarkFig6ParallelBranches(b *testing.B) {
 // buildUnbalanced makes two independent EditedNetlist chains of the
 // given depth with alternating slow/fast per-task latencies: every
 // dependency level holds one slow and one fast task, but each chain's
-// own sum is only half slow. A level-barrier scheduler pays
-// sum-of-level-maxima ≈ depth×slow; the dataflow scheduler pays
+// own sum is only half slow. A level-barrier schedule pays at least
+// the sum of level maxima, depth×slow; the dataflow scheduler pays
 // max-branch ≈ depth×(slow+fast)/2.
 func buildUnbalanced(b *testing.B, s *hercules.Session, depth int, slow, fast time.Duration) (*flow.Flow, map[flow.NodeID]time.Duration) {
 	b.Helper()
@@ -278,31 +278,31 @@ func buildUnbalanced(b *testing.B, s *hercules.Session, depth int, slow, fast ti
 }
 
 // BenchmarkFig6UnbalancedBranches measures the tentpole claim: on
-// unbalanced flows the dependency-counting dataflow scheduler beats the
-// level-barrier baseline (≥1.3× at 4 workers) while recording identical
-// instance IDs — compare the two sub-benchmarks.
+// unbalanced flows the dependency-counting dataflow scheduler beats any
+// level-barrier schedule (≥1.3× at 4 workers). A level barrier drains
+// each dependency level before the next, so it takes at least the sum
+// of the level maxima, depth×slow; the "x-vs-barrier-bound" metric is
+// that bound over the measured time per run.
 func BenchmarkFig6UnbalancedBranches(b *testing.B) {
 	const depth = 6
 	const workers = 4
 	slow, fast := 8*time.Millisecond, 500*time.Microsecond
-	for _, sched := range []exec.Scheduler{exec.Barrier, exec.Dataflow} {
-		b.Run("scheduler="+sched.String(), func(b *testing.B) {
-			s := session(b)
-			s.SetWorkers(workers)
-			s.SetScheduler(sched)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				f, delays := buildUnbalanced(b, s, depth, slow, fast)
-				s.Engine.SetTaskDelayFunc(func(n flow.NodeID, goal string) time.Duration {
-					return delays[n]
-				})
-				b.StartTimer()
-				_, err := s.Run(f)
-				mustB(b, err)
-			}
+	s := session(b)
+	s.SetWorkers(workers)
+	var elapsed time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		f, delays := buildUnbalanced(b, s, depth, slow, fast)
+		s.Engine.SetTaskDelayFunc(func(n flow.NodeID, goal string) time.Duration {
+			return delays[n]
 		})
+		b.StartTimer()
+		res, err := s.Run(f)
+		mustB(b, err)
+		elapsed += res.Elapsed
 	}
+	b.ReportMetric(float64(time.Duration(depth)*slow)*float64(b.N)/float64(elapsed), "x-vs-barrier-bound")
 }
 
 // BenchmarkMemoWarmRerun measures the incremental re-execution claim:

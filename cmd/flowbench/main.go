@@ -28,7 +28,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -41,7 +40,6 @@ import (
 	"repro/internal/cad/models"
 	"repro/internal/cad/netlist"
 	"repro/internal/cad/sim"
-	"repro/internal/datastore"
 	"repro/internal/encap"
 	"repro/internal/exec"
 	"repro/internal/faults"
@@ -73,7 +71,7 @@ var sections = []struct {
 	{"fig4", "expansions of a flow, with specialization", false, fig4},
 	{"fig5", "complex flow: reuse, multiple outputs", false, fig5},
 	{"fig6", "parallel execution of disjoint branches", true, fig6},
-	{"sched", "dataflow scheduler vs level-barrier baseline", true, schedSection},
+	{"sched", "dataflow scheduler vs the level-barrier bound", true, schedSection},
 	{"fig7", "three views of an inverter cell", false, fig7},
 	{"fig8", "view synthesis and verification flows", false, fig8},
 	{"fig9", "browser filters over the design history", false, fig9},
@@ -87,18 +85,11 @@ var sections = []struct {
 	{"baselines", "dynamic flows vs static flows vs traces", false, baselinesSection},
 	{"corpus", "the scenario corpus submitted to a live service over HTTP", false, corpusSection},
 	{"provenance", "graph chaining + hash chain over a million-instance history", false, provenanceSection},
-	{"scale", "synthetic 10k–100k-node flows: plan and dispatch throughput", false, scaleSection},
-	{"durable", "WAL-backed runs: write-ahead overhead and crash recovery", false, durableSection},
 }
 
-// benchOut, when set with -out <file>, makes the measuring sections
-// (provenance, scale, durable) write their measurements as JSON
-// (BENCH_provenance.json, BENCH_scale.json, BENCH_durable.json).
+// benchOut, when set with -out <file>, makes the provenance section
+// write its measurements as JSON (BENCH_provenance.json).
 var benchOut string
-
-// scaleCells, set with -scale-cells <n>, sizes the scale section's
-// primary graph (default 10000 cells = 20000 flow nodes).
-var scaleCells = 10000
 
 // cpuProfile / memProfile, set with -cpuprofile/-memprofile <file>,
 // capture pprof profiles over the selected sections.
@@ -125,14 +116,6 @@ func main() {
 			quick = true
 		case "out":
 			benchOut = needValue(i, a)
-			i++
-		case "scale-cells":
-			n, err := strconv.Atoi(needValue(i, a))
-			if err != nil || n < 1 {
-				fmt.Fprintf(os.Stderr, "flowbench: -scale-cells: bad count %q\n", args[i+1])
-				os.Exit(2)
-			}
-			scaleCells = n
 			i++
 		case "cpuprofile":
 			cpuProfile = needValue(i, a)
@@ -473,63 +456,55 @@ func fig6() {
 	s.Engine.SetWorkers(1)
 }
 
-// ---- scheduler: dataflow vs level barrier -----------------------------------
+// ---- scheduler: dataflow vs the level-barrier bound -------------------------
 
+// schedSection runs two interleaved slow/fast chains under the dataflow
+// scheduler and sets its elapsed time against the level-barrier lower
+// bound: a schedule that drains each dependency level before starting
+// the next takes at least the sum of the level maxima, whatever its
+// worker count.
 func schedSection() {
 	const depth = 6
 	const workers = 4
 	slow, fast := 20*time.Millisecond, time.Millisecond
+	barrierBound := time.Duration(depth) * slow
 	fmt.Printf("two chains of %d tasks, slow/fast latencies interleaved per level (%v / %v), %d machines\n",
 		depth, slow, fast, workers)
 	fmt.Printf("level-barrier lower bound (sum of level maxima): %v; dataflow ideal (max branch): %v\n",
-		time.Duration(depth)*slow, time.Duration(depth/2)*(slow+fast))
-	run := func(sched exec.Scheduler) (*hercules.Session, *exec.Result) {
-		s := session()
-		s.SetWorkers(workers)
-		s.SetScheduler(sched)
-		f := s.NewFlow()
-		delays := make(map[flow.NodeID]time.Duration)
-		for c := 0; c < 2; c++ {
-			base := f.MustAdd("EditedNetlist")
-			must(f.ExpandDown(base, false))
-			tn, _ := f.Node(base).Dep("fd")
-			must(f.Bind(tn, s.Must("netEd.fulladder")))
-			prev := base
-			for d := 0; d < depth; d++ {
-				if (d+c)%2 == 0 {
-					delays[prev] = slow
-				} else {
-					delays[prev] = fast
-				}
-				if d == depth-1 {
-					break
-				}
-				next := must1(f.ExpandUp(prev, "EditedNetlist", "Netlist"))
-				must(f.ExpandDown(next, false))
-				tn, _ := f.Node(next).Dep("fd")
-				must(f.Bind(tn, s.Must("netEd.retouch")))
-				prev = next
+		barrierBound, time.Duration(depth/2)*(slow+fast))
+	s := session()
+	s.SetWorkers(workers)
+	f := s.NewFlow()
+	delays := make(map[flow.NodeID]time.Duration)
+	for c := 0; c < 2; c++ {
+		base := f.MustAdd("EditedNetlist")
+		must(f.ExpandDown(base, false))
+		tn, _ := f.Node(base).Dep("fd")
+		must(f.Bind(tn, s.Must("netEd.fulladder")))
+		prev := base
+		for d := 0; d < depth; d++ {
+			if (d+c)%2 == 0 {
+				delays[prev] = slow
+			} else {
+				delays[prev] = fast
 			}
+			if d == depth-1 {
+				break
+			}
+			next := must1(f.ExpandUp(prev, "EditedNetlist", "Netlist"))
+			must(f.ExpandDown(next, false))
+			tn, _ := f.Node(next).Dep("fd")
+			must(f.Bind(tn, s.Must("netEd.retouch")))
+			prev = next
 		}
-		s.Engine.SetTaskDelayFunc(func(n flow.NodeID, goal string) time.Duration {
-			return delays[n]
-		})
-		return s, must1(s.Run(f))
 	}
-	sBar, resBar := run(exec.Barrier)
-	sDat, resDat := run(exec.Dataflow)
-	for _, r := range []*exec.Result{resBar, resDat} {
-		fmt.Printf("%s:\n%s\n", r.Stats.Scheduler, indent(r.Stats.Summary()))
-	}
-	fmt.Printf("dataflow speedup over barrier: %.2fx\n",
-		float64(resBar.Stats.Elapsed)/float64(resDat.Stats.Elapsed))
-	// Determinism: both schedulers committed identical instance IDs.
-	a, b := sBar.DB.All(), sDat.DB.All()
-	same := len(a) == len(b)
-	for i := 0; same && i < len(a); i++ {
-		same = a[i].ID == b[i].ID && a[i].Tool == b[i].Tool
-	}
-	fmt.Printf("identical instance IDs and derivations across schedulers: %v\n", same)
+	s.Engine.SetTaskDelayFunc(func(n flow.NodeID, goal string) time.Duration {
+		return delays[n]
+	})
+	res := must1(s.Run(f))
+	fmt.Printf("dataflow:\n%s\n", indent(res.Stats.Summary()))
+	fmt.Printf("dataflow speedup over the level-barrier bound: %.2fx\n",
+		float64(barrierBound)/float64(res.Stats.Elapsed))
 }
 
 // ---- fig 7 -----------------------------------------------------------------
@@ -868,22 +843,21 @@ func traceSection() {
 	}
 
 	// Determinism: events are sequenced in plan commit order, so after
-	// masking wall-clock fields the two schedulers emit the same bytes.
-	collect := func(sched exec.Scheduler) []runtrace.Event {
+	// masking wall-clock fields every worker count emits the same bytes.
+	collect := func(workers int) []runtrace.Event {
 		s := session()
 		s.SetWorkers(workers)
-		s.SetScheduler(sched)
 		buf := runtrace.NewBuffer()
 		s.SetTracer(buf)
 		must1(s.Run(branchFlow(s)))
 		return buf.Events()
 	}
-	evDat, evBar := collect(exec.Dataflow), collect(exec.Barrier)
-	datJSONL := runtrace.MaskedJSONL(evDat)
-	fmt.Printf("fig6 flow (%d branches, %d workers): %d events per run\n", branches, workers, len(evDat))
-	fmt.Printf("byte-identical masked traces across dataflow and barrier: %v\n",
-		bytes.Equal(datJSONL, runtrace.MaskedJSONL(evBar)))
-	lines := strings.Split(strings.TrimSpace(string(datJSONL)), "\n")
+	evPar, evSer := collect(workers), collect(1)
+	parJSONL := runtrace.MaskedJSONL(evPar)
+	fmt.Printf("fig6 flow (%d branches, %d workers): %d events per run\n", branches, workers, len(evPar))
+	fmt.Printf("byte-identical masked traces across 1 and %d workers: %v\n",
+		workers, bytes.Equal(parJSONL, runtrace.MaskedJSONL(evSer)))
+	lines := strings.Split(strings.TrimSpace(string(parJSONL)), "\n")
 	fmt.Println("masked JSONL (first 3 lines + last):")
 	for _, l := range lines[:3] {
 		fmt.Printf("  %s\n", l)
@@ -1388,292 +1362,6 @@ func provenanceSection() {
 			len(backD.Nodes), len(backD.Edges), ms(back),
 			len(fwdD.Nodes), ms(fwd),
 			recs, ms(appendTime), float64(recs) / appendTime.Seconds(), ms(verifyTime)}
-		data := must1(json.MarshalIndent(out, "", "  "))
-		must(os.WriteFile(benchOut, append(data, '\n'), 0o644))
-		fmt.Printf("wrote %s\n", benchOut)
-	}
-}
-
-// ---- scale -------------------------------------------------------------------
-
-// scaleSection is the raw-speed benchmark over synthetic flows
-// (internal/flowgen): a layered 10k-cell graph — 20k flow nodes — as
-// the primary subject, measuring graph generation + flow construction,
-// plan building in isolation (Engine.DryPlan), end-to-end dispatch at
-// several pool widths, allocation volume, and a warm re-run against
-// the result cache. A smaller sweep over every generator shape charts
-// how cost follows structure. -scale-cells resizes the primary graph;
-// with -out the measurements are written as JSON (the raw material of
-// BENCH_scale.json).
-func scaleSection() {
-	type dispatchResult struct {
-		Workers   int     `json:"workers"`
-		ElapsedMS float64 `json:"elapsed_ms"`
-		UnitsPerS float64 `json:"units_per_s"`
-	}
-	type shapeResult struct {
-		Shape     string  `json:"shape"`
-		Cells     int     `json:"cells"`
-		Edges     int     `json:"edges"`
-		Depth     int     `json:"depth"`
-		PlanMS    float64 `json:"plan_ms"`
-		RunMS     float64 `json:"run_ms"`
-		UnitsPerS float64 `json:"units_per_s"`
-	}
-	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-
-	cells := scaleCells
-	spec := flowgen.Spec{Cells: cells, Shape: flowgen.Layered, Seed: 1993}
-
-	// Graph generation + flow construction.
-	t0 := time.Now()
-	b := must1(flowgen.Build(spec))
-	buildTime := time.Since(t0)
-	fmt.Printf("graph: %s, %d cells -> %d flow nodes, %d edges, depth %d (seed %d)\n",
-		spec.Shape, cells, b.Flow.Len(), b.Graph.Edges(), b.Graph.Depth(), spec.Seed)
-	fmt.Printf("build: graph generated and flow constructed in %v\n", buildTime.Round(time.Millisecond))
-
-	// Planning in isolation: validation, executability, construction
-	// grouping, combo enumeration, instance-ID pre-assignment.
-	eng := exec.New(b.Schema, b.DB, b.Store, b.Reg)
-	t0 = time.Now()
-	jobs, units := must2(eng.DryPlan(b.Flow))
-	planTime := time.Since(t0)
-	fmt.Printf("plan:  %d jobs / %d units in %v (%.0f units/s)\n",
-		jobs, units, planTime.Round(time.Millisecond), float64(units)/planTime.Seconds())
-
-	// End-to-end dispatch at several pool widths, a fresh world each so
-	// no run replans against another's history.
-	var dispatches []dispatchResult
-	var allocMB float64
-	var mallocs uint64
-	fmt.Printf("%9s %12s %12s\n", "workers", "elapsed", "units/s")
-	for _, w := range []int{1, 4, 16} {
-		bw := must1(flowgen.Build(spec))
-		e := exec.New(bw.Schema, bw.DB, bw.Store, bw.Reg)
-		e.SetWorkers(w)
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		res := must1(e.RunFlow(bw.Flow))
-		runtime.ReadMemStats(&m1)
-		d := dispatchResult{Workers: w, ElapsedMS: ms(res.Elapsed),
-			UnitsPerS: float64(res.Stats.Units) / res.Elapsed.Seconds()}
-		dispatches = append(dispatches, d)
-		fmt.Printf("%9d %12v %12.0f\n", w, res.Elapsed.Round(time.Millisecond), d.UnitsPerS)
-		if w == 16 {
-			allocMB = float64(m1.TotalAlloc-m0.TotalAlloc) / (1 << 20)
-			mallocs = m1.Mallocs - m0.Mallocs
-		}
-	}
-	fmt.Printf("alloc: %.1f MB total / %d mallocs during the workers=16 run\n", allocMB, mallocs)
-
-	// Warm re-run against the result cache: the same flow again in the
-	// same world — every unit is served by derivation key, no tool runs.
-	bm := must1(flowgen.Build(spec))
-	em := exec.New(bm.Schema, bm.DB, bm.Store, bm.Reg)
-	em.SetWorkers(4)
-	em.SetMemo(memo.New(0))
-	cold := must1(em.RunFlow(bm.Flow))
-	warm := must1(em.RunFlow(bm.Flow))
-	fmt.Printf("memo:  cold %v, warm %v (%d/%d units from cache) — %.1fx\n",
-		cold.Elapsed.Round(time.Millisecond), warm.Elapsed.Round(time.Millisecond),
-		warm.Stats.CacheHits, warm.Stats.Units,
-		float64(cold.Elapsed)/float64(warm.Elapsed))
-
-	// Shape sweep: a smaller graph of every shape, workers=4.
-	sweepCells := cells / 5
-	if sweepCells > 2000 {
-		sweepCells = 2000
-	}
-	var shapes []shapeResult
-	fmt.Printf("shape sweep at %d cells (workers=4):\n", sweepCells)
-	fmt.Printf("%10s %8s %7s %10s %10s %10s\n", "shape", "edges", "depth", "plan", "run", "units/s")
-	for _, sh := range flowgen.Shapes() {
-		bs := must1(flowgen.Build(flowgen.Spec{Cells: sweepCells, Shape: sh, Seed: 1993}))
-		es := exec.New(bs.Schema, bs.DB, bs.Store, bs.Reg)
-		es.SetWorkers(4)
-		t0 = time.Now()
-		must2(es.DryPlan(bs.Flow))
-		pt := time.Since(t0)
-		res := must1(es.RunFlow(bs.Flow))
-		sr := shapeResult{Shape: string(sh), Cells: sweepCells, Edges: bs.Graph.Edges(),
-			Depth: bs.Graph.Depth(), PlanMS: ms(pt), RunMS: ms(res.Elapsed),
-			UnitsPerS: float64(res.Stats.Units) / res.Elapsed.Seconds()}
-		shapes = append(shapes, sr)
-		fmt.Printf("%10s %8d %7d %9.0fms %9.0fms %10.0f\n",
-			sr.Shape, sr.Edges, sr.Depth, sr.PlanMS, sr.RunMS, sr.UnitsPerS)
-	}
-
-	if benchOut != "" {
-		out := struct {
-			Bench     string           `json:"bench"`
-			Cells     int              `json:"cells"`
-			Shape     string           `json:"shape"`
-			Seed      int64            `json:"seed"`
-			FlowNodes int              `json:"flow_nodes"`
-			Edges     int              `json:"edges"`
-			Depth     int              `json:"depth"`
-			Jobs      int              `json:"jobs"`
-			Units     int              `json:"units"`
-			BuildMS   float64          `json:"build_ms"`
-			PlanMS    float64          `json:"plan_ms"`
-			PlanUPS   float64          `json:"plan_units_per_s"`
-			Dispatch  []dispatchResult `json:"dispatch"`
-			AllocMB   float64          `json:"alloc_mb_workers16"`
-			Mallocs   uint64           `json:"mallocs_workers16"`
-			ColdMS    float64          `json:"memo_cold_ms"`
-			WarmMS    float64          `json:"memo_warm_ms"`
-			Shapes    []shapeResult    `json:"shapes"`
-		}{"flowbench scale", cells, string(spec.Shape), spec.Seed, b.Flow.Len(),
-			b.Graph.Edges(), b.Graph.Depth(), jobs, units, ms(buildTime), ms(planTime),
-			float64(units) / planTime.Seconds(), dispatches, allocMB, mallocs,
-			ms(cold.Elapsed), ms(warm.Elapsed), shapes}
-		data := must1(json.MarshalIndent(out, "", "  "))
-		must(os.WriteFile(benchOut, append(data, '\n'), 0o644))
-		fmt.Printf("wrote %s\n", benchOut)
-	}
-}
-
-// durableSection measures the durability tax and the recovery path
-// over the scale section's primary subject: the layered 10k-cell graph
-// dispatched with and without a write-ahead log underneath (same
-// worker widths as the scale section, so the overhead is comparable
-// against BENCH_scale.json), then the boot path — reading the finished
-// log back and replaying its committed units into a fresh datastore
-// and result cache. With -out the measurements are written as JSON
-// (the raw material of BENCH_durable.json).
-func durableSection() {
-	type dispatchResult struct {
-		Workers     int     `json:"workers"`
-		BaseMS      float64 `json:"base_ms"`
-		WALMS       float64 `json:"wal_ms"`
-		BaseUPS     float64 `json:"base_units_per_s"`
-		WALUPS      float64 `json:"wal_units_per_s"`
-		OverheadPct float64 `json:"overhead_pct"`
-		// Comparison against the committed BENCH_scale.json dispatch
-		// record (the PR 7 after-numbers), when that file is readable:
-		// the acceptance yardstick for the durability tax.
-		ScaleMS    float64 `json:"scale_baseline_ms,omitempty"`
-		VsScalePct float64 `json:"vs_scale_pct,omitempty"`
-	}
-	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-
-	// scaleBaseline maps workers -> elapsed_ms from BENCH_scale.json's
-	// "after" dispatch table, if the record is present in the cwd.
-	scaleBaseline := map[int]float64{}
-	if data, err := os.ReadFile("BENCH_scale.json"); err == nil {
-		var rec struct {
-			After struct {
-				Dispatch []struct {
-					Workers   int     `json:"workers"`
-					ElapsedMS float64 `json:"elapsed_ms"`
-				} `json:"dispatch"`
-			} `json:"after"`
-		}
-		if json.Unmarshal(data, &rec) == nil {
-			for _, d := range rec.After.Dispatch {
-				scaleBaseline[d.Workers] = d.ElapsedMS
-			}
-		}
-	}
-
-	cells := scaleCells
-	spec := flowgen.Spec{Cells: cells, Shape: flowgen.Layered, Seed: 1993}
-	dir := must1(os.MkdirTemp("", "flowbench-durable"))
-	defer os.RemoveAll(dir)
-
-	b := must1(flowgen.Build(spec))
-	fmt.Printf("graph: %s, %d cells -> %d flow nodes (seed %d)\n",
-		spec.Shape, cells, b.Flow.Len(), spec.Seed)
-
-	var dispatches []dispatchResult
-	var lastWAL string
-	var walBytes int64
-	const reps = 3 // best-of-3: single-shot numbers are noise-dominated
-	fmt.Printf("%9s %12s %12s %10s\n", "workers", "base", "wal", "overhead")
-	for _, w := range []int{1, 4, 16} {
-		// Reps interleave base and WAL runs so each pair sees the same
-		// machine conditions; min-of-reps on each side filters the rest
-		// of the noise (the box is single-core and shared).
-		var base, res *exec.Result
-		for r := 0; r < reps; r++ {
-			bb := must1(flowgen.Build(spec))
-			eb := exec.New(bb.Schema, bb.DB, bb.Store, bb.Reg)
-			eb.SetWorkers(w)
-			runtime.GC()
-			got := must1(eb.RunFlow(bb.Flow))
-			if base == nil || got.Elapsed < base.Elapsed {
-				base = got
-			}
-
-			bw := must1(flowgen.Build(spec))
-			ew := exec.New(bw.Schema, bw.DB, bw.Store, bw.Reg)
-			ew.SetWorkers(w)
-			runtime.GC()
-			path := filepath.Join(dir, fmt.Sprintf("w%d-%d.wal", w, r))
-			l := must1(storage.OpenFile(path))
-			wal := storage.NewRunWAL(l)
-			must(wal.AppendMeta(storage.RunMeta{ID: "bench", Flow: "layered", User: "bench"}))
-			wgot := must1(ew.RunFlowOptions(context.Background(), bw.Flow,
-				&exec.RunOptions{Label: "bench", WAL: wal}))
-			must(wal.Close())
-			must(l.Close())
-			if res == nil || wgot.Elapsed < res.Elapsed {
-				res = wgot
-			}
-			fi := must1(os.Stat(path))
-			lastWAL, walBytes = path, fi.Size()
-		}
-
-		d := dispatchResult{Workers: w, BaseMS: ms(base.Elapsed), WALMS: ms(res.Elapsed),
-			BaseUPS:     float64(base.Stats.Units) / base.Elapsed.Seconds(),
-			WALUPS:      float64(res.Stats.Units) / res.Elapsed.Seconds(),
-			OverheadPct: (float64(res.Elapsed)/float64(base.Elapsed) - 1) * 100}
-		if sb := scaleBaseline[w]; sb > 0 {
-			d.ScaleMS = sb
-			d.VsScalePct = (d.WALMS/sb - 1) * 100
-		}
-		dispatches = append(dispatches, d)
-		line := fmt.Sprintf("%9d %12v %12v %+9.1f%%", w,
-			base.Elapsed.Round(time.Millisecond), res.Elapsed.Round(time.Millisecond),
-			d.OverheadPct)
-		if d.ScaleMS > 0 {
-			line += fmt.Sprintf("   (vs BENCH_scale %.0fms: %+.1f%%)", d.ScaleMS, d.VsScalePct)
-		}
-		fmt.Println(line)
-	}
-
-	// The boot path: recover the finished workers=16 log and replay its
-	// committed payloads into a fresh datastore and result cache.
-	t0 := time.Now()
-	l := must1(storage.OpenFile(lastWAL))
-	rec := must1(storage.RecoverRun(l))
-	st := datastore.NewStore()
-	must(rec.Replay(st, memo.New(0)))
-	must(l.Close())
-	recTime := time.Since(t0)
-	fmt.Printf("recover: %.1f MB log, %d events, %d committed units replayed in %v (%.0f units/s)\n",
-		float64(walBytes)/(1<<20), len(rec.Events), len(rec.Commits),
-		recTime.Round(time.Millisecond), float64(len(rec.Commits))/recTime.Seconds())
-
-	if benchOut != "" {
-		out := struct {
-			Bench      string           `json:"bench"`
-			Note       string           `json:"note"`
-			Cells      int              `json:"cells"`
-			Shape      string           `json:"shape"`
-			Seed       int64            `json:"seed"`
-			FlowNodes  int              `json:"flow_nodes"`
-			Dispatch   []dispatchResult `json:"dispatch"`
-			WALBytes   int64            `json:"wal_bytes_workers16"`
-			RecEvents  int              `json:"recover_events"`
-			RecCommits int              `json:"recover_commits"`
-			RecoverMS  float64          `json:"recover_ms"`
-		}{"flowbench durable", "base and wal are min-of-3 interleaved runs in one process; " +
-			"the box is a single shared core, so the paired base_ms is the fair reference and " +
-			"vs_scale_pct carries cross-session machine drift on top of the WAL tax",
-			cells, string(spec.Shape), spec.Seed, b.Flow.Len(),
-			dispatches, walBytes, len(rec.Events), len(rec.Commits), ms(recTime)}
 		data := must1(json.MarshalIndent(out, "", "  "))
 		must(os.WriteFile(benchOut, append(data, '\n'), 0o644))
 		fmt.Printf("wrote %s\n", benchOut)

@@ -4,8 +4,8 @@
 // session — goal-based start, expand operations, catalog bindings, the
 // run and its expectations — is declared in one scenario file
 // (testdata/scenarios/quickstart.json) and executed by the conformance
-// harness: the same differential sweep (both schedulers × worker
-// counts) and golden-trace comparison the test suite runs.
+// harness: the same differential sweep (worker counts) and
+// golden-trace comparison the test suite runs.
 //
 // Run with: go run ./examples/quickstart   (from the repository root)
 package main
@@ -36,9 +36,8 @@ func main() {
 	}
 	fmt.Print(graph)
 
-	// Run the full conformance check: every (scheduler, workers)
-	// configuration must produce the same masked trace, byte-identical
-	// to the checked-in golden.
+	// Run the full conformance check: every worker count must produce
+	// the same masked trace, byte-identical to the checked-in golden.
 	rep, err := harness.Run(sc, harness.Options{
 		GoldenDir: filepath.Join(dir, "golden"),
 		Logf: func(format string, args ...any) {

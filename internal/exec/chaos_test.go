@@ -315,7 +315,6 @@ func TestSettersSafeDuringRun(t *testing.T) {
 	// Every setter, mid-run. None may panic; none may affect the run in
 	// flight.
 	r.engine.SetWorkers(2)
-	r.engine.SetScheduler(Barrier)
 	r.engine.SetRetryPolicy(RetryPolicy{MaxAttempts: 3})
 	r.engine.SetFailurePolicy(ContinueOnError)
 	r.engine.SetTaskTimeout(time.Second)
@@ -347,9 +346,6 @@ func TestSettersSafeDuringRun(t *testing.T) {
 	}
 	if got := r.db.Get(inst2).User; got != "interloper" {
 		t.Errorf("subsequent run recorded user %q, want %q", got, "interloper")
-	}
-	if res2.Stats.Scheduler != "barrier" {
-		t.Errorf("subsequent run scheduler = %q, want %q", res2.Stats.Scheduler, "barrier")
 	}
 }
 
@@ -415,12 +411,12 @@ func TestConcurrentRunsSameDBSerialize(t *testing.T) {
 }
 
 // On failure, Result still reports Elapsed, the partial Created set,
-// and populated Stats — under both schedulers.
+// and populated Stats — on one worker and on four.
 func TestFailedRunResultPopulated(t *testing.T) {
-	for _, sched := range []Scheduler{Dataflow, Barrier} {
-		t.Run(sched.String(), func(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
 			r := newRig(t)
-			r.engine.SetScheduler(sched)
+			r.engine.SetWorkers(workers)
 			r.engine.reg.Register("Extractor", &failingEncap{failAfter: 0})
 			f := flow.New(r.s, r.db)
 			_, layN := addExtractionChain(t, r, f)

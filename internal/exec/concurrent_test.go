@@ -314,15 +314,11 @@ func TestRunOptionsOverrides(t *testing.T) {
 	r := newRig(t)
 	r.engine.SetUser("default-user")
 	f, perf := r.perfFlow(t)
-	sched := Barrier
 	timeout := 30 * time.Second
 	res, err := r.engine.RunFlowOptions(context.Background(), f, &RunOptions{
-		User: "override-user", Scheduler: &sched, TaskTimeout: &timeout, MaxCombos: 10})
+		User: "override-user", TaskTimeout: &timeout, MaxCombos: 10})
 	if err != nil {
 		t.Fatalf("RunFlowOptions: %v", err)
-	}
-	if res.Stats.Scheduler != "barrier" {
-		t.Errorf("scheduler = %q, want barrier override", res.Stats.Scheduler)
 	}
 	pid, err := res.One(perf)
 	if err != nil {
@@ -336,9 +332,6 @@ func TestRunOptionsOverrides(t *testing.T) {
 	res2, err := r.engine.RunFlow(f2)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if res2.Stats.Scheduler != "dataflow" {
-		t.Errorf("default scheduler = %q, want dataflow", res2.Stats.Scheduler)
 	}
 	pid2, err := res2.One(perf2)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -94,29 +95,33 @@ func walDigests(t *testing.T, l storage.Log) []string {
 	return out
 }
 
-// TestKillAndResume is the crash-recovery acceptance property, for both
-// schedulers and for every possible kill point in the WAL stream: a run
-// killed after N durable records resumes executing only the remaining
-// units, the resumed run's fresh events are exactly the golden stream
-// minus the recovered prefix, the final WAL holds the full golden
-// stream with the golden chain digests, and the recorded history is
-// byte-identical to an uninterrupted run's.
+// TestKillAndResume is the crash-recovery acceptance property, on one
+// worker and on four and for every possible kill point in the WAL
+// stream: a run killed after N durable records resumes executing only
+// the remaining units, the resumed run's fresh events are exactly the
+// golden stream minus the recovered prefix, the final WAL holds the
+// full golden stream with the golden chain digests, and the recorded
+// history is byte-identical to an uninterrupted run's.
 func TestKillAndResume(t *testing.T) {
 	fixed := time.Date(1993, 6, 14, 12, 0, 0, 0, time.UTC)
 	clock := func() time.Time { return fixed }
 	ctx := context.Background()
 
-	for _, sched := range []Scheduler{Dataflow, Barrier} {
-		sched := sched
-		t.Run(sched.String(), func(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
+			workerRig := func() *rig {
+				r := newRigClock(t, clock)
+				r.engine.SetWorkers(workers)
+				return r
+			}
 			// Golden: one uninterrupted durable run.
-			gold := newRigClock(t, clock)
+			gold := workerRig()
 			fG, _ := gold.perfFlow(t)
 			bufG := &trace.Buffer{}
 			goldLog := storage.NewMemLog()
 			goldWAL := storage.NewRunWAL(goldLog)
 			if _, err := gold.engine.RunFlowOptions(ctx, fG,
-				&RunOptions{Tracer: bufG, WAL: goldWAL, Scheduler: &sched}); err != nil {
+				&RunOptions{Tracer: bufG, WAL: goldWAL}); err != nil {
 				t.Fatalf("golden run: %v", err)
 			}
 			if err := goldWAL.Close(); err != nil {
@@ -148,12 +153,12 @@ func TestKillAndResume(t *testing.T) {
 
 			for killAt := 0; killAt < len(goldRecs); killAt++ {
 				// Victim: a fresh world killed after killAt durable records.
-				victim := newRigClock(t, clock)
+				victim := workerRig()
 				fV, _ := victim.perfFlow(t)
 				kl := &killableLog{MemLog: storage.NewMemLog(), killAt: killAt}
 				vWAL := storage.NewRunWAL(kl)
 				if _, err := victim.engine.RunFlowOptions(ctx, fV,
-					&RunOptions{WAL: vWAL, Scheduler: &sched}); err != nil {
+					&RunOptions{WAL: vWAL}); err != nil {
 					t.Fatalf("killAt=%d victim run: %v", killAt, err)
 				}
 				_ = vWAL.Close()
@@ -177,12 +182,12 @@ func TestKillAndResume(t *testing.T) {
 				if err := rec.Rewind(kl.MemLog); err != nil {
 					t.Fatalf("killAt=%d rewind: %v", killAt, err)
 				}
-				resumed := newRigClock(t, clock)
+				resumed := workerRig()
 				fR, _ := resumed.perfFlow(t)
 				bufR := &trace.Buffer{}
 				rWAL := storage.NewRunWAL(kl.MemLog)
 				res, err := resumed.engine.RunFlowOptions(ctx, fR,
-					&RunOptions{Tracer: bufR, WAL: rWAL, Scheduler: &sched, Resume: rec})
+					&RunOptions{Tracer: bufR, WAL: rWAL, Resume: rec})
 				if err != nil {
 					t.Fatalf("killAt=%d resumed run: %v", killAt, err)
 				}

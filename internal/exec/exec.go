@@ -72,7 +72,6 @@ type runConfig struct {
 	archives     func(name string, rev int) (string, error)
 	user         string
 	label        string
-	sched        Scheduler
 	maxCombos    int
 	taskDelay    time.Duration
 	delayFn      func(node flow.NodeID, goal string) time.Duration
@@ -160,14 +159,6 @@ func (e *Engine) SetWorkers(n int) {
 	e.mu.Lock()
 	e.workers = n
 	e.mu.Unlock()
-}
-
-// SetScheduler selects the scheduling discipline: Dataflow (default) or
-// the Barrier baseline. Both record identical instance IDs for the same
-// flow; Barrier exists so the level-barrier cost can be measured.
-// Applies to subsequently admitted runs.
-func (e *Engine) SetScheduler(s Scheduler) {
-	e.set(func(c *runConfig) { c.sched = s })
 }
 
 // SetMaxCombos caps the cartesian product of input combinations a single
@@ -263,8 +254,6 @@ type RunOptions struct {
 	// rest, with event Seq continuing where the prefix ends. A finished
 	// log replays whole and runs nothing.
 	Resume *storage.Recovered
-	// Scheduler overrides the scheduling discipline.
-	Scheduler *Scheduler
 	// Retry overrides the per-unit retry policy.
 	Retry *RetryPolicy
 	// Policy overrides the failure policy.
@@ -309,9 +298,6 @@ func (c runConfig) apply(o *RunOptions) runConfig {
 	}
 	if o.Resume != nil {
 		c.resume = o.Resume
-	}
-	if o.Scheduler != nil {
-		c.sched = *o.Scheduler
 	}
 	if o.Retry != nil {
 		c.retry = *o.Retry

@@ -22,18 +22,16 @@ import (
 // Execution may then finish in any order: workers hand artifacts to
 // dependents through an in-memory pending set indexed by planned
 // sequence number, and the committer records jobs strictly in plan
-// order, so the database ends up byte-identical to what the old
-// level-barrier engine produced.
+// order, so the database ends up byte-identical to a one-worker run's.
 
 // plannedJob is one group of nodes computed by a shared sequence of tool
 // runs, plus its scheduling state. A plan is used by exactly one run, so
-// the mutable scheduler fields live here.
+// the mutable scheduling fields live here.
 type plannedJob struct {
 	idx       int           // position in plan.jobs == commit order
 	nodes     []flow.NodeID // group members, representative first
 	repType   string        // representative node's type (stats, delay keying)
 	composite bool
-	level     int // dependency level of the representative node
 	// keys are the representative's dependency keys in DepKeys order
 	// ("fd" first when the job runs a tool); grouped siblings fill the
 	// same keys. combos are the input combinations to execute: combos[ci]
@@ -47,12 +45,12 @@ type plannedJob struct {
 	outIDs [][]history.ID
 	unit   int // global index of combo 0's unit, in plan order
 	// deps / dependents are edges of the job graph (indices into
-	// plan.jobs). Dataflow mode: distinct producer jobs of the group's
-	// inputs. Barrier mode: every job of the previous nonempty level.
+	// plan.jobs): deps are the distinct producer jobs of the group's
+	// inputs.
 	deps       []int
 	dependents []int
 
-	// Scheduler state (owned by the coordinator goroutine). The
+	// Scheduling state (owned by the coordinator goroutine). The
 	// committer reads a job's outcome — done, skipped, outputs, memo
 	// keys, unit observations — only after advance has handed the job
 	// over, and from then on the coordinator no longer changes it.
@@ -136,9 +134,9 @@ func reachable(f *flow.Flow, targets []flow.NodeID) ([]bool, error) {
 
 // plan builds the job graph for the targets: grouping (pass 1), combo
 // enumeration and ID pre-assignment in commit order (pass 2), and job
-// dependency edges for the run's scheduling mode (pass 3). order is the
-// flow's execution order as validation (flow.Check) computed it, so the
-// graph is sorted once per run.
+// dependency edges (pass 3). order is the flow's execution order as
+// validation (flow.Check) computed it, so the graph is sorted once per
+// run.
 func (r *run) plan(order []flow.NodeID, targets []flow.NodeID) (*plan, error) {
 	f := r.f
 	// Every per-node table below is a flat slice indexed by node ID.
@@ -146,18 +144,6 @@ func (r *run) plan(order []flow.NodeID, targets []flow.NodeID) (*plan, error) {
 	needed, err := reachable(f, targets)
 	if err != nil {
 		return nil, err
-	}
-	// Each node's dependency level, in one pass over the order (calling
-	// f.Levels would re-run the topological sort).
-	levelOf := make([]int32, size)
-	for _, id := range order {
-		var l int32
-		for _, c := range f.Node(id).Children() {
-			if levelOf[c]+1 > l {
-				l = levelOf[c] + 1
-			}
-		}
-		levelOf[id] = l
 	}
 
 	// Pass 1: walk nodes in topological order, grouping shared
@@ -205,7 +191,7 @@ func (r *run) plan(order []flow.NodeID, targets []flow.NodeID) (*plan, error) {
 			continue
 		}
 		j := &plannedJob{idx: len(p.jobs), nodes: []flow.NodeID{id}, keys: n.DepKeys(),
-			repType: n.Type, composite: t.Composite, level: int(levelOf[id])}
+			repType: n.Type, composite: t.Composite}
 		if !t.Composite {
 			groups[h] = j // the free key the search stopped at
 		}
@@ -241,41 +227,18 @@ func (r *run) plan(order []flow.NodeID, targets []flow.NodeID) (*plan, error) {
 	}
 	p.planned = vseq - p.base
 
-	// Pass 3: job dependency edges.
-	switch r.cfg.sched {
-	case Barrier:
-		// Baseline: every job waits on every job of the previous
-		// nonempty level — the old stratum-drain discipline, expressed
-		// as edges so both modes share one scheduler (and one commit
-		// order, hence identical IDs).
-		byLevel := make(map[int][]int)
-		var lvls []int
-		for _, j := range p.jobs {
-			if _, ok := byLevel[j.level]; !ok {
-				lvls = append(lvls, j.level)
+	// Pass 3: job dependency edges. A job depends exactly on the jobs
+	// producing its inputs; bound inputs contribute no edge. A job has a
+	// handful of inputs, so duplicates are found by scanning its deps.
+	for _, j := range p.jobs {
+		children := f.Node(j.nodes[0]).Children()
+		j.deps = make([]int, 0, len(children))
+		for _, c := range children {
+			pj := producer[c]
+			if pj == nil || slices.Contains(j.deps, pj.idx) {
+				continue
 			}
-			byLevel[j.level] = append(byLevel[j.level], j.idx)
-		}
-		// p.jobs is in topological order, so lvls is ascending.
-		for i := 1; i < len(lvls); i++ {
-			for _, ji := range byLevel[lvls[i]] {
-				p.jobs[ji].deps = append(p.jobs[ji].deps, byLevel[lvls[i-1]]...)
-			}
-		}
-	default:
-		// Dataflow: a job depends exactly on the jobs producing its
-		// inputs. Bound inputs contribute no edge. A job has a handful
-		// of inputs, so duplicates are found by scanning its deps.
-		for _, j := range p.jobs {
-			children := f.Node(j.nodes[0]).Children()
-			j.deps = make([]int, 0, len(children))
-			for _, c := range children {
-				pj := producer[c]
-				if pj == nil || slices.Contains(j.deps, pj.idx) {
-					continue
-				}
-				j.deps = append(j.deps, pj.idx)
-			}
+			j.deps = append(j.deps, pj.idx)
 		}
 	}
 	for _, j := range p.jobs {

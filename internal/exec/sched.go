@@ -47,26 +47,6 @@ import (
 // cancels in-flight attempts, and joins ctx.Err() into the result —
 // other runs sharing the engine are unaffected.
 
-// Scheduler selects the engine's scheduling discipline.
-type Scheduler int
-
-const (
-	// Dataflow dispatches each job the moment its producer jobs finish.
-	Dataflow Scheduler = iota
-	// Barrier reproduces the level-barrier baseline: every dependency
-	// level must drain before the next starts. Same commit order — and
-	// therefore identical instance IDs — as Dataflow; it exists to be
-	// measured against.
-	Barrier
-)
-
-func (s Scheduler) String() string {
-	if s == Barrier {
-		return "barrier"
-	}
-	return "dataflow"
-}
-
 // pendingSet shares not-yet-committed artifacts between workers:
 // planned instance IDs resolve here until the committer has recorded
 // them. It is a table indexed by planned sequence number minus the
@@ -226,7 +206,7 @@ func (r *run) workUnit(u unitTask) {
 // nil.
 func (r *run) execute(ctx context.Context, p *plan) error {
 	f, res := r.f, r.res
-	stats := newStats(r.cfg.sched, p)
+	stats := newStats(p)
 	res.Stats = stats
 	workers := r.workers
 	if workers > p.units {
@@ -241,7 +221,7 @@ func (r *run) execute(ctx context.Context, p *plan) error {
 		head = r.chain.Head()
 	}
 	tr := r.newRunTracer(p)
-	tr.planBuilt(r.cfg.sched, workers, head)
+	tr.planBuilt(workers, head)
 
 	r.ctx = ctx
 	r.pend = pendingSet{base: p.base, arts: make([]pendingArtifact, p.planned)}

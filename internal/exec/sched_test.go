@@ -48,8 +48,8 @@ func chainPair(t *testing.T, r *rig, depth int) (*flow.Flow, [2][]flow.NodeID) {
 
 // unbalancedDelays assigns alternating slow/fast latencies so that every
 // dependency level holds one slow and one fast task, but each chain's
-// own sum is only half slow: the level-barrier scheduler pays
-// sum-of-level-maxima ≈ depth×slow, a dataflow scheduler only
+// own sum is only half slow: a level-barrier schedule pays at least
+// the sum of level maxima, depth×slow, a dataflow scheduler only
 // max-branch ≈ depth×(slow+fast)/2.
 func unbalancedDelays(chains [2][]flow.NodeID, slow, fast time.Duration) map[flow.NodeID]time.Duration {
 	delays := make(map[flow.NodeID]time.Duration)
@@ -65,57 +65,34 @@ func unbalancedDelays(chains [2][]flow.NodeID, slow, fast time.Duration) map[flo
 	return delays
 }
 
-func runChainPair(t *testing.T, sched Scheduler, depth int, slow, fast time.Duration) (*rig, *Result) {
+func runChainPair(t *testing.T, workers, depth int, slow, fast time.Duration) (*rig, *Result) {
 	t.Helper()
 	r := newRig(t)
 	f, chains := chainPair(t, r, depth)
 	delays := unbalancedDelays(chains, slow, fast)
-	r.engine.SetWorkers(4)
-	r.engine.SetScheduler(sched)
+	r.engine.SetWorkers(workers)
 	r.engine.SetTaskDelayFunc(func(node flow.NodeID, goal string) time.Duration {
 		return delays[node]
 	})
 	res, err := r.engine.RunFlow(f)
 	if err != nil {
-		t.Fatalf("%v run: %v", sched, err)
+		t.Fatalf("w%d run: %v", workers, err)
 	}
 	return r, res
 }
 
-func TestUnbalancedFlowDataflowBeatsBarrier(t *testing.T) {
-	// The paper's Fig. 6 speedup claim, on a deliberately unbalanced
-	// flow: two chains whose slow tasks interleave across levels. The
-	// barrier baseline drains every level (≈ depth×slow); the dataflow
-	// scheduler lets the fast chain run ahead (≈ depth×(slow+fast)/2).
-	const depth = 6
-	slow, fast := 15*time.Millisecond, time.Millisecond
-	rBar, resBar := runChainPair(t, Barrier, depth, slow, fast)
-	rDat, resDat := runChainPair(t, Dataflow, depth, slow, fast)
-
-	sumLevelMaxima := time.Duration(depth) * slow
-	if resBar.Stats.Elapsed < sumLevelMaxima {
-		t.Errorf("barrier elapsed %v below its own lower bound %v — bad baseline?",
-			resBar.Stats.Elapsed, sumLevelMaxima)
-	}
-	if resDat.Stats.Elapsed > sumLevelMaxima*4/5 {
-		t.Errorf("dataflow elapsed %v, want well under sum of level maxima %v",
-			resDat.Stats.Elapsed, sumLevelMaxima)
-	}
-	if resDat.Stats.Elapsed*4 > resBar.Stats.Elapsed*3 {
-		t.Errorf("dataflow %v not clearly faster than barrier %v",
-			resDat.Stats.Elapsed, resBar.Stats.Elapsed)
-	}
-
-	// Determinism across schedulers: identical instance IDs and
-	// derivations for the same flow.
-	all1, all2 := rBar.db.All(), rDat.db.All()
+// sameRecords fails the test unless two databases hold identical
+// instance IDs and derivations.
+func sameRecords(t *testing.T, r1, r2 *rig) {
+	t.Helper()
+	all1, all2 := r1.db.All(), r2.db.All()
 	if len(all1) != len(all2) {
-		t.Fatalf("instance counts differ: barrier %d, dataflow %d", len(all1), len(all2))
+		t.Fatalf("instance counts differ: %d vs %d", len(all1), len(all2))
 	}
 	for i := range all1 {
 		a, b := all1[i], all2[i]
 		if a.ID != b.ID || a.Type != b.Type || a.Tool != b.Tool {
-			t.Fatalf("instance %d differs: barrier %s (%s via %s), dataflow %s (%s via %s)",
+			t.Fatalf("instance %d differs: %s (%s via %s) vs %s (%s via %s)",
 				i, a.ID, a.Type, a.Tool, b.ID, b.Type, b.Tool)
 		}
 		if len(a.Inputs) != len(b.Inputs) {
@@ -130,33 +107,46 @@ func TestUnbalancedFlowDataflowBeatsBarrier(t *testing.T) {
 	}
 }
 
+func TestUnbalancedFlowDataflowBeatsBarrier(t *testing.T) {
+	// The paper's Fig. 6 speedup claim, on a deliberately unbalanced
+	// flow: two chains whose slow tasks interleave across levels. Any
+	// level-barrier schedule drains every level, so it takes at least
+	// the sum of level maxima (depth×slow) on any worker count; the
+	// dataflow scheduler lets the fast chain run ahead
+	// (≈ depth×(slow+fast)/2).
+	const depth = 6
+	slow, fast := 15*time.Millisecond, time.Millisecond
+	rDat, resDat := runChainPair(t, 4, depth, slow, fast)
+
+	sumLevelMaxima := time.Duration(depth) * slow
+	if resDat.Stats.Elapsed*4 > sumLevelMaxima*3 {
+		t.Errorf("dataflow elapsed %v, want at most 3/4 of the level-barrier bound %v",
+			resDat.Stats.Elapsed, sumLevelMaxima)
+	}
+
+	// Determinism across dispatch orders: one worker records identical
+	// instance IDs and derivations for the same flow.
+	rSer, _ := runChainPair(t, 1, depth, slow, fast)
+	sameRecords(t, rSer, rDat)
+}
+
 func TestSchedulerParityWithFanOut(t *testing.T) {
 	// Fan-out over multi-instance bindings must also record identically
-	// under both schedulers.
-	run := func(sched Scheduler) *rig {
+	// on one worker and on four.
+	run := func(workers int) *rig {
 		r := newRig(t)
 		f, perf := r.perfFlow(t)
 		stimN, _ := f.Node(perf).Dep("Stimuli")
 		if err := f.Bind(stimN, r.ids["stim"], r.ids["stim2"]); err != nil {
 			t.Fatal(err)
 		}
-		r.engine.SetWorkers(4)
-		r.engine.SetScheduler(sched)
+		r.engine.SetWorkers(workers)
 		if _, err := r.engine.RunFlow(f); err != nil {
-			t.Fatalf("%v run: %v", sched, err)
+			t.Fatalf("w%d run: %v", workers, err)
 		}
 		return r
 	}
-	r1, r2 := run(Barrier), run(Dataflow)
-	all1, all2 := r1.db.All(), r2.db.All()
-	if len(all1) != len(all2) {
-		t.Fatalf("instance counts differ: %d vs %d", len(all1), len(all2))
-	}
-	for i := range all1 {
-		if all1[i].ID != all2[i].ID {
-			t.Fatalf("instance %d: barrier %s, dataflow %s", i, all1[i].ID, all2[i].ID)
-		}
-	}
+	sameRecords(t, run(1), run(4))
 }
 
 // countingEncap counts invocations (atomically — workers run
@@ -343,8 +333,8 @@ func TestRunStatsPopulated(t *testing.T) {
 	if st == nil {
 		t.Fatal("successful run has no stats")
 	}
-	if st.Scheduler != "dataflow" || st.Workers != 2 {
-		t.Errorf("scheduler/workers = %s/%d", st.Scheduler, st.Workers)
+	if st.Workers != 2 {
+		t.Errorf("workers = %d, want 2", st.Workers)
 	}
 	if st.Jobs != 4 || st.Units != 4 || st.UnitsRun != 4 {
 		t.Errorf("jobs/units/run = %d/%d/%d, want 4/4/4", st.Jobs, st.Units, st.UnitsRun)
@@ -369,8 +359,8 @@ func TestRunStatsPopulated(t *testing.T) {
 	if st.PerTask["Performance"].Runs != 1 {
 		t.Errorf("per-task stats = %+v", st.PerTask)
 	}
-	if s := st.Summary(); !strings.Contains(s, "scheduler=dataflow") {
-		t.Errorf("summary lacks scheduler line:\n%s", s)
+	if s := st.Summary(); !strings.Contains(s, "workers=2 jobs=4 units=4/4") {
+		t.Errorf("summary lacks its header line:\n%s", s)
 	}
 }
 

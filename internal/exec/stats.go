@@ -13,9 +13,6 @@ import (
 // how long ready work sat queued. flowbench prints it next to every
 // Fig. 6 measurement.
 type Stats struct {
-	// Scheduler is the discipline that produced this schedule
-	// ("dataflow" or "barrier").
-	Scheduler string
 	// Workers is the pool size actually used (clamped to the unit count).
 	Workers int
 	// Jobs counts schedulable constructions; Units counts (job, combo)
@@ -96,12 +93,11 @@ func (h WaitHistogram) String() string {
 	return strings.Join(parts, " ")
 }
 
-func newStats(sched Scheduler, p *plan) *Stats {
+func newStats(p *plan) *Stats {
 	return &Stats{
-		Scheduler: sched.String(),
-		Jobs:      len(p.jobs),
-		Units:     p.units,
-		PerTask:   make(map[string]TaskStat),
+		Jobs:    len(p.jobs),
+		Units:   p.units,
+		PerTask: make(map[string]TaskStat),
 		QueueWait: WaitHistogram{
 			Bounds: defaultWaitBounds,
 			Counts: make([]int, len(defaultWaitBounds)+1),
@@ -154,8 +150,8 @@ func (s *Stats) finish(p *plan) {
 // benches.
 func (s *Stats) Summary() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "scheduler=%s workers=%d jobs=%d units=%d/%d\n",
-		s.Scheduler, s.Workers, s.Jobs, s.UnitsRun, s.Units)
+	fmt.Fprintf(&b, "workers=%d jobs=%d units=%d/%d\n",
+		s.Workers, s.Jobs, s.UnitsRun, s.Units)
 	fmt.Fprintf(&b, "elapsed=%v busy=%v occupancy=%.0f%% critical-path=%v (%d jobs)\n",
 		s.Elapsed.Round(time.Microsecond), s.Busy.Round(time.Microsecond),
 		s.Occupancy*100, s.CriticalPath.Round(time.Microsecond), s.CriticalPathJobs)

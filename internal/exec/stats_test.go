@@ -36,7 +36,7 @@ func TestStatsCriticalPathDiamond(t *testing.T) {
 		[]string{"A", "B", "C"},
 		[]time.Duration{3 * time.Millisecond, 7 * time.Millisecond, 2 * time.Millisecond},
 		[][]int{nil, nil, {0, 1}})
-	s := newStats(Dataflow, p)
+	s := newStats(p)
 	s.Workers = 2
 	s.finish(p)
 	if want := 9 * time.Millisecond; s.CriticalPath != want {
@@ -53,7 +53,7 @@ func TestStatsCriticalPathChainBeatsWideLevel(t *testing.T) {
 		[]string{"A", "A", "A", "Z"},
 		[]time.Duration{2 * time.Millisecond, 2 * time.Millisecond, 2 * time.Millisecond, 5 * time.Millisecond},
 		[][]int{nil, {0}, {1}, nil})
-	s := newStats(Dataflow, p)
+	s := newStats(p)
 	s.finish(p)
 	if want := 6 * time.Millisecond; s.CriticalPath != want || s.CriticalPathJobs != 3 {
 		t.Errorf("critical path = %v over %d jobs, want %v over 3", s.CriticalPath, s.CriticalPathJobs, want)
@@ -67,7 +67,7 @@ func TestStatsCriticalPathTieBreakPrefersLongerChain(t *testing.T) {
 		[]string{"A", "B", "B2", "C"},
 		[]time.Duration{5 * time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond, time.Millisecond},
 		[][]int{nil, nil, {1}, {0, 2}})
-	s := newStats(Dataflow, p)
+	s := newStats(p)
 	s.finish(p)
 	if want := 6 * time.Millisecond; s.CriticalPath != want || s.CriticalPathJobs != 3 {
 		t.Errorf("critical path = %v over %d jobs, want %v over 3 (tie broken toward the longer chain)",
@@ -77,7 +77,7 @@ func TestStatsCriticalPathTieBreakPrefersLongerChain(t *testing.T) {
 
 func TestStatsOccupancy(t *testing.T) {
 	p := statsPlan([]string{"A"}, []time.Duration{0}, nil)
-	s := newStats(Dataflow, p)
+	s := newStats(p)
 	s.Workers = 2
 	s.Busy = 1500 * time.Millisecond
 	s.started = time.Now().Add(-time.Second)
@@ -88,7 +88,7 @@ func TestStatsOccupancy(t *testing.T) {
 		t.Errorf("Occupancy = %v, want ≈0.75", s.Occupancy)
 	}
 	// Workers unset → gauge stays zero rather than dividing by zero.
-	s2 := newStats(Dataflow, p)
+	s2 := newStats(p)
 	s2.Busy = time.Second
 	s2.finish(p)
 	if s2.Occupancy != 0 {
@@ -98,7 +98,7 @@ func TestStatsOccupancy(t *testing.T) {
 
 func TestStatsObserveUnitAggregates(t *testing.T) {
 	p := statsPlan([]string{"Sim", "Sim"}, []time.Duration{0, 0}, nil)
-	s := newStats(Barrier, p)
+	s := newStats(p)
 	s.observeUnit(p.jobs[0], 50*time.Microsecond, 2*time.Millisecond)
 	s.observeUnit(p.jobs[1], 5*time.Millisecond, 3*time.Millisecond)
 	if s.UnitsRun != 2 || s.Busy != 5*time.Millisecond {
@@ -119,14 +119,14 @@ func TestStatsSummaryContents(t *testing.T) {
 		[]string{"Netlist", "Performance"},
 		[]time.Duration{time.Millisecond, 2 * time.Millisecond},
 		[][]int{nil, {0}})
-	s := newStats(Dataflow, p)
+	s := newStats(p)
 	s.Workers = 2
 	s.observeUnit(p.jobs[0], 10*time.Microsecond, time.Millisecond)
 	s.observeUnit(p.jobs[1], 10*time.Microsecond, 2*time.Millisecond)
 	s.finish(p)
 	out := s.Summary()
 	for _, want := range []string{
-		"scheduler=dataflow workers=2 jobs=2 units=2/2",
+		"workers=2 jobs=2 units=2/2",
 		"critical-path=3ms (2 jobs)",
 		"queue-wait: ≤100µs:2",
 		"Netlist", "Performance", "runs=1",

@@ -3,6 +3,7 @@ package exec
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -18,7 +19,7 @@ import (
 // Golden-trace regression tests: the masked JSONL rendering of a run's
 // event stream is pinned byte for byte in testdata/. Because events are
 // emitted in plan commit order with wall-clock fields masked, the same
-// flow must produce the same bytes across scheduler disciplines, worker
+// flow must produce the same bytes across worker counts and
 // interleavings, race-detector runs — and, projected through DropKinds,
 // across fault injection. Regenerate with `go test ./internal/exec
 // -run TestGoldenTrace -update` after an intentional change.
@@ -81,21 +82,21 @@ func fig6BranchFlow(t *testing.T, r *rig, n int) *flow.Flow {
 	return f
 }
 
-// TestGoldenTraceFig6AcrossSchedulers pins the masked trace of the
-// Fig. 6 flow and asserts both scheduler disciplines produce it
-// byte-identically: commit order — not completion order — sequences
-// the events, so the discipline is invisible after masking.
-func TestGoldenTraceFig6AcrossSchedulers(t *testing.T) {
-	for _, sched := range []Scheduler{Dataflow, Barrier} {
-		t.Run(sched.String(), func(t *testing.T) {
+// TestGoldenTraceFig6AcrossWorkers pins the masked trace of the Fig. 6
+// flow and asserts one worker and four produce it byte-identically:
+// commit order — not completion order — sequences the events, so the
+// dispatch order is invisible after masking.
+func TestGoldenTraceFig6AcrossWorkers(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
 			r := newRig(t)
-			r.engine.SetScheduler(sched)
-			r.engine.SetWorkers(4)
+			r.engine.SetWorkers(workers)
 			f := fig6BranchFlow(t, r, 8)
 			got := trace.MaskedJSONL(runTraced(t, r, f))
-			if sched == Barrier && *updateGoldens {
-				// The golden is written once, from the Dataflow run; the
-				// Barrier run must reproduce it rather than overwrite it.
+			if workers != 1 && *updateGoldens {
+				// The golden is written once, from the one-worker run;
+				// the four-worker run must reproduce it rather than
+				// overwrite it.
 				*updateGoldens = false
 				defer func() { *updateGoldens = true }()
 			}
@@ -159,17 +160,16 @@ func TestGoldenTraceRetriedMatchesClean(t *testing.T) {
 // run's golden trace, committed instance IDs included. The cold rig and
 // the warm rig share the datastore and the cache but have separate
 // history databases, so equal instance IDs demonstrate the planner's
-// pre-assignment, not shared state. Pinned for both schedulers.
+// pre-assignment, not shared state. Pinned on one worker and on four.
 func TestGoldenTraceWarmMatchesClean(t *testing.T) {
-	for _, sched := range []Scheduler{Dataflow, Barrier} {
-		t.Run(sched.String(), func(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
 			store := datastore.NewStore()
 			cache := memo.New(0)
 
 			cold := newRigStore(t, nil, store)
 			cold.engine.SetMemo(cache)
-			cold.engine.SetScheduler(sched)
-			cold.engine.SetWorkers(2)
+			cold.engine.SetWorkers(workers)
 			fCold, _ := cold.perfFlow(t)
 			cleanTrace := trace.MaskedJSONL(runTraced(t, cold, fCold))
 			// A cold run with the cache installed is indistinguishable
@@ -178,8 +178,7 @@ func TestGoldenTraceWarmMatchesClean(t *testing.T) {
 
 			warm := newRigStore(t, nil, store)
 			warm.engine.SetMemo(cache)
-			warm.engine.SetScheduler(sched)
-			warm.engine.SetWorkers(2)
+			warm.engine.SetWorkers(workers)
 			fWarm, _ := warm.perfFlow(t)
 			events := runTraced(t, warm, fWarm)
 

@@ -126,12 +126,12 @@ func (t *runTracer) observe(d unitResult) {
 
 // planBuilt opens the stream (suppressed on a resumed run, whose
 // PlanBuilt is part of the recovered prefix), logging digest with it.
-func (t *runTracer) planBuilt(sched Scheduler, workers int, digest string) {
+func (t *runTracer) planBuilt(workers int, digest string) {
 	if t == nil || t.skipPlan {
 		return
 	}
 	t.emitLogged(trace.Event{Kind: trace.KindPlanBuilt, Job: -1, Combo: -1, Unit: -1,
-		Scheduler: sched.String(), Workers: workers, Jobs: len(t.p.jobs), Units: t.p.units}, nil, digest)
+		Workers: workers, Jobs: len(t.p.jobs), Units: t.p.units}, nil, digest)
 }
 
 // passJob emits the lifecycle events of every unit of one job — called

@@ -21,9 +21,9 @@ func corpusDir(t *testing.T) string {
 }
 
 // TestConformance is the differential conformance suite: every scenario
-// in the corpus runs under both schedulers and the worker sweep (the
-// harness enforces byte-identical masked traces and final histories
-// across all of them), compares against its golden, and checks its
+// in the corpus runs under the worker sweep (the harness enforces
+// byte-identical masked traces and final histories across all of it),
+// compares against its golden, and checks its
 // final-state expectations — one table-driven test over the whole
 // corpus, run under -race in CI.
 func TestConformance(t *testing.T) {

@@ -13,8 +13,8 @@ import (
 // filter): across 24 seeds spread over every flowgen shape, a generated
 // scenario — golden-free by design — must still satisfy the
 // differential contract: byte-identical masked traces and final
-// history dumps across both schedulers and the worker sweep, with the
-// expected task and instance counts.
+// history dumps across the worker sweep, with the expected task and
+// instance counts.
 func TestConformanceGeneratedProperty(t *testing.T) {
 	shapes := flowgen.Shapes()
 	for seed := int64(1); seed <= 24; seed++ {

@@ -2,11 +2,11 @@
 // scenario format (internal/scenario): it materializes a scenario into
 // a fresh deterministic world — schema, history database on a frozen
 // clock, content-addressed datastore, fault-instrumented registry,
-// engine — executes it under a differential sweep of schedulers ×
-// worker counts, and holds the outcome against the scenario's
-// expectations: a golden masked-JSONL trace, final-state assertions on
-// history and artifacts, error/skip sets, warm-rerun memo contracts,
-// and WAL kill-and-resume sweeps.
+// engine — executes it under a differential sweep of worker counts,
+// and holds the outcome against the scenario's expectations: a golden
+// masked-JSONL trace, final-state assertions on history and artifacts,
+// error/skip sets, warm-rerun memo contracts, and WAL kill-and-resume
+// sweeps.
 //
 // The determinism contract the harness enforces is the repository's
 // central one: for a deterministic scenario, the masked trace and the
@@ -55,7 +55,7 @@ func (o Options) logf(format string, args ...any) {
 type Report struct {
 	// Scenario is the scenario name.
 	Scenario string
-	// Configs lists the sweep configurations executed ("dataflow/w1", …).
+	// Configs lists the sweep configurations executed ("w1", …).
 	Configs []string
 	// TasksRun is the committed tool executions of one configuration.
 	TasksRun int
@@ -169,40 +169,24 @@ func Run(sc *scenario.Scenario, opts Options) (*Report, error) {
 
 // config is one cell of the differential sweep.
 type config struct {
-	sched   exec.Scheduler
 	workers int
 }
 
-func (c config) String() string { return fmt.Sprintf("%s/w%d", c.sched, c.workers) }
+func (c config) String() string { return fmt.Sprintf("w%d", c.workers) }
 
 // sweep expands the scenario's run spec into configurations; the
-// defaults are the acceptance matrix (both schedulers × {1, 2, 8}).
+// default is the acceptance matrix, workers {1, 2, 8}. The run spec's
+// Schedulers field names no axis: Validate accepts only "dataflow".
 func sweep(sc *scenario.Scenario) []config {
-	scheds := []exec.Scheduler{exec.Dataflow, exec.Barrier}
-	if len(sc.Run.Schedulers) > 0 {
-		scheds = scheds[:0]
-		for _, name := range sc.Run.Schedulers {
-			scheds = append(scheds, schedulerOf(name))
-		}
-	}
 	workers := []int{1, 2, 8}
 	if len(sc.Run.Workers) > 0 {
 		workers = sc.Run.Workers
 	}
-	out := make([]config, 0, len(scheds)*len(workers))
-	for _, s := range scheds {
-		for _, w := range workers {
-			out = append(out, config{sched: s, workers: w})
-		}
+	out := make([]config, len(workers))
+	for i, w := range workers {
+		out[i] = config{workers: w}
 	}
 	return out
-}
-
-func schedulerOf(name string) exec.Scheduler {
-	if name == "barrier" {
-		return exec.Barrier
-	}
-	return exec.Dataflow
 }
 
 // sharedState carries the pieces a multi-run check deliberately shares
@@ -248,10 +232,8 @@ func execute(sc *scenario.Scenario, cfg config, shared sharedState) (*runOut, er
 		sink = &cancelAfterCommits{inner: buf, left: sc.Cancel.AfterCommits, cancel: cancel}
 	}
 
-	sched := cfg.sched
 	ro := w.runOptions()
 	ro.Tracer = sink
-	ro.Scheduler = &sched
 	ro.Memo = shared.cache
 	ro.WAL = shared.wal
 	ro.Resume = shared.resume

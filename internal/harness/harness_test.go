@@ -75,7 +75,7 @@ func TestRunTinyGreen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.TasksRun != 2 || len(rep.Configs) != 1 || rep.Configs[0] != "dataflow/w1" {
+	if rep.TasksRun != 2 || len(rep.Configs) != 1 || rep.Configs[0] != "w1" {
 		t.Fatalf("report = %+v", rep)
 	}
 	if rep.GoldenPath != "" {
@@ -132,7 +132,7 @@ func TestAssertionRendering(t *testing.T) {
 	sc := tiny(t)
 	want := 5
 	sc.Expect.TasksRun = &want
-	wantIn(t, runErr(t, sc, Options{}), "scenario tiny: dataflow/w1: TasksRun = 2, want 5")
+	wantIn(t, runErr(t, sc, Options{}), "scenario tiny: w1: TasksRun = 2, want 5")
 }
 
 func TestInstanceAssertionRendering(t *testing.T) {
@@ -221,7 +221,7 @@ func TestUnexpectedRunError(t *testing.T) {
 	sc.Tools[0].Behavior = "fail"
 	delete(sc.Expect.Instances, "") // keep expectations; the run itself fails first
 	wantIn(t, runErr(t, sc, Options{}),
-		"scenario tiny: dataflow/w1: unexpected run error", "declared failing")
+		"scenario tiny: w1: unexpected run error", "declared failing")
 }
 
 func TestMissingExpectedError(t *testing.T) {
@@ -301,14 +301,17 @@ func TestUnifiedDiff(t *testing.T) {
 
 // --- coverage of the sweep/assert/world branches the corpus cannot hit ---
 
-func TestBarrierOnlySweep(t *testing.T) {
+// TestDataflowOnlySweep: a run spec naming the one scheduler adds no
+// sweep axis; one worker count is one cell.
+func TestDataflowOnlySweep(t *testing.T) {
 	sc := tiny(t)
-	sc.Run.Schedulers = []string{"barrier"}
+	sc.Run.Schedulers = []string{"dataflow"}
+	sc.Run.Workers = []int{4}
 	rep, err := Run(sc, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Configs) != 1 || rep.Configs[0] != "barrier/w1" {
+	if len(rep.Configs) != 1 || rep.Configs[0] != "w4" {
 		t.Fatalf("configs = %v", rep.Configs)
 	}
 }

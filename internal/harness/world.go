@@ -22,8 +22,8 @@ import (
 // frozenTime is the deterministic history clock of every scenario
 // world: two worlds built from the same scenario produce byte-
 // comparable history dumps, which is what lets the harness require the
-// final state — not just the trace — to be identical across schedulers
-// and worker counts.
+// final state — not just the trace — to be identical across worker
+// counts.
 var frozenTime = time.Date(1993, 6, 14, 12, 0, 0, 0, time.UTC)
 
 // world is one materialized scenario: schema, history database,

@@ -213,10 +213,6 @@ func (s *Session) Run(f *flow.Flow) (*exec.Result, error) { return s.Engine.RunF
 // Fig. 6).
 func (s *Session) SetWorkers(n int) { s.Engine.SetWorkers(n) }
 
-// SetScheduler selects the engine's scheduling discipline:
-// exec.Dataflow (default) or the exec.Barrier baseline.
-func (s *Session) SetScheduler(sched exec.Scheduler) { s.Engine.SetScheduler(sched) }
-
 // SetMaxCombos caps the per-node fan-out over multi-instance bindings.
 func (s *Session) SetMaxCombos(n int) { s.Engine.SetMaxCombos(n) }
 

@@ -56,7 +56,7 @@ type Scenario struct {
 	// Base/Schema/Tools/Imports/Flow — the generator owns the world.
 	// Generated scenarios default to golden-free differential mode:
 	// no golden file, but masked traces and history dumps must still be
-	// byte-identical across every (scheduler, workers) sweep cell.
+	// byte-identical across every worker count of the sweep.
 	Generate *GenerateSpec `json:"generate,omitempty"`
 	// Schema is the task schema in the line-oriented schema DSL
 	// (internal/schema), one declaration per element. Ignored (and
@@ -193,13 +193,14 @@ type Op struct {
 }
 
 // RunSpec sets execution options and the differential sweep. The
-// harness runs the scenario once per (scheduler, workers) pair and
-// requires every masked trace (and final history) to be byte-identical.
+// harness runs the scenario once per worker count and requires every
+// masked trace (and final history) to be byte-identical.
 type RunSpec struct {
 	// Workers is the worker-count sweep (default [1, 2, 8]).
 	Workers []int `json:"workers,omitempty"`
-	// Schedulers is the discipline sweep: "dataflow", "barrier"
-	// (default both).
+	// Schedulers is kept so documents written when the level-barrier
+	// mode existed still decode: it may only list "dataflow", the one
+	// scheduler, and the harness ignores it.
 	Schedulers []string `json:"schedulers,omitempty"`
 	// Policy is "failfast" (default) or "continue". Scenarios that
 	// expect terminal unit failures must use "continue": under failfast
@@ -612,7 +613,11 @@ func (s *Scenario) Validate() error {
 		}
 	}
 	for _, sch := range s.Run.Schedulers {
-		if sch != "dataflow" && sch != "barrier" {
+		switch sch {
+		case "dataflow":
+		case "barrier":
+			return fail("run.schedulers: the level-barrier mode was removed; list only \"dataflow\" or drop the field")
+		default:
 			return fail("run.schedulers: unknown scheduler %q", sch)
 		}
 	}

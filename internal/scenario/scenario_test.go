@@ -40,6 +40,20 @@ func TestDecodeValid(t *testing.T) {
 	}
 }
 
+// TestDecodeAcceptsDataflowScheduler: a document that names the one
+// scheduler, as scenarios written for the level-barrier sweep do,
+// still decodes and validates.
+func TestDecodeAcceptsDataflowScheduler(t *testing.T) {
+	doc := strings.Replace(validDoc, `"name": "t",`, `"name": "t", "run": {"schedulers": ["dataflow"]},`, 1)
+	sc, err := Decode([]byte(doc))
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	if len(sc.Run.Schedulers) != 1 || sc.Run.Schedulers[0] != "dataflow" {
+		t.Fatalf("run.schedulers = %v", sc.Run.Schedulers)
+	}
+}
+
 func TestDecodeRejectsUnknownFields(t *testing.T) {
 	_, err := Decode([]byte(`{"name": "t", "scheme": []}`))
 	if err == nil || !strings.Contains(err.Error(), "scheme") {
@@ -128,6 +142,8 @@ func TestValidate(t *testing.T) {
 		}, "needs node and as"},
 		{"workers below one", func(s *Scenario) { s.Run.Workers = []int{0} }, "below 1"},
 		{"unknown scheduler", func(s *Scenario) { s.Run.Schedulers = []string{"fair"} }, `unknown scheduler "fair"`},
+		{"barrier scheduler", func(s *Scenario) { s.Run.Schedulers = []string{"dataflow", "barrier"} },
+			"level-barrier mode was removed"},
 		{"unknown policy", func(s *Scenario) { s.Run.Policy = "panic" }, `unknown policy "panic"`},
 		{"retry zero attempts", func(s *Scenario) { s.Run.Retry = &RetrySpec{} }, "attempts must be"},
 		{"negative timeout", func(s *Scenario) { s.Run.TimeoutMs = -1 }, "negative timeoutMs"},

@@ -60,6 +60,23 @@ func TestScenarioSubmission(t *testing.T) {
 	}
 }
 
+// refusedSubmissions are submit bodies the service refuses, each with
+// its status and a fragment of its error.
+var refusedSubmissions = []struct {
+	name, body string
+	code       int
+	msg        string
+}{
+	{"oversize", `{"user":"` + strings.Repeat("x", maxSubmitBytes) + `"}`, http.StatusRequestEntityTooLarge, "exceeds"},
+	{"flow field", `{"flow":"perf","user":"alice"}`, http.StatusBadRequest, `unknown field "flow"`},
+	{"no scenario", `{"user":"alice"}`, http.StatusBadRequest, "scenario"},
+	{"invalid scenario", `{"scenario":{"name":"broken"}}`, http.StatusBadRequest, "scenario"},
+	{"world too many cells", `{"scenario":{"name":"huge","generate":{"cells":1000000000}}}`,
+		http.StatusBadRequest, "generate.cells 1000000000 exceeds the cap"},
+	{"world too many bytes", `{"scenario":{"name":"huge","generate":{"cells":100000,"payload":1048576}}}`,
+		http.StatusBadRequest, "cells × payload"},
+}
+
 // TestScenarioSubmissionRejects: the one submit path refuses, before
 // any work starts, a body over the size cap (413), a body naming a
 // field the request does not have — such as a {"flow": name} menu
@@ -70,20 +87,7 @@ func TestScenarioSubmissionRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct {
-		name, body string
-		code       int
-		msg        string
-	}{
-		{"oversize", `{"user":"` + strings.Repeat("x", maxSubmitBytes) + `"}`, http.StatusRequestEntityTooLarge, "exceeds"},
-		{"flow field", `{"flow":"perf","user":"alice"}`, http.StatusBadRequest, `unknown field "flow"`},
-		{"no scenario", `{"user":"alice"}`, http.StatusBadRequest, "scenario"},
-		{"invalid scenario", `{"scenario":{"name":"broken"}}`, http.StatusBadRequest, "scenario"},
-		{"world too many cells", `{"scenario":{"name":"huge","generate":{"cells":1000000000}}}`,
-			http.StatusBadRequest, "generate.cells 1000000000 exceeds the cap"},
-		{"world too many bytes", `{"scenario":{"name":"huge","generate":{"cells":100000,"payload":1048576}}}`,
-			http.StatusBadRequest, "cells × payload"},
-	} {
+	for _, c := range refusedSubmissions {
 		// In process: over a real connection the server lingers before
 		// closing one whose body it refused to read.
 		w := httptest.NewRecorder()
@@ -97,6 +101,57 @@ func TestScenarioSubmissionRejects(t *testing.T) {
 	if n := len(s.runs); n != 0 {
 		t.Fatalf("%d runs registered by refused submissions, want none", n)
 	}
+}
+
+// FuzzSubmit posts arbitrary bytes to /v1/runs, on a fresh in-memory
+// server for each input: every answer is 201, 400 or 413 — never a 5xx,
+// never a panic. An accepted run is cancelled through /cancel, which
+// answers once the run has ended, and the server's worker pool is
+// stopped, so at most one run is live per fuzz worker and nothing
+// carries over between inputs. Seeded with every corpus scenario as a
+// submission and with the refused bodies above.
+func FuzzSubmit(f *testing.F) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "scenarios", "*.json"))
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("scenario corpus: %d files, %v", len(paths), err)
+	}
+	for _, p := range paths {
+		doc, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add([]byte(`{"scenario":` + string(doc) + `}`))
+	}
+	for _, c := range refusedSubmissions {
+		f.Add([]byte(c.body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		s, err := New(Config{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/runs", bytes.NewReader(body)))
+		switch w.Code {
+		case http.StatusCreated:
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+			return
+		default:
+			t.Fatalf("submit answered %d: %s", w.Code, w.Body.Bytes())
+		}
+		var v runView
+		if err := json.Unmarshal(w.Body.Bytes(), &v); err != nil || v.ID == "" {
+			t.Fatalf("201 names no run (%v): %s", err, w.Body.Bytes())
+		}
+		w = httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/runs/"+v.ID+"/cancel", nil))
+		if w.Code != http.StatusOK {
+			t.Fatalf("cancel of %s answered %d: %s", v.ID, w.Code, w.Body.Bytes())
+		}
+		if err := s.Engine().Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestScenarioMemoIsolation: results must not leak across scenario

@@ -55,8 +55,9 @@ type Config struct {
 	// MaxRuns bounds concurrently executing runs (default
 	// exec.DefaultMaxConcurrentRuns).
 	MaxRuns int
-	// MaxQueue bounds runs queued behind the bound (default
-	// exec.DefaultMaxQueuedRuns).
+	// MaxQueue bounds runs queued behind the bound. Zero means no
+	// queue: a submission beyond MaxRuns is refused at once. A negative
+	// value selects exec.DefaultMaxQueuedRuns (flowd's -queue -1).
 	MaxQueue int
 	// DataDir, when set, makes runs durable: every submission writes one
 	// write-ahead log, its only record, under <DataDir>/runs and New
@@ -334,9 +335,9 @@ func (s *Server) start(world *harness.World, flowName string, opts *exec.RunOpti
 // world, shared by submission, boot-time resume and ReplayLog: decode,
 // build the declared world (schema, tools, imports, flow) over a
 // datastore of its own, and derive the per-run overrides that execute
-// it on an engine, run stanza included. Worker and scheduler sweeps
-// stay harness-side: the service runs everything on its one shared
-// pool. It also returns the run's display name.
+// it on an engine, run stanza included. Worker sweeps stay
+// harness-side: the service runs everything on its one shared pool. It
+// also returns the run's display name.
 func materialize(doc []byte) (*harness.World, string, *exec.RunOptions, error) {
 	sc, err := scenario.Decode(doc)
 	if err != nil {

@@ -267,7 +267,7 @@ func TestServiceBackPressure(t *testing.T) {
 // the run finished gets the whole masked trace in one batch.
 func TestEventLogStreaming(t *testing.T) {
 	events := []trace.Event{
-		{Seq: 0, Run: "r-0001", Kind: trace.KindPlanBuilt, Job: -1, Combo: -1, Unit: -1, Scheduler: "dataflow"},
+		{Seq: 0, Run: "r-0001", Kind: trace.KindPlanBuilt, Job: -1, Combo: -1, Unit: -1, Workers: 2},
 		{Seq: 1, Run: "r-0001", Kind: trace.KindUnitCommitted, Insts: []string{"a<b>&c"}, DurMicros: 7},
 		{Seq: 2, Run: "r-0001", Kind: trace.KindRunFinished, Job: -1, Combo: -1, Unit: -1, ElapsedMicros: 9},
 	}

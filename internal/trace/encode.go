@@ -52,7 +52,6 @@ func AppendJSON(b []byte, ev *Event) []byte {
 	}
 	b = appendIntField(b, `,"blame":`, int64(ev.Blame))
 	b = appendStringField(b, `,"err":`, ev.Err)
-	b = appendStringField(b, `,"scheduler":`, ev.Scheduler)
 	b = appendIntField(b, `,"workers":`, int64(ev.Workers))
 	b = appendIntField(b, `,"jobs":`, int64(ev.Jobs))
 	b = appendIntField(b, `,"units":`, int64(ev.Units))

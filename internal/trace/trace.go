@@ -10,11 +10,10 @@
 // order: the engine buffers per-unit observations and emits a job's
 // events only when the in-order committer passes the job. Because plan
 // order is a pure function of the flow and the schema, a clean run's
-// masked event stream is byte-identical across worker counts,
-// scheduler disciplines and race-detector runs. Wall-clock durations
-// are segregated into the *Micros fields (and the Scheduler label into
-// its own field) so Mask can zero exactly the nondeterministic part
-// and golden comparisons can diff the rest byte for byte.
+// masked event stream is byte-identical across worker counts and
+// race-detector runs. Wall-clock durations are segregated into the
+// *Micros fields so Mask can zero exactly the nondeterministic part and
+// golden comparisons can diff the rest byte for byte.
 package trace
 
 import "io"
@@ -63,8 +62,8 @@ const (
 // Event is one run-event. Unit-scoped fields (Job, Combo, Unit, Nodes,
 // Type, …) are set on Unit* kinds; run-scoped fields (Jobs, Units,
 // Committed, …) on PlanBuilt and RunFinished, whose Job/Combo/Unit are
-// -1. The *Micros fields and Scheduler are the only nondeterministic
-// fields; Mask zeroes them.
+// -1. The *Micros fields are the only nondeterministic fields; Mask
+// zeroes them.
 type Event struct {
 	// Seq is the deterministic logical sequence number: emission order,
 	// which for unit events is plan commit order. Seq is per run: sinks
@@ -103,13 +102,12 @@ type Event struct {
 	Err string `json:"err,omitempty"`
 
 	// Run-scoped fields.
-	Scheduler string `json:"scheduler,omitempty"` // masked: differs across modes
-	Workers   int    `json:"workers,omitempty"`
-	Jobs      int    `json:"jobs,omitempty"`
-	Units     int    `json:"units,omitempty"`
-	Committed int    `json:"committed,omitempty"`
-	Failed    int    `json:"failed,omitempty"`
-	Skipped   int    `json:"skipped,omitempty"`
+	Workers   int `json:"workers,omitempty"`
+	Jobs      int `json:"jobs,omitempty"`
+	Units     int `json:"units,omitempty"`
+	Committed int `json:"committed,omitempty"`
+	Failed    int `json:"failed,omitempty"`
+	Skipped   int `json:"skipped,omitempty"`
 
 	// Wall-clock fields, microseconds. Masked in golden comparisons.
 	WaitMicros    int64 `json:"wait_us,omitempty"`    // ready → dispatch (UnitDispatched)
@@ -130,12 +128,11 @@ type Sink interface {
 }
 
 // Mask zeroes the nondeterministic fields of an event — wall-clock
-// durations, the scheduler label, the run label and the worker count —
-// leaving the logical structure. Workers is masked for the same reason
-// Scheduler is: it describes the execution environment, and the
-// determinism contract promises identical logical traces across both.
+// durations, the run label and the worker count — leaving the logical
+// structure. Workers is masked because it describes the execution
+// environment, and the determinism contract promises identical logical
+// traces across worker counts.
 func Mask(ev Event) Event {
-	ev.Scheduler = ""
 	ev.Run = ""
 	ev.Workers = 0
 	ev.WaitMicros = 0

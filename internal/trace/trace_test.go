@@ -21,11 +21,11 @@ func TestMaskZeroesOnlyWallClockFields(t *testing.T) {
 	ev := Event{
 		Seq: 3, Kind: KindUnitCommitted, Job: 1, Combo: 2, Unit: 5,
 		Nodes: []int{7}, Type: "Netlist", Insts: []string{"Netlist:9"},
-		Scheduler: "dataflow", WaitMicros: 10, DurMicros: 20,
+		Run: "r-0001", Workers: 4, WaitMicros: 10, DurMicros: 20,
 		BusyMicros: 30, ElapsedMicros: 40,
 	}
 	got := Mask(ev)
-	if got.Scheduler != "" || got.WaitMicros != 0 || got.DurMicros != 0 ||
+	if got.Run != "" || got.Workers != 0 || got.WaitMicros != 0 || got.DurMicros != 0 ||
 		got.BusyMicros != 0 || got.ElapsedMicros != 0 {
 		t.Errorf("mask left nondeterministic fields: %+v", got)
 	}
@@ -33,7 +33,7 @@ func TestMaskZeroesOnlyWallClockFields(t *testing.T) {
 		got.Unit != 5 || len(got.Insts) != 1 {
 		t.Errorf("mask damaged logical fields: %+v", got)
 	}
-	if ev.Scheduler != "dataflow" {
+	if ev.Run != "r-0001" || ev.Workers != 4 {
 		t.Error("Mask mutated its argument")
 	}
 }
@@ -61,7 +61,7 @@ func TestDropKindsRenumbers(t *testing.T) {
 
 func TestMaskedJSONLIsStable(t *testing.T) {
 	events := []Event{
-		{Seq: 0, Kind: KindPlanBuilt, Job: -1, Combo: -1, Unit: -1, Scheduler: "barrier", Jobs: 2, Units: 2},
+		{Seq: 0, Kind: KindPlanBuilt, Job: -1, Combo: -1, Unit: -1, Run: "r-0001", Workers: 4, Jobs: 2, Units: 2},
 		{Seq: 1, Kind: KindUnitDispatched, WaitMicros: 123},
 	}
 	a := MaskedJSONL(events)
@@ -69,7 +69,7 @@ func TestMaskedJSONLIsStable(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Error("MaskedJSONL not deterministic")
 	}
-	if bytes.Contains(a, []byte("barrier")) || bytes.Contains(a, []byte("wait_us")) {
+	if bytes.Contains(a, []byte("r-0001")) || bytes.Contains(a, []byte("workers")) || bytes.Contains(a, []byte("wait_us")) {
 		t.Errorf("masked output leaks nondeterministic fields:\n%s", a)
 	}
 	if !bytes.Contains(a, []byte(`"kind":"PlanBuilt"`)) {
@@ -137,8 +137,8 @@ func TestWriterEmitsJSONL(t *testing.T) {
 func TestMaskedWriterMasks(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewMaskedWriter(&buf)
-	w.Emit(Event{Seq: 0, Kind: KindUnitDispatched, WaitMicros: 7, Scheduler: "dataflow"})
-	if out := buf.String(); strings.Contains(out, "wait_us") || strings.Contains(out, "dataflow") {
+	w.Emit(Event{Seq: 0, Kind: KindUnitDispatched, WaitMicros: 7, Run: "r-0001"})
+	if out := buf.String(); strings.Contains(out, "wait_us") || strings.Contains(out, "r-0001") {
 		t.Errorf("masked writer leaked wall-clock fields: %s", out)
 	}
 }
