@@ -220,7 +220,7 @@ func BenchmarkFig6ParallelBranches(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("machines=%d", workers), func(b *testing.B) {
 			s := session(b)
-			s.Engine.SetTaskDelay(delay)
+			s.Options.TaskDelay = func(flow.NodeID, string) time.Duration { return delay }
 			s.Engine.SetWorkers(workers)
 			build := func() *flow.Flow {
 				f := s.NewFlow()
@@ -288,15 +288,15 @@ func BenchmarkFig6UnbalancedBranches(b *testing.B) {
 	const workers = 4
 	slow, fast := 8*time.Millisecond, 500*time.Microsecond
 	s := session(b)
-	s.SetWorkers(workers)
+	s.Engine.SetWorkers(workers)
 	var elapsed time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		f, delays := buildUnbalanced(b, s, depth, slow, fast)
-		s.Engine.SetTaskDelayFunc(func(n flow.NodeID, goal string) time.Duration {
+		s.Options.TaskDelay = func(n flow.NodeID, goal string) time.Duration {
 			return delays[n]
-		})
+		}
 		b.StartTimer()
 		res, err := s.Run(f)
 		mustB(b, err)
@@ -317,14 +317,14 @@ func BenchmarkMemoWarmRerun(b *testing.B) {
 	for _, mode := range []string{"cold", "warm"} {
 		b.Run("cache="+mode, func(b *testing.B) {
 			s := session(b)
-			s.SetWorkers(workers)
+			s.Engine.SetWorkers(workers)
 			if mode == "warm" {
-				s.SetMemo(memo.New(0))
+				s.Options.Memo = memo.New(0)
 				// Prime the cache with one full run.
 				f, delays := buildUnbalanced(b, s, depth, slow, fast)
-				s.Engine.SetTaskDelayFunc(func(n flow.NodeID, goal string) time.Duration {
+				s.Options.TaskDelay = func(n flow.NodeID, goal string) time.Duration {
 					return delays[n]
-				})
+				}
 				_, err := s.Run(f)
 				mustB(b, err)
 			}
@@ -332,9 +332,9 @@ func BenchmarkMemoWarmRerun(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				f, delays := buildUnbalanced(b, s, depth, slow, fast)
-				s.Engine.SetTaskDelayFunc(func(n flow.NodeID, goal string) time.Duration {
+				s.Options.TaskDelay = func(n flow.NodeID, goal string) time.Duration {
 					return delays[n]
-				})
+				}
 				b.StartTimer()
 				res, err := s.Run(f)
 				mustB(b, err)
@@ -366,15 +366,15 @@ func BenchmarkTraceOverhead(b *testing.B) {
 	for _, sk := range sinks {
 		b.Run("sink="+sk.name, func(b *testing.B) {
 			s := session(b)
-			s.SetWorkers(workers)
+			s.Engine.SetWorkers(workers)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				f, delays := buildUnbalanced(b, s, depth, slow, fast)
-				s.Engine.SetTaskDelayFunc(func(n flow.NodeID, goal string) time.Duration {
+				s.Options.TaskDelay = func(n flow.NodeID, goal string) time.Duration {
 					return delays[n]
-				})
-				s.SetTracer(sk.make())
+				}
+				s.Options.Tracer = sk.make()
 				b.StartTimer()
 				_, err := s.Run(f)
 				mustB(b, err)
@@ -415,8 +415,8 @@ func BenchmarkChaosTransientRetries(b *testing.B) {
 				// (and resets its per-site attempt counters).
 				b.StopTimer()
 				s := session(b)
-				s.SetWorkers(4)
-				s.SetRetryPolicy(exec.RetryPolicy{MaxAttempts: 3, BaseDelay: 100 * time.Microsecond, Seed: 1})
+				s.Engine.SetWorkers(4)
+				s.Options.Retry = &exec.RetryPolicy{MaxAttempts: 3, BaseDelay: 100 * time.Microsecond, Seed: 1}
 				if faulty {
 					faults.New(1993, faults.Config{TransientRate: 1, TransientRuns: 2}).Instrument(s.Registry)
 				}

@@ -435,8 +435,7 @@ func fig6() {
 		return f
 	}
 	const delay = 10 * time.Millisecond
-	s.Engine.SetTaskDelay(delay)
-	defer s.Engine.SetTaskDelay(0)
+	s.Options.TaskDelay = func(flow.NodeID, string) time.Duration { return delay }
 	fmt.Printf("8 disjoint branches, %v simulated tool-dispatch latency each\n", delay)
 	fmt.Printf("%9s %12s %9s %10s\n", "machines", "elapsed", "speedup", "occupancy")
 	var base time.Duration
@@ -453,7 +452,6 @@ func fig6() {
 	}
 	fmt.Println("last run (8 machines):")
 	fmt.Println(indent(last.Summary()))
-	s.Engine.SetWorkers(1)
 }
 
 // ---- scheduler: dataflow vs the level-barrier bound -------------------------
@@ -473,7 +471,7 @@ func schedSection() {
 	fmt.Printf("level-barrier lower bound (sum of level maxima): %v; dataflow ideal (max branch): %v\n",
 		barrierBound, time.Duration(depth/2)*(slow+fast))
 	s := session()
-	s.SetWorkers(workers)
+	s.Engine.SetWorkers(workers)
 	f := s.NewFlow()
 	delays := make(map[flow.NodeID]time.Duration)
 	for c := 0; c < 2; c++ {
@@ -498,9 +496,9 @@ func schedSection() {
 			prev = next
 		}
 	}
-	s.Engine.SetTaskDelayFunc(func(n flow.NodeID, goal string) time.Duration {
+	s.Options.TaskDelay = func(n flow.NodeID, goal string) time.Duration {
 		return delays[n]
-	})
+	}
 	res := must1(s.Run(f))
 	fmt.Printf("dataflow:\n%s\n", indent(res.Stats.Summary()))
 	fmt.Printf("dataflow speedup over the level-barrier bound: %.2fx\n",
@@ -587,7 +585,7 @@ func fig9() {
 	// Populate the history with simulations from three users.
 	users := []string{"jbb", "director", "sutton"}
 	for i, u := range users {
-		s.Engine.SetUser(u)
+		s.Options.User = u
 		f := must1(s.Catalogs.StartFromPlan("simulate-netlist"))
 		bindLeaf(s, f, "Simulator", "sim")
 		bindLeaf(s, f, "Stimuli", "stim.exhaustive3")
@@ -775,7 +773,7 @@ func chaosSection() {
 	s1 := session()
 	inj := faults.New(1993, faults.Config{TransientRate: 1, TransientRuns: 2})
 	inj.Instrument(s1.Registry)
-	s1.SetRetryPolicy(exec.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, Seed: 7})
+	s1.Options.Retry = &exec.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, Seed: 7}
 	t0 := time.Now()
 	res := must1(s1.Run(branchFlow(s1)))
 	fmt.Printf("transient: %d/%d tasks committed after %d retries in %v (%d transient faults injected)\n",
@@ -789,7 +787,8 @@ func chaosSection() {
 	inj2 := faults.New(1993, faults.Config{})
 	inj2.SetToolConfig("LayoutEditor", faults.Config{PermanentRate: 1})
 	inj2.Instrument(s2.Registry)
-	s2.SetFailurePolicy(exec.ContinueOnError)
+	continueOnError := exec.ContinueOnError
+	s2.Options.Policy = &continueOnError
 	f2 := branchFlow(s2)
 	net := f2.MustAdd("ExtractedNetlist")
 	must(f2.ExpandDown(net, false))
@@ -812,7 +811,8 @@ func chaosSection() {
 	s3 := session()
 	inj3 := faults.New(1993, faults.Config{HangRate: 1, HangLimit: time.Hour})
 	inj3.Instrument(s3.Registry)
-	s3.SetTaskTimeout(50 * time.Millisecond)
+	timeout := 50 * time.Millisecond
+	s3.Options.TaskTimeout = &timeout
 	f3 := s3.NewFlow()
 	n := f3.MustAdd("EditedNetlist")
 	must(f3.ExpandDown(n, false))
@@ -846,9 +846,9 @@ func traceSection() {
 	// masking wall-clock fields every worker count emits the same bytes.
 	collect := func(workers int) []runtrace.Event {
 		s := session()
-		s.SetWorkers(workers)
+		s.Engine.SetWorkers(workers)
 		buf := runtrace.NewBuffer()
-		s.SetTracer(buf)
+		s.Options.Tracer = buf
 		must1(s.Run(branchFlow(s)))
 		return buf.Events()
 	}
@@ -869,9 +869,9 @@ func traceSection() {
 	sm := session()
 	inj := faults.New(1993, faults.Config{TransientRate: 1, TransientRuns: 2})
 	inj.Instrument(sm.Registry)
-	sm.SetRetryPolicy(exec.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, Seed: 7})
+	sm.Options.Retry = &exec.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, Seed: 7}
 	metrics := runtrace.NewMetrics()
-	sm.SetTracer(metrics)
+	sm.Options.Tracer = metrics
 	must1(sm.Run(branchFlow(sm)))
 	fmt.Println("metrics exposition after a transient-chaos run (excerpt):")
 	for _, l := range strings.Split(metrics.Expose(), "\n") {
@@ -891,8 +891,8 @@ func traceSection() {
 		best := time.Duration(0)
 		for i := 0; i < 5; i++ {
 			s := session()
-			s.SetWorkers(workers)
-			s.SetTracer(sink)
+			s.Engine.SetWorkers(workers)
+			s.Options.Tracer = sink
 			f := s.NewFlow()
 			delays := make(map[flow.NodeID]time.Duration)
 			for c := 0; c < 2; c++ {
@@ -917,9 +917,9 @@ func traceSection() {
 					prev = next
 				}
 			}
-			s.Engine.SetTaskDelayFunc(func(n flow.NodeID, goal string) time.Duration {
+			s.Options.TaskDelay = func(n flow.NodeID, goal string) time.Duration {
 				return delays[n]
-			})
+			}
 			res := must1(s.Run(f))
 			if best == 0 || res.Stats.Elapsed < best {
 				best = res.Stats.Elapsed
@@ -947,8 +947,9 @@ func memoSection() {
 	const workers = 4
 	slow, fast := 20*time.Millisecond, time.Millisecond
 	s := session()
-	s.SetWorkers(workers)
-	s.SetMemo(memo.New(0))
+	s.Engine.SetWorkers(workers)
+	cache := memo.New(0)
+	s.Options.Memo = cache
 	build := func() *flow.Flow {
 		f := s.NewFlow()
 		delays := make(map[flow.NodeID]time.Duration)
@@ -974,9 +975,9 @@ func memoSection() {
 				prev = next
 			}
 		}
-		s.Engine.SetTaskDelayFunc(func(n flow.NodeID, goal string) time.Duration {
+		s.Options.TaskDelay = func(n flow.NodeID, goal string) time.Duration {
 			return delays[n]
-		})
+		}
 		return f
 	}
 	fmt.Printf("unbalanced fig6 workload (two chains of %d, %v/%v latencies, %d machines)\n",
@@ -992,9 +993,9 @@ func memoSection() {
 		warm.Stats.CacheHits, warm.Stats.Units)
 	fmt.Printf("warm-rerun speedup: %.0fx (acceptance floor 5x)\n",
 		float64(cold.Elapsed)/float64(warm.Elapsed))
-	st := s.Engine.Memo().Stats()
+	st := cache.Stats()
 	fmt.Printf("cache: %d entries — %d hits, %d misses, %d stores\n",
-		s.Engine.Memo().Len(), st.Hits, st.Misses, st.Puts)
+		cache.Len(), st.Hits, st.Misses, st.Puts)
 	// The warm run minted its own instances: none of its unbound nodes
 	// reused an ID from the cold run's result.
 	coldIDs := make(map[history.ID]bool)

@@ -86,27 +86,29 @@ var (
 	flagMetrics   = flag.Bool("metrics", false, "collect run metrics and print the exposition dump at exit")
 )
 
-// configureEngine applies the robustness flags to the session's engine.
+// configureEngine applies the robustness flags to the session: its
+// run options and its engine's worker pool.
 func configureEngine(s *hercules.Session) error {
+	o := &s.Options
 	switch *flagPolicy {
-	case "failfast":
-		s.SetFailurePolicy(exec.FailFast)
+	case "failfast": // the default
 	case "continue":
-		s.SetFailurePolicy(exec.ContinueOnError)
+		p := exec.ContinueOnError
+		o.Policy = &p
 	default:
 		return fmt.Errorf("-policy must be \"failfast\" or \"continue\", not %q", *flagPolicy)
 	}
-	if *flagTimeout > 0 {
-		s.SetTaskTimeout(*flagTimeout)
+	if d := *flagTimeout; d > 0 {
+		o.TaskTimeout = &d
 	}
 	if *flagRetries > 1 {
-		s.SetRetryPolicy(exec.RetryPolicy{MaxAttempts: *flagRetries, BaseDelay: *flagRetryBase})
+		o.Retry = &exec.RetryPolicy{MaxAttempts: *flagRetries, BaseDelay: *flagRetryBase}
 	}
 	if *flagMemo != 0 {
-		s.SetMemo(memo.New(*flagMemo))
+		o.Memo = memo.New(*flagMemo)
 	}
 	if *flagWorkers > 1 {
-		s.SetWorkers(*flagWorkers)
+		s.Engine.SetWorkers(*flagWorkers)
 	}
 	return nil
 }
@@ -153,7 +155,7 @@ func main() {
 		cli.enableMetrics(sinks...)
 		defer func() { fmt.Print(cli.metrics.Expose()) }()
 	} else if len(sinks) == 1 {
-		cli.session.SetTracer(sinks[0])
+		cli.session.Options.Tracer = sinks[0]
 	}
 	if err := cli.session.Bootstrap(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -196,9 +198,9 @@ func (c *cli) enableMetrics(extra ...trace.Sink) *trace.Metrics {
 	c.metrics = trace.NewMetrics()
 	sinks := append([]trace.Sink{c.metrics}, extra...)
 	if len(sinks) == 1 {
-		c.session.SetTracer(sinks[0])
+		c.session.Options.Tracer = sinks[0]
 	} else {
-		c.session.SetTracer(trace.Multi(sinks...))
+		c.session.Options.Tracer = trace.Multi(sinks...)
 	}
 	return c.metrics
 }

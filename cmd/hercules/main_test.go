@@ -2,9 +2,14 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"flag"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/faults"
+	"repro/internal/history"
 	"repro/internal/trace"
 )
 
@@ -246,4 +251,119 @@ func TestMetricsCommandDisabled(t *testing.T) {
 	if err := c.exec("metrics"); err == nil || !strings.Contains(err.Error(), "-metrics") {
 		t.Errorf("err = %v, want a pointer at the -metrics flag", err)
 	}
+}
+
+// setFlag sets a command-line flag for the rest of the test.
+func setFlag(t *testing.T, name, value string) {
+	t.Helper()
+	f := flag.Lookup(name)
+	old := f.Value.String()
+	if err := f.Value.Set(value); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = f.Value.Set(old) })
+}
+
+// TestRobustnessFlagsReachEveryCommand: the robustness flags configure
+// the session, and every command that runs tools — run, run <node> and
+// retrace — runs under them. In the -trace output a transient fault is
+// retried (-retries), a plan spreads over two workers (-workers), a
+// rerun is served from the cache (-memo), and a hung tool is cut off
+// (-timeout) with its dependent skipped rather than the run stopped
+// (-policy continue).
+func TestRobustnessFlagsReachEveryCommand(t *testing.T) {
+	for name, value := range map[string]string{
+		"policy": "continue", "retries": "3", "retry-base": "10us",
+		"timeout": "100ms", "memo": "-1", "workers": "2",
+	} {
+		setFlag(t, name, value)
+	}
+	c, _ := testCLI(t)
+	if err := configureEngine(c.session); err != nil {
+		t.Fatal(err)
+	}
+	var jsonl bytes.Buffer
+	c.session.Options.Tracer = trace.NewWriter(&jsonl)
+	// Every tool site fails once; every layout editor hangs for a minute.
+	inj := faults.New(1993, faults.Config{TransientRate: 1, TransientRuns: 1})
+	inj.SetToolConfig("LayoutEditor", faults.Config{HangRate: 1, HangLimit: time.Minute})
+	inj.Instrument(c.session.Registry)
+
+	// traced runs the commands and counts the kinds of the events they
+	// traced; "workers" is the widest plan's worker count.
+	traced := func(wantErr bool, lines ...string) map[string]int {
+		t.Helper()
+		jsonl.Reset()
+		for _, l := range lines {
+			if err := c.exec(l); (err != nil) != wantErr {
+				t.Fatalf("%q: err = %v, want error %v", l, err, wantErr)
+			}
+		}
+		got := map[string]int{}
+		for _, line := range bytes.Split(bytes.TrimSpace(jsonl.Bytes()), []byte("\n")) {
+			var ev trace.Event
+			if err := json.Unmarshal(line, &ev); err != nil {
+				t.Fatalf("trace line %q: %v", line, err)
+			}
+			got[string(ev.Kind)]++
+			if ev.Kind == trace.KindPlanBuilt && ev.Workers > got["workers"] {
+				got["workers"] = ev.Workers
+			}
+		}
+		return got
+	}
+	check := func(cmd string, got map[string]int, want map[string]int) {
+		t.Helper()
+		for k, n := range want {
+			if got[k] != n {
+				t.Errorf("%s: %d %s, want %d (trace counts %v)", cmd, got[k], k, n, got)
+			}
+		}
+	}
+	simulation := func(netEd string) []string {
+		return []string{"start goal Performance", "expand 1", "expand 3", "specialize 6 EditedNetlist",
+			"expand 6", "expand 5", "bind 2 sim", "bind 4 stim.exhaustive3", "bind 7 " + netEd, "bind 8 dmEd.default"}
+	}
+
+	// run: three new tool sites, each retried once, and the circuit
+	// composed without a tool, on two workers.
+	run(t, c, simulation("netEd.fulladder")...)
+	check("run", traced(false, "run"), map[string]int{"UnitRetried": 3, "UnitCommitted": 4, "workers": 2})
+	perf := c.last
+	check("run again", traced(false, "run"), map[string]int{"UnitCacheHit": 4, "UnitRetried": 0})
+
+	// run <node>: the circuit of another netlist; the device models
+	// are served from the cache and the new netlist is retried.
+	run(t, c, simulation("netEd.ripple4")...)
+	check("run 3", traced(false, "run 3"), map[string]int{"UnitCacheHit": 1, "UnitRetried": 1, "UnitCommitted": 3, "workers": 2})
+
+	// retrace: a new version of the first netlist makes the first
+	// performance stale; the rebuilt simulation is a new tool site.
+	net := input(t, c.session.DB, input(t, c.session.DB, perf, "Circuit"), "Netlist")
+	run(t, c, "start goal EditedNetlist", "expand 1", "expandopt 1 Netlist",
+		"bind 2 netEd.retouch", "bind 3 "+string(net), "run")
+	check("retrace", traced(false, "retrace "+string(perf)), map[string]int{"UnitRetried": 1, "UnitCommitted": 2, "workers": 2})
+
+	// A hung layout editor is cut off; the extraction statistics that
+	// need its layout are skipped and the run still fails.
+	run(t, c, "start goal ExtractionStatistics", "expand 1", "specialize 3 EditedLayout", "expand 3",
+		"bind 2 extractor", "bind 4 layEd.fulladder")
+	start := time.Now()
+	check("run (hung)", traced(true, "run"), map[string]int{"UnitTimedOut": 1, "UnitSkipped": 1})
+	check("run 3 (hung)", traced(true, "run 3"), map[string]int{"UnitTimedOut": 1})
+	if d := time.Since(start); d > 30*time.Second {
+		t.Errorf("hung runs took %v: the timeout did not cut them off", d)
+	}
+}
+
+// input returns the instance an instance consumed under key.
+func input(t *testing.T, db *history.DB, id history.ID, key string) history.ID {
+	t.Helper()
+	for _, in := range db.Get(id).Inputs {
+		if in.Key == key {
+			return in.Inst
+		}
+	}
+	t.Fatalf("%s has no %s input", id, key)
+	return ""
 }

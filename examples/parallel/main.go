@@ -60,8 +60,7 @@ func main() {
 	fmt.Printf("one flow, %d nodes, %d disjoint branches\n", f.Len(), len(branches))
 
 	const delay = 25 * time.Millisecond
-	s.Engine.SetTaskDelay(delay)
-	defer s.Engine.SetTaskDelay(0)
+	s.Options.TaskDelay = func(flow.NodeID, string) time.Duration { return delay }
 
 	s.Engine.SetWorkers(1)
 	serial, err := s.Run(build())

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -10,12 +11,10 @@ import (
 	"repro/internal/history"
 )
 
+// A run that names no world runs over the one passed to New, and its
+// options' user is the one recorded on what it creates.
 func TestEngineAccessors(t *testing.T) {
 	r := newRig(t)
-	if r.engine.DB() != r.db || r.engine.Store() != r.store {
-		t.Error("accessors return wrong components")
-	}
-	r.engine.SetUser("alice")
 	f := flow.New(r.s, r.db)
 	n := f.MustAdd("EditedNetlist")
 	if err := f.ExpandDown(n, false); err != nil {
@@ -25,7 +24,7 @@ func TestEngineAccessors(t *testing.T) {
 	if err := f.Bind(tn, r.ids["netEdGen"]); err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.engine.RunFlow(f)
+	res, err := r.engine.RunFlowOptions(context.Background(), f, &RunOptions{User: "alice"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,8 +32,15 @@ func TestEngineAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.db.Get(id).User; got != "alice" {
-		t.Errorf("recorded user = %q", got)
+	in := r.db.Get(id)
+	if in == nil {
+		t.Fatalf("%s not recorded in the database passed to New", id)
+	}
+	if in.User != "alice" {
+		t.Errorf("recorded user = %q", in.User)
+	}
+	if _, ok := r.store.Get(in.Data); !ok {
+		t.Errorf("artifact %s not in the datastore passed to New", in.Data)
 	}
 }
 
@@ -80,9 +86,9 @@ func TestArchiveBackedArtifacts(t *testing.T) {
 	}
 
 	// With the source configured, the flow runs off the archive.
-	r.engine.SetArchiveSource(arch.Checkout)
+	withArchives := &RunOptions{Archives: arch.Checkout}
 	f2, perf := buildSim()
-	res, err := r.engine.RunFlow(f2)
+	res, err := r.engine.RunFlowOptions(context.Background(), f2, withArchives)
 	if err != nil {
 		t.Fatalf("RunFlow with archive source: %v", err)
 	}
@@ -98,7 +104,7 @@ func TestArchiveBackedArtifacts(t *testing.T) {
 	if err := f3.Bind(netN, bad.ID); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.engine.RunFlow(f3); err == nil || !strings.Contains(err.Error(), "checkout") {
+	if _, err := r.engine.RunFlowOptions(context.Background(), f3, withArchives); err == nil || !strings.Contains(err.Error(), "checkout") {
 		t.Errorf("dangling archive err = %v", err)
 	}
 }

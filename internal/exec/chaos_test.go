@@ -13,7 +13,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/flow"
 	"repro/internal/history"
-	"repro/internal/trace"
 )
 
 // This file is the chaos suite: the fault-tolerance layer exercised
@@ -90,9 +89,9 @@ func TestChaosRetriedRunMatchesCleanRun(t *testing.T) {
 	faulty := newRigClock(t, clock)
 	inj := faults.New(99, faults.Config{TransientRate: 1, TransientRuns: 1})
 	inj.Instrument(faulty.engine.reg)
-	faulty.engine.SetRetryPolicy(RetryPolicy{MaxAttempts: 3, BaseDelay: 10 * time.Microsecond, Seed: 7})
+	retry := &RetryPolicy{MaxAttempts: 3, BaseDelay: 10 * time.Microsecond, Seed: 7}
 	fFaulty, _ := faulty.perfFlow(t)
-	res, err := faulty.engine.RunFlow(fFaulty)
+	res, err := faulty.engine.RunFlowOptions(context.Background(), fFaulty, &RunOptions{Retry: retry})
 	if err != nil {
 		t.Fatalf("faulty run should succeed after retries: %v", err)
 	}
@@ -116,7 +115,6 @@ func TestChaosContinueOnErrorPartialCompletion(t *testing.T) {
 	inj := faults.New(5, faults.Config{})
 	inj.SetToolConfig("LayoutEditor", faults.Config{PermanentRate: 1})
 	inj.Instrument(r.engine.reg)
-	r.engine.SetFailurePolicy(ContinueOnError)
 	r.engine.SetWorkers(4)
 
 	f := flow.New(r.s, r.db)
@@ -127,7 +125,7 @@ func TestChaosContinueOnErrorPartialCompletion(t *testing.T) {
 	net, layN := addExtractionChain(t, r, f)
 
 	seqBefore := r.db.Seq()
-	res, err := r.engine.RunFlow(f)
+	res, err := r.engine.RunFlowOptions(context.Background(), f, &RunOptions{Policy: ptr(ContinueOnError)})
 	if err == nil {
 		t.Fatal("poisoned run must still report an error")
 	}
@@ -179,12 +177,11 @@ func TestChaosHungToolCutOffByTaskTimeout(t *testing.T) {
 	r := newRig(t)
 	inj := faults.New(11, faults.Config{HangRate: 1, HangLimit: time.Hour})
 	inj.Instrument(r.engine.reg)
-	r.engine.SetTaskTimeout(50 * time.Millisecond)
 
 	f := flow.New(r.s, r.db)
 	addBranch(t, r, f)
 	start := time.Now()
-	res, err := r.engine.RunFlow(f)
+	res, err := r.engine.RunFlowOptions(context.Background(), f, &RunOptions{TaskTimeout: ptr(50 * time.Millisecond)})
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
@@ -200,34 +197,11 @@ func TestChaosHungToolCutOffByTaskTimeout(t *testing.T) {
 	}
 }
 
-// A per-node override bounds only its own construction.
-func TestChaosPerNodeTimeoutOverride(t *testing.T) {
-	r := newRig(t)
-	inj := faults.New(11, faults.Config{HangRate: 1, HangLimit: time.Hour})
-	inj.Instrument(r.engine.reg)
-
-	f := flow.New(r.s, r.db)
-	n := addBranch(t, r, f)
-	r.engine.SetNodeTimeout(n, 40*time.Millisecond)
-	start := time.Now()
-	_, err := r.engine.RunFlow(f)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want DeadlineExceeded from the node override", err)
-	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Errorf("run took %v; the node timeout did not fire", elapsed)
-	}
-	// Removing the override restores the unbounded default; the hang
-	// would then block, so just verify the map edit is accepted.
-	r.engine.SetNodeTimeout(n, 0)
-}
-
 // Cancelling the run context stops the run promptly: in-flight delays
 // are interrupted, nothing further dispatches, and ctx's error is
 // joined into the returned error.
 func TestChaosRunCancellation(t *testing.T) {
 	r := newRig(t)
-	r.engine.SetTaskDelay(30 * time.Millisecond)
 	r.engine.SetWorkers(2)
 	f := flow.New(r.s, r.db)
 	for i := 0; i < 6; i++ {
@@ -236,7 +210,7 @@ func TestChaosRunCancellation(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	res, err := r.engine.RunFlowContext(ctx, f)
+	res, err := r.engine.RunFlowOptions(ctx, f, &RunOptions{TaskDelay: fixedDelay(30 * time.Millisecond)})
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want the context deadline", err)
@@ -282,10 +256,11 @@ func TestBackoffDeterministicFullJitter(t *testing.T) {
 	}
 }
 
-// Engine setters are safe to call during a run: in a long-lived daemon
-// a misordered SetRetryPolicy must never crash the process. The run in
-// flight keeps its admitted configuration snapshot; the mutation
-// applies to the next run only.
+// The engine's setters — the pool size and the admission bounds — are
+// safe to call during a run: in a long-lived daemon a misordered call
+// must never crash the process or disturb the run in flight. Admission
+// applies the new bounds at once; the pool is resized for the next run
+// admitted while none is in flight.
 func TestSettersSafeDuringRun(t *testing.T) {
 	r := newRig(t)
 	release := make(chan struct{})
@@ -312,40 +287,33 @@ func TestSettersSafeDuringRun(t *testing.T) {
 	}()
 	<-started
 
-	// Every setter, mid-run. None may panic; none may affect the run in
-	// flight.
+	// Every setter, mid-run. None may panic or touch the run in flight.
 	r.engine.SetWorkers(2)
-	r.engine.SetRetryPolicy(RetryPolicy{MaxAttempts: 3})
-	r.engine.SetFailurePolicy(ContinueOnError)
-	r.engine.SetTaskTimeout(time.Second)
-	r.engine.SetNodeTimeout(1, time.Second)
-	r.engine.SetTaskDelay(time.Millisecond)
-	r.engine.SetTracer(trace.NewBuffer())
-	r.engine.SetUser("interloper")
+	r.engine.SetMaxConcurrentRuns(1)
+	r.engine.SetMaxQueuedRuns(0)
+	f2 := flow.New(r.s, r.db)
+	addBranch(t, r, f2)
+	addBranch(t, r, f2)
+	if _, err := r.engine.RunFlow(f2); !errors.Is(err, ErrEngineBusy) {
+		t.Errorf("run beside the in-flight one under bounds 1/0: err = %v, want ErrEngineBusy", err)
+	}
 
 	close(release)
 	res := <-done
-	inst, err := res.One(n)
-	if err != nil {
+	if _, err := res.One(n); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.db.Get(inst).User; got != "designer" {
-		t.Errorf("in-flight run recorded user %q, want the admitted snapshot's %q", got, "designer")
+	if res.Stats.Workers != 1 {
+		t.Errorf("in-flight run reports %d workers, want the 1 it was admitted with", res.Stats.Workers)
 	}
 
-	// The next run picks up the new defaults.
-	f2 := flow.New(r.s, r.db)
-	n2 := addBranch(t, r, f2)
+	// The next run is admitted under the new bounds, on the resized pool.
 	res2, err := r.engine.RunFlow(f2)
 	if err != nil {
 		t.Fatalf("second run: %v", err)
 	}
-	inst2, err := res2.One(n2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := r.db.Get(inst2).User; got != "interloper" {
-		t.Errorf("subsequent run recorded user %q, want %q", got, "interloper")
+	if res2.Stats.Workers != 2 {
+		t.Errorf("next run reports %d workers, want 2", res2.Stats.Workers)
 	}
 }
 
@@ -524,8 +492,8 @@ func TestChaosRetraceRetriesTransient(t *testing.T) {
 
 	inj := faults.New(99, faults.Config{TransientRate: 1, TransientRuns: 1})
 	inj.Instrument(r.engine.reg)
-	r.engine.SetRetryPolicy(RetryPolicy{MaxAttempts: 3, BaseDelay: 10 * time.Microsecond, Seed: 7})
-	rr, err := r.engine.Retrace(pid)
+	retry := &RetryPolicy{MaxAttempts: 3, BaseDelay: 10 * time.Microsecond, Seed: 7}
+	rr, err := r.engine.RetraceOptions(context.Background(), pid, &RunOptions{Retry: retry})
 	if err != nil {
 		t.Fatalf("retrace should succeed after retries: %v", err)
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -253,12 +254,11 @@ func TestSharedMemoPerRunAttribution(t *testing.T) {
 	host := newRigStore(t, nil, store)
 	host.engine.SetWorkers(2)
 	cache := memo.New(0)
-	host.engine.SetMemo(cache)
 
 	// Warm the cache with one serial run.
 	warm := newRigStore(t, nil, store)
 	wf, _ := warm.perfFlow(t)
-	if _, err := host.engine.RunFlowOptions(context.Background(), wf, &RunOptions{DB: warm.db}); err != nil {
+	if _, err := host.engine.RunFlowOptions(context.Background(), wf, &RunOptions{DB: warm.db, Memo: cache}); err != nil {
 		t.Fatalf("warm run: %v", err)
 	}
 
@@ -273,7 +273,7 @@ func TestSharedMemoPerRunAttribution(t *testing.T) {
 		go func(i int, rg *rig, f *flow.Flow) {
 			defer wg.Done()
 			res, err := host.engine.RunFlowOptions(context.Background(), f, &RunOptions{
-				DB: rg.db, Tracer: metrics, Label: labels[i]})
+				DB: rg.db, Memo: cache, Tracer: metrics, Label: labels[i]})
 			if err != nil {
 				t.Errorf("run %s: %v", labels[i], err)
 				return
@@ -308,37 +308,72 @@ func TestSharedMemoPerRunAttribution(t *testing.T) {
 	}
 }
 
-// RunOptions override the admitted snapshot field by field; unset
-// fields inherit the engine defaults.
+// One run's options never reach the next run: the engine keeps no run
+// configuration, so a run without options records the default user,
+// feeds no earlier run's tracer or cache, sleeps no earlier delay and
+// makes one attempt per unit.
 func TestRunOptionsOverrides(t *testing.T) {
 	r := newRig(t)
-	r.engine.SetUser("default-user")
+	buf := trace.NewBuffer()
+	cache := memo.New(0)
+	var delays atomic.Int64
 	f, perf := r.perfFlow(t)
-	timeout := 30 * time.Second
 	res, err := r.engine.RunFlowOptions(context.Background(), f, &RunOptions{
-		User: "override-user", TaskTimeout: &timeout, MaxCombos: 10})
+		User: "alice", Label: "first", Tracer: buf, Memo: cache,
+		Retry: &RetryPolicy{MaxAttempts: 3}, Policy: ptr(ContinueOnError), TaskTimeout: ptr(time.Minute),
+		TaskDelay: func(flow.NodeID, string) time.Duration { delays.Add(1); return 0 },
+		MaxCombos: 10})
 	if err != nil {
-		t.Fatalf("RunFlowOptions: %v", err)
+		t.Fatalf("first run: %v", err)
 	}
 	pid, err := res.One(perf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.db.Get(pid).User; got != "override-user" {
-		t.Errorf("user = %q, want the override", got)
+	if got := r.db.Get(pid).User; got != "alice" {
+		t.Errorf("first run recorded user %q, want alice", got)
 	}
-	// The engine defaults were not disturbed.
+	events, puts, calls := len(buf.Events()), cache.Stats().Puts, delays.Load()
+	if events == 0 || puts == 0 || calls == 0 {
+		t.Fatalf("first run ignored its options: %d events, %d cache puts, %d delays", events, puts, calls)
+	}
+
+	// The same derivations again, without options.
 	f2, perf2 := r.perfFlow(t)
 	res2, err := r.engine.RunFlow(f2)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("second run: %v", err)
 	}
 	pid2, err := res2.One(perf2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.db.Get(pid2).User; got != "default-user" {
-		t.Errorf("default user = %q, want default-user", got)
+	if got := r.db.Get(pid2).User; got != "designer" {
+		t.Errorf("second run recorded user %q, want the default designer", got)
+	}
+	if res2.Stats.CacheHits != 0 || cache.Stats().Puts != puts {
+		t.Errorf("second run used the first run's cache: %d hits, %d puts", res2.Stats.CacheHits, cache.Stats().Puts-puts)
+	}
+	if n := len(buf.Events()); n != events {
+		t.Errorf("second run emitted %d events into the first run's tracer", n-events)
+	}
+	if n := delays.Load(); n != calls {
+		t.Errorf("second run called the first run's delay %d times", n-calls)
+	}
+
+	// A failing tool is tried once: the first run's retry policy is gone.
+	var attempts atomic.Int64
+	r.engine.reg.Register("NetlistEditor", encap.Func(func(*encap.Request) (encap.Outputs, error) {
+		attempts.Add(1)
+		return nil, errors.New("netlist editor down")
+	}))
+	f3 := flow.New(r.s, r.db)
+	addBranch(t, r, f3)
+	if _, err := r.engine.RunFlow(f3); err == nil {
+		t.Fatal("run with a failing tool succeeded")
+	}
+	if n := attempts.Load(); n != 1 {
+		t.Errorf("failing tool ran %d times, want 1", n)
 	}
 }
 

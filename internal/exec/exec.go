@@ -20,13 +20,14 @@
 //   - automatic retracing of stale derivations (consistency
 //     maintenance), each retrace run as a flow on the same path.
 //
-// One long-lived Engine executes many flows concurrently: every run
-// snapshots the engine configuration at admission into a per-run
-// context (the run type), executes over the engine's shared, bounded
-// worker pool, and commits to its own history database. Admission
-// control bounds how many runs are in flight (see pool.go); runs that
-// share one history database serialize on it, because the determinism
-// contract pins commit order per database.
+// One long-lived Engine executes many flows concurrently. A run is
+// configured by its RunOptions alone: at admission they are resolved
+// into a per-run context (the run type), the run executes over the
+// engine's shared, bounded worker pool, and it commits to its own
+// history database. Admission control bounds how many runs are in
+// flight (see pool.go); runs that share one history database serialize
+// on it, because the determinism contract pins commit order per
+// database.
 //
 // Execution is observable: every run returns per-task wall times, worker
 // occupancy, the measured critical path and a queue-wait histogram on
@@ -53,45 +54,41 @@ import (
 )
 
 // DefaultMaxCombos bounds the cartesian product a single node's
-// multi-instance bindings may fan out into (SetMaxCombos overrides it).
-// Generous — real flows fan out into dozens of combos, not tens of
-// thousands — but finite, so an adversarial binding fails with a clear
-// error instead of exhausting memory.
+// multi-instance bindings may fan out into (RunOptions.MaxCombos
+// overrides it). Generous — real flows fan out into dozens of combos,
+// not tens of thousands — but finite, so an adversarial binding fails
+// with a clear error instead of exhausting memory.
 const DefaultMaxCombos = 100_000
 
-// runConfig is the complete configuration of one run. The engine holds
-// the mutable defaults (guarded by Engine.mu, mutated by the setters);
-// every run snapshots them at admission and overlays its RunOptions, so
-// a run's configuration is immutable for the run's whole lifetime no
-// matter what the setters do meanwhile.
+// runConfig is the complete configuration of one run: its RunOptions
+// resolved over the world passed to New and the defaults (see config).
+// It is built at admission and never changes while the run lives.
 type runConfig struct {
-	schema       *schema.Schema
-	reg          *encap.Registry
-	db           *history.DB
-	store        *datastore.Store
-	archives     func(name string, rev int) (string, error)
-	user         string
-	label        string
-	maxCombos    int
-	taskDelay    time.Duration
-	delayFn      func(node flow.NodeID, goal string) time.Duration
-	retry        RetryPolicy
-	policy       FailurePolicy
-	taskTimeout  time.Duration
-	nodeTimeouts map[flow.NodeID]time.Duration
-	tracer       trace.Sink
-	memo         *memo.Cache
-	wal          *storage.RunWAL
-	resume       *storage.Recovered
+	schema      *schema.Schema
+	reg         *encap.Registry
+	db          *history.DB
+	store       *datastore.Store
+	archives    func(name string, rev int) (string, error)
+	user        string
+	label       string
+	maxCombos   int
+	taskDelay   func(node flow.NodeID, goal string) time.Duration
+	retry       RetryPolicy
+	policy      FailurePolicy
+	taskTimeout time.Duration
+	tracer      trace.Sink
+	memo        *memo.Cache
+	wal         *storage.RunWAL
+	resume      *storage.Recovered
 }
 
-// Engine executes flows against one schema and encapsulation registry.
-// A single long-lived Engine serves many concurrent runs over a shared,
-// bounded worker pool: each run snapshots the engine's configuration at
-// admission, so the setters are safe to call at any time — they apply
-// to runs admitted afterwards and never to a run in flight. Per-run
-// overrides (its own history database, datastore, tracer, result
-// cache, …) are passed through RunOptions.
+// Engine executes flows. A single long-lived Engine serves many
+// concurrent runs over a shared, bounded worker pool. It holds only
+// that pool, its admission bounds and the world passed to New; all else
+// about a run — its user, tracer, result cache, retry and failure
+// policy, timeouts and delays, and when it brings its own, its schema,
+// registry, database and datastore — is passed in that run's
+// RunOptions, so no run's configuration reaches another.
 //
 // Runs that commit to the same history database are serialized on it:
 // the planner pre-assigns instance IDs from the database's sequence
@@ -100,13 +97,14 @@ type runConfig struct {
 // concurrency; the content-addressed datastore and the result cache
 // are safe to share.
 type Engine struct {
+	// The world passed to New, used where a run's options name none.
 	schema *schema.Schema
 	reg    *encap.Registry
+	db     *history.DB
+	store  *datastore.Store
 
-	// mu guards the defaults, the pool, and the admission state below
-	// (active, waiters).
+	// mu guards the pool and the admission state below.
 	mu       sync.Mutex
-	defaults runConfig
 	workers  int
 	maxRuns  int
 	maxQueue int
@@ -119,34 +117,20 @@ type Engine struct {
 	dbLocks map[*history.DB]*dbLock
 }
 
-// New creates an engine. workers defaults to 1 (fully serial); use
-// SetWorkers to allow parallel branches.
+// New creates an engine over a world: the schema, history database,
+// datastore and registry a run uses unless its RunOptions name its
+// own. workers defaults to 1 (fully serial); use SetWorkers to allow
+// parallel branches.
 func New(s *schema.Schema, db *history.DB, store *datastore.Store, reg *encap.Registry) *Engine {
 	return &Engine{
 		schema:   s,
 		reg:      reg,
-		defaults: runConfig{schema: s, reg: reg, db: db, store: store, user: "designer", maxCombos: DefaultMaxCombos},
+		db:       db,
+		store:    store,
 		workers:  1,
 		maxRuns:  DefaultMaxConcurrentRuns,
 		maxQueue: DefaultMaxQueuedRuns,
 	}
-}
-
-// set runs fn on the engine's default configuration under the lock.
-// Every setter routes through here: the mutation is visible to runs
-// admitted afterwards and invisible to runs in flight (they hold their
-// own snapshot), so calling a setter during a run is safe — it simply
-// applies to subsequent runs only.
-func (e *Engine) set(fn func(c *runConfig)) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	fn(&e.defaults)
-}
-
-// SetUser sets the user recorded on created instances. Applies to
-// subsequently admitted runs.
-func (e *Engine) SetUser(u string) {
-	e.set(func(c *runConfig) { c.user = u })
 }
 
 // SetWorkers sets the size of the shared worker pool ("machines");
@@ -161,62 +145,14 @@ func (e *Engine) SetWorkers(n int) {
 	e.mu.Unlock()
 }
 
-// SetMaxCombos caps the cartesian product of input combinations a single
-// node may fan out into (§4.1 multi-instance bindings). Runs exceeding
-// the cap fail with a clear error instead of exhausting memory. Values
-// below 1 restore DefaultMaxCombos. Applies to subsequently admitted
-// runs.
-func (e *Engine) SetMaxCombos(n int) {
-	if n < 1 {
-		n = DefaultMaxCombos
-	}
-	e.set(func(c *runConfig) { c.maxCombos = n })
-}
-
-// SetTaskDelay adds a simulated dispatch latency to every tool run —
-// the stand-in for remote-machine tool startup used when demonstrating
-// Fig. 6 (parallel branches win by ~workers×). Applies to subsequently
-// admitted runs.
-func (e *Engine) SetTaskDelay(d time.Duration) {
-	e.set(func(c *runConfig) { c.taskDelay = d })
-}
-
-// SetTaskDelayFunc installs a per-task simulated latency keyed by the
-// representative node and the goal type, for benchmarks that need
-// unbalanced flows (some branches slow, some fast). When set it takes
-// precedence over SetTaskDelay; pass nil to remove it. Applies to
-// subsequently admitted runs.
-func (e *Engine) SetTaskDelayFunc(fn func(node flow.NodeID, goal string) time.Duration) {
-	e.set(func(c *runConfig) { c.delayFn = fn })
-}
-
-// SetArchiveSource supplies the checkout function for archive-backed
-// instances (footnote 5: instances whose artifact lives at a revision of
-// a shared archive rather than as a blob). Applies to subsequently
-// admitted runs.
-func (e *Engine) SetArchiveSource(checkout func(name string, rev int) (string, error)) {
-	e.set(func(c *runConfig) { c.archives = checkout })
-}
-
-// DB returns the engine's default history database.
-func (e *Engine) DB() *history.DB {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.defaults.db
-}
-
-// Store returns the engine's default datastore.
-func (e *Engine) Store() *datastore.Store {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.defaults.store
-}
-
-// RunOptions override the engine's configuration for a single run. Nil
-// and zero fields inherit the engine default. The usual multi-tenant
-// arrangement gives each run its own history database (so commit
-// windows never contend) while sharing the engine's datastore and
-// result cache, which are content-addressed and safe to share.
+// RunOptions configure one run; they are the only run configuration,
+// and the engine keeps none of them once the run ends. Nil and zero
+// fields take the world passed to New (Schema, Registry, DB, Store) or
+// the default: user "designer", DefaultMaxCombos, one attempt per unit,
+// FailFast, no timeout, no delay, no tracer, no result cache. The usual
+// multi-tenant arrangement gives each run its own history database (so
+// commit windows never contend) while sharing a datastore and result
+// cache, which are content-addressed and safe to share.
 type RunOptions struct {
 	// Schema is the task schema the run plans and validates against.
 	// Overriding it (with Registry and DB) lets one long-lived engine
@@ -229,6 +165,10 @@ type RunOptions struct {
 	DB *history.DB
 	// Store is the artifact store of the run.
 	Store *datastore.Store
+	// Archives checks out archive-backed instances (footnote 5:
+	// instances whose artifact lives at a revision of a shared archive
+	// rather than as a blob). Without it such an instance cannot be read.
+	Archives func(name string, rev int) (string, error)
 	// User is recorded on created instances.
 	User string
 	// Label tags every trace event of the run (Event.Run), so streams
@@ -254,18 +194,31 @@ type RunOptions struct {
 	// rest, with event Seq continuing where the prefix ends. A finished
 	// log replays whole and runs nothing.
 	Resume *storage.Recovered
-	// Retry overrides the per-unit retry policy.
+	// Retry is the per-unit retry policy (nil: one attempt).
 	Retry *RetryPolicy
-	// Policy overrides the failure policy.
+	// Policy is the failure policy (nil: FailFast).
 	Policy *FailurePolicy
-	// TaskTimeout overrides the per-attempt deadline (0 disables it).
+	// TaskTimeout bounds every unit attempt: an attempt still running
+	// when it expires is cut off with context.DeadlineExceeded (and,
+	// under the default classification, not retried). Nil or 0
+	// disables it.
 	TaskTimeout *time.Duration
-	// MaxCombos overrides the fan-out cap when positive.
+	// TaskDelay, when set, returns a simulated dispatch latency slept
+	// before each tool run, keyed by the job's representative node and
+	// goal type — the stand-in for remote-machine tool startup used to
+	// demonstrate Fig. 6, uniform or unbalanced.
+	TaskDelay func(node flow.NodeID, goal string) time.Duration
+	// MaxCombos caps the cartesian product of input combinations a
+	// single node may fan out into (§4.1 multi-instance bindings) when
+	// positive; a run exceeding it fails with a clear error instead of
+	// exhausting memory.
 	MaxCombos int
 }
 
-// apply overlays non-zero options on a snapshot of the defaults.
-func (c runConfig) apply(o *RunOptions) runConfig {
+// config resolves one run's configuration: o over the world passed to
+// New and the defaults (see RunOptions). A nil o is all defaults.
+func (e *Engine) config(o *RunOptions) runConfig {
+	c := runConfig{schema: e.schema, reg: e.reg, db: e.db, store: e.store, user: "designer", maxCombos: DefaultMaxCombos}
 	if o == nil {
 		return c
 	}
@@ -284,20 +237,8 @@ func (c runConfig) apply(o *RunOptions) runConfig {
 	if o.User != "" {
 		c.user = o.User
 	}
-	if o.Label != "" {
-		c.label = o.Label
-	}
-	if o.Tracer != nil {
-		c.tracer = o.Tracer
-	}
-	if o.Memo != nil {
-		c.memo = o.Memo
-	}
-	if o.WAL != nil {
-		c.wal = o.WAL
-	}
-	if o.Resume != nil {
-		c.resume = o.Resume
+	if o.MaxCombos > 0 {
+		c.maxCombos = o.MaxCombos
 	}
 	if o.Retry != nil {
 		c.retry = *o.Retry
@@ -308,14 +249,13 @@ func (c runConfig) apply(o *RunOptions) runConfig {
 	if o.TaskTimeout != nil {
 		c.taskTimeout = *o.TaskTimeout
 	}
-	if o.MaxCombos > 0 {
-		c.maxCombos = o.MaxCombos
-	}
+	c.archives, c.label, c.taskDelay = o.Archives, o.Label, o.TaskDelay
+	c.tracer, c.memo, c.wal, c.resume = o.Tracer, o.Memo, o.WAL, o.Resume
 	return c
 }
 
 // run is the per-run context: one flow execution's complete state — its
-// immutable configuration snapshot, plan, pending-artifact set, result,
+// immutable configuration, plan, pending-artifact set, result,
 // and the channel its pool workers report completions on. Nothing here
 // is shared between runs except the pool reference and whatever the
 // configuration deliberately shares (datastore, result cache).
@@ -374,42 +314,27 @@ func (r *Result) One(id flow.NodeID) (history.ID, error) {
 }
 
 // RunFlow executes every root of the flow (and hence every needed
-// node). On error the returned Result still carries partial state (see
-// Result).
+// node) over the world passed to New with default options. On error
+// the returned Result still carries partial state (see Result).
 func (e *Engine) RunFlow(f *flow.Flow) (*Result, error) {
 	return e.RunFlowOptions(context.Background(), f, nil)
 }
 
-// RunFlowContext is RunFlow under a context: cancelling ctx stops
-// dispatching, cuts off well-behaved in-flight tools (Request.Ctx), and
-// returns the partial Result with ctx's error joined in. Cancellation
-// is per-run: other runs sharing the engine are unaffected.
-func (e *Engine) RunFlowContext(ctx context.Context, f *flow.Flow) (*Result, error) {
-	return e.RunFlowOptions(ctx, f, nil)
-}
-
-// RunFlowOptions is RunFlowContext with per-run overrides of the
-// engine's configuration (see RunOptions).
+// RunFlowOptions is RunFlow under a context with the run's options
+// (see RunOptions). Cancelling ctx stops dispatching, cuts off
+// well-behaved in-flight tools (Request.Ctx), and returns the partial
+// Result with ctx's error joined in. Cancellation is per-run: other
+// runs sharing the engine are unaffected.
 func (e *Engine) RunFlowOptions(ctx context.Context, f *flow.Flow, opts *RunOptions) (*Result, error) {
 	return e.runTargets(ctx, opts, func(*run) (*flow.Flow, []flow.NodeID, error) {
 		return f, f.Roots(), nil
 	})
 }
 
-// RunNode executes the sub-flow rooted at one node — §4.1's "a sub-flow
-// may be run at any stage as long as its dependencies are satisfied
-// independently of the remainder of the flow".
-func (e *Engine) RunNode(f *flow.Flow, id flow.NodeID) (*Result, error) {
-	return e.RunNodeOptions(context.Background(), f, id, nil)
-}
-
-// RunNodeContext is RunNode under a context (see RunFlowContext).
-func (e *Engine) RunNodeContext(ctx context.Context, f *flow.Flow, id flow.NodeID) (*Result, error) {
-	return e.RunNodeOptions(ctx, f, id, nil)
-}
-
-// RunNodeOptions is RunNodeContext with per-run overrides (see
-// RunOptions).
+// RunNodeOptions executes the sub-flow rooted at one node — §4.1's "a
+// sub-flow may be run at any stage as long as its dependencies are
+// satisfied independently of the remainder of the flow" — under a
+// context with the run's options (see RunFlowOptions).
 func (e *Engine) RunNodeOptions(ctx context.Context, f *flow.Flow, id flow.NodeID, opts *RunOptions) (*Result, error) {
 	if f.Node(id) == nil {
 		return nil, fmt.Errorf("exec: no node %d", id)
@@ -426,9 +351,6 @@ func (e *Engine) RunNodeOptions(ctx context.Context, f *flow.Flow, id flow.NodeI
 // writes nothing, so a dry plan is safe at any time; benchmarks use it
 // to measure planning cost in isolation from execution.
 func (e *Engine) DryPlan(f *flow.Flow) (jobs, units int, err error) {
-	e.mu.Lock()
-	cfg := e.defaults
-	e.mu.Unlock()
 	order, err := f.Check()
 	if err != nil {
 		return 0, 0, err
@@ -437,7 +359,7 @@ func (e *Engine) DryPlan(f *flow.Flow) (jobs, units int, err error) {
 	if ok, why := f.ExecutableAll(targets); !ok {
 		return 0, 0, fmt.Errorf("exec: flow is not executable: %s", why)
 	}
-	r := &run{e: e, cfg: cfg, f: f}
+	r := &run{e: e, cfg: e.config(nil), f: f}
 	p, err := r.plan(order, targets)
 	if err != nil {
 		return 0, 0, err
@@ -546,15 +468,11 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // database otherwise.
 func (r *run) executeCombo(ctx context.Context, j *plannedJob, combo []history.ID) (encap.Outputs, error) {
 	rep := r.f.Node(j.nodes[0])
-	var delay time.Duration
-	if r.cfg.delayFn != nil {
-		delay = r.cfg.delayFn(j.nodes[0], rep.Type)
-	} else {
-		delay = r.cfg.taskDelay
-	}
-	if delay > 0 {
-		if err := sleepCtx(ctx, delay); err != nil {
-			return nil, err
+	if r.cfg.taskDelay != nil {
+		if d := r.cfg.taskDelay(j.nodes[0], rep.Type); d > 0 {
+			if err := sleepCtx(ctx, d); err != nil {
+				return nil, err
+			}
 		}
 	}
 

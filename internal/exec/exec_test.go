@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +13,16 @@ import (
 	"repro/internal/schema"
 )
 
+// ptr returns a pointer to a copy of v, for RunOptions' optional
+// fields.
+func ptr[T any](v T) *T { return &v }
+
+// fixedDelay is a RunOptions.TaskDelay that sleeps d before every tool
+// run.
+func fixedDelay(d time.Duration) func(flow.NodeID, string) time.Duration {
+	return func(flow.NodeID, string) time.Duration { return d }
+}
+
 // rig is the test bench: an engine over the full schema with standard
 // tools installed and primitive data imported.
 type rig struct {
@@ -20,6 +31,16 @@ type rig struct {
 	store  *datastore.Store
 	engine *Engine
 	ids    map[string]history.ID
+}
+
+// run executes f on the rig's engine with the given options.
+func (r *rig) run(f *flow.Flow, o RunOptions) (*Result, error) {
+	return r.engine.RunFlowOptions(context.Background(), f, &o)
+}
+
+// retrace retraces target on the rig's engine with the given options.
+func (r *rig) retrace(target history.ID, o RunOptions) (*RetraceResult, error) {
+	return r.engine.RetraceOptions(context.Background(), target, &o)
 }
 
 // newRig installs one instance of each standard tool plus stimuli and
@@ -163,7 +184,7 @@ func TestRunNodeSubflow(t *testing.T) {
 	f, perf := r.perfFlow(t)
 	cctN, _ := f.Node(perf).Dep("Circuit")
 	netN, _ := f.Node(cctN).Dep("Netlist")
-	res, err := r.engine.RunNode(f, netN)
+	res, err := r.engine.RunNodeOptions(context.Background(), f, netN, nil)
 	if err != nil {
 		t.Fatalf("RunNode: %v", err)
 	}
@@ -303,17 +324,14 @@ func TestParallelBranchesFaster(t *testing.T) {
 		}
 		return f
 	}
-	const delay = 20 * time.Millisecond
-	r.engine.SetTaskDelay(delay)
-	defer r.engine.SetTaskDelay(0)
-
+	delay := RunOptions{TaskDelay: fixedDelay(20 * time.Millisecond)}
 	r.engine.SetWorkers(1)
-	serial, err := r.engine.RunFlow(build())
+	serial, err := r.run(build(), delay)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.engine.SetWorkers(4)
-	parallel, err := r.engine.RunFlow(build())
+	parallel, err := r.run(build(), delay)
 	if err != nil {
 		t.Fatal(err)
 	}

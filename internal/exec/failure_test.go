@@ -210,8 +210,6 @@ func TestNewToolIncorporation(t *testing.T) {
 
 func TestTaskDelayOnlyAffectsToolRuns(t *testing.T) {
 	r := newRig(t)
-	r.engine.SetTaskDelay(5 * time.Millisecond)
-	defer r.engine.SetTaskDelay(0)
 	f := flow.New(r.s, r.db)
 	n := f.MustAdd("EditedNetlist")
 	if err := f.ExpandDown(n, false); err != nil {
@@ -221,7 +219,7 @@ func TestTaskDelayOnlyAffectsToolRuns(t *testing.T) {
 	if err := f.Bind(tn, r.ids["netEdGen"]); err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.engine.RunFlow(f)
+	res, err := r.run(f, RunOptions{TaskDelay: fixedDelay(5 * time.Millisecond)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,22 +32,6 @@ import (
 // the trace gains only UnitCacheHit events — dropping them projects a
 // warm run onto the cold run it reproduces (see trace_golden_test.go).
 
-// SetMemo installs a derivation-keyed result cache consulted before
-// each unit executes and fed from each commit; nil removes it. A cache
-// may be shared across engines that share a datastore (entries hold
-// content refs, so a cache whose blobs are absent from this engine's
-// store simply never hits). Applies to subsequently admitted runs.
-func (e *Engine) SetMemo(c *memo.Cache) {
-	e.set(func(cfg *runConfig) { cfg.memo = c })
-}
-
-// Memo returns the installed result cache, or nil.
-func (e *Engine) Memo() *memo.Cache {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.defaults.memo
-}
-
 // memoUnit describes one (job, combo) unit by content: the derivation
 // the cache keys on. It resolves every combo instance to its content
 // address through lookupRef — committed instances carry their ref in

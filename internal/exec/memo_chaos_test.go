@@ -18,9 +18,9 @@ import (
 // cold caches. These run under -race in CI's chaos job.
 
 func TestMemoChaosChangedInputIsNeverServedStale(t *testing.T) {
-	r, _ := memoRig(t)
+	r, o := memoRig(t)
 	f, perf := r.perfFlow(t)
-	cold, err := r.engine.RunFlow(f)
+	cold, err := r.run(f, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestMemoChaosChangedInputIsNeverServedStale(t *testing.T) {
 	if err := f.Bind(stimN, r.ids["stim2"]); err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.engine.RunFlow(f)
+	res, err := r.run(f, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,11 +56,10 @@ func TestMemoChaosFailedRunCachesNothing(t *testing.T) {
 	store := datastore.NewStore()
 	cache := memo.New(0)
 	r := newRigStore(t, nil, store)
-	r.engine.SetMemo(cache)
 	inj := faults.New(3, faults.Config{PermanentRate: 1})
 	inj.Instrument(r.engine.reg)
 	f, _ := r.perfFlow(t)
-	if _, err := r.engine.RunFlow(f); err == nil {
+	if _, err := r.run(f, RunOptions{Memo: cache}); err == nil {
 		t.Fatal("fully faulted run should fail")
 	}
 	if n := cache.Len(); n != 0 {
@@ -70,9 +69,8 @@ func TestMemoChaosFailedRunCachesNothing(t *testing.T) {
 	// A healthy engine sharing the cache gets no hits (nothing was
 	// cached) and afterwards has published the real results.
 	r2 := newRigStore(t, nil, store)
-	r2.engine.SetMemo(cache)
 	f2, perf2 := r2.perfFlow(t)
-	res, err := r2.engine.RunFlow(f2)
+	res, err := r2.run(f2, RunOptions{Memo: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,15 +89,15 @@ func TestMemoChaosFailedRunCachesNothing(t *testing.T) {
 
 func TestMemoChaosTimedOutRunCachesNothing(t *testing.T) {
 	// Hanging tools cut off by the task deadline must not publish.
-	r, c := memoRig(t)
+	r, o := memoRig(t)
 	inj := faults.New(5, faults.Config{HangRate: 1, HangLimit: 5 * time.Second})
 	inj.Instrument(r.engine.reg)
-	r.engine.SetTaskTimeout(10 * time.Millisecond)
+	o.TaskTimeout = ptr(10 * time.Millisecond)
 	f, _ := r.perfFlow(t)
-	if _, err := r.engine.RunFlow(f); err == nil {
+	if _, err := r.run(f, o); err == nil {
 		t.Fatal("fully hung run should fail")
 	}
-	if n := c.Len(); n != 0 {
+	if n := o.Memo.Len(); n != 0 {
 		t.Fatalf("timed-out run published %d cache entries", n)
 	}
 }
@@ -108,8 +106,8 @@ func TestMemoChaosSkippedUnitsNeverCached(t *testing.T) {
 	// ContinueOnError: a composite fails its consistency check, its
 	// dependent is skipped. Only the units that actually committed may
 	// publish.
-	r, c := memoRig(t)
-	r.engine.SetFailurePolicy(ContinueOnError)
+	r, o := memoRig(t)
+	o.Policy = ptr(ContinueOnError)
 	f, perf := r.perfFlow(t)
 	cctN, _ := f.Node(perf).Dep("Circuit")
 	dmN, _ := f.Node(cctN).Dep("DeviceModels")
@@ -123,13 +121,13 @@ func TestMemoChaosSkippedUnitsNeverCached(t *testing.T) {
 	if err := f.Bind(dmN, bad.ID); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.engine.RunFlow(f); err == nil {
+	if _, err := r.run(f, o); err == nil {
 		t.Fatal("run with failing composite should report the failure")
 	}
-	if n := c.Len(); n != 1 { // exactly the committed Netlist unit
+	if n := o.Memo.Len(); n != 1 { // exactly the committed Netlist unit
 		t.Fatalf("cache holds %d entries after 1 committed unit", n)
 	}
-	if s := c.Stats(); s.Puts != 1 {
+	if s := o.Memo.Stats(); s.Puts != 1 {
 		t.Fatalf("puts = %d, want 1 (failed and skipped units must not publish)", s.Puts)
 	}
 }
@@ -141,12 +139,10 @@ func TestMemoChaosRetriedUnitCachesOnlyFinalResult(t *testing.T) {
 	store := datastore.NewStore()
 	cache := memo.New(0)
 	r := newRigStore(t, nil, store)
-	r.engine.SetMemo(cache)
 	inj := faults.New(99, faults.Config{TransientRate: 1, TransientRuns: 1})
 	inj.Instrument(r.engine.reg)
-	r.engine.SetRetryPolicy(RetryPolicy{MaxAttempts: 3, BaseDelay: 10 * time.Microsecond, Seed: 7})
 	f, _ := r.perfFlow(t)
-	res, err := r.engine.RunFlow(f)
+	res, err := r.run(f, RunOptions{Memo: cache, Retry: &RetryPolicy{MaxAttempts: 3, BaseDelay: 10 * time.Microsecond, Seed: 7}})
 	if err != nil {
 		t.Fatalf("retried run: %v", err)
 	}
@@ -158,9 +154,8 @@ func TestMemoChaosRetriedUnitCachesOnlyFinalResult(t *testing.T) {
 	}
 
 	warm := newRigStore(t, nil, store)
-	warm.engine.SetMemo(cache)
 	fWarm, perfWarm := warm.perfFlow(t)
-	wres, err := warm.engine.RunFlow(fWarm)
+	wres, err := warm.run(fWarm, RunOptions{Memo: cache})
 	if err != nil {
 		t.Fatal(err)
 	}

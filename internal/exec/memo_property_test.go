@@ -44,17 +44,15 @@ func buildSeededFlow(t *testing.T, r *rig, seed int64) (*flow.Flow, flow.NodeID)
 func TestMemoRandomWarmCachedMatchesClean(t *testing.T) {
 	for seed := int64(0); seed < 24; seed++ {
 		store := datastore.NewStore()
-		cache := memo.New(0)
+		cached := RunOptions{Memo: memo.New(0)}
 
 		cold := newRigStore(t, nil, store)
-		cold.engine.SetMemo(cache)
 		fCold, _ := buildSeededFlow(t, cold, seed)
-		coldEvents := runTraced(t, cold, fCold)
+		coldEvents := runTraced(t, cold, fCold, cached)
 
 		warm := newRigStore(t, nil, store)
-		warm.engine.SetMemo(cache)
 		fWarm, _ := buildSeededFlow(t, warm, seed)
-		warmEvents := runTraced(t, warm, fWarm)
+		warmEvents := runTraced(t, warm, fWarm, cached)
 
 		hits := 0
 		for _, ev := range warmEvents {
@@ -81,11 +79,11 @@ func TestMemoRandomWarmCachedMatchesClean(t *testing.T) {
 
 		// A second warm run on the same engine mints fresh IDs but an
 		// isomorphic derivation graph.
-		res1, err := warm.engine.RunFlow(fWarm)
+		res1, err := warm.run(fWarm, cached)
 		if err != nil {
 			t.Fatalf("seed %d: warm rerun 1: %v", seed, err)
 		}
-		res2, err := warm.engine.RunFlow(fWarm)
+		res2, err := warm.run(fWarm, cached)
 		if err != nil {
 			t.Fatalf("seed %d: warm rerun 2: %v", seed, err)
 		}

@@ -18,30 +18,28 @@ import (
 // the cache agrees with the consistency layer about what "out of date"
 // means (both are content-based).
 
-// memoRig returns a rig with a fresh unbounded result cache installed.
-func memoRig(t *testing.T) (*rig, *memo.Cache) {
+// memoRig returns a rig and the options of a run that consults and
+// feeds a fresh unbounded result cache.
+func memoRig(t *testing.T) (*rig, RunOptions) {
 	t.Helper()
-	r := newRig(t)
-	c := memo.New(0)
-	r.engine.SetMemo(c)
-	return r, c
+	return newRig(t), RunOptions{Memo: memo.New(0)}
 }
 
 func TestMemoWarmRerunHitsEveryUnit(t *testing.T) {
-	r, c := memoRig(t)
+	r, o := memoRig(t)
 	f, perf := r.perfFlow(t)
-	cold, err := r.engine.RunFlow(f)
+	cold, err := r.run(f, o)
 	if err != nil {
 		t.Fatalf("cold run: %v", err)
 	}
 	if cold.Stats.CacheHits != 0 {
 		t.Errorf("cold run claimed %d cache hits", cold.Stats.CacheHits)
 	}
-	if got := c.Stats().Puts; got != 4 {
+	if got := o.Memo.Stats().Puts; got != 4 {
 		t.Errorf("cold run published %d entries, want 4", got)
 	}
 
-	warm, err := r.engine.RunFlow(f)
+	warm, err := r.run(f, o)
 	if err != nil {
 		t.Fatalf("warm run: %v", err)
 	}
@@ -134,18 +132,16 @@ func TestMemoSharedAcrossEngines(t *testing.T) {
 	// A cache travels between engines that share a datastore: warm
 	// entries published by one engine satisfy another.
 	store := datastore.NewStore()
-	cache := memo.New(0)
+	o := RunOptions{Memo: memo.New(0)}
 	r1 := newRigStore(t, nil, store)
-	r1.engine.SetMemo(cache)
 	f1, _ := r1.perfFlow(t)
-	if _, err := r1.engine.RunFlow(f1); err != nil {
+	if _, err := r1.run(f1, o); err != nil {
 		t.Fatal(err)
 	}
 
 	r2 := newRigStore(t, nil, store)
-	r2.engine.SetMemo(cache)
 	f2, perf2 := r2.perfFlow(t)
-	res, err := r2.engine.RunFlow(f2)
+	res, err := r2.run(f2, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,18 +158,16 @@ func TestMemoSharedAcrossEngines(t *testing.T) {
 func TestMemoMissingBlobsAreMisses(t *testing.T) {
 	// A cache whose blobs live in another engine's store must not serve
 	// anything — an unresolvable entry is a miss, never an error.
-	cache := memo.New(0)
-	r1, _ := newRig(t), cache
-	r1.engine.SetMemo(cache)
+	o := RunOptions{Memo: memo.New(0)}
+	r1 := newRig(t)
 	f1, _ := r1.perfFlow(t)
-	if _, err := r1.engine.RunFlow(f1); err != nil {
+	if _, err := r1.run(f1, o); err != nil {
 		t.Fatal(err)
 	}
 
 	r2 := newRig(t) // separate store: the entries' blobs are absent
-	r2.engine.SetMemo(cache)
 	f2, perf2 := r2.perfFlow(t)
-	res, err := r2.engine.RunFlow(f2)
+	res, err := r2.run(f2, o)
 	if err != nil {
 		t.Fatalf("run with unresolvable cache: %v", err)
 	}
@@ -191,16 +185,16 @@ func TestMemoMissingBlobsAreMisses(t *testing.T) {
 
 func TestMemoFanOutWarm(t *testing.T) {
 	// §4.1 fan-out: each (job, combo) unit is cached independently.
-	r, _ := memoRig(t)
+	r, o := memoRig(t)
 	f, perf := r.perfFlow(t)
 	stimN, _ := f.Node(perf).Dep("Stimuli")
 	if err := f.Bind(stimN, r.ids["stim"], r.ids["stim2"]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.engine.RunFlow(f); err != nil {
+	if _, err := r.run(f, o); err != nil {
 		t.Fatal(err)
 	}
-	warm, err := r.engine.RunFlow(f)
+	warm, err := r.run(f, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,9 +206,9 @@ func TestMemoFanOutWarm(t *testing.T) {
 func TestMemoRetraceHitsFlowEntries(t *testing.T) {
 	// Cross-path memoization: a retrace whose substituted inputs land on
 	// bytes a flow run already processed is served from the cache.
-	r, _ := memoRig(t)
+	r, o := memoRig(t)
 	f, perf := r.perfFlow(t)
-	res, err := r.engine.RunFlow(f)
+	res, err := r.run(f, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +228,7 @@ func TestMemoRetraceHitsFlowEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := r.engine.Retrace(pid)
+	rr, err := r.retrace(pid, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +246,7 @@ func TestMemoRetraceHitsFlowEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := rr.NewTarget(pid)
-	rr2, err := r.engine.Retrace(target)
+	rr2, err := r.retrace(target, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,9 +272,9 @@ func TestMemoAgreesWithStaleness(t *testing.T) {
 	// cache (same key), so OutOfDate must not report it; a supersession
 	// with different bytes is a guaranteed miss, and OutOfDate must
 	// report it.
-	r, _ := memoRig(t)
+	r, o := memoRig(t)
 	f, perf := r.perfFlow(t)
-	res, err := r.engine.RunFlow(f)
+	res, err := r.run(f, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +299,7 @@ func TestMemoAgreesWithStaleness(t *testing.T) {
 	if ood {
 		t.Error("byte-identical supersession reported out-of-date; cache and consistency disagree")
 	}
-	rr, err := r.engine.Retrace(pid)
+	rr, err := r.retrace(pid, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +322,7 @@ func TestMemoAgreesWithStaleness(t *testing.T) {
 	if !ood {
 		t.Fatal("changed-bytes supersession not reported out-of-date")
 	}
-	rr, err = r.engine.Retrace(pid)
+	rr, err = r.retrace(pid, o)
 	if err != nil {
 		t.Fatal(err)
 	}

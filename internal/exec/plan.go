@@ -286,7 +286,7 @@ func (r *run) combosFor(id flow.NodeID, created [][]history.ID) ([][]history.ID,
 			return nil, fmt.Errorf("exec: node %d dependency %q (node %d) produced no instances", id, keys[i], c)
 		}
 		if total*len(insts) > r.cfg.maxCombos {
-			return nil, fmt.Errorf("exec: node %d (%s): input fan-out exceeds %d combinations (cartesian product over multi-instance bindings); raise Engine.SetMaxCombos if intended",
+			return nil, fmt.Errorf("exec: node %d (%s): input fan-out exceeds %d combinations (cartesian product over multi-instance bindings); raise RunOptions.MaxCombos if intended",
 				id, n.Type, r.cfg.maxCombos)
 		}
 		total *= len(insts)

@@ -113,7 +113,7 @@ func TestPlanGrouping(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r := &run{e: e, cfg: e.defaults, f: f}
+			r := &run{e: e, cfg: e.config(nil), f: f}
 			p, err := r.plan(order, f.Roots())
 			if err != nil {
 				t.Fatal(err)
@@ -178,7 +178,7 @@ func TestPlanOneToolManySiblings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &run{e: e, cfg: e.defaults, f: f}
+	r := &run{e: e, cfg: e.config(nil), f: f}
 	p, err := r.plan(order, f.Roots())
 	if err != nil {
 		t.Fatal(err)

@@ -27,9 +27,3 @@ func (p FailurePolicy) String() string {
 	}
 	return "fail-fast"
 }
-
-// SetFailurePolicy selects the engine's failure policy. Applies to
-// subsequently admitted runs.
-func (e *Engine) SetFailurePolicy(p FailurePolicy) {
-	e.set(func(c *runConfig) { c.policy = p })
-}

@@ -5,9 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
-	"repro/internal/flow"
 	"repro/internal/history"
 )
 
@@ -123,8 +121,8 @@ func (e *Engine) release() {
 
 // beginRun admits one run: it acquires an admission slot, ensures the
 // shared pool exists (resizing it only while this is the sole admitted
-// run, when every pool worker is provably idle), snapshots the engine
-// defaults and overlays opts. The caller must e.release() when done.
+// run, when every pool worker is provably idle) and resolves opts into
+// the run's configuration. The caller must e.release() when done.
 func (e *Engine) beginRun(ctx context.Context, opts *RunOptions) (*run, error) {
 	if err := e.acquire(ctx); err != nil {
 		return nil, err
@@ -136,17 +134,9 @@ func (e *Engine) beginRun(ctx context.Context, opts *RunOptions) (*run, error) {
 		e.pool.stop()
 		e.pool = newPool(e.workers)
 	}
-	cfg := e.defaults
-	if cfg.nodeTimeouts != nil {
-		nt := make(map[flow.NodeID]time.Duration, len(cfg.nodeTimeouts))
-		for k, v := range cfg.nodeTimeouts {
-			nt[k] = v
-		}
-		cfg.nodeTimeouts = nt
-	}
 	p := e.pool
 	e.mu.Unlock()
-	return &run{e: e, cfg: cfg.apply(opts), pool: p, workers: p.size}, nil
+	return &run{e: e, cfg: e.config(opts), pool: p, workers: p.size}, nil
 }
 
 // Close stops the shared worker pool. It fails if runs are still active

@@ -30,7 +30,7 @@ type RetraceResult struct {
 	// Fresh is true when nothing needed to be done.
 	Fresh bool
 	// CacheHits counts re-run constructions satisfied from the result
-	// cache (Engine.SetMemo) without running the tool.
+	// cache (RunOptions.Memo) without running the tool.
 	CacheHits int
 	// Elapsed is the wall-clock duration of the retrace.
 	Elapsed time.Duration
@@ -51,7 +51,7 @@ func (e *Engine) Retrace(target history.ID) (*RetraceResult, error) {
 	return e.RetraceOptions(context.Background(), target, nil)
 }
 
-// RetraceOptions is Retrace under a context with per-run overrides. A
+// RetraceOptions is Retrace under a context with the run's options. A
 // retrace is a run: inside the run's commit window on its history
 // database it plans the retrace, builds a flow with one node per step
 // (retraceFlow) and executes it through the planner, the scheduler and

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/encap"
-	"repro/internal/flow"
 )
 
 // This file is the per-unit fault-tolerance layer: a retry loop with
@@ -106,51 +105,6 @@ func jitterHash(seed int64, job, combo, attempt int) uint64 {
 	return h
 }
 
-// SetRetryPolicy installs per-unit retry with exponential backoff and
-// full jitter. The zero policy (the default) performs a single attempt.
-// Applies to subsequently admitted runs.
-func (e *Engine) SetRetryPolicy(p RetryPolicy) {
-	e.set(func(c *runConfig) { c.retry = p })
-}
-
-// SetTaskTimeout bounds every unit attempt: an attempt still running
-// after d is cut off with context.DeadlineExceeded (and, under the
-// default classification, not retried). 0 disables the bound. Per-node
-// overrides from SetNodeTimeout take precedence. Applies to
-// subsequently admitted runs.
-func (e *Engine) SetTaskTimeout(d time.Duration) {
-	e.set(func(c *runConfig) { c.taskTimeout = d })
-}
-
-// SetNodeTimeout overrides the task timeout for the construction
-// computing one node (for grouped multi-output constructions the
-// tightest override among the siblings wins). d <= 0 removes the
-// override. Applies to subsequently admitted runs.
-func (e *Engine) SetNodeTimeout(id flow.NodeID, d time.Duration) {
-	e.set(func(c *runConfig) {
-		if d <= 0 {
-			delete(c.nodeTimeouts, id)
-			return
-		}
-		if c.nodeTimeouts == nil {
-			c.nodeTimeouts = make(map[flow.NodeID]time.Duration)
-		}
-		c.nodeTimeouts[id] = d
-	})
-}
-
-// timeoutFor resolves the attempt deadline of a job: the tightest
-// per-node override among its grouped nodes, else the run default.
-func (r *run) timeoutFor(j *plannedJob) time.Duration {
-	d := r.cfg.taskTimeout
-	for _, n := range j.nodes {
-		if o, ok := r.cfg.nodeTimeouts[n]; ok && (d <= 0 || o < d) {
-			d = o
-		}
-	}
-	return d
-}
-
 // runUnit executes one (job, combo) unit under the retry policy,
 // returning one attemptRec per attempt (the successful final attempt,
 // if any, is the zero record) — the attempt count is len(alog) and the
@@ -185,14 +139,15 @@ func (r *run) runUnit(ctx context.Context, u unitTask) (out encap.Outputs, alog 
 	}
 }
 
-// attemptUnit performs a single attempt, bounded by the job's deadline.
-// When neither the run context nor a timeout can fire, the tool runs on
-// the worker goroutine directly; otherwise it runs on a watchdog
-// goroutine that is abandoned if the deadline expires first — a truly
-// hung tool cannot be interrupted, but well-behaved encapsulations
-// observe Request.Ctx and return promptly once it is cancelled.
+// attemptUnit performs a single attempt, bounded by the run's task
+// timeout. When neither the run context nor a timeout can fire, the
+// tool runs on the worker goroutine directly; otherwise it runs on a
+// watchdog goroutine that is abandoned if the deadline expires first —
+// a truly hung tool cannot be interrupted, but well-behaved
+// encapsulations observe Request.Ctx and return promptly once it is
+// cancelled.
 func (r *run) attemptUnit(ctx context.Context, j *plannedJob, ci int) (encap.Outputs, error) {
-	d := r.timeoutFor(j)
+	d := r.cfg.taskTimeout
 	actx := ctx
 	if d > 0 {
 		var cancel context.CancelFunc

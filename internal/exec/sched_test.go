@@ -71,10 +71,9 @@ func runChainPair(t *testing.T, workers, depth int, slow, fast time.Duration) (*
 	f, chains := chainPair(t, r, depth)
 	delays := unbalancedDelays(chains, slow, fast)
 	r.engine.SetWorkers(workers)
-	r.engine.SetTaskDelayFunc(func(node flow.NodeID, goal string) time.Duration {
+	res, err := r.run(f, RunOptions{TaskDelay: func(node flow.NodeID, goal string) time.Duration {
 		return delays[node]
-	})
-	res, err := r.engine.RunFlow(f)
+	}})
 	if err != nil {
 		t.Fatalf("w%d run: %v", workers, err)
 	}
@@ -224,8 +223,7 @@ func TestAggregatedComboErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.engine.SetWorkers(2)
-	r.engine.SetTaskDelay(20 * time.Millisecond)
-	_, err := r.engine.RunFlow(f)
+	_, err := r.run(f, RunOptions{TaskDelay: fixedDelay(20 * time.Millisecond)})
 	if err == nil || !errors.Is(err, errInjected) {
 		t.Fatalf("err = %v, want injected failure", err)
 	}
@@ -248,17 +246,15 @@ func TestMaxCombosCap(t *testing.T) {
 	if err := f.Bind(stimN, r.ids["stim"], r.ids["stim2"]); err != nil {
 		t.Fatal(err)
 	}
-	r.engine.SetMaxCombos(1)
-	res, err := r.engine.RunFlow(f)
-	if err == nil || !strings.Contains(err.Error(), "SetMaxCombos") {
+	res, err := r.run(f, RunOptions{MaxCombos: 1})
+	if err == nil || !strings.Contains(err.Error(), "MaxCombos") {
 		t.Fatalf("err = %v, want fan-out cap error", err)
 	}
 	if res == nil || r.db.InstancesOf("Performance") != nil {
 		t.Error("capped run still executed")
 	}
-	// Values below 1 restore the (generous) default; the run passes.
-	r.engine.SetMaxCombos(0)
-	if _, err := r.engine.RunFlow(f); err != nil {
+	// Values below 1 leave the (generous) default; the run passes.
+	if _, err := r.run(f, RunOptions{MaxCombos: -1}); err != nil {
 		t.Errorf("run after restoring default cap: %v", err)
 	}
 }
@@ -323,9 +319,8 @@ func TestPartialResultOnFailure(t *testing.T) {
 func TestRunStatsPopulated(t *testing.T) {
 	r := newRig(t)
 	r.engine.SetWorkers(2)
-	r.engine.SetTaskDelay(2 * time.Millisecond)
 	f, _ := r.perfFlow(t)
-	res, err := r.engine.RunFlow(f)
+	res, err := r.run(f, RunOptions{TaskDelay: fixedDelay(2 * time.Millisecond)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ type Stats struct {
 	// (ContinueOnError).
 	Retries, Timeouts, UnitsFailed, JobsSkipped int
 	// CacheHits counts units satisfied from the derivation-keyed result
-	// cache (Engine.SetMemo) without running a tool.
+	// cache (RunOptions.Memo) without running a tool.
 	CacheHits int
 	// PerTask aggregates wall time by the job's representative type.
 	PerTask map[string]TaskStat

@@ -33,11 +33,9 @@ func TestTraceChaosRetryEventsMatchPolicy(t *testing.T) {
 	r := newRig(t)
 	inj := faults.New(3, faults.Config{TransientRate: 1, TransientRuns: 2})
 	inj.Instrument(r.engine.reg)
-	r.engine.SetRetryPolicy(RetryPolicy{MaxAttempts: 4, BaseDelay: 10 * time.Microsecond, Seed: 7})
 	buf := trace.NewBuffer()
-	r.engine.SetTracer(buf)
 	f, _ := r.perfFlow(t)
-	res, err := r.engine.RunFlow(f)
+	res, err := r.run(f, RunOptions{Tracer: buf, Retry: &RetryPolicy{MaxAttempts: 4, BaseDelay: 10 * time.Microsecond, Seed: 7}})
 	if err != nil {
 		t.Fatalf("run should succeed after retries: %v", err)
 	}
@@ -83,12 +81,10 @@ func TestTraceChaosRetryExhaustion(t *testing.T) {
 	r := newRig(t)
 	inj := faults.New(3, faults.Config{TransientRate: 1, TransientRuns: 10})
 	inj.Instrument(r.engine.reg)
-	r.engine.SetRetryPolicy(RetryPolicy{MaxAttempts: 3, BaseDelay: 10 * time.Microsecond, Seed: 7})
 	buf := trace.NewBuffer()
-	r.engine.SetTracer(buf)
 	f := flow.New(r.s, r.db)
 	addBranch(t, r, f)
-	if _, err := r.engine.RunFlow(f); err == nil {
+	if _, err := r.run(f, RunOptions{Tracer: buf, Retry: &RetryPolicy{MaxAttempts: 3, BaseDelay: 10 * time.Microsecond, Seed: 7}}); err == nil {
 		t.Fatal("run must fail once the retry budget is exhausted")
 	}
 
@@ -117,12 +113,10 @@ func TestTraceChaosTimeoutEvents(t *testing.T) {
 	r := newRig(t)
 	inj := faults.New(11, faults.Config{HangRate: 1, HangLimit: time.Hour})
 	inj.Instrument(r.engine.reg)
-	r.engine.SetTaskTimeout(50 * time.Millisecond)
 	buf := trace.NewBuffer()
-	r.engine.SetTracer(buf)
 	f := flow.New(r.s, r.db)
 	addBranch(t, r, f)
-	res, err := r.engine.RunFlow(f)
+	res, err := r.run(f, RunOptions{Tracer: buf, TaskTimeout: ptr(50 * time.Millisecond)})
 	if err == nil {
 		t.Fatal("hung run must fail")
 	}
@@ -154,17 +148,15 @@ func TestTraceChaosSkipEventsMatchResult(t *testing.T) {
 	inj := faults.New(5, faults.Config{})
 	inj.SetToolConfig("LayoutEditor", faults.Config{PermanentRate: 1})
 	inj.Instrument(r.engine.reg)
-	r.engine.SetFailurePolicy(ContinueOnError)
 	r.engine.SetWorkers(4)
 	buf := trace.NewBuffer()
-	r.engine.SetTracer(buf)
 
 	f := flow.New(r.s, r.db)
 	for i := 0; i < 7; i++ {
 		addBranch(t, r, f)
 	}
 	net, layN := addExtractionChain(t, r, f)
-	res, err := r.engine.RunFlow(f)
+	res, err := r.run(f, RunOptions{Tracer: buf, Policy: ptr(ContinueOnError)})
 	if err == nil {
 		t.Fatal("poisoned run must still report an error")
 	}

@@ -26,13 +26,13 @@ import (
 
 var updateGoldens = flag.Bool("update", false, "rewrite golden trace files in testdata/")
 
-// runTraced runs the flow with a Buffer sink installed and returns the
-// collected events.
-func runTraced(t *testing.T, r *rig, f *flow.Flow) []trace.Event {
+// runTraced runs the flow under o with a Buffer sink as its tracer and
+// returns the collected events.
+func runTraced(t *testing.T, r *rig, f *flow.Flow, o RunOptions) []trace.Event {
 	t.Helper()
 	buf := trace.NewBuffer()
-	r.engine.SetTracer(buf)
-	if _, err := r.engine.RunFlow(f); err != nil {
+	o.Tracer = buf
+	if _, err := r.run(f, o); err != nil {
 		t.Fatalf("traced run: %v", err)
 	}
 	return buf.Events()
@@ -92,7 +92,7 @@ func TestGoldenTraceFig6AcrossWorkers(t *testing.T) {
 			r := newRig(t)
 			r.engine.SetWorkers(workers)
 			f := fig6BranchFlow(t, r, 8)
-			got := trace.MaskedJSONL(runTraced(t, r, f))
+			got := trace.MaskedJSONL(runTraced(t, r, f, RunOptions{}))
 			if workers != 1 && *updateGoldens {
 				// The golden is written once, from the one-worker run;
 				// the four-worker run must reproduce it rather than
@@ -112,7 +112,7 @@ func TestGoldenTracePerfFlow(t *testing.T) {
 	r := newRig(t)
 	r.engine.SetWorkers(2)
 	f, _ := r.perfFlow(t)
-	compareGolden(t, "golden_perf_trace.jsonl", trace.MaskedJSONL(runTraced(t, r, f)))
+	compareGolden(t, "golden_perf_trace.jsonl", trace.MaskedJSONL(runTraced(t, r, f, RunOptions{})))
 }
 
 // TestGoldenTraceRetriedMatchesClean is the acceptance test for the
@@ -126,16 +126,15 @@ func TestGoldenTraceRetriedMatchesClean(t *testing.T) {
 	clean := newRig(t)
 	clean.engine.SetWorkers(2)
 	fClean, _ := clean.perfFlow(t)
-	cleanTrace := trace.MaskedJSONL(runTraced(t, clean, fClean))
+	cleanTrace := trace.MaskedJSONL(runTraced(t, clean, fClean, RunOptions{}))
 	compareGolden(t, "golden_perf_trace.jsonl", cleanTrace)
 
 	faulty := newRig(t)
 	inj := faults.New(99, faults.Config{TransientRate: 1, TransientRuns: 1})
 	inj.Instrument(faulty.engine.reg)
-	faulty.engine.SetRetryPolicy(RetryPolicy{MaxAttempts: 3, BaseDelay: 10 * time.Microsecond, Seed: 7})
 	faulty.engine.SetWorkers(2)
 	fFaulty, _ := faulty.perfFlow(t)
-	events := runTraced(t, faulty, fFaulty)
+	events := runTraced(t, faulty, fFaulty, RunOptions{Retry: &RetryPolicy{MaxAttempts: 3, BaseDelay: 10 * time.Microsecond, Seed: 7}})
 
 	retried := 0
 	for _, ev := range events {
@@ -165,22 +164,20 @@ func TestGoldenTraceWarmMatchesClean(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
 			store := datastore.NewStore()
-			cache := memo.New(0)
+			cached := RunOptions{Memo: memo.New(0)}
 
 			cold := newRigStore(t, nil, store)
-			cold.engine.SetMemo(cache)
 			cold.engine.SetWorkers(workers)
 			fCold, _ := cold.perfFlow(t)
-			cleanTrace := trace.MaskedJSONL(runTraced(t, cold, fCold))
+			cleanTrace := trace.MaskedJSONL(runTraced(t, cold, fCold, cached))
 			// A cold run with the cache installed is indistinguishable
 			// from one without it.
 			compareGolden(t, "golden_perf_trace.jsonl", cleanTrace)
 
 			warm := newRigStore(t, nil, store)
-			warm.engine.SetMemo(cache)
 			warm.engine.SetWorkers(workers)
 			fWarm, _ := warm.perfFlow(t)
-			events := runTraced(t, warm, fWarm)
+			events := runTraced(t, warm, fWarm, cached)
 
 			hits := 0
 			for _, ev := range events {

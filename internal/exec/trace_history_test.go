@@ -29,15 +29,15 @@ func TestTraceHistoryCommittedBijection(t *testing.T) {
 		// Rotate failure regimes: clean, degraded (ContinueOnError with
 		// permanently poisoned sites), and fail-fast with poisoned sites.
 		regime := seed % 3
+		buf := trace.NewBuffer()
+		o := RunOptions{Tracer: buf}
 		if regime != 0 {
 			inj := faults.New(seed, faults.Config{PermanentRate: 0.3})
 			inj.Instrument(r.engine.reg)
 			if regime == 1 {
-				r.engine.SetFailurePolicy(ContinueOnError)
+				o.Policy = ptr(ContinueOnError)
 			}
 		}
-		buf := trace.NewBuffer()
-		r.engine.SetTracer(buf)
 
 		goal := goals[rng.Intn(len(goals))]
 		f := flow.New(r.s, r.db)
@@ -46,7 +46,7 @@ func TestTraceHistoryCommittedBijection(t *testing.T) {
 			t.Fatalf("seed %d goal %s: build: %v", seed, goal, err)
 		}
 		pre := r.db.Len()
-		res, err := r.engine.RunFlow(f)
+		res, err := r.run(f, o)
 		if regime == 0 && err != nil {
 			t.Fatalf("seed %d goal %s: clean run: %v", seed, goal, err)
 		}
@@ -117,8 +117,7 @@ func TestTraceHistoryRetrace(t *testing.T) {
 	r.editNetlist(t, net)
 
 	buf := trace.NewBuffer()
-	r.engine.SetTracer(buf)
-	rr, err := r.engine.Retrace(pid)
+	rr, err := r.retrace(pid, RunOptions{Tracer: buf})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,15 +23,6 @@ import (
 // concurrent runs sees their streams interleaved, each event carrying
 // its run's label (Event.Run) for attribution.
 
-// SetTracer installs a run-event sink (see internal/trace) that
-// receives one event per lifecycle transition of every subsequent run;
-// nil removes it. Events are emitted in deterministic plan order with
-// wall-clock durations segregated into maskable fields. Applies to
-// subsequently admitted runs.
-func (e *Engine) SetTracer(s trace.Sink) {
-	e.set(func(c *runConfig) { c.tracer = s })
-}
-
 // attemptRec is one attempt's observation, buffered for the tracer.
 // errMsg is empty for the successful final attempt.
 type attemptRec struct {

@@ -2,6 +2,7 @@ package flowgen
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"testing"
 
@@ -131,8 +132,7 @@ func TestMaskedTraceIdenticalAcrossWorkers(t *testing.T) {
 		eng := exec.New(b.Schema, b.DB, b.Store, b.Reg)
 		eng.SetWorkers(workers)
 		buf := runtrace.NewBuffer()
-		eng.SetTracer(buf)
-		if _, err := eng.RunFlow(b.Flow); err != nil {
+		if _, err := eng.RunFlowOptions(context.Background(), b.Flow, &exec.RunOptions{Tracer: buf}); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		return runtrace.MaskedJSONL(buf.Events())

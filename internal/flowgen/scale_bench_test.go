@@ -1,6 +1,7 @@
 package flowgen
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/exec"
@@ -85,13 +86,13 @@ func BenchmarkScaleWarmMemo10k(b *testing.B) {
 	}
 	eng := exec.New(bench.Schema, bench.DB, bench.Store, bench.Reg)
 	eng.SetWorkers(8)
-	eng.SetMemo(memo.New(0))
-	if _, err := eng.RunFlow(bench.Flow); err != nil { // cold fill
+	cached := &exec.RunOptions{Memo: memo.New(0)}
+	if _, err := eng.RunFlowOptions(context.Background(), bench.Flow, cached); err != nil { // cold fill
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := eng.RunFlow(bench.Flow)
+		res, err := eng.RunFlowOptions(context.Background(), bench.Flow, cached)
 		if err != nil {
 			b.Fatal(err)
 		}

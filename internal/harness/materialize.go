@@ -58,7 +58,8 @@ func (m *World) Flow() *flow.Flow { return m.w.flow }
 func (m *World) Target() flow.NodeID { return m.w.target }
 
 // RunOptions returns the options that execute the world on any
-// engine, run stanza included; the caller adds tracer, WAL and user.
+// engine, run stanza included, recording user "harness"; the caller
+// adds tracer and WAL, and may name another user.
 func (m *World) RunOptions() *exec.RunOptions { return m.w.runOptions() }
 
 // Run executes the world's flow, or the sub-flow rooted at its
@@ -69,10 +70,12 @@ func (m *World) Run(ctx context.Context, e *exec.Engine, opts *exec.RunOptions) 
 
 // runOptions translates the scenario's run stanza (fan-out cap,
 // failure policy, retry, per-task timeout) into options over the
-// world's schema, registry, database and store.
+// world's schema, registry, database and store, recording user
+// "harness" as the world's imports do.
 func (w *world) runOptions() *exec.RunOptions {
 	run := w.sc.Run
-	o := &exec.RunOptions{Schema: w.schema, Registry: w.reg, DB: w.db, Store: w.store, MaxCombos: run.MaxCombos}
+	o := &exec.RunOptions{Schema: w.schema, Registry: w.reg, DB: w.db, Store: w.store,
+		User: "harness", MaxCombos: run.MaxCombos}
 	if run.Policy == "continue" {
 		p := exec.ContinueOnError
 		o.Policy = &p

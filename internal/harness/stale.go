@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -138,7 +139,7 @@ func checkStale(sc *scenario.Scenario, base *runOut, opts Options, rep *Report) 
 		return fail("stale cone is [%s], want [%s]", strings.Join(got, ", "), strings.Join(want, ", "))
 	}
 
-	rr, err := w.engine.Retrace(target)
+	rr, err := w.engine.RetraceOptions(context.Background(), target, w.runOptions())
 	if err != nil {
 		return fail("retrace of %s: %v", target, err)
 	}

@@ -94,7 +94,6 @@ func buildWorld(sc *scenario.Scenario, store *datastore.Store) (*world, error) {
 			w.name(id, fmt.Sprintf("cell%d", i))
 		}
 		w.engine = exec.New(w.schema, w.db, w.store, w.reg)
-		w.engine.SetUser("harness")
 		if sc.Run.Target != "" {
 			id, err := w.node(sc.Run.Target)
 			if err != nil {
@@ -163,7 +162,6 @@ func buildWorld(sc *scenario.Scenario, store *datastore.Store) (*world, error) {
 	w.db = history.NewDB(w.schema)
 	w.db.SetClock(func() time.Time { return frozenTime })
 	w.engine = exec.New(w.schema, w.db, w.store, w.reg)
-	w.engine.SetUser("harness")
 
 	// Imports.
 	for i, im := range sc.Imports {

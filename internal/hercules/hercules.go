@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/datastore"
@@ -23,9 +22,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/flow"
 	"repro/internal/history"
-	"repro/internal/memo"
 	"repro/internal/schema"
-	"repro/internal/trace"
 )
 
 // Session is one designer's connection to the framework.
@@ -41,7 +38,11 @@ type Session struct {
 	// Archive/Revision meta-data is set share one physical archive, the
 	// paper's footnote-5 arrangement.
 	Archives *datastore.Archives
-	user     string
+	// Options configure every run and retrace of the session: its user
+	// (also recorded on imports), the archive checkout, and whatever
+	// the designer sets — tracer, result cache, retry and failure
+	// policy, timeout, delay, fan-out cap.
+	Options exec.RunOptions
 	// Named holds well-known instances installed by Bootstrap, keyed by
 	// short names ("extractor", "sim", "stim.exhaustive3", ...).
 	Named map[string]history.ID
@@ -60,29 +61,32 @@ func NewSession(user string) *Session {
 // session keeps its own history database, while artifacts and
 // result-cache blobs are shared across all of them.
 func NewSessionStore(user string, store *datastore.Store) *Session {
-	s := schema.Full()
-	db := history.NewDB(s)
+	return buildSession(user, schema.Full(), store)
+}
+
+// buildSession builds an empty session over a schema and a datastore,
+// with the standard encapsulations.
+func buildSession(user string, sch *schema.Schema, store *datastore.Store) *Session {
+	db := history.NewDB(sch)
 	reg := encap.StandardRegistry()
-	eng := exec.New(s, db, store, reg)
-	eng.SetUser(user)
 	flows := flow.NewCatalog()
 	archives := datastore.NewArchives()
-	eng.SetArchiveSource(archives.Checkout)
 	return &Session{
-		Schema: s, DB: db, Store: store, Registry: reg, Engine: eng,
-		Flows: flows, Catalogs: catalog.New(s, db, flows),
+		Schema: sch, DB: db, Store: store, Registry: reg, Engine: exec.New(sch, db, store, reg),
+		Flows: flows, Catalogs: catalog.New(sch, db, flows),
 		Archives: archives,
-		user:     user, Named: make(map[string]history.ID),
+		Options:  exec.RunOptions{User: user, Archives: archives.Checkout},
+		Named:    make(map[string]history.ID),
 	}
 }
 
 // User returns the session's user name.
-func (s *Session) User() string { return s.user }
+func (s *Session) User() string { return s.Options.User }
 
 // Import records a primitive instance (installed tool or imported data)
 // with an artifact, returning its ID.
 func (s *Session) Import(typeName, name, data string) (history.ID, error) {
-	rec := history.Instance{Type: typeName, Name: name, User: s.user}
+	rec := history.Instance{Type: typeName, Name: name, User: s.User()}
 	if data != "" {
 		rec.Data = s.Store.Put([]byte(data))
 	}
@@ -204,60 +208,17 @@ func (s *Session) installPlans() error {
 // NewFlow opens an empty flow in the task window.
 func (s *Session) NewFlow() *flow.Flow { return flow.New(s.Schema, s.DB) }
 
-// Run executes a whole flow. The returned Result carries the run's
-// scheduling statistics in Result.Stats (per-task wall time, worker
-// occupancy, critical path, queue waits).
-func (s *Session) Run(f *flow.Flow) (*exec.Result, error) { return s.Engine.RunFlow(f) }
-
-// SetWorkers sets the engine's worker-pool size (the "machines" of
-// Fig. 6).
-func (s *Session) SetWorkers(n int) { s.Engine.SetWorkers(n) }
-
-// SetMaxCombos caps the per-node fan-out over multi-instance bindings.
-func (s *Session) SetMaxCombos(n int) { s.Engine.SetMaxCombos(n) }
-
-// SetTaskDelay adds a simulated dispatch latency to every tool run.
-func (s *Session) SetTaskDelay(d time.Duration) { s.Engine.SetTaskDelay(d) }
-
-// SetRetryPolicy installs per-unit retry with exponential backoff and
-// full jitter (see exec.RetryPolicy).
-func (s *Session) SetRetryPolicy(p exec.RetryPolicy) { s.Engine.SetRetryPolicy(p) }
-
-// SetFailurePolicy selects exec.FailFast (default) or
-// exec.ContinueOnError graceful degradation.
-func (s *Session) SetFailurePolicy(p exec.FailurePolicy) { s.Engine.SetFailurePolicy(p) }
-
-// SetTaskTimeout bounds every tool-run attempt; 0 disables the bound.
-func (s *Session) SetTaskTimeout(d time.Duration) { s.Engine.SetTaskTimeout(d) }
-
-// SetMemo installs a derivation-keyed result cache (see internal/memo)
-// consulted before each unit of work is dispatched and fed from every
-// committed result; nil removes it. A warm cache lets a re-run mint its
-// history instances without executing any tool.
-func (s *Session) SetMemo(c *memo.Cache) { s.Engine.SetMemo(c) }
-
-// SetTracer installs a run-event sink (see internal/trace) receiving
-// one structured event per lifecycle transition of every run; nil
-// removes it.
-func (s *Session) SetTracer(sink trace.Sink) { s.Engine.SetTracer(sink) }
-
-// RunContext executes a whole flow under a context; cancelling it stops
-// the run and returns the partial result.
-func (s *Session) RunContext(ctx context.Context, f *flow.Flow) (*exec.Result, error) {
-	return s.Engine.RunFlowContext(ctx, f)
+// Run executes a whole flow under the session's Options. The returned
+// Result carries the run's scheduling statistics in Result.Stats
+// (per-task wall time, worker occupancy, critical path, queue waits).
+func (s *Session) Run(f *flow.Flow) (*exec.Result, error) {
+	return s.Engine.RunFlowOptions(context.Background(), f, &s.Options)
 }
 
-// RunOptions executes a whole flow with per-run overrides (see
-// exec.RunOptions) — the entry point a multi-tenant service uses to run
-// this session's flow on a shared engine: pass the session's DB so the
-// run commits here while executing over the service engine's pool.
-func (s *Session) RunOptions(ctx context.Context, f *flow.Flow, opts *exec.RunOptions) (*exec.Result, error) {
-	return s.Engine.RunFlowOptions(ctx, f, opts)
-}
-
-// RunNode executes the sub-flow rooted at a node.
+// RunNode executes the sub-flow rooted at a node under the session's
+// Options.
 func (s *Session) RunNode(f *flow.Flow, id flow.NodeID) (*exec.Result, error) {
-	return s.Engine.RunNode(f, id)
+	return s.Engine.RunNodeOptions(context.Background(), f, id, &s.Options)
 }
 
 // Browse lists instances matching a filter — the entity-instance browser
@@ -326,9 +287,10 @@ func (s *Session) FlowTrace(id history.ID) (string, error) {
 // data.
 func (s *Session) OutOfDate(id history.ID) (bool, error) { return s.DB.OutOfDate(id) }
 
-// Retrace re-runs the stale parts of an instance's derivation.
+// Retrace re-runs the stale parts of an instance's derivation under the
+// session's Options.
 func (s *Session) Retrace(id history.ID) (*exec.RetraceResult, error) {
-	return s.Engine.Retrace(id)
+	return s.Engine.RetraceOptions(context.Background(), id, &s.Options)
 }
 
 // ArtifactText returns an instance's artifact as text. Blob-backed
@@ -360,7 +322,7 @@ func (s *Session) ArtifactText(id history.ID) (string, error) {
 // and User are filled in here.
 func (s *Session) CheckinRevision(rec history.Instance, archive, text string) (history.ID, error) {
 	rev := s.Archives.Open(archive).Checkin(text)
-	rec.User = s.user
+	rec.User = s.User()
 	rec.Archive = archive
 	rec.Revision = rev
 	rec.Data = ""

@@ -8,12 +8,8 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/catalog"
 	"repro/internal/datastore"
-	"repro/internal/encap"
-	"repro/internal/exec"
 	"repro/internal/flow"
-	"repro/internal/history"
 	"repro/internal/schema"
 )
 
@@ -25,26 +21,6 @@ func parseSchema(text string) (*schema.Schema, error) { return schema.ParseStrin
 
 // readerOf wraps bytes as a reader.
 func readerOf(b []byte) io.Reader { return bytes.NewReader(b) }
-
-// rebuildSession constructs an empty session around a specific schema
-// (Load uses it so a saved session resumes under its saved methodology,
-// even if the built-in schema has since evolved).
-func rebuildSession(user string, sch *schema.Schema) *Session {
-	db := history.NewDB(sch)
-	store := datastore.NewStore()
-	reg := encap.StandardRegistry()
-	eng := exec.New(sch, db, store, reg)
-	eng.SetUser(user)
-	flows := flow.NewCatalog()
-	archives := datastore.NewArchives()
-	eng.SetArchiveSource(archives.Checkout)
-	return &Session{
-		Schema: sch, DB: db, Store: store, Registry: reg, Engine: eng,
-		Flows: flows, Catalogs: catalog.New(sch, db, flows),
-		Archives: archives,
-		user:     user, Named: make(map[string]history.ID),
-	}
-}
 
 // Session persistence: a session saves to a directory as five plain
 // files — the schema in its DSL, the history as JSON, the datastore
@@ -135,8 +111,10 @@ func Load(dir, user string) (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hercules: load schema: %w", err)
 	}
-	// Build the session around the loaded schema.
-	s := rebuildSession(user, sch)
+	// Build the session around the loaded schema, so a saved session
+	// resumes under its saved methodology even if the built-in schema
+	// has since evolved.
+	s := buildSession(user, sch, datastore.NewStore())
 
 	open := func(name string, fill func(r io.Reader) error) error {
 		f, err := os.Open(filepath.Join(dir, name))

@@ -51,7 +51,7 @@ import (
 //
 // Shutdown is the graceful half: stop admitting, drain active runs
 // (their own goroutines close each WAL), abort stragglers at the
-// deadline.
+// deadline, then stop the engine's worker pool.
 
 // openRunWAL creates a fresh submission's log under <dataDir>/runs and
 // makes the identity record, carrying the compacted scenario document,
@@ -293,7 +293,8 @@ func (s *Server) noteSeq(id string) {
 // whatever is left. forced reports that the deadline expired and
 // running flows were aborted; their WALs still hold every committed
 // unit, so nothing durable is lost. Every run's durable state is its
-// own WAL, so Shutdown writes nothing and err is always nil. Safe
+// own WAL, so Shutdown writes nothing. Once the runs are done it stops
+// the engine's worker pool; err is the engine's Close error. Safe
 // without a DataDir.
 func (s *Server) Shutdown(timeout time.Duration) (forced bool, err error) {
 	s.mu.Lock()
@@ -320,5 +321,5 @@ func (s *Server) Shutdown(timeout time.Duration) (forced bool, err error) {
 		}
 		<-idle // cancelled runs exit promptly
 	}
-	return forced, nil
+	return forced, s.engine.Close()
 }

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -375,6 +376,35 @@ func TestDurableShutdownDrains(t *testing.T) {
 	getJSON(t, ts.URL+"/v1/runs/"+v.ID, &final)
 	if final.State != string(stateSucceeded) {
 		t.Fatalf("drained run ended %q, want succeeded", final.State)
+	}
+}
+
+// TestShutdownStopsWorkerPool: a server that is shut down leaves no
+// goroutine behind. Shutdown drains the runs and then closes the
+// engine, whose worker pool would otherwise outlive the server.
+func TestShutdownStopsWorkerPool(t *testing.T) {
+	body := `{"scenario":` + corpus(t, "quickstart") + `,"user":"alice"}`
+	base := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		s, err := New(Config{Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/runs", strings.NewReader(body)))
+		if w.Code != http.StatusCreated {
+			t.Fatalf("submit answered %d: %s", w.Code, w.Body.Bytes())
+		}
+		if forced, err := s.Shutdown(10 * time.Second); forced || err != nil {
+			t.Fatalf("Shutdown = (forced %v, err %v), want a clean drain", forced, err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after shutting 5 servers down, %d before", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

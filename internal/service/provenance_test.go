@@ -148,7 +148,7 @@ func FuzzSubmit(f *testing.F) {
 		if w.Code != http.StatusOK {
 			t.Fatalf("cancel of %s answered %d: %s", v.ID, w.Code, w.Body.Bytes())
 		}
-		if err := s.Engine().Close(); err != nil {
+		if _, err := s.Shutdown(10 * time.Second); err != nil {
 			t.Fatal(err)
 		}
 	})
