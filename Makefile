@@ -93,6 +93,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzVerifyRunLog$$' -fuzztime 5s ./internal/service/
 	$(GO) test -run '^$$' -fuzz '^FuzzProvenanceQuery$$' -fuzztime 5s ./internal/service/
 	$(GO) test -run '^$$' -fuzz '^FuzzSubmit$$' -fuzztime 5s ./internal/service/
+	$(GO) test -run '^$$' -fuzz '^FuzzResponseJSON$$' -fuzztime 5s ./internal/service/
 	$(GO) test -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime 5s ./internal/history/
 
 # cover enforces the same ratchet as the CI trace job: the traced

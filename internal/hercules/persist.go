@@ -3,8 +3,10 @@ package hercules
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 
@@ -22,17 +24,18 @@ func parseSchema(text string) (*schema.Schema, error) { return schema.ParseStrin
 // readerOf wraps bytes as a reader.
 func readerOf(b []byte) io.Reader { return bytes.NewReader(b) }
 
-// Session persistence: a session saves to a directory as five plain
+// Session persistence: a session saves to a directory as six plain
 // files — the schema in its DSL, the history as JSON, the datastore
-// blobs, the flow catalog, and the bootstrap name table — and loads back
-// into a fully working session. Everything else (indexes, catalogs,
-// version trees) is derived state.
+// blobs, the flow catalog, the bootstrap name table and the revision
+// archives — and loads back into a fully working session. Everything
+// else (indexes, catalogs, version trees) is derived state.
 const (
-	schemaFile = "schema.txt"
-	dbFile     = "history.json"
-	storeFile  = "store.json"
-	flowsFile  = "flows.json"
-	namedFile  = "named.json"
+	schemaFile   = "schema.txt"
+	dbFile       = "history.json"
+	storeFile    = "store.json"
+	flowsFile    = "flows.json"
+	namedFile    = "named.json"
+	archivesFile = "archives.json"
 )
 
 // Save writes the session's state into dir (created if needed).
@@ -66,9 +69,32 @@ func (s *Session) Save(dir string) error {
 	if err := write(flowsFile, s.dumpFlows); err != nil {
 		return err
 	}
-	return write(namedFile, func(w io.Writer) error {
+	if err := write(namedFile, func(w io.Writer) error {
 		return json.NewEncoder(w).Encode(s.Named)
-	})
+	}); err != nil {
+		return err
+	}
+	return write(archivesFile, s.dumpArchives)
+}
+
+// dumpArchives serializes the revision archives as a JSON object of
+// each archive's revision texts, oldest first. Load checks them back in
+// in that order, which gives back the revision numbers and deltas.
+func (s *Session) dumpArchives(w io.Writer) error {
+	out := make(map[string][]string)
+	for _, name := range s.Archives.Names() {
+		a := s.Archives.Open(name)
+		revs := make([]string, a.Head())
+		for i := range revs {
+			text, err := a.Checkout(i + 1)
+			if err != nil {
+				return err
+			}
+			revs[i] = text
+		}
+		out[name] = revs
+	}
+	return json.NewEncoder(w).Encode(out)
 }
 
 // dumpFlows serializes the flow catalog as a JSON object of encoded
@@ -101,7 +127,8 @@ func (b *jsonBuffer) Write(p []byte) (int, error) {
 // schema is reloaded from the saved DSL (so the session resumes against
 // exactly the methodology it was saved under), the standard
 // encapsulations are re-registered, and the history, datastore, flow
-// catalog and name table are restored.
+// catalog, name table and revision archives are restored. A directory
+// saved without an archives file loads with no archives.
 func Load(dir, user string) (*Session, error) {
 	schemaText, err := os.ReadFile(filepath.Join(dir, schemaFile))
 	if err != nil {
@@ -154,6 +181,21 @@ func Load(dir, user string) (*Session, error) {
 	if err := open(namedFile, func(r io.Reader) error {
 		return json.NewDecoder(r).Decode(&s.Named)
 	}); err != nil {
+		return nil, err
+	}
+	if err := open(archivesFile, func(r io.Reader) error {
+		var saved map[string][]string
+		if err := json.NewDecoder(r).Decode(&saved); err != nil {
+			return err
+		}
+		for name, revs := range saved {
+			a := s.Archives.Open(name)
+			for _, text := range revs {
+				a.Checkin(text)
+			}
+		}
+		return nil
+	}); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, err
 	}
 	// Every named instance must have survived the round trip.

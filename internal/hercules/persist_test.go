@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cad/netlist"
 	"repro/internal/history"
 )
 
@@ -16,11 +17,23 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := s.Annotate(perf, "saved run", "before shutdown"); err != nil {
 		t.Fatal(err)
 	}
+	// Two archive-backed revisions (footnote 5) of one shared archive.
+	base := netlist.Format(netlist.FullAdder())
+	ed := s.Must("netEd.retouch")
+	r1, err := s.CheckinRevision(history.Instance{Type: "EditedNetlist", Tool: ed}, "n.cct", base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := s.CheckinRevision(history.Instance{Type: "EditedNetlist", Tool: ed,
+		Inputs: []history.Input{{Key: "Netlist", Inst: r1}}}, "n.cct", base+"# retouched\n")
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if err := s.Save(dir); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	for _, f := range []string{"schema.txt", "history.json", "store.json", "flows.json", "named.json"} {
+	for _, f := range []string{"schema.txt", "history.json", "store.json", "flows.json", "named.json", "archives.json"} {
 		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
 			t.Errorf("missing %s: %v", f, err)
 		}
@@ -48,6 +61,22 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if a != b {
 		t.Error("artifact changed across save/load")
+	}
+	// Each archive-backed instance checks out its own revision, and the
+	// archive keeps its head and its delta storage.
+	for _, id := range []history.ID{r1, r2} {
+		a, err := s.ArtifactText(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := s2.ArtifactText(id)
+		if err != nil || a != b {
+			t.Fatalf("archived %s after load: %v, text equal %v", id, err, a == b)
+		}
+	}
+	if head, lines := s2.Archives.Open("n.cct").Head(), s2.Archives.Open("n.cct").StorageLines(); head != 2 ||
+		lines != s.Archives.Open("n.cct").StorageLines() {
+		t.Fatalf("archive after load: head %d, %d stored lines; want 2 and %d", head, lines, s.Archives.Open("n.cct").StorageLines())
 	}
 	// History queries still work.
 	h, err := s2.History(perf)
@@ -96,6 +125,19 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = ood
+
+	// A directory saved without the archives file still loads, with no
+	// archives.
+	if err := os.Remove(filepath.Join(dir, "archives.json")); err != nil {
+		t.Fatal(err)
+	}
+	s3, err := Load(dir, "older-save")
+	if err != nil {
+		t.Fatalf("Load without archives.json: %v", err)
+	}
+	if names := s3.Archives.Names(); len(names) != 0 {
+		t.Fatalf("archives after a load without archives.json: %v", names)
+	}
 }
 
 func TestLoadRejectsDamage(t *testing.T) {

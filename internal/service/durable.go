@@ -208,7 +208,7 @@ func (s *Server) registerFinished(id, path string, rc *storage.Recovered, l stor
 	if cause == nil && rc.Error != "" {
 		cause = errors.New(rc.Error)
 	}
-	rec := &runRecord{id: id, cancel: func() {}, done: make(chan struct{}),
+	rec := &runRecord{id: id, seq: runSeq(id), cancel: func() {}, done: make(chan struct{}),
 		log: newEventLog(), state: stateSucceeded, err: cause, logPath: path}
 	if rc.Meta != nil {
 		rec.flowName, rec.user = rc.Meta.Flow, rc.Meta.User
@@ -257,7 +257,7 @@ func (s *Server) resumeRun(id, path string, rc *storage.Recovered, l storage.Log
 		return err
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	rec := &runRecord{id: id, flowName: rc.Meta.Flow, user: rc.Meta.User,
+	rec := &runRecord{id: id, seq: runSeq(id), flowName: rc.Meta.Flow, user: rc.Meta.User,
 		log: newEventLog(), cancel: cancel, done: make(chan struct{}),
 		state: stateRunning, walLog: l, wal: storage.NewRunWAL(l), logPath: path,
 		prov: world.DB().Graph(), started: time.Now()}
@@ -273,13 +273,20 @@ func (s *Server) resumeRun(id, path string, rc *storage.Recovered, l storage.Log
 	return nil
 }
 
+// runSeq is the submission number a run id "r-%04d" carries; 0 for an
+// id that is not one.
+func runSeq(id string) int {
+	var n int
+	if _, err := fmt.Sscanf(id, "r-%d", &n); err != nil {
+		return 0
+	}
+	return n
+}
+
 // noteSeq advances the id counter past a recovered run id, so new
 // submissions never collide with recovered ones.
 func (s *Server) noteSeq(id string) {
-	var n int
-	if _, err := fmt.Sscanf(id, "r-%d", &n); err != nil {
-		return
-	}
+	n := runSeq(id)
 	s.mu.Lock()
 	if n > s.seq {
 		s.seq = n

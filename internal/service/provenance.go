@@ -20,34 +20,14 @@ import (
 // query, which replays its WAL (ReplayLog); a log that fails
 // verification answers 409 naming the unit. verify=1 replays a finished
 // durable run's WAL and reports inline whether every logged chain
-// digest matched.
-
-// provenanceEdge is one derivation arc in the response: Parent was
-// created using Child. Kind is the paper's arc label — "fd" for the
-// tool arc, "dd" for a data input (with its dependency key).
-type provenanceEdge struct {
-	Parent string `json:"parent"`
-	Child  string `json:"child"`
-	Kind   string `json:"kind"`
-	Key    string `json:"key,omitempty"`
-}
+// digest matched. The answer is written straight from the derivation
+// (appendProvenance, respond.go).
 
 // chainVerdict is the inline hash-chain check (verify=1).
 type chainVerdict struct {
 	Records  int    `json:"records"`
 	Verified bool   `json:"verified"`
 	Error    string `json:"error,omitempty"`
-}
-
-// provenanceView is the GET /v1/runs/{id}/provenance response.
-type provenanceView struct {
-	Run   string           `json:"run"`
-	Root  string           `json:"root"`
-	Dir   string           `json:"dir"`
-	Depth int              `json:"depth"`
-	Nodes []string         `json:"nodes"`
-	Edges []provenanceEdge `json:"edges"`
-	Chain *chainVerdict    `json:"chain,omitempty"`
 }
 
 func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
@@ -94,24 +74,11 @@ func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	view := provenanceView{
-		Run: rec.id, Root: string(der.Root), Dir: dir, Depth: depth,
-		Nodes: make([]string, len(der.Nodes)),
-		Edges: make([]provenanceEdge, len(der.Edges)),
-	}
-	for i, n := range der.Nodes {
-		view.Nodes[i] = string(n)
-	}
-	for i, e := range der.Edges {
-		view.Edges[i] = provenanceEdge{
-			Parent: string(e.Parent), Child: string(e.Child),
-			Kind: e.Kind.String(), Key: e.Key,
-		}
-	}
+	var chain *chainVerdict
 	if q.Get("verify") == "1" {
-		view.Chain = rec.verify()
+		chain = rec.verify()
 	}
-	writeJSON(w, http.StatusOK, view)
+	writeBody(w, http.StatusOK, appendProvenance(nil, rec.id, dir, depth, der, chain))
 }
 
 // graph returns the run's derivation graph or, for a run recovered as

@@ -85,6 +85,7 @@ const (
 // world database's derivation graph.
 type runRecord struct {
 	id       string
+	seq      int // the submission number in id; 0 if id is not r-<n>
 	flowName string
 	user     string
 	log      *eventLog
@@ -182,18 +183,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // Engine exposes the shared engine (benchmarks and tests).
 func (s *Server) Engine() *exec.Engine { return s.engine }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
 // submitRequest is the POST /v1/runs body: an inline declarative
 // scenario (internal/scenario), whose schema, tools, imports and flow
 // are materialized server-side and run on the shared engine via
@@ -203,7 +192,7 @@ type submitRequest struct {
 	User     string          `json:"user"`
 }
 
-// runView is the JSON shape of one run.
+// runView is one run as the service answers it (respond.go writes it).
 type runView struct {
 	ID        string `json:"id"`
 	Flow      string `json:"flow"`
@@ -275,7 +264,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, code, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, accepted)
+	writeView(w, http.StatusCreated, accepted)
 }
 
 // errDraining refuses a submission once Shutdown has begun.
@@ -296,11 +285,12 @@ func (s *Server) start(world *harness.World, flowName string, opts *exec.RunOpti
 		return runView{}, errDraining
 	}
 	s.seq++
-	id := fmt.Sprintf("r-%04d", s.seq)
+	seq := s.seq
 	s.mu.Unlock()
+	id := fmt.Sprintf("r-%04d", seq)
 
 	ctx, cancel := context.WithCancel(context.Background())
-	rec := &runRecord{id: id, flowName: flowName, user: user,
+	rec := &runRecord{id: id, seq: seq, flowName: flowName, user: user,
 		log: newEventLog(), cancel: cancel, done: make(chan struct{}),
 		state: stateRunning, started: time.Now()}
 	// abort releases everything acquired for a run that never launches.
@@ -416,6 +406,8 @@ func (s *Server) record(id string) *runRecord {
 	return s.runs[id]
 }
 
+// handleList answers every run in submission order: by sequence number,
+// which outgrows the id's four zero-padded digits, then by id.
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	recs := make([]*runRecord, 0, len(s.runs))
@@ -423,12 +415,17 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 		recs = append(recs, rec)
 	}
 	s.mu.Unlock()
-	sort.Slice(recs, func(i, j int) bool { return recs[i].id < recs[j].id })
+	sort.Slice(recs, func(i, j int) bool {
+		if recs[i].seq != recs[j].seq {
+			return recs[i].seq < recs[j].seq
+		}
+		return recs[i].id < recs[j].id
+	})
 	views := make([]runView, len(recs))
 	for i, rec := range recs {
 		views[i] = rec.view()
 	}
-	writeJSON(w, http.StatusOK, views)
+	writeBody(w, http.StatusOK, appendList(make([]byte, 0, 256*len(views)+4), views))
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -437,13 +434,13 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "no run %q", r.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, rec.view())
+	writeView(w, http.StatusOK, rec.view())
 }
 
 // handleTrace streams the run's masked JSONL trace, following until the
 // run reaches a terminal state (a finished run's trace returns
-// immediately and completely). Each pass writes every line emitted
-// since the last one in one Write and one Flush.
+// immediately and completely). Each pass writes the lines emitted since
+// the last one, up to the end of a log chunk, in one Write and one Flush.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	rec := s.record(r.PathValue("id"))
 	if rec == nil {
@@ -475,5 +472,5 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	}
 	rec.cancel()
 	<-rec.done
-	writeJSON(w, http.StatusOK, rec.view())
+	writeView(w, http.StatusOK, rec.view())
 }

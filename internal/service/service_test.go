@@ -304,6 +304,88 @@ func TestEventLogStreaming(t *testing.T) {
 	}
 }
 
+// TestEventLogChunks: a log spanning several chunks streams exactly the
+// masked trace, batch by batch: every batch ends on a line boundary and
+// none is longer than a chunk, and the batches a reader already holds
+// stay as they were while later events are emitted.
+func TestEventLogChunks(t *testing.T) {
+	events := make([]trace.Event, 3000)
+	for i := range events {
+		events[i] = trace.Event{Seq: i, Kind: trace.KindUnitCommitted, Job: i, Unit: i,
+			Insts: []string{fmt.Sprintf("Cell:%d", i)}, DurMicros: int64(i)}
+	}
+	half := len(events) / 2
+	l := newEventLog()
+	for _, ev := range events[:half] {
+		l.Emit(ev)
+	}
+	var held, copies [][]byte
+	for off, end := 0, len(trace.MaskedJSONL(events[:half])); off < end; {
+		batch, ok := l.next(off)
+		if !ok {
+			t.Fatalf("next(%d) reported done on an open log", off)
+		}
+		held = append(held, batch)
+		copies = append(copies, bytes.Clone(batch))
+		off += len(batch)
+	}
+	for _, ev := range events[half:] {
+		l.Emit(ev)
+	}
+	l.close()
+	for i := range held {
+		if !bytes.Equal(held[i], copies[i]) {
+			t.Fatalf("batch %d changed under its reader after later events were emitted", i)
+		}
+	}
+	var got []byte
+	batches := 0
+	for off := 0; ; batches++ {
+		batch, ok := l.next(off)
+		if !ok {
+			break
+		}
+		if batch[len(batch)-1] != '\n' || len(batch) > maxChunk {
+			t.Fatalf("batch at %d: %d bytes ending %q, want whole lines within a chunk", off, len(batch), batch[len(batch)-1])
+		}
+		got = append(got, batch...)
+		off += len(batch)
+	}
+	if want := trace.MaskedJSONL(events); !bytes.Equal(got, want) {
+		t.Fatalf("the batches concatenate to %d bytes that differ from the %d-byte masked trace", len(got), len(want))
+	}
+	if batches < 4 {
+		t.Fatalf("%d bytes in %d batches: the log should span several chunks", len(got), batches)
+	}
+}
+
+// TestListOrdersBySeq: runs list in submission order past r-9999, where
+// their ids no longer sort as strings.
+func TestListOrdersBySeq(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	s.mu.Lock()
+	s.seq = 9998
+	s.mu.Unlock()
+	var want []string
+	for i := 0; i < 3; i++ {
+		v := submit(t, ts.URL, svcScenario, "alice")
+		waitTerminal(t, ts.URL, v.ID)
+		want = append(want, v.ID)
+	}
+	if fmt.Sprint(want) != "[r-9999 r-10000 r-10001]" {
+		t.Fatalf("submitted %v", want)
+	}
+	var list []runView
+	getJSON(t, ts.URL+"/v1/runs", &list)
+	got := make([]string, len(list))
+	for i, v := range list {
+		got[i] = v.ID
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("GET /v1/runs lists %v, want %v", got, want)
+	}
+}
+
 // TestTraceEndpointMatchesGoldens: the trace a client streams from flowd
 // is, byte for byte, the masked golden the conformance harness pins for
 // the same scenario — every corpus scenario with a golden, all
