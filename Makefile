@@ -78,7 +78,8 @@ conformance-update:
 
 # fuzz smoke-runs each native fuzz target briefly (seed corpora live in
 # testdata/fuzz/, for scenarios and the submit body testdata/scenarios/,
-# for the WAL reader a real run log in internal/storage/testdata/, and
+# for the WAL reader a real run log in internal/storage/testdata/, for
+# the boot reader of a log's ends both committed quickstart logs, and
 # for the WAL replay verifier real run logs in internal/service/testdata/
 # and internal/storage/testdata/, for the history restore the Fig. 1
 # fixture's dump); go test accepts one -fuzz pattern per invocation.
@@ -90,6 +91,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzScenarioDecode$$' -fuzztime 5s ./internal/scenario/
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendJSON$$' -fuzztime 5s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzRecoverRun$$' -fuzztime 5s ./internal/storage/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadEnds$$' -fuzztime 5s ./internal/storage/
 	$(GO) test -run '^$$' -fuzz '^FuzzVerifyRunLog$$' -fuzztime 5s ./internal/service/
 	$(GO) test -run '^$$' -fuzz '^FuzzProvenanceQuery$$' -fuzztime 5s ./internal/service/
 	$(GO) test -run '^$$' -fuzz '^FuzzSubmit$$' -fuzztime 5s ./internal/service/

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
 	"sort"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/history"
 	"repro/internal/storage"
+	"repro/internal/trace"
 )
 
 // This file is the service half of the durability layer (Config.
@@ -26,14 +28,26 @@ import (
 // Nothing else is written; a store.json or runs/<id>.chain left by an
 // older flowd is neither read nor deleted.
 //
+// A finished durable run lives in its WAL. When a run's log closes
+// cleanly the run drops its event log and derivation graph (launch),
+// so it keeps only its view fields and its log path. Its /trace
+// re-encodes the events the log reads back (writeLoggedTrace), and its
+// /provenance queries a graph replayed from the log (ReplayLog), the
+// last few of which the server keeps (replayCache, provenance.go).
+//
 // Boot recovery (initDurable, from New) reads every WAL back:
 //
-//   - A log containing RunFinished, or the terminal error record of a
-//     run that ended before planning, is a completed run — possibly a
-//     failed or cancelled one. It reappears queryable (status, complete
-//     trace) in a terminal state; nothing is replayed at boot.
+//   - A log that opens with its identity record and closes with
+//     RunFinished, or with the terminal error record of a run that
+//     ended before planning, is a completed run — possibly a failed or
+//     cancelled one. Boot decodes those two records only
+//     (storage.ReadEnds) and lists the run in its terminal state, as
+//     released as a run that finished here; nothing else is decoded or
+//     replayed at boot.
 //
-//   - A log without either is an interrupted run (crash, kill -9).
+//   - Any other log is read whole (storage.RecoverRun). One that reads
+//     back finished all the same is listed as above. One that does not
+//     is an interrupted run (crash, kill -9).
 //     The service re-materializes the run's world from the scenario in
 //     the identity record — the same path a submission takes — rewinds
 //     the log to its resumable prefix and relaunches the run with
@@ -99,23 +113,33 @@ var ErrUnverified = errors.New("unverified: written before chain digests")
 // number of chain records re-derived (imports included) and the first
 // verification failure, which names the unit. An unfinished log fails
 // with ErrInterrupted; a finished one with bytes after its end is
-// damaged, since a finished run synced everything it wrote.
+// damaged, since a finished run synced everything it wrote. A log that
+// cannot be opened or read fails with a *readError, which says nothing
+// of what the log holds.
 func ReplayLog(path string) (*history.Graph, int, error) {
 	g, n, _, err := replayLog(path)
 	return g, n, err
 }
 
+// readError is a replay that failed to open or read its log: a fault
+// of the moment (a descriptor limit, an I/O error, a moved file), not
+// of the log's contents.
+type readError struct{ err error }
+
+func (e *readError) Error() string { return e.err.Error() }
+func (e *readError) Unwrap() error { return e.err }
+
 // replayLog is ReplayLog, also returning the replay's result.
 func replayLog(path string) (*history.Graph, int, *exec.Result, error) {
 	l, err := storage.OpenReadOnly(path)
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, 0, nil, &readError{err}
 	}
 	defer l.Close() // read only
 	rc, err := storage.RecoverRun(l)
 	switch {
 	case err != nil:
-		return nil, 0, nil, err
+		return nil, 0, nil, &readError{err}
 	case !rc.Finished:
 		return nil, 0, nil, ErrInterrupted
 	case l.Torn() || l.Records() > rc.PrefixRecords:
@@ -170,20 +194,34 @@ func (s *Server) recoverRunFile(path string) error {
 	if err != nil {
 		return err
 	}
-	rc, err := storage.RecoverRun(l)
+	ends, err := storage.ReadEnds(l)
 	if err != nil {
 		_ = l.Close()
 		return err
 	}
+	var rc *storage.Recovered
+	if ends == nil {
+		if rc, err = storage.RecoverRun(l); err != nil {
+			_ = l.Close()
+			return err
+		}
+		ends = rc.Ends()
+	}
+	var meta *storage.RunMeta
+	if ends != nil {
+		meta = ends.Meta
+	} else {
+		meta = rc.Meta
+	}
 	id := strings.TrimSuffix(filepath.Base(path), ".wal")
-	if rc.Meta != nil && rc.Meta.ID != "" {
-		id = rc.Meta.ID
+	if meta != nil && meta.ID != "" {
+		id = meta.ID
 	}
 	s.noteSeq(id)
-	if rc.Finished {
-		return s.registerFinished(id, path, rc, l, nil)
+	if ends != nil {
+		return s.registerFinished(id, path, ends, l, nil)
 	}
-	if rc.Meta == nil {
+	if meta == nil {
 		// The crash beat the identity record to disk: there is nothing
 		// to rebuild the run from, and nothing was committed.
 		return l.Close()
@@ -191,42 +229,35 @@ func (s *Server) recoverRunFile(path string) error {
 	return s.resumeRun(id, path, rc, l)
 }
 
-// registerFinished surfaces a run that will not execute again: it
-// reappears with a closed, fully pre-seeded event stream and no
-// derivation graph — its first provenance query replays the log. cause
-// is nil for a completed run, whose terminal state derives from its
-// RunFinished record (the original error text is not persisted; a
-// failed or aborted run recovers as "failed") or from its terminal
-// error record, whose error it keeps. A non-nil cause is why an
-// interrupted run cannot be resumed: it recovers failed with that
+// registerFinished surfaces a run that will not execute again. It is
+// released from the start — its trace and provenance are read from its
+// log. cause is nil for a completed run, whose terminal state derives
+// from its RunFinished event (the original error text is not
+// persisted; a failed or aborted run recovers as "failed") or from its
+// terminal error record, whose error it keeps. A non-nil cause is why
+// an interrupted run cannot be resumed: it recovers failed with that
 // error and its trace prefix intact, so the operator can see it and
 // resubmit — without failing the whole boot.
-func (s *Server) registerFinished(id, path string, rc *storage.Recovered, l storage.Log, cause error) error {
+func (s *Server) registerFinished(id, path string, e *storage.Ends, l storage.Log, cause error) error {
 	if err := l.Close(); err != nil {
 		return err
 	}
-	if cause == nil && rc.Error != "" {
-		cause = errors.New(rc.Error)
+	if cause == nil && e.Error != "" {
+		cause = errors.New(e.Error)
 	}
 	rec := &runRecord{id: id, seq: runSeq(id), cancel: func() {}, done: make(chan struct{}),
-		log: newEventLog(), state: stateSucceeded, err: cause, logPath: path}
-	if rc.Meta != nil {
-		rec.flowName, rec.user = rc.Meta.Flow, rc.Meta.User
+		state: stateSucceeded, err: cause, logPath: path}
+	if e.Meta != nil {
+		rec.flowName, rec.user = e.Meta.Flow, e.Meta.User
 	}
-	for _, ev := range rc.Events {
-		rec.log.Emit(ev)
-		s.metrics.Emit(ev)
-	}
-	if n := len(rc.Events); cause != nil || n == 0 {
+	if fin := e.Finished; cause != nil || fin == nil {
 		rec.state = stateFailed
 	} else {
-		fin := rc.Events[n-1]
 		rec.tasksRun = fin.Committed // the run's Result.TasksRun
 		if fin.Failed > 0 || fin.Skipped > 0 || fin.Committed < fin.Units {
 			rec.state = stateFailed
 		}
 	}
-	rec.log.close()
 	close(rec.done)
 	s.mu.Lock()
 	s.runs[id] = rec
@@ -241,15 +272,16 @@ func (s *Server) registerFinished(id, path string, rc *storage.Recovered, l stor
 // every logged digest, before dispatching anything. The fresh world's
 // database graphs the restored units and the fresh suffix as one
 // stream, and the provenance endpoint queries that graph. The event
-// stream is pre-seeded with the prefix and the fresh suffix continues
-// its sequence numbers, so a trace reader sees one gapless run.
+// log is pre-seeded with the prefix and the fresh suffix continues its
+// sequence numbers, so a trace reader sees one gapless run; the
+// metrics fold only the fresh suffix, as it runs.
 func (s *Server) resumeRun(id, path string, rc *storage.Recovered, l storage.Log) error {
 	if len(rc.Meta.Scenario) == 0 {
-		return s.registerFinished(id, path, rc, l, errors.New("cannot resume: the run log records no scenario"))
+		return s.registerFinished(id, path, &storage.Ends{Meta: rc.Meta}, l, errors.New("cannot resume: the run log records no scenario"))
 	}
 	world, _, opts, err := materialize(rc.Meta.Scenario)
 	if err != nil {
-		return s.registerFinished(id, path, rc, l, fmt.Errorf("cannot resume: scenario: %w", err))
+		return s.registerFinished(id, path, &storage.Ends{Meta: rc.Meta}, l, fmt.Errorf("cannot resume: scenario: %w", err))
 	}
 	if err := rc.Rewind(l); err != nil {
 		world.Close()
@@ -258,12 +290,11 @@ func (s *Server) resumeRun(id, path string, rc *storage.Recovered, l storage.Log
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	rec := &runRecord{id: id, seq: runSeq(id), flowName: rc.Meta.Flow, user: rc.Meta.User,
-		log: newEventLog(), cancel: cancel, done: make(chan struct{}),
+		cancel: cancel, done: make(chan struct{}),
 		state: stateRunning, walLog: l, wal: storage.NewRunWAL(l), logPath: path,
-		prov: world.DB().Graph(), started: time.Now()}
+		started: time.Now(), log: newEventLog(), prov: world.DB().Graph()}
 	for _, ev := range rc.Events {
 		rec.log.Emit(ev)
-		s.metrics.Emit(ev)
 	}
 	s.mu.Lock()
 	s.runs[id] = rec
@@ -271,6 +302,45 @@ func (s *Server) resumeRun(id, path string, rc *storage.Recovered, l storage.Log
 	opts.Resume = rc
 	s.launch(ctx, rec, world, opts)
 	return nil
+}
+
+// writeLoggedTrace answers a released run's trace from its WAL: the
+// events RecoverRun reads back, each encoded by trace.AppendMaskedJSONL
+// as the event log encodes them, written about a log chunk at a time.
+// Nothing is kept.
+func writeLoggedTrace(w http.ResponseWriter, rec *runRecord) {
+	events, err := loggedEvents(rec.logPath)
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, "run %q: reading its log: %v", rec.id, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/jsonl")
+	buf := make([]byte, 0, maxChunk)
+	for _, ev := range events {
+		buf = trace.AppendMaskedJSONL(buf, ev)
+		if len(buf) >= maxChunk {
+			if _, err := w.Write(buf); err != nil {
+				return // the client has gone
+			}
+			buf = buf[:0]
+		}
+	}
+	_, _ = w.Write(buf) // a failed write means the client has gone
+}
+
+// loggedEvents reads the events of a run's log back, without changing
+// the log.
+func loggedEvents(path string) ([]trace.Event, error) {
+	l, err := storage.OpenReadOnly(path)
+	if err != nil {
+		return nil, err
+	}
+	defer l.Close() // read only
+	rc, err := storage.RecoverRun(l)
+	if err != nil {
+		return nil, err
+	}
+	return rc.Events, nil
 }
 
 // runSeq is the submission number a run id "r-%04d" carries; 0 for an

@@ -306,7 +306,8 @@ func TestDurableChainPersisted(t *testing.T) {
 		t.Fatalf("runs/ holds %v, want only %s.wal", entries, v.ID)
 	}
 
-	// The first queries after the restart race: they share one replay.
+	// The first queries after the restart race: each may replay the
+	// log, and every one answers as before.
 	_, ts2 := newTestServer(t, Config{Workers: 1, DataDir: dir})
 	base2 := ts2.URL + "/v1/runs/" + v.ID + "/provenance?inst=" + perf
 	var wg sync.WaitGroup
@@ -371,9 +372,10 @@ func TestDurableResumeRefusesTamperedChain(t *testing.T) {
 
 // TestDurableTamperedLog: a finished run whose WAL has one logged
 // artifact rewritten, frame checksum recomputed, is refused wherever
-// its log is read — verify=1 and the first provenance query after a
-// restart — with an error naming the unit; the same run's status and
-// trace still recover.
+// its log is read — verify=1 before a restart, and the first
+// provenance query after one — with a 409 naming the unit; the failed
+// replay is kept, so later queries answer the same without another.
+// The same run's status and trace still recover.
 func TestDurableTamperedLog(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := newTestServer(t, Config{Workers: 1, DataDir: dir})
@@ -384,10 +386,11 @@ func TestDurableTamperedLog(t *testing.T) {
 	perf := performanceInst(t, ts.URL, v.ID)
 	rewriteArtifact(t, filepath.Join(dir, "runs", v.ID+".wal"), 2)
 	const named = "recovered unit 2 ("
-	var view provenanceView
-	getJSON(t, ts.URL+"/v1/runs/"+v.ID+"/provenance?inst="+perf+"&verify=1", &view)
-	if view.Chain == nil || view.Chain.Verified || !strings.Contains(view.Chain.Error, named) {
-		t.Fatalf("verify=1 on the rewritten log = %+v, want a failure naming unit 2", view.Chain)
+	for _, q := range []string{"&verify=1", ""} {
+		code, body := getBody(t, ts.URL+"/v1/runs/"+v.ID+"/provenance?inst="+perf+q)
+		if code != http.StatusConflict || !strings.Contains(string(body), named) {
+			t.Fatalf("provenance%s of the rewritten run: %d %s, want 409 naming unit 2", q, code, body)
+		}
 	}
 	if forced, err := s.Shutdown(5 * time.Second); err != nil || forced {
 		t.Fatalf("Shutdown = (forced %v, err %v)", forced, err)
@@ -402,5 +405,79 @@ func TestDurableTamperedLog(t *testing.T) {
 		if code != http.StatusConflict || !strings.Contains(string(body), named) {
 			t.Fatalf("provenance of the rewritten run after restart: %d %s, want 409 naming unit 2", code, body)
 		}
+	}
+}
+
+// TestDurableReplayKept: a released run's provenance answers from the
+// graph its first query replayed, so it still answers with its WAL
+// moved away; the server keeps the replayGraphs graphs queried last
+// and, past them, drops the least recently used. A query that cannot
+// read the log — plain, verify=1 or a trace — answers 500 and leaves
+// nothing on the run, so once the log is back the next query replays
+// it and answers as before.
+func TestDurableReplayKept(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newTestServer(t, Config{Workers: 1, DataDir: dir})
+	ids := make([]string, replayGraphs+1)
+	urls := make([]string, len(ids))
+	for i := range ids {
+		v := submit(t, ts.URL, corpus(t, "quickstart"), "alice")
+		if fin := waitTerminal(t, ts.URL, v.ID); fin.State != string(stateSucceeded) {
+			t.Fatalf("run ended %+v", fin)
+		}
+		ids[i] = v.ID
+		urls[i] = ts.URL + "/v1/runs/" + v.ID + "/provenance?inst=" + performanceInst(t, ts.URL, v.ID)
+	}
+	// away moves run i's WAL aside and returns what moves it back.
+	away := func(i int) func() {
+		path := filepath.Join(dir, "runs", ids[i]+".wal")
+		if err := os.Rename(path, path+".away"); err != nil {
+			t.Fatal(err)
+		}
+		return func() {
+			if err := os.Rename(path+".away", path); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	want := make([][]byte, len(ids))
+	kept := func(i int) {
+		t.Helper()
+		if code, body := getBody(t, urls[i]); code != http.StatusOK || !bytes.Equal(body, want[i]) {
+			t.Fatalf("provenance of run %d: %d\n%s\nwant 200\n%s", i, code, body, want[i])
+		}
+	}
+	for i := range want { // each replays its log; the last drops run 0
+		var code int
+		if code, want[i] = getBody(t, urls[i]); code != http.StatusOK {
+			t.Fatalf("provenance of run %d: %d %s", i, code, want[i])
+		}
+	}
+	back1 := away(1)
+	kept(1) // run 1 is now the most recently used
+	back2 := away(2)
+	kept(2)
+	kept(1)
+	back0 := away(0)
+	// Run 0 was dropped: a replay of its moved log fails to open it.
+	for _, target := range []string{urls[0], urls[0] + "&verify=1", ts.URL + "/v1/runs/" + ids[0] + "/trace"} {
+		if code, body := getBody(t, target); code != http.StatusInternalServerError || !strings.Contains(string(body), "reading its log") {
+			t.Fatalf("GET %s with the log away: %d %s, want 500 reading its log", target, code, body)
+		}
+	}
+	back0()
+	kept(0) // replayed again, dropping run 3, the least recently used
+	back1()
+	back2()
+	back3 := away(3)
+	if code, _ := getBody(t, urls[3]); code != http.StatusInternalServerError {
+		t.Fatalf("provenance of the dropped run 3 with its log away: %d, want 500", code)
+	}
+	back3()
+	kept(3)
+	var view provenanceView
+	getJSON(t, urls[0]+"&verify=1", &view)
+	if view.Chain == nil || !view.Chain.Verified {
+		t.Fatalf("verify=1 once the log is back = %+v, want verified", view.Chain)
 	}
 }

@@ -49,17 +49,23 @@ func committedInsts(t *testing.T, s *Server, id string) []string {
 }
 
 // TestDurableReplayGoldens runs every scenario with a golden trace
-// durably, then restarts the service over the same data dir. After the
-// restart each run's provenance — backward and forward from every
-// committed instance — answers byte for byte as the live run's did,
-// rebuilt from the log on the first query; verify=1 verifies with the
-// live record count; and the replay behind both dispatched no unit.
+// durably, and beside it in memory, where each run keeps its world's
+// graph, then restarts the durable service over the same data dir.
+// Before the restart and after it, each durable run's provenance —
+// backward and forward from every committed instance — answers byte
+// for byte as the live in-memory run's does, rebuilt from the log;
+// verify=1 verifies with the live record count; and the replay behind
+// both dispatched no unit.
 func TestDurableReplayGoldens(t *testing.T) {
 	goldens, err := filepath.Glob(filepath.Join("..", "..", "testdata", "scenarios", "golden", "*.jsonl"))
 	if err != nil || len(goldens) == 0 {
 		t.Fatalf("no goldens found (%v)", err)
 	}
 	dir := t.TempDir()
+	s0, err := New(Config{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	s1, err := New(Config{Workers: 4, DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -74,17 +80,22 @@ func TestDurableReplayGoldens(t *testing.T) {
 	for i, g := range goldens {
 		name := strings.TrimSuffix(filepath.Base(g), ".jsonl")
 		doc := compact(t, corpus(t, name))
-		world, flowName, opts, err := materialize(doc)
-		if err != nil {
-			t.Fatal(err)
+		var id string
+		for _, s := range []*Server{s0, s1} { // the same ids on both
+			world, flowName, opts, err := materialize(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, err := s.start(world, flowName, opts, "golden", doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			id = v.ID
 		}
-		v, err := s1.start(world, flowName, opts, "golden", doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		runs[i] = &run{name: name, id: v.ID, live: map[string][]byte{}}
+		runs[i] = &run{name: name, id: id, live: map[string][]byte{}}
 	}
 	for _, r := range runs {
+		<-s0.record(r.id).done
 		<-s1.record(r.id).done
 		insts := committedInsts(t, s1, r.id)
 		if len(insts) == 0 { // nothing committed: ask about an import
@@ -98,11 +109,14 @@ func TestDurableReplayGoldens(t *testing.T) {
 			r.queries = append(r.queries, "?inst="+url.QueryEscape(inst), "?dir=fwd&inst="+url.QueryEscape(inst))
 		}
 		for _, q := range r.queries {
-			code, body := serve(s1, "/v1/runs/"+r.id+"/provenance"+q)
+			code, body := serve(s0, "/v1/runs/"+r.id+"/provenance"+q)
 			if code != http.StatusOK {
 				t.Fatalf("%s: live provenance%s: %d %s", r.name, q, code, body)
 			}
 			r.live[q] = body
+			if code, body := serve(s1, "/v1/runs/"+r.id+"/provenance"+q); code != http.StatusOK || !bytes.Equal(body, r.live[q]) {
+				t.Fatalf("%s: provenance%s of the finished durable run: %d\n%s\nwant 200\n%s", r.name, q, code, body, r.live[q])
+			}
 		}
 		var view provenanceView
 		_, body := serve(s1, "/v1/runs/"+r.id+"/provenance"+r.queries[0]+"&verify=1")
@@ -110,6 +124,9 @@ func TestDurableReplayGoldens(t *testing.T) {
 			t.Fatalf("%s: live verify=1 = %s (%v), want verified", r.name, body, err)
 		}
 		r.records = view.Chain.Records
+	}
+	if forced, err := s0.Shutdown(10 * time.Second); err != nil || forced {
+		t.Fatalf("Shutdown = (forced %v, err %v)", forced, err)
 	}
 	if forced, err := s1.Shutdown(10 * time.Second); err != nil || forced {
 		t.Fatalf("Shutdown = (forced %v, err %v)", forced, err)

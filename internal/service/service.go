@@ -7,6 +7,12 @@
 // the world when the run ends) and executed on the one shared engine
 // and worker pool, with its own streamed trace.
 //
+// With a data dir each run's write-ahead log is its durable record
+// (durable.go), and a finished durable run lives in it: the server
+// keeps the run's view fields and reads its trace and provenance from
+// the log on request. An in-memory run keeps its trace and derivation
+// graph for the life of the process.
+//
 // Endpoints:
 //
 //	GET  /healthz              liveness
@@ -23,6 +29,7 @@
 //	                           verify=1 replays its WAL (provenance.go)
 //	POST /v1/runs/{id}/cancel  cancel (DELETE /v1/runs/{id} also works)
 //	GET  /metrics              plain-text exposition of the shared fold
+//	                           (counts since the process started)
 package service
 
 import (
@@ -62,10 +69,11 @@ type Config struct {
 	// DataDir, when set, makes runs durable: every submission writes one
 	// write-ahead log, its only record, under <DataDir>/runs and New
 	// recovers whatever it finds there — finished runs come back with
-	// their status and trace, interrupted runs are re-materialized from
-	// their logged scenario and resumed from their last committed unit.
-	// A run's artifacts live in its world's datastore and go with it.
-	// Empty = in-memory only.
+	// their status, their trace and provenance read from the log,
+	// interrupted runs are re-materialized from their logged scenario
+	// and resumed from their last committed unit. A run's artifacts
+	// live in its world's datastore and go with it. Empty = in-memory
+	// only.
 	DataDir string
 }
 
@@ -81,14 +89,16 @@ const (
 
 // runRecord is the server-side state of one submission. The run's
 // world is held by its goroutine alone, so a finished run keeps only
-// what later requests read: the view fields, the event log and the
-// world database's derivation graph.
+// what later requests read: the view fields, the log path and, unless
+// its WAL holds them, the event log and the world database's
+// derivation graph. A durable run whose WAL closed cleanly drops both
+// when it finishes, and a run recovered as finished at boot never has
+// them: its /trace and /provenance read the WAL (durable.go).
 type runRecord struct {
 	id       string
 	seq      int // the submission number in id; 0 if id is not r-<n>
 	flowName string
 	user     string
-	log      *eventLog
 	cancel   context.CancelFunc
 	done     chan struct{}
 	// wal/walLog are set on durable runs while they execute: the run's
@@ -98,13 +108,6 @@ type runRecord struct {
 	walLog storage.Log
 	// logPath is the run's WAL under the data dir; empty in memory.
 	logPath string
-	// prov is the derivation graph of the run's world database, which
-	// the provenance endpoint queries; the world itself is dropped when
-	// the run ends. A run recovered as finished gets it, or provErr, from
-	// a replay (graph).
-	prov    *history.Graph
-	provErr error
-	replay  sync.Once
 
 	mu       sync.Mutex
 	state    runState
@@ -112,6 +115,22 @@ type runRecord struct {
 	err      error
 	started  time.Time
 	elapsed  time.Duration
+	// log is the run's event log and prov the derivation graph of its
+	// world database, which the provenance endpoint queries; the world
+	// itself is dropped when the run ends. Both are nil once the run is
+	// released. A reader keeps the log it took, released or not.
+	log  *eventLog
+	prov *history.Graph
+	// provErr is why the run's WAL failed to replay: kept, so a log
+	// that fails verification answers with it from then on.
+	provErr error
+}
+
+// eventLog returns the run's event log; nil once the run is released.
+func (rec *runRecord) eventLog() *eventLog {
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	return rec.log
 }
 
 // Server is the flow service: an http.Handler plus the shared engine
@@ -122,6 +141,7 @@ type Server struct {
 	metrics *trace.Metrics
 	mux     *http.ServeMux
 	dataDir string // durable root; empty = in-memory only
+	replays replayCache
 
 	mu       sync.Mutex
 	seq      int
@@ -291,8 +311,9 @@ func (s *Server) start(world *harness.World, flowName string, opts *exec.RunOpti
 
 	ctx, cancel := context.WithCancel(context.Background())
 	rec := &runRecord{id: id, seq: seq, flowName: flowName, user: user,
-		log: newEventLog(), cancel: cancel, done: make(chan struct{}),
-		state: stateRunning, started: time.Now()}
+		cancel: cancel, done: make(chan struct{}),
+		state: stateRunning, started: time.Now(),
+		log: newEventLog(), prov: world.DB().Graph()}
 	// abort releases everything acquired for a run that never launches.
 	abort := func(err error) (runView, error) {
 		cancel()
@@ -305,10 +326,6 @@ func (s *Server) start(world *harness.World, flowName string, opts *exec.RunOpti
 			return abort(fmt.Errorf("run log: %w", err))
 		}
 	}
-	// The provenance endpoint queries the world database's derivation
-	// graph, which outlives the world.
-	rec.prov = world.DB().Graph()
-
 	s.mu.Lock()
 	if s.draining { // drain began while the WAL was being created
 		s.mu.Unlock()
@@ -350,22 +367,29 @@ func materialize(doc []byte) (*harness.World, string, *exec.RunOptions, error) {
 // world, settle the record's terminal state, then close the event log
 // and the done channel — the same exit path for fresh and resumed
 // runs. Only the goroutine holds the world — its history database and
-// datastore included — so it is garbage once the run ends.
+// datastore included — so it is garbage once the run ends. A WAL that
+// closed cleanly holds the run's whole trace and every commit, so the
+// record drops its event log and graph with the terminal state;
+// one whose write or close failed may not, and the record keeps both.
 func (s *Server) launch(ctx context.Context, rec *runRecord, world *harness.World, opts *exec.RunOptions) {
+	lg := rec.eventLog()
 	opts.User = rec.user
 	opts.Label = rec.id
-	opts.Tracer = trace.Multi(rec.log, s.metrics)
+	opts.Tracer = trace.Multi(lg, s.metrics)
 	opts.WAL = rec.wal
 	go func() {
 		res, err := world.Run(ctx, s.engine, opts)
+		release := false
 		if rec.wal != nil {
 			if res == nil || res.Stats == nil { // no PlanBuilt: err is set
 				rec.wal.AppendError(err.Error())
 			}
-			if werr := rec.wal.Close(); werr != nil && err == nil {
+			werr := rec.wal.Close()
+			lerr := rec.walLog.Close()
+			if werr != nil && err == nil {
 				err = werr
 			}
-			_ = rec.walLog.Close()
+			release = werr == nil && lerr == nil
 			rec.wal, rec.walLog = nil, nil // nothing reads them after launch
 		}
 		world.Close()
@@ -383,8 +407,11 @@ func (s *Server) launch(ctx context.Context, rec *runRecord, world *harness.Worl
 		default:
 			rec.state = stateFailed
 		}
+		if release {
+			rec.log, rec.prov = nil, nil
+		}
 		rec.mu.Unlock()
-		rec.log.close()
+		lg.close()
 		close(rec.done)
 	}()
 }
@@ -441,16 +468,23 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 // run reaches a terminal state (a finished run's trace returns
 // immediately and completely). Each pass writes the lines emitted since
 // the last one, up to the end of a log chunk, in one Write and one Flush.
+// The log is taken once, so a reader streaming when the run is released
+// reads on to its end; a released run's trace is read from its WAL.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	rec := s.record(r.PathValue("id"))
 	if rec == nil {
 		writeErr(w, http.StatusNotFound, "no run %q", r.PathValue("id"))
 		return
 	}
+	lg := rec.eventLog()
+	if lg == nil {
+		writeLoggedTrace(w, rec)
+		return
+	}
 	w.Header().Set("Content-Type", "application/jsonl")
 	flusher, _ := w.(http.Flusher)
 	for off := 0; ; {
-		batch, ok := rec.log.next(off)
+		batch, ok := lg.next(off)
 		if !ok {
 			return
 		}

@@ -391,47 +391,79 @@ func TestListOrdersBySeq(t *testing.T) {
 // the same scenario — every corpus scenario with a golden, all
 // submitted at once to one in-process server. Only cancel-midrun is
 // left out, because it has no golden: where its cancel lands is
-// nondeterministic.
+// nondeterministic. An in-memory server streams each trace as its run
+// executes. A durable server answers each one after its run finished,
+// from its WAL — the run keeps no event log — and again after a
+// restart.
 func TestTraceEndpointMatchesGoldens(t *testing.T) {
 	goldens, err := filepath.Glob(filepath.Join("..", "..", "testdata", "scenarios", "golden", "*.jsonl"))
 	if err != nil || len(goldens) == 0 {
 		t.Fatalf("no goldens found (%v)", err)
 	}
-	_, ts := newTestServer(t, Config{Workers: 4})
-	ids := make(map[string]string, len(goldens))
+	want := make(map[string][]byte, len(goldens))
 	for _, g := range goldens {
-		name := strings.TrimSuffix(filepath.Base(g), ".jsonl")
-		ids[name] = submit(t, ts.URL, corpus(t, name), "golden").ID
-	}
-	for _, g := range goldens {
-		name := strings.TrimSuffix(filepath.Base(g), ".jsonl")
-		want, err := os.ReadFile(g)
+		b, err := os.ReadFile(g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := http.Get(ts.URL + "/v1/runs/" + ids[name] + "/trace")
-		if err != nil {
-			t.Fatalf("%s: GET trace: %v", name, err)
+		want[strings.TrimSuffix(filepath.Base(g), ".jsonl")] = b
+	}
+	submitAll := func(base string) map[string]string {
+		ids := make(map[string]string, len(want))
+		for name := range want {
+			ids[name] = submit(t, base, corpus(t, name), "golden").ID
 		}
-		var got bytes.Buffer
-		_, err = got.ReadFrom(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatalf("%s: reading trace: %v", name, err)
-		}
-		if !bytes.Equal(got.Bytes(), want) {
-			t.Errorf("%s: streamed trace differs from its golden\n got:\n%s\nwant:\n%s", name, got.Bytes(), want)
+		return ids
+	}
+	check := func(server, base string, ids map[string]string) {
+		for name, id := range ids {
+			resp, err := http.Get(base + "/v1/runs/" + id + "/trace")
+			if err != nil {
+				t.Fatalf("%s: GET trace: %v", name, err)
+			}
+			var got bytes.Buffer
+			_, err = got.ReadFrom(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatalf("%s: reading trace: %v", name, err)
+			}
+			if !bytes.Equal(got.Bytes(), want[name]) {
+				t.Errorf("%s, %s: streamed trace differs from its golden\n got:\n%s\nwant:\n%s", name, server, got.Bytes(), want[name])
+			}
 		}
 	}
+
+	_, ts := newTestServer(t, Config{Workers: 4})
+	check("in memory", ts.URL, submitAll(ts.URL))
+
+	dir := t.TempDir()
+	s1, ts1 := newTestServer(t, Config{Workers: 4, DataDir: dir})
+	ids := submitAll(ts1.URL)
+	for name, id := range ids {
+		rec := s1.record(id)
+		<-rec.done
+		if rec.eventLog() != nil {
+			t.Fatalf("%s: the finished durable run kept its event log", name)
+		}
+	}
+	check("durable, finished", ts1.URL, ids)
+	if forced, err := s1.Shutdown(10 * time.Second); err != nil || forced {
+		t.Fatalf("Shutdown = (forced %v, err %v)", forced, err)
+	}
+	_, ts2 := newTestServer(t, Config{Workers: 4, DataDir: dir})
+	check("durable, restarted", ts2.URL, ids)
 }
 
 // TestFinishedRunReleasesWorld pins what a finished run retains: once
 // the run is terminal, its world's history database, datastore and flow
 // are unreachable from the server, in memory and durable mode alike. A
-// finalizer on each must fire after a GC. The run keeps the database's
-// derivation graph, so its provenance still answers, byte for byte as
-// before, without a replay.
+// finalizer on each must fire after a GC. An in-memory run keeps the
+// database's derivation graph, so its provenance still answers, byte
+// for byte as before, without a replay. A durable run releases its
+// graph and event log too — a finalizer on the graph fires — and its
+// provenance, replayed from its WAL, answers the in-memory run's bytes.
 func TestFinishedRunReleasesWorld(t *testing.T) {
+	var inMemory []byte
 	for _, dataDir := range []string{"", t.TempDir()} {
 		s, ts := newTestServer(t, Config{Workers: 2, DataDir: dataDir})
 		doc := compact(t, corpus(t, "quickstart"))
@@ -439,10 +471,15 @@ func TestFinishedRunReleasesWorld(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		freed := make(chan string, 3)
+		freed := make(chan string, 4)
+		left := map[string]bool{"history.DB": true, "datastore.Store": true, "flow.Flow": true}
 		runtime.SetFinalizer(world.DB(), func(*history.DB) { freed <- "history.DB" })
 		runtime.SetFinalizer(world.Store(), func(*datastore.Store) { freed <- "datastore.Store" })
 		runtime.SetFinalizer(world.Flow(), func(*flow.Flow) { freed <- "flow.Flow" })
+		if dataDir != "" {
+			left["history.Graph"] = true
+			runtime.SetFinalizer(world.DB().Graph(), func(*history.Graph) { freed <- "history.Graph" })
+		}
 		accepted, err := s.start(world, flowName, opts, "alice", doc)
 		if err != nil {
 			t.Fatal(err)
@@ -455,7 +492,6 @@ func TestFinishedRunReleasesWorld(t *testing.T) {
 		if code != http.StatusOK {
 			t.Fatalf("GET %s: status %d: %s", query, code, before)
 		}
-		left := map[string]bool{"history.DB": true, "datastore.Store": true, "flow.Flow": true}
 		deadline := time.After(10 * time.Second)
 		for len(left) > 0 {
 			runtime.GC()
@@ -467,8 +503,22 @@ func TestFinishedRunReleasesWorld(t *testing.T) {
 				t.Fatalf("data dir %q: the finished run's %v still reachable", dataDir, left)
 			}
 		}
-		if s.record(accepted.ID).prov == nil {
-			t.Fatalf("data dir %q: the finished run kept no derivation graph", dataDir)
+		rec := s.record(accepted.ID)
+		rec.mu.Lock()
+		prov, log := rec.prov, rec.log
+		rec.mu.Unlock()
+		if dataDir == "" {
+			if prov == nil || log == nil {
+				t.Fatal("the finished in-memory run kept no derivation graph or event log")
+			}
+			inMemory = before
+		} else {
+			if prov != nil || log != nil {
+				t.Fatalf("data dir %q: the finished run kept its graph (%v) or its event log (%v)", dataDir, prov != nil, log != nil)
+			}
+			if !bytes.Equal(before, inMemory) {
+				t.Fatalf("data dir %q: the released run's provenance answered\n%s\nwant the in-memory run's\n%s", dataDir, before, inMemory)
+			}
 		}
 		if code, after := getBody(t, query); code != http.StatusOK || !bytes.Equal(after, before) {
 			t.Fatalf("data dir %q: after the world was freed, provenance answered %d:\n%s\nwant:\n%s", dataDir, code, after, before)

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -76,21 +77,29 @@ func openFile(path string, flag int) (*FileLog, error) {
 	return l, nil
 }
 
+// scanBuffer caps scan's one sequential read buffer.
+const scanBuffer = 64 << 10
+
 // scan walks the frames from the start, recording each record's offset
-// and where the well-framed prefix ends.
+// and where the well-framed prefix ends. It reads the file once, in
+// order, through one buffer, and checks every frame's CRC in one
+// payload scratch reused across frames.
 func (l *FileLog) scan() error {
 	info, err := l.f.Stat()
 	if err != nil {
 		return err
 	}
 	fileLen := info.Size()
+	// A fresh log is empty: its buffer stays as small as its file.
+	r := bufio.NewReaderSize(io.NewSectionReader(l.f, 0, fileLen), int(min(fileLen, scanBuffer)))
 	var off int64
 	var hdr [frameHeader]byte
+	var payload []byte
 	for {
 		if off+frameHeader > fileLen {
 			break // trailing partial header (or clean EOF)
 		}
-		if _, err := l.f.ReadAt(hdr[:], off); err != nil {
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			return err
 		}
 		n := int64(binary.LittleEndian.Uint32(hdr[0:4]))
@@ -98,8 +107,11 @@ func (l *FileLog) scan() error {
 		if n > MaxRecord || off+frameHeader+n > fileLen {
 			break // corrupt length or payload cut off
 		}
-		payload := make([]byte, n)
-		if _, err := l.f.ReadAt(payload, off+frameHeader); err != nil {
+		if int64(cap(payload)) < n {
+			payload = make([]byte, n)
+		}
+		payload = payload[:n]
+		if _, err := io.ReadFull(r, payload); err != nil {
 			return err
 		}
 		if crc32.ChecksumIEEE(payload) != sum {
@@ -172,9 +184,11 @@ func (l *FileLog) Sync() error {
 }
 
 // Committed flushes and re-reads every well-framed record from the
-// file. (Buffered-but-unsynced records are included — they are
-// well-framed by the time they are read back; what a *crash* preserves
-// is tested through MemLog's stricter watermark model.)
+// file, in one read of the framed prefix. (Buffered-but-unsynced
+// records are included — they are well-framed by the time they are
+// read back; what a *crash* preserves is tested through MemLog's
+// stricter watermark model.) The records share that one read's buffer,
+// each capped at its own length, so none can grow into the next.
 func (l *FileLog) Committed() ([][]byte, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -184,20 +198,48 @@ func (l *FileLog) Committed() ([][]byte, error) {
 	if err := l.flushLocked(); err != nil {
 		return nil, err
 	}
-	out := make([][]byte, 0, len(l.offsets))
-	var hdr [frameHeader]byte
-	for _, off := range l.offsets {
-		if _, err := l.f.ReadAt(hdr[:], off); err != nil {
-			return nil, err
-		}
-		n := int64(binary.LittleEndian.Uint32(hdr[0:4]))
-		payload := make([]byte, n)
-		if _, err := l.f.ReadAt(payload, off+frameHeader); err != nil {
-			return nil, err
-		}
-		out = append(out, payload)
+	prefix := make([]byte, l.size)
+	if _, err := l.f.ReadAt(prefix, 0); err != nil {
+		return nil, err
+	}
+	out := make([][]byte, len(l.offsets))
+	for i := range l.offsets {
+		start, end := l.frameLocked(i)
+		out[i] = prefix[start:end:end]
 	}
 	return out, nil
+}
+
+// Record reads back the i-th well-framed record alone.
+func (l *FileLog) Record(i int) ([]byte, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return nil, os.ErrClosed
+	}
+	if i < 0 || i >= len(l.offsets) {
+		return nil, fmt.Errorf("storage: record %d of %d", i, len(l.offsets))
+	}
+	if err := l.flushLocked(); err != nil {
+		return nil, err
+	}
+	start, end := l.frameLocked(i)
+	rec := make([]byte, end-start)
+	if _, err := l.f.ReadAt(rec, start); err != nil {
+		return nil, err
+	}
+	return rec, nil
+}
+
+// frameLocked returns where the i-th record's payload starts and ends:
+// frames are contiguous, so it ends where the next frame starts, the
+// last one at the log's end.
+func (l *FileLog) frameLocked(i int) (start, end int64) {
+	end = l.size
+	if i+1 < len(l.offsets) {
+		end = l.offsets[i+1]
+	}
+	return l.offsets[i] + frameHeader, end
 }
 
 // Rewind truncates to the first keep records (removing any torn tail

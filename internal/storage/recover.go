@@ -187,6 +187,82 @@ decode:
 	return r, nil
 }
 
+// Ends is a finished run as the two ends of its log record it: the
+// identity record and the record that closed the run. Boot lists a
+// finished run from them without decoding the events in between.
+type Ends struct {
+	Meta *RunMeta
+	// Finished is the run's RunFinished event; nil when the terminal
+	// error record of a run that ended before planning closed the log.
+	Finished *trace.Event
+	// Error is that terminal error record's text.
+	Error string
+}
+
+// ReadEnds decodes a log's first and last records only. It returns the
+// finished run they describe when the first is an identity record and
+// the last is RunFinished or a terminal error record, and nil, with no
+// error, for any other log: an interrupted or damaged one, which needs
+// RecoverRun. The log is left untouched. On a log whose every record
+// decodes and whose first closing record is its last — every log a run
+// writes — a run ReadEnds returns is the one RecoverRun(l).Ends()
+// returns (FuzzReadEnds). A log altered to hold a closing record
+// before its last record is read from its last, where RecoverRun stops
+// at the first; ReplayLog refuses such a log as altered.
+func ReadEnds(l *FileLog) (*Ends, error) {
+	n := l.Records()
+	if n < 2 {
+		return nil, nil
+	}
+	last, err := readRecord(l, n-1)
+	if err != nil || last == nil {
+		return nil, err
+	}
+	e := &Ends{}
+	switch {
+	case last.Meta != nil:
+		return nil, nil
+	case last.Event != nil && last.Event.Kind == trace.KindRunFinished:
+		e.Finished = last.Event
+	case last.Event == nil && last.Error != "":
+		e.Error = last.Error
+	default:
+		return nil, nil
+	}
+	first, err := readRecord(l, 0)
+	if err != nil || first == nil || first.Meta == nil {
+		return nil, err
+	}
+	e.Meta = first.Meta
+	return e, nil
+}
+
+// readRecord decodes the log's i-th record; nil, with no error, when
+// the record does not decode.
+func readRecord(l *FileLog, i int) (*Record, error) {
+	raw, err := l.Record(i)
+	if err != nil {
+		return nil, err
+	}
+	var rec Record
+	if json.Unmarshal(raw, &rec) != nil {
+		return nil, nil
+	}
+	return &rec, nil
+}
+
+// Ends returns the finished run r recovered, nil if it did not finish.
+func (r *Recovered) Ends() *Ends {
+	if !r.Finished {
+		return nil
+	}
+	e := &Ends{Meta: r.Meta, Error: r.Error}
+	if n := len(r.Events); r.Error == "" && n > 0 {
+		e.Finished = &r.Events[n-1]
+	}
+	return e
+}
+
 // Rewind truncates the log to the resumable prefix, so the resumed
 // run's fresh records extend a consistent stream.
 func (r *Recovered) Rewind(l Log) error {
