@@ -1,4 +1,6 @@
 GO ?= go
+# FUZZTIME is each fuzz target's budget in make fuzz (CI passes 30s).
+FUZZTIME ?= 5s
 
 .PHONY: build vet fmt test benchmod race trace chaos memo concurrent crash fuzz cover examples ci bench flowbench scale provenance conformance conformance-update
 
@@ -66,10 +68,12 @@ crash:
 # conformance runs the scenario corpus (testdata/scenarios/) through
 # the harness under the race detector: every scenario under the worker
 # sweep ({1, 2, 8} by default), masked traces byte-identical to the
-# checked-in goldens. A golden mismatch fails with a unified diff.
-# Same gate as the CI conformance job.
+# checked-in goldens, then the quickstart scenario through flowd's
+# -scenario mode. A golden mismatch fails with a unified diff. The CI
+# conformance job runs this target.
 conformance:
 	$(GO) test -race -run 'TestConformance|TestCorpusShape' -v ./internal/harness/
+	$(GO) run ./cmd/flowd -scenario testdata/scenarios/quickstart.json
 
 # conformance-update re-blesses the golden traces after an intended
 # trace change (review the diff before committing).
@@ -83,20 +87,23 @@ conformance-update:
 # for the WAL replay verifier real run logs in internal/service/testdata/
 # and internal/storage/testdata/, for the history restore the Fig. 1
 # fixture's dump); go test accepts one -fuzz pattern per invocation.
+# -fuzzminimizetime bounds the minimizing of each new input: at its
+# 60 s default the first input with new coverage used up the whole
+# budget of the file-backed targets.
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRoundTrip$$' -fuzztime 5s ./internal/flow/
-	$(GO) test -run '^$$' -fuzz '^FuzzRefOfStoreRoundTrip$$' -fuzztime 5s ./internal/datastore/
-	$(GO) test -run '^$$' -fuzz '^FuzzDiffApply$$' -fuzztime 5s ./internal/datastore/
-	$(GO) test -run '^$$' -fuzz '^FuzzArchiveDeltaReconstruction$$' -fuzztime 5s ./internal/datastore/
-	$(GO) test -run '^$$' -fuzz '^FuzzScenarioDecode$$' -fuzztime 5s ./internal/scenario/
-	$(GO) test -run '^$$' -fuzz '^FuzzAppendJSON$$' -fuzztime 5s ./internal/trace/
-	$(GO) test -run '^$$' -fuzz '^FuzzRecoverRun$$' -fuzztime 5s ./internal/storage/
-	$(GO) test -run '^$$' -fuzz '^FuzzReadEnds$$' -fuzztime 5s ./internal/storage/
-	$(GO) test -run '^$$' -fuzz '^FuzzVerifyRunLog$$' -fuzztime 5s ./internal/service/
-	$(GO) test -run '^$$' -fuzz '^FuzzProvenanceQuery$$' -fuzztime 5s ./internal/service/
-	$(GO) test -run '^$$' -fuzz '^FuzzSubmit$$' -fuzztime 5s ./internal/service/
-	$(GO) test -run '^$$' -fuzz '^FuzzResponseJSON$$' -fuzztime 5s ./internal/service/
-	$(GO) test -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime 5s ./internal/history/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRoundTrip$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/flow/
+	$(GO) test -run '^$$' -fuzz '^FuzzRefOfStoreRoundTrip$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/datastore/
+	$(GO) test -run '^$$' -fuzz '^FuzzDiffApply$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/datastore/
+	$(GO) test -run '^$$' -fuzz '^FuzzArchiveDeltaReconstruction$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/datastore/
+	$(GO) test -run '^$$' -fuzz '^FuzzScenarioDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/scenario/
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendJSON$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/trace/
+	$(GO) test -run '^$$' -fuzz '^FuzzRecoverRun$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/storage/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadEnds$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/storage/
+	$(GO) test -run '^$$' -fuzz '^FuzzVerifyRunLog$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/service/
+	$(GO) test -run '^$$' -fuzz '^FuzzProvenanceQuery$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/service/
+	$(GO) test -run '^$$' -fuzz '^FuzzSubmit$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/service/
+	$(GO) test -run '^$$' -fuzz '^FuzzResponseJSON$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/service/
+	$(GO) test -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/history/
 
 # cover enforces the same ratchet as the CI trace job: the traced
 # execution paths (internal/exec + internal/trace), the result cache
@@ -120,10 +127,11 @@ benchmod:
 examples:
 	for d in examples/*/; do echo "go run ./$$d"; $(GO) run ./$$d > /dev/null || exit 1; done
 
-# ci is the gate CI runs: compile, vet, gofmt, full suite under the
-# race detector (the scheduler is concurrent; -race is not optional),
-# the benchmark module and the example programs.
-ci: build vet fmt race cover benchmod examples
+# ci is the CI test job plus the coverage ratchet: compile, vet,
+# gofmt, full suite under the race detector (the scheduler is
+# concurrent; -race is not optional), the benchmark module, the example
+# programs and each root benchmark once.
+ci: build vet fmt race cover benchmod examples bench
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .

@@ -24,6 +24,7 @@ import (
 	"repro/internal/encap"
 	"repro/internal/exec"
 	"repro/internal/faults"
+	"repro/internal/figures"
 	"repro/internal/flow"
 	"repro/internal/hercules"
 	"repro/internal/history"
@@ -72,23 +73,10 @@ func BenchmarkFig1SchemaQueries(b *testing.B) {
 
 // ---- Fig. 2: compiled vs event-driven simulation ----------------------------
 
-func benchVectors(nl *netlist.Netlist, n int) *sim.Stimuli {
-	ins := nl.Inputs()
-	st := sim.NewStimuli("bench", 100000000, ins...)
-	for v := 0; v < n; v++ {
-		bits := make([]bool, len(ins))
-		for i := range bits {
-			bits[i] = (v>>uint(i%8))&1 == 1
-		}
-		st.Vectors = append(st.Vectors, bits)
-	}
-	return st
-}
-
 func BenchmarkFig2CompiledSimulator(b *testing.B) {
 	nl := netlist.RippleAdder(8)
 	for _, vectors := range []int{16, 256} {
-		st := benchVectors(nl, vectors)
+		st := figures.Vectors(nl, vectors)
 		b.Run(fmt.Sprintf("event-driven/vectors=%d", vectors), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s, err := sim.New(nl, models.Default())
@@ -175,35 +163,12 @@ func BenchmarkFig4Expand(b *testing.B) {
 
 // ---- Fig. 5: complex flow with reuse and multiple outputs --------------------
 
-func buildFig5(b *testing.B, s *hercules.Session) *flow.Flow {
-	b.Helper()
-	f := s.NewFlow()
-	net := f.MustAdd("ExtractedNetlist")
-	mustB(b, f.ExpandDown(net, false))
-	extrN, _ := f.Node(net).Dep("fd")
-	layN, _ := f.Node(net).Dep("Layout")
-	mustB(b, f.Specialize(layN, "EditedLayout"))
-	mustB(b, f.ExpandDown(layN, false))
-	layToolN, _ := f.Node(layN).Dep("fd")
-	stats := f.MustAdd("ExtractionStatistics")
-	mustB(b, f.Connect(stats, "fd", extrN))
-	mustB(b, f.Connect(stats, "Layout", layN))
-	ver, err := f.ExpandUp(net, "Verification", "Netlist/subject")
-	mustB(b, err)
-	mustB(b, f.Connect(ver, "Netlist/reference", net))
-	mustB(b, f.ExpandDown(ver, false))
-	verToolN, _ := f.Node(ver).Dep("fd")
-	mustB(b, f.Bind(extrN, s.Must("extractor")))
-	mustB(b, f.Bind(layToolN, s.Must("layEd.fulladder")))
-	mustB(b, f.Bind(verToolN, s.Must("verifier")))
-	return f
-}
-
 func BenchmarkFig5ComplexFlow(b *testing.B) {
 	s := session(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f := buildFig5(b, s)
+		f, _, err := figures.Fig5(s)
+		mustB(b, err)
 		res, err := s.Run(f)
 		mustB(b, err)
 		if res.TasksRun != 3 { // layout + shared extraction + verification
@@ -222,59 +187,15 @@ func BenchmarkFig6ParallelBranches(b *testing.B) {
 			s := session(b)
 			s.Options.TaskDelay = func(flow.NodeID, string) time.Duration { return delay }
 			s.Engine.SetWorkers(workers)
-			build := func() *flow.Flow {
-				f := s.NewFlow()
-				for j := 0; j < branches; j++ {
-					n := f.MustAdd("EditedNetlist")
-					mustB(b, f.ExpandDown(n, false))
-					tn, _ := f.Node(n).Dep("fd")
-					mustB(b, f.Bind(tn, s.Must("netEd.fulladder")))
-				}
-				return f
-			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, err := s.Run(build())
+				f, err := figures.Branches(s, branches, "netEd.fulladder")
+				mustB(b, err)
+				_, err = s.Run(f)
 				mustB(b, err)
 			}
 		})
 	}
-}
-
-// buildUnbalanced makes two independent EditedNetlist chains of the
-// given depth with alternating slow/fast per-task latencies: every
-// dependency level holds one slow and one fast task, but each chain's
-// own sum is only half slow. A level-barrier schedule pays at least
-// the sum of level maxima, depth×slow; the dataflow scheduler pays
-// max-branch ≈ depth×(slow+fast)/2.
-func buildUnbalanced(b *testing.B, s *hercules.Session, depth int, slow, fast time.Duration) (*flow.Flow, map[flow.NodeID]time.Duration) {
-	b.Helper()
-	f := s.NewFlow()
-	delays := make(map[flow.NodeID]time.Duration)
-	for c := 0; c < 2; c++ {
-		base := f.MustAdd("EditedNetlist")
-		mustB(b, f.ExpandDown(base, false))
-		tn, _ := f.Node(base).Dep("fd")
-		mustB(b, f.Bind(tn, s.Must("netEd.fulladder")))
-		prev := base
-		for d := 0; d < depth; d++ {
-			if (d+c)%2 == 0 {
-				delays[prev] = slow
-			} else {
-				delays[prev] = fast
-			}
-			if d == depth-1 {
-				break
-			}
-			next, err := f.ExpandUp(prev, "EditedNetlist", "Netlist")
-			mustB(b, err)
-			mustB(b, f.ExpandDown(next, false))
-			tn, _ := f.Node(next).Dep("fd")
-			mustB(b, f.Bind(tn, s.Must("netEd.retouch")))
-			prev = next
-		}
-	}
-	return f, delays
 }
 
 // BenchmarkFig6UnbalancedBranches measures the tentpole claim: on
@@ -293,10 +214,8 @@ func BenchmarkFig6UnbalancedBranches(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		f, delays := buildUnbalanced(b, s, depth, slow, fast)
-		s.Options.TaskDelay = func(n flow.NodeID, goal string) time.Duration {
-			return delays[n]
-		}
+		f, err := figures.Unbalanced(s, depth, slow, fast)
+		mustB(b, err)
 		b.StartTimer()
 		res, err := s.Run(f)
 		mustB(b, err)
@@ -321,20 +240,16 @@ func BenchmarkMemoWarmRerun(b *testing.B) {
 			if mode == "warm" {
 				s.Options.Memo = memo.New(0)
 				// Prime the cache with one full run.
-				f, delays := buildUnbalanced(b, s, depth, slow, fast)
-				s.Options.TaskDelay = func(n flow.NodeID, goal string) time.Duration {
-					return delays[n]
-				}
-				_, err := s.Run(f)
+				f, err := figures.Unbalanced(s, depth, slow, fast)
+				mustB(b, err)
+				_, err = s.Run(f)
 				mustB(b, err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				f, delays := buildUnbalanced(b, s, depth, slow, fast)
-				s.Options.TaskDelay = func(n flow.NodeID, goal string) time.Duration {
-					return delays[n]
-				}
+				f, err := figures.Unbalanced(s, depth, slow, fast)
+				mustB(b, err)
 				b.StartTimer()
 				res, err := s.Run(f)
 				mustB(b, err)
@@ -370,13 +285,11 @@ func BenchmarkTraceOverhead(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				f, delays := buildUnbalanced(b, s, depth, slow, fast)
-				s.Options.TaskDelay = func(n flow.NodeID, goal string) time.Duration {
-					return delays[n]
-				}
+				f, err := figures.Unbalanced(s, depth, slow, fast)
+				mustB(b, err)
 				s.Options.Tracer = sk.make()
 				b.StartTimer()
-				_, err := s.Run(f)
+				_, err = s.Run(f)
 				mustB(b, err)
 			}
 		})
@@ -391,17 +304,6 @@ func BenchmarkTraceOverhead(b *testing.B) {
 // tool site fails twice and is absorbed by full-jitter backoff retries.
 func BenchmarkChaosTransientRetries(b *testing.B) {
 	const branches = 8
-	build := func(s *hercules.Session) *flow.Flow {
-		f := s.NewFlow()
-		gens := []string{"netEd.fulladder", "netEd.ripple4"}
-		for j := 0; j < branches; j++ {
-			n := f.MustAdd("EditedNetlist")
-			mustB(b, f.ExpandDown(n, false))
-			tn, _ := f.Node(n).Dep("fd")
-			mustB(b, f.Bind(tn, s.Must(gens[j%len(gens)])))
-		}
-		return f
-	}
 	for _, faulty := range []bool{false, true} {
 		name := "clean"
 		if faulty {
@@ -420,9 +322,10 @@ func BenchmarkChaosTransientRetries(b *testing.B) {
 				if faulty {
 					faults.New(1993, faults.Config{TransientRate: 1, TransientRuns: 2}).Instrument(s.Registry)
 				}
-				f := build(s)
+				f, err := figures.Branches(s, branches, "netEd.fulladder", "netEd.ripple4")
+				mustB(b, err)
 				b.StartTimer()
-				_, err := s.Run(f)
+				_, err = s.Run(f)
 				mustB(b, err)
 			}
 		})
@@ -447,49 +350,13 @@ func BenchmarkFig7Views(b *testing.B) {
 
 func BenchmarkFig8SynthesisVerify(b *testing.B) {
 	s := session(b)
-	// Netlist once.
-	f := s.NewFlow()
-	netN := f.MustAdd("EditedNetlist")
-	mustB(b, f.ExpandDown(netN, false))
-	tn, _ := f.Node(netN).Dep("fd")
-	mustB(b, f.Bind(tn, s.Must("netEd.fulladder")))
-	res, err := s.Run(f)
-	mustB(b, err)
-	netInst, err := res.One(netN)
+	netInst, err := figures.Netlist(s, "netEd.fulladder")
 	mustB(b, err)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Synthesis.
-		f2 := s.NewFlow()
-		lay := f2.MustAdd("PlacedLayout")
-		mustB(b, f2.ExpandDown(lay, false))
-		placerN, _ := f2.Node(lay).Dep("fd")
-		n2, _ := f2.Node(lay).Dep("Netlist")
-		opts, _ := f2.Node(lay).Dep("PlacementOptions")
-		mustB(b, f2.Bind(n2, netInst))
-		mustB(b, f2.Bind(placerN, s.Must("placer")))
-		mustB(b, f2.Bind(opts, s.Must("popts.default")))
-		sres, err := s.Run(f2)
+		layInst, err := figures.Synthesis(s, netInst)
 		mustB(b, err)
-		layInst, err := sres.One(lay)
-		mustB(b, err)
-		// Verification.
-		f3 := s.NewFlow()
-		layB := f3.MustAdd("Layout")
-		mustB(b, f3.Bind(layB, layInst))
-		xnet, err := f3.ExpandUp(layB, "ExtractedNetlist", "Layout")
-		mustB(b, err)
-		mustB(b, f3.ExpandDown(xnet, false))
-		extrN, _ := f3.Node(xnet).Dep("fd")
-		ver, err := f3.ExpandUp(xnet, "Verification", "Netlist/subject")
-		mustB(b, err)
-		mustB(b, f3.ExpandDown(ver, false))
-		refN, _ := f3.Node(ver).Dep("Netlist/reference")
-		verToolN, _ := f3.Node(ver).Dep("fd")
-		mustB(b, f3.Bind(refN, netInst))
-		mustB(b, f3.Bind(extrN, s.Must("extractor")))
-		mustB(b, f3.Bind(verToolN, s.Must("verifier")))
-		_, err = s.Run(f3)
+		_, err = figures.Verification(s, layInst, netInst)
 		mustB(b, err)
 	}
 }
@@ -499,27 +366,10 @@ func BenchmarkFig8SynthesisVerify(b *testing.B) {
 func populatedSession(b *testing.B, edits int) (*hercules.Session, history.ID) {
 	b.Helper()
 	s := session(b)
-	f := s.NewFlow()
-	n := f.MustAdd("EditedNetlist")
-	mustB(b, f.ExpandDown(n, false))
-	tn, _ := f.Node(n).Dep("fd")
-	mustB(b, f.Bind(tn, s.Must("netEd.fulladder")))
-	res, err := s.Run(f)
-	mustB(b, err)
-	cur, err := res.One(n)
+	cur, err := figures.Netlist(s, "netEd.fulladder")
 	mustB(b, err)
 	for i := 0; i < edits; i++ {
-		f := s.NewFlow()
-		n := f.MustAdd("EditedNetlist")
-		mustB(b, f.ExpandDown(n, false))
-		mustB(b, f.ExpandOptional(n, "Netlist"))
-		tn, _ := f.Node(n).Dep("fd")
-		bn, _ := f.Node(n).Dep("Netlist")
-		mustB(b, f.Bind(tn, s.Must("netEd.retouch")))
-		mustB(b, f.Bind(bn, cur))
-		res, err := s.Run(f)
-		mustB(b, err)
-		cur, err = res.One(n)
+		cur, err = figures.Edit(s, s.Must("netEd.retouch"), cur)
 		mustB(b, err)
 	}
 	return s, cur
@@ -618,22 +468,8 @@ func BenchmarkFig11VersionTreeVsFlowTrace(b *testing.B) {
 
 func BenchmarkRetrace(b *testing.B) {
 	s := session(b)
-	f, err := s.Catalogs.StartFromPlan("simulate-netlist")
+	perf, err := figures.Simulation(s)
 	mustB(b, err)
-	bindLeafB(b, s, f, "Simulator", "sim")
-	bindLeafB(b, s, f, "Stimuli", "stim.exhaustive3")
-	bindLeafB(b, s, f, "NetlistEditor", "netEd.fulladder")
-	bindLeafB(b, s, f, "DeviceModelEditor", "dmEd.default")
-	res, err := s.Run(f)
-	mustB(b, err)
-	var perf history.ID
-	for _, root := range f.Roots() {
-		for _, id := range res.Created[root] {
-			if s.DB.Get(id).Type == "Performance" {
-				perf = id
-			}
-		}
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -647,7 +483,8 @@ func BenchmarkRetrace(b *testing.B) {
 		mustB(b, err)
 		editor, err := s.Import("NetlistEditor", "noted retoucher", fmt.Sprintf("retouch round %d", i))
 		mustB(b, err)
-		editB(b, s, editor, newest)
+		_, err = figures.Edit(s, editor, newest)
+		mustB(b, err)
 		b.StartTimer()
 		rr, err := s.Retrace(perf)
 		mustB(b, err)
@@ -656,34 +493,6 @@ func BenchmarkRetrace(b *testing.B) {
 		}
 		perf = rr.NewTarget(perf)
 	}
-}
-
-func bindLeafB(b *testing.B, s *hercules.Session, f *flow.Flow, typeName, key string) {
-	b.Helper()
-	for _, id := range f.Leaves() {
-		if f.Node(id).Type == typeName && !f.Node(id).IsBound() {
-			mustB(b, f.Bind(id, s.Must(key)))
-			return
-		}
-	}
-	b.Fatalf("no unbound %s leaf", typeName)
-}
-
-func editB(b *testing.B, s *hercules.Session, editor, base history.ID) history.ID {
-	b.Helper()
-	f := s.NewFlow()
-	n := f.MustAdd("EditedNetlist")
-	mustB(b, f.ExpandDown(n, false))
-	mustB(b, f.ExpandOptional(n, "Netlist"))
-	tn, _ := f.Node(n).Dep("fd")
-	bn, _ := f.Node(n).Dep("Netlist")
-	mustB(b, f.Bind(tn, editor))
-	mustB(b, f.Bind(bn, base))
-	res, err := s.Run(f)
-	mustB(b, err)
-	id, err := res.One(n)
-	mustB(b, err)
-	return id
 }
 
 // ---- §3.4: the four approaches ----------------------------------------------------
@@ -729,34 +538,20 @@ func BenchmarkBaselineComparison(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			f := s.NewFlow()
-			n := f.MustAdd("ExtractedNetlist")
-			mustB(b, f.ExpandDown(n, false))
-			extrN, _ := f.Node(n).Dep("fd")
-			layN, _ := f.Node(n).Dep("Layout")
-			mustB(b, f.Specialize(layN, "EditedLayout"))
-			mustB(b, f.ExpandDown(layN, false))
-			ltn, _ := f.Node(layN).Dep("fd")
-			mustB(b, f.Bind(extrN, s.Must("extractor")))
-			mustB(b, f.Bind(ltn, s.Must("layEd.fulladder")))
-			_, err := s.Run(f)
+			_, err := figures.Extraction(s, f)
+			mustB(b, err)
+			_, err = s.Run(f)
 			mustB(b, err)
 		}
 	})
 	b.Run("trace-replay", func(b *testing.B) {
 		s := session(b)
 		f := s.NewFlow()
-		n := f.MustAdd("ExtractedNetlist")
-		mustB(b, f.ExpandDown(n, false))
-		extrN, _ := f.Node(n).Dep("fd")
-		layN, _ := f.Node(n).Dep("Layout")
-		mustB(b, f.Specialize(layN, "EditedLayout"))
-		mustB(b, f.ExpandDown(layN, false))
-		ltn, _ := f.Node(layN).Dep("fd")
-		mustB(b, f.Bind(extrN, s.Must("extractor")))
-		mustB(b, f.Bind(ltn, s.Must("layEd.fulladder")))
+		x, err := figures.Extraction(s, f)
+		mustB(b, err)
 		res, err := s.Run(f)
 		mustB(b, err)
-		target, err := res.One(n)
+		target, err := res.One(x.Netlist)
 		mustB(b, err)
 		tr, err := trace.Capture(s.DB, target)
 		mustB(b, err)
@@ -871,18 +666,11 @@ func BenchmarkAblationSharedTasks(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			f := s.NewFlow()
-			net := f.MustAdd("ExtractedNetlist")
-			mustB(b, f.ExpandDown(net, false))
-			extrN, _ := f.Node(net).Dep("fd")
-			layN, _ := f.Node(net).Dep("Layout")
-			mustB(b, f.Specialize(layN, "EditedLayout"))
-			mustB(b, f.ExpandDown(layN, false))
-			ltn, _ := f.Node(layN).Dep("fd")
+			x, err := figures.Extraction(s, f)
+			mustB(b, err)
 			stats := f.MustAdd("ExtractionStatistics")
-			mustB(b, f.Connect(stats, "fd", extrN))
-			mustB(b, f.Connect(stats, "Layout", layN))
-			mustB(b, f.Bind(extrN, s.Must("extractor")))
-			mustB(b, f.Bind(ltn, s.Must("layEd.fulladder")))
+			mustB(b, f.Connect(stats, "fd", x.Extractor))
+			mustB(b, f.Connect(stats, "Layout", x.Layout))
 			res, err := s.Run(f)
 			mustB(b, err)
 			if res.TasksRun != 2 {

@@ -43,6 +43,7 @@ import (
 	"repro/internal/encap"
 	"repro/internal/exec"
 	"repro/internal/faults"
+	"repro/internal/figures"
 	"repro/internal/flow"
 	"repro/internal/flowgen"
 	"repro/internal/hercules"
@@ -247,19 +248,6 @@ func fig2() {
 	// where compilation pays for itself.
 	nl := netlist.RippleAdder(8)
 	lib := models.Default()
-	ins := nl.Inputs()
-
-	mkStim := func(n int) *sim.Stimuli {
-		st := sim.NewStimuli("bench", 100000000, ins...)
-		for v := 0; v < n; v++ {
-			bits := make([]bool, len(ins))
-			for i := range bits {
-				bits[i] = (v>>uint(i%8))&1 == 1
-			}
-			st.Vectors = append(st.Vectors, bits)
-		}
-		return st
-	}
 
 	compileStart := time.Now()
 	prog := must1(cosmos.Compile(nl))
@@ -268,7 +256,7 @@ func fig2() {
 		nl.Name, len(nl.Gates), compileCost, prog.Steps())
 	fmt.Printf("%8s %14s %14s %10s\n", "vectors", "event-driven", "compiled+comp", "winner")
 	for _, n := range []int{1, 4, 16, 64, 256, 1024} {
-		st := mkStim(n)
+		st := figures.Vectors(nl, n)
 		t0 := time.Now()
 		sm := must1(sim.New(nl, lib))
 		_, err := sm.Run(st)
@@ -370,23 +358,11 @@ func childByKey(f *flow.Flow, id flow.NodeID, key string) flow.NodeID {
 
 func fig5() {
 	s := session()
-	f := s.NewFlow()
 	// Extraction with two outputs, netlist reused by verification and by
 	// a circuit that is simulated and plotted.
-	net := f.MustAdd("ExtractedNetlist")
-	must(f.ExpandDown(net, false))
-	extrN, _ := f.Node(net).Dep("fd")
-	layN, _ := f.Node(net).Dep("Layout")
-	must(f.Specialize(layN, "EditedLayout"))
-	must(f.ExpandDown(layN, false))
-	layToolN, _ := f.Node(layN).Dep("fd")
-	stats := f.MustAdd("ExtractionStatistics")
-	must(f.Connect(stats, "fd", extrN))
-	must(f.Connect(stats, "Layout", layN))
-	ver := must1(f.ExpandUp(net, "Verification", "Netlist/subject"))
-	must(f.Connect(ver, "Netlist/reference", net)) // self-check against itself
-	must(f.ExpandDown(ver, false))
-	verToolN, _ := f.Node(ver).Dep("fd")
+	f, e, err := figures.Fig5(s)
+	must(err)
+	net := e.Netlist
 	cct := f.MustAdd("Circuit")
 	must(f.Connect(cct, "Netlist", net))
 	dm := f.MustAdd("DeviceModels")
@@ -401,9 +377,6 @@ func fig5() {
 	must(f.ExpandDown(plotN, false))
 	plotterN, _ := f.Node(plotN).Dep("fd")
 
-	must(f.Bind(extrN, s.Must("extractor")))
-	must(f.Bind(layToolN, s.Must("layEd.fulladder")))
-	must(f.Bind(verToolN, s.Must("verifier")))
 	must(f.Bind(dmToolN, s.Must("dmEd.default")))
 	must(f.Bind(simN, s.Must("sim")))
 	must(f.Bind(stimN, s.Must("stim.exhaustive3")))
@@ -424,16 +397,6 @@ func fig5() {
 
 func fig6() {
 	s := session()
-	build := func() *flow.Flow {
-		f := s.NewFlow()
-		for i := 0; i < 8; i++ {
-			n := f.MustAdd("EditedNetlist")
-			must(f.ExpandDown(n, false))
-			tn, _ := f.Node(n).Dep("fd")
-			must(f.Bind(tn, s.Must("netEd.fulladder")))
-		}
-		return f
-	}
 	const delay = 10 * time.Millisecond
 	s.Options.TaskDelay = func(flow.NodeID, string) time.Duration { return delay }
 	fmt.Printf("8 disjoint branches, %v simulated tool-dispatch latency each\n", delay)
@@ -442,7 +405,7 @@ func fig6() {
 	var last *exec.Stats
 	for _, w := range []int{1, 2, 4, 8} {
 		s.Engine.SetWorkers(w)
-		res := must1(s.Run(build()))
+		res := must1(s.Run(must1(figures.Branches(s, 8, "netEd.fulladder"))))
 		if w == 1 {
 			base = res.Elapsed
 		}
@@ -472,34 +435,7 @@ func schedSection() {
 		barrierBound, time.Duration(depth/2)*(slow+fast))
 	s := session()
 	s.Engine.SetWorkers(workers)
-	f := s.NewFlow()
-	delays := make(map[flow.NodeID]time.Duration)
-	for c := 0; c < 2; c++ {
-		base := f.MustAdd("EditedNetlist")
-		must(f.ExpandDown(base, false))
-		tn, _ := f.Node(base).Dep("fd")
-		must(f.Bind(tn, s.Must("netEd.fulladder")))
-		prev := base
-		for d := 0; d < depth; d++ {
-			if (d+c)%2 == 0 {
-				delays[prev] = slow
-			} else {
-				delays[prev] = fast
-			}
-			if d == depth-1 {
-				break
-			}
-			next := must1(f.ExpandUp(prev, "EditedNetlist", "Netlist"))
-			must(f.ExpandDown(next, false))
-			tn, _ := f.Node(next).Dep("fd")
-			must(f.Bind(tn, s.Must("netEd.retouch")))
-			prev = next
-		}
-	}
-	s.Options.TaskDelay = func(n flow.NodeID, goal string) time.Duration {
-		return delays[n]
-	}
-	res := must1(s.Run(f))
+	res := must1(s.Run(must1(figures.Unbalanced(s, depth, slow, fast))))
 	fmt.Printf("dataflow:\n%s\n", indent(res.Stats.Summary()))
 	fmt.Printf("dataflow speedup over the level-barrier bound: %.2fx\n",
 		float64(barrierBound)/float64(res.Stats.Elapsed))
@@ -533,47 +469,18 @@ func fig7() {
 
 func fig8() {
 	s := session()
-	// Netlist first.
-	f := s.NewFlow()
-	netN := f.MustAdd("EditedNetlist")
-	must(f.ExpandDown(netN, false))
-	tn, _ := f.Node(netN).Dep("fd")
-	must(f.Bind(tn, s.Must("netEd.fulladder")))
-	netInst := must1(must1(s.Run(f)).One(netN))
-
-	// Synthesis flow.
-	f2 := s.NewFlow()
-	lay := f2.MustAdd("PlacedLayout")
-	must(f2.ExpandDown(lay, false))
-	placerN, _ := f2.Node(lay).Dep("fd")
-	net2, _ := f2.Node(lay).Dep("Netlist")
-	opts, _ := f2.Node(lay).Dep("PlacementOptions")
-	must(f2.Bind(net2, netInst))
-	must(f2.Bind(placerN, s.Must("placer")))
-	must(f2.Bind(opts, s.Must("popts.default")))
+	netInst := must1(figures.Netlist(s, "netEd.fulladder"))
 	t0 := time.Now()
-	layInst := must1(must1(s.Run(f2)).One(lay))
+	layInst := must1(figures.Synthesis(s, netInst))
 	fmt.Printf("synthesis (Fig. 8a): %s in %v\n", layInst, time.Since(t0).Round(time.Millisecond))
 
-	// Verification flow.
-	f3 := s.NewFlow()
-	layB := f3.MustAdd("Layout")
-	must(f3.Bind(layB, layInst))
-	xnet := must1(f3.ExpandUp(layB, "ExtractedNetlist", "Layout"))
-	must(f3.ExpandDown(xnet, false))
-	extrN, _ := f3.Node(xnet).Dep("fd")
-	ver := must1(f3.ExpandUp(xnet, "Verification", "Netlist/subject"))
-	// Connecting the layout as the reference netlist is refused — the
-	// schema's typing at work.
-	fmt.Printf("  ill-typed connect refused: %v\n", f3.Connect(ver, "Netlist/reference", layB))
-	must(f3.ExpandDown(ver, false))
-	refN, _ := f3.Node(ver).Dep("Netlist/reference")
-	must(f3.Bind(refN, netInst))
-	verToolN, _ := f3.Node(ver).Dep("fd")
-	must(f3.Bind(extrN, s.Must("extractor")))
-	must(f3.Bind(verToolN, s.Must("verifier")))
+	// Connecting a layout as a verification's reference netlist is
+	// refused: the schema's typing at work.
+	f := s.NewFlow()
+	layN, verN := f.MustAdd("Layout"), f.MustAdd("Verification")
+	fmt.Printf("  ill-typed connect refused: %v\n", f.Connect(verN, "Netlist/reference", layN))
 	t1 := time.Now()
-	vid := must1(must1(s.Run(f3)).One(ver))
+	vid := must1(figures.Verification(s, layInst, netInst))
 	text := must1(s.ArtifactText(vid))
 	fmt.Printf("verification (Fig. 8b) in %v: %s", time.Since(t1).Round(time.Millisecond), text)
 }
@@ -584,22 +491,10 @@ func fig9() {
 	s := session()
 	// Populate the history with simulations from three users.
 	users := []string{"jbb", "director", "sutton"}
+	names := []string{"Low pass filter", "CMOS Full adder", "Operational Amplifier"}
 	for i, u := range users {
 		s.Options.User = u
-		f := must1(s.Catalogs.StartFromPlan("simulate-netlist"))
-		bindLeaf(s, f, "Simulator", "sim")
-		bindLeaf(s, f, "Stimuli", "stim.exhaustive3")
-		bindLeaf(s, f, "NetlistEditor", "netEd.fulladder")
-		bindLeaf(s, f, "DeviceModelEditor", "dmEd.default")
-		res := must1(s.Run(f))
-		for _, root := range f.Roots() {
-			for _, id := range res.Created[root] {
-				if s.DB.Get(id).Type == "Performance" {
-					names := []string{"Low pass filter", "CMOS Full adder", "Operational Amplifier"}
-					must(s.Annotate(id, names[i], "run by "+u))
-				}
-			}
-		}
+		must(s.Annotate(must1(figures.Simulation(s)), names[i], "run by "+u))
 	}
 	fmt.Printf("history holds %d instances\n", s.DB.Len())
 	queries := []struct {
@@ -618,27 +513,12 @@ func fig9() {
 	}
 }
 
-func bindLeaf(s *hercules.Session, f *flow.Flow, typeName, key string) {
-	for _, id := range f.Leaves() {
-		if f.Node(id).Type == typeName && !f.Node(id).IsBound() {
-			must(f.Bind(id, s.Must(key)))
-			return
-		}
-	}
-	panic("no unbound leaf of type " + typeName)
-}
-
 // ---- fig 10 ----------------------------------------------------------------
 
 func fig10() {
 	s := session()
 	// Build an edit chain of growing depth; measure backchain latency.
-	f := s.NewFlow()
-	n := f.MustAdd("EditedNetlist")
-	must(f.ExpandDown(n, false))
-	tn, _ := f.Node(n).Dep("fd")
-	must(f.Bind(tn, s.Must("netEd.fulladder")))
-	cur := must1(must1(s.Run(f)).One(n))
+	cur := must1(figures.Netlist(s, "netEd.fulladder"))
 	fmt.Printf("%12s %12s %12s\n", "chain depth", "nodes found", "query time")
 	for _, depth := range []int{1, 8, 64, 256} {
 		for chainLen(s, cur) < depth {
@@ -654,16 +534,9 @@ func fig10() {
 	fmt.Print(indent(shallow.Render(s.DB)))
 }
 
+// s2edit retouches base once and returns the new version.
 func s2edit(s *hercules.Session, base history.ID) history.ID {
-	f := s.NewFlow()
-	n := f.MustAdd("EditedNetlist")
-	must(f.ExpandDown(n, false))
-	must(f.ExpandOptional(n, "Netlist"))
-	tn, _ := f.Node(n).Dep("fd")
-	bn, _ := f.Node(n).Dep("Netlist")
-	must(f.Bind(tn, s.Must("netEd.retouch")))
-	must(f.Bind(bn, base))
-	return must1(must1(s.Run(f)).One(n))
+	return must1(figures.Edit(s, s.Must("netEd.retouch"), base))
 }
 
 // chainLen computes the version-chain length of an instance.
@@ -682,12 +555,7 @@ func chainLen(s *hercules.Session, id history.ID) int {
 
 func fig11() {
 	s := session()
-	f := s.NewFlow()
-	n := f.MustAdd("EditedNetlist")
-	must(f.ExpandDown(n, false))
-	tn, _ := f.Node(n).Dep("fd")
-	must(f.Bind(tn, s.Must("netEd.fulladder")))
-	c1 := must1(must1(s.Run(f)).One(n))
+	c1 := must1(figures.Netlist(s, "netEd.fulladder"))
 	c2 := s2edit(s, c1)
 	c3 := s2edit(s, c2)
 	c4 := s2edit(s, c1)
@@ -722,20 +590,7 @@ func fig11() {
 
 func retraceSection() {
 	s := session()
-	f := must1(s.Catalogs.StartFromPlan("simulate-netlist"))
-	bindLeaf(s, f, "Simulator", "sim")
-	bindLeaf(s, f, "Stimuli", "stim.exhaustive3")
-	bindLeaf(s, f, "NetlistEditor", "netEd.fulladder")
-	bindLeaf(s, f, "DeviceModelEditor", "dmEd.default")
-	res := must1(s.Run(f))
-	var perf history.ID
-	for _, root := range f.Roots() {
-		for _, id := range res.Created[root] {
-			if s.DB.Get(id).Type == "Performance" {
-				perf = id
-			}
-		}
-	}
+	perf := must1(figures.Simulation(s))
 	net := s.DB.InstancesOf("EditedNetlist")[0].ID
 	s2edit(s, net)
 	fmt.Printf("after editing the netlist, performance stale: %v\n", must1(s.OutOfDate(perf)))
@@ -754,18 +609,9 @@ func retraceSection() {
 // failure cannot reach, and a hung tool cut off by the task timeout.
 func chaosSection() {
 	const branches = 8
+	// Alternating generators make the branches distinct injection sites.
 	branchFlow := func(s *hercules.Session) *flow.Flow {
-		f := s.NewFlow()
-		// Alternate generators so the branches are distinct injection
-		// sites (identical requests share a site and hence a fate).
-		gens := []string{"netEd.fulladder", "netEd.ripple4"}
-		for i := 0; i < branches; i++ {
-			n := f.MustAdd("EditedNetlist")
-			must(f.ExpandDown(n, false))
-			tn, _ := f.Node(n).Dep("fd")
-			must(f.Bind(tn, s.Must(gens[i%len(gens)])))
-		}
-		return f
+		return must1(figures.Branches(s, branches, "netEd.fulladder", "netEd.ripple4"))
 	}
 
 	// Transient faults + retry: every tool site fails twice; retries
@@ -790,15 +636,7 @@ func chaosSection() {
 	continueOnError := exec.ContinueOnError
 	s2.Options.Policy = &continueOnError
 	f2 := branchFlow(s2)
-	net := f2.MustAdd("ExtractedNetlist")
-	must(f2.ExpandDown(net, false))
-	extrN, _ := f2.Node(net).Dep("fd")
-	layN, _ := f2.Node(net).Dep("Layout")
-	must(f2.Specialize(layN, "EditedLayout"))
-	must(f2.ExpandDown(layN, false))
-	ltn, _ := f2.Node(layN).Dep("fd")
-	must(f2.Bind(extrN, s2.Must("extractor")))
-	must(f2.Bind(ltn, s2.Must("layEd.fulladder")))
+	must1(figures.Extraction(s2, f2))
 	res2, err2 := s2.Run(f2)
 	fmt.Printf("degraded : %d/%d tasks committed under %s, %d failed, %d skipped\n",
 		res2.TasksRun, branches+2, exec.ContinueOnError,
@@ -813,11 +651,7 @@ func chaosSection() {
 	inj3.Instrument(s3.Registry)
 	timeout := 50 * time.Millisecond
 	s3.Options.TaskTimeout = &timeout
-	f3 := s3.NewFlow()
-	n := f3.MustAdd("EditedNetlist")
-	must(f3.ExpandDown(n, false))
-	tn, _ := f3.Node(n).Dep("fd")
-	must(f3.Bind(tn, s3.Must("netEd.fulladder")))
+	f3 := must1(figures.Branches(s3, 1, "netEd.fulladder"))
 	t0 = time.Now()
 	res3, err3 := s3.Run(f3)
 	fmt.Printf("hung tool: cut off in %v (deadline exceeded: %v, attempts timed out: %d)\n",
@@ -831,15 +665,7 @@ func traceSection() {
 	const branches = 8
 	const workers = 4
 	branchFlow := func(s *hercules.Session) *flow.Flow {
-		f := s.NewFlow()
-		gens := []string{"netEd.fulladder", "netEd.ripple4"}
-		for i := 0; i < branches; i++ {
-			n := f.MustAdd("EditedNetlist")
-			must(f.ExpandDown(n, false))
-			tn, _ := f.Node(n).Dep("fd")
-			must(f.Bind(tn, s.Must(gens[i%len(gens)])))
-		}
-		return f
+		return must1(figures.Branches(s, branches, "netEd.fulladder", "netEd.ripple4"))
 	}
 
 	// Determinism: events are sequenced in plan commit order, so after
@@ -893,34 +719,7 @@ func traceSection() {
 			s := session()
 			s.Engine.SetWorkers(workers)
 			s.Options.Tracer = sink
-			f := s.NewFlow()
-			delays := make(map[flow.NodeID]time.Duration)
-			for c := 0; c < 2; c++ {
-				base := f.MustAdd("EditedNetlist")
-				must(f.ExpandDown(base, false))
-				tn, _ := f.Node(base).Dep("fd")
-				must(f.Bind(tn, s.Must("netEd.fulladder")))
-				prev := base
-				for d := 0; d < depth; d++ {
-					if (d+c)%2 == 0 {
-						delays[prev] = slow
-					} else {
-						delays[prev] = fast
-					}
-					if d == depth-1 {
-						break
-					}
-					next := must1(f.ExpandUp(prev, "EditedNetlist", "Netlist"))
-					must(f.ExpandDown(next, false))
-					tn, _ := f.Node(next).Dep("fd")
-					must(f.Bind(tn, s.Must("netEd.retouch")))
-					prev = next
-				}
-			}
-			s.Options.TaskDelay = func(n flow.NodeID, goal string) time.Duration {
-				return delays[n]
-			}
-			res := must1(s.Run(f))
+			res := must1(s.Run(must1(figures.Unbalanced(s, depth, slow, fast))))
 			if best == 0 || res.Stats.Elapsed < best {
 				best = res.Stats.Elapsed
 			}
@@ -950,36 +749,7 @@ func memoSection() {
 	s.Engine.SetWorkers(workers)
 	cache := memo.New(0)
 	s.Options.Memo = cache
-	build := func() *flow.Flow {
-		f := s.NewFlow()
-		delays := make(map[flow.NodeID]time.Duration)
-		for c := 0; c < 2; c++ {
-			base := f.MustAdd("EditedNetlist")
-			must(f.ExpandDown(base, false))
-			tn, _ := f.Node(base).Dep("fd")
-			must(f.Bind(tn, s.Must("netEd.fulladder")))
-			prev := base
-			for d := 0; d < depth; d++ {
-				if (d+c)%2 == 0 {
-					delays[prev] = slow
-				} else {
-					delays[prev] = fast
-				}
-				if d == depth-1 {
-					break
-				}
-				next := must1(f.ExpandUp(prev, "EditedNetlist", "Netlist"))
-				must(f.ExpandDown(next, false))
-				tn, _ := f.Node(next).Dep("fd")
-				must(f.Bind(tn, s.Must("netEd.retouch")))
-				prev = next
-			}
-		}
-		s.Options.TaskDelay = func(n flow.NodeID, goal string) time.Duration {
-			return delays[n]
-		}
-		return f
-	}
+	build := func() *flow.Flow { return must1(figures.Unbalanced(s, depth, slow, fast)) }
 	fmt.Printf("unbalanced fig6 workload (two chains of %d, %v/%v latencies, %d machines)\n",
 		depth, slow, fast, workers)
 	cold := must1(s.Run(build()))
@@ -1079,16 +849,8 @@ func baselinesSection() {
 	// Traces: replay works, methodology does not.
 	sess := session()
 	f := sess.NewFlow()
-	n := f.MustAdd("ExtractedNetlist")
-	must(f.ExpandDown(n, false))
-	extrN, _ := f.Node(n).Dep("fd")
-	layN, _ := f.Node(n).Dep("Layout")
-	must(f.Specialize(layN, "EditedLayout"))
-	must(f.ExpandDown(layN, false))
-	ltn, _ := f.Node(layN).Dep("fd")
-	must(f.Bind(extrN, sess.Must("extractor")))
-	must(f.Bind(ltn, sess.Must("layEd.fulladder")))
-	target := must1(must1(sess.Run(f)).One(n))
+	x := must1(figures.Extraction(sess, f))
+	target := must1(must1(sess.Run(f)).One(x.Netlist))
 	tr := must1(trace.Capture(sess.DB, target))
 	fmt.Printf("trace  : captured %d events (%v); replays as a prototype but enforces nothing\n",
 		len(tr.Events), tr.ToolSequence())

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/figures"
 	"repro/internal/hercules"
 	"repro/internal/history"
 	"repro/internal/process"
@@ -55,21 +56,20 @@ func main() {
 	show("project start")
 
 	// Work the alu: netlist, then layout, then signoff — each a flow.
-	net := runNetlist(s, "netEd.fulladder")
+	net := check(figures.Netlist(s, "netEd.fulladder"))
 	must(m.Assign("chip/alu", "netlist", net))
-	lay := runLayout(s, net)
+	lay := check(figures.Synthesis(s, net))
 	must(m.Assign("chip/alu", "layout", lay))
-	ver := runVerify(s, lay, net)
-	must(m.Assign("chip/alu", "signoff", ver))
+	must(m.Assign("chip/alu", "signoff", check(figures.Verification(s, lay, net))))
 	show("after alu flows")
 
 	// Edit the alu netlist: the process level notices that layout and
 	// signoff regressed without being told.
-	edit(s, net)
+	check(figures.Edit(s, s.Must("netEd.retouch"), net))
 	show("after an engineering change (netlist edited)")
 
 	// The iopad is still pending; finish it.
-	must(m.Assign("chip/iopad", "netlist", runNetlist(s, "netEd.ripple4")))
+	must(m.Assign("chip/iopad", "netlist", check(figures.Netlist(s, "netEd.ripple4"))))
 	show("after iopad")
 }
 
@@ -79,71 +79,8 @@ func must(err error) {
 	}
 }
 
-func runNetlist(s *hercules.Session, genKey string) history.ID {
-	f := s.NewFlow()
-	n := f.MustAdd("EditedNetlist")
-	must(f.ExpandDown(n, false))
-	tn, _ := f.Node(n).Dep("fd")
-	must(f.Bind(tn, s.Must(genKey)))
-	res, err := s.Run(f)
-	must(err)
-	id, err := res.One(n)
-	must(err)
-	return id
-}
-
-func runLayout(s *hercules.Session, net history.ID) history.ID {
-	f := s.NewFlow()
-	lay := f.MustAdd("PlacedLayout")
-	must(f.ExpandDown(lay, false))
-	placer, _ := f.Node(lay).Dep("fd")
-	nn, _ := f.Node(lay).Dep("Netlist")
-	opts, _ := f.Node(lay).Dep("PlacementOptions")
-	must(f.Bind(nn, net))
-	must(f.Bind(placer, s.Must("placer")))
-	must(f.Bind(opts, s.Must("popts.default")))
-	res, err := s.Run(f)
-	must(err)
-	id, err := res.One(lay)
-	must(err)
-	return id
-}
-
-func runVerify(s *hercules.Session, lay, net history.ID) history.ID {
-	f := s.NewFlow()
-	layN := f.MustAdd("Layout")
-	must(f.Bind(layN, lay))
-	xnet, err := f.ExpandUp(layN, "ExtractedNetlist", "Layout")
-	must(err)
-	must(f.ExpandDown(xnet, false))
-	extr, _ := f.Node(xnet).Dep("fd")
-	ver, err := f.ExpandUp(xnet, "Verification", "Netlist/subject")
-	must(err)
-	must(f.ExpandDown(ver, false))
-	ref, _ := f.Node(ver).Dep("Netlist/reference")
-	vt, _ := f.Node(ver).Dep("fd")
-	must(f.Bind(ref, net))
-	must(f.Bind(extr, s.Must("extractor")))
-	must(f.Bind(vt, s.Must("verifier")))
-	res, err := s.Run(f)
-	must(err)
-	id, err := res.One(ver)
-	must(err)
-	return id
-}
-
-func edit(s *hercules.Session, base history.ID) history.ID {
-	f := s.NewFlow()
-	n := f.MustAdd("EditedNetlist")
-	must(f.ExpandDown(n, false))
-	must(f.ExpandOptional(n, "Netlist"))
-	tn, _ := f.Node(n).Dep("fd")
-	bn, _ := f.Node(n).Dep("Netlist")
-	must(f.Bind(tn, s.Must("netEd.retouch")))
-	must(f.Bind(bn, base))
-	res, err := s.Run(f)
-	must(err)
-	id, err := res.One(n)
+// check returns a run's instance, or ends the program on its error.
+func check(id history.ID, err error) history.ID {
 	must(err)
 	return id
 }

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/figures"
 	"repro/internal/hercules"
 	"repro/internal/history"
 )
@@ -36,47 +37,16 @@ func main() {
 	}
 
 	// Build c1, the original netlist, by flow.
-	f, netN, err := s.Catalogs.StartFromGoal("EditedNetlist")
-	must(err)
-	must(f.ExpandDown(netN, false))
-	toolN, _ := f.Node(netN).Dep("fd")
-	must(f.Bind(toolN, s.Must("netEd.fulladder")))
-	res, err := s.Run(f)
-	must(err)
-	c1, err := res.One(netN)
+	c1, err := figures.Netlist(s, "netEd.fulladder")
 	must(err)
 	must(s.Annotate(c1, "c1", "original full adder"))
 
 	// Edit it twice in sequence and once on a branch (Fig. 11's shape),
 	// each edit a one-node flow using a retouch editor.
 	edit := func(editor, base history.ID, name string) history.ID {
-		f := s.NewFlow()
-		n := f.MustAdd("EditedNetlist")
-		if err := f.ExpandDown(n, false); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.ExpandOptional(n, "Netlist"); err != nil {
-			log.Fatal(err)
-		}
-		tn, _ := f.Node(n).Dep("fd")
-		bn, _ := f.Node(n).Dep("Netlist")
-		if err := f.Bind(tn, editor); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Bind(bn, base); err != nil {
-			log.Fatal(err)
-		}
-		res, err := s.Run(f)
-		if err != nil {
-			log.Fatal(err)
-		}
-		id, err := res.One(n)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := s.Annotate(id, name, "edit of "+string(base)); err != nil {
-			log.Fatal(err)
-		}
+		id, err := figures.Edit(s, editor, base)
+		must(err)
+		must(s.Annotate(id, name, "edit of "+string(base)))
 		return id
 	}
 	retouch := s.Must("netEd.retouch")

@@ -35,8 +35,6 @@ type RetryPolicy struct {
 	// the same (job, combo, attempt) coordinates regardless of worker
 	// interleaving.
 	Seed int64
-	// Retryable classifies errors; nil means DefaultRetryable.
-	Retryable func(error) bool
 }
 
 // transienter is the duck-typed marker retry classification probes:
@@ -44,13 +42,13 @@ type RetryPolicy struct {
 // internal/faults injector does; net.Error-style tools can too).
 type transienter interface{ Transient() bool }
 
-// DefaultRetryable is the classification used when RetryPolicy.Retryable
-// is nil: context cancellation and deadline expiry are never retried, an
+// retryable classifies the errors a unit is retried on: context
+// cancellation and deadline expiry are never retried, an
 // error that self-describes via a Transient() bool method is believed,
 // and anything else is presumed transient (flaky CAD tools are the
 // normal case; a deterministic failure merely wastes MaxAttempts-1 short
 // retries before surfacing).
-func DefaultRetryable(err error) bool {
+func retryable(err error) bool {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return false
 	}
@@ -59,13 +57,6 @@ func DefaultRetryable(err error) bool {
 		return t.Transient()
 	}
 	return true
-}
-
-func (p RetryPolicy) retryable(err error) bool {
-	if p.Retryable != nil {
-		return p.Retryable(err)
-	}
-	return DefaultRetryable(err)
 }
 
 // backoff returns the full-jitter delay before retry number attempt
@@ -126,7 +117,7 @@ func (r *run) runUnit(ctx context.Context, u unitTask) (out encap.Outputs, alog 
 			rec.timedOut = true
 		}
 		alog = append(alog, rec)
-		if len(alog) >= max || ctx.Err() != nil || !r.cfg.retry.retryable(err) {
+		if len(alog) >= max || ctx.Err() != nil || !retryable(err) {
 			return
 		}
 		t := time.NewTimer(r.cfg.retry.backoff(u.j.idx, u.ci, a))

@@ -196,33 +196,6 @@ func (f *Flow) Order() ([]NodeID, error) {
 	return out, nil
 }
 
-// Levels groups nodes into dependency levels: level 0 has no
-// dependencies, level k+1 depends only on levels <= k. Nodes within one
-// level are mutually independent — the disjoint work that can proceed in
-// parallel (Fig. 6).
-func (f *Flow) Levels() ([][]NodeID, error) {
-	order, err := f.Order()
-	if err != nil {
-		return nil, err
-	}
-	level := make([]int, f.MaxID()+1)
-	var out [][]NodeID
-	for _, id := range order {
-		l := 0
-		for _, cid := range f.nodes[id].depIDs {
-			if level[cid]+1 > l {
-				l = level[cid] + 1
-			}
-		}
-		level[id] = l
-		for len(out) <= l {
-			out = append(out, nil)
-		}
-		out[l] = append(out[l], id)
-	}
-	return out, nil
-}
-
 // Branches partitions the flow into its connected components (treating
 // edges as undirected): fully disjoint branches that share no entity and
 // can execute on different machines (Fig. 6).
@@ -335,16 +308,6 @@ func (f *Flow) executable(id NodeID, seen []bool) (bool, string) {
 	}
 	seen[id] = true
 	return true, ""
-}
-
-// ExecutableSubflow reports whether the subflow rooted at id can run
-// independently of the remainder of the flow (§4.1: "a subflow may be run
-// at any stage as long as its dependencies are satisfied independently of
-// the remainder of the flow"). It is Executable restricted to the
-// subtree, which — because dependencies only point downward — is the same
-// predicate.
-func (f *Flow) ExecutableSubflow(id NodeID) (bool, string) {
-	return f.Executable(id)
 }
 
 // AsPattern converts the flow into a history query template (§4.2: "the

@@ -145,30 +145,6 @@ func TestOrderRespectsDependencies(t *testing.T) {
 	}
 }
 
-func TestLevels(t *testing.T) {
-	f, ids := fig5Flow(t)
-	levels, err := f.Levels()
-	if err != nil {
-		t.Fatalf("Levels: %v", err)
-	}
-	level := make(map[NodeID]int)
-	for l, nodes := range levels {
-		for _, id := range nodes {
-			level[id] = l
-		}
-	}
-	if level[ids["lay"]] != 0 || level[ids["extr"]] != 0 {
-		t.Error("leaves should be level 0")
-	}
-	if level[ids["net"]] != 1 || level[ids["stats"]] != 1 {
-		t.Errorf("extraction outputs should be level 1: net=%d stats=%d",
-			level[ids["net"]], level[ids["stats"]])
-	}
-	if !(level[ids["plot"]] > level[ids["perf"]] && level[ids["perf"]] > level[ids["cct"]]) {
-		t.Error("levels must increase along the chain")
-	}
-}
-
 func TestBranchesDisjoint(t *testing.T) {
 	// Fig. 6: two separate branches in one flow.
 	f := New(schema.Fig1(), nil)

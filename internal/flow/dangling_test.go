@@ -89,7 +89,4 @@ func TestDanglingDependencyAnalyses(t *testing.T) {
 	if _, err := f.Order(); err == nil || !strings.Contains(err.Error(), "dangling") {
 		t.Errorf("Order() = %v, want dangling error", err)
 	}
-	if _, err := f.Levels(); err == nil || !strings.Contains(err.Error(), "dangling") {
-		t.Errorf("Levels() = %v, want dangling error", err)
-	}
 }

@@ -449,7 +449,7 @@ func TestBindAndExecutable(t *testing.T) {
 		t.Errorf("flow should now be executable: %s", why)
 	}
 	// Sub-flow executability (§4.1).
-	if ok, why := f.ExecutableSubflow(netN); !ok {
+	if ok, why := f.Executable(netN); !ok {
 		t.Errorf("netlist subflow should be executable: %s", why)
 	}
 	// Unbind breaks it again.

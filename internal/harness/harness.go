@@ -17,7 +17,6 @@ package harness
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -558,28 +557,35 @@ func checkKillResume(sc *scenario.Scenario, base *runOut, opts Options, rep *Rep
 	return nil
 }
 
-// walEventList decodes a log's committed records back into the event
-// stream it persists, and the chain digests the records carry.
+// walEventList reads a finished run's log back through
+// storage.RecoverRun: the event stream it persists, and the chain
+// digests its records carry (the plan's, then each commit's, in event
+// order). A log RecoverRun does not read to its end as one finished run
+// (an undecodable record, a record after the run's end, or no end at
+// all) is refused.
 func walEventList(l storage.Log) ([]trace.Event, []string, error) {
+	rec, err := storage.RecoverRun(l)
+	if err != nil {
+		return nil, nil, err
+	}
 	recs, err := l.Committed()
 	if err != nil {
 		return nil, nil, err
 	}
-	out := make([]trace.Event, 0, len(recs))
+	if !rec.Finished || rec.PrefixRecords != len(recs) {
+		return nil, nil, fmt.Errorf("WAL of %d records is not one finished run: finished %v, prefix of %d records",
+			len(recs), rec.Finished, rec.PrefixRecords)
+	}
 	var digests []string
-	for i, raw := range recs {
-		var rec storage.Record
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return nil, nil, fmt.Errorf("undecodable WAL record %d: %w", i, err)
-		}
-		if rec.Event != nil {
-			out = append(out, *rec.Event)
-		}
-		if rec.Digest != "" {
-			digests = append(digests, rec.Digest)
+	if rec.PlanDigest != "" {
+		digests = append(digests, rec.PlanDigest)
+	}
+	for _, ev := range rec.Events {
+		if c := rec.Commits[ev.Unit]; ev.Kind == trace.KindUnitCommitted && c != nil && c.Digest != "" {
+			digests = append(digests, c.Digest)
 		}
 	}
-	return out, digests, nil
+	return rec.Events, digests, nil
 }
 
 func sortedExpectTypes(m map[string]int) []string {

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/scenario"
 	"repro/internal/storage"
+	"repro/internal/trace"
 )
 
 // tinyDoc is a two-task pipeline over a fresh schema — small enough
@@ -447,15 +449,42 @@ func TestArtifactTextOfDataless(t *testing.T) {
 }
 
 func TestWalEventListUndecodable(t *testing.T) {
-	l := storage.NewMemLog()
-	if err := l.Append([]byte("not json")); err != nil {
-		t.Fatal(err)
+	encode := func(r storage.Record) []byte {
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
-	if err := l.Sync(); err != nil {
-		t.Fatal(err)
+	meta := encode(storage.Record{Meta: &storage.RunMeta{ID: "r-1"}})
+	plan := encode(storage.Record{Event: &trace.Event{Seq: 0, Kind: trace.KindPlanBuilt, Job: -1, Combo: -1, Unit: -1},
+		Digest: "sha256:plan"})
+	end := encode(storage.Record{Event: &trace.Event{Seq: 1, Kind: trace.KindRunFinished, Job: -1, Combo: -1, Unit: -1}})
+	logOf := func(recs ...[]byte) storage.Log {
+		l := storage.NewMemLog()
+		for _, r := range recs {
+			if err := l.Append(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		return l
 	}
-	if _, _, err := walEventList(l); err == nil || !strings.Contains(err.Error(), "undecodable WAL record 0") {
-		t.Fatalf("walEventList = %v, want the undecodable-record error", err)
+	events, digests, err := walEventList(logOf(meta, plan, end))
+	if err != nil || len(events) != 2 || !equalStrings(digests, []string{"sha256:plan"}) {
+		t.Fatalf("walEventList(finished log) = %d events, %q, %v", len(events), digests, err)
+	}
+	for name, recs := range map[string][][]byte{
+		"undecodable":               {[]byte("not json")},
+		"undecodable after the end": {meta, plan, end, []byte("not json")},
+		"record after the end":      {meta, plan, end, plan},
+		"unfinished":                {meta, plan},
+	} {
+		if _, _, err := walEventList(logOf(recs...)); err == nil || !strings.Contains(err.Error(), "not one finished run") {
+			t.Errorf("%s: walEventList = %v, want it refused", name, err)
+		}
 	}
 }
 

@@ -30,7 +30,6 @@ import (
 type FileLog struct {
 	mu      sync.Mutex
 	f       *os.File
-	path    string
 	buf     []byte  // appended frames not yet written to the file
 	offsets []int64 // start offset of each record (flushed or buffered)
 	size    int64   // logical end: flushed bytes + len(buf)
@@ -65,7 +64,7 @@ func openFile(path string, flag int) (*FileLog, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &FileLog{f: f, path: path}
+	l := &FileLog{f: f}
 	if err := l.scan(); err != nil {
 		f.Close()
 		return nil, err
@@ -296,9 +295,6 @@ func (l *FileLog) Torn() bool {
 	defer l.mu.Unlock()
 	return l.torn > 0
 }
-
-// Path returns the log's file path.
-func (l *FileLog) Path() string { return l.path }
 
 // Close flushes, fsyncs and closes the file.
 func (l *FileLog) Close() error {

@@ -10,9 +10,9 @@ import (
 // extended buffer. The output is byte-identical to json.Marshal(ev) —
 // same field order, same omitempty shape, same string escaping (see
 // AppendString) — without reflection for the common all-ASCII event.
-// It is the one event encoder: the WAL's event records,
-// EncodeJSONL/MaskedJSONL (and so the goldens), the Writer sink and the
-// service's trace stream all go through it.
+// It is the one event encoder: the WAL's event records, MaskedJSONL
+// (and so the goldens), the Writer sink and the service's trace stream
+// all go through it.
 func AppendJSON(b []byte, ev *Event) []byte {
 	b = append(b, `{"seq":`...)
 	b = strconv.AppendInt(b, int64(ev.Seq), 10)

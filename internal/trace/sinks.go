@@ -93,16 +93,11 @@ type Writer struct {
 	mu   sync.Mutex
 	w    io.Writer
 	line []byte // reused encoding buffer
-	mask bool
 	err  error
 }
 
 // NewWriter returns a JSONL sink writing raw (unmasked) events.
 func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
-
-// NewMaskedWriter returns a JSONL sink that masks each event before
-// writing — the on-disk form golden comparisons consume directly.
-func NewMaskedWriter(w io.Writer) *Writer { return &Writer{w: w, mask: true} }
 
 // Emit encodes the event as one JSON line.
 func (w *Writer) Emit(ev Event) {
@@ -110,9 +105,6 @@ func (w *Writer) Emit(ev Event) {
 	defer w.mu.Unlock()
 	if w.err != nil {
 		return
-	}
-	if w.mask {
-		ev = Mask(ev)
 	}
 	w.line = append(AppendJSON(w.line[:0], &ev), '\n')
 	_, w.err = w.w.Write(w.line)

@@ -16,8 +16,6 @@
 // golden comparisons can diff the rest byte for byte.
 package trace
 
-import "io"
-
 // Kind names a lifecycle transition. The ten kinds below are the
 // complete event taxonomy (DESIGN.md §8, §9).
 type Kind string
@@ -142,15 +140,6 @@ func Mask(ev Event) Event {
 	return ev
 }
 
-// Masked returns a masked copy of a slice of events.
-func Masked(events []Event) []Event {
-	out := make([]Event, len(events))
-	for i, ev := range events {
-		out[i] = Mask(ev)
-	}
-	return out
-}
-
 // DropKinds removes every event of the given kinds and renumbers Seq
 // consecutively from the first survivor's value. Dropping the
 // fault-path kinds (UnitRetried, UnitTimedOut) projects a retried run
@@ -174,18 +163,6 @@ func DropKinds(events []Event, kinds ...Kind) []Event {
 		out = append(out, ev)
 	}
 	return out
-}
-
-// EncodeJSONL writes events as JSON Lines, one Write per event.
-func EncodeJSONL(w io.Writer, events []Event) error {
-	var line []byte
-	for i := range events {
-		line = append(AppendJSON(line[:0], &events[i]), '\n')
-		if _, err := w.Write(line); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // AppendMaskedJSONL appends ev, masked, as one JSON line.

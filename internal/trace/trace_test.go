@@ -134,15 +134,6 @@ func TestWriterEmitsJSONL(t *testing.T) {
 	}
 }
 
-func TestMaskedWriterMasks(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewMaskedWriter(&buf)
-	w.Emit(Event{Seq: 0, Kind: KindUnitDispatched, WaitMicros: 7, Run: "r-0001"})
-	if out := buf.String(); strings.Contains(out, "wait_us") || strings.Contains(out, "r-0001") {
-		t.Errorf("masked writer leaked wall-clock fields: %s", out)
-	}
-}
-
 type failWriter struct{}
 
 func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
