@@ -21,10 +21,11 @@ race:
 	$(GO) test -race ./...
 
 # trace runs the golden-trace, trace/history, chaos-trace, commit-
-# failure and one-emitter suites ten times under the race detector —
-# the same step as the CI trace job.
+# failure, one-emitter, RunFinished-summary and critical-path suites
+# ten times under the race detector — the same step as the CI trace
+# job.
 trace:
-	$(GO) test -race -count=10 -run 'GoldenTrace|TraceHistory|TraceChaos|TraceCommitFailure|TraceOneEmitter' ./internal/exec/...
+	$(GO) test -race -count=10 -run 'GoldenTrace|TraceHistory|TraceChaos|TraceCommitFailure|TraceOneEmitter|RunFinished|CriticalPath' ./internal/exec/...
 
 # chaos runs only the fault-injection suite (seeded, deterministic) and
 # the result-cache suite beside it, plus the flowbench smoke subset —

@@ -250,11 +250,17 @@ func BenchmarkMemoWarmRerun(b *testing.B) {
 				b.StopTimer()
 				f, err := figures.Unbalanced(s, depth, slow, fast)
 				mustB(b, err)
+				var hits int64
+				if mode == "warm" {
+					hits = s.Options.Memo.Stats().Hits
+				}
 				b.StartTimer()
 				res, err := s.Run(f)
 				mustB(b, err)
-				if mode == "warm" && res.Stats.CacheHits != res.Stats.Units {
-					b.Fatalf("warm run hit %d/%d units", res.Stats.CacheHits, res.Stats.Units)
+				if mode == "warm" {
+					if hits = s.Options.Memo.Stats().Hits - hits; hits != int64(res.Finished.Units) {
+						b.Fatalf("warm run hit %d/%d units", hits, res.Finished.Units)
+					}
 				}
 			}
 		})

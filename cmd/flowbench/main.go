@@ -402,7 +402,7 @@ func fig6() {
 	fmt.Printf("8 disjoint branches, %v simulated tool-dispatch latency each\n", delay)
 	fmt.Printf("%9s %12s %9s %10s\n", "machines", "elapsed", "speedup", "occupancy")
 	var base time.Duration
-	var last *exec.Stats
+	var last *runtrace.Event
 	for _, w := range []int{1, 2, 4, 8} {
 		s.Engine.SetWorkers(w)
 		res := must1(s.Run(must1(figures.Branches(s, 8, "netEd.fulladder"))))
@@ -410,12 +410,30 @@ func fig6() {
 			base = res.Elapsed
 		}
 		fmt.Printf("%9d %12v %8.1fx %9.0f%%\n", w, res.Elapsed.Round(time.Millisecond),
-			float64(base)/float64(res.Elapsed), res.Stats.Occupancy*100)
-		last = res.Stats
+			float64(base)/float64(res.Elapsed), occupancy(res.Finished)*100)
+		last = res.Finished
 	}
 	fmt.Println("last run (8 machines):")
-	fmt.Println(indent(last.Summary()))
+	fmt.Println(indent(runSummary(last)))
 }
+
+// runSummary renders a run's RunFinished: its shape, its timings and
+// the critical path measured from them.
+func runSummary(fin *runtrace.Event) string {
+	return fmt.Sprintf("workers=%d jobs=%d units=%d\nelapsed=%v busy=%v occupancy=%.0f%% critical-path=%v (%d jobs)",
+		fin.Workers, fin.Jobs, fin.Units, micros(fin.ElapsedMicros), micros(fin.BusyMicros),
+		occupancy(fin)*100, micros(fin.CriticalMicros), fin.CriticalJobs)
+}
+
+// occupancy is a run's busy/(elapsed × workers), as trace.Metrics folds
+// it from the run's RunFinished.
+func occupancy(fin *runtrace.Event) float64 {
+	m := runtrace.NewMetrics()
+	m.Emit(*fin)
+	return m.Snapshot().Occupancy
+}
+
+func micros(us int64) time.Duration { return time.Duration(us) * time.Microsecond }
 
 // ---- scheduler: dataflow vs the level-barrier bound -------------------------
 
@@ -436,9 +454,9 @@ func schedSection() {
 	s := session()
 	s.Engine.SetWorkers(workers)
 	res := must1(s.Run(must1(figures.Unbalanced(s, depth, slow, fast))))
-	fmt.Printf("dataflow:\n%s\n", indent(res.Stats.Summary()))
+	fmt.Printf("dataflow:\n%s\n", indent(runSummary(res.Finished)))
 	fmt.Printf("dataflow speedup over the level-barrier bound: %.2fx\n",
-		float64(barrierBound)/float64(res.Stats.Elapsed))
+		float64(barrierBound)/float64(micros(res.Finished.ElapsedMicros)))
 }
 
 // ---- fig 7 -----------------------------------------------------------------
@@ -596,7 +614,7 @@ func retraceSection() {
 	fmt.Printf("after editing the netlist, performance stale: %v\n", must1(s.OutOfDate(perf)))
 	// A retrace takes well under a millisecond; BenchmarkRetrace times it.
 	rr := must1(s.Retrace(perf))
-	fmt.Printf("retrace: %d step(s) re-run, %d cache hit(s)\n", len(rr.Rebuilt), rr.CacheHits)
+	fmt.Printf("retrace: %d step(s) re-run\n", len(rr.Rebuilt))
 	fmt.Printf("plan was:\n%s\n", indent(rr.Plan.String()))
 	fmt.Printf("new target %s stale: %v\n", rr.NewTarget(perf), must1(s.OutOfDate(rr.NewTarget(perf))))
 }
@@ -620,10 +638,12 @@ func chaosSection() {
 	inj := faults.New(1993, faults.Config{TransientRate: 1, TransientRuns: 2})
 	inj.Instrument(s1.Registry)
 	s1.Options.Retry = &exec.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, Seed: 7}
+	m1 := runtrace.NewMetrics()
+	s1.Options.Tracer = m1
 	t0 := time.Now()
 	res := must1(s1.Run(branchFlow(s1)))
 	fmt.Printf("transient: %d/%d tasks committed after %d retries in %v (%d transient faults injected)\n",
-		res.TasksRun, branches, res.Stats.Retries,
+		res.TasksRun, branches, m1.Snapshot().Retried,
 		time.Since(t0).Round(time.Millisecond), inj.Counters().Transients)
 
 	// Graceful degradation: a poisoned layout editor kills one producer
@@ -640,7 +660,7 @@ func chaosSection() {
 	res2, err2 := s2.Run(f2)
 	fmt.Printf("degraded : %d/%d tasks committed under %s, %d failed, %d skipped\n",
 		res2.TasksRun, branches+2, exec.ContinueOnError,
-		res2.Stats.UnitsFailed, res2.Stats.JobsSkipped)
+		res2.Finished.Failed, res2.Finished.Skipped)
 	fmt.Printf("           error lines (root cause + each skipped node): %d\n",
 		len(strings.Split(err2.Error(), "\n")))
 
@@ -651,12 +671,14 @@ func chaosSection() {
 	inj3.Instrument(s3.Registry)
 	timeout := 50 * time.Millisecond
 	s3.Options.TaskTimeout = &timeout
+	m3 := runtrace.NewMetrics()
+	s3.Options.Tracer = m3
 	f3 := must1(figures.Branches(s3, 1, "netEd.fulladder"))
 	t0 = time.Now()
-	res3, err3 := s3.Run(f3)
+	_, err3 := s3.Run(f3)
 	fmt.Printf("hung tool: cut off in %v (deadline exceeded: %v, attempts timed out: %d)\n",
 		time.Since(t0).Round(time.Millisecond),
-		errors.Is(err3, context.DeadlineExceeded), res3.Stats.Timeouts)
+		errors.Is(err3, context.DeadlineExceeded), m3.Snapshot().TimedOut)
 }
 
 // ---- trace --------------------------------------------------------------------
@@ -720,8 +742,8 @@ func traceSection() {
 			s.Engine.SetWorkers(workers)
 			s.Options.Tracer = sink
 			res := must1(s.Run(must1(figures.Unbalanced(s, depth, slow, fast))))
-			if best == 0 || res.Stats.Elapsed < best {
-				best = res.Stats.Elapsed
+			if elapsed := micros(res.Finished.ElapsedMicros); best == 0 || elapsed < best {
+				best = elapsed
 			}
 		}
 		return best
@@ -752,20 +774,20 @@ func memoSection() {
 	build := func() *flow.Flow { return must1(figures.Unbalanced(s, depth, slow, fast)) }
 	fmt.Printf("unbalanced fig6 workload (two chains of %d, %v/%v latencies, %d machines)\n",
 		depth, slow, fast, workers)
+	// The cold run's own hits and misses depend on how its commits race
+	// its consults; what it teaches the cache and the warm run's hits
+	// do not.
 	cold := must1(s.Run(build()))
+	entries, hits := cache.Len(), cache.Stats().Hits
 	fWarm := build()
 	warm := must1(s.Run(fWarm))
-	fmt.Printf("cold run: %v (%d/%d units executed)\n",
-		cold.Elapsed.Round(time.Millisecond),
-		cold.Stats.Units-cold.Stats.CacheHits, cold.Stats.Units)
+	fmt.Printf("cold run: %v (taught the cache %d entries)\n",
+		cold.Elapsed.Round(time.Millisecond), entries)
 	fmt.Printf("warm run: %v (%d/%d units served from cache)\n",
 		warm.Elapsed.Round(time.Microsecond),
-		warm.Stats.CacheHits, warm.Stats.Units)
+		cache.Stats().Hits-hits, warm.Finished.Units)
 	fmt.Printf("warm-rerun speedup: %.0fx (acceptance floor 5x)\n",
 		float64(cold.Elapsed)/float64(warm.Elapsed))
-	st := cache.Stats()
-	fmt.Printf("cache: %d entries — %d hits, %d misses, %d stores\n",
-		cache.Len(), st.Hits, st.Misses, st.Puts)
 	// The warm run minted its own instances: none of its unbound nodes
 	// reused an ID from the cold run's result.
 	coldIDs := make(map[history.ID]bool)

@@ -91,11 +91,11 @@ func TestChaosRetriedRunMatchesCleanRun(t *testing.T) {
 	inj.Instrument(faulty.engine.reg)
 	retry := &RetryPolicy{MaxAttempts: 3, BaseDelay: 10 * time.Microsecond, Seed: 7}
 	fFaulty, _ := faulty.perfFlow(t)
-	res, err := faulty.engine.RunFlowOptions(context.Background(), fFaulty, &RunOptions{Retry: retry})
-	if err != nil {
+	opts, m := counted(RunOptions{Retry: retry})
+	if _, err := faulty.run(fFaulty, opts); err != nil {
 		t.Fatalf("faulty run should succeed after retries: %v", err)
 	}
-	if res.Stats.Retries == 0 {
+	if m.Snapshot().Retried == 0 {
 		t.Error("run reported zero retries; the injector should have forced some")
 	}
 	if c := inj.Counters(); c.Transients == 0 {
@@ -151,8 +151,8 @@ func TestChaosContinueOnErrorPartialCompletion(t *testing.T) {
 	if len(res.Skipped) != 1 || res.Skipped[0] != net {
 		t.Errorf("res.Skipped = %v, want [%d]", res.Skipped, net)
 	}
-	if res.Stats.JobsSkipped != 1 || res.Stats.UnitsFailed != 1 {
-		t.Errorf("stats faults = skipped %d / failed %d, want 1 / 1", res.Stats.JobsSkipped, res.Stats.UnitsFailed)
+	if fin := res.Finished; fin.Skipped != 1 || fin.Failed != 1 {
+		t.Errorf("RunFinished faults = skipped %d / failed %d, want 1 / 1", fin.Skipped, fin.Failed)
 	}
 	// Nothing from the poisoned chain was recorded, and the pre-assigned
 	// IDs of the failed and skipped constructions were retired so the
@@ -180,8 +180,9 @@ func TestChaosHungToolCutOffByTaskTimeout(t *testing.T) {
 
 	f := flow.New(r.s, r.db)
 	addBranch(t, r, f)
+	opts, m := counted(RunOptions{TaskTimeout: ptr(50 * time.Millisecond)})
 	start := time.Now()
-	res, err := r.engine.RunFlowOptions(context.Background(), f, &RunOptions{TaskTimeout: ptr(50 * time.Millisecond)})
+	_, err := r.run(f, opts)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
@@ -192,8 +193,8 @@ func TestChaosHungToolCutOffByTaskTimeout(t *testing.T) {
 	if elapsed > 10*time.Second {
 		t.Errorf("run took %v; the timeout did not cut the hang off", elapsed)
 	}
-	if res.Stats == nil || res.Stats.Timeouts < 1 {
-		t.Errorf("stats should count the timeout, got %+v", res.Stats)
+	if got := m.Snapshot().TimedOut; got < 1 {
+		t.Errorf("the events count %d timeouts, want the hang's", got)
 	}
 }
 
@@ -303,8 +304,8 @@ func TestSettersSafeDuringRun(t *testing.T) {
 	if _, err := res.One(n); err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Workers != 1 {
-		t.Errorf("in-flight run reports %d workers, want the 1 it was admitted with", res.Stats.Workers)
+	if res.Finished.Workers != 1 {
+		t.Errorf("in-flight run reports %d workers, want the 1 it was admitted with", res.Finished.Workers)
 	}
 
 	// The next run is admitted under the new bounds, on the resized pool.
@@ -312,8 +313,8 @@ func TestSettersSafeDuringRun(t *testing.T) {
 	if err != nil {
 		t.Fatalf("second run: %v", err)
 	}
-	if res2.Stats.Workers != 2 {
-		t.Errorf("next run reports %d workers, want 2", res2.Stats.Workers)
+	if res2.Finished.Workers != 2 {
+		t.Errorf("next run reports %d workers, want 2", res2.Finished.Workers)
 	}
 }
 
@@ -379,7 +380,7 @@ func TestConcurrentRunsSameDBSerialize(t *testing.T) {
 }
 
 // On failure, Result still reports Elapsed, the partial Created set,
-// and populated Stats — on one worker and on four.
+// and the run's RunFinished — on one worker and on four.
 func TestFailedRunResultPopulated(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
@@ -398,11 +399,11 @@ func TestFailedRunResultPopulated(t *testing.T) {
 			if res.Elapsed <= 0 {
 				t.Error("failed run has no Elapsed")
 			}
-			if res.Stats == nil {
-				t.Fatal("failed run has no Stats")
+			if res.Finished == nil {
+				t.Fatal("failed run has no RunFinished")
 			}
-			if res.Stats.UnitsFailed != 1 {
-				t.Errorf("UnitsFailed = %d, want 1", res.Stats.UnitsFailed)
+			if res.Finished.Failed != 1 {
+				t.Errorf("RunFinished.Failed = %d, want 1", res.Finished.Failed)
 			}
 			// The layout that succeeded before the extractor failed is in
 			// the partial Created set and committed.

@@ -186,8 +186,8 @@ func TestKillAndResume(t *testing.T) {
 				fR, _ := resumed.perfFlow(t)
 				bufR := &trace.Buffer{}
 				rWAL := storage.NewRunWAL(kl.MemLog)
-				res, err := resumed.engine.RunFlowOptions(ctx, fR,
-					&RunOptions{Tracer: bufR, WAL: rWAL, Resume: rec})
+				opts, m := counted(RunOptions{Tracer: bufR, WAL: rWAL, Resume: rec})
+				res, err := resumed.engine.RunFlowOptions(ctx, fR, &opts)
 				if err != nil {
 					t.Fatalf("killAt=%d resumed run: %v", killAt, err)
 				}
@@ -209,9 +209,9 @@ func TestKillAndResume(t *testing.T) {
 					t.Fatalf("killAt=%d final WAL digests diverge from golden:\n got %q\nwant %q", killAt, got, goldDigests)
 				}
 				// Only the units beyond the recovered prefix executed.
-				if want := totalUnits - len(rec.Commits); res.Stats.UnitsRun != want {
+				if want, ran := totalUnits-len(rec.Commits), int(m.Snapshot().Started); ran != want {
 					t.Fatalf("killAt=%d resumed run executed %d units, want %d (recovered %d of %d)",
-						killAt, res.Stats.UnitsRun, want, len(rec.Commits), totalUnits)
+						killAt, ran, want, len(rec.Commits), totalUnits)
 				}
 				if res.TasksRun != totalUnits {
 					t.Fatalf("killAt=%d resumed run committed %d tasks, want %d", killAt, res.TasksRun, totalUnits)
@@ -321,12 +321,11 @@ func TestMemoSurvivesRestart(t *testing.T) {
 
 	second := newRigStore(t, clock, store2)
 	f2, _ := second.perfFlow(t)
-	res, err := second.engine.RunFlowOptions(ctx, f2, &RunOptions{Memo: cache2})
-	if err != nil {
+	if _, err := second.engine.RunFlowOptions(ctx, f2, &RunOptions{Memo: cache2}); err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.CacheHits != 4 {
-		t.Fatalf("warm rerun after restart hit %d/4 units", res.Stats.CacheHits)
+	if hits := cache2.Stats().Hits; hits != 4 {
+		t.Fatalf("warm rerun after restart hit %d/4 units", hits)
 	}
 	if got := dumpHistory(t, second.db); !bytes.Equal(got, dumpHistory(t, first.db)) {
 		t.Fatal("warm rerun after restart recorded a different history")
@@ -462,18 +461,20 @@ func TestResumeRefusesTamperedLog(t *testing.T) {
 		r := newRigClock(t, tc.clock)
 		f, _ := r.perfFlow(t)
 		buf := trace.NewBuffer()
-		res, err := r.engine.RunFlowOptions(ctx, f, &RunOptions{Tracer: buf, Resume: rec})
+		opts, m := counted(RunOptions{Tracer: buf, Resume: rec})
+		res, err := r.run(f, opts)
+		ran := m.Snapshot().Started
 		if tc.err == "" {
-			if err != nil || res.Stats.UnitsRun != 2 {
-				t.Fatalf("%s: resume ran %d units: %v; want the 2 remaining", tc.name, res.Stats.UnitsRun, err)
+			if err != nil || ran != 2 {
+				t.Fatalf("%s: resume ran %d units: %v; want the 2 remaining", tc.name, ran, err)
 			}
 			continue
 		}
 		if err == nil || !strings.Contains(err.Error(), tc.err) {
 			t.Fatalf("%s: resume = %v, want an error naming %q", tc.name, err, tc.err)
 		}
-		if res.Stats == nil || res.Stats.UnitsRun != 0 || len(buf.Events()) != 0 {
-			t.Fatalf("%s: refused resume ran %v units and emitted %d events, want none", tc.name, res.Stats, len(buf.Events()))
+		if ran != 0 || len(buf.Events()) != 0 || res.Finished != nil {
+			t.Fatalf("%s: refused resume ran %d units, emitted %d events and finished %+v, want none", tc.name, ran, len(buf.Events()), res.Finished)
 		}
 	}
 }
@@ -525,17 +526,19 @@ func TestReplayFinishedLog(t *testing.T) {
 			}
 			want := dumpHistory(t, live.db)
 
-			replay := func(rec *storage.Recovered) (*rig, *Result, error) {
+			replay := func(rec *storage.Recovered) (*rig, *Result, *trace.Metrics, error) {
 				r := newRigClock(t, frozen)
-				res, err := r.engine.RunFlowOptions(ctx, tc.flow(t, r), &RunOptions{Resume: rec, Policy: tc.policy})
-				return r, res, err
+				opts, m := counted(RunOptions{Resume: rec, Policy: tc.policy})
+				res, err := r.run(tc.flow(t, r), opts)
+				return r, res, m, err
 			}
-			r, res, err := replay(rec)
+			r, res, m, err := replay(rec)
 			if err != nil {
 				t.Fatalf("replay: %v", err)
 			}
-			if res.Stats.UnitsRun != 0 || res.TasksRun != liveRes.TasksRun {
-				t.Fatalf("replay ran %d units and committed %d tasks, want 0 and %d", res.Stats.UnitsRun, res.TasksRun, liveRes.TasksRun)
+			if ran := m.Snapshot().Started; ran != 0 || res.TasksRun != liveRes.TasksRun || res.Finished != nil {
+				t.Fatalf("replay ran %d units, committed %d tasks and finished %+v, want 0, %d and no RunFinished",
+					ran, res.TasksRun, res.Finished, liveRes.TasksRun)
 			}
 			if got := dumpHistory(t, r.db); !bytes.Equal(got, want) {
 				t.Fatalf("replayed history diverges from the live run's:\n got %s\nwant %s", got, want)
@@ -545,11 +548,11 @@ func TestReplayFinishedLog(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := replay(tampered); err == nil || !strings.Contains(err.Error(), "recovered unit 0 (") {
+			if _, _, _, err := replay(tampered); err == nil || !strings.Contains(err.Error(), "recovered unit 0 (") {
 				t.Fatalf("replay of a rewritten log = %v, want an error naming unit 0", err)
 			}
 			tampered.PlanDigest = "" // the previous format: no digests to check
-			if _, _, err := replay(tampered); err != nil {
+			if _, _, _, err := replay(tampered); err != nil {
 				t.Fatalf("replay of a digest-less log: %v", err)
 			}
 			// A log missing its last commit record still ends in
@@ -559,7 +562,7 @@ func TestReplayFinishedLog(t *testing.T) {
 				last = max(last, u)
 			}
 			delete(rec.Commits, last)
-			if _, _, err := replay(rec); err == nil || !strings.Contains(err.Error(), "RunFinished counts") {
+			if _, _, _, err := replay(rec); err == nil || !strings.Contains(err.Error(), "RunFinished counts") {
 				t.Fatalf("replay of a log missing unit %d's commit = %v, want the RunFinished count error", last, err)
 			}
 		})

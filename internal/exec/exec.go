@@ -29,9 +29,12 @@
 // on it, because the determinism contract pins commit order per
 // database.
 //
-// Execution is observable: every run returns per-task wall times, worker
-// occupancy, the measured critical path and a queue-wait histogram on
-// Result.Stats.
+// Execution is observable through one path, the run's event stream
+// (package trace): every unit event carries its wall times, and a run
+// that executes ends with a RunFinished event — worker count, busy time,
+// scheduling span, measured critical path, failed units and skipped
+// jobs — which Result.Finished returns whether the run is traced or
+// not. trace.Metrics folds the stream into counters and histograms.
 package exec
 
 import (
@@ -263,7 +266,7 @@ type run struct {
 	e       *Engine
 	cfg     runConfig
 	pool    *pool
-	workers int // pool size at admission (Stats.Workers is min of this and the unit count)
+	workers int // pool size at admission (RunFinished's Workers is min of this and the unit count)
 
 	f   *flow.Flow
 	res *Result
@@ -277,8 +280,8 @@ type run struct {
 
 // Result reports one flow run. On error the result is still returned:
 // Elapsed is the time spent before failing, Created holds the bound
-// instances plus everything committed before the failure, and Stats
-// describes the partial schedule — the raw material for failure
+// instances plus everything committed before the failure, and Finished
+// summarizes the partial schedule — the raw material for failure
 // diagnostics and retracing.
 type Result struct {
 	// Created maps each executed node to the instances that realized it
@@ -293,9 +296,12 @@ type Result struct {
 	// producer failed (ContinueOnError graceful degradation), in plan
 	// order. Empty on success and under FailFast.
 	Skipped []flow.NodeID
-	// Stats describes how the run was scheduled; nil when the run failed
-	// before planning finished.
-	Stats *Stats
+	// Finished is the run's RunFinished event, the summary of how it was
+	// scheduled, equal to the emitted one but for Seq and Run; set
+	// whether or not the run is traced. It is nil when the run ended
+	// before its RunFinished: before planning, on a refused resume, or
+	// on the replay of a finished log.
+	Finished *trace.Event
 }
 
 // InstancesOf returns the instances created for a node.

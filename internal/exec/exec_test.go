@@ -11,6 +11,7 @@ import (
 	"repro/internal/flow"
 	"repro/internal/history"
 	"repro/internal/schema"
+	"repro/internal/trace"
 )
 
 // ptr returns a pointer to a copy of v, for RunOptions' optional
@@ -21,6 +22,19 @@ func ptr[T any](v T) *T { return &v }
 // run.
 func fixedDelay(d time.Duration) func(flow.NodeID, string) time.Duration {
 	return func(flow.NodeID, string) time.Duration { return d }
+}
+
+// counted returns o with a trace.Metrics fold added to its sink, and
+// the fold: a run's per-unit counts (units run, retries, timeouts,
+// cache hits) are read from its events.
+func counted(o RunOptions) (RunOptions, *trace.Metrics) {
+	m := trace.NewMetrics()
+	if o.Tracer != nil {
+		o.Tracer = trace.Multi(o.Tracer, m)
+	} else {
+		o.Tracer = m
+	}
+	return o, m
 }
 
 // rig is the test bench: an engine over the full schema with standard

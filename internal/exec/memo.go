@@ -23,8 +23,9 @@ import (
 //
 // The cache is safe to share across concurrent runs (it locks
 // internally and entries hold content refs): one run's warm results
-// accelerate another's. Hit accounting stays per-run — each run's
-// Stats.CacheHits counts only the hits its own coordinator served.
+// accelerate another's. Hit accounting stays per-run — each hit its
+// coordinator served is one UnitCacheHit event in its own stream,
+// which trace.Metrics attributes by run label (CacheHitsByRun).
 //
 // The determinism contract survives warm caches untouched: hits flow
 // through the same plan-order committer as executed units, so the

@@ -33,12 +33,13 @@ func TestMemoChaosChangedInputIsNeverServedStale(t *testing.T) {
 	if err := f.Bind(stimN, r.ids["stim2"]); err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.run(f, o)
+	oWarm, m := counted(o)
+	res, err := r.run(f, oWarm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.CacheHits != 3 { // netlist, models, circuit — not the sim
-		t.Errorf("hits = %d, want 3 (the simulation's input changed)", res.Stats.CacheHits)
+	if hits := m.Snapshot().CacheHits; hits != 3 { // netlist, models, circuit — not the sim
+		t.Errorf("hits = %d, want 3 (the simulation's input changed)", hits)
 	}
 	pid, _ := res.One(perf)
 	data, _ := r.store.Get(r.db.Get(pid).Data)
@@ -70,12 +71,13 @@ func TestMemoChaosFailedRunCachesNothing(t *testing.T) {
 	// cached) and afterwards has published the real results.
 	r2 := newRigStore(t, nil, store)
 	f2, perf2 := r2.perfFlow(t)
-	res, err := r2.run(f2, RunOptions{Memo: cache})
+	o, m := counted(RunOptions{Memo: cache})
+	res, err := r2.run(f2, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.CacheHits != 0 {
-		t.Errorf("healthy run hit %d entries published by a failed run", res.Stats.CacheHits)
+	if hits := m.Snapshot().CacheHits; hits != 0 {
+		t.Errorf("healthy run hit %d entries published by a failed run", hits)
 	}
 	pid, _ := res.One(perf2)
 	data, _ := r2.store.Get(r2.db.Get(pid).Data)
@@ -142,11 +144,11 @@ func TestMemoChaosRetriedUnitCachesOnlyFinalResult(t *testing.T) {
 	inj := faults.New(99, faults.Config{TransientRate: 1, TransientRuns: 1})
 	inj.Instrument(r.engine.reg)
 	f, _ := r.perfFlow(t)
-	res, err := r.run(f, RunOptions{Memo: cache, Retry: &RetryPolicy{MaxAttempts: 3, BaseDelay: 10 * time.Microsecond, Seed: 7}})
-	if err != nil {
+	o, m := counted(RunOptions{Memo: cache, Retry: &RetryPolicy{MaxAttempts: 3, BaseDelay: 10 * time.Microsecond, Seed: 7}})
+	if _, err := r.run(f, o); err != nil {
 		t.Fatalf("retried run: %v", err)
 	}
-	if res.Stats.Retries == 0 {
+	if m.Snapshot().Retried == 0 {
 		t.Fatal("injector produced no retries; the assertion below would be vacuous")
 	}
 	if cache.Len() != 4 {
@@ -155,12 +157,13 @@ func TestMemoChaosRetriedUnitCachesOnlyFinalResult(t *testing.T) {
 
 	warm := newRigStore(t, nil, store)
 	fWarm, perfWarm := warm.perfFlow(t)
-	wres, err := warm.run(fWarm, RunOptions{Memo: cache})
+	oWarm, mWarm := counted(RunOptions{Memo: cache})
+	wres, err := warm.run(fWarm, oWarm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wres.Stats.CacheHits != 4 {
-		t.Errorf("warm hits = %d, want 4", wres.Stats.CacheHits)
+	if hits := mWarm.Snapshot().CacheHits; hits != 4 {
+		t.Errorf("warm hits = %d, want 4", hits)
 	}
 	pid, _ := wres.One(perfWarm)
 	data, _ := warm.store.Get(warm.db.Get(pid).Data)

@@ -83,12 +83,13 @@ func TestMemoRandomWarmCachedMatchesClean(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: warm rerun 1: %v", seed, err)
 		}
-		res2, err := warm.run(fWarm, cached)
+		rerun, m := counted(cached)
+		res2, err := warm.run(fWarm, rerun)
 		if err != nil {
 			t.Fatalf("seed %d: warm rerun 2: %v", seed, err)
 		}
-		if res2.Stats.CacheHits != res2.Stats.Units {
-			t.Errorf("seed %d: rerun hit %d of %d units", seed, res2.Stats.CacheHits, res2.Stats.Units)
+		if hits := m.Snapshot().CacheHits; hits != int64(res2.Finished.Units) {
+			t.Errorf("seed %d: rerun hit %d of %d units", seed, hits, res2.Finished.Units)
 		}
 		assertIsomorphicRerun(t, warm.db, fWarm, res1, res2)
 	}

@@ -28,23 +28,25 @@ func memoRig(t *testing.T) (*rig, RunOptions) {
 func TestMemoWarmRerunHitsEveryUnit(t *testing.T) {
 	r, o := memoRig(t)
 	f, perf := r.perfFlow(t)
-	cold, err := r.run(f, o)
+	oCold, mCold := counted(o)
+	cold, err := r.run(f, oCold)
 	if err != nil {
 		t.Fatalf("cold run: %v", err)
 	}
-	if cold.Stats.CacheHits != 0 {
-		t.Errorf("cold run claimed %d cache hits", cold.Stats.CacheHits)
+	if hits := mCold.Snapshot().CacheHits; hits != 0 {
+		t.Errorf("cold run claimed %d cache hits", hits)
 	}
 	if got := o.Memo.Stats().Puts; got != 4 {
 		t.Errorf("cold run published %d entries, want 4", got)
 	}
 
-	warm, err := r.run(f, o)
+	oWarm, mWarm := counted(o)
+	warm, err := r.run(f, oWarm)
 	if err != nil {
 		t.Fatalf("warm run: %v", err)
 	}
-	if warm.Stats.CacheHits != 4 || warm.TasksRun != 4 {
-		t.Errorf("warm run: hits=%d tasks=%d, want 4/4", warm.Stats.CacheHits, warm.TasksRun)
+	if hits := mWarm.Snapshot().CacheHits; hits != 4 || warm.TasksRun != 4 {
+		t.Errorf("warm run: hits=%d tasks=%d, want 4/4", hits, warm.TasksRun)
 	}
 	assertIsomorphicRerun(t, r.db, f, cold, warm)
 
@@ -119,12 +121,12 @@ func TestMemoDisabledRunsEverything(t *testing.T) {
 	if _, err := r.engine.RunFlow(f); err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.engine.RunFlow(f)
-	if err != nil {
+	o, m := counted(RunOptions{})
+	if _, err := r.run(f, o); err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.CacheHits != 0 {
-		t.Errorf("no cache installed, yet %d hits", res.Stats.CacheHits)
+	if hits := m.Snapshot().CacheHits; hits != 0 {
+		t.Errorf("no cache installed, yet %d hits", hits)
 	}
 }
 
@@ -141,12 +143,13 @@ func TestMemoSharedAcrossEngines(t *testing.T) {
 
 	r2 := newRigStore(t, nil, store)
 	f2, perf2 := r2.perfFlow(t)
-	res, err := r2.run(f2, o)
+	o2, m := counted(o)
+	res, err := r2.run(f2, o2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.CacheHits != 4 {
-		t.Errorf("hits = %d, want 4", res.Stats.CacheHits)
+	if hits := m.Snapshot().CacheHits; hits != 4 {
+		t.Errorf("hits = %d, want 4", hits)
 	}
 	pid, _ := res.One(perf2)
 	data, ok := r2.store.Get(r2.db.Get(pid).Data)
@@ -194,12 +197,12 @@ func TestMemoFanOutWarm(t *testing.T) {
 	if _, err := r.run(f, o); err != nil {
 		t.Fatal(err)
 	}
-	warm, err := r.run(f, o)
-	if err != nil {
+	oWarm, m := counted(o)
+	if _, err := r.run(f, oWarm); err != nil {
 		t.Fatal(err)
 	}
-	if warm.Stats.CacheHits != 5 { // netlist, models, circuit, 2 sims
-		t.Errorf("hits = %d, want 5", warm.Stats.CacheHits)
+	if hits := m.Snapshot().CacheHits; hits != 5 { // netlist, models, circuit, 2 sims
+		t.Errorf("hits = %d, want 5", hits)
 	}
 }
 
@@ -228,12 +231,13 @@ func TestMemoRetraceHitsFlowEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := r.retrace(pid, o)
+	o1, m1 := counted(o)
+	rr, err := r.retrace(pid, o1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rr.Fresh || rr.CacheHits != 0 {
-		t.Fatalf("changed-input retrace: fresh=%v hits=%d, want a full re-run", rr.Fresh, rr.CacheHits)
+	if hits := m1.Snapshot().CacheHits; rr.Fresh || hits != 0 {
+		t.Fatalf("changed-input retrace: fresh=%v hits=%d, want a full re-run", rr.Fresh, hits)
 	}
 
 	// Edit 2: a further version that restores the original bytes. The
@@ -246,7 +250,8 @@ func TestMemoRetraceHitsFlowEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := rr.NewTarget(pid)
-	rr2, err := r.retrace(target, o)
+	o2, m2 := counted(o)
+	rr2, err := r.retrace(target, o2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,8 +260,8 @@ func TestMemoRetraceHitsFlowEntries(t *testing.T) {
 	}
 	// The Circuit composition and the Performance simulation: a retrace
 	// is a flow run, and a flow run's composites hit the cache too.
-	if rr2.CacheHits != 2 {
-		t.Errorf("retrace cache hits = %d, want 2", rr2.CacheHits)
+	if hits := m2.Snapshot().CacheHits; hits != 2 {
+		t.Errorf("retrace cache hits = %d, want 2", hits)
 	}
 	// And the reverted result matches the original artifact.
 	finalPerf := r.db.Get(rr2.NewTarget(target))
@@ -322,14 +327,15 @@ func TestMemoAgreesWithStaleness(t *testing.T) {
 	if !ood {
 		t.Fatal("changed-bytes supersession not reported out-of-date")
 	}
-	rr, err = r.retrace(pid, o)
+	oStale, m := counted(o)
+	rr, err = r.retrace(pid, oStale)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rr.Fresh {
 		t.Fatal("stale target retrace did nothing")
 	}
-	if rr.CacheHits != 0 {
-		t.Errorf("out-of-date retrace served %d cache hits; a hit is impossible when inputs changed", rr.CacheHits)
+	if hits := m.Snapshot().CacheHits; hits != 0 {
+		t.Errorf("out-of-date retrace served %d cache hits; a hit is impossible when inputs changed", hits)
 	}
 }

@@ -30,7 +30,7 @@ import (
 type plannedJob struct {
 	idx       int           // position in plan.jobs == commit order
 	nodes     []flow.NodeID // group members, representative first
-	repType   string        // representative node's type (stats, delay keying)
+	repType   string        // representative node's type (events, delay keying)
 	composite bool
 	// keys are the representative's dependency keys in DepKeys order
 	// ("fd" first when the job runs a tool); grouped siblings fill the
@@ -91,6 +91,33 @@ type plan struct {
 	// The planned instances take sequence numbers base+1 through
 	// base+planned, in commit order.
 	base, planned int
+}
+
+// criticalPath returns the longest dependency chain of measured job
+// durations and the number of jobs on it: no schedule on any worker
+// count beats it. It is a DP over the job graph, valid because plan
+// order is topological; of two chains into a job that measure the
+// same, it follows the one with more jobs.
+func (p *plan) criticalPath() (time.Duration, int) {
+	cp := make([]time.Duration, len(p.jobs))
+	cpJobs := make([]int, len(p.jobs))
+	var path time.Duration
+	var pathJobs int
+	for i, j := range p.jobs {
+		var best time.Duration
+		var bestJobs int
+		for _, d := range j.deps {
+			if cp[d] > best || (cp[d] == best && cpJobs[d] > bestJobs) {
+				best, bestJobs = cp[d], cpJobs[d]
+			}
+		}
+		cp[i] = best + j.dur
+		cpJobs[i] = bestJobs + 1
+		if cp[i] > path {
+			path, pathJobs = cp[i], cpJobs[i]
+		}
+	}
+	return path, pathJobs
 }
 
 // reachable returns the nodes needed to compute the targets, as a set

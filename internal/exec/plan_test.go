@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/datastore"
 	"repro/internal/flow"
@@ -273,5 +274,61 @@ func TestRunFlowAllocs(t *testing.T) {
 	})
 	if allocs > 58_500 {
 		t.Fatalf("RunFlow made %.0f allocations, want at most 58,500", allocs)
+	}
+}
+
+// measuredPlan builds a synthetic plan: jobs[i] has one combo, the
+// given type and measured duration, and deps[i] edges (indices must be
+// smaller than i so plan order stays topological).
+func measuredPlan(types []string, durs []time.Duration, deps [][]int) *plan {
+	p := &plan{}
+	for i, typ := range types {
+		j := &plannedJob{idx: i, repType: typ,
+			combos: [][]history.ID{{}}, dur: durs[i]}
+		if deps != nil {
+			j.deps = deps[i]
+		}
+		p.jobs = append(p.jobs, j)
+		p.units++
+	}
+	return p
+}
+
+func TestStatsCriticalPathDiamond(t *testing.T) {
+	// A(3ms) and B(7ms) feed C(2ms): the critical path is B→C = 9ms over
+	// 2 jobs, regardless of how many workers ran it.
+	p := measuredPlan(
+		[]string{"A", "B", "C"},
+		[]time.Duration{3 * time.Millisecond, 7 * time.Millisecond, 2 * time.Millisecond},
+		[][]int{nil, nil, {0, 1}})
+	cp, jobs := p.criticalPath()
+	if want := 9 * time.Millisecond; cp != want {
+		t.Errorf("critical path = %v, want %v", cp, want)
+	}
+	if jobs != 2 {
+		t.Errorf("critical path jobs = %d, want 2", jobs)
+	}
+}
+
+func TestStatsCriticalPathChainBeatsWideLevel(t *testing.T) {
+	// A 3-deep chain of 2ms tasks (6ms) beats one independent 5ms task.
+	p := measuredPlan(
+		[]string{"A", "A", "A", "Z"},
+		[]time.Duration{2 * time.Millisecond, 2 * time.Millisecond, 2 * time.Millisecond, 5 * time.Millisecond},
+		[][]int{nil, {0}, {1}, nil})
+	if cp, jobs := p.criticalPath(); cp != 6*time.Millisecond || jobs != 3 {
+		t.Errorf("critical path = %v over %d jobs, want 6ms over 3", cp, jobs)
+	}
+}
+
+func TestStatsCriticalPathTieBreakPrefersLongerChain(t *testing.T) {
+	// Two paths into C measure the same duration; the DP reports the one
+	// with more jobs (5ms direct vs 2+3ms through a chain).
+	p := measuredPlan(
+		[]string{"A", "B", "B2", "C"},
+		[]time.Duration{5 * time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond, time.Millisecond},
+		[][]int{nil, nil, {1}, {0, 2}})
+	if cp, jobs := p.criticalPath(); cp != 6*time.Millisecond || jobs != 3 {
+		t.Errorf("critical path = %v over %d jobs, want 6ms over 3 (tie broken toward the longer chain)", cp, jobs)
 	}
 }

@@ -29,9 +29,6 @@ type RetraceResult struct {
 	Rebuilt map[history.ID]history.ID
 	// Fresh is true when nothing needed to be done.
 	Fresh bool
-	// CacheHits counts re-run constructions satisfied from the result
-	// cache (RunOptions.Memo) without running the tool.
-	CacheHits int
 	// Elapsed is the wall-clock duration of the retrace.
 	Elapsed time.Duration
 }
@@ -82,9 +79,6 @@ func (e *Engine) RetraceOptions(ctx context.Context, target history.ID, opts *Ru
 		return f, f.Roots(), nil
 	})
 	rr.Elapsed = res.Elapsed
-	if res.Stats != nil {
-		rr.CacheHits = res.Stats.CacheHits
-	}
 	for i, n := range nodes {
 		insts := res.Created[n]
 		if len(insts) == 0 {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/history"
 	"repro/internal/memo"
 	"repro/internal/provenance"
+	"repro/internal/trace"
 )
 
 // This file is the execution half of the engine: a dependency-counting
@@ -155,16 +156,13 @@ type unitTask struct {
 }
 
 type unitResult struct {
-	j        *plannedJob
-	ci       int
-	out      encap.Outputs
-	err      error
-	attempts int
-	timeouts int
-	alog     []attemptRec  // one record per attempt, for the tracer
-	cacheHit bool          // satisfied from the result cache, no tool run
-	wait     time.Duration // ready -> start
-	dur      time.Duration // start -> done (all attempts)
+	j    *plannedJob
+	ci   int
+	out  encap.Outputs
+	err  error
+	alog []attemptRec  // one record per attempt, for the tracer
+	wait time.Duration // ready -> start
+	dur  time.Duration // start -> done (all attempts)
 }
 
 // workUnit executes one unit on a pool worker and reports the result on
@@ -187,14 +185,7 @@ func (r *run) workUnit(u unitTask) {
 			}
 		}
 	}
-	timeouts := 0
-	for _, a := range alog {
-		if a.timedOut {
-			timeouts++
-		}
-	}
-	r.doneCh <- unitResult{j: u.j, ci: u.ci, out: out, err: err,
-		attempts: len(alog), timeouts: timeouts, alog: alog,
+	r.doneCh <- unitResult{j: u.j, ci: u.ci, out: out, err: err, alog: alog,
 		wait: start.Sub(u.readyAt), dur: time.Since(start)}
 }
 
@@ -203,16 +194,17 @@ func (r *run) workUnit(u unitTask) {
 // committer has exited by the time execute returns. It returns the
 // joined error of every failed unit plus, under ContinueOnError, one
 // entry per skipped node (plus any commit or cancellation error), or
-// nil.
+// nil. The coordinator keeps only what the run's RunFinished reports
+// (res.Finished): busy time, failed units, skipped jobs and the
+// scheduling span; per-unit counts ride the unit events.
 func (r *run) execute(ctx context.Context, p *plan) error {
 	f, res := r.f, r.res
-	stats := newStats(p)
-	res.Stats = stats
-	workers := r.workers
-	if workers > p.units {
-		workers = p.units
-	}
-	stats.Workers = workers
+	start := time.Now()
+	var (
+		busy                     time.Duration // summed worker time
+		unitsFailed, jobsSkipped int
+	)
+	workers := min(r.workers, p.units)
 	// A durable or resumed run keeps a chain over its database.
 	head := ""
 	if r.cfg.wal != nil || r.cfg.resume != nil {
@@ -277,7 +269,6 @@ func (r *run) execute(ctx context.Context, p *plan) error {
 			}
 		}
 		if rc.Finished {
-			stats.finish(p)
 			if n := len(rc.Events); n > 0 && rc.Events[n-1].Committed != res.TasksRun {
 				return fmt.Errorf("exec: the log's RunFinished counts %d committed units, its commit records restore %d: the log was altered",
 					rc.Events[n-1].Committed, res.TasksRun)
@@ -331,22 +322,17 @@ func (r *run) execute(ctx context.Context, p *plan) error {
 		}
 		j.skipped = true
 		j.blame = root
-		stats.JobsSkipped++
+		jobsSkipped++
 		for _, di := range j.dependents {
 			markSkipped(di, root)
 		}
 	}
 	complete := func(d unitResult) {
 		tr.observe(d)
-		stats.observeUnit(d.j, d.wait, d.dur)
-		stats.Retries += d.attempts - 1
-		stats.Timeouts += d.timeouts
-		if d.cacheHit {
-			stats.CacheHits++
-		}
+		busy += d.dur
 		j := d.j
 		if d.err != nil {
-			stats.UnitsFailed++
+			unitsFailed++
 			unitErrs = append(unitErrs, unitError{j.idx, d.ci,
 				fmt.Errorf("exec: node %d (%s), combo %d/%d [%s]: %w",
 					j.nodes[0], j.repType, d.ci+1, len(j.combos), comboString(j.keys, j.combos[d.ci]), d.err)})
@@ -408,9 +394,8 @@ func (r *run) execute(ctx context.Context, p *plan) error {
 		if len(hits) > 0 && !stop {
 			u := hits[0]
 			hits = hits[1:]
-			complete(unitResult{j: u.j, ci: u.ci, out: u.hit, attempts: 1,
-				alog: []attemptRec{{cacheHit: true}}, cacheHit: true,
-				wait: time.Since(u.readyAt)})
+			complete(unitResult{j: u.j, ci: u.ci, out: u.hit,
+				alog: []attemptRec{{cacheHit: true}}, wait: time.Since(u.readyAt)})
 			continue
 		}
 		var sendCh chan poolTask
@@ -466,8 +451,13 @@ func (r *run) execute(ctx context.Context, p *plan) error {
 	// history is final and the DB lock still held when execute returns.
 	close(commits)
 	<-committerDone
-	stats.finish(p)
-	tr.finish(stats, res)
+	critical, criticalJobs := p.criticalPath()
+	res.Finished = &trace.Event{Kind: trace.KindRunFinished, Job: -1, Combo: -1, Unit: -1,
+		Workers: workers, Jobs: len(p.jobs), Units: p.units,
+		Committed: res.TasksRun, Failed: unitsFailed, Skipped: jobsSkipped,
+		BusyMicros: busy.Microseconds(), ElapsedMicros: time.Since(start).Microseconds(),
+		CriticalMicros: critical.Microseconds(), CriticalJobs: criticalJobs}
+	tr.finish(*res.Finished)
 	// Durability barrier: everything up to RunFinished must be on
 	// stable storage before the run's result is acknowledged. This is
 	// the one synchronous fsync of the run — per-unit durability rides

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -118,9 +119,9 @@ func TestUnbalancedFlowDataflowBeatsBarrier(t *testing.T) {
 	rDat, resDat := runChainPair(t, 4, depth, slow, fast)
 
 	sumLevelMaxima := time.Duration(depth) * slow
-	if resDat.Stats.Elapsed*4 > sumLevelMaxima*3 {
+	if elapsed := time.Duration(resDat.Finished.ElapsedMicros) * time.Microsecond; elapsed*4 > sumLevelMaxima*3 {
 		t.Errorf("dataflow elapsed %v, want at most 3/4 of the level-barrier bound %v",
-			resDat.Stats.Elapsed, sumLevelMaxima)
+			elapsed, sumLevelMaxima)
 	}
 
 	// Determinism across dispatch orders: one worker records identical
@@ -193,7 +194,8 @@ func TestFailFastStopsDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.engine.SetWorkers(1)
-	res, err := r.engine.RunFlow(f)
+	o, m := counted(RunOptions{})
+	res, err := r.run(f, o)
 	if err == nil || !errors.Is(err, errInjected) {
 		t.Fatalf("err = %v, want injected failure", err)
 	}
@@ -206,8 +208,8 @@ func TestFailFastStopsDispatch(t *testing.T) {
 	if res.Elapsed <= 0 {
 		t.Error("failed run left Result.Elapsed zero")
 	}
-	if res.Stats == nil || res.Stats.UnitsRun != 1 {
-		t.Errorf("stats of failed run = %+v, want 1 unit run", res.Stats)
+	if ran := m.Snapshot().Started; ran != 1 {
+		t.Errorf("failed run ran %d units, want 1", ran)
 	}
 }
 
@@ -291,7 +293,8 @@ func TestPartialResultOnFailure(t *testing.T) {
 	} {
 		must(f.Bind(n, r.ids[key]))
 	}
-	res, err := r.engine.RunFlow(f)
+	o, m := counted(RunOptions{})
+	res, err := r.run(f, o)
 	if err == nil {
 		t.Fatal("expected failure")
 	}
@@ -307,8 +310,8 @@ func TestPartialResultOnFailure(t *testing.T) {
 	if res.TasksRun == 0 {
 		t.Error("TasksRun = 0, want the committed prefix counted")
 	}
-	if res.Stats == nil || res.Stats.UnitsRun == 0 || res.Stats.UnitsRun >= res.Stats.Units {
-		t.Errorf("stats = %+v, want partial execution recorded", res.Stats)
+	if ran := int(m.Snapshot().Started); res.Finished == nil || ran == 0 || ran >= res.Finished.Units {
+		t.Errorf("ran %d units, RunFinished %+v; want partial execution recorded", ran, res.Finished)
 	}
 	// The committed prefix is real: the reference netlist is in history.
 	if got := r.db.Get(res.Created[ref][0]); got == nil {
@@ -316,46 +319,39 @@ func TestPartialResultOnFailure(t *testing.T) {
 	}
 }
 
-func TestRunStatsPopulated(t *testing.T) {
+// TestRunFinishedPopulated: a run's RunFinished summarizes its
+// schedule, and the Metrics fold of its events counts the units it ran.
+func TestRunFinishedPopulated(t *testing.T) {
 	r := newRig(t)
 	r.engine.SetWorkers(2)
 	f, _ := r.perfFlow(t)
-	res, err := r.run(f, RunOptions{TaskDelay: fixedDelay(2 * time.Millisecond)})
+	o, m := counted(RunOptions{TaskDelay: fixedDelay(2 * time.Millisecond)})
+	res, err := r.run(f, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := res.Stats
-	if st == nil {
-		t.Fatal("successful run has no stats")
+	fin, snap := res.Finished, m.Snapshot()
+	if fin == nil {
+		t.Fatal("successful run has no RunFinished")
 	}
-	if st.Workers != 2 {
-		t.Errorf("workers = %d, want 2", st.Workers)
+	if fin.Workers != 2 {
+		t.Errorf("workers = %d, want 2", fin.Workers)
 	}
-	if st.Jobs != 4 || st.Units != 4 || st.UnitsRun != 4 {
-		t.Errorf("jobs/units/run = %d/%d/%d, want 4/4/4", st.Jobs, st.Units, st.UnitsRun)
+	if fin.Jobs != 4 || fin.Units != 4 || snap.Started != 4 {
+		t.Errorf("jobs/units/run = %d/%d/%d, want 4/4/4", fin.Jobs, fin.Units, snap.Started)
 	}
-	if st.Busy < 8*time.Millisecond {
-		t.Errorf("busy = %v, want ≥ 8ms (4 delayed units)", st.Busy)
+	if busy := time.Duration(fin.BusyMicros) * time.Microsecond; busy < 8*time.Millisecond {
+		t.Errorf("busy = %v, want ≥ 8ms (4 delayed units)", busy)
 	}
 	// Netlist → Circuit → Performance is the longest chain.
-	if st.CriticalPathJobs != 3 || st.CriticalPath < 6*time.Millisecond {
-		t.Errorf("critical path = %v over %d jobs, want ≥6ms over 3", st.CriticalPath, st.CriticalPathJobs)
+	if cp := time.Duration(fin.CriticalMicros) * time.Microsecond; fin.CriticalJobs != 3 || cp < 6*time.Millisecond {
+		t.Errorf("critical path = %v over %d jobs, want ≥6ms over 3", cp, fin.CriticalJobs)
 	}
-	if st.Occupancy <= 0 || st.Occupancy > 1 {
-		t.Errorf("occupancy = %v", st.Occupancy)
+	if snap.Occupancy <= 0 || snap.Occupancy > 1 {
+		t.Errorf("occupancy = %v", snap.Occupancy)
 	}
-	var waits int
-	for _, c := range st.QueueWait.Counts {
-		waits += c
-	}
-	if waits != st.UnitsRun {
-		t.Errorf("queue-wait histogram counts %d units, ran %d", waits, st.UnitsRun)
-	}
-	if st.PerTask["Performance"].Runs != 1 {
-		t.Errorf("per-task stats = %+v", st.PerTask)
-	}
-	if s := st.Summary(); !strings.Contains(s, "workers=2 jobs=4 units=4/4") {
-		t.Errorf("summary lacks its header line:\n%s", s)
+	if want := fmt.Sprintf("flow_queue_wait_seconds_count %d\n", snap.Started); !strings.Contains(m.Expose(), want) {
+		t.Errorf("queue-wait histogram does not count the %d units run:\n%s", snap.Started, m.Expose())
 	}
 }
 
@@ -393,7 +389,7 @@ func TestReachableDanglingTarget(t *testing.T) {
 
 func TestElapsedOnEarlyErrors(t *testing.T) {
 	// Even validation-stage failures report how long they took and a
-	// non-nil result.
+	// non-nil result, one without a RunFinished: the run never planned.
 	r := newRig(t)
 	f := flow.New(r.s, r.db)
 	f.MustAdd("Performance") // unexpanded: not executable
@@ -406,6 +402,9 @@ func TestElapsedOnEarlyErrors(t *testing.T) {
 	}
 	if res.Elapsed <= 0 {
 		t.Error("early failure left Result.Elapsed zero")
+	}
+	if res.Finished != nil {
+		t.Errorf("early failure has a RunFinished: %+v", res.Finished)
 	}
 }
 

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -11,9 +12,10 @@ import (
 )
 
 // Chaos-trace tests: under deterministic fault injection the event
-// stream must agree with the engine's own accounting — retry events
-// with the retry policy's attempt numbers, timeout events with
-// Stats.Timeouts, skip events with Result.Skipped.
+// stream must record exactly what the faults force — retry events with
+// the retry policy's attempt numbers, one timeout event per cut-off
+// attempt, skip events naming Result.Skipped — and close with the
+// RunFinished that Result.Finished returns.
 
 // eventsByUnit groups a run's events of one kind by global unit index.
 func eventsByUnit(events []trace.Event, kind trace.Kind) map[int][]trace.Event {
@@ -62,8 +64,8 @@ func TestTraceChaosRetryEventsMatchPolicy(t *testing.T) {
 	if len(retries) != 3 {
 		t.Errorf("%d units retried, want 3 (the encapsulated tool runs)", len(retries))
 	}
-	if total != res.Stats.Retries {
-		t.Errorf("UnitRetried events = %d, Stats.Retries = %d; they must agree", total, res.Stats.Retries)
+	if total != 6 {
+		t.Errorf("UnitRetried events = %d, want 6 (3 units × TransientRuns)", total)
 	}
 	for _, ev := range events {
 		if ev.Kind == trace.KindUnitCommitted && ev.Attempt != 0 {
@@ -107,8 +109,8 @@ func TestTraceChaosRetryExhaustion(t *testing.T) {
 	}
 }
 
-// A hung tool cut off by the task timeout emits UnitTimedOut; the
-// event count agrees with Stats.Timeouts.
+// A hung tool cut off by the task timeout emits one UnitTimedOut, then
+// its UnitFailed.
 func TestTraceChaosTimeoutEvents(t *testing.T) {
 	r := newRig(t)
 	inj := faults.New(11, faults.Config{HangRate: 1, HangLimit: time.Hour})
@@ -116,8 +118,7 @@ func TestTraceChaosTimeoutEvents(t *testing.T) {
 	buf := trace.NewBuffer()
 	f := flow.New(r.s, r.db)
 	addBranch(t, r, f)
-	res, err := r.run(f, RunOptions{Tracer: buf, TaskTimeout: ptr(50 * time.Millisecond)})
-	if err == nil {
+	if _, err := r.run(f, RunOptions{Tracer: buf, TaskTimeout: ptr(50 * time.Millisecond)}); err == nil {
 		t.Fatal("hung run must fail")
 	}
 	var timedOut, failed int
@@ -132,8 +133,8 @@ func TestTraceChaosTimeoutEvents(t *testing.T) {
 			failed++
 		}
 	}
-	if timedOut != res.Stats.Timeouts || timedOut != 1 {
-		t.Errorf("UnitTimedOut events = %d, Stats.Timeouts = %d, want both 1", timedOut, res.Stats.Timeouts)
+	if timedOut != 1 {
+		t.Errorf("UnitTimedOut events = %d, want 1", timedOut)
 	}
 	if failed != 1 {
 		t.Errorf("UnitFailed events = %d, want 1", failed)
@@ -142,7 +143,8 @@ func TestTraceChaosTimeoutEvents(t *testing.T) {
 
 // Under ContinueOnError the UnitSkipped events name exactly the nodes
 // of Result.Skipped and blame the root-cause producer, while the
-// independent branches commit normally.
+// independent branches commit normally; the emitted RunFinished counts
+// the failed unit and the skipped job, and is Result.Finished.
 func TestTraceChaosSkipEventsMatchResult(t *testing.T) {
 	r := newRig(t)
 	inj := faults.New(5, faults.Config{})
@@ -189,8 +191,16 @@ func TestTraceChaosSkipEventsMatchResult(t *testing.T) {
 	if fin == nil {
 		t.Fatal("no RunFinished event")
 	}
-	if fin.Committed != res.TasksRun || fin.Failed != res.Stats.UnitsFailed || fin.Skipped != res.Stats.JobsSkipped {
-		t.Errorf("RunFinished counters {committed:%d failed:%d skipped:%d} disagree with Result {%d %d %d}",
-			fin.Committed, fin.Failed, fin.Skipped, res.TasksRun, res.Stats.UnitsFailed, res.Stats.JobsSkipped)
+	if fin.Committed != res.TasksRun || fin.Failed != 1 || fin.Skipped != 1 {
+		t.Errorf("RunFinished counters {committed:%d failed:%d skipped:%d}, want {%d 1 1}",
+			fin.Committed, fin.Failed, fin.Skipped, res.TasksRun)
+	}
+	if res.Finished == nil {
+		t.Fatal("Result.Finished is nil")
+	}
+	want := *fin
+	want.Seq, want.Run = res.Finished.Seq, res.Finished.Run
+	if !reflect.DeepEqual(*res.Finished, want) {
+		t.Errorf("Result.Finished = %+v, want the emitted RunFinished %+v", *res.Finished, *fin)
 	}
 }

@@ -222,20 +222,18 @@ func (t *runTracer) committedJob(j *plannedJob) {
 }
 
 // finish flushes jobs the committer never passed (fail-fast leftovers,
-// cancellation) in plan order, then closes the stream. Skipped and
-// executed-but-uncommitted units still get their lifecycle events; only
-// UnitCommitted is reserved for recorded history.
-func (t *runTracer) finish(stats *Stats, res *Result) {
+// cancellation) in plan order, then closes the stream with the run's
+// RunFinished. Skipped and executed-but-uncommitted units still get
+// their lifecycle events; only UnitCommitted is reserved for recorded
+// history.
+func (t *runTracer) finish(fin trace.Event) {
 	if t == nil {
 		return
 	}
 	for _, j := range t.p.jobs {
 		t.passJob(j)
 	}
-	t.emit(trace.Event{Kind: trace.KindRunFinished, Job: -1, Combo: -1, Unit: -1,
-		Workers: stats.Workers, Jobs: stats.Jobs, Units: stats.Units,
-		Committed: res.TasksRun, Failed: stats.UnitsFailed, Skipped: stats.JobsSkipped,
-		BusyMicros: stats.Busy.Microseconds(), ElapsedMicros: stats.Elapsed.Microseconds()})
+	t.emit(fin)
 }
 
 func nodeInts(ids []flow.NodeID) []int {

@@ -73,7 +73,7 @@ func BenchmarkScaleDispatch10k(b *testing.B) {
 		if res.TasksRun != benchCells {
 			b.Fatalf("ran %d tasks, want %d", res.TasksRun, benchCells)
 		}
-		b.ReportMetric(float64(res.Stats.Units)/res.Elapsed.Seconds(), "units/s")
+		b.ReportMetric(float64(res.Finished.Units)/res.Elapsed.Seconds(), "units/s")
 	}
 }
 
@@ -86,18 +86,20 @@ func BenchmarkScaleWarmMemo10k(b *testing.B) {
 	}
 	eng := exec.New(bench.Schema, bench.DB, bench.Store, bench.Reg)
 	eng.SetWorkers(8)
-	cached := &exec.RunOptions{Memo: memo.New(0)}
+	cache := memo.New(0)
+	cached := &exec.RunOptions{Memo: cache}
 	if _, err := eng.RunFlowOptions(context.Background(), bench.Flow, cached); err != nil { // cold fill
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		hits := cache.Stats().Hits
 		res, err := eng.RunFlowOptions(context.Background(), bench.Flow, cached)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.Stats.CacheHits != res.Stats.Units {
-			b.Fatalf("warm run executed %d units", res.Stats.Units-res.Stats.CacheHits)
+		if hits = cache.Stats().Hits - hits; hits != int64(res.Finished.Units) {
+			b.Fatalf("warm run executed %d units", int64(res.Finished.Units)-hits)
 		}
 	}
 }

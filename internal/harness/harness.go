@@ -344,17 +344,18 @@ func assertExpect(sc *scenario.Scenario, out *runOut) error {
 		}
 	}
 	if ex.FailedUnits != nil || ex.Retries != nil || ex.Timeouts != nil {
-		if res.Stats == nil {
-			return fail("run produced no Stats; cannot check failure counters")
+		if res.Finished == nil {
+			return fail("run produced no RunFinished; cannot check failure counters")
 		}
-		if ex.FailedUnits != nil && res.Stats.UnitsFailed != *ex.FailedUnits {
-			return fail("UnitsFailed = %d, want %d", res.Stats.UnitsFailed, *ex.FailedUnits)
+		c := fold(out.events)
+		if ex.FailedUnits != nil && c.Failed != int64(*ex.FailedUnits) {
+			return fail("UnitsFailed = %d, want %d", c.Failed, *ex.FailedUnits)
 		}
-		if ex.Retries != nil && res.Stats.Retries != *ex.Retries {
-			return fail("Retries = %d, want %d", res.Stats.Retries, *ex.Retries)
+		if ex.Retries != nil && c.Retried != int64(*ex.Retries) {
+			return fail("Retries = %d, want %d", c.Retried, *ex.Retries)
 		}
-		if ex.Timeouts != nil && res.Stats.Timeouts != *ex.Timeouts {
-			return fail("Timeouts = %d, want %d", res.Stats.Timeouts, *ex.Timeouts)
+		if ex.Timeouts != nil && c.TimedOut != int64(*ex.Timeouts) {
+			return fail("Timeouts = %d, want %d", c.TimedOut, *ex.Timeouts)
 		}
 	}
 	for _, a := range ex.Artifacts {
@@ -377,6 +378,16 @@ func assertExpect(sc *scenario.Scenario, out *runOut) error {
 		}
 	}
 	return nil
+}
+
+// fold counts a run's own events through trace.Metrics, the one
+// instrumentation path.
+func fold(events []trace.Event) trace.Snapshot {
+	m := trace.NewMetrics()
+	for _, ev := range events {
+		m.Emit(ev)
+	}
+	return m.Snapshot()
 }
 
 // checkWarmRerun runs the scenario twice over one shared datastore and
@@ -409,10 +420,7 @@ func checkWarmRerun(sc *scenario.Scenario, base *runOut, opts Options, rep *Repo
 	if err := checkRunError(sc, warm.cfg, warm.err); err != nil {
 		return fmt.Errorf("warm rerun: %w", err)
 	}
-	hits := 0
-	if warm.res != nil && warm.res.Stats != nil {
-		hits = warm.res.Stats.CacheHits
-	}
+	hits := int(fold(warm.events).CacheHits)
 	if want := sc.Expect.WarmRerun.Hits; hits != want {
 		return fmt.Errorf("scenario %s: warm rerun hit the cache %d times, want %d", sc.Name, hits, want)
 	}

@@ -209,8 +209,9 @@ func (s *Session) installPlans() error {
 func (s *Session) NewFlow() *flow.Flow { return flow.New(s.Schema, s.DB) }
 
 // Run executes a whole flow under the session's Options. The returned
-// Result carries the run's scheduling statistics in Result.Stats
-// (per-task wall time, worker occupancy, critical path, queue waits).
+// Result carries the run's RunFinished event in Result.Finished (worker
+// count, busy and elapsed time, critical path, failed units and
+// skipped jobs).
 func (s *Session) Run(f *flow.Flow) (*exec.Result, error) {
 	return s.Engine.RunFlowOptions(context.Background(), f, &s.Options)
 }

@@ -23,7 +23,7 @@ func TestGraphDuringEngineRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Units == 0 {
+	if res.Finished.Units == 0 {
 		t.Fatal("engine ran no units")
 	}
 	all := b.DB.All()

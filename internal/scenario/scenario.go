@@ -281,7 +281,9 @@ type Expect struct {
 	// Skipped names the nodes expected in Result.Skipped, in plan order
 	// (ContinueOnError degradation).
 	Skipped []string `json:"skipped,omitempty"`
-	// FailedUnits / Retries / Timeouts pin the Stats counters.
+	// FailedUnits / Retries / Timeouts pin the run's failed units,
+	// retried attempts and timed-out attempts, counted from its events
+	// by trace.Metrics.
 	FailedUnits *int `json:"failedUnits,omitempty"`
 	Retries     *int `json:"retries,omitempty"`
 	Timeouts    *int `json:"timeouts,omitempty"`

@@ -63,8 +63,10 @@ func recoveredView(file string, rc *storage.Recovered) runView {
 // bootLog boots a server over a data dir holding only data as
 // runs/r-0001.wal and returns the run it lists, once the run is
 // terminal, with its elapsed time cleared; listed is false when it
-// lists none. atBoot reports that the run was terminal when New
-// returned, not resumed.
+// lists none. atBoot reports that boot registered the run terminal
+// rather than resuming it: registerFinished leaves a record's start
+// time zero and resumeRun sets it, so a resumed run that ends quickly
+// is not mistaken for a terminal one.
 func bootLog(t *testing.T, data []byte) (v runView, listed, atBoot bool) {
 	t.Helper()
 	dir := t.TempDir()
@@ -93,12 +95,8 @@ func bootLog(t *testing.T, data []byte) (v runView, listed, atBoot bool) {
 	if rec == nil {
 		return runView{}, false, false
 	}
-	select {
-	case <-rec.done:
-		atBoot = true
-	default:
-		<-rec.done
-	}
+	atBoot = rec.started.IsZero()
+	<-rec.done
 	v = rec.view()
 	v.ElapsedMS = 0
 	return v, true, atBoot
@@ -214,6 +212,75 @@ func TestDurableBootEndsSweep(t *testing.T) {
 				t.Fatalf("%s cut at %d: the interrupted log booted %+v (at boot %v), want it resumed to %+v", name, cut, got, atBoot, uncut)
 			}
 		}
+	}
+}
+
+// TestDurableBusyBootKeepsRunResumable: an interrupted run that a busy
+// engine refuses at boot ends failed, but its log keeps the prefix it
+// logged — its trace answers that prefix — and the next boot resumes
+// it to success with the whole trace. Two slow-chain logs, each cut
+// after its fourth record, boot on an engine that runs one run at a
+// time and queues none, so the second resumed run is refused.
+func TestDurableBusyBootKeepsRunResumable(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("..", "..", "testdata", "scenarios", "golden", "slow-chain.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	s1, ts1 := newTestServer(t, Config{Workers: 2, DataDir: dir})
+	var ids []string
+	for _, user := range []string{"alice", "bob"} {
+		v := submit(t, ts1.URL, corpus(t, "slow-chain"), user)
+		if got := waitTerminal(t, ts1.URL, v.ID); got.State != string(stateSucceeded) {
+			t.Fatalf("run %s ended %+v, want succeeded", v.ID, got)
+		}
+		ids = append(ids, v.ID)
+	}
+	if forced, err := s1.Shutdown(5 * time.Second); err != nil || forced {
+		t.Fatalf("Shutdown = (forced %v, err %v)", forced, err)
+	}
+	for _, id := range ids {
+		rewriteLog(t, filepath.Join(dir, "runs", id+".wal"), func(recs [][]byte) [][]byte { return recs[:4] })
+	}
+
+	busy, err := New(Config{Workers: 2, DataDir: dir, MaxRuns: 1, MaxQueue: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := ""
+	for _, id := range ids {
+		rec := busy.record(id)
+		<-rec.done
+		switch v := rec.view(); {
+		case v.State == string(stateFailed) && strings.Contains(v.Error, "engine is busy"):
+			refused = id
+		case v.State != string(stateSucceeded):
+			t.Fatalf("run %s booted %+v on the busy engine, want succeeded or refused", id, v)
+		}
+	}
+	if refused == "" {
+		t.Fatal("the busy engine refused neither resumed run")
+	}
+	prefix := golden[:bytes.IndexByte(golden, '\n')+1]
+	if code, body := serve(busy, "/v1/runs/"+refused+"/trace"); code != http.StatusOK || !bytes.Equal(body, prefix) {
+		t.Fatalf("trace of the refused run: %d\n%s\nwant its logged prefix\n%s", code, body, prefix)
+	}
+	if forced, err := busy.Shutdown(5 * time.Second); err != nil || forced {
+		t.Fatalf("Shutdown = (forced %v, err %v)", forced, err)
+	}
+
+	s3, err := New(Config{Workers: 2, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Shutdown(5 * time.Second)
+	rec := s3.record(refused)
+	<-rec.done
+	if v := rec.view(); v.State != string(stateSucceeded) || v.TasksRun != 3 {
+		t.Fatalf("the refused run booted again as %+v, want resumed to success with 3 tasks", v)
+	}
+	if code, body := serve(s3, "/v1/runs/"+refused+"/trace"); code != http.StatusOK || !bytes.Equal(body, golden) {
+		t.Fatalf("trace of the resumed run: %d\n%s\nwant the golden\n%s", code, body, golden)
 	}
 }
 

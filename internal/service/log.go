@@ -61,6 +61,13 @@ func (l *eventLog) Emit(ev trace.Event) {
 	l.cond.Broadcast()
 }
 
+// empty reports whether no event has reached the log.
+func (l *eventLog) empty() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.size == 0
+}
+
 // close marks the stream complete, releases blocked readers and frees
 // what only a growing log needs: the encode scratch and the last
 // chunk's spare capacity.

@@ -151,8 +151,8 @@ func TestDurableReplayGoldens(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: replay: %v", r.name, err)
 		}
-		if res != nil && res.Stats.UnitsRun != 0 {
-			t.Fatalf("%s: the replay dispatched %d units, want none", r.name, res.Stats.UnitsRun)
+		if res != nil && res.Finished != nil {
+			t.Fatalf("%s: the replay ran to a RunFinished %+v; a finished log's replay dispatches nothing", r.name, res.Finished)
 		}
 	}
 }

@@ -362,15 +362,18 @@ func materialize(doc []byte) (*harness.World, string, *exec.RunOptions, error) {
 }
 
 // launch starts the run goroutine: execute the world's flow (or the
-// sub-flow rooted at its target), release the WAL — logging the error
-// of a run that ended before planning, so no boot resumes it — and the
-// world, settle the record's terminal state, then close the event log
-// and the done channel — the same exit path for fresh and resumed
-// runs. Only the goroutine holds the world — its history database and
-// datastore included — so it is garbage once the run ends. A WAL that
-// closed cleanly holds the run's whole trace and every commit, so the
-// record drops its event log and graph with the terminal state;
-// one whose write or close failed may not, and the record keeps both.
+// sub-flow rooted at its target), release the WAL and the world,
+// settle the record's terminal state, then close the event log and the
+// done channel — the same exit path for fresh and resumed runs. The
+// WAL gets the terminal error record only when no event reached the
+// run's log — a fresh run that ended before planning — so no boot
+// resumes it; a resumed run the engine refused keeps its logged prefix
+// and resumes at the next boot. Only the goroutine holds the world —
+// its history database and datastore included — so it is garbage once
+// the run ends. A WAL that closed cleanly holds the run's whole trace
+// and every commit, so the record drops its event log and graph with
+// the terminal state; one whose write or close failed may not, and the
+// record keeps both.
 func (s *Server) launch(ctx context.Context, rec *runRecord, world *harness.World, opts *exec.RunOptions) {
 	lg := rec.eventLog()
 	opts.User = rec.user
@@ -381,7 +384,7 @@ func (s *Server) launch(ctx context.Context, rec *runRecord, world *harness.Worl
 		res, err := world.Run(ctx, s.engine, opts)
 		release := false
 		if rec.wal != nil {
-			if res == nil || res.Stats == nil { // no PlanBuilt: err is set
+			if lg.empty() { // no PlanBuilt: err is set
 				rec.wal.AppendError(err.Error())
 			}
 			werr := rec.wal.Close()

@@ -62,6 +62,8 @@ func AppendJSON(b []byte, ev *Event) []byte {
 	b = appendIntField(b, `,"dur_us":`, ev.DurMicros)
 	b = appendIntField(b, `,"busy_us":`, ev.BusyMicros)
 	b = appendIntField(b, `,"elapsed_us":`, ev.ElapsedMicros)
+	b = appendIntField(b, `,"critical_us":`, ev.CriticalMicros)
+	b = appendIntField(b, `,"critical_jobs":`, int64(ev.CriticalJobs))
 	return append(b, '}')
 }
 

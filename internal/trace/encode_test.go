@@ -34,7 +34,7 @@ func TestAppendJSONMatchesEncodingJSON(t *testing.T) {
 	checkParity(t, Event{Seq: -1, Kind: KindRunFinished, Job: -1, Combo: -1, Unit: -1,
 		Workers: 8, Jobs: 3, Units: 5, Committed: 4, Failed: 1,
 		Skipped: 1, WaitMicros: -2, DurMicros: 1 << 40, BusyMicros: 9, ElapsedMicros: 10,
-		Attempt: 2, Blame: 7, Err: "boom", Run: "r-0001"})
+		CriticalMicros: 8, CriticalJobs: 3, Attempt: 2, Blame: 7, Err: "boom", Run: "r-0001"})
 	for _, s := range tricky {
 		checkParity(t, Event{Run: s, Kind: Kind(s), Type: s, Err: s, Insts: []string{s, s}})
 	}
@@ -49,19 +49,21 @@ func TestAppendJSONMatchesEncodingJSON(t *testing.T) {
 // when unit is odd.
 func FuzzAppendJSON(f *testing.F) {
 	for _, s := range tricky {
-		f.Add(s, s, s, s, s+","+s, 0, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0, int64(0), int64(0), int64(0), int64(0))
+		f.Add(s, s, s, s, s+","+s, 0, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+			int64(0), int64(0), int64(0), int64(0), int64(0))
 	}
 	f.Add("r-0001", "UnitCommitted", "Netlist", "", "Netlist:1,Netlist:2",
-		7, 1, 0, 3, 2, 5, 4, 3, 6, 5, 1, 0, int64(11), int64(-12), int64(13), int64(1<<40))
+		7, 1, 0, 3, 2, 5, 4, 3, 6, 5, 1, 0, 2, int64(11), int64(-12), int64(13), int64(1<<40), int64(9))
 	f.Fuzz(func(t *testing.T, run, kind, typ, errText, insts string,
-		seq, job, combo, unit, attempt, blame, workers, jobs, units, committed, failed, skipped int,
-		wait, dur, busy, elapsed int64) {
+		seq, job, combo, unit, attempt, blame, workers, jobs, units, committed, failed, skipped, criticalJobs int,
+		wait, dur, busy, elapsed, critical int64) {
 		ev := Event{
 			Seq: seq, Run: run, Kind: Kind(kind), Job: job, Combo: combo, Unit: unit,
 			Type: typ, Attempt: attempt, Blame: blame, Err: errText,
 			Workers: workers, Jobs: jobs, Units: units, Committed: committed,
 			Failed: failed, Skipped: skipped, WaitMicros: wait, DurMicros: dur,
 			BusyMicros: busy, ElapsedMicros: elapsed,
+			CriticalMicros: critical, CriticalJobs: criticalJobs,
 		}
 		if insts != "" {
 			ev.Insts = strings.Split(insts, ",")

@@ -53,15 +53,16 @@ const (
 	// pre-assignment. Deliberately attempt-free: a retried-then-
 	// succeeded unit commits an event identical to a clean one.
 	KindUnitCommitted Kind = "UnitCommitted"
-	// KindRunFinished closes a run with its outcome counters.
+	// KindRunFinished closes a run with its outcome counters and its
+	// timings: it is the run's summary (exec.Result.Finished).
 	KindRunFinished Kind = "RunFinished"
 )
 
 // Event is one run-event. Unit-scoped fields (Job, Combo, Unit, Nodes,
 // Type, …) are set on Unit* kinds; run-scoped fields (Jobs, Units,
 // Committed, …) on PlanBuilt and RunFinished, whose Job/Combo/Unit are
-// -1. The *Micros fields are the only nondeterministic fields; Mask
-// zeroes them.
+// -1. The measured fields (the *Micros fields and CriticalJobs) are the
+// only nondeterministic fields; Mask zeroes them.
 type Event struct {
 	// Seq is the deterministic logical sequence number: emission order,
 	// which for unit events is plan commit order. Seq is per run: sinks
@@ -99,7 +100,10 @@ type Event struct {
 	// UnitFailed).
 	Err string `json:"err,omitempty"`
 
-	// Run-scoped fields.
+	// Run-scoped fields. RunFinished's Failed counts units whose final
+	// attempt failed and its Skipped counts jobs never dispatched because
+	// a producer failed; the metrics fold's flow_units_skipped_total
+	// counts the skipped units instead.
 	Workers   int `json:"workers,omitempty"`
 	Jobs      int `json:"jobs,omitempty"`
 	Units     int `json:"units,omitempty"`
@@ -112,6 +116,12 @@ type Event struct {
 	DurMicros     int64 `json:"dur_us,omitempty"`     // start → done, all attempts (terminal unit events)
 	BusyMicros    int64 `json:"busy_us,omitempty"`    // summed worker time (RunFinished)
 	ElapsedMicros int64 `json:"elapsed_us,omitempty"` // scheduling span (RunFinished)
+	// CriticalMicros is the run's critical path, the longest dependency
+	// chain of measured job durations: no schedule on any worker count
+	// beats it. CriticalJobs counts the jobs on it. Both are measured,
+	// so both are masked (RunFinished).
+	CriticalMicros int64 `json:"critical_us,omitempty"`
+	CriticalJobs   int   `json:"critical_jobs,omitempty"`
 }
 
 // Sink receives events. Each run emits its own events one at a time in
@@ -126,10 +136,10 @@ type Sink interface {
 }
 
 // Mask zeroes the nondeterministic fields of an event — wall-clock
-// durations, the run label and the worker count — leaving the logical
-// structure. Workers is masked because it describes the execution
-// environment, and the determinism contract promises identical logical
-// traces across worker counts.
+// durations, the critical path measured from them, the run label and
+// the worker count — leaving the logical structure. Workers is masked
+// because it describes the execution environment, and the determinism
+// contract promises identical logical traces across worker counts.
 func Mask(ev Event) Event {
 	ev.Run = ""
 	ev.Workers = 0
@@ -137,6 +147,8 @@ func Mask(ev Event) Event {
 	ev.DurMicros = 0
 	ev.BusyMicros = 0
 	ev.ElapsedMicros = 0
+	ev.CriticalMicros = 0
+	ev.CriticalJobs = 0
 	return ev
 }
 

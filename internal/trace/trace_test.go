@@ -22,11 +22,11 @@ func TestMaskZeroesOnlyWallClockFields(t *testing.T) {
 		Seq: 3, Kind: KindUnitCommitted, Job: 1, Combo: 2, Unit: 5,
 		Nodes: []int{7}, Type: "Netlist", Insts: []string{"Netlist:9"},
 		Run: "r-0001", Workers: 4, WaitMicros: 10, DurMicros: 20,
-		BusyMicros: 30, ElapsedMicros: 40,
+		BusyMicros: 30, ElapsedMicros: 40, CriticalMicros: 50, CriticalJobs: 6,
 	}
 	got := Mask(ev)
 	if got.Run != "" || got.Workers != 0 || got.WaitMicros != 0 || got.DurMicros != 0 ||
-		got.BusyMicros != 0 || got.ElapsedMicros != 0 {
+		got.BusyMicros != 0 || got.ElapsedMicros != 0 || got.CriticalMicros != 0 || got.CriticalJobs != 0 {
 		t.Errorf("mask left nondeterministic fields: %+v", got)
 	}
 	if got.Seq != 3 || got.Kind != KindUnitCommitted || got.Job != 1 ||
