@@ -121,19 +121,9 @@ func BenchmarkFig2CompiledSimulator(b *testing.B) {
 
 // ---- Fig. 3: flow representations -------------------------------------------
 
-func fig3Flow(b *testing.B) *flow.Flow {
-	b.Helper()
-	f := flow.New(schema.Full(), nil)
-	lay := f.MustAdd("PlacedLayout")
-	mustB(b, f.ExpandDown(lay, false))
-	netN, _ := f.Node(lay).Dep("Netlist")
-	mustB(b, f.Specialize(netN, "EditedNetlist"))
-	mustB(b, f.ExpandDown(netN, false))
-	return f
-}
-
 func BenchmarkFig3Representations(b *testing.B) {
-	f := fig3Flow(b)
+	f := flow.New(schema.Full(), nil)
+	mustB(b, figures.Placement(f))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = f.Render()
@@ -149,15 +139,9 @@ func BenchmarkFig3Representations(b *testing.B) {
 func BenchmarkFig4Expand(b *testing.B) {
 	s := schema.Full()
 	for i := 0; i < b.N; i++ {
-		f := flow.New(s, nil)
-		perf := f.MustAdd("Performance")
-		mustB(b, f.ExpandDown(perf, false))
-		cct, _ := f.Node(perf).Dep("Circuit")
-		mustB(b, f.ExpandDown(cct, false))
-		netN, _ := f.Node(cct).Dep("Netlist")
-		mustB(b, f.Specialize(netN, "ExtractedNetlist"))
-		mustB(b, f.ExpandDown(netN, false))
-		mustB(b, f.Validate())
+		_, fb, err := figures.Expansions(flow.New(s, nil))
+		mustB(b, err)
+		mustB(b, fb.Validate())
 	}
 }
 

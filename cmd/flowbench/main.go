@@ -245,7 +245,10 @@ func errString(err error) string {
 func fig2() {
 	// Compare interpreted (event-driven) against compiled simulation of
 	// the same circuit over growing vector counts; report the crossover
-	// where compilation pays for itself.
+	// where compilation pays for itself. Each side's time is its fastest
+	// of several runs, alternated with the other side's, so a slow spell
+	// of the box cannot flip the winner.
+	const samples = 9
 	nl := netlist.RippleAdder(8)
 	lib := models.Default()
 
@@ -257,16 +260,14 @@ func fig2() {
 	fmt.Printf("%8s %14s %14s %10s\n", "vectors", "event-driven", "compiled+comp", "winner")
 	for _, n := range []int{1, 4, 16, 64, 256, 1024} {
 		st := figures.Vectors(nl, n)
-		t0 := time.Now()
-		sm := must1(sim.New(nl, lib))
-		_, err := sm.Run(st)
-		must(err)
-		ev := time.Since(t0)
-		t1 := time.Now()
-		p := must1(cosmos.Compile(nl))
-		_, err = p.RunVectors(st)
-		must(err)
-		comp := time.Since(t1)
+		t := fastest(samples, func() {
+			_, err := must1(sim.New(nl, lib)).Run(st)
+			must(err)
+		}, func() {
+			_, err := must1(cosmos.Compile(nl)).RunVectors(st)
+			must(err)
+		})
+		ev, comp := t[0], t[1]
 		winner := "compiled"
 		if ev < comp {
 			winner = "event-driven"
@@ -295,17 +296,32 @@ func fig2() {
 		ext.Netlist.Name, xprog.Steps(), agree)
 }
 
+// fastest times n rounds of fs, each round running every f once in
+// turn, and returns each f's shortest run. min-of-N is the right
+// estimator under additive noise from shared-core neighbours, and the
+// rounds put every f under the same noise. A collection first starts
+// the rounds with a clean pacer (no assist debt in the timings).
+func fastest(n int, fs ...func()) []time.Duration {
+	runtime.GC()
+	best := make([]time.Duration, len(fs))
+	for i := 0; i < n; i++ {
+		for k, f := range fs {
+			t0 := time.Now()
+			f()
+			if d := time.Since(t0); i == 0 || d < best[k] {
+				best[k] = d
+			}
+		}
+	}
+	return best
+}
+
 // ---- fig 3 -----------------------------------------------------------------
 
 func fig3() {
 	// The placement flow of Fig. 3 over our schema, rendered three ways.
-	s := session()
-	f := s.NewFlow()
-	lay := f.MustAdd("PlacedLayout")
-	must(f.ExpandDown(lay, false))
-	netN, _ := f.Node(lay).Dep("Netlist")
-	must(f.Specialize(netN, "EditedNetlist"))
-	must(f.ExpandDown(netN, false))
+	f := session().NewFlow()
+	must(figures.Placement(f))
 	fmt.Println("task graph (the paper's chosen representation):")
 	fmt.Print(indent(f.Render()))
 	fmt.Println("traditional bipartite flow diagram:")
@@ -319,39 +335,15 @@ func fig3() {
 // ---- fig 4 -----------------------------------------------------------------
 
 func fig4() {
-	s := session()
-	f := s.NewFlow()
-	perf := f.MustAdd("Performance")
-	must(f.ExpandDown(perf, false))
+	f := session().NewFlow()
+	fa, fb, err := figures.Expansions(f)
+	must(err)
 	fmt.Println("flow after one expansion of the goal:")
 	fmt.Print(indent(f.Render()))
-
-	// Expansion (a): expand the circuit composite.
-	fa := f.Clone()
-	cct := childByKey(fa, rootOf(fa), "Circuit")
-	must(fa.ExpandDown(cct, false))
 	fmt.Println("expansion (a): the circuit's components:")
 	fmt.Print(indent(fa.Render()))
-
-	// Expansion (b): specialize the netlist to Extracted first (as in
-	// the paper), then expand.
-	fb := fa.Clone()
-	cctB := childByKey(fb, rootOf(fb), "Circuit")
-	netB := childByKey(fb, cctB, "Netlist")
-	must(fb.Specialize(netB, "ExtractedNetlist"))
-	must(fb.ExpandDown(netB, false))
 	fmt.Println("expansion (b): netlist specialized to ExtractedNetlist, then expanded:")
 	fmt.Print(indent(fb.Render()))
-}
-
-func rootOf(f *flow.Flow) flow.NodeID { return f.Roots()[0] }
-
-func childByKey(f *flow.Flow, id flow.NodeID, key string) flow.NodeID {
-	c, ok := f.Node(id).Dep(key)
-	if !ok {
-		panic("missing dep " + key)
-	}
-	return c
 }
 
 // ---- fig 5 -----------------------------------------------------------------
@@ -1076,34 +1068,18 @@ func provenanceSection() {
 		spec.Shape, cells, graph.Len(), graph.Edges(), popTime.Round(time.Millisecond),
 		float64(graph.Len())/popTime.Seconds())
 
-	// minOf times five consecutive reps and takes the best: min-of-N is
-	// the right estimator under additive noise from shared-core
-	// neighbours.
-	minOf := func(f func()) time.Duration {
-		runtime.GC() // start the block with a clean pacer: no assist debt in the timings
-		var best time.Duration
-		for i := 0; i < 5; i++ {
-			t := time.Now()
-			f()
-			if d := time.Since(t); best == 0 || d < best {
-				best = d
-			}
-		}
-		return best
-	}
-
 	// Deep backchain: the tail of the longest edit chain, unbounded
 	// depth — the Fig. 10 history query at version-tree scale.
 	deep := ids[len(ids)-1]
 	backD := must1(b.DB.Backchain(deep, -1))
-	back := minOf(func() { must1(b.DB.Backchain(deep, -1)) })
+	back := fastest(5, func() { must1(b.DB.Backchain(deep, -1)) })[0]
 	fmt.Printf("backchain (deep, %d nodes / %d arcs): %v\n",
 		len(backD.Nodes), len(backD.Edges), back.Round(time.Microsecond))
 
 	// Forward chain from the first cell: the whole first edit chain.
 	fwdRoot := ids[0]
 	fwdD := must1(b.DB.Forwardchain(fwdRoot, -1))
-	fwd := minOf(func() { must1(b.DB.Forwardchain(fwdRoot, -1)) })
+	fwd := fastest(5, func() { must1(b.DB.Forwardchain(fwdRoot, -1)) })[0]
 	fmt.Printf("forwardchain (%d nodes): %v\n", len(fwdD.Nodes), fwd.Round(time.Microsecond))
 
 	// Hash chain: append (SHA-256 over the canonical record, linked to

@@ -16,8 +16,9 @@
 //	                           # trace and exit; -update re-blesses it
 //	flowd -data-dir ./flowd -verify-provenance
 //	                           # replay every run log under <data-dir>/runs
-//	                           # against its chain digests and exit
-//	                           # (non-zero if any log is corrupt)
+//	                           # against its chain digests, print one line
+//	                           # per log (ok, CORRUPT or interrupted) and
+//	                           # exit (non-zero if any log is corrupt)
 //
 // Flags:
 //
@@ -284,8 +285,9 @@ func runSmoke(srv *service.Server) error {
 
 // runVerifyProvenance is the cold tamper check: replay every run log
 // under <data-dir>/runs (service.ReplayLog reads, never writes) and
-// write one line per log to w: ok, CORRUPT naming the first bad unit,
-// unverified or interrupted. It fails iff some log is corrupt.
+// write one line per log to w: ok, CORRUPT naming the first bad unit
+// (or the missing chain digests), or interrupted. It fails iff some
+// log is corrupt.
 func runVerifyProvenance(dataDir string, w io.Writer) error {
 	if dataDir == "" {
 		return fmt.Errorf("-verify-provenance needs -data-dir")
@@ -303,8 +305,6 @@ func runVerifyProvenance(dataDir string, w io.Writer) error {
 			fmt.Fprintf(w, "%s: ok (%d records)\n", filepath.Base(p), n)
 		case errors.Is(err, service.ErrInterrupted):
 			fmt.Fprintf(w, "%s: interrupted: verified when resumed\n", filepath.Base(p))
-		case errors.Is(err, service.ErrUnverified):
-			fmt.Fprintf(w, "%s: %v\n", filepath.Base(p), err)
 		default:
 			fmt.Fprintf(w, "%s: CORRUPT: %v\n", filepath.Base(p), err)
 			bad++

@@ -11,10 +11,10 @@ import (
 	"repro/internal/storage"
 )
 
-// rewriteArtifact rewrites the artifact bytes the given unit's
-// UnitCommitted record carries in the run log at path, framing every
-// record afresh so the frame checksums hold.
-func rewriteArtifact(t *testing.T, path string, unit int) {
+// rewriteCommit applies edit to the given unit's UnitCommitted record
+// in the run log at path, framing every record afresh so the frame
+// checksums hold.
+func rewriteCommit(t *testing.T, path string, unit int, edit func(rec *storage.Record)) {
 	t.Helper()
 	l, err := storage.OpenReadOnly(path)
 	if err != nil {
@@ -31,12 +31,10 @@ func rewriteArtifact(t *testing.T, path string, unit int) {
 		if err := json.Unmarshal(raw, &rec); err != nil {
 			t.Fatal(err)
 		}
-		if rec.Commit == nil || rec.Commit.Unit != unit {
+		if rec.Commit == nil || rec.Event.Unit != unit {
 			continue
 		}
-		for typ, b := range rec.Commit.Outputs {
-			rec.Commit.Outputs[typ] = append(b, " (rewritten)"...)
-		}
+		edit(&rec)
 		if recs[i], err = json.Marshal(rec); err != nil {
 			t.Fatal(err)
 		}
@@ -60,6 +58,17 @@ func rewriteArtifact(t *testing.T, path string, unit int) {
 	if err := out.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// rewriteArtifact rewrites the artifact bytes the given unit's
+// UnitCommitted record carries.
+func rewriteArtifact(t *testing.T, path string, unit int) {
+	t.Helper()
+	rewriteCommit(t, path, unit, func(rec *storage.Record) {
+		for typ, b := range rec.Commit.Outputs {
+			rec.Commit.Outputs[typ] = append(b, " (rewritten)"...)
+		}
+	})
 }
 
 // snapshot maps every file under dir to its bytes.
@@ -142,11 +151,12 @@ func TestVerifyProvenanceReadsOnly(t *testing.T) {
 	}
 }
 
-// TestVerifyProvenanceVerdicts: one line per log — ok, CORRUPT naming
-// the unit whose logged artifact was rewritten under a valid frame
-// checksum, unverified for the previous build's digest-less log,
-// interrupted for a log that never finished — and a failure exactly
-// when some log is corrupt.
+// TestVerifyProvenanceVerdicts: one line per log — ok; CORRUPT naming
+// unit 2 for a log whose unit-2 artifact was rewritten, or whose unit-2
+// UnitCommitted event was forged to name another instance or type,
+// each under a valid frame checksum; CORRUPT naming the missing chain
+// digests for an older build's digest-less log; interrupted for a log
+// that never finished — and a failure exactly when some log is corrupt.
 func TestVerifyProvenanceVerdicts(t *testing.T) {
 	wal := readFixture(t, "internal", "service", "testdata", "quickstart.wal")
 	dataDir, runs := writeRuns(t, map[string][]byte{
@@ -154,24 +164,32 @@ func TestVerifyProvenanceVerdicts(t *testing.T) {
 		"r-0002.wal": wal,
 		"r-0003.wal": readFixture(t, "internal", "storage", "testdata", "quickstart.wal"),
 		"r-0004.wal": wal[:len(wal)-5],
+		"r-0005.wal": wal,
+		"r-0006.wal": wal,
 	})
 	rewriteArtifact(t, filepath.Join(runs, "r-0002.wal"), 2)
+	rewriteCommit(t, filepath.Join(runs, "r-0005.wal"), 2, func(rec *storage.Record) { rec.Event.Insts[0] = "Forged:999" })
+	rewriteCommit(t, filepath.Join(runs, "r-0006.wal"), 2, func(rec *storage.Record) { rec.Event.Type = "Forged" })
 	var out bytes.Buffer
-	if err := runVerifyProvenance(dataDir, &out); err == nil {
-		t.Fatalf("a rewritten log passed:\n%s", &out)
+	if err := runVerifyProvenance(dataDir, &out); err == nil || err.Error() != "4 of 6 run logs failed verification" {
+		t.Fatalf("verification = %v, want 4 of 6 logs failed:\n%s", err, &out)
 	}
 	for _, want := range []string{
 		"r-0001.wal: ok (8 records)\n",
 		"r-0002.wal: CORRUPT: exec: recovered unit 2 (Circuit:7)",
-		"r-0003.wal: unverified: written before chain digests\n",
+		"r-0003.wal: CORRUPT: exec: the recovered log carries no chain digests",
 		"r-0004.wal: interrupted: verified when resumed\n",
+		`r-0005.wal: CORRUPT: exec: recovered unit 2 logged {"seq":9,"kind":"UnitCommitted","job":2,"combo":0,"unit":2,"nodes":[3],"type":"Circuit","insts":["Forged:999"]}`,
+		`r-0006.wal: CORRUPT: exec: recovered unit 2 logged {"seq":9,"kind":"UnitCommitted","job":2,"combo":0,"unit":2,"nodes":[3],"type":"Forged",`,
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("output lacks %q:\n%s", want, &out)
 		}
 	}
-	if err := os.Remove(filepath.Join(runs, "r-0002.wal")); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"r-0002.wal", "r-0003.wal", "r-0005.wal", "r-0006.wal"} {
+		if err := os.Remove(filepath.Join(runs, name)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	out.Reset()
 	if err := runVerifyProvenance(dataDir, &out); err != nil {

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/encap"
@@ -26,13 +27,13 @@ import (
 // contract: a session bootstraps identically every time, so a fresh
 // database yields the same base sequence number and the planner
 // pre-assigns exactly the IDs the interrupted run logged. Every
-// restored unit is verified against that pre-assignment; any mismatch
-// aborts the resume with an error rather than committing a log that
-// belongs to a different flow. So is every chain digest the log
-// carries: the run's chain must reach the PlanBuilt digest after the
-// imports and each unit's digest after its records, so an artifact
-// rewritten in the log fails at its unit. A log without digests (an
-// older format) resumes unchecked.
+// restored unit's logged UnitCommitted event, masked as the trace
+// serves it, must equal the event the replan commits but for its Seq;
+// any mismatch aborts the resume rather than commit a log that belongs
+// to a different flow. So must every chain digest: the run's chain
+// must reach the PlanBuilt digest after the imports and each unit's
+// digest after its records, so an artifact rewritten in the log fails
+// at its unit. A log without digests cannot be checked and is refused.
 
 // applyResume restores the recovered prefix onto a freshly built plan
 // (for a finished log, every fully committed job). Called by execute
@@ -49,11 +50,14 @@ func (r *run) applyResume(p *plan, tr *runTracer) error {
 				ev.Jobs, ev.Units, len(p.jobs), p.units)
 		}
 	}
-	if res.PlanDigest != "" && res.PlanDigest != r.chain.Head() {
+	switch res.PlanDigest {
+	case "":
+		return fmt.Errorf("exec: the recovered log carries no chain digests, so none of it can be checked")
+	case r.chain.Head():
+	default:
 		return fmt.Errorf("exec: the world's imports do not match the log's PlanBuilt digest: log does not match the flow")
 	}
 
-	var restored []*plannedJob
 	for _, j := range p.jobs {
 		complete := len(j.combos) > 0
 		for ci := range j.combos {
@@ -68,23 +72,20 @@ func (r *run) applyResume(p *plan, tr *runTracer) error {
 			}
 			break
 		}
+		nodes := nodeInts(j.nodes)
+		j.digests = make([]string, len(j.combos))
 		for ci := range j.combos {
 			unit := j.unit + ci
 			c := res.Commits[unit]
-			if len(c.Insts) != len(j.nodes) {
-				return fmt.Errorf("exec: recovered unit %d committed %d instances, replanned %d",
-					unit, len(c.Insts), len(j.nodes))
+			logged := trace.Mask(*c.Event)
+			want := committedEvent(j, ci, nodes)
+			want.Seq = logged.Seq // the log's numbering, not a planned fact
+			if got, replan := trace.AppendJSON(nil, &logged), trace.AppendJSON(nil, &want); !bytes.Equal(got, replan) {
+				return fmt.Errorf("exec: recovered unit %d logged %s where the replan commits %s: log does not match the flow",
+					unit, got, replan)
 			}
-			for ni, ids := range j.outIDs {
-				if id := ids[ci]; string(id) != c.Insts[ni] {
-					return fmt.Errorf("exec: recovered unit %d committed %s where the replan assigns %s: log does not match the flow",
-						unit, c.Insts[ni], id)
-				}
-			}
-			out := make(encap.Outputs, len(c.Outputs))
-			for typ, b := range c.Outputs {
-				out[typ] = b
-			}
+			j.digests[ci] = c.Digest // a missing digest fails at its unit
+			out := encap.Outputs(c.Outputs)
 			for _, nid := range j.nodes {
 				typ := r.f.Node(nid).Type
 				if _, ok := out[typ]; !ok {
@@ -96,22 +97,10 @@ func (r *run) applyResume(p *plan, tr *runTracer) error {
 				j.memoKeys[ci] = memo.Key(c.MemoKey)
 			}
 		}
-		if res.PlanDigest != "" { // a missing digest fails at its unit
-			j.digests = make([]string, len(j.combos))
-			for ci := range j.combos {
-				j.digests[ci] = res.Commits[j.unit+ci].Digest
-			}
-		}
-		j.done = true
-		j.resumed = true
-		j.remaining = 0
+		j.done, j.resumed, j.remaining = true, true, 0
 		tr.markResumed(j)
-		restored = append(restored, j)
-	}
-
-	// Publish restored artifacts to the pending set and unblock
-	// dependents — what complete() would have done had the units run.
-	for _, j := range restored {
+		// Publish the restored artifacts to the pending set and unblock
+		// dependents — what complete() would have done had the units run.
 		r.publish(j)
 		for _, di := range j.dependents {
 			p.jobs[di].pending--

@@ -371,10 +371,10 @@ func TestResumeRepublishesMemo(t *testing.T) {
 	}
 }
 
-// rewriteArtifact returns a copy of l's committed records in which the
-// payload of the given unit's UnitCommitted record carries different
-// artifact bytes — a tamper the log's own framing cannot see.
-func rewriteArtifact(t *testing.T, l storage.Log, unit int) *storage.MemLog {
+// rewriteLog returns a copy of l's committed records in which every
+// record edit reports changing is encoded afresh — a tamper the log's
+// own framing cannot see.
+func rewriteLog(t *testing.T, l storage.Log, edit func(rec *storage.Record) bool) *storage.MemLog {
 	t.Helper()
 	recs, err := l.Committed()
 	if err != nil {
@@ -387,10 +387,7 @@ func rewriteArtifact(t *testing.T, l storage.Log, unit int) *storage.MemLog {
 		if err := json.Unmarshal(raw, &rec); err != nil {
 			t.Fatal(err)
 		}
-		if rec.Commit != nil && rec.Commit.Unit == unit {
-			for typ, b := range rec.Commit.Outputs {
-				rec.Commit.Outputs[typ] = append(b, " (rewritten)"...)
-			}
+		if edit(&rec) {
 			if raw, err = json.Marshal(rec); err != nil {
 				t.Fatal(err)
 			}
@@ -401,7 +398,7 @@ func rewriteArtifact(t *testing.T, l storage.Log, unit int) *storage.MemLog {
 		}
 	}
 	if !hit {
-		t.Fatalf("log has no commit record for unit %d", unit)
+		t.Fatal("the edit changed no record of the log")
 	}
 	if err := out.Sync(); err != nil {
 		t.Fatal(err)
@@ -409,13 +406,50 @@ func rewriteArtifact(t *testing.T, l storage.Log, unit int) *storage.MemLog {
 	return out
 }
 
+// rewriteCommit is rewriteLog applying edit to the given unit's
+// UnitCommitted record.
+func rewriteCommit(t *testing.T, l storage.Log, unit int, edit func(rec *storage.Record)) *storage.MemLog {
+	t.Helper()
+	return rewriteLog(t, l, func(rec *storage.Record) bool {
+		if rec.Commit == nil || rec.Event.Unit != unit {
+			return false
+		}
+		edit(rec)
+		return true
+	})
+}
+
+// rewriteArtifact returns a copy of l in which the given unit's
+// UnitCommitted record carries different artifact bytes.
+func rewriteArtifact(t *testing.T, l storage.Log, unit int) *storage.MemLog {
+	t.Helper()
+	return rewriteCommit(t, l, unit, func(rec *storage.Record) {
+		for typ, b := range rec.Commit.Outputs {
+			rec.Commit.Outputs[typ] = append(b, " (rewritten)"...)
+		}
+	})
+}
+
+// stripDigests returns a copy of l whose records carry no chain
+// digests, as logs written before digests were logged.
+func stripDigests(t *testing.T, l storage.Log) *storage.MemLog {
+	t.Helper()
+	return rewriteLog(t, l, func(rec *storage.Record) bool {
+		had := rec.Digest != ""
+		rec.Digest = ""
+		return had
+	})
+}
+
 // TestResumeRefusesTamperedLog: an interrupted log whose restored
 // prefix has one artifact rewritten fails the resume at that unit, and
 // nothing dispatches — although two units remain, one of which reads
 // the rewritten artifact, no tool receives a restored artifact before
-// its digest matched. A world whose imports differ from the logged
-// ones fails before anything is restored. The same log untampered
-// resumes and runs only the remaining units.
+// its digest matched. So does one whose UnitCommitted event names
+// another instance or type than the replan commits, although its
+// artifacts and digests are intact. A world whose imports differ from
+// the logged ones fails before anything is restored. The same log
+// untampered resumes and runs only the remaining units.
 func TestResumeRefusesTamperedLog(t *testing.T) {
 	ctx := context.Background()
 	frozen := func() time.Time { return time.Date(1993, 6, 14, 12, 0, 0, 0, time.UTC) }
@@ -448,6 +482,12 @@ func TestResumeRefusesTamperedLog(t *testing.T) {
 	}{
 		{"untampered", ml, frozen, ""},
 		{"unit 1 rewritten", rewriteArtifact(t, ml, 1), frozen, "recovered unit 1 (EditedNetlist:"},
+		{"unit 1's instance forged", rewriteCommit(t, ml, 1, func(rec *storage.Record) {
+			rec.Event.Insts = []string{"Forged:999"}
+		}), frozen, `recovered unit 1 logged {"seq":`},
+		{"unit 1's type forged", rewriteCommit(t, ml, 1, func(rec *storage.Record) {
+			rec.Event.Type = "Forged"
+		}), frozen, `"type":"Forged"`},
 		{"imports differ", ml, later, "do not match the log's PlanBuilt digest"},
 	} {
 		rec, err := storage.RecoverRun(tc.log)
@@ -484,8 +524,9 @@ func TestResumeRefusesTamperedLog(t *testing.T) {
 // run's — under ContinueOnError too, where the failed and skipped
 // jobs' IDs are reserved again so later IDs line up — and an artifact
 // rewritten in the log fails the replay at its unit. A log whose
-// digests are stripped, as the previous format wrote it, replays
-// unchecked.
+// digests are stripped, as the previous format wrote it, is refused,
+// and so is one whose RunFinished counts other jobs or units than the
+// replan has, or other commits than the log restores.
 func TestReplayFinishedLog(t *testing.T) {
 	ctx := context.Background()
 	frozen := func() time.Time { return time.Date(1993, 6, 14, 12, 0, 0, 0, time.UTC) }
@@ -552,8 +593,21 @@ func TestReplayFinishedLog(t *testing.T) {
 				t.Fatalf("replay of a rewritten log = %v, want an error naming unit 0", err)
 			}
 			tampered.PlanDigest = "" // the previous format: no digests to check
-			if _, _, _, err := replay(tampered); err != nil {
-				t.Fatalf("replay of a digest-less log: %v", err)
+			if _, _, _, err := replay(tampered); err == nil || !strings.Contains(err.Error(), "carries no chain digests") {
+				t.Fatalf("replay of a digest-less log = %v, want it refused", err)
+			}
+			// RunFinished's jobs and units must be the replan's.
+			n := len(rec.Events)
+			for _, forge := range []func(fin *trace.Event){
+				func(fin *trace.Event) { fin.Jobs-- },
+				func(fin *trace.Event) { fin.Units-- },
+			} {
+				forged := *rec
+				forged.Events = append([]trace.Event(nil), rec.Events...)
+				forge(&forged.Events[n-1])
+				if _, _, _, err := replay(&forged); err == nil || !strings.Contains(err.Error(), "RunFinished counts") {
+					t.Fatalf("replay of a log whose RunFinished is %+v = %v, want the RunFinished count error", forged.Events[n-1], err)
+				}
 			}
 			// A log missing its last commit record still ends in
 			// RunFinished, whose count the replay must reach.
@@ -566,6 +620,56 @@ func TestReplayFinishedLog(t *testing.T) {
 				t.Fatalf("replay of a log missing unit %d's commit = %v, want the RunFinished count error", last, err)
 			}
 		})
+	}
+}
+
+// TestResumeRefusesDigestlessLog: a log whose records carry no chain
+// digests, as logs written before digests were logged, cannot be
+// checked, so it is refused — interrupted, on resume, and finished, on
+// replay — before anything is restored or dispatched.
+func TestResumeRefusesDigestlessLog(t *testing.T) {
+	ctx := context.Background()
+	frozen := func() time.Time { return time.Date(1993, 6, 14, 12, 0, 0, 0, time.UTC) }
+	live := newRigClock(t, frozen)
+	fL, _ := live.perfFlow(t)
+	ml := storage.NewMemLog()
+	w := storage.NewRunWAL(ml)
+	if _, err := live.engine.RunFlowOptions(ctx, fL, &RunOptions{WAL: w}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	finished := stripDigests(t, ml)
+	recs, err := finished.Committed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	interrupted := stripDigests(t, ml)
+	if err := interrupted.Rewind(len(recs) - 3); err != nil {
+		t.Fatal(err)
+	}
+	for name, l := range map[string]storage.Log{"finished": finished, "interrupted": interrupted} {
+		rec, err := storage.RecoverRun(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Finished != (name == "finished") || rec.PlanDigest != "" || len(rec.Commits) == 0 {
+			t.Fatalf("%s: recovered finished=%v, plan digest %q, %d commits", name, rec.Finished, rec.PlanDigest, len(rec.Commits))
+		}
+		r := newRigClock(t, frozen)
+		f, _ := r.perfFlow(t)
+		imports := r.db.Len()
+		buf := trace.NewBuffer()
+		opts, m := counted(RunOptions{Tracer: buf, Resume: rec})
+		res, err := r.run(f, opts)
+		if err == nil || !strings.Contains(err.Error(), "carries no chain digests") {
+			t.Fatalf("%s: resume = %v, want it refused for its missing digests", name, err)
+		}
+		if ran := m.Snapshot().Started; ran != 0 || len(buf.Events()) != 0 || res.TasksRun != 0 || r.db.Len() != imports {
+			t.Fatalf("%s: refused resume ran %d units, emitted %d events, committed %d tasks and holds %d records",
+				name, ran, len(buf.Events()), res.TasksRun, r.db.Len())
+		}
 	}
 }
 

@@ -35,6 +35,8 @@
 // scheduling span, measured critical path, failed units and skipped
 // jobs — which Result.Finished returns whether the run is traced or
 // not. trace.Metrics folds the stream into counters and histograms.
+// A durable run logs that stream (RunOptions.WAL); a resume checks each
+// logged unit's event and chain digest against the replan (durable.go).
 package exec
 
 import (
@@ -192,10 +194,11 @@ type RunOptions struct {
 	// Resume carries a recovered WAL prefix (see storage.RecoverRun):
 	// before dispatching anything the run replays the committed units
 	// through the normal commit step — re-recording history, datastore
-	// and memo without re-running tools — checking them against its
-	// replanned IDs and the logged chain digests, then executes only the
-	// rest, with event Seq continuing where the prefix ends. A finished
-	// log replays whole and runs nothing.
+	// and memo without re-running tools — checking each unit's logged
+	// UnitCommitted event against the replan and its logged chain
+	// digest, then executes only the rest, with event Seq continuing
+	// where the prefix ends. A log without chain digests is refused. A
+	// finished log replays whole and runs nothing.
 	Resume *storage.Recovered
 	// Retry is the per-unit retry policy (nil: one attempt).
 	Retry *RetryPolicy

@@ -20,8 +20,9 @@ import (
 // and even its backoff schedule replays exactly under the same seed.
 
 // RetryPolicy configures per-unit retries. Attempt n (0-based) that
-// fails with a retryable error sleeps uniform[0, min(MaxDelay,
-// BaseDelay·2ⁿ)) — "full jitter" — before the next attempt.
+// fails with a retryable error sleeps uniform[0, BaseDelay·2ⁿ) — "full
+// jitter" — before the next attempt; the ceiling stops doubling once
+// it reaches an hour.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of attempts per unit, including
 	// the first; values below 1 mean 1 (no retry).
@@ -29,8 +30,6 @@ type RetryPolicy struct {
 	// BaseDelay is the backoff ceiling before the first retry (default
 	// 1ms when retries are enabled).
 	BaseDelay time.Duration
-	// MaxDelay caps the backoff ceiling (0 = uncapped).
-	MaxDelay time.Duration
 	// Seed drives the jitter: the same seed replays the same delays for
 	// the same (job, combo, attempt) coordinates regardless of worker
 	// interleaving.
@@ -70,12 +69,6 @@ func (p RetryPolicy) backoff(job, combo, attempt int) time.Duration {
 	ceil := base
 	for i := 0; i < attempt && ceil < time.Hour; i++ {
 		ceil *= 2
-	}
-	if p.MaxDelay > 0 && ceil > p.MaxDelay {
-		ceil = p.MaxDelay
-	}
-	if ceil <= 0 {
-		return 0
 	}
 	return time.Duration(jitterHash(p.Seed, job, combo, attempt) % uint64(ceil))
 }

@@ -269,9 +269,9 @@ func (r *run) execute(ctx context.Context, p *plan) error {
 			}
 		}
 		if rc.Finished {
-			if n := len(rc.Events); n > 0 && rc.Events[n-1].Committed != res.TasksRun {
-				return fmt.Errorf("exec: the log's RunFinished counts %d committed units, its commit records restore %d: the log was altered",
-					rc.Events[n-1].Committed, res.TasksRun)
+			if fin := rc.Ends().Finished; fin != nil && (fin.Jobs != len(p.jobs) || fin.Units != p.units || fin.Committed != res.TasksRun) {
+				return fmt.Errorf("exec: the log's RunFinished counts %d jobs, %d units, %d committed; the replan has %d jobs and %d units, and the commit records restore %d: the log was altered",
+					fin.Jobs, fin.Units, fin.Committed, len(p.jobs), p.units, res.TasksRun)
 			}
 			return nil
 		}

@@ -202,23 +202,30 @@ func (t *runTracer) committedJob(j *plannedJob) {
 	}
 	nodes := nodeInts(j.nodes)
 	for ci := range j.combos {
-		insts := make([]string, len(j.nodes))
-		for ni, ids := range j.outIDs {
-			insts[ni] = string(ids[ci])
-		}
-		ev := trace.Event{Kind: trace.KindUnitCommitted, Job: j.idx, Combo: ci,
-			Unit: j.unit + ci, Nodes: nodes, Type: j.repType,
-			Insts: insts, DurMicros: j.unitDur[ci].Microseconds()}
+		ev := committedEvent(j, ci, nodes)
+		ev.DurMicros = j.unitDur[ci].Microseconds()
 		if t.wal == nil {
 			t.emit(ev)
 			continue
 		}
-		c := &storage.UnitCommit{Unit: ev.Unit, Insts: insts, Outputs: j.outputs[ci]}
+		c := &storage.UnitCommit{Outputs: j.outputs[ci]}
 		if j.memoKeys != nil {
 			c.MemoKey = string(j.memoKeys[ci])
 		}
 		t.emitLogged(ev, c, j.digests[ci])
 	}
+}
+
+// committedEvent builds job j's unit ci's UnitCommitted event, but for
+// Seq, Run and DurMicros: the tracer emits it and resume holds a logged
+// one to it. nodes is nodeInts(j.nodes).
+func committedEvent(j *plannedJob, ci int, nodes []int) trace.Event {
+	insts := make([]string, len(j.nodes))
+	for ni, ids := range j.outIDs {
+		insts[ni] = string(ids[ci])
+	}
+	return trace.Event{Kind: trace.KindUnitCommitted, Job: j.idx, Combo: ci,
+		Unit: j.unit + ci, Nodes: nodes, Type: j.repType, Insts: insts}
 }
 
 // finish flushes jobs the committer never passed (fail-fast leftovers,

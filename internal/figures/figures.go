@@ -1,12 +1,14 @@
 // Package figures builds, once, the workloads that several of the
 // paper's figures share: cmd/flowbench prints each figure from them, the
 // root benchmarks time them, and examples/chipproject and
-// examples/history run them. Every builder works on a bootstrapped
-// hercules session, binds the bootstrap tools by their short names
-// (hercules.Session.Must) and returns errors. Each creates its flow
-// nodes and history instances in one fixed order, so node and instance
-// IDs, and every printed line that names them, are the same wherever it
-// runs.
+// examples/history run them. Every builder returns errors. Those that
+// run tools work on a bootstrapped hercules session and bind the
+// bootstrap tools by their short names (hercules.Session.Must); the
+// flow-shape builders of Figs. 3 and 4 take the flow to build in, so a
+// session's flow and a schema-only one share them. Each creates its
+// flow nodes and history instances in one fixed order, so node and
+// instance IDs, and every printed line that names them, are the same
+// wherever it runs.
 package figures
 
 import (
@@ -48,6 +50,52 @@ func Branches(s *hercules.Session, n int, tools ...string) (*flow.Flow, error) {
 		}
 	}
 	return f, nil
+}
+
+// Placement builds Fig. 3's placement flow in f: a PlacedLayout whose
+// netlist is specialized to EditedNetlist, both expanded.
+func Placement(f *flow.Flow) error {
+	lay, err := f.Add("PlacedLayout")
+	if err != nil {
+		return err
+	}
+	if err := f.ExpandDown(lay, false); err != nil {
+		return err
+	}
+	net, _ := f.Node(lay).Dep("Netlist")
+	if err := f.Specialize(net, "EditedNetlist"); err != nil {
+		return err
+	}
+	return f.ExpandDown(net, false)
+}
+
+// Expansions builds Fig. 4's three flows from f: f itself, with a
+// Performance goal expanded once; expansion (a), a clone of it with
+// the circuit composite expanded; and expansion (b), a clone of (a)
+// whose netlist is specialized to ExtractedNetlist (as in the paper),
+// then expanded.
+func Expansions(f *flow.Flow) (a, b *flow.Flow, err error) {
+	perf, err := f.Add("Performance")
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := f.ExpandDown(perf, false); err != nil {
+		return nil, nil, err
+	}
+	a = f.Clone()
+	cct, _ := a.Node(perf).Dep("Circuit")
+	if err := a.ExpandDown(cct, false); err != nil {
+		return nil, nil, err
+	}
+	b = a.Clone()
+	net, _ := b.Node(cct).Dep("Netlist")
+	if err := b.Specialize(net, "ExtractedNetlist"); err != nil {
+		return nil, nil, err
+	}
+	if err := b.ExpandDown(net, false); err != nil {
+		return nil, nil, err
+	}
+	return a, b, nil
 }
 
 // Netlist runs one EditedNetlist made by the named generator and

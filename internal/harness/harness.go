@@ -568,7 +568,8 @@ func checkKillResume(sc *scenario.Scenario, base *runOut, opts Options, rep *Rep
 // walEventList reads a finished run's log back through
 // storage.RecoverRun: the event stream it persists, and the chain
 // digests its records carry (the plan's, then each commit's, in event
-// order). A log RecoverRun does not read to its end as one finished run
+// order; "" for a record that carries none, which no golden log's
+// does). A log RecoverRun does not read to its end as one finished run
 // (an undecodable record, a record after the run's end, or no end at
 // all) is refused.
 func walEventList(l storage.Log) ([]trace.Event, []string, error) {
@@ -584,12 +585,9 @@ func walEventList(l storage.Log) ([]trace.Event, []string, error) {
 		return nil, nil, fmt.Errorf("WAL of %d records is not one finished run: finished %v, prefix of %d records",
 			len(recs), rec.Finished, rec.PrefixRecords)
 	}
-	var digests []string
-	if rec.PlanDigest != "" {
-		digests = append(digests, rec.PlanDigest)
-	}
+	digests := []string{rec.PlanDigest}
 	for _, ev := range rec.Events {
-		if c := rec.Commits[ev.Unit]; ev.Kind == trace.KindUnitCommitted && c != nil && c.Digest != "" {
+		if c := rec.Commits[ev.Unit]; ev.Kind == trace.KindUnitCommitted && c != nil {
 			digests = append(digests, c.Digest)
 		}
 	}

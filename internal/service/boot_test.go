@@ -113,8 +113,9 @@ func bootLog(t *testing.T, data []byte) (v runView, listed, atBoot bool) {
 //     a booted server lists what a boot that reads every log with
 //     RecoverRun lists: a finished log's run at once, with the same id,
 //     flow, user, state, tasks_run and error; an interrupted log's run
-//     resumed, ending as the uncut log's run; no run for a log cut
-//     before its identity record.
+//     resumed, ending as the uncut log's run — or, for the parent
+//     fixture's cuts that hold an event, failed for the chain digests
+//     that log lacks; no run for a log cut before its identity record.
 func TestDurableBootEndsSweep(t *testing.T) {
 	logs := map[string][]byte{}
 	dir := t.TempDir()
@@ -207,6 +208,10 @@ func TestDurableBootEndsSweep(t *testing.T) {
 			case rc.Meta == nil:
 				if listed {
 					t.Fatalf("%s cut at %d: a log without its identity record booted %+v", name, cut, got)
+				}
+			case name == "parent fixture" && len(rc.Events) > 0:
+				if atBoot || got.State != string(stateFailed) || !strings.Contains(got.Error, "carries no chain digests") {
+					t.Fatalf("%s cut at %d: the digest-less interrupted log booted %+v (at boot %v), want its resume refused", name, cut, got, atBoot)
 				}
 			case atBoot || got != uncut:
 				t.Fatalf("%s cut at %d: the interrupted log booted %+v (at boot %v), want it resumed to %+v", name, cut, got, atBoot, uncut)

@@ -57,11 +57,11 @@ import (
 //     through its normal commit step) and re-executes only the rest,
 //     appending to the same WAL with continuous event sequence
 //     numbers. Nothing is replayed here out-of-band — the resumed run
-//     is the single commit path. A log whose identity record carries
-//     no scenario, or one that no longer materializes, recovers
-//     failed; one that fails a digest check ends failed, naming the
-//     unit. ReplayLog, the one verifier, replays a finished log the
-//     same way and runs nothing.
+//     is the single commit path. A log whose scenario does not
+//     materialize (or is missing) recovers failed; one that carries no
+//     chain digests, or fails a check, ends failed, naming the unit.
+//     ReplayLog, the one verifier, replays a finished log the same way
+//     and runs nothing.
 //
 // Shutdown is the graceful half: stop admitting, drain active runs
 // (their own goroutines close each WAL), abort stragglers at the
@@ -101,21 +101,17 @@ func (s *Server) discardRunWAL(rec *runRecord, err error) {
 // run: an interrupted one, or, for a run known to have finished, damage.
 var ErrInterrupted = errors.New("the log does not read back to a finished run")
 
-// ErrUnverified marks a finished log without chain digests, written
-// before they were logged. Its replay still rebuilds the provenance.
-var ErrUnverified = errors.New("unverified: written before chain digests")
-
 // ReplayLog re-derives a finished run's history from its WAL alone,
 // without modifying the log: it materializes the world from the logged
-// scenario and replays the log through the resume path, every logged
-// unit restored and checked against its chain digest and no tool run.
-// It returns the replayed database's derivation graph, the
-// number of chain records re-derived (imports included) and the first
-// verification failure, which names the unit. An unfinished log fails
-// with ErrInterrupted; a finished one with bytes after its end is
-// damaged, since a finished run synced everything it wrote. A log that
-// cannot be opened or read fails with a *readError, which says nothing
-// of what the log holds.
+// scenario and replays the log through the resume path, no tool run,
+// checking PlanBuilt's shape and digest, each unit's UnitCommitted
+// event and digest, and RunFinished's counts. It returns the replayed
+// database's derivation graph and the number of chain records
+// re-derived (imports included), or the first failure, which names the
+// unit. An unfinished log fails with ErrInterrupted; a finished one
+// with bytes after its end is damaged, since a finished run synced
+// everything it wrote. A log that cannot be opened or read fails with a
+// *readError, which says nothing of what the log holds.
 func ReplayLog(path string) (*history.Graph, int, error) {
 	g, n, _, err := replayLog(path)
 	return g, n, err
@@ -144,8 +140,8 @@ func replayLog(path string) (*history.Graph, int, *exec.Result, error) {
 		return nil, 0, nil, ErrInterrupted
 	case l.Torn() || l.Records() > rc.PrefixRecords:
 		return nil, 0, nil, errors.New("the log has bytes after its end: a finished run's log was altered")
-	case rc.Meta == nil || len(rc.Meta.Scenario) == 0:
-		return nil, 0, nil, fmt.Errorf("%w: the log records no scenario", ErrUnverified)
+	case rc.Meta == nil:
+		return nil, 0, nil, errors.New("the log has no identity record: a finished run's log was altered")
 	}
 	world, _, opts, err := materialize(rc.Meta.Scenario)
 	if err != nil {
@@ -160,11 +156,8 @@ func replayLog(path string) (*history.Graph, int, *exec.Result, error) {
 		if res, err = world.Run(context.Background(), engine, opts); err != nil {
 			return nil, 0, res, err
 		}
-		if rc.PlanDigest == "" {
-			err = ErrUnverified
-		}
 	}
-	return world.DB().Graph(), world.DB().Len(), res, err
+	return world.DB().Graph(), world.DB().Len(), res, nil
 }
 
 // initDurable restores the server's durable state: every run log
@@ -276,9 +269,6 @@ func (s *Server) registerFinished(id, path string, e *storage.Ends, l storage.Lo
 // sequence numbers, so a trace reader sees one gapless run; the
 // metrics fold only the fresh suffix, as it runs.
 func (s *Server) resumeRun(id, path string, rc *storage.Recovered, l storage.Log) error {
-	if len(rc.Meta.Scenario) == 0 {
-		return s.registerFinished(id, path, &storage.Ends{Meta: rc.Meta}, l, errors.New("cannot resume: the run log records no scenario"))
-	}
 	world, _, opts, err := materialize(rc.Meta.Scenario)
 	if err != nil {
 		return s.registerFinished(id, path, &storage.Ends{Meta: rc.Meta}, l, fmt.Errorf("cannot resume: scenario: %w", err))

@@ -127,10 +127,10 @@ func rewriteLog(t testing.TB, path string, edit func(recs [][]byte) [][]byte) {
 	}
 }
 
-// rewriteArtifact rewrites the artifact bytes the given unit's
-// UnitCommitted record carries: a tamper the frame checksums cannot
-// see, since the record is framed afresh.
-func rewriteArtifact(t testing.TB, path string, unit int) {
+// rewriteCommit applies edit to the given unit's UnitCommitted record:
+// a tamper the frame checksums cannot see, since the record is framed
+// afresh.
+func rewriteCommit(t testing.TB, path string, unit int, edit func(rec *storage.Record)) {
 	t.Helper()
 	rewriteLog(t, path, func(recs [][]byte) [][]byte {
 		for i, raw := range recs {
@@ -138,12 +138,10 @@ func rewriteArtifact(t testing.TB, path string, unit int) {
 			if err := json.Unmarshal(raw, &rec); err != nil {
 				t.Fatal(err)
 			}
-			if rec.Commit == nil || rec.Commit.Unit != unit {
+			if rec.Commit == nil || rec.Event.Unit != unit {
 				continue
 			}
-			for typ, b := range rec.Commit.Outputs {
-				rec.Commit.Outputs[typ] = append(b, " (rewritten)"...)
-			}
+			edit(&rec)
 			b, err := json.Marshal(rec)
 			if err != nil {
 				t.Fatal(err)
@@ -154,6 +152,30 @@ func rewriteArtifact(t testing.TB, path string, unit int) {
 		t.Fatalf("%s has no commit record for unit %d", path, unit)
 		return nil
 	})
+}
+
+// rewriteArtifact rewrites the artifact bytes the given unit's
+// UnitCommitted record carries.
+func rewriteArtifact(t testing.TB, path string, unit int) {
+	t.Helper()
+	rewriteCommit(t, path, unit, func(rec *storage.Record) {
+		for typ, b := range rec.Commit.Outputs {
+			rec.Commit.Outputs[typ] = append(b, " (rewritten)"...)
+		}
+	})
+}
+
+// forgeInst rewrites the first instance ID the given unit's
+// UnitCommitted event names, and forgeType its type; the artifacts and
+// chain digests stay as logged.
+func forgeInst(t testing.TB, path string, unit int) {
+	t.Helper()
+	rewriteCommit(t, path, unit, func(rec *storage.Record) { rec.Event.Insts[0] = "Forged:999" })
+}
+
+func forgeType(t testing.TB, path string, unit int) {
+	t.Helper()
+	rewriteCommit(t, path, unit, func(rec *storage.Record) { rec.Event.Type = "Forged" })
 }
 
 // dropRunFinished turns a finished run's log into an interrupted one.
@@ -439,10 +461,10 @@ func TestDurableForcedShutdown(t *testing.T) {
 	}
 }
 
-// An interrupted run that cannot be rebuilt — its identity record
-// carries no scenario (a log from before scenarios were recorded), or
-// its scenario no longer materializes — must not fail the whole boot.
-// It recovers terminal-failed, queryable, with the reason in its status.
+// An interrupted run that cannot be rebuilt — its scenario no longer
+// materializes, or its identity record carries none (a log from before
+// scenarios were recorded) — must not fail the whole boot. It recovers
+// terminal-failed, queryable, with the reason in its status.
 func TestDurableUnknownFlowUnresumable(t *testing.T) {
 	dir := t.TempDir()
 	runs := filepath.Join(dir, "runs")
@@ -454,8 +476,8 @@ func TestDurableUnknownFlowUnresumable(t *testing.T) {
 		t.Fatalf("New over unresumable WALs must not fail boot: %v", err)
 	}
 	for id, want := range map[string]string{
-		"r-0001": "cannot resume: the run log records no scenario",
-		"r-0002": "cannot resume: scenario:",
+		"r-0001": "cannot resume: scenario: ",
+		"r-0002": "cannot resume: scenario: ",
 	} {
 		rec := s.record(id)
 		if rec == nil {

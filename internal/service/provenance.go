@@ -96,7 +96,7 @@ func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
 // log. verify replays afresh, since the log may have changed since a
 // kept replay, and takes graph and verdict from that one replay; every
 // other query of a released run reads the kept one. A replay that
-// yields no graph fails the query. The record keeps its error when the
+// fails fails the query. The record keeps its error when the
 // error is about the log's contents, and not when the log could not be
 // read (a *readError): that query answers 500 and the next one reads
 // the log again.
@@ -118,7 +118,7 @@ func (s *Server) graph(rec *runRecord, verify bool) (*history.Graph, *chainVerdi
 	} else {
 		g, err = s.replays.get(rec)
 	}
-	if g == nil {
+	if err != nil {
 		if !errors.As(err, new(*readError)) {
 			rec.mu.Lock()
 			rec.provErr = err
@@ -126,10 +126,10 @@ func (s *Server) graph(rec *runRecord, verify bool) (*history.Graph, *chainVerdi
 		}
 		return nil, nil, err
 	}
-	if !verify {
-		return g, nil, nil // an unverified log still serves its graph
+	if verify {
+		return g, verdict(n, nil), nil
 	}
-	return g, verdict(n, err), nil
+	return g, nil, nil
 }
 
 // replayGraphs is how many replayed graphs a server keeps.

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/storage"
 	"repro/internal/trace"
 )
 
@@ -404,6 +406,94 @@ func TestDurableTamperedLog(t *testing.T) {
 		code, body := getBody(t, ts2.URL+"/v1/runs/"+v.ID+"/provenance?inst="+perf)
 		if code != http.StatusConflict || !strings.Contains(string(body), named) {
 			t.Fatalf("provenance of the rewritten run after restart: %d %s, want 409 naming unit 2", code, body)
+		}
+	}
+}
+
+// TestDurableTamperedCommitEvent: a finished run whose WAL has unit 2's
+// UnitCommitted event rewritten — the instance it names, or its type —
+// with its artifacts and digests intact and the frame checksum
+// recomputed, serves the forgery on /trace, the event being the
+// record's one statement of the fact; ReplayLog and verify=1 (409)
+// refuse the log, naming unit 2.
+func TestDurableTamperedCommitEvent(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := newTestServer(t, Config{Workers: 1, DataDir: dir})
+	for _, tc := range []struct {
+		forge  func(testing.TB, string, int)
+		served string
+	}{
+		{forgeInst, `"insts":["Forged:999"]`},
+		{forgeType, `"type":"Forged"`},
+	} {
+		v := submit(t, ts.URL, corpus(t, "quickstart"), "alice")
+		if fin := waitTerminal(t, ts.URL, v.ID); fin.State != string(stateSucceeded) {
+			t.Fatalf("run ended %+v", fin)
+		}
+		perf := performanceInst(t, ts.URL, v.ID)
+		path := filepath.Join(dir, "runs", v.ID+".wal")
+		tc.forge(t, path, 2)
+		if lines := strings.Join(fetchTrace(t, ts.URL, v.ID), "\n"); !strings.Contains(lines, tc.served) {
+			t.Fatalf("the trace of the forged log does not serve %s:\n%s", tc.served, lines)
+		}
+		const named = "recovered unit 2 logged {"
+		if _, _, err := ReplayLog(path); err == nil || !strings.Contains(err.Error(), named) || !strings.Contains(err.Error(), tc.served) {
+			t.Fatalf("ReplayLog of the log serving %s = %v, want it refused naming unit 2", tc.served, err)
+		}
+		code, body := getBody(t, ts.URL+"/v1/runs/"+v.ID+"/provenance?verify=1&inst="+perf)
+		if code != http.StatusConflict || !strings.Contains(string(body), "recovered unit 2 logged") {
+			t.Fatalf("verify=1 of the log serving %s: %d %s, want 409 naming unit 2", tc.served, code, body)
+		}
+	}
+	if forced, err := s.Shutdown(5 * time.Second); err != nil || forced {
+		t.Fatalf("Shutdown = (forced %v, err %v)", forced, err)
+	}
+}
+
+// TestDurableTamperedRunFinished: a failed pcb-drc-continue run whose
+// RunFinished is rewritten to report every unit committed (units =
+// committed = 3, failed = skipped = 0) is refused by ReplayLog and, after
+// a restart, by verify=1 and provenance (409): the replan has 5 units.
+// Boot lists a run from its log's two ends, so only these checks read
+// the counts against the log.
+func TestDurableTamperedRunFinished(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := newTestServer(t, Config{Workers: 1, DataDir: dir})
+	v := submit(t, ts.URL, corpus(t, "pcb-drc-continue"), "alice")
+	if fin := waitTerminal(t, ts.URL, v.ID); fin.State != string(stateFailed) || fin.TasksRun != 3 {
+		t.Fatalf("run ended %+v, want failed with 3 tasks", fin)
+	}
+	inst := committedInsts(t, s, v.ID)[0]
+	if forced, err := s.Shutdown(5 * time.Second); err != nil || forced {
+		t.Fatalf("Shutdown = (forced %v, err %v)", forced, err)
+	}
+	path := filepath.Join(dir, "runs", v.ID+".wal")
+	rewriteLog(t, path, func(recs [][]byte) [][]byte {
+		var rec storage.Record
+		if err := json.Unmarshal(recs[len(recs)-1], &rec); err != nil || rec.Event == nil || rec.Event.Kind != trace.KindRunFinished {
+			t.Fatalf("the log does not end with RunFinished (%v)", err)
+		}
+		fin := rec.Event
+		if fin.Jobs != 5 || fin.Units != 5 || fin.Committed != 3 || fin.Failed != 1 || fin.Skipped != 1 {
+			t.Fatalf("RunFinished = %+v, want 5 jobs, 5 units, 3 committed, 1 failed, 1 skipped", fin)
+		}
+		fin.Units, fin.Failed, fin.Skipped = 3, 0, 0
+		b, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs[len(recs)-1] = b
+		return recs
+	})
+	const named = "the log's RunFinished counts 5 jobs, 3 units, 3 committed; the replan has 5 jobs and 5 units"
+	if _, _, err := ReplayLog(path); err == nil || !strings.Contains(err.Error(), named) {
+		t.Fatalf("ReplayLog of the forged RunFinished = %v, want an error naming %q", err, named)
+	}
+	_, ts2 := newTestServer(t, Config{Workers: 1, DataDir: dir})
+	for _, q := range []string{"&verify=1", ""} {
+		code, body := getBody(t, ts2.URL+"/v1/runs/"+v.ID+"/provenance?inst="+url.QueryEscape(inst)+q)
+		if code != http.StatusConflict || !strings.Contains(string(body), "RunFinished counts") {
+			t.Fatalf("provenance%s of the forged log: %d %s, want 409 naming the RunFinished counts", q, code, body)
 		}
 	}
 }

@@ -157,11 +157,11 @@ func TestDurableReplayGoldens(t *testing.T) {
 	}
 }
 
-// TestDurableParentFixture: a data dir the previous build wrote — a
+// TestDurableParentFixture: a data dir an older build wrote — a
 // finished quickstart run's WAL without chain digests, beside its
 // runs/<id>.chain — boots with the run succeeded and its trace byte
-// for byte the golden. Provenance answers as a fresh run's does,
-// verify=1 reports the log unverified rather than failed, and neither
+// for byte the golden. Nothing in the log can be checked, so verify=1
+// and provenance answer 409 naming the missing digests, and neither
 // file is touched.
 func TestDurableParentFixture(t *testing.T) {
 	dir := t.TempDir()
@@ -197,31 +197,11 @@ func TestDurableParentFixture(t *testing.T) {
 	if code, body := serve(s, "/v1/runs/r-0001/trace"); code != http.StatusOK || !bytes.Equal(body, golden) {
 		t.Fatalf("parent run's trace: %d\n%s\nwant the golden\n%s", code, body, golden)
 	}
-
-	fresh, err := New(Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc := compact(t, corpus(t, "quickstart"))
-	world, flowName, opts, err := materialize(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fresh.start(world, flowName, opts, "alice", doc); err != nil {
-		t.Fatal(err)
-	}
-	<-fresh.record("r-0001").done
-	for _, q := range []string{"?inst=Performance:8", "?inst=EditedNetlist:5&dir=fwd"} {
-		_, want := serve(fresh, "/v1/runs/r-0001/provenance"+q)
-		if code, body := serve(s, "/v1/runs/r-0001/provenance"+q); code != http.StatusOK || !bytes.Equal(body, want) {
-			t.Fatalf("parent run's provenance%s: %d\n%s\nwant 200\n%s", q, code, body, want)
+	for _, q := range []string{"?inst=Performance:8&verify=1", "?inst=Performance:8"} {
+		if code, body := serve(s, "/v1/runs/r-0001/provenance"+q); code != http.StatusConflict ||
+			!bytes.Contains(body, []byte("carries no chain digests")) {
+			t.Fatalf("parent run's provenance%s: %d %s, want 409 naming the missing digests", q, code, body)
 		}
-	}
-	var view provenanceView
-	_, body := serve(s, "/v1/runs/r-0001/provenance?inst=Performance:8&verify=1")
-	if err := json.Unmarshal(body, &view); err != nil || view.Chain == nil || view.Chain.Verified ||
-		view.Chain.Error != ErrUnverified.Error() {
-		t.Fatalf("parent run's verify=1 = %s (%v), want %q", body, err, ErrUnverified)
 	}
 	for name, want := range files {
 		if got, err := os.ReadFile(filepath.Join(runs, name)); err != nil || !bytes.Equal(got, want) {
@@ -274,10 +254,12 @@ func TestDurableEndsBeforePlanning(t *testing.T) {
 
 // runLogSeeds returns FuzzVerifyRunLog's seeds, named, each a run log
 // without its identity record: a finished durable quickstart run's
-// WAL as this build writes it (testdata/quickstart.wal, a durable
-// quickstart run's runs/r-0001.wal for user alice on two workers), the
-// same log with its last frame torn, the same log with unit 2's
-// artifact rewritten under a valid frame checksum, and the previous
+// WAL (testdata/quickstart.wal, a durable quickstart run's
+// runs/r-0001.wal for user alice on two workers, written while commit
+// payloads still repeated their unit and instances), the same log with
+// its last frame torn, the same log with unit 2's artifact rewritten,
+// with the instance its UnitCommitted event names forged and with that
+// event's type forged, each under a valid frame checksum, and an older
 // build's digest-less quickstart WAL. meta is the identity record
 // frame every input is written after: quickstart's, from the first
 // log.
@@ -296,19 +278,24 @@ func runLogSeeds(tb testing.TB) (meta []byte, seeds map[string][]byte) {
 	if !bytes.Equal(parent[:metaLen(parent)], wal[:m]) {
 		tb.Fatal("the two quickstart logs open with different identity records")
 	}
-	dir := tb.TempDir()
-	path := filepath.Join(dir, "r-0001.wal")
-	if err := os.WriteFile(path, wal, 0o644); err != nil {
-		tb.Fatal(err)
-	}
-	rewriteArtifact(tb, path, 2)
-	tampered := read(path)
-	return wal[:m], map[string][]byte{
+	seeds = map[string][]byte{
 		"finished": wal[m:],
 		"torn":     wal[m : len(wal)-5],
-		"tampered": tampered[m:],
 		"parent":   parent[m:],
 	}
+	for name, tamper := range map[string]func(testing.TB, string, int){
+		"tampered":    rewriteArtifact,
+		"forged":      forgeInst,
+		"forged type": forgeType,
+	} {
+		path := filepath.Join(tb.TempDir(), "r-0001.wal")
+		if err := os.WriteFile(path, wal, 0o644); err != nil {
+			tb.Fatal(err)
+		}
+		tamper(tb, path, 2)
+		seeds[name] = read(path)[m:]
+	}
+	return wal[:m], seeds
 }
 
 // FuzzVerifyRunLog drives arbitrary bytes through the replay verifier
@@ -317,7 +304,7 @@ func runLogSeeds(tb testing.TB) (meta []byte, seeds map[string][]byte) {
 // every chain digest it carries matched.
 func FuzzVerifyRunLog(f *testing.F) {
 	meta, seeds := runLogSeeds(f)
-	for _, name := range []string{"finished", "torn", "tampered", "parent"} {
+	for _, name := range []string{"finished", "torn", "tampered", "forged", "forged type", "parent"} {
 		f.Add(seeds[name])
 	}
 	path := filepath.Join(f.TempDir(), "r-0001.wal")
@@ -346,10 +333,11 @@ func FuzzVerifyRunLog(f *testing.F) {
 	})
 }
 
-// TestVerifyRunLogSeeds pins FuzzVerifyRunLog's seeds: this build's
+// TestVerifyRunLogSeeds pins FuzzVerifyRunLog's seeds: the finished
 // log verifies with quickstart's 8 chain records, its torn copy reads
-// as interrupted, the rewritten one names unit 2, and the previous
-// build's is unverified.
+// as interrupted, the rewritten and the forged ones name unit 2, and
+// the digest-less one is refused for its missing digests. The finished
+// log without its identity record is refused as altered.
 func TestVerifyRunLogSeeds(t *testing.T) {
 	meta, seeds := runLogSeeds(t)
 	for _, tc := range []struct {
@@ -360,7 +348,9 @@ func TestVerifyRunLogSeeds(t *testing.T) {
 		{"finished", 8, ""},
 		{"torn", 0, ErrInterrupted.Error()},
 		{"tampered", 0, "recovered unit 2 ("},
-		{"parent", 8, ErrUnverified.Error()},
+		{"forged", 0, `recovered unit 2 logged {"seq":9,"kind":"UnitCommitted","job":2,"combo":0,"unit":2,"nodes":[3],"type":"Circuit","insts":["Forged:999"]} where the replan commits {"seq":9,"kind":"UnitCommitted","job":2,"combo":0,"unit":2,"nodes":[3],"type":"Circuit","insts":["Circuit:7"]}`},
+		{"forged type", 0, `"type":"Forged","insts":["Circuit:7"]} where the replan commits`},
+		{"parent", 0, "carries no chain digests"},
 	} {
 		path := filepath.Join(t.TempDir(), "r-0001.wal")
 		if err := os.WriteFile(path, append(append([]byte(nil), meta...), seeds[tc.name]...), 0o644); err != nil {
@@ -373,6 +363,13 @@ func TestVerifyRunLogSeeds(t *testing.T) {
 		case tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err) || n != tc.n):
 			t.Errorf("%s: ReplayLog = %d records, %v; want %d and an error naming %q", tc.name, n, err, tc.n, tc.err)
 		}
+	}
+	path := filepath.Join(t.TempDir(), "r-0001.wal")
+	if err := os.WriteFile(path, seeds["finished"], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ReplayLog(path); err == nil || !strings.Contains(err.Error(), "no identity record") {
+		t.Errorf("ReplayLog of a finished log without its identity record = %v, want it refused", err)
 	}
 }
 

@@ -10,8 +10,9 @@
 // With a data dir each run's write-ahead log is its durable record
 // (durable.go), and a finished durable run lives in it: the server
 // keeps the run's view fields and reads its trace and provenance from
-// the log on request. An in-memory run keeps its trace and derivation
-// graph for the life of the process.
+// the log on request; a replay of the log (ReplayLog) either verifies
+// or refuses it. An in-memory run keeps its trace and derivation graph
+// for the life of the process.
 //
 // Endpoints:
 //

@@ -3,7 +3,6 @@ package storage
 import (
 	"encoding/base64"
 	"sort"
-	"strconv"
 
 	"repro/internal/trace"
 )
@@ -60,16 +59,7 @@ func appendWALRecord(b []byte, m *walMsg) []byte {
 // base64 as encoding/json would emit them, outputs in sorted type
 // order so the encoding is deterministic.
 func appendCommit(b []byte, c *UnitCommit) []byte {
-	b = append(b, `{"unit":`...)
-	b = strconv.AppendInt(b, int64(c.Unit), 10)
-	b = append(b, `,"insts":[`...)
-	for i, s := range c.Insts {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = trace.AppendString(b, s)
-	}
-	b = append(b, `],"outputs":{`...)
+	b = append(b, `{"outputs":{`...)
 	if len(c.Outputs) == 1 {
 		for typ, data := range c.Outputs {
 			b = trace.AppendString(b, typ)

@@ -37,7 +37,7 @@ type Recovered struct {
 	// Events is the resumable event prefix, in Seq order.
 	Events []trace.Event
 	// Commits holds the durable payload of every committed unit in the
-	// prefix, keyed by global unit index.
+	// prefix, keyed by its event's global unit index.
 	Commits map[int]*UnitCommit
 	// Finished reports a RunFinished or terminal Error record: the run
 	// completed and needs no re-execution (Replay re-feeds its
@@ -86,7 +86,7 @@ decode:
 			}
 		case rec.Event != nil:
 			if rec.Commit != nil {
-				rec.Commit.Digest = rec.Digest
+				rec.Commit.Event, rec.Commit.Digest = rec.Event, rec.Digest
 			}
 			if rec.Event.Kind == trace.KindPlanBuilt {
 				r.PlanDigest = rec.Digest
@@ -114,7 +114,7 @@ decode:
 			for k := 0; k <= i; k++ {
 				r.Events[k] = events[k].ev
 				if c := events[k].commit; c != nil {
-					r.Commits[c.Unit] = c
+					r.Commits[c.Event.Unit] = c
 				}
 			}
 			r.NextSeq = r.Events[i].Seq + 1
@@ -134,9 +134,8 @@ decode:
 	)
 	commitBlock := func(upto int) {
 		for _, er := range pending {
-			if er.commit != nil {
-				c := er.commit
-				r.Commits[c.Unit] = c
+			if c := er.commit; c != nil {
+				r.Commits[c.Event.Unit] = c
 			}
 		}
 		pending = pending[:0]

@@ -62,13 +62,13 @@ func twoJobStream(committedJob1, finished bool) ([]trace.Event, map[int]*UnitCom
 		next(trace.KindUnitDispatched, 1, 1),
 		next(trace.KindUnitStarted, 1, 1))
 	commits := map[int]*UnitCommit{
-		0: {Unit: 0, Insts: []string{"A:1"}, Outputs: map[string][]byte{"A": []byte("a")}, MemoKey: "memo:aa"},
+		0: {Outputs: map[string][]byte{"A": []byte("a")}, MemoKey: "memo:aa"},
 	}
 	if committedJob1 {
 		ev := next(trace.KindUnitCommitted, 1, 1)
 		ev.Insts = []string{"B:2"}
 		events = append(events, ev)
-		commits[1] = &UnitCommit{Unit: 1, Insts: []string{"B:2"}, Outputs: map[string][]byte{"B": []byte("b")}, MemoKey: "memo:bb"}
+		commits[1] = &UnitCommit{Outputs: map[string][]byte{"B": []byte("b")}, MemoKey: "memo:bb"}
 	}
 	if finished {
 		events = append(events, next(trace.KindRunFinished, -1, -1))
@@ -101,7 +101,7 @@ func TestRecoverMidJobCrash(t *testing.T) {
 	if len(rec.Commits) != 1 || rec.Commits[0] == nil {
 		t.Fatalf("commits = %+v, want unit 0 only", rec.Commits)
 	}
-	if got := rec.Commits[0].Insts; !reflect.DeepEqual(got, []string{"A:1"}) {
+	if got := rec.Commits[0].Event.Insts; !reflect.DeepEqual(got, []string{"A:1"}) {
 		t.Fatalf("unit 0 insts = %v", got)
 	}
 	// Rewind drops the dangling suffix: meta + 4 events remain.
@@ -288,7 +288,7 @@ func TestRecoverTornFileRun(t *testing.T) {
 	}
 	// Whatever the cut point, every recovered commit is complete.
 	for u, c := range rec.Commits {
-		if len(c.Outputs) == 0 || len(c.Insts) == 0 {
+		if len(c.Outputs) == 0 || c.Event == nil || len(c.Event.Insts) == 0 {
 			t.Fatalf("unit %d recovered with partial payload: %+v", u, c)
 		}
 	}
@@ -385,6 +385,52 @@ func TestRecoverDigests(t *testing.T) {
 	if rec.PlanDigest != "d-plan" || len(rec.Commits) != 2 ||
 		rec.Commits[0].Digest != "d-unit0" || rec.Commits[1].Digest != "d-unit1" {
 		t.Fatalf("digests: plan %q, commits %+v; want d-plan, d-unit0, d-unit1", rec.PlanDigest, rec.Commits)
+	}
+}
+
+// TestCommitRecordStatesEachFactOnce: a UnitCommitted record names its
+// unit and instances in its event alone — the commit payload is the
+// outputs and the memo key — and recovery hands each commit its
+// record's event, keyed by the event's unit. A log written while the
+// payload still repeated the unit and instances recovers the same: the
+// copies are ignored, even where they disagree with the event.
+func TestCommitRecordStatesEachFactOnce(t *testing.T) {
+	events, commits := twoJobStream(true, true)
+	cur := NewMemLog()
+	writeStream(t, cur, events, commits)
+	recs, err := cur.Committed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const payload = `,"commit":{"outputs":{"A":"YQ=="},"memo_key":"memo:aa"}}`
+	if rec := string(recs[4]); !strings.HasSuffix(rec, payload) || !strings.Contains(rec, `"insts":["A:1"]`) {
+		t.Fatalf("unit 0's commit record %s does not end with %s after an event naming A:1", rec, payload)
+	}
+	older := NewMemLog()
+	for _, raw := range recs {
+		rec := strings.Replace(string(raw), `"commit":{`, `"commit":{"unit":7,"insts":["Z:9"],`, 1)
+		if err := older.Append([]byte(rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := older.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	for name, l := range map[string]Log{"current": cur, "older": older} {
+		rc, err := RecoverRun(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rc.Commits) != 2 {
+			t.Fatalf("%s log: commits %+v, want units 0 and 1", name, rc.Commits)
+		}
+		for u, insts := range map[int][]string{0: {"A:1"}, 1: {"B:2"}} {
+			c := rc.Commits[u]
+			if c == nil || c.Event == nil || c.Event.Kind != trace.KindUnitCommitted || c.Event.Unit != u ||
+				!reflect.DeepEqual(c.Event.Insts, insts) || !reflect.DeepEqual(c.Outputs, commits[u].Outputs) {
+				t.Fatalf("%s log: unit %d recovered %+v, want its UnitCommitted event naming %v", name, u, c, insts)
+			}
+		}
 	}
 }
 

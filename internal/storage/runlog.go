@@ -14,12 +14,13 @@ import (
 // every further record is one trace.Event, with UnitCommitted events
 // additionally carrying the unit's committed artifacts (UnitCommit) so
 // recovery can rebuild the datastore, the history and the memo cache
-// from the log alone. The PlanBuilt and UnitCommitted records also
-// carry the head of the run's provenance hash chain (internal/
-// provenance) after the imports, or after that unit's records, so a
-// replay of the log can check the artifacts against the history they
-// re-derive. A run that ends before planning logs one terminal error
-// record instead.
+// from the log alone. Each fact is logged once: the event names the
+// unit and its instances, and the payload holds only what the event
+// does not. The PlanBuilt and UnitCommitted records also carry the
+// head of the run's provenance hash chain (internal/provenance) after
+// the imports, or after that unit's records, so a replay of the log
+// can check the artifacts against the history they re-derive. A run
+// that ends before planning logs one terminal error record instead.
 //
 // Durability discipline: the executor appends records inline (cheap —
 // a copy into a buffered channel): its coordinator appends PlanBuilt
@@ -53,14 +54,10 @@ type RunMeta struct {
 
 // UnitCommit is the durable payload of one committed unit, attached to
 // its UnitCommitted event: everything replay needs to reconstruct the
-// unit's outputs without re-running the tool.
+// unit's outputs without re-running the tool. The event names the unit
+// and its instances; the payload does not repeat them (logs written
+// before it stopped do, and the reader ignores those copies).
 type UnitCommit struct {
-	// Unit is the global unit index (== Event.Unit), the replay key.
-	Unit int `json:"unit"`
-	// Insts are the committed instance IDs in node order (== Event.
-	// Insts; duplicated so a payload is self-contained for verification
-	// against the replanned IDs).
-	Insts []string `json:"insts"`
 	// Outputs maps each produced entity type to its artifact bytes —
 	// the grouped nodes' outputs plus any secondary outputs the tool
 	// emitted.
@@ -68,9 +65,11 @@ type UnitCommit struct {
 	// MemoKey is the unit's derivation key when a result cache was
 	// installed, so the cache can be re-fed on recovery.
 	MemoKey string `json:"memo_key,omitempty"`
-	// Digest is the chain digest the unit's record carries in its
-	// envelope (Record.Digest), filled in by RecoverRun.
-	Digest string `json:"-"`
+	// Event is the UnitCommitted event the payload's record carries
+	// and Digest the chain digest in its envelope (Record.Digest); both
+	// are filled in by RecoverRun and neither is encoded.
+	Event  *trace.Event `json:"-"`
+	Digest string       `json:"-"`
 }
 
 // Record is the WAL record envelope: exactly one of Meta, Event and

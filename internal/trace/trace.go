@@ -153,9 +153,9 @@ func Mask(ev Event) Event {
 }
 
 // DropKinds removes every event of the given kinds and renumbers Seq
-// consecutively from the first survivor's value. Dropping the
-// fault-path kinds (UnitRetried, UnitTimedOut) projects a retried run
-// onto the clean run it converged to.
+// consecutively from the first event's value, dropped or not. Dropping
+// the fault-path kinds (UnitRetried, UnitTimedOut) projects a retried
+// run onto the clean run it converged to.
 func DropKinds(events []Event, kinds ...Kind) []Event {
 	drop := make(map[Kind]bool, len(kinds))
 	for _, k := range kinds {

@@ -57,6 +57,11 @@ func TestDropKindsRenumbers(t *testing.T) {
 			t.Errorf("event %d = {seq:%d kind:%s}, want {seq:%d kind:%s}", i, ev.Seq, ev.Kind, i, wantKinds[i])
 		}
 	}
+	// Numbering starts at the first event's Seq, dropped or not.
+	got = DropKinds([]Event{{Seq: 5, Kind: KindUnitRetried}, {Seq: 6}, {Seq: 7}}, KindUnitRetried)
+	if len(got) != 2 || got[0].Seq != 5 || got[1].Seq != 6 {
+		t.Fatalf("dropping a leading Seq-5 event left %+v, want Seq 5 and 6", got)
+	}
 }
 
 func TestMaskedJSONLIsStable(t *testing.T) {
