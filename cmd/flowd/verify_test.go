@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -69,6 +70,26 @@ func rewriteArtifact(t *testing.T, path string, unit int) {
 			rec.Commit.Outputs[typ] = append(b, " (rewritten)"...)
 		}
 	})
+}
+
+// duplicateCommit returns the run log wal with the given unit's
+// UnitCommitted frame repeated right after it.
+func duplicateCommit(t *testing.T, wal []byte, unit int) []byte {
+	t.Helper()
+	var out []byte
+	for off := 0; off < len(wal); {
+		frame := wal[off : off+8+int(binary.LittleEndian.Uint32(wal[off:]))]
+		off += len(frame)
+		out = append(out, frame...)
+		var rec storage.Record
+		if err := json.Unmarshal(frame[8:], &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Commit != nil && rec.Event.Unit == unit {
+			out = append(out, frame...)
+		}
+	}
+	return out
 }
 
 // snapshot maps every file under dir to its bytes.
@@ -152,11 +173,12 @@ func TestVerifyProvenanceReadsOnly(t *testing.T) {
 }
 
 // TestVerifyProvenanceVerdicts: one line per log — ok; CORRUPT naming
-// unit 2 for a log whose unit-2 artifact was rewritten, or whose unit-2
-// UnitCommitted event was forged to name another instance or type,
-// each under a valid frame checksum; CORRUPT naming the missing chain
-// digests for an older build's digest-less log; interrupted for a log
-// that never finished — and a failure exactly when some log is corrupt.
+// unit 2 for a log whose unit-2 artifact was rewritten, whose unit-2
+// UnitCommitted event was forged to name another instance or type, or
+// whose unit-2 commit record was repeated, each under a valid frame
+// checksum; CORRUPT naming the missing chain digests for an older
+// build's digest-less log; interrupted for a log that never finished —
+// and a failure exactly when some log is corrupt.
 func TestVerifyProvenanceVerdicts(t *testing.T) {
 	wal := readFixture(t, "internal", "service", "testdata", "quickstart.wal")
 	dataDir, runs := writeRuns(t, map[string][]byte{
@@ -166,13 +188,14 @@ func TestVerifyProvenanceVerdicts(t *testing.T) {
 		"r-0004.wal": wal[:len(wal)-5],
 		"r-0005.wal": wal,
 		"r-0006.wal": wal,
+		"r-0007.wal": duplicateCommit(t, wal, 2),
 	})
 	rewriteArtifact(t, filepath.Join(runs, "r-0002.wal"), 2)
 	rewriteCommit(t, filepath.Join(runs, "r-0005.wal"), 2, func(rec *storage.Record) { rec.Event.Insts[0] = "Forged:999" })
 	rewriteCommit(t, filepath.Join(runs, "r-0006.wal"), 2, func(rec *storage.Record) { rec.Event.Type = "Forged" })
 	var out bytes.Buffer
-	if err := runVerifyProvenance(dataDir, &out); err == nil || err.Error() != "4 of 6 run logs failed verification" {
-		t.Fatalf("verification = %v, want 4 of 6 logs failed:\n%s", err, &out)
+	if err := runVerifyProvenance(dataDir, &out); err == nil || err.Error() != "5 of 7 run logs failed verification" {
+		t.Fatalf("verification = %v, want 5 of 7 logs failed:\n%s", err, &out)
 	}
 	for _, want := range []string{
 		"r-0001.wal: ok (8 records)\n",
@@ -181,12 +204,13 @@ func TestVerifyProvenanceVerdicts(t *testing.T) {
 		"r-0004.wal: interrupted: verified when resumed\n",
 		`r-0005.wal: CORRUPT: exec: recovered unit 2 logged {"seq":9,"kind":"UnitCommitted","job":2,"combo":0,"unit":2,"nodes":[3],"type":"Circuit","insts":["Forged:999"]}`,
 		`r-0006.wal: CORRUPT: exec: recovered unit 2 logged {"seq":9,"kind":"UnitCommitted","job":2,"combo":0,"unit":2,"nodes":[3],"type":"Forged",`,
+		"r-0007.wal: CORRUPT: exec: the recovered log commits unit 2 again or out of plan order",
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("output lacks %q:\n%s", want, &out)
 		}
 	}
-	for _, name := range []string{"r-0002.wal", "r-0003.wal", "r-0005.wal", "r-0006.wal"} {
+	for _, name := range []string{"r-0002.wal", "r-0003.wal", "r-0005.wal", "r-0006.wal", "r-0007.wal"} {
 		if err := os.Remove(filepath.Join(runs, name)); err != nil {
 			t.Fatal(err)
 		}

@@ -227,6 +227,39 @@ func TestChaosRunCancellation(t *testing.T) {
 	}
 }
 
+// Cancelling a run whose tool ignores Request.Ctx, with no task
+// timeout set, still ends the run promptly with context.Canceled: a
+// cancellable run's attempt runs on a watchdog goroutine, which the run
+// abandons while the tool blocks. The tool is released afterwards.
+func TestCancelAbandonsToolIgnoringContext(t *testing.T) {
+	r := newRig(t)
+	started, release := make(chan struct{}), make(chan struct{})
+	r.engine.reg.Register("NetlistEditor", encap.Func(func(req *encap.Request) (encap.Outputs, error) {
+		close(started)
+		<-release // never reads req.Ctx
+		return encap.Outputs{req.Goal: []byte("late")}, nil
+	}))
+	defer close(release)
+	f := flow.New(r.s, r.db)
+	addBranch(t, r, f)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := r.engine.RunFlowOptions(ctx, f, &RunOptions{})
+		done <- err
+	}()
+	<-started
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the cancelled run waited for the tool that ignores its context")
+	}
+}
+
 // Backoff is full jitter — bounded by Base·2ⁿ — and a pure function of
 // (Seed, job, combo, attempt).
 func TestBackoffDeterministicFullJitter(t *testing.T) {

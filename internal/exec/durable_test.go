@@ -519,6 +519,55 @@ func TestResumeRefusesTamperedLog(t *testing.T) {
 	}
 }
 
+// TestReplayRefusesMisplacedCommits: resume consumes a log's commit
+// records one per unit, in plan order, so a finished log that repeats
+// unit 1's record, or carries one after the last job's, and an
+// interrupted prefix that repeats unit 0's, are refused, naming the
+// unit, and nothing runs.
+func TestReplayRefusesMisplacedCommits(t *testing.T) {
+	ctx := context.Background()
+	frozen := func() time.Time { return time.Date(1993, 6, 14, 12, 0, 0, 0, time.UTC) }
+	live := newRigClock(t, frozen)
+	fL, _ := live.perfFlow(t)
+	ml := storage.NewMemLog()
+	w := storage.NewRunWAL(ml)
+	if _, err := live.engine.RunFlowOptions(ctx, fL, &RunOptions{WAL: w}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fin, err := storage.RecoverRun(ml)
+	if err != nil || !fin.Finished || len(fin.Commits) < 3 {
+		t.Fatalf("recover: %+v, %v; want a finished run of 3 or more units", fin, err)
+	}
+	interrupted := *fin
+	interrupted.Finished = false
+	interrupted.Events = fin.Events[:len(fin.Events)-1]
+	c := fin.Commits
+	for _, tc := range []struct {
+		name    string
+		rec     storage.Recovered
+		commits []*storage.UnitCommit
+		unit    int
+	}{
+		{"finished, unit 1 repeated", *fin, []*storage.UnitCommit{c[0], c[1], c[1], c[2]}, 1},
+		{"finished, a record left over", *fin, append(append([]*storage.UnitCommit(nil), c...), c[0]), 0},
+		{"interrupted, unit 0 repeated", interrupted, []*storage.UnitCommit{c[0], c[0], c[1]}, 0},
+	} {
+		rec := tc.rec
+		rec.Commits = tc.commits
+		r := newRigClock(t, frozen)
+		f, _ := r.perfFlow(t)
+		opts, m := counted(RunOptions{Resume: &rec})
+		_, err := r.run(f, opts)
+		want := fmt.Sprintf("the recovered log commits unit %d again or out of plan order", tc.unit)
+		if err == nil || !strings.Contains(err.Error(), want) || m.Snapshot().Started != 0 {
+			t.Fatalf("%s: resume = %v after %d units ran, want none run and an error naming %q", tc.name, err, m.Snapshot().Started, want)
+		}
+	}
+}
+
 // TestReplayFinishedLog: a finished log handed back as Resume replays
 // whole: no unit dispatches, the history is byte-identical to the live
 // run's — under ContinueOnError too, where the failed and skipped
@@ -611,11 +660,8 @@ func TestReplayFinishedLog(t *testing.T) {
 			}
 			// A log missing its last commit record still ends in
 			// RunFinished, whose count the replay must reach.
-			last := 0
-			for u := range rec.Commits {
-				last = max(last, u)
-			}
-			delete(rec.Commits, last)
+			last := rec.Commits[len(rec.Commits)-1].Event.Unit
+			rec.Commits = rec.Commits[:len(rec.Commits)-1]
 			if _, _, _, err := replay(rec); err == nil || !strings.Contains(err.Error(), "RunFinished counts") {
 				t.Fatalf("replay of a log missing unit %d's commit = %v, want the RunFinished count error", last, err)
 			}

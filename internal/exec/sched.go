@@ -260,20 +260,9 @@ func (r *run) execute(ctx context.Context, p *plan) error {
 	// the log's digests have not vouched for. A finished log commits or
 	// retires every job and runs nothing.
 	if rc := r.cfg.resume; rc != nil {
-		if err := r.applyResume(p, tr); err != nil {
+		var err error
+		if commitIdx, err = r.applyResume(p, tr); err != nil || rc.Finished {
 			return err
-		}
-		for ; commitIdx < len(p.jobs) && (rc.Finished || p.jobs[commitIdx].resumed); commitIdx++ {
-			if err := r.commitJob(p.jobs[commitIdx], tr); err != nil {
-				return err
-			}
-		}
-		if rc.Finished {
-			if fin := rc.Ends().Finished; fin != nil && (fin.Jobs != len(p.jobs) || fin.Units != p.units || fin.Committed != res.TasksRun) {
-				return fmt.Errorf("exec: the log's RunFinished counts %d jobs, %d units, %d committed; the replan has %d jobs and %d units, and the commit records restore %d: the log was altered",
-					fin.Jobs, fin.Units, fin.Committed, len(p.jobs), p.units, res.TasksRun)
-			}
-			return nil
 		}
 	}
 	for _, j := range p.jobs {

@@ -86,15 +86,6 @@ func (t *runTracer) emitLogged(ev trace.Event, c *storage.UnitCommit, digest str
 	}
 }
 
-// markResumed suppresses emission for a job restored from the WAL: its
-// events are already in the recovered prefix.
-func (t *runTracer) markResumed(j *plannedJob) {
-	if t == nil {
-		return
-	}
-	t.passed[j.idx] = true
-}
-
 // barrier forces everything appended to the WAL onto stable storage and
 // surfaces the writer's first error. Called once per run, after
 // RunFinished — the group-commit policy handles durability in between.
@@ -127,9 +118,10 @@ func (t *runTracer) planBuilt(workers int, digest string) {
 
 // passJob emits the lifecycle events of every unit of one job — called
 // when the committer passes the job (committed, failed or skipped), and
-// again harmlessly from the end-of-run flush.
+// again harmlessly from the end-of-run flush. A job restored from the
+// WAL emits nothing: its events are already in the recovered prefix.
 func (t *runTracer) passJob(j *plannedJob) {
-	if t == nil || t.passed[j.idx] {
+	if t == nil || t.passed[j.idx] || j.resumed {
 		return
 	}
 	t.passed[j.idx] = true

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/flowgen"
@@ -63,6 +64,53 @@ func TestConformanceGeneratedTarget(t *testing.T) {
 	}
 	if rep.TasksRun != 2 {
 		t.Fatalf("TasksRun = %d, want 2", rep.TasksRun)
+	}
+}
+
+// TestConformanceGeneratedFaults: a generated world takes the one world
+// path, so a fault plan composes with it: GenTool transient faults,
+// retried to success, leave the masked trace and the history
+// byte-identical across w1, w2 and w8.
+func TestConformanceGeneratedFaults(t *testing.T) {
+	sc, err := scenario.Decode([]byte(`{
+	  "name": "gen-faults",
+	  "generate": {"cells": 24, "shape": "layered", "seed": 7},
+	  "faults": {"seed": 3, "byTool": {"GenTool": {"transientRate": 0.5}}},
+	  "run": {"retry": {"attempts": 3, "baseMicros": 50, "seed": 1}},
+	  "expect": {"tasksRun": 24, "retries": 11}
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(sc, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(rep.Configs, " "); got != "w1 w2 w8" {
+		t.Fatalf("swept %s, want w1 w2 w8", got)
+	}
+}
+
+// TestConformanceGeneratedKillResume: a generated world, differential
+// without a golden, sweeps kill-and-resume over every WAL record
+// boundary; each resumed run ends with the uninterrupted run's log and
+// history.
+func TestConformanceGeneratedKillResume(t *testing.T) {
+	sc, err := scenario.Decode([]byte(`{
+	  "name": "gen-kill-resume",
+	  "generate": {"cells": 12, "shape": "fanout", "seed": 5},
+	  "run": {"workers": [2]},
+	  "expect": {"tasksRun": 12, "killResume": true}
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(sc, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.KillPoints != 38 {
+		t.Fatalf("swept %d kill points, want 38", rep.KillPoints)
 	}
 }
 

@@ -567,8 +567,8 @@ func checkKillResume(sc *scenario.Scenario, base *runOut, opts Options, rep *Rep
 
 // walEventList reads a finished run's log back through
 // storage.RecoverRun: the event stream it persists, and the chain
-// digests its records carry (the plan's, then each commit's, in event
-// order; "" for a record that carries none, which no golden log's
+// digests its records carry (the plan's, then each commit record's, in
+// log order; "" for a record that carries none, which no golden log's
 // does). A log RecoverRun does not read to its end as one finished run
 // (an undecodable record, a record after the run's end, or no end at
 // all) is refused.
@@ -586,10 +586,8 @@ func walEventList(l storage.Log) ([]trace.Event, []string, error) {
 			len(recs), rec.Finished, rec.PrefixRecords)
 	}
 	digests := []string{rec.PlanDigest}
-	for _, ev := range rec.Events {
-		if c := rec.Commits[ev.Unit]; ev.Kind == trace.KindUnitCommitted && c != nil {
-			digests = append(digests, c.Digest)
-		}
+	for _, c := range rec.Commits {
+		digests = append(digests, c.Digest)
 	}
 	return rec.Events, digests, nil
 }

@@ -69,9 +69,13 @@ func buildWorld(sc *scenario.Scenario, store *datastore.Store) (*world, error) {
 		w.store = datastore.NewStore()
 	}
 
-	// Generated worlds: flowgen owns schema, tools, imports and flow;
-	// validation guarantees the declarative sections are absent.
-	if g := sc.Generate; g != nil {
+	// Schema and registry — a generated world's history and flow too:
+	// flowgen owns them, and validation guarantees the declarative
+	// sections are absent. Its tool imports were recorded serially under
+	// flowgen's ticking clock (deterministic); its run-time commits run
+	// on the frozen clock below, as every world's do.
+	switch g := sc.Generate; {
+	case g != nil:
 		graph, err := flowgen.Generate(flowgen.Spec{
 			Cells: g.Cells, Shape: flowgen.Shape(g.Shape), Seed: g.Seed,
 			FanIn: g.FanIn, Payload: g.Payload, Levels: g.Levels,
@@ -84,31 +88,14 @@ func buildWorld(sc *scenario.Scenario, store *datastore.Store) (*world, error) {
 			return nil, fail("generate: %v", err)
 		}
 		w.schema, w.db, w.reg, w.flow = b.Schema, b.DB, b.Reg, b.Flow
-		// The tool imports were recorded serially under flowgen's
-		// ticking clock (deterministic); run-time commits switch to the
-		// frozen clock so the history dump stays byte-comparable across
-		// every sweep cell regardless of commit interleaving.
-		w.db.SetClock(func() time.Time { return frozenTime })
 		w.flow.Name = sc.Name
 		for i, id := range b.CellNodes {
 			w.name(id, fmt.Sprintf("cell%d", i))
 		}
-		w.engine = exec.New(w.schema, w.db, w.store, w.reg)
-		if sc.Run.Target != "" {
-			id, err := w.node(sc.Run.Target)
-			if err != nil {
-				return nil, fail("run.target: %v", err)
-			}
-			w.target = id
-		}
-		return w, nil
-	}
-
-	// Schema + registry.
-	if sc.Base == "standard" {
+	case sc.Base == "standard":
 		w.schema = schema.Full()
 		w.reg = encap.StandardRegistry()
-	} else {
+	default:
 		s, err := schema.ParseString(sc.SchemaText())
 		if err != nil {
 			return nil, fail("%v", err)
@@ -159,11 +146,13 @@ func buildWorld(sc *scenario.Scenario, store *datastore.Store) (*world, error) {
 	}
 
 	// History and engine over the frozen clock.
-	w.db = history.NewDB(w.schema)
+	if w.db == nil {
+		w.db = history.NewDB(w.schema)
+	}
 	w.db.SetClock(func() time.Time { return frozenTime })
 	w.engine = exec.New(w.schema, w.db, w.store, w.reg)
 
-	// Imports.
+	// Imports and flow construction (a generated world has its own).
 	for i, im := range sc.Imports {
 		if !w.schema.Has(im.Type) {
 			return nil, fail("imports[%d] (%s): schema has no type %q", i, im.Key, im.Type)
@@ -178,10 +167,10 @@ func buildWorld(sc *scenario.Scenario, store *datastore.Store) (*world, error) {
 		}
 		w.imports[im.Key] = inst.ID
 	}
-
-	// Flow construction.
-	if err := w.applyOps(); err != nil {
-		return nil, err
+	if w.flow == nil {
+		if err := w.applyOps(); err != nil {
+			return nil, err
+		}
 	}
 	if sc.Run.Target != "" {
 		id, err := w.node(sc.Run.Target)

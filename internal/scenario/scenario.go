@@ -451,6 +451,26 @@ const (
 	MaxGenerateBytes = 64 << 20
 )
 
+// Caps on a run's time and retry budget, for the same reason: a
+// one-line stanza could otherwise hold a worker for as long as it
+// asks, and a time.Duration built from a larger value wraps. Each sits
+// well above every in-repo use: 30,000 ms of sleep, a 10,000 ms hang
+// limit, a 60 ms timeout, 300 µs of latency, 3 attempts, a 50 µs
+// backoff base and 16 combos.
+const (
+	// MaxMillis caps tools[].sleepMs, run.timeoutMs and a fault plan's
+	// hangLimitMs: one minute.
+	MaxMillis = 60_000
+	// MaxMicros caps run.retry.baseMicros and a fault plan's
+	// latencyMicros: one second.
+	MaxMicros = 1_000_000
+	// MaxAttempts caps run.retry.attempts.
+	MaxAttempts = 10
+	// MaxCombos caps run.maxCombos at the engine's own bound,
+	// exec.DefaultMaxCombos (a test pins the two equal).
+	MaxCombos = 100_000
+)
+
 // Validate checks everything checkable without a schema or an engine:
 // structural completeness, reference hygiene among the scenario's own
 // parts, and bounds. Schema-level errors (unknown entity types, type
@@ -500,9 +520,6 @@ func (s *Scenario) Validate() error {
 		if n := int64(g.Cells) * int64(g.Payload); n > MaxGenerateBytes {
 			return fail("generate: cells × payload = %d bytes exceeds the cap of %d", n, MaxGenerateBytes)
 		}
-		if s.Faults != nil || s.Cancel != nil {
-			return fail("generate does not compose with faults/cancel")
-		}
 		if s.Expect.Stale != nil || len(s.Expect.Artifacts) > 0 || len(s.Expect.Skipped) > 0 {
 			return fail("generated worlds have no named nodes; remove expect.stale/artifacts/skipped")
 		}
@@ -530,6 +547,9 @@ func (s *Scenario) Validate() error {
 		}
 		if t.SleepMs < 0 {
 			return fail("tools[%d] (%s): negative sleepMs", i, t.Type)
+		}
+		if t.SleepMs > MaxMillis {
+			return fail("tools[%d] (%s): sleepMs %d exceeds the cap of %d", i, t.Type, t.SleepMs, MaxMillis)
 		}
 	}
 	importKeys := make(map[string]bool, len(s.Imports))
@@ -628,11 +648,23 @@ func (s *Scenario) Validate() error {
 	default:
 		return fail("run.policy: unknown policy %q (want failfast or continue)", s.Run.Policy)
 	}
-	if s.Run.Retry != nil && s.Run.Retry.Attempts < 1 {
-		return fail("run.retry.attempts must be ≥ 1")
+	if r := s.Run.Retry; r != nil {
+		switch {
+		case r.Attempts < 1:
+			return fail("run.retry.attempts must be ≥ 1")
+		case r.Attempts > MaxAttempts:
+			return fail("run.retry.attempts %d exceeds the cap of %d", r.Attempts, MaxAttempts)
+		case r.BaseMicros > MaxMicros:
+			return fail("run.retry.baseMicros %d exceeds the cap of %d", r.BaseMicros, MaxMicros)
+		}
 	}
-	if s.Run.TimeoutMs < 0 || s.Run.MaxCombos < 0 {
+	switch {
+	case s.Run.TimeoutMs < 0 || s.Run.MaxCombos < 0:
 		return fail("run: negative timeoutMs/maxCombos")
+	case s.Run.TimeoutMs > MaxMillis:
+		return fail("run.timeoutMs %d exceeds the cap of %d", s.Run.TimeoutMs, MaxMillis)
+	case s.Run.MaxCombos > MaxCombos:
+		return fail("run.maxCombos %d exceeds the cap of %d", s.Run.MaxCombos, MaxCombos)
 	}
 	if s.Faults != nil {
 		if s.Faults.Base != nil {
@@ -670,8 +702,8 @@ func (s *Scenario) Validate() error {
 			return fail("expect.artifacts[%d]: missing node", i)
 		}
 	}
-	if s.Expect.KillResume && !s.WantGolden() {
-		return fail("expect.killResume needs a deterministic trace (golden must not be disabled)")
+	if s.Expect.KillResume && !s.Differential() {
+		return fail("expect.killResume needs a deterministic trace (golden or differential must not be disabled)")
 	}
 	if st := s.Expect.Stale; st != nil {
 		if st.Node == "" {
@@ -704,8 +736,13 @@ func (c FaultConfig) check() error {
 			return fmt.Errorf("%s %v outside [0, 1]", r.name, r.v)
 		}
 	}
-	if c.TransientRuns < 0 || c.LatencyMicros < 0 || c.HangLimitMs < 0 {
+	switch {
+	case c.TransientRuns < 0 || c.LatencyMicros < 0 || c.HangLimitMs < 0:
 		return fmt.Errorf("negative duration/count field")
+	case c.LatencyMicros > MaxMicros:
+		return fmt.Errorf("latencyMicros %d exceeds the cap of %d", c.LatencyMicros, MaxMicros)
+	case c.HangLimitMs > MaxMillis:
+		return fmt.Errorf("hangLimitMs %d exceeds the cap of %d", c.HangLimitMs, MaxMillis)
 	}
 	return nil
 }

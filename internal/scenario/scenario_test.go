@@ -1,8 +1,11 @@
 package scenario
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/exec"
 )
 
 // validDoc is the smallest scenario that passes Decode.
@@ -224,6 +227,47 @@ func TestValidateGenerateCaps(t *testing.T) {
 				t.Fatalf("Validate: %v", err)
 			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
 				t.Fatalf("Validate error %v, want one containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestValidateRunCaps: every time and retry budget at its cap
+// validates; one past a cap is refused with the field and the cap
+// named. run.maxCombos' cap is the engine's own bound.
+func TestValidateRunCaps(t *testing.T) {
+	if MaxCombos != exec.DefaultMaxCombos {
+		t.Fatalf("MaxCombos = %d, want exec.DefaultMaxCombos = %d", MaxCombos, exec.DefaultMaxCombos)
+	}
+	cases := []struct {
+		name string
+		set  func(s *Scenario, over int)
+		cap  int
+		want string
+	}{
+		{"sleep", func(s *Scenario, v int) { s.Tools[0].SleepMs = v }, MaxMillis, "tools[0] (T): sleepMs"},
+		{"attempts", func(s *Scenario, v int) { s.Run.Retry = &RetrySpec{Attempts: v} }, MaxAttempts, "run.retry.attempts"},
+		{"backoff base", func(s *Scenario, v int) { s.Run.Retry = &RetrySpec{Attempts: 2, BaseMicros: v} }, MaxMicros, "run.retry.baseMicros"},
+		{"timeout", func(s *Scenario, v int) { s.Run.TimeoutMs = v }, MaxMillis, "run.timeoutMs"},
+		{"combos", func(s *Scenario, v int) { s.Run.MaxCombos = v }, MaxCombos, "run.maxCombos"},
+		{"hang limit", func(s *Scenario, v int) {
+			s.Faults = &FaultPlan{Base: &FaultConfig{HangRate: 1, HangLimitMs: v}}
+		}, MaxMillis, "faults.base: hangLimitMs"},
+		{"latency", func(s *Scenario, v int) {
+			s.Faults = &FaultPlan{ByTool: map[string]FaultConfig{"T": {LatencyRate: 1, LatencyMicros: v}}}
+		}, MaxMicros, "faults.byTool[T]: latencyMicros"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := decodeValid(t)
+			tc.set(sc, tc.cap)
+			if err := sc.Validate(); err != nil {
+				t.Fatalf("at the cap: %v", err)
+			}
+			tc.set(sc, tc.cap+1)
+			want := fmt.Sprintf("%s %d exceeds the cap of %d", tc.want, tc.cap+1, tc.cap)
+			if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("past the cap: %v, want an error containing %q", err, want)
 			}
 		})
 	}

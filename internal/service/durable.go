@@ -69,9 +69,13 @@ import (
 
 // openRunWAL creates a fresh submission's log under <dataDir>/runs and
 // makes the identity record, carrying the compacted scenario document,
-// durable.
+// durable, and then the log's name: it fsyncs runs/ once, so an
+// acknowledged run's log survives a power loss, not only a killed
+// process. A directory that fails to sync fails the submission after
+// the log is set on rec, so discardRunWAL ends it.
 func (s *Server) openRunWAL(rec *runRecord, doc []byte) error {
-	path := filepath.Join(s.dataDir, "runs", rec.id+".wal")
+	dir := filepath.Join(s.dataDir, "runs")
+	path := filepath.Join(dir, rec.id+".wal")
 	l, err := storage.OpenFile(path)
 	if err != nil {
 		return err
@@ -83,7 +87,12 @@ func (s *Server) openRunWAL(rec *runRecord, doc []byte) error {
 		return err
 	}
 	rec.wal, rec.walLog, rec.logPath = w, l, path
-	return nil
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // discardRunWAL ends the WAL of a run that was never launched

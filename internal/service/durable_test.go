@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -176,6 +177,25 @@ func forgeInst(t testing.TB, path string, unit int) {
 func forgeType(t testing.TB, path string, unit int) {
 	t.Helper()
 	rewriteCommit(t, path, unit, func(rec *storage.Record) { rec.Event.Type = "Forged" })
+}
+
+// duplicateCommit repeats the given unit's UnitCommitted record right
+// after it, so the log commits the unit twice.
+func duplicateCommit(t testing.TB, path string, unit int) {
+	t.Helper()
+	rewriteLog(t, path, func(recs [][]byte) [][]byte {
+		for i, raw := range recs {
+			var rec storage.Record
+			if err := json.Unmarshal(raw, &rec); err != nil {
+				t.Fatal(err)
+			}
+			if rec.Commit != nil && rec.Event.Unit == unit {
+				return slices.Insert(recs, i+1, raw)
+			}
+		}
+		t.Fatalf("%s has no commit record for unit %d", path, unit)
+		return nil
+	})
 }
 
 // dropRunFinished turns a finished run's log into an interrupted one.

@@ -62,6 +62,15 @@ func TestScenarioSubmission(t *testing.T) {
 	}
 }
 
+// capBody is the submission of a one-tool scenario whose tool spec
+// ends with tool and whose document ends with extra: each refused
+// body below puts one budget past its cap.
+func capBody(tool, extra string) string {
+	return `{"scenario":{"name":"cap","schema":["tool T","data D","  fd T"],"tools":[{"type":"T"` + tool + `}],` +
+		`"imports":[{"key":"t","type":"T"}],"flow":[{"op":"add","node":"d","type":"D"},{"op":"expand","node":"d"},` +
+		`{"op":"bind","node":"d.fd","to":["t"]}]` + extra + `}}`
+}
+
 // refusedSubmissions are submit bodies the service refuses, each with
 // its status and a fragment of its error.
 var refusedSubmissions = []struct {
@@ -77,13 +86,24 @@ var refusedSubmissions = []struct {
 		http.StatusBadRequest, "generate.cells 1000000000 exceeds the cap"},
 	{"world too many bytes", `{"scenario":{"name":"huge","generate":{"cells":100000,"payload":1048576}}}`,
 		http.StatusBadRequest, "cells × payload"},
+	{"sleep over cap", capBody(`,"sleepMs":60001`, ""), http.StatusBadRequest, "tools[0] (T): sleepMs 60001 exceeds the cap"},
+	{"attempts over cap", capBody("", `,"run":{"retry":{"attempts":11}}`), http.StatusBadRequest, "run.retry.attempts 11 exceeds the cap"},
+	{"backoff base over cap", capBody("", `,"run":{"retry":{"attempts":2,"baseMicros":1000001}}`),
+		http.StatusBadRequest, "run.retry.baseMicros 1000001 exceeds the cap"},
+	{"timeout over cap", capBody("", `,"run":{"timeoutMs":60001}`), http.StatusBadRequest, "run.timeoutMs 60001 exceeds the cap"},
+	{"combos over cap", capBody("", `,"run":{"maxCombos":100001}`), http.StatusBadRequest, "run.maxCombos 100001 exceeds the cap"},
+	{"hang limit over cap", capBody("", `,"faults":{"seed":1,"base":{"hangLimitMs":60001}}`),
+		http.StatusBadRequest, "faults.base: hangLimitMs 60001 exceeds the cap"},
+	{"latency over cap", capBody("", `,"faults":{"seed":1,"byTool":{"T":{"latencyMicros":1000001}}}`),
+		http.StatusBadRequest, "faults.byTool[T]: latencyMicros 1000001 exceeds the cap"},
 }
 
 // TestScenarioSubmissionRejects: the one submit path refuses, before
 // any work starts, a body over the size cap (413), a body naming a
 // field the request does not have — such as a {"flow": name} menu
 // submission — with the field named (400), a body without a scenario,
-// an invalid scenario and a generate stanza over a size cap (400).
+// an invalid scenario, a generate stanza over a size cap and a time or
+// retry budget over its cap, the field named (400).
 func TestScenarioSubmissionRejects(t *testing.T) {
 	s, err := New(Config{Workers: 1})
 	if err != nil {
@@ -355,7 +375,7 @@ func TestDurableResumeRefusesTamperedChain(t *testing.T) {
 	dropRunFinished(t, path)
 	rewriteArtifact(t, path, 1)
 	prefix := recoverFile(t, path)
-	if prefix.Finished || prefix.Commits[1] == nil {
+	if prefix.Finished || len(prefix.Commits) < 2 || prefix.Commits[1].Event.Unit != 1 {
 		t.Fatalf("tampered copy recovered finished=%v with %d commits, want interrupted with unit 1", prefix.Finished, len(prefix.Commits))
 	}
 
@@ -444,6 +464,37 @@ func TestDurableTamperedCommitEvent(t *testing.T) {
 		if code != http.StatusConflict || !strings.Contains(string(body), "recovered unit 2 logged") {
 			t.Fatalf("verify=1 of the log serving %s: %d %s, want 409 naming unit 2", tc.served, code, body)
 		}
+	}
+	if forced, err := s.Shutdown(5 * time.Second); err != nil || forced {
+		t.Fatalf("Shutdown = (forced %v, err %v)", forced, err)
+	}
+}
+
+// TestDurableTamperedDuplicatedCommit: a finished run whose WAL has
+// unit 2's commit record repeated right after it, frame checksum and
+// all, serves both UnitCommitted events on /trace; ReplayLog and
+// verify=1 (409) refuse the log, naming unit 2, since resume consumes
+// one record per unit in plan order.
+func TestDurableTamperedDuplicatedCommit(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := newTestServer(t, Config{Workers: 1, DataDir: dir})
+	v := submit(t, ts.URL, corpus(t, "quickstart"), "alice")
+	if fin := waitTerminal(t, ts.URL, v.ID); fin.State != string(stateSucceeded) {
+		t.Fatalf("run ended %+v", fin)
+	}
+	perf := performanceInst(t, ts.URL, v.ID)
+	path := filepath.Join(dir, "runs", v.ID+".wal")
+	duplicateCommit(t, path, 2)
+	if n := strings.Count(strings.Join(fetchTrace(t, ts.URL, v.ID), "\n"), `"kind":"UnitCommitted","job":2,`); n != 2 {
+		t.Fatalf("the trace of the duplicated log serves %d commits of unit 2, want both", n)
+	}
+	const named = "the recovered log commits unit 2 again or out of plan order"
+	if _, _, err := ReplayLog(path); err == nil || !strings.Contains(err.Error(), named) {
+		t.Fatalf("ReplayLog of the duplicated log = %v, want it refused naming unit 2", err)
+	}
+	code, body := getBody(t, ts.URL+"/v1/runs/"+v.ID+"/provenance?verify=1&inst="+perf)
+	if code != http.StatusConflict || !strings.Contains(string(body), named) {
+		t.Fatalf("verify=1 of the duplicated log: %d %s, want 409 naming unit 2", code, body)
 	}
 	if forced, err := s.Shutdown(5 * time.Second); err != nil || forced {
 		t.Fatalf("Shutdown = (forced %v, err %v)", forced, err)

@@ -258,11 +258,11 @@ func TestDurableEndsBeforePlanning(t *testing.T) {
 // runs/r-0001.wal for user alice on two workers, written while commit
 // payloads still repeated their unit and instances), the same log with
 // its last frame torn, the same log with unit 2's artifact rewritten,
-// with the instance its UnitCommitted event names forged and with that
-// event's type forged, each under a valid frame checksum, and an older
-// build's digest-less quickstart WAL. meta is the identity record
-// frame every input is written after: quickstart's, from the first
-// log.
+// with the instance its UnitCommitted event names forged, with that
+// event's type forged and with unit 2's commit record duplicated, each
+// under a valid frame checksum, and an older build's digest-less
+// quickstart WAL. meta is the identity record frame every input is
+// written after: quickstart's, from the first log.
 func runLogSeeds(tb testing.TB) (meta []byte, seeds map[string][]byte) {
 	read := func(path string) []byte {
 		b, err := os.ReadFile(path)
@@ -287,6 +287,7 @@ func runLogSeeds(tb testing.TB) (meta []byte, seeds map[string][]byte) {
 		"tampered":    rewriteArtifact,
 		"forged":      forgeInst,
 		"forged type": forgeType,
+		"duplicated":  duplicateCommit,
 	} {
 		path := filepath.Join(tb.TempDir(), "r-0001.wal")
 		if err := os.WriteFile(path, wal, 0o644); err != nil {
@@ -300,11 +301,12 @@ func runLogSeeds(tb testing.TB) (meta []byte, seeds map[string][]byte) {
 
 // FuzzVerifyRunLog drives arbitrary bytes through the replay verifier
 // as a run log on disk, after quickstart's identity record: ReplayLog
-// never panics, and it passes a log only when the log finished and
-// every chain digest it carries matched.
+// never panics, and it passes a log only when the log finished, every
+// chain digest it carries matched and its commit records name strictly
+// increasing units.
 func FuzzVerifyRunLog(f *testing.F) {
 	meta, seeds := runLogSeeds(f)
-	for _, name := range []string{"finished", "torn", "tampered", "forged", "forged type", "parent"} {
+	for _, name := range []string{"finished", "torn", "tampered", "forged", "forged type", "duplicated", "parent"} {
 		f.Add(seeds[name])
 	}
 	path := filepath.Join(f.TempDir(), "r-0001.wal")
@@ -325,9 +327,12 @@ func FuzzVerifyRunLog(f *testing.F) {
 		if rc.PlanDigest == "" {
 			t.Fatal("ReplayLog passed a log without chain digests")
 		}
-		for u, c := range rc.Commits {
+		for i, c := range rc.Commits {
 			if c.Digest == "" {
-				t.Fatalf("ReplayLog passed a log whose unit %d carries no digest", u)
+				t.Fatalf("ReplayLog passed a log whose unit %d carries no digest", c.Event.Unit)
+			}
+			if i > 0 && c.Event.Unit <= rc.Commits[i-1].Event.Unit {
+				t.Fatalf("ReplayLog passed a log that commits unit %d after unit %d", c.Event.Unit, rc.Commits[i-1].Event.Unit)
 			}
 		}
 	})
@@ -335,8 +340,9 @@ func FuzzVerifyRunLog(f *testing.F) {
 
 // TestVerifyRunLogSeeds pins FuzzVerifyRunLog's seeds: the finished
 // log verifies with quickstart's 8 chain records, its torn copy reads
-// as interrupted, the rewritten and the forged ones name unit 2, and
-// the digest-less one is refused for its missing digests. The finished
+// as interrupted, the rewritten, the forged and the duplicated ones
+// name unit 2, and the digest-less one is refused for its missing
+// digests. The finished
 // log without its identity record is refused as altered.
 func TestVerifyRunLogSeeds(t *testing.T) {
 	meta, seeds := runLogSeeds(t)
@@ -350,6 +356,7 @@ func TestVerifyRunLogSeeds(t *testing.T) {
 		{"tampered", 0, "recovered unit 2 ("},
 		{"forged", 0, `recovered unit 2 logged {"seq":9,"kind":"UnitCommitted","job":2,"combo":0,"unit":2,"nodes":[3],"type":"Circuit","insts":["Forged:999"]} where the replan commits {"seq":9,"kind":"UnitCommitted","job":2,"combo":0,"unit":2,"nodes":[3],"type":"Circuit","insts":["Circuit:7"]}`},
 		{"forged type", 0, `"type":"Forged","insts":["Circuit:7"]} where the replan commits`},
+		{"duplicated", 0, "the recovered log commits unit 2 again or out of plan order"},
 		{"parent", 0, "carries no chain digests"},
 	} {
 		path := filepath.Join(t.TempDir(), "r-0001.wal")

@@ -14,13 +14,13 @@ import (
 // is fully committed. The executor emits events in strict plan order —
 // PlanBuilt, then one block per job (lifecycle events for every combo,
 // then that job's UnitCommitted events), then RunFinished — so the
-// prefix is found with a single walk: a job whose UnitCommitted count
-// reaches its UnitDispatched count is durable in full; a job block that
-// ends before that (crash mid-job, or a terminal failure/skip) stops
-// the prefix. A resumed run replays the prefix's committed units into
-// history, datastore and memo through the normal committer and
-// re-executes only the rest, with event Seq continuing exactly where
-// the prefix ends.
+// prefix is found in the one pass that decodes the log: a job whose
+// UnitCommitted count reaches its UnitDispatched count is durable in
+// full; a job block that ends before that (crash mid-job, or a
+// terminal failure/skip) stops the prefix. A resumed run replays the
+// prefix's committed units into history, datastore and memo through
+// the normal committer, in plan order, and re-executes only the rest,
+// with event Seq continuing exactly where the prefix ends.
 //
 // Runs whose durable prefix contains a failed or skipped job (possible
 // under ContinueOnError) are deliberately not resumed past it: the
@@ -36,9 +36,10 @@ type Recovered struct {
 	Meta *RunMeta
 	// Events is the resumable event prefix, in Seq order.
 	Events []trace.Event
-	// Commits holds the durable payload of every committed unit in the
-	// prefix, keyed by its event's global unit index.
-	Commits map[int]*UnitCommit
+	// Commits holds the prefix's commit records in log order, each with
+	// its event and digest. A record that repeats a unit stays: resume
+	// consumes them in plan order and refuses the log at it.
+	Commits []*UnitCommit
 	// Finished reports a RunFinished or terminal Error record: the run
 	// completed and needs no re-execution (Replay re-feeds its
 	// committed artifacts to a caller that wants them).
@@ -59,129 +60,95 @@ type Recovered struct {
 // resumable prefix. The log is left untouched, torn tail included;
 // call Rewind to discard the unresumable suffix before resuming the
 // run. Records that fail to decode end the readable stream at that
-// point (everything before them still recovers).
+// point (everything before them still recovers), and the first
+// closing record — RunFinished or a terminal error record — ends the
+// run.
 func RecoverRun(l Log) (*Recovered, error) {
 	recs, err := l.Committed()
 	if err != nil {
 		return nil, err
 	}
-	r := &Recovered{Commits: make(map[int]*UnitCommit)}
-	type evRec struct {
-		ev     trace.Event
-		recIdx int
-		commit *UnitCommit
-	}
-	var events []evRec
-decode:
+	r := &Recovered{}
+	var (
+		events  []trace.Event
+		commits []*UnitCommit
+		// The prefix: its events and commit records.
+		prefix, prefixCommits int
+		// The job block being read, once one is open: its job, its
+		// counts, and whether it saw a Failed/Skipped event.
+		open, terminal        bool
+		job                   int
+		dispatched, committed int
+		// A block never fully committed: the prefix ends before it,
+		// and the scan goes on only for a later RunFinished.
+		frozen bool
+	)
 	for i, raw := range recs {
 		var rec Record
-		if err := json.Unmarshal(raw, &rec); err != nil {
+		if json.Unmarshal(raw, &rec) != nil {
 			break // undecodable record: treat like a torn tail from here
 		}
+		ev := rec.Event
 		switch {
 		case rec.Meta != nil:
 			if r.Meta == nil {
 				r.Meta = rec.Meta
 				r.PrefixRecords = i + 1
 			}
-		case rec.Event != nil:
-			if rec.Commit != nil {
-				rec.Commit.Event, rec.Commit.Digest = rec.Event, rec.Digest
-			}
-			if rec.Event.Kind == trace.KindPlanBuilt {
-				r.PlanDigest = rec.Digest
-			}
-			events = append(events, evRec{ev: *rec.Event, recIdx: i, commit: rec.Commit})
-		case rec.Error != "":
+			continue
+		case ev == nil && rec.Error != "":
 			// The run ended before planning: nothing follows.
 			r.Finished, r.Error = true, rec.Error
 			r.PrefixRecords = i + 1
-			break decode
-		}
-	}
-	if r.Error != "" {
-		return r, nil
-	}
-
-	// A RunFinished record means the run completed (successfully or
-	// not): the whole stream is the prefix and nothing re-executes —
-	// recovery only replays the committed payloads into store and memo.
-	for i, er := range events {
-		if er.ev.Kind == trace.KindRunFinished {
-			r.Finished = true
-			r.PrefixRecords = er.recIdx + 1
-			r.Events = make([]trace.Event, i+1)
-			for k := 0; k <= i; k++ {
-				r.Events[k] = events[k].ev
-				if c := events[k].commit; c != nil {
-					r.Commits[c.Event.Unit] = c
-				}
-			}
-			r.NextSeq = r.Events[i].Seq + 1
 			return r, nil
-		}
-	}
-
-	// Walk the event stream, extending the prefix over PlanBuilt and
-	// every fully-committed job block.
-	var (
-		prefixEvents = 0  // events in the resumable prefix
-		curJob       = -2 // job block being scanned (-2: none yet)
-		dispatched   = 0
-		committed    = 0
-		terminal     = false // block saw a Failed/Skipped event
-		pending      []evRec // current block's events, commits held back
-	)
-	commitBlock := func(upto int) {
-		for _, er := range pending {
-			if c := er.commit; c != nil {
-				r.Commits[c.Event.Unit] = c
-			}
-		}
-		pending = pending[:0]
-		prefixEvents = upto
-	}
-	for i, er := range events {
-		ev := er.ev
-		if ev.Kind == trace.KindPlanBuilt {
-			prefixEvents = i + 1
-			r.PrefixRecords = er.recIdx + 1
+		case ev == nil:
 			continue
 		}
-		if ev.Job != curJob {
-			if curJob >= 0 && !(dispatched > 0 && committed == dispatched) {
-				break // previous block never fully committed: prefix ends
+		events = append(events, *ev)
+		if c := rec.Commit; c != nil {
+			c.Event, c.Digest = ev, rec.Digest
+			commits = append(commits, c)
+		}
+		switch {
+		case ev.Kind == trace.KindRunFinished:
+			// The run completed (successfully or not): the whole stream
+			// is the prefix and nothing re-executes.
+			r.Finished, r.PrefixRecords = true, i+1
+			r.Events, r.Commits, r.NextSeq = events, commits, ev.Seq+1
+			return r, nil
+		case frozen:
+			continue
+		case ev.Kind == trace.KindPlanBuilt && !open:
+			r.PlanDigest = rec.Digest
+			prefix, r.PrefixRecords = len(events), i+1
+			continue
+		case !open || ev.Job != job:
+			if open && !(dispatched > 0 && committed == dispatched) {
+				frozen = true
+				continue
 			}
-			curJob = ev.Job
-			dispatched, committed, terminal = 0, 0, false
-			pending = pending[:0]
+			open, job, dispatched, committed, terminal = true, ev.Job, 0, 0, false
 		}
 		if terminal {
 			continue // drain the failed block's remaining events
 		}
-		pending = append(pending, er)
 		switch ev.Kind {
 		case trace.KindUnitDispatched:
 			dispatched++
 		case trace.KindUnitFailed, trace.KindUnitSkipped:
 			terminal = true
-			pending = pending[:0]
 		case trace.KindUnitCommitted:
 			committed++
 			// All of a job's Dispatched events precede its first
 			// Committed, so equality means the block is complete.
 			if dispatched > 0 && committed == dispatched {
-				commitBlock(i + 1)
-				r.PrefixRecords = er.recIdx + 1
+				prefix, prefixCommits, r.PrefixRecords = len(events), len(commits), i+1
 			}
 		}
 	}
-	r.Events = make([]trace.Event, prefixEvents)
-	for i := 0; i < prefixEvents; i++ {
-		r.Events[i] = events[i].ev
-	}
-	if prefixEvents > 0 {
-		r.NextSeq = r.Events[prefixEvents-1].Seq + 1
+	r.Events, r.Commits = events[:prefix], commits[:prefixCommits]
+	if prefix > 0 {
+		r.NextSeq = events[prefix-1].Seq + 1
 	}
 	return r, nil
 }

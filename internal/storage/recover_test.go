@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -287,9 +288,9 @@ func TestRecoverTornFileRun(t *testing.T) {
 		t.Fatal("torn run recovered as finished")
 	}
 	// Whatever the cut point, every recovered commit is complete.
-	for u, c := range rec.Commits {
+	for i, c := range rec.Commits {
 		if len(c.Outputs) == 0 || c.Event == nil || len(c.Event.Insts) == 0 {
-			t.Fatalf("unit %d recovered with partial payload: %+v", u, c)
+			t.Fatalf("commit record %d recovered with partial payload: %+v", i, c)
 		}
 	}
 	if err := rec.Rewind(l2); err != nil {
@@ -391,7 +392,7 @@ func TestRecoverDigests(t *testing.T) {
 // TestCommitRecordStatesEachFactOnce: a UnitCommitted record names its
 // unit and instances in its event alone — the commit payload is the
 // outputs and the memo key — and recovery hands each commit its
-// record's event, keyed by the event's unit. A log written while the
+// record's event, in log order. A log written while the
 // payload still repeated the unit and instances recovers the same: the
 // copies are ignored, even where they disagree with the event.
 func TestCommitRecordStatesEachFactOnce(t *testing.T) {
@@ -431,6 +432,70 @@ func TestCommitRecordStatesEachFactOnce(t *testing.T) {
 				t.Fatalf("%s log: unit %d recovered %+v, want its UnitCommitted event naming %v", name, u, c, insts)
 			}
 		}
+	}
+}
+
+// TestRecoverCommitsInLogOrder: Commits are the commit records in log
+// order, each with its own event — a repeated record stays, for resume
+// to refuse — and Replay feeds them all.
+func TestRecoverCommitsInLogOrder(t *testing.T) {
+	events, commits := twoJobStream(true, true)
+	events = slices.Insert(events, 4, events[3]) // unit 0's UnitCommitted again
+	l := NewMemLog()
+	writeStream(t, l, events, commits)
+	rec, err := RecoverRun(l)
+	if err != nil || !rec.Finished {
+		t.Fatalf("RecoverRun = %+v, %v; want a finished run", rec, err)
+	}
+	var units []int
+	for _, c := range rec.Commits {
+		units = append(units, c.Event.Unit)
+	}
+	if !reflect.DeepEqual(units, []int{0, 0, 1}) || rec.Commits[0].Event == rec.Commits[1].Event {
+		t.Fatalf("commit records name units %v, want [0 0 1], each with its own event", units)
+	}
+	store := datastore.NewStore()
+	if err := rec.Replay(store, nil); err != nil || store.Len() != 2 {
+		t.Fatalf("replay stored %d blobs (%v), want 2", store.Len(), err)
+	}
+}
+
+// TestRecoverLatePlanBuilt: a PlanBuilt after the first job block does
+// not extend the prefix or replace its digest; the prefix ends before
+// it.
+func TestRecoverLatePlanBuilt(t *testing.T) {
+	events, commits := twoJobStream(true, false)
+	late := events[0]
+	late.Seq = 4
+	events = slices.Insert(events, 4, late)
+	for i := 5; i < len(events); i++ {
+		events[i].Seq = i
+	}
+	l := NewMemLog()
+	w := NewRunWAL(l)
+	if err := w.AppendMeta(RunMeta{ID: "r-0001", Flow: "perf", User: "alice"}); err != nil {
+		t.Fatal(err)
+	}
+	for i, ev := range events {
+		switch {
+		case ev.Kind == trace.KindPlanBuilt:
+			w.Append(ev, nil, fmt.Sprintf("d-plan%d", i))
+		case ev.Kind == trace.KindUnitCommitted:
+			w.Append(ev, commits[ev.Unit], "")
+		default:
+			w.Append(ev, nil, "")
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := RecoverRun(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Finished || len(rec.Events) != 4 || len(rec.Commits) != 1 || rec.PlanDigest != "d-plan0" || rec.PrefixRecords != 5 {
+		t.Fatalf("recovered finished=%v, %d events, %d commits, plan digest %q, %d records; want the first job only under d-plan0",
+			rec.Finished, len(rec.Events), len(rec.Commits), rec.PlanDigest, rec.PrefixRecords)
 	}
 }
 
