@@ -28,10 +28,13 @@ trace:
 	$(GO) test -race -count=10 -run 'GoldenTrace|TraceHistory|TraceChaos|TraceCommitFailure|TraceOneEmitter|RunFinished|CriticalPath' ./internal/exec/...
 
 # chaos runs only the fault-injection suite (seeded, deterministic) and
-# the result-cache suite beside it, plus the flowbench smoke subset —
-# the same gate as the CI chaos job.
+# the result-cache suite beside it, the abandonment test ten times (an
+# abandoned worker's place in the pool is taken by the goroutine that
+# reports its unit, a race-prone hand-over), plus the flowbench smoke
+# subset — the same gate as the CI chaos job.
 chaos:
 	$(GO) test -race -v -run 'Chaos|Fault|Backoff|Retry|Timeout|Hang|Transient|Permanent|Latency|Cancel|Memo|UnitKey|Cache' ./internal/exec/... ./internal/faults/... ./internal/memo/...
+	$(GO) test -race -count=10 -run 'TestAbandonmentKeepsPoolWhole|TestToolRunsOnPoolWorker' ./internal/exec/
 	$(GO) run ./cmd/flowbench -quick
 
 # memo runs only the result-cache suite (equivalence, property, chaos
@@ -141,7 +144,8 @@ flowbench:
 	$(GO) run ./cmd/flowbench
 
 # scale runs the raw-speed gate: the go-bench smoke subset over the
-# generated 10k-cell graphs (plan, dispatch, warm memo, chaining). It
+# generated 10k-cell graphs (plan, dispatch under a background and a
+# cancellable context, warm memo, chaining). It
 # fails on a run that never finishes or crashes at 10k cells; the
 # measured throughput lives in the benchmark module (bench/).
 scale:

@@ -387,7 +387,7 @@ func (e *Engine) runTargets(ctx context.Context, opts *RunOptions, build func(r 
 		ctx = context.Background()
 	}
 	start := time.Now()
-	res := &Result{Created: make(map[flow.NodeID][]history.ID)}
+	res := &Result{}
 	fail := func(err error) (*Result, error) {
 		res.Elapsed = time.Since(start)
 		return res, err
@@ -418,6 +418,11 @@ func (e *Engine) runTargets(ctx context.Context, opts *RunOptions, build func(r 
 	if err != nil {
 		return fail(err)
 	}
+	nodes := len(p.bound)
+	for _, j := range p.jobs {
+		nodes += len(j.nodes)
+	}
+	res.Created = make(map[flow.NodeID][]history.ID, nodes)
 	for id, insts := range p.bound {
 		res.Created[id] = insts
 	}
@@ -588,7 +593,9 @@ func (r *run) recordJob(j *plannedJob) error {
 			if want := j.outIDs[ni][ci]; instID != want {
 				return fmt.Errorf("exec: nondeterministic recording: got %s, planned %s (history mutated during the run?)", instID, want)
 			}
-			r.res.Created[id] = append(r.res.Created[id], instID)
+			// The node's committed prefix of its planned row, capped so
+			// an append to the result cannot write into the plan.
+			r.res.Created[id] = j.outIDs[ni][: ci+1 : ci+1]
 		}
 		if j.digests == nil {
 			continue

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -237,43 +238,63 @@ func TestDryPlanAllocs(t *testing.T) {
 }
 
 // TestRunFlowAllocs ratchets the allocations of executing a generated
-// 2,000-cell layered world: a bare run on four workers, so the count
-// covers planning, dispatch, the pending set, the history commit and
-// its derivation-graph feed. Worlds are built before the measurement,
-// one per run. With the history DB, a provenance index observing it and
-// the pending set keyed by ID strings the run made 69,445 allocations
-// here; with them addressed by sequence number and IDs, refs and
-// dependency keys built without intermediate strings, 55,779; with the
-// index and the DB's forward lists merged into the DB's own graph,
-// 55,758, and the bound leaves about 5% for toolchain drift.
+// 2,000-cell layered world on four workers, so the count covers
+// planning, dispatch, the pending set, the history commit and its
+// derivation-graph feed. Worlds are built before the measurement, one
+// per run. It runs twice: bare, under context.Background, as hercules
+// and flowbench run, and under a cancellable context, as flowd runs,
+// where every attempt arms an AfterFunc. With the history DB, a
+// provenance index observing it and the pending set keyed by ID
+// strings the bare run made 69,445 allocations here; with them
+// addressed by sequence number and IDs, refs and dependency keys built
+// without intermediate strings, 55,779; with the index and the DB's
+// forward lists merged into the DB's own graph, 55,758. Result.Created
+// then took one slice per node, appended at commit, and the
+// cancellable run a goroutine and a channel per attempt: 55,752 bare
+// and 61,745 cancellable. With Created sliced from the plan's rows and
+// the tool called on its worker under an AfterFunc they are 53,722 and
+// 59,714, and each bound leaves about 5% for toolchain drift.
 func TestRunFlowAllocs(t *testing.T) {
-	const runs = 5
-	engines := make([]*Engine, runs+1) // AllocsPerRun adds a warm-up run
-	flows := make([]*flow.Flow, runs+1)
-	for i := range engines {
-		b, err := flowgen.Build(flowgen.Spec{Cells: 2000, Shape: flowgen.Layered, Seed: 1993})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := New(b.Schema, b.DB, b.Store, b.Reg)
-		e.SetWorkers(4)
-		t.Cleanup(func() {
-			if err := e.Close(); err != nil {
-				t.Error(err)
+	cancellable, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, tc := range []struct {
+		name  string
+		ctx   context.Context
+		bound float64
+	}{
+		{"background", context.Background(), 56_400},
+		{"cancellable", cancellable, 62_700},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const runs = 5
+			engines := make([]*Engine, runs+1) // AllocsPerRun adds a warm-up run
+			flows := make([]*flow.Flow, runs+1)
+			for i := range engines {
+				b, err := flowgen.Build(flowgen.Spec{Cells: 2000, Shape: flowgen.Layered, Seed: 1993})
+				if err != nil {
+					t.Fatal(err)
+				}
+				e := New(b.Schema, b.DB, b.Store, b.Reg)
+				e.SetWorkers(4)
+				t.Cleanup(func() {
+					if err := e.Close(); err != nil {
+						t.Error(err)
+					}
+				})
+				engines[i], flows[i] = e, b.Flow
+			}
+			next := 0
+			allocs := testing.AllocsPerRun(runs, func() {
+				e, f := engines[next], flows[next]
+				next++
+				if _, err := e.RunFlowOptions(tc.ctx, f, nil); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > tc.bound {
+				t.Fatalf("the run made %.0f allocations, want at most %.0f", allocs, tc.bound)
 			}
 		})
-		engines[i], flows[i] = e, b.Flow
-	}
-	next := 0
-	allocs := testing.AllocsPerRun(runs, func() {
-		e, f := engines[next], flows[next]
-		next++
-		if _, err := e.RunFlow(f); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 58_500 {
-		t.Fatalf("RunFlow made %.0f allocations, want at most 58,500", allocs)
 	}
 }
 

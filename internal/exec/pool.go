@@ -195,9 +195,11 @@ type poolTask struct {
 	u unitTask
 }
 
-// pool is the engine's shared worker pool: size goroutines draining one
+// pool is the engine's shared worker pool: size workers draining one
 // task channel. Workers hold no per-run state — everything a unit needs
-// travels on the task.
+// travels on the task. A worker whose attempt is abandoned leaves the
+// pool with its tool, and the goroutine that reported the unit works in
+// its place (attemptUnit), so the pool keeps size workers.
 type pool struct {
 	size  int
 	tasks chan poolTask
@@ -208,14 +210,22 @@ func newPool(size int) *pool {
 	p := &pool{size: size, tasks: make(chan poolTask)}
 	p.wg.Add(size)
 	for i := 0; i < size; i++ {
-		go func() {
-			defer p.wg.Done()
-			for t := range p.tasks {
-				t.r.workUnit(t.u)
-			}
-		}()
+		go p.work()
 	}
 	return p
+}
+
+// work is one worker's loop. It holds one of the pool's size
+// WaitGroup slots until the pool stops, unless its unit's attempt is
+// abandoned: then it returns at once, and the slot passes to the
+// goroutine that runs this loop in its place.
+func (p *pool) work() {
+	for t := range p.tasks {
+		if !t.r.workUnit(t.u) {
+			return
+		}
+	}
+	p.wg.Done()
 }
 
 // stop terminates the workers. Callers must guarantee no run is

@@ -93,23 +93,24 @@ func jitterHash(seed int64, job, combo, attempt int) uint64 {
 // returning one attemptRec per attempt (the successful final attempt,
 // if any, is the zero record) — the attempt count is len(alog) and the
 // deadline hits are the records marked timedOut. A cancelled run stops
-// retrying immediately.
-func (r *run) runUnit(ctx context.Context, u unitTask) (out encap.Outputs, alog []attemptRec, err error) {
+// retrying immediately. It returns errAbandoned when the last attempt
+// was abandoned: the unit has then been reported for the worker
+// (attemptUnit). start is when the unit started on its worker.
+func (r *run) runUnit(ctx context.Context, u unitTask, start time.Time) (out encap.Outputs, alog []attemptRec, err error) {
 	max := r.cfg.retry.MaxAttempts
 	if max < 1 {
 		max = 1
 	}
 	for a := 0; ; a++ {
-		out, err = r.attemptUnit(ctx, u.j, u.ci)
+		out, err = r.attemptUnit(ctx, u, start, alog)
 		if err == nil {
 			alog = append(alog, attemptRec{})
 			return
 		}
-		rec := attemptRec{errMsg: err.Error()}
-		if errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
-			rec.timedOut = true
+		if err == errAbandoned {
+			return
 		}
-		alog = append(alog, rec)
+		alog = append(alog, failedAttempt(ctx, err))
 		if len(alog) >= max || ctx.Err() != nil || !retryable(err) {
 			return
 		}
@@ -123,14 +124,32 @@ func (r *run) runUnit(ctx context.Context, u unitTask) (out encap.Outputs, alog 
 	}
 }
 
-// attemptUnit performs a single attempt, bounded by the run's task
-// timeout. When neither the run context nor a timeout can fire, the
-// tool runs on the worker goroutine directly; otherwise it runs on a
-// watchdog goroutine that is abandoned if the deadline expires first —
-// a truly hung tool cannot be interrupted, but well-behaved
-// encapsulations observe Request.Ctx and return promptly once it is
-// cancelled.
-func (r *run) attemptUnit(ctx context.Context, j *plannedJob, ci int) (encap.Outputs, error) {
+// failedAttempt records an attempt that ended in err under the run
+// context ctx: a deadline the run itself did not set is the task
+// timeout.
+func failedAttempt(ctx context.Context, err error) attemptRec {
+	return attemptRec{errMsg: err.Error(),
+		timedOut: errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil}
+}
+
+// errAbandoned ends the attempt of a worker whose tool outlived the
+// attempt's context: the unit was reported without it.
+var errAbandoned = errors.New("exec: attempt abandoned")
+
+// attemptUnit performs a single attempt on the calling pool worker,
+// bounded by the run's task timeout; prior are the unit's earlier
+// attempts. When the attempt's context can fire — a cancellable run or
+// a timeout — it first arms an AfterFunc on it. A truly hung tool
+// cannot be interrupted, but well-behaved encapsulations observe
+// Request.Ctx and return promptly once it is cancelled. If the context
+// fires before the tool returns, the attempt is abandoned, and it ends
+// the unit: a cancelled run stops and a deadline is not retried. The
+// AfterFunc goroutine reports the unit with this attempt cut off, then
+// runs the pool's worker loop in the abandoned worker's place. That
+// worker keeps the tool; when the tool returns, stop tells it that the
+// AfterFunc ran, and it drops the result and leaves the pool with
+// errAbandoned.
+func (r *run) attemptUnit(ctx context.Context, u unitTask, start time.Time, prior []attemptRec) (encap.Outputs, error) {
 	d := r.cfg.taskTimeout
 	actx := ctx
 	if d > 0 {
@@ -138,25 +157,21 @@ func (r *run) attemptUnit(ctx context.Context, j *plannedJob, ci int) (encap.Out
 		actx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
 	}
+	combo := u.j.combos[u.ci]
 	if actx.Done() == nil {
-		return r.executeCombo(actx, j, j.combos[ci])
+		return r.executeCombo(actx, u.j, combo)
 	}
-	type result struct {
-		out encap.Outputs
-		err error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		out, err := r.executeCombo(actx, j, j.combos[ci])
-		ch <- result{out, err}
-	}()
-	select {
-	case res := <-ch:
-		return res.out, res.err
-	case <-actx.Done():
-		if d > 0 && errors.Is(actx.Err(), context.DeadlineExceeded) && ctx.Err() == nil {
-			return nil, fmt.Errorf("exec: attempt exceeded the %v task timeout: %w", d, context.DeadlineExceeded)
+	stop := context.AfterFunc(actx, func() {
+		err := ctx.Err()
+		if err == nil { // the attempt's own deadline fired
+			err = fmt.Errorf("exec: attempt exceeded the %v task timeout: %w", d, context.DeadlineExceeded)
 		}
-		return nil, actx.Err()
+		r.report(u, start, nil, append(prior, failedAttempt(ctx, err)), err)
+		r.pool.work()
+	})
+	out, err := r.executeCombo(actx, u.j, combo)
+	if !stop() {
+		return nil, errAbandoned
 	}
+	return out, err
 }

@@ -168,10 +168,15 @@ type unitResult struct {
 // workUnit executes one unit on a pool worker and reports the result on
 // the run's completion channel. The coordinator is always ready to
 // receive while units are outstanding, so the send cannot deadlock the
-// shared pool.
-func (r *run) workUnit(u unitTask) {
+// shared pool. It returns false when the unit's attempt was abandoned
+// (attemptUnit): the unit is reported and another goroutine works in
+// this worker's place, so the worker must leave the pool.
+func (r *run) workUnit(u unitTask) bool {
 	start := time.Now()
-	out, alog, err := r.runUnit(r.ctx, u)
+	out, alog, err := r.runUnit(r.ctx, u, start)
+	if err == errAbandoned {
+		return false
+	}
 	if err == nil {
 		// Surface a tool that dropped an output here, not at commit
 		// time: a dependent must never run against a hole in the
@@ -185,6 +190,12 @@ func (r *run) workUnit(u unitTask) {
 			}
 		}
 	}
+	r.report(u, start, out, alog, err)
+	return true
+}
+
+// report hands a unit that started at start to the run's coordinator.
+func (r *run) report(u unitTask, start time.Time, out encap.Outputs, alog []attemptRec, err error) {
 	r.doneCh <- unitResult{j: u.j, ci: u.ci, out: out, err: err, alog: alog,
 		wait: start.Sub(u.readyAt), dur: time.Since(start)}
 }

@@ -55,25 +55,41 @@ func BenchmarkScalePlan10k(b *testing.B) {
 }
 
 // BenchmarkScaleDispatch10k measures a full run — plan, dispatch,
-// execute, commit — on a fresh world each iteration, 8 workers.
+// execute, commit — on a fresh world each iteration, 8 workers, under
+// two contexts: background, as hercules and flowbench run, where no
+// attempt can be cut off, and cancellable, as flowd runs every
+// submission, where each attempt arms an AfterFunc on it.
 func BenchmarkScaleDispatch10k(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		bench, err := Build(benchSpec())
-		if err != nil {
-			b.Fatal(err)
-		}
-		eng := exec.New(bench.Schema, bench.DB, bench.Store, bench.Reg)
-		eng.SetWorkers(8)
-		b.StartTimer()
-		res, err := eng.RunFlow(bench.Flow)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.TasksRun != benchCells {
-			b.Fatalf("ran %d tasks, want %d", res.TasksRun, benchCells)
-		}
-		b.ReportMetric(float64(res.Finished.Units)/res.Elapsed.Seconds(), "units/s")
+	cancellable, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, bc := range []struct {
+		name string
+		ctx  context.Context
+	}{{"background", context.Background()}, {"cancellable", cancellable}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				bench, err := Build(benchSpec())
+				if err != nil {
+					b.Fatal(err)
+				}
+				eng := exec.New(bench.Schema, bench.DB, bench.Store, bench.Reg)
+				eng.SetWorkers(8)
+				b.StartTimer()
+				res, err := eng.RunFlowOptions(bc.ctx, bench.Flow, nil)
+				b.StopTimer()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.TasksRun != benchCells {
+					b.Fatalf("ran %d tasks, want %d", res.TasksRun, benchCells)
+				}
+				b.ReportMetric(float64(res.Finished.Units)/res.Elapsed.Seconds(), "units/s")
+				if err := eng.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

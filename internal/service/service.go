@@ -363,9 +363,10 @@ func materialize(doc []byte) (*harness.World, string, *exec.RunOptions, error) {
 }
 
 // launch starts the run goroutine: execute the world's flow (or the
-// sub-flow rooted at its target), release the WAL and the world,
-// settle the record's terminal state, then close the event log and the
-// done channel — the same exit path for fresh and resumed runs. The
+// sub-flow rooted at its target), release the run's context, the WAL
+// and the world, settle the record's terminal state, then close the
+// event log and the done channel — the same exit path for fresh and
+// resumed runs. The
 // WAL gets the terminal error record only when no event reached the
 // run's log — a fresh run that ended before planning — so no boot
 // resumes it; a resumed run the engine refused keeps its logged prefix
@@ -383,6 +384,9 @@ func (s *Server) launch(ctx context.Context, rec *runRecord, world *harness.Worl
 	opts.WAL = rec.wal
 	go func() {
 		res, err := world.Run(ctx, s.engine, opts)
+		// The record keeps cancel, and with it the context: cancelling
+		// releases what the run's attempts registered on it.
+		rec.cancel()
 		release := false
 		if rec.wal != nil {
 			if lg.empty() { // no PlanBuilt: err is set

@@ -3,6 +3,7 @@ package service
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -11,10 +12,12 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/datastore"
+	"repro/internal/encap"
 	"repro/internal/flow"
 	"repro/internal/history"
 	"repro/internal/trace"
@@ -522,6 +525,46 @@ func TestFinishedRunReleasesWorld(t *testing.T) {
 		}
 		if code, after := getBody(t, query); code != http.StatusOK || !bytes.Equal(after, before) {
 			t.Fatalf("data dir %q: after the world was freed, provenance answered %d:\n%s\nwant:\n%s", dataDir, code, after, before)
+		}
+	}
+}
+
+// TestFinishedRunReleasesContext: once a run is terminal, the context
+// its tools were handed is done. The record keeps the run's cancel
+// function, and with it the context, so a context left live would keep
+// what the run's attempts registered on it for the life of the server.
+func TestFinishedRunReleasesContext(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2})
+	doc := compact(t, corpus(t, "quickstart"))
+	world, flowName, opts, err := materialize(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var ctxs []context.Context
+	world.Registry().Wrap(func(_ string, e encap.Encapsulation) encap.Encapsulation {
+		return encap.Func(func(req *encap.Request) (encap.Outputs, error) {
+			mu.Lock()
+			ctxs = append(ctxs, req.Ctx)
+			mu.Unlock()
+			return e.Run(req)
+		})
+	})
+	accepted, err := s.start(world, flowName, opts, "alice", doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := waitTerminal(t, ts.URL, accepted.ID); v.State != string(stateSucceeded) {
+		t.Fatalf("run ended %+v, want succeeded", v)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(ctxs) == 0 {
+		t.Fatal("no tool ran")
+	}
+	for i, ctx := range ctxs {
+		if ctx.Err() == nil {
+			t.Fatalf("tool run %d of %d: its context is still live after the run finished", i+1, len(ctxs))
 		}
 	}
 }
